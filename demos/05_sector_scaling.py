@@ -2,9 +2,10 @@
 
 The ring Hamiltonian conserves total S_z, so the 2^N x 2^N matrix splits
 into independent blocks of size C(N, k).  The largest block at N = 14 is
-3432-dimensional: desk-scale, where the dense 16384-dimensional problem
-(4.3 GB of eigenvectors alone) is not.  Pass --large to include N = 13, 14
-(eigenvalues + sector labels only above N = 12).
+3432-dimensional, and the block eigenvectors take 321 MB: desk-scale, where
+the dense 16384-dimensional problem (4.3 GB of complex eigenvectors alone)
+is not.  The sectored column includes the block eigenvectors at every N.
+Pass --large to include N = 13, 14.
 """
 
 import sys
@@ -31,7 +32,7 @@ for n in range(6, 15 if large else 13):
     else:
         full, full_s = None, "      ---"
     t0 = time.perf_counter()
-    sect = diagonalize_sectored(None, spec)
+    sect = diagonalize_sectored(spec)
     t_sect = time.perf_counter() - t0
     dev = "" if full is None else \
         f"{np.max(np.abs(full.eigenvalues - sect.eigenvalues)):10.1e}"

@@ -3,7 +3,8 @@
 Configuration is a single JSON document; unknown keys are rejected so a
 typo in a physics parameter fails loudly instead of running the default.
 All floats print with 17 significant digits in both CSV and JSON, so the
-two renderings round-trip to bit-identical values.
+two renderings round-trip to bit-identical values; JSON writes non-finite
+floats as null, so every JSON output parses strictly.
 
 Exit codes: 0 success, 1 invariant failure, 2 configuration error.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import threshold as threshold_mod
 from .model import ModelSpec
-from .spectral import FULL_PATH_MAX_SITES, decompose
+from .spectral import FULL_PATH_MAX_SITES, check_dense_cap, decompose
 from .sweep import COLUMNS, run_sweep, temperature_grid
 from .verify import VerifyOptions, render_report, run_verification
 
@@ -71,6 +72,7 @@ def parse_model(obj: dict) -> ModelSpec:
                                      np.asarray(obj["jy"], dtype=float),
                                      np.asarray(obj["jz"], dtype=float),
                                      field_b=_number(obj, "field_b", "model", 0.0))
+            check_dense_cap(spec)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"model: {exc}") from exc
         if "n_sites" in obj and obj["n_sites"] != spec.n_sites:
@@ -179,7 +181,7 @@ def fmt_json_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return f"{v:.17g}"
+        return f"{v:.17g}" if math.isfinite(v) else "null"
     if isinstance(v, str):
         return json.dumps(v)
     return str(v)
@@ -214,18 +216,6 @@ def _write_out(text: str, out: str) -> None:
             fh.write(text)
 
 
-def _resolve_threads(value: str) -> int:
-    if value == "auto":
-        return min(os.cpu_count() or 1, 8)
-    try:
-        n = int(value)
-    except ValueError:
-        raise ConfigError(f"--threads must be an integer or 'auto', got {value!r}")
-    if n < 1:
-        raise ConfigError("--threads must be >= 1")
-    return n
-
-
 def _load_config(path: str | None, required: bool) -> dict:
     if path is None:
         if required:
@@ -249,15 +239,8 @@ def _load_config(path: str | None, required: bool) -> dict:
 def cmd_sweep(args) -> int:
     doc = _load_config(args.config, required=True)
     cfg = parse_sweep_config(doc)
-    if cfg.model.n_sites > FULL_PATH_MAX_SITES:
-        raise ConfigError(
-            f"sweeps need dense eigenvectors, capped at n_sites="
-            f"{FULL_PATH_MAX_SITES}; use the spectrum/threshold subcommands "
-            "for larger rings"
-        )
     fmt = args.format or cfg.fmt
-    rows = run_sweep(cfg.model, cfg.temperatures, cfg.pair,
-                     threads=_resolve_threads(args.threads))
+    rows = run_sweep(cfg.model, cfg.temperatures, cfg.pair)
     if fmt == "csv":
         text = render_csv(cfg.outputs, rows)
     else:
@@ -282,7 +265,8 @@ def cmd_threshold(args) -> int:
     _require_keys(doc, {"model": True}, "config")
     spec = parse_model(doc["model"])
     try:
-        sd = decompose(spec)
+        # the Wootters cross-check needs vectors; larger rings stay values-only
+        sd = decompose(spec, vectors=spec.n_sites <= FULL_PATH_MAX_SITES)
         res = threshold_mod.find_threshold(spec, sd)
     except ValueError as exc:
         raise ConfigError(f"threshold: {exc}") from exc
@@ -347,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output format (overrides the config)")
         p.add_argument("--out", default="stdout", help="output path or 'stdout'")
         p.add_argument("--seed", type=int, help="seed override for frame sampling")
-        p.add_argument("--threads", default="1", help="worker threads, integer or 'auto'")
         p.set_defaults(fn=fn)
     return parser
 

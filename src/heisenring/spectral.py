@@ -2,16 +2,19 @@
 
 The sector path groups computational basis states by their number of down
 spins k (Hamming weight of the basis index), diagonalizes each C(N, k)
-block independently and merges.  It never needs the full 2^N x 2^N matrix,
-which keeps N = 13, 14 tractable; dense eigenvectors are only assembled
-for N <= 12 (above that they alone would exceed a 4 GB budget, so the
-decomposition carries eigenvalues and sector labels only).
+block independently and merges the eigenvalues.  It never forms the full
+2^N x 2^N matrix, and it keeps the eigenvectors as the blocks themselves:
+321 MB at N = 14, where one dense complex eigenvector matrix would take
+4.3 GB.  Specs whose x and y couplings differ break S_z and go through the
+dense path, capped at N = 12; its eigenvectors form a single block over
+all 2^N states.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,24 +22,38 @@ from .model import ModelSpec, build_hamiltonian, is_hermitian
 
 FULL_PATH_MAX_SITES = 12
 DEGENERACY_RTOL = 1e-9
-_SZ_COMM_TOL = 1e-10
+
+
+class EigenBlock(NamedTuple):
+    """Eigenvectors supported on a subset of the basis.
+
+    vectors[:, c] is the eigenvector of eigenvalues[columns[c]] restricted to
+    the ascending basis indices `states`; it vanishes on every other state.
+    """
+
+    states: np.ndarray
+    vectors: np.ndarray
+    columns: np.ndarray
 
 
 @dataclass
 class SpectralDecomposition:
     """Eigenvalues (ascending) and eigenvectors of one Hamiltonian.
 
-    eigenvectors is a dense complex matrix with orthonormal columns, or None
-    when the decomposition was computed values-only (large sector runs).
-    sector_labels holds the total-S_z quantum number of each eigenvector for
-    S_z-conserving models, else None.
+    eigvec_blocks holds the eigenvectors as EigenBlocks with disjoint
+    supports (one per S_z sector, or one over all states on the dense path),
+    or None when the decomposition was computed values-only.  sector_labels
+    holds the total-S_z quantum number of each eigenvalue for S_z-conserving
+    models, else None.  pair_tables caches the per-eigenstate pair elements
+    built by twoqubit.pair_rdm_thermal, keyed by site pair.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
+    eigvec_blocks: tuple[EigenBlock, ...] | None
     ground_energy: float
     ground_degeneracy: int
     sector_labels: np.ndarray | None = None
+    pair_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -47,15 +64,6 @@ def ground_degeneracy_count(eigenvalues: np.ndarray) -> int:
     """Number of eigenvalues within the degeneracy tolerance of the lowest."""
     e0 = eigenvalues[0]
     return int(np.sum(np.abs(eigenvalues - e0) <= DEGENERACY_RTOL * max(1.0, abs(e0))))
-
-
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first non-negligible amplitude is real positive."""
-    lead = (np.abs(vectors) > 1e-12).argmax(axis=0)
-    pivots = vectors[lead, np.arange(vectors.shape[1])]
-    mags = np.abs(pivots)
-    mags[mags == 0.0] = 1.0
-    return vectors * (pivots.conj() / mags)
 
 
 def diagonalize_full(h: np.ndarray) -> SpectralDecomposition:
@@ -75,15 +83,12 @@ def diagonalize_full(h: np.ndarray) -> SpectralDecomposition:
     if not is_hermitian(h):
         raise ValueError("matrix is not Hermitian within tolerance")
     if np.iscomplexobj(h) and np.max(np.abs(h.imag)) == 0.0:
-        evals, vecs = np.linalg.eigh(h.real)
-        vecs = vecs.astype(complex)
-    else:
-        evals, vecs = np.linalg.eigh(h)
-        vecs = np.ascontiguousarray(vecs).astype(complex, copy=False)
-    vecs = _fix_phases(vecs)
+        h = h.real
+    evals, vecs = np.linalg.eigh(h)
+    every_state = np.arange(evals.size, dtype=np.int64)
     return SpectralDecomposition(
         eigenvalues=evals,
-        eigenvectors=vecs,
+        eigvec_blocks=(EigenBlock(every_state, vecs, every_state),),
         ground_energy=float(evals[0]),
         ground_degeneracy=ground_degeneracy_count(evals),
     )
@@ -135,55 +140,18 @@ def _sector_block_from_spec(spec: ModelSpec, states: np.ndarray, k: int) -> np.n
     return block
 
 
-def diagonalize_sectored(h: np.ndarray | None, spec: ModelSpec,
-                         vectors: bool | None = None) -> SpectralDecomposition:
-    """Sector-blocked eigendecomposition of an S_z-conserving Hamiltonian.
+def diagonalize_sectored(spec: ModelSpec, vectors: bool = True) -> SpectralDecomposition:
+    """Sector-blocked eigendecomposition of an S_z-conserving spec.
 
-    Parameters
-    ----------
-    h : ndarray or None
-        Dense Hamiltonian to block, or None to build the blocks directly
-        from `spec` (mandatory for n_sites >= 13).
-    spec : ModelSpec
-        Ring description; must conserve S_z.
-    vectors : bool, optional
-        Assemble dense eigenvectors.  Defaults to True for n_sites <= 12,
-        False above (where the dense matrix would not fit in memory).
+    Each block is built from bit rules, never from a dense Hamiltonian.
+    With vectors=False only eigenvalues and sector labels are computed.
     """
-    n = spec.n_sites
-    dim = spec.dim
-    if vectors is None:
-        vectors = n <= FULL_PATH_MAX_SITES
-    if vectors and n > FULL_PATH_MAX_SITES:
-        raise ValueError(
-            f"dense eigenvectors for n_sites={n} exceed the memory budget; "
-            "pass vectors=False"
-        )
-
-    if h is not None:
-        h = np.asarray(h)
-        if h.shape != (dim, dim):
-            raise ValueError(f"h has shape {h.shape}, expected {(dim, dim)}")
-        d = np.array([n - 2 * int(b).bit_count() for b in range(dim)], dtype=float)
-        comm = np.max(np.abs(h * d[None, :] - d[:, None] * h))
-        scale = max(1.0, float(np.max(np.abs(h))))
-        if comm > _SZ_COMM_TOL * scale:
-            raise ValueError(
-                f"[H, S_z] norm {comm / scale:.3e} exceeds {_SZ_COMM_TOL:.0e}; "
-                "H does not conserve S_z"
-            )
-    elif not spec.conserves_sz:
+    if not spec.conserves_sz:
         raise ValueError("spec does not conserve S_z (x and y couplings differ)")
-
-    all_evals, all_labels = [], []
-    vec_blocks = []  # (basis indices, block eigenvectors)
+    n = spec.n_sites
+    all_evals, all_labels, vec_blocks = [], [], []
     for k, states in enumerate(sector_basis(n)):
-        if h is not None:
-            block = h[np.ix_(states, states)]
-            if np.max(np.abs(block.imag)) == 0.0:
-                block = block.real
-        else:
-            block = _sector_block_from_spec(spec, states, k)
+        block = _sector_block_from_spec(spec, states, k)
         if vectors:
             evals, bvecs = np.linalg.eigh(block)
             vec_blocks.append((states, bvecs))
@@ -198,40 +166,56 @@ def diagonalize_sectored(h: np.ndarray | None, spec: ModelSpec,
     evals = evals[order]
     labels = labels[order]
 
-    dense = None
+    blocks = None
     if vectors:
-        dense = np.zeros((dim, dim), dtype=complex)
-        col = 0
-        for states, bvecs in vec_blocks:
-            dense[np.ix_(states, np.arange(col, col + states.size))] = bvecs
-            col += states.size
-        dense = _fix_phases(dense[:, order])
+        # position of each block column in the sorted spectrum
+        columns = np.split(np.argsort(order),
+                           np.cumsum([states.size for states, _ in vec_blocks])[:-1])
+        blocks = tuple(EigenBlock(states, bvecs, cols)
+                       for (states, bvecs), cols in zip(vec_blocks, columns))
 
     return SpectralDecomposition(
         eigenvalues=evals,
-        eigenvectors=dense,
+        eigvec_blocks=blocks,
         ground_energy=float(evals[0]),
         ground_degeneracy=ground_degeneracy_count(evals),
         sector_labels=labels,
     )
 
 
-def decompose(spec: ModelSpec, vectors: bool | None = None) -> SpectralDecomposition:
-    """Convenience front door: sector path when S_z is conserved, else full."""
+def check_dense_cap(spec: ModelSpec) -> None:
+    """Refuse, before anything is allocated, a spec too large for the dense path."""
+    if not spec.conserves_sz and spec.n_sites > FULL_PATH_MAX_SITES:
+        raise ValueError(
+            f"n_sites={spec.n_sites} breaks S_z (x and y couplings differ), which "
+            f"needs the dense path, capped at n_sites={FULL_PATH_MAX_SITES}"
+        )
+
+
+def decompose(spec: ModelSpec, vectors: bool = True) -> SpectralDecomposition:
+    """Sector path when S_z is conserved, else the dense path (always with vectors)."""
     if spec.conserves_sz:
-        return diagonalize_sectored(None, spec, vectors=vectors)
+        return diagonalize_sectored(spec, vectors)
+    check_dense_cap(spec)
     return diagonalize_full(build_hamiltonian(spec))
 
 
 def eigen_residuals(h: np.ndarray, sd: SpectralDecomposition) -> tuple[float, float]:
-    """(worst eigenpair residual scaled by max(1,|E|), worst orthonormality defect)."""
-    v = sd.eigenvectors
-    if v is None:
+    """(worst eigenpair residual scaled by max(1,|E|), worst orthonormality defect).
+
+    Vectors of different blocks have disjoint supports, so orthonormality
+    is checked within each block.
+    """
+    if sd.eigvec_blocks is None:
         raise ValueError("decomposition carries no eigenvectors")
-    r = h @ v - v * sd.eigenvalues[None, :]
-    scale = np.maximum(1.0, np.abs(sd.eigenvalues))
-    resid = float(np.max(np.linalg.norm(r, axis=0) / scale))
-    ortho = float(np.max(np.abs(v.conj().T @ v - np.eye(sd.dim))))
+    resid = ortho = 0.0
+    for states, v, cols in sd.eigvec_blocks:
+        e = sd.eigenvalues[cols]
+        r = h[:, states] @ v
+        r[states] -= v * e[None, :]
+        scale = np.maximum(1.0, np.abs(e))
+        resid = max(resid, float(np.max(np.linalg.norm(r, axis=0) / scale)))
+        ortho = max(ortho, float(np.max(np.abs(v.conj().T @ v - np.eye(cols.size)))))
     return resid, ortho
 
 

@@ -1,14 +1,12 @@
 """Temperature sweeps: one row of observables per grid point.
 
-Rows are computed as a pure map over temperatures sharing one spectral
-decomposition, so they can be evaluated on any number of worker threads
-without changing a single bit of the output; rows always come back in grid
-order.  Columns whose formula preconditions fail are None, never zero.
+All rows share one spectral decomposition; after the first row has built
+the pair table, each row costs one Boltzmann-weighted table product plus
+the 4x4 work.  Columns whose formula preconditions fail are None, never
+zero.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -74,11 +72,7 @@ def sweep_row(sd: SpectralDecomposition, spec: ModelSpec, temperature: float,
 
 
 def run_sweep(spec: ModelSpec, temperatures: np.ndarray,
-              pair: tuple[int, int] = (1, 2), threads: int = 1) -> list[dict]:
-    """One row per temperature, in grid order regardless of scheduling."""
+              pair: tuple[int, int] = (1, 2)) -> list[dict]:
+    """One row per temperature, in grid order."""
     sd = decompose(spec)
-    if threads <= 1:
-        return [sweep_row(sd, spec, float(t), pair) for t in temperatures]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda t: sweep_row(sd, spec, float(t), pair),
-                             [float(t) for t in temperatures]))
+    return [sweep_row(sd, spec, float(t), pair) for t in temperatures]

@@ -87,9 +87,10 @@ def thermo_point(sd: SpectralDecomposition, spec: ModelSpec,
 
     if sd.sector_labels is not None:
         m = float((2.0 * sd.sector_labels) @ p)
-    elif sd.eigenvectors is not None:
+    elif sd.eigvec_blocks is not None:
         d = _sigma_z_diagonal(spec.n_sites)
-        m = float(d @ ((np.abs(sd.eigenvectors) ** 2) @ p))
+        m = float(sum(d[states] @ ((np.abs(v) ** 2) @ p[cols])
+                      for states, v, cols in sd.eigvec_blocks))
     else:
         raise ValueError("magnetization needs sector labels or eigenvectors")
 
@@ -107,11 +108,13 @@ def thermo_point(sd: SpectralDecomposition, spec: ModelSpec,
 
 def gibbs_state(sd: SpectralDecomposition, temperature: float) -> GibbsState:
     """Thermal density matrix; at T = 0 the uniform ground-multiplet mixture."""
-    if sd.eigenvectors is None:
+    if sd.eigvec_blocks is None:
         raise ValueError("Gibbs state needs eigenvectors; rerun with vectors=True")
     p = thermal_probabilities(sd, temperature)
-    v = sd.eigenvectors
-    return GibbsState(matrix=(v * p) @ v.conj().T)
+    rho = np.zeros((sd.dim, sd.dim), dtype=complex)
+    for states, v, cols in sd.eigvec_blocks:
+        rho[np.ix_(states, states)] = (v * p[cols]) @ v.conj().T
+    return GibbsState(matrix=rho)
 
 
 def check_derivatives(spec: ModelSpec, temperature: float,

@@ -85,7 +85,7 @@ def find_threshold(spec: ModelSpec, sd: SpectralDecomposition) -> ThresholdResul
     t_c = 0.5 * (lo + hi)
     u_of_n = thermo_point(sd, spec, t_c).u / (-n * j)
 
-    if sd.eigenvectors is not None:
+    if sd.eigvec_blocks is not None:
         step = 1e-4 if t_c > 2e-4 else 0.5 * t_c
         below = concurrence_wootters(pair_rdm_thermal(sd, t_c - step, 1, 2)).wootters
         above = concurrence_wootters(pair_rdm_thermal(sd, t_c + step, 1, 2)).wootters

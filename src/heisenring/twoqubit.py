@@ -119,26 +119,51 @@ def reduce_to_pair(rho: GibbsState | np.ndarray, i: int, j: int) -> TwoQubitRDM:
     return TwoQubitRDM.from_matrix(rdm, (i, j))
 
 
+def _pair_table(sd: SpectralDecomposition, i: int, j: int) -> np.ndarray:
+    """Per-eigenstate pair-RDM elements, shape (dim, 16): row n is rho_ij^(n) flattened.
+
+    Element (a, b) pairs each basis state whose (i, j) bits read a with the
+    state that has the same other bits and reads b; only pairs inside one
+    block contribute.  An S_z block thus fills u+, w1, w2, u-, z and z*,
+    and the single dense block fills all 16.
+    """
+    if sd.eigvec_blocks is None:
+        raise ValueError("pair RDM needs eigenvectors; rerun with vectors=True")
+    if i == j:
+        raise ValueError(f"need two distinct sites, got ({i}, {j})")
+    n = sd.dim.bit_length() - 1
+    bi, bj = bit_for_site(i, n), bit_for_site(j, n)
+    pair_bits = [((a >> 1) << bi) | ((a & 1) << bj) for a in range(4)]
+    dtype = np.result_type(*(blk.vectors for blk in sd.eigvec_blocks))
+    table = np.zeros((sd.dim, 16), dtype=dtype)
+    for states, vecs, cols in sd.eigvec_blocks:
+        rest = states & ~pair_bits[3]
+        label = ((states >> bi) & 1) * 2 + ((states >> bj) & 1)
+        for a in range(4):
+            rows = np.nonzero(label == a)[0]
+            for b in range(4):
+                partner = rest[rows] | pair_bits[b]
+                pos = np.minimum(np.searchsorted(states, partner), states.size - 1)
+                hit = states[pos] == partner
+                if hit.any():
+                    table[cols, 4 * a + b] = np.sum(
+                        vecs[rows[hit]] * vecs[pos[hit]].conj(), axis=0)
+    return table
+
+
 def pair_rdm_thermal(sd: SpectralDecomposition, temperature: float,
                      i: int, j: int) -> TwoQubitRDM:
-    """Thermal pair RDM straight from the eigenbasis, skipping the full rho.
+    """Thermal pair RDM as the Boltzmann average of per-eigenstate pair RDMs.
 
-    Equivalent to reduce_to_pair(gibbs_state(sd, T), i, j) but costs
-    O(4^n) instead of the O(8^n) full Gibbs-matrix construction, which is
-    what makes wide temperature sweeps cheap.
+    Equivalent to reduce_to_pair(gibbs_state(sd, T), i, j).  The first call
+    for a pair builds its per-eigenstate table block by block and caches it
+    on `sd`; every call then costs one (dim,) x (dim, 16) product.
     """
-    if sd.eigenvectors is None:
-        raise ValueError("pair RDM needs eigenvectors; rerun with vectors=True")
+    table = sd.pair_tables.get((i, j))
+    if table is None:
+        table = sd.pair_tables[(i, j)] = _pair_table(sd, i, j)
     p = thermal_probabilities(sd, temperature)
-    n = sd.dim.bit_length() - 1
-    rows = _pair_row_indices(n, i, j)
-    slices = [sd.eigenvectors[r, :] for r in rows]
-    weighted = [s * p[None, :] for s in slices]
-    rdm = np.empty((4, 4), dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            rdm[a, b] = np.sum(weighted[a] * slices[b].conj())
-    return TwoQubitRDM.from_matrix(rdm, (i, j))
+    return TwoQubitRDM.from_matrix((p @ table).reshape(4, 4), (i, j))
 
 
 def correlations(rho: GibbsState | np.ndarray, i: int, j: int) -> CorrelationSet:

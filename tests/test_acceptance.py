@@ -228,13 +228,13 @@ def test_criterion_11_sector_equivalence_and_scale():
                                  0.3 if n % 3 == 0 else 0.0)
         h = build_hamiltonian(spec)
         full = diagonalize_full(h)
-        sect = diagonalize_sectored(None, spec)
+        sect = diagonalize_sectored(spec)
         worst = max(worst, float(np.max(np.abs(full.eigenvalues - sect.eigenvalues))))
     assert worst <= 1e-9
 
     start = time.perf_counter()
     spec14 = ModelSpec.uniform(14, 1.0)
-    sd14 = diagonalize_sectored(None, spec14)
+    sd14 = diagonalize_sectored(spec14, vectors=False)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     assert sd14.dim == 1 << 14

@@ -99,15 +99,6 @@ def test_csv_and_json_values_identical(tmp_path):
                 assert float(cval) == jval  # exact: both print 17 significant digits
 
 
-def test_sweep_threads_do_not_change_output(tmp_path):
-    doc = sweep_config(n_sites=4, j=1.0, delta=2.0)
-    cfg = write_config(tmp_path, doc)
-    out1, out2 = tmp_path / "t1.csv", tmp_path / "t4.csv"
-    assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
-    assert out1.read_text() == out2.read_text()
-
-
 def test_sweep_empty_cells_for_inapplicable_routes(tmp_path):
     # ring-pattern general couplings: no uniform J, so no energy column
     m = [[0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5, 0.0],
@@ -249,10 +240,58 @@ def test_corrupted_hamiltonian_fails_hermiticity():
     assert check_hermiticity(h) > 1e-6
 
 
-def test_sweep_rejects_rings_beyond_vector_cap(tmp_path, capsys):
-    cfg = write_config(tmp_path, sweep_config(n_sites=13, j=1.0))
-    assert main(["sweep", "--config", cfg]) == 2
-    assert "n_sites" in capsys.readouterr().err
+def test_sweep_beyond_dense_cap_on_sector_blocks(tmp_path):
+    # S_z-conserving rings sweep past N = 12 on block eigenvectors
+    doc = sweep_config(n_sites=13, j=1.0)
+    doc["temperatures"]["count"] = 2
+    out = tmp_path / "rows13.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    _, rows = parse_csv(out.read_text())
+    assert len(rows) == 2
+    for row in rows:
+        assert float(row["max_route_disagreement"]) <= 1e-9
+
+
+def test_general_spec_beyond_dense_cap_exits_two(tmp_path, capsys, monkeypatch):
+    # jx != jy breaks S_z, so N = 13 would need the dense path: refused
+    # as a config error before any Hamiltonian is built
+    def never(spec):
+        raise AssertionError("build_hamiltonian ran")
+    monkeypatch.setattr("heisenring.spectral.build_hamiltonian", never)
+    ring = np.zeros((13, 13))
+    for i in range(13):
+        ring[i, (i + 1) % 13] = ring[(i + 1) % 13, i] = 0.5
+    model = {"jx": ring.tolist(), "jy": (2.0 * ring).tolist(), "jz": ring.tolist()}
+    configs = {
+        "sweep": {"model": model,
+                  "temperatures": {"start": 1.0, "stop": 2.0, "count": 2}},
+        "spectrum": {"model": model},
+        "threshold": {"model": model},
+    }
+    for command, doc in configs.items():
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        assert "dense path" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_json_outputs_parse_strictly(tmp_path):
+    # T = 0 gives log Z = inf, which must come out as null
+    sweep_doc = {"model": {"n_sites": 4, "j": 1.0},
+                 "temperatures": {"start": 0.0, "stop": 1.0, "count": 3}}
+    model_doc = {"model": {"n_sites": 4, "j": 1.0}}
+    for command, doc in (("sweep", sweep_doc), ("threshold", model_doc),
+                         ("spectrum", model_doc)):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--config", write_config(tmp_path, doc),
+                     "--format", "json", "--out", str(out)]) == 0
+        parsed = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert parsed
+    rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+    assert rows[0][0] == 0.0 and rows[0][1] is None
 
 
 def test_spectrum_works_beyond_vector_cap(tmp_path):

@@ -40,7 +40,7 @@ def test_two_site_sector_blocks():
     basis = sector_basis(2)
     assert [b.size for b in basis] == [1, 2, 1]
     spec = ModelSpec.uniform(2, 1.0)
-    sd = diagonalize_sectored(None, spec)
+    sd = diagonalize_sectored(spec)
     assert np.allclose(sd.eigenvalues, [-6.0, 2.0, 2.0, 2.0], atol=1e-12)
     assert sd.sector_labels is not None
 
@@ -55,11 +55,8 @@ def test_sectored_rejects_sz_breaking_h():
     m = np.zeros((2, 2))
     m[0, 1] = m[1, 0] = 1.0
     spec = ModelSpec.general(m, 2 * m, m)  # jx != jy breaks S_z
-    h = build_hamiltonian(spec)
     with pytest.raises(ValueError, match="S_z"):
-        diagonalize_sectored(h, spec)
-    with pytest.raises(ValueError, match="S_z"):
-        diagonalize_sectored(None, spec)
+        diagonalize_sectored(spec)
 
 
 @pytest.mark.parametrize("n,j,delta,b", [
@@ -74,9 +71,9 @@ def test_sector_matches_full(n, j, delta, b):
     spec = ModelSpec.uniform(n, j, delta, b)
     h = build_hamiltonian(spec)
     full = diagonalize_full(h)
-    for sect in (diagonalize_sectored(h, spec), diagonalize_sectored(None, spec)):
-        assert np.max(np.abs(sect.eigenvalues - full.eigenvalues)) <= 1e-9
-        resid, ortho = eigen_residuals(h, sect)
+    for sd in (diagonalize_sectored(spec), full):
+        assert np.max(np.abs(sd.eigenvalues - full.eigenvalues)) <= 1e-9
+        resid, ortho = eigen_residuals(h, sd)
         assert resid <= 1e-9
         assert ortho <= 1e-9
     assert abs(full.eigenvalues.sum() - np.trace(h).real) <= \
@@ -85,29 +82,33 @@ def test_sector_matches_full(n, j, delta, b):
 
 def test_sector_labels_match_hamming():
     spec = ModelSpec.uniform(4, 1.0, 0.5, 0.3)
-    sd = diagonalize_sectored(None, spec)
-    # each eigenvector must live entirely inside its labelled sector
-    for k, label in enumerate(sd.sector_labels):
-        col = sd.eigenvectors[:, k]
-        support = np.nonzero(np.abs(col) > 1e-12)[0]
-        weights = {int(b).bit_count() for b in support}
+    sd = diagonalize_sectored(spec)
+    # each block lives inside one sector and its columns carry that label;
+    # together the columns cover the sorted spectrum exactly once
+    covered = np.concatenate([cols for _, _, cols in sd.eigvec_blocks])
+    assert np.array_equal(np.sort(covered), np.arange(sd.dim))
+    for states, vecs, cols in sd.eigvec_blocks:
+        weights = {int(b).bit_count() for b in states}
         assert len(weights) == 1
-        assert (4 - 2 * weights.pop()) / 2.0 == label
+        assert np.all(sd.sector_labels[cols] == (4 - 2 * weights.pop()) / 2.0)
+        assert vecs.shape == (states.size, cols.size)
 
 
 def test_deterministic_repeat():
     spec = ModelSpec.uniform(5, 1.0, 0.5, 0.2)
-    a = diagonalize_sectored(None, spec)
-    b = diagonalize_sectored(None, spec)
+    a = diagonalize_sectored(spec)
+    b = diagonalize_sectored(spec)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert np.array_equal(a.eigenvectors, b.eigenvectors)
+    for blk_a, blk_b in zip(a.eigvec_blocks, b.eigvec_blocks, strict=True):
+        assert all(np.array_equal(x, y) for x, y in zip(blk_a, blk_b))
 
 
 def test_full_path_phase_fix_deterministic():
     h = build_hamiltonian(ModelSpec.uniform(4, 1.0))
     a = diagonalize_full(h)
     b = diagonalize_full(h.copy())
-    assert np.array_equal(a.eigenvectors, b.eigenvectors)
+    (blk_a,), (blk_b,) = a.eigvec_blocks, b.eigvec_blocks
+    assert np.array_equal(blk_a.vectors, blk_b.vectors)
 
 
 def test_degenerate_ground_space():
@@ -119,12 +120,7 @@ def test_degenerate_ground_space():
 
 def test_delta_arithmetic_detour_same_spectrum():
     # delta arriving via arithmetic equal to 1.0 changes nothing
-    a = diagonalize_sectored(None, ModelSpec.uniform(4, 1.0, 1.0))
-    b = diagonalize_sectored(None, ModelSpec.uniform(4, 1.0, 0.5 * 2.0 * 1.0))
+    a = diagonalize_sectored(ModelSpec.uniform(4, 1.0, 1.0))
+    b = diagonalize_sectored(ModelSpec.uniform(4, 1.0, 0.5 * 2.0 * 1.0))
     assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= 1e-9
 
-
-def test_vectors_guard_for_large_rings():
-    spec = ModelSpec.uniform(13, 1.0)
-    with pytest.raises(ValueError, match="memory"):
-        diagonalize_sectored(None, spec, vectors=True)
