@@ -6,7 +6,8 @@ u, u~ the top eigenvalues of T T^t.  On isotropic rings this collapses to
 2 sqrt(2) |U/(3JN)|: one thermodynamic number decides both entanglement
 and nonlocality.  Violation (measure > 2) is strictly stronger than
 entanglement: between 2 sqrt(2)/3 and 2 the state is entangled but no
-CHSH frame can show it.
+CHSH frame can show it.  Every Bell function reads the state only through
+its 3x3 correlation tensor T, computed once per state here.
 """
 
 import math
@@ -15,6 +16,7 @@ from heisenring import (
     ModelSpec,
     chsh_expectation,
     concurrence_wootters,
+    correlations_from_rdm,
     decompose,
     optimal_frame,
     pair_rdm_thermal,
@@ -33,10 +35,11 @@ print(f"{'T':>7} {'measure':>9} {'closed':>9} {'violates':>9} "
 for t in [0.2, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0]:
     tp = thermo_point(sd, spec, t)
     rdm = pair_rdm_thermal(sd, t, 1, 2)
-    res = violation_measure(rdm)
+    g = correlations_from_rdm(rdm).g
+    res = violation_measure(g)
     closed = violation_xxx(tp.u, 1.0, 2)
     c = concurrence_wootters(rdm).wootters
-    sampled = random_frame_search(rdm, 2000, seed=42)
+    sampled = random_frame_search(g, 2000, seed=42)
     print(f"{t:7.2f} {res.measure:9.5f} {closed:9.5f} {res.violates!s:>9} "
           f"{c:9.5f} {sampled:20.5f}")
 
@@ -46,18 +49,18 @@ print("entangled-but-not-violating window: measure in (2*sqrt(2)/3, 2] "
 
 print("\n=== the analytic optimal frame attains the measure exactly ===")
 for t in (0.5, 4.0, 9.0):
-    rdm = pair_rdm_thermal(sd, t, 1, 2)
-    res = violation_measure(rdm)
-    attained = abs(chsh_expectation(rdm, optimal_frame(rdm)))
+    g = correlations_from_rdm(pair_rdm_thermal(sd, t, 1, 2)).g
+    res = violation_measure(g)
+    attained = abs(chsh_expectation(g, optimal_frame(g)))
     print(f"T={t:5.2f}: measure {res.measure:.12f}  frame value {attained:.12f}  "
           f"diff {abs(res.measure - attained):.1e}")
 
 print("\n=== random frames approach but never beat the bound (N=4, T=0.5) ===")
 spec4 = ModelSpec.uniform(4, 1.0)
 sd4 = decompose(spec4)
-rdm4 = pair_rdm_thermal(sd4, 0.5, 1, 2)
-bound = violation_measure(rdm4).measure
+g4 = correlations_from_rdm(pair_rdm_thermal(sd4, 0.5, 1, 2)).g
+bound = violation_measure(g4).measure
 for count in (100, 1000, 10000, 100000):
-    best = random_frame_search(rdm4, count, seed=7)
+    best = random_frame_search(g4, count, seed=7)
     print(f"{count:7d} frames: best {best:.6f}  (bound {bound:.6f}, "
           f"gap {bound - best:.2e})")

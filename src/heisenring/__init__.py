@@ -14,9 +14,7 @@ from .bell import (
     optimal_frame,
     random_frame_search,
     random_frames,
-    t_matrix,
     violation_measure,
-    violation_measure_from_correlations,
     violation_xxx,
 )
 from .entanglement import (

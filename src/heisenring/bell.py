@@ -5,6 +5,10 @@ sigma_m), the maximum of |<CHSH>| over all measurement frames is
 2 sqrt(u + u~) with u >= u~ the two largest eigenvalues of T T^t.  Values
 above 2 certify entanglement (witness direction only); 2 sqrt(2) is the
 quantum ceiling.
+
+Every function here reads the state only through its 3x3 tensor T, the
+`g` of twoqubit.CorrelationSet, so a caller computes T once per state and
+passes it on.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import clamp_concurrence
-from .twoqubit import TwoQubitRDM, correlations_from_rdm
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -41,47 +44,28 @@ class MeasurementFrame:
 
 @dataclass(frozen=True)
 class BellResult:
-    """Correlation matrix, top two eigenvalues of T T^t, and 2 sqrt(u + u~)."""
+    """Top two eigenvalues of T T^t and the measure 2 sqrt(u + u~)."""
 
-    t_matrix: np.ndarray
     top_two: tuple[float, float]
     measure: float
     violates: bool
 
 
-def t_matrix(rdm: TwoQubitRDM) -> np.ndarray:
-    """3x3 real correlation matrix T[n, m] = tr(rho sigma_n x sigma_m)."""
-    cs = correlations_from_rdm(rdm)  # raises if imaginary residue > 1e-8
-    return cs.g.copy()
-
-
-def chsh_expectation(rdm: TwoQubitRDM, frame: MeasurementFrame) -> float:
+def chsh_expectation(t: np.ndarray, frame: MeasurementFrame) -> float:
     """Signed CHSH expectation a.T(b + b') + a'.T(b - b') for one frame."""
-    t = t_matrix(rdm)
     return float(frame.a @ (t @ (frame.b + frame.b_prime))
                  + frame.a_prime @ (t @ (frame.b - frame.b_prime)))
 
 
-def violation_measure_from_correlations(t: np.ndarray) -> BellResult:
-    """Horodecki measure from a bare 3x3 correlation matrix.
-
-    The measure depends on nothing but the correlation tensor (in
-    particular not on the magnetization), so any independently obtained T
-    must reproduce violation_measure exactly.
-    """
+def violation_measure(t: np.ndarray) -> BellResult:
+    """Maximal |<CHSH>| over all frames, from the spectrum of T T^t."""
     t = np.asarray(t, dtype=float)
     if t.shape != (3, 3):
         raise ValueError(f"expected a 3x3 correlation matrix, got {t.shape}")
     evals = np.clip(np.linalg.eigvalsh(t @ t.T), 0.0, None)  # PSD up to roundoff
     u, u_tilde = float(evals[2]), float(evals[1])
     measure = 2.0 * math.sqrt(u + u_tilde)
-    return BellResult(t_matrix=t, top_two=(u, u_tilde), measure=measure,
-                      violates=measure > 2.0)
-
-
-def violation_measure(rdm: TwoQubitRDM) -> BellResult:
-    """Maximal |<CHSH>| over all frames, from the spectrum of T T^t."""
-    return violation_measure_from_correlations(t_matrix(rdm))
+    return BellResult(top_two=(u, u_tilde), measure=measure, violates=measure > 2.0)
 
 
 def violation_xxx(u: float, j: float, n: int) -> float:
@@ -129,32 +113,30 @@ def random_frames(count: int, seed: int) -> np.ndarray:
     return v / norms
 
 
-def frame_expectations(rdm: TwoQubitRDM, frames: np.ndarray) -> np.ndarray:
+def frame_expectations(t: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """CHSH expectations for a batch of frames (vectorized)."""
-    t = t_matrix(rdm)
     a, ap, b, bp = frames[:, 0], frames[:, 1], frames[:, 2], frames[:, 3]
     return (np.einsum("ki,ij,kj->k", a, t, b + bp)
             + np.einsum("ki,ij,kj->k", ap, t, b - bp))
 
 
-def random_frame_search(rdm: TwoQubitRDM, n_frames: int = 10_000,
+def random_frame_search(t: np.ndarray, n_frames: int = 10_000,
                         seed: int = 0) -> float:
     """Largest |<CHSH>| over `n_frames` seeded random frames.
 
     Can approach but never exceed the Horodecki measure; used as a
     consistency probe, not as the maximizer (violation_measure is exact).
     """
-    return float(np.max(np.abs(frame_expectations(rdm, random_frames(n_frames, seed)))))
+    return float(np.max(np.abs(frame_expectations(t, random_frames(n_frames, seed)))))
 
 
-def optimal_frame(rdm: TwoQubitRDM) -> MeasurementFrame:
+def optimal_frame(t: np.ndarray) -> MeasurementFrame:
     """A frame that attains the Horodecki maximum, built from the SVD of T.
 
     With T = U S W^t and s1 >= s2 the top singular values, measuring along
     b, b' = cos(th) w1 +- sin(th) w2 (th = atan2(s2, s1)) and a, a' = u1, u2
     gives <CHSH> = 2 sqrt(s1^2 + s2^2).
     """
-    t = t_matrix(rdm)
     u_mat, s, wt = np.linalg.svd(t)
     if s[0] < 1e-14:  # zero correlations: any frame gives 0
         ex, ey = np.eye(3)[0], np.eye(3)[1]

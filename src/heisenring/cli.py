@@ -3,8 +3,9 @@
 Configuration is a single JSON document; unknown keys are rejected so a
 typo in a physics parameter fails loudly instead of running the default.
 All floats print with 17 significant digits in both CSV and JSON, so the
-two renderings round-trip to bit-identical values; JSON writes non-finite
-floats as null, so every JSON output parses strictly.
+two renderings round-trip to bit-identical values; a non-finite float is
+written as null in JSON and as an empty cell in CSV, so every output parses
+strictly.
 
 Exit codes: 0 success, 1 invariant failure, 2 configuration error.
 """
@@ -36,7 +37,6 @@ class SweepConfig:
     temperatures: np.ndarray
     pair: tuple[int, int]
     outputs: tuple[str, ...]
-    seed: int
     fmt: str
 
 
@@ -114,7 +114,7 @@ def parse_temperatures(obj: dict) -> np.ndarray:
 
 def parse_sweep_config(doc: dict) -> SweepConfig:
     _require_keys(doc, {"model": True, "temperatures": True, "pair": False,
-                        "outputs": False, "seed": False, "format": False},
+                        "outputs": False, "format": False},
                   "config")
     spec = parse_model(doc["model"])
     temps = parse_temperatures(doc["temperatures"])
@@ -133,10 +133,7 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
     fmt = doc.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"'format' must be 'csv' or 'json', got {fmt!r}")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"'seed' must be a non-negative integer, got {seed!r}")
-    return SweepConfig(spec, temps, (pair[0], pair[1]), tuple(outputs), seed, fmt)
+    return SweepConfig(spec, temps, (pair[0], pair[1]), tuple(outputs), fmt)
 
 
 def parse_verify_options(doc: dict) -> VerifyOptions:
@@ -147,8 +144,10 @@ def parse_verify_options(doc: dict) -> VerifyOptions:
     for key in ("n_values", "deltas", "fields", "j_values"):
         if key in doc:
             vals = doc[key]
-            if not isinstance(vals, list) or not vals:
-                raise ConfigError(f"{key!r} must be a non-empty list")
+            if (not isinstance(vals, list) or not vals
+                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                               and math.isfinite(v) for v in vals)):
+                raise ConfigError(f"{key!r} must be a non-empty list of finite numbers")
             kwargs[key] = tuple(int(v) for v in vals) if key == "n_values" \
                 else tuple(float(v) for v in vals)
     if "temperatures" in doc:
@@ -171,7 +170,7 @@ def fmt_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return f"{v:.17g}"
+        return f"{v:.17g}" if math.isfinite(v) else ""
     return str(v)
 
 
@@ -244,8 +243,7 @@ def cmd_sweep(args) -> int:
     if fmt == "csv":
         text = render_csv(cfg.outputs, rows)
     else:
-        text = render_json(cfg.outputs, rows,
-                           meta={"seed": args.seed if args.seed is not None else cfg.seed})
+        text = render_json(cfg.outputs, rows)
     _write_out(text, args.out)
     return 0
 
@@ -254,6 +252,8 @@ def cmd_verify(args) -> int:
     doc = _load_config(args.config, required=False)
     opts = parse_verify_options(doc)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed must be non-negative")
         opts = VerifyOptions(**{**opts.__dict__, "seed": args.seed})
     results = run_verification(opts)
     _write_out(render_report(results) + "\n", args.out)
@@ -327,10 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to the JSON configuration")
-        p.add_argument("--format", choices=("csv", "json"),
-                       help="output format (overrides the config)")
         p.add_argument("--out", default="stdout", help="output path or 'stdout'")
-        p.add_argument("--seed", type=int, help="seed override for frame sampling")
+        if name == "verify":
+            p.add_argument("--seed", type=int,
+                           help="seed for the random CHSH frames and sampled models")
+        else:
+            p.add_argument("--format", choices=("csv", "json"),
+                           help="output format (overrides the config)")
         p.set_defaults(fn=fn)
     return parser
 
@@ -339,8 +342,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError("--seed must be non-negative")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, SIGMA_Y
+from .model import PAIR_PAULI, ModelSpec
 from .spectral import SpectralDecomposition
 from .twoqubit import CorrelationSet, TwoQubitRDM
 
@@ -24,8 +24,6 @@ logger = logging.getLogger(__name__)
 
 CLAMP_TOL = 1e-12
 X_FORM_TOL = 1e-8
-
-_YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 
 def clamp_concurrence(c: float) -> float:
@@ -77,7 +75,7 @@ def concurrence_wootters(rdm: TwoQubitRDM) -> ConcurrenceResult:
             "input is not a valid density matrix"
         )
     sqrt_rho = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
-    sqrt_flipped = _YY @ sqrt_rho.conj() @ _YY
+    sqrt_flipped = PAIR_PAULI["y"] @ sqrt_rho.conj() @ PAIR_PAULI["y"]
     lambdas = np.linalg.svd(sqrt_flipped @ sqrt_rho, compute_uv=False)
     c = clamp_concurrence(max(0.0, lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3]))
     return ConcurrenceResult(wootters=c, lambdas=lambdas)

@@ -30,6 +30,7 @@ unordered pair twice).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -42,8 +43,10 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 AXES = ("x", "y", "z")
+# sigma_a x sigma_a on a site pair, the 4x4 bond operators
+PAIR_PAULI = {ax: np.kron(m, m) for ax, m in PAULI.items()}
 
-for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2):
+for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2, *PAIR_PAULI.values()):
     _m.flags.writeable = False
 
 
@@ -92,6 +95,9 @@ class ModelSpec:
             raise ValueError(
                 f"n_sites={self.n_sites} exceeds the configured cap of {self.site_cap}"
             )
+        for name, value in {"field_b": self.field_b, **vars(self.coupling)}.items():
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if isinstance(self.coupling, GeneralCoupling):
             n = self.n_sites
             for name, mat in (("jx", self.coupling.jx),
@@ -154,12 +160,23 @@ def bit_for_site(site: int, n: int) -> int:
     return n - site
 
 
-def kron_at(factors: dict[int, np.ndarray], n: int) -> np.ndarray:
-    """Tensor product over n sites with the given single-site factors, identity elsewhere."""
-    out = np.array([[1.0 + 0.0j]])
-    for s in range(1, n + 1):
-        out = np.kron(out, factors.get(s, IDENTITY_2))
-    return out
+def embed(op: np.ndarray, sites: tuple[int, ...], n: int) -> np.ndarray:
+    """Operator `op` on `sites` of an n-site register, identity elsewhere.
+
+    The tensor factors of `op` act on `sites` in the order given, so
+    embed(kron(a, b), (3, 1), n) puts a on site 3 and b on site 1.  One kron
+    with the identity on the other sites, then one transpose of the
+    (2,) * 2n view moves every factor to its site.
+    """
+    k = len(sites)
+    for s in sites:
+        bit_for_site(s, n)
+    if len(set(sites)) != k:
+        raise ValueError(f"sites must be distinct, got {sites}")
+    factor_sites = sites + tuple(s for s in range(1, n + 1) if s not in sites)
+    axes = np.argsort(factor_sites)
+    full = np.kron(op, np.eye(1 << (n - k))).reshape((2,) * (2 * n))
+    return full.transpose(*axes, *(axes + n)).reshape(1 << n, 1 << n)
 
 
 def pauli_at(site: int, axis: str, n: int) -> np.ndarray:
@@ -170,28 +187,26 @@ def pauli_at(site: int, axis: str, n: int) -> np.ndarray:
     """
     if axis not in PAULI:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    if not 1 <= site <= n:
-        raise ValueError(f"site {site} out of range 1..{n}")
-    return kron_at({site: PAULI[axis]}, n)
+    return embed(PAULI[axis], (site,), n)
 
 
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
     """Dense complex Hamiltonian matrix of the ring described by `spec`.
 
-    Uniform mode evaluates the periodic sum literally, bond by bond (so the
-    N=2 bond is counted twice, see module docstring).  General mode runs the
-    ordered double sum over site pairs.  Memory is O(4**n); for n >= 13
-    prefer the sector-blocked eigensolver which never forms this matrix.
+    Uniform mode evaluates the periodic sum literally, one embedded 4x4
+    bond term per bond (so the N=2 bond is counted twice, see module
+    docstring).  General mode runs the ordered double sum over site pairs,
+    one embedded sigma_a x sigma_a per nonzero coupling.  Memory is
+    O(4**n); for n >= 13 prefer the sector-blocked eigensolver which never
+    forms this matrix.
     """
     n = spec.n_sites
-    dim = spec.dim
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
     if spec.is_uniform:
         j, delta = spec.coupling.j, spec.coupling.delta
-        for i, k in spec.bonds():
-            h += j * kron_at({i: SIGMA_X, k: SIGMA_X}, n)
-            h += j * kron_at({i: SIGMA_Y, k: SIGMA_Y}, n)
-            h += j * delta * kron_at({i: SIGMA_Z, k: SIGMA_Z}, n)
+        term = j * PAIR_PAULI["x"] + j * PAIR_PAULI["y"] + j * delta * PAIR_PAULI["z"]
+        for bond in spec.bonds():
+            h += embed(term, bond, n)
     else:
         mats = {"x": spec.coupling.jx, "y": spec.coupling.jy, "z": spec.coupling.jz}
         for i in range(1, n + 1):
@@ -201,10 +216,10 @@ def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
                 for ax in AXES:
                     c = mats[ax][i - 1, k - 1]
                     if c != 0.0:
-                        h += c * kron_at({i: PAULI[ax], k: PAULI[ax]}, n)
+                        h += c * embed(PAIR_PAULI[ax], (i, k), n)
     if spec.field_b != 0.0:
         for i in range(1, n + 1):
-            h += spec.field_b * kron_at({i: SIGMA_Z}, n)
+            h += spec.field_b * embed(SIGMA_Z, (i,), n)
     return h
 
 
@@ -237,7 +252,7 @@ def total_spin(axis: str, n: int) -> np.ndarray:
 
 def global_flip(axis: str, n: int) -> np.ndarray:
     """Q_axis = sigma_axis tensored over all n sites (Z_2 generator)."""
-    return kron_at({i: PAULI[axis] for i in range(1, n + 1)}, n)
+    return reduce(np.kron, [PAULI[axis]] * n)
 
 
 def shift_operator(n: int) -> np.ndarray:

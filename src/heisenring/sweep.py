@@ -29,6 +29,8 @@ COLUMNS = (
 def temperature_grid(start: float, stop: float, count: int,
                      spacing: str = "linear") -> np.ndarray:
     """Temperature grid, linear or logarithmic, endpoints included."""
+    if not np.all(np.isfinite((start, stop))):
+        raise ValueError(f"start and stop must be finite, got {start!r}, {stop!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if spacing == "linear":
@@ -47,7 +49,7 @@ def sweep_row(sd: SpectralDecomposition, spec: ModelSpec, temperature: float,
     rdm = pair_rdm_thermal(sd, temperature, *pair)
     cs = correlations_from_rdm(rdm)
     report = concurrence_report(rdm, cs, spec, tp.u_per_site)
-    bell = violation_measure(rdm)
+    bell = violation_measure(cs.g)
     return {
         "T": tp.temperature,
         "log_z": tp.log_z,

@@ -44,7 +44,7 @@ class GibbsState:
 
 def thermal_probabilities(sd: SpectralDecomposition, temperature: float) -> np.ndarray:
     """Eigenstate occupation probabilities at the given temperature (k = 1)."""
-    if temperature < 0:
+    if not temperature >= 0:  # also rejects NaN
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     ev = sd.eigenvalues
     if temperature == 0.0:

@@ -15,7 +15,10 @@ forces to zero (all eight off-diagonals outside the inner anti-diagonal
 plus the two corners).
 
 Partial tracing iterates basis-index bits directly; no 2^N x 2^N
-permutations are ever formed.
+permutations are ever formed.  correlations_from_rdm gives the nine
+g[a, b] = tr(rho sigma_a x sigma_b) and M/N in one contraction against the
+ten 4x4 Pauli products; the CorrelationSet it returns is the one tensor a
+state needs, for the concurrence routes and for bell alike.
 """
 
 from __future__ import annotations
@@ -24,13 +27,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AXES, PAULI, SIGMA_Z, IDENTITY_2, bit_for_site, kron_at
+from .model import AXES, PAULI, SIGMA_Z, IDENTITY_2, bit_for_site, embed
 from .spectral import SpectralDecomposition
 from .thermo import GibbsState, thermal_probabilities
 
 _X_PATTERN = np.zeros((4, 4), dtype=bool)
 _X_PATTERN[np.arange(4), np.arange(4)] = True
 _X_PATTERN[1, 2] = _X_PATTERN[2, 1] = True
+
+# the nine sigma_a x sigma_b products in row-major (a, b) order, then
+# sigma_z x 1; tr(op rho) for each gives g[a, b] and M/N
+_OP_NAMES = tuple(f"G_{a}{b}" for a in AXES for b in AXES) + ("M",)
+_OPS = np.stack([np.kron(PAULI[a], PAULI[b]) for a in AXES for b in AXES]
+                + [np.kron(SIGMA_Z, IDENTITY_2)])
+_OPS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -51,7 +61,6 @@ class TwoQubitRDM:
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-        off = float(np.max(np.abs(m[~_X_PATTERN]))) if np.any(~_X_PATTERN) else 0.0
         return cls(
             sites=tuple(sites),
             matrix=m,
@@ -60,7 +69,7 @@ class TwoQubitRDM:
             w1=float(m[1, 1].real),
             w2=float(m[2, 2].real),
             z=complex(m[2, 1]),
-            off_structure_norm=off,
+            off_structure_norm=float(np.max(np.abs(m[~_X_PATTERN]))),
         )
 
     @property
@@ -166,6 +175,15 @@ def pair_rdm_thermal(sd: SpectralDecomposition, temperature: float,
     return TwoQubitRDM.from_matrix((p @ table).reshape(4, 4), (i, j))
 
 
+def _correlation_set(values: np.ndarray) -> CorrelationSet:
+    """CorrelationSet from the ten traces tr(op rho), one per _OPS entry."""
+    for name, im in zip(_OP_NAMES[:9], values.imag[:9]):
+        if abs(im) > 1e-8:
+            raise ValueError(f"correlation {name} has imaginary part {im:.3e}")
+    return CorrelationSet(g=values.real[:9].reshape(3, 3).copy(),
+                          m_per_site=float(values[9].real))
+
+
 def correlations(rho: GibbsState | np.ndarray, i: int, j: int) -> CorrelationSet:
     """Correlation tensor from the full-space state: g[a,b] = tr(sigma_ia sigma_jb rho).
 
@@ -175,35 +193,13 @@ def correlations(rho: GibbsState | np.ndarray, i: int, j: int) -> CorrelationSet
     """
     m = _as_matrix(rho)
     n = int(m.shape[0]).bit_length() - 1
-    if i == j:
-        raise ValueError(f"need two distinct sites, got ({i}, {j})")
-    for site in (i, j):
-        bit_for_site(site, n)
     mt = m.T
-    g = np.empty((3, 3))
-    for a, ax in enumerate(AXES):
-        for b, bx in enumerate(AXES):
-            op = kron_at({i: PAULI[ax], j: PAULI[bx]}, n)
-            val = np.sum(op * mt)
-            if abs(val.imag) > 1e-8:
-                raise ValueError(f"correlation G_{ax}{bx} has imaginary part {val.imag:.3e}")
-            g[a, b] = val.real
-    mz = np.sum(kron_at({i: SIGMA_Z}, n) * mt)
-    return CorrelationSet(g=g, m_per_site=float(mz.real))
+    return _correlation_set(np.array([np.sum(embed(op, (i, j), n) * mt) for op in _OPS]))
 
 
 def correlations_from_rdm(rdm: TwoQubitRDM) -> CorrelationSet:
-    """Correlation tensor evaluated on the 4x4 reduced matrix."""
-    mt = rdm.matrix.T
-    g = np.empty((3, 3))
-    for a, ax in enumerate(AXES):
-        for b, bx in enumerate(AXES):
-            val = np.sum(np.kron(PAULI[ax], PAULI[bx]) * mt)
-            if abs(val.imag) > 1e-8:
-                raise ValueError(f"correlation G_{ax}{bx} has imaginary part {val.imag:.3e}")
-            g[a, b] = val.real
-    mz = np.sum(np.kron(SIGMA_Z, IDENTITY_2) * mt)
-    return CorrelationSet(g=g, m_per_site=float(mz.real))
+    """Correlation tensor evaluated on the 4x4 reduced matrix, one contraction."""
+    return _correlation_set((_OPS * rdm.matrix.T).sum(axis=(1, 2)))
 
 
 def check_element_relations(rdm: TwoQubitRDM, cs: CorrelationSet) -> dict[str, float]:

@@ -86,7 +86,7 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
     col = _Collector()
     temps = np.asarray(opts.temperatures, dtype=float)
 
-    sampled_rdms: list[tuple[str, twoqubit.TwoQubitRDM]] = []
+    sampled_tensors: list[tuple[str, np.ndarray]] = []
     spec_index = 0
 
     for spec in _spec_grid(opts):
@@ -222,7 +222,7 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
                     col.record("fm_concurrence_zero", report.wootters, 1e-12,
                                f"{tag} T={t:g}")
 
-                bres = bell.violation_measure(rdm)
+                bres = bell.violation_measure(cs.g)
                 col.record("bell_xxx_closed_form",
                            abs(bres.measure - bell.violation_xxx(tp.u, j, n)),
                            1e-10, f"{tag} T={t:g}")
@@ -238,13 +238,12 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
                 # the measure is a function of the correlation tensor alone;
                 # feed it the independently computed full-space tensor
                 col.record("bell_field_independence",
-                           abs(bell.violation_measure_from_correlations(
-                               cs_full.g).measure
-                               - bell.violation_measure(rdm).measure),
+                           abs(bell.violation_measure(cs_full.g).measure
+                               - bell.violation_measure(cs.g).measure),
                            1e-12, f"{tag} T={t:g}")
 
-            if spec_index % 7 == 0 and len(sampled_rdms) < opts.sampled_states:
-                sampled_rdms.append((f"{tag} T={t:g}", rdm))
+            if spec_index % 7 == 0 and len(sampled_tensors) < opts.sampled_states:
+                sampled_tensors.append((f"{tag} T={t:g}", cs.g))
 
         if delta == 1.0 and b == 0.0 and j > 0:
             drops = [max(0.0, c_series[k + 1] - c_series[k])
@@ -288,9 +287,9 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
 
     # seeded random CHSH frames never beat the Horodecki measure
     frames = bell.random_frames(opts.frames, opts.seed)
-    for tag, rdm in sampled_rdms:
-        best = float(np.max(np.abs(bell.frame_expectations(rdm, frames))))
-        measure = bell.violation_measure(rdm).measure
+    for tag, g in sampled_tensors:
+        best = float(np.max(np.abs(bell.frame_expectations(g, frames))))
+        measure = bell.violation_measure(g).measure
         col.record("bell_frames_bound", max(0.0, best - measure), 1e-8, tag)
         col.record("bell_measure_range", max(0.0, measure - TSIRELSON), 1e-10, tag)
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from heisenring import ModelSpec, decompose
+from heisenring.model import AXES, IDENTITY_2, PAULI, SIGMA_Z
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 SINGLET_RHO = np.outer(SINGLET, SINGLET).astype(complex)
@@ -39,3 +40,37 @@ def c_two_site(beta, j=1.0):
 
 def u_three_site(beta, j=1.0):
     return -3.0 * j * math.tanh(3.0 * beta * j)
+
+
+# --- the dense Hamiltonian written out with one np.kron per site ---
+
+def kron_sites(factors, n):
+    """Tensor product over sites 1..n, factors[s] on site s, identity elsewhere."""
+    out = np.array([[1.0 + 0.0j]])
+    for s in range(1, n + 1):
+        out = np.kron(out, factors.get(s, IDENTITY_2))
+    return out
+
+
+def kron_hamiltonian(spec):
+    """build_hamiltonian's sum, term by term, each term one per-site kron chain."""
+    n = spec.n_sites
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    if spec.is_uniform:
+        j, delta = spec.coupling.j, spec.coupling.delta
+        for i, k in spec.bonds():
+            h += j * kron_sites({i: PAULI["x"], k: PAULI["x"]}, n)
+            h += j * kron_sites({i: PAULI["y"], k: PAULI["y"]}, n)
+            h += j * delta * kron_sites({i: PAULI["z"], k: PAULI["z"]}, n)
+    else:
+        mats = {"x": spec.coupling.jx, "y": spec.coupling.jy, "z": spec.coupling.jz}
+        for i in range(1, n + 1):
+            for k in range(1, n + 1):
+                for ax in AXES:
+                    c = mats[ax][i - 1, k - 1]
+                    if i != k and c != 0.0:
+                        h += c * kron_sites({i: PAULI[ax], k: PAULI[ax]}, n)
+    if spec.field_b != 0.0:
+        for i in range(1, n + 1):
+            h += spec.field_b * kron_sites({i: SIGMA_Z}, n)
+    return h

@@ -136,21 +136,22 @@ def test_criterion_07_bell_closed_form_and_frames():
             for t in np.geomspace(0.1, 20.0, 10):
                 tp = thermo_point(sd, spec, float(t))
                 rdm = pair_rdm_thermal(sd, float(t), 1, 2)
-                res = violation_measure(rdm)
+                g = correlations_from_rdm(rdm).g
+                res = violation_measure(g)
                 worst_b = max(worst_b, abs(res.measure - violation_xxx(tp.u, j, n)))
                 c_rel = concurrence_vs_violation(res.measure, "afm" if j > 0 else "fm")
                 worst_c = max(worst_c,
                               abs(c_rel - concurrence_wootters(rdm).wootters))
-                states.append(rdm)
+                states.append(g)
     assert worst_b <= 1e-10
     assert worst_c <= 1e-9
 
     frames = random_frames(10_000, seed=20260811)
     picked = states[:: max(1, len(states) // 20)][:20]
     worst_excess = 0.0
-    for rdm in picked:
-        best = float(np.max(np.abs(frame_expectations(rdm, frames))))
-        worst_excess = max(worst_excess, best - violation_measure(rdm).measure)
+    for g in picked:
+        best = float(np.max(np.abs(frame_expectations(g, frames))))
+        worst_excess = max(worst_excess, best - violation_measure(g).measure)
     assert worst_excess <= 1e-8
     report(7, f"Bell closed form err {worst_b:.2e} (<=1e-10); relation-to-C err "
               f"{worst_c:.2e} (<=1e-9); 10^4 frames x {len(picked)} states "

@@ -9,16 +9,18 @@ from heisenring import (
     chsh_expectation,
     concurrence_vs_violation,
     concurrence_wootters,
+    correlations,
+    correlations_from_rdm,
+    gibbs_state,
     optimal_frame,
     pair_rdm_thermal,
     random_frame_search,
     random_frames,
-    t_matrix,
     thermo_point,
     violation_measure,
-    violation_measure_from_correlations,
     violation_xxx,
 )
+from heisenring.bell import frame_expectations
 from helpers import SINGLET_RHO, cached_decompose
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -28,6 +30,17 @@ def _rdm(matrix):
     return TwoQubitRDM.from_matrix(np.asarray(matrix, dtype=complex), (1, 2))
 
 
+def _t(matrix):
+    """Correlation tensor T of a 4x4 density matrix."""
+    return correlations_from_rdm(_rdm(matrix)).g
+
+
+def _thermal(sd, t):
+    """Pair RDM of sites (1, 2) and its correlation tensor."""
+    rdm = pair_rdm_thermal(sd, t, 1, 2)
+    return rdm, correlations_from_rdm(rdm).g
+
+
 def _canonical_frame():
     x = np.array([1.0, 0.0, 0.0])
     y = np.array([0.0, 1.0, 0.0])
@@ -35,34 +48,34 @@ def _canonical_frame():
 
 
 def test_t_matrix_singlet():
-    assert np.max(np.abs(t_matrix(_rdm(SINGLET_RHO)) + np.eye(3))) <= 1e-12
+    assert np.max(np.abs(_t(SINGLET_RHO) + np.eye(3))) <= 1e-12
 
 
 def test_t_matrix_product_state():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    assert np.max(np.abs(t_matrix(_rdm(rho)) - np.diag([0.0, 0.0, 1.0]))) <= 1e-12
+    assert np.max(np.abs(_t(rho) - np.diag([0.0, 0.0, 1.0]))) <= 1e-12
 
 
 def test_t_matrix_isotropic_thermal_is_scalar():
     spec, sd = cached_decompose(4, 1.0)
     tp = thermo_point(sd, spec, 0.7)
-    t = t_matrix(pair_rdm_thermal(sd, 0.7, 1, 2))
+    _, t = _thermal(sd, 0.7)
     g = tp.u / (3.0 * 4)
     assert np.max(np.abs(t - g * np.eye(3))) <= 1e-10
 
 
 def test_chsh_singlet_canonical_frame():
-    val = chsh_expectation(_rdm(SINGLET_RHO), _canonical_frame())
+    val = chsh_expectation(_t(SINGLET_RHO), _canonical_frame())
     assert abs(abs(val) - TSIRELSON) <= 1e-12
 
 
 def test_chsh_maximally_mixed():
     frames = random_frames(32, seed=7)
-    rdm = _rdm(np.eye(4) / 4.0)
+    t = _t(np.eye(4) / 4.0)
     for k in range(frames.shape[0]):
         frame = MeasurementFrame(*frames[k])
-        assert abs(chsh_expectation(rdm, frame)) <= 1e-12
+        assert abs(chsh_expectation(t, frame)) <= 1e-12
 
 
 def test_chsh_equals_operator_trace():
@@ -73,7 +86,7 @@ def test_chsh_equals_operator_trace():
     paulis = np.stack([sx, sy, sz])
 
     spec, sd = cached_decompose(4, 1.0, 0.5, 0.3)
-    rdm = pair_rdm_thermal(sd, 0.6, 1, 2)
+    rdm, t = _thermal(sd, 0.6)
     frame = MeasurementFrame(*random_frames(1, seed=3)[0])
 
     def dot(v):
@@ -82,11 +95,11 @@ def test_chsh_equals_operator_trace():
     op = (np.kron(dot(frame.a), dot(frame.b + frame.b_prime))
           + np.kron(dot(frame.a_prime), dot(frame.b - frame.b_prime)))
     expected = np.trace(rdm.matrix @ op).real
-    assert abs(chsh_expectation(rdm, frame) - expected) <= 1e-12
+    assert abs(chsh_expectation(t, frame) - expected) <= 1e-12
 
 
 def test_violation_measure_singlet():
-    res = violation_measure(_rdm(SINGLET_RHO))
+    res = violation_measure(_t(SINGLET_RHO))
     assert abs(res.measure - TSIRELSON) <= 1e-12
     assert res.violates
 
@@ -94,7 +107,7 @@ def test_violation_measure_singlet():
 def test_violation_measure_product_state_at_classical_bound():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    res = violation_measure(_rdm(rho))
+    res = violation_measure(_t(rho))
     assert abs(res.measure - 2.0) <= 1e-12
     assert res.top_two == (1.0, 0.0)
     assert not res.violates
@@ -103,7 +116,7 @@ def test_violation_measure_product_state_at_classical_bound():
 def test_violation_two_site_closed_form():
     spec, sd = cached_decompose(2, 1.0)
     tp = thermo_point(sd, spec, 1.0)
-    res = violation_measure(pair_rdm_thermal(sd, 1.0, 1, 2))
+    res = violation_measure(_thermal(sd, 1.0)[1])
     assert abs(res.measure - TSIRELSON * abs(tp.u) / 6.0) <= 1e-10
 
 
@@ -122,7 +135,7 @@ def test_violation_closed_form_matches_measure(n, j):
     spec, sd = cached_decompose(n, j)
     for t in (0.1, 0.8, 3.0):
         tp = thermo_point(sd, spec, t)
-        res = violation_measure(pair_rdm_thermal(sd, t, 1, 2))
+        res = violation_measure(_thermal(sd, t)[1])
         assert abs(res.measure - violation_xxx(tp.u, j, n)) <= 1e-10
 
 
@@ -141,8 +154,8 @@ def test_concurrence_violation_relation_on_grid(n, j):
     spec, sd = cached_decompose(n, j)
     regime = "afm" if j > 0 else "fm"
     for t in np.geomspace(0.1, 20.0, 10):
-        rdm = pair_rdm_thermal(sd, float(t), 1, 2)
-        res = violation_measure(rdm)
+        rdm, g = _thermal(sd, float(t))
+        res = violation_measure(g)
         c_from_b = concurrence_vs_violation(res.measure, regime)
         assert abs(c_from_b - concurrence_wootters(rdm).wootters) <= 1e-9
         if res.violates:
@@ -154,8 +167,8 @@ def test_entangled_without_violation_window():
     spec, sd = cached_decompose(2, 1.0)
     seen = False
     for t in np.linspace(3.0, 7.0, 25):
-        rdm = pair_rdm_thermal(sd, float(t), 1, 2)
-        res = violation_measure(rdm)
+        rdm, g = _thermal(sd, float(t))
+        res = violation_measure(g)
         if TSIRELSON / 3.0 < res.measure <= 2.0:
             seen = True
             assert not res.violates
@@ -168,17 +181,16 @@ def test_random_frames_never_beat_measure():
     cases = [(2, 1.0, 1.0, 0.0, 0.5), (4, 1.0, 0.5, 0.3, 1.0), (5, -1.0, 2.0, 0.0, 0.2)]
     for n, j, delta, b, t in cases:
         spec, sd = cached_decompose(n, j, delta, b)
-        rdm = pair_rdm_thermal(sd, t, 1, 2)
-        res = violation_measure(rdm)
-        from heisenring.bell import frame_expectations
-        best = float(np.max(np.abs(frame_expectations(rdm, frames))))
+        _, g = _thermal(sd, t)
+        res = violation_measure(g)
+        best = float(np.max(np.abs(frame_expectations(g, frames))))
         assert best <= res.measure + 1e-8
 
 
 def test_random_frame_search_deterministic():
     spec, sd = cached_decompose(3, 1.0)
-    rdm = pair_rdm_thermal(sd, 0.4, 1, 2)
-    assert random_frame_search(rdm, 500, seed=5) == random_frame_search(rdm, 500, seed=5)
+    _, g = _thermal(sd, 0.4)
+    assert random_frame_search(g, 500, seed=5) == random_frame_search(g, 500, seed=5)
     assert np.array_equal(random_frames(64, 9), random_frames(64, 9))
     assert not np.array_equal(random_frames(64, 9), random_frames(64, 10))
 
@@ -186,20 +198,21 @@ def test_random_frame_search_deterministic():
 def test_optimal_frame_attains_measure():
     cases = [SINGLET_RHO, np.eye(4) / 4.0]
     spec, sd = cached_decompose(5, 1.0, 2.0, 0.5)
-    rdms = [_rdm(c) for c in cases] + [pair_rdm_thermal(sd, t, 1, 2)
-                                       for t in (0.2, 1.0)]
-    for rdm in rdms:
-        res = violation_measure(rdm)
-        frame = optimal_frame(rdm)
-        assert abs(abs(chsh_expectation(rdm, frame)) - res.measure) <= 1e-10
+    tensors = [_t(c) for c in cases] + [_thermal(sd, t)[1] for t in (0.2, 1.0)]
+    for g in tensors:
+        res = violation_measure(g)
+        frame = optimal_frame(g)
+        assert abs(abs(chsh_expectation(g, frame)) - res.measure) <= 1e-10
 
 
 def test_measure_depends_only_on_correlations():
+    # in a field: the full-space tensor from the Gibbs matrix and the tensor
+    # of the table-route pair RDM give the same measure
     spec, sd = cached_decompose(4, 1.0, 1.0, 0.8)
-    rdm = pair_rdm_thermal(sd, 0.5, 1, 2)
-    res = violation_measure(rdm)
-    rebuilt = violation_measure_from_correlations(res.t_matrix)
-    assert rebuilt.measure == res.measure
+    _, g = _thermal(sd, 0.5)
+    res = violation_measure(g)
+    full = violation_measure(correlations(gibbs_state(sd, 0.5), 1, 2).g)
+    assert abs(full.measure - res.measure) <= 1e-12
     assert 0.0 <= res.measure <= TSIRELSON + 1e-10
 
 
@@ -209,3 +222,8 @@ def test_frame_validation():
         MeasurementFrame(2.0 * good, good, good, good)
     with pytest.raises(ValueError, match="3-vector"):
         MeasurementFrame(np.ones(4), good, good, good)
+
+
+def test_tensor_shape_checked():
+    with pytest.raises(ValueError, match="3x3"):
+        violation_measure(np.eye(4))

@@ -303,10 +303,74 @@ def test_spectrum_works_beyond_vector_cap(tmp_path):
     assert len(rows) == 1 << 13
 
 
+def test_csv_outputs_parse_strictly(tmp_path):
+    # T = 0 gives log Z = inf, which must come out as an empty cell
+    sweep_doc = {"model": {"n_sites": 4, "j": 1.0},
+                 "temperatures": {"start": 0.0, "stop": 1.0, "count": 3}}
+    model_doc = {"model": {"n_sites": 4, "j": 1.0}}
+    for command, doc in (("sweep", sweep_doc), ("spectrum", model_doc)):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", write_config(tmp_path, doc),
+                     "--format", "csv", "--out", str(out)]) == 0
+        _, rows = parse_csv(out.read_text())
+        for row in rows:
+            for cell in row.values():
+                assert cell in ("", "true", "false") or math.isfinite(float(cell))
+    _, rows = parse_csv((tmp_path / "sweep.csv").read_text())
+    assert rows[0]["T"] == "0" and rows[0]["log_z"] == ""
+
+
+@pytest.mark.parametrize("doc", [
+    {"model": {"n_sites": 4, "j": math.nan},
+     "temperatures": {"start": 0.5, "stop": 1.0, "count": 2}},
+    {"model": {"n_sites": 4, "j": 1.0, "field_b": math.inf},
+     "temperatures": {"start": 0.5, "stop": 1.0, "count": 2}},
+    {"model": {"jx": [[0.0, math.nan], [math.nan, 0.0]], "jy": [[0.0, 1.0], [1.0, 0.0]],
+               "jz": [[0.0, 1.0], [1.0, 0.0]]},
+     "temperatures": {"start": 0.5, "stop": 1.0, "count": 2}},
+    {"model": {"n_sites": 4, "j": 1.0},
+     "temperatures": {"start": math.inf, "stop": 1.0, "count": 2}},
+])
+def test_non_finite_sweep_input_exits_two(tmp_path, capsys, doc):
+    # json.dumps writes NaN / Infinity, which json.load reads back
+    assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_verify_input_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"n_values": [2], "deltas": [math.nan]})
+    assert main(["verify", "--config", cfg]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_negative_seed_rejected(tmp_path, capsys):
-    cfg = write_config(tmp_path, sweep_config(n_sites=2, j=1.0))
-    assert main(["sweep", "--config", cfg, "--seed", "-3"]) == 2
+    assert main(["verify", "--seed", "-3"]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--seed", "1"], ["threshold", "--seed", "1"], ["spectrum", "--seed", "1"],
+    ["verify", "--format", "json"],
+])
+def test_flags_belong_to_their_subcommands(tmp_path, argv):
+    cfg = write_config(tmp_path, sweep_config(n_sites=2, j=1.0))
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--config", cfg])
+    assert err.value.code == 2
+
+
+def test_sweep_config_seed_key_rejected(tmp_path, capsys):
+    doc = sweep_config(n_sites=2, j=1.0)
+    doc["seed"] = 1
+    assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2
+    assert "'seed'" in capsys.readouterr().err
+
+
+def test_sweep_json_has_no_meta(tmp_path):
+    out = tmp_path / "rows.json"
+    assert main(["sweep", "--config", write_config(tmp_path, sweep_config(n_sites=2, j=1.0)),
+                 "--format", "json", "--out", str(out)]) == 0
+    assert list(json.loads(out.read_text())) == ["columns", "rows"]
 
 
 def test_bad_subcommand_exits_two():

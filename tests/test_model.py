@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from heisenring import (
     shift_operator,
     symmetry_report,
 )
-from heisenring.model import is_hermitian
+from heisenring.model import PAULI, embed, is_hermitian
+from heisenring.verify import VerifyOptions, _spec_grid
+from helpers import kron_hamiltonian, kron_sites
 
 
 def test_single_qubit_sigma_z_convention():
@@ -150,6 +154,25 @@ def test_spec_validation():
         ModelSpec.general(np.zeros((3, 3)), np.zeros((2, 2)), np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("kwargs,name", [
+    ({"j": math.nan}, "j"), ({"j": 1.0, "delta": math.inf}, "delta"),
+    ({"j": 1.0, "field_b": -math.inf}, "field_b"), ({"j": 1.0, "field_b": math.nan}, "field_b"),
+])
+def test_uniform_spec_rejects_non_finite(kwargs, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ModelSpec.uniform(3, **kwargs)
+
+
+def test_general_spec_rejects_non_finite():
+    m = np.zeros((3, 3))
+    bad = m.copy()
+    bad[0, 1] = bad[1, 0] = math.nan
+    with pytest.raises(ValueError, match="jy must be finite"):
+        ModelSpec.general(m, bad, m)
+    with pytest.raises(ValueError, match="field_b must be finite"):
+        ModelSpec.general(m, m, m, field_b=math.inf)
+
+
 def test_conserves_sz():
     assert ModelSpec.uniform(3, 1.0, 0.2, 0.5).conserves_sz
     m = np.zeros((3, 3))
@@ -176,3 +199,26 @@ def test_general_coupling_matrices_frozen():
     assert isinstance(spec.coupling, GeneralCoupling)
     with pytest.raises(ValueError):
         spec.coupling.jx[0, 1] = 2.0
+
+
+def test_embed_matches_per_site_kron():
+    sx, sy, sz = (PAULI[ax] for ax in "xyz")
+    assert np.array_equal(embed(np.kron(sx, sz), (2, 4), 4), kron_sites({2: sx, 4: sz}, 4))
+    # the first tensor factor of op lands on the first site listed
+    assert np.array_equal(embed(np.kron(sx, sz), (4, 2), 4), kron_sites({4: sx, 2: sz}, 4))
+    assert np.array_equal(embed(np.kron(np.kron(sy, sx), sz), (3, 1, 2), 3),
+                          kron_sites({3: sy, 1: sx, 2: sz}, 3))
+
+
+def test_embed_validates_sites():
+    sz = PAULI["z"]
+    with pytest.raises(ValueError, match="out of range"):
+        embed(sz, (4,), 3)
+    with pytest.raises(ValueError, match="distinct"):
+        embed(np.kron(sz, sz), (2, 2), 3)
+
+
+def test_hamiltonian_equals_kron_reference_on_verify_grid():
+    # every uniform spec of the default verify grid, bit for bit
+    for spec in _spec_grid(VerifyOptions()):
+        assert np.array_equal(build_hamiltonian(spec), kron_hamiltonian(spec)), spec

@@ -13,6 +13,7 @@ from heisenring import (
     pair_rdm_thermal,
     reduce_to_pair,
 )
+from helpers import kron_hamiltonian
 
 coupling = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 temperature = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=20.0))
@@ -45,3 +46,10 @@ def test_table_route_matches_dense_gibbs(case, t):
     assert abs(np.trace(rdm) - 1.0) <= 1e-12
     assert np.max(np.abs(rdm - rdm.conj().T)) <= 1e-12
     assert np.linalg.eigvalsh(rdm).min() >= -1e-12
+
+
+@given(general_specs())
+def test_general_hamiltonian_equals_kron_reference(case):
+    # jx != jy in about half the examples
+    spec, _ = case
+    assert np.array_equal(build_hamiltonian(spec), kron_hamiltonian(spec))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from heisenring import (
+    temperature_grid,
     ModelSpec,
     build_hamiltonian,
     check_derivatives,
@@ -12,6 +13,7 @@ from heisenring import (
     pair_rdm_thermal,
     thermo_point,
 )
+from heisenring.thermo import thermal_probabilities
 from helpers import (
     SINGLET_RHO,
     cached_decompose,
@@ -146,6 +148,22 @@ def test_negative_temperature_rejected():
         thermo_point(sd, spec, -0.1)
     with pytest.raises(ValueError):
         check_derivatives(spec, 0.0)
+
+
+def test_nan_temperature_rejected():
+    spec, sd = cached_decompose(2, 1.0)
+    with pytest.raises(ValueError, match="temperature must be >= 0"):
+        thermal_probabilities(sd, math.nan)
+    with pytest.raises(ValueError):
+        thermo_point(sd, spec, math.nan)
+
+
+def test_temperature_grid_rejects_non_finite():
+    for start, stop in ((math.inf, 1.0), (0.1, math.nan), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            temperature_grid(start, stop, 3)
+        with pytest.raises(ValueError, match="finite"):
+            temperature_grid(abs(start), stop, 3, "log")
 
 
 def test_m_bar_matches_pair_rdm():

@@ -11,6 +11,7 @@ from heisenring import (
     gibbs_state,
     pair_rdm_thermal,
     reduce_to_pair,
+    run_sweep,
     thermo_point,
 )
 from helpers import SINGLET_RHO, cached_decompose
@@ -191,3 +192,39 @@ def test_pair_slot_order():
     first_a = a.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
     second_b = b.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
     assert np.max(np.abs(first_a - second_b)) <= 1e-12
+
+
+def test_imaginary_correlation_rejected():
+    # a non-Hermitian 4x4 input: the first offending component is named
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 3] = 0.1j
+    with pytest.raises(ValueError, match="G_xx has imaginary part 1.000e-01"):
+        correlations_from_rdm(TwoQubitRDM.from_matrix(m, (1, 2)))
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 0] += 1e-6j
+    with pytest.raises(ValueError, match="G_zz"):
+        correlations_from_rdm(TwoQubitRDM.from_matrix(m, (1, 2)))
+    with pytest.raises(ValueError, match="G_zz"):
+        correlations(np.kron(m, np.eye(2) / 2.0), 1, 2)
+    # residues at or below 1e-8 are rounding noise and pass
+    m[0, 0] = 0.25 + 1e-9j
+    assert correlations_from_rdm(TwoQubitRDM.from_matrix(m, (1, 2))).g[2, 2] == 0.0
+
+
+def test_sweep_computes_one_tensor_per_row(monkeypatch):
+    # count every call, under whichever module name a caller imported it
+    import heisenring
+    original = heisenring.twoqubit.correlations_from_rdm
+    calls = []
+
+    def counted(rdm):
+        calls.append(rdm)
+        return original(rdm)
+
+    for name in dir(heisenring):
+        module = getattr(heisenring, name)
+        if getattr(module, "correlations_from_rdm", None) is original:
+            monkeypatch.setattr(module, "correlations_from_rdm", counted)
+    rows = run_sweep(heisenring.ModelSpec.uniform(4, 1.0, 0.5, 0.2), np.linspace(0.1, 3.0, 7))
+    assert len(rows) == 7
+    assert len(calls) == 7
