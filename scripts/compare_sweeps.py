@@ -1,4 +1,4 @@
-"""Diff the sweep outputs of two source trees, column by column.
+"""Diff the sweep and spectrum outputs of two source trees.
 
     python scripts/compare_sweeps.py BASE_SRC HEAD_SRC
 
@@ -8,6 +8,11 @@ trees run the same `sweep` configs, in CSV and in JSON: the benchmark's
 general-coupling rings, one S_z-conserving and one S_z-breaking.  Every
 cell must be bit-identical: the same 17-significant-digit text, the same
 boolean, or the same empty cell.
+
+Both trees also run `spectrum` (JSON) on uniform rings with N = 8, 11 and
+14.  There the sorted energies of each S_z label must agree within
+SPECTRUM_TOL and the ground degeneracy must be identical; the row order
+among degenerate levels of different labels may differ.
 
 Prints the first differing cells of each run and the worst numeric
 difference per column, and exits 1 on any difference.
@@ -28,6 +33,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 from workloads import WORKLOADS  # noqa: E402
+
+SPECTRUM_TOL = 1e-10
+SPECTRUM_MODELS = {
+    "spectrum-n8": {"n_sites": 8, "j": -1.0, "delta": 0.5, "field_b": 0.3},
+    "spectrum-n11": {"n_sites": 11, "j": 1.0, "delta": 0.5, "field_b": 0.2},
+    "spectrum-n14": {"n_sites": 14, "j": 1.0},
+}
+
 
 def general_config(conserves_sz: bool) -> dict:
     rng = random.Random(7)
@@ -56,12 +69,16 @@ def configs() -> dict[str, dict]:
     return out
 
 
-def run(src: str, config: Path, fmt: str) -> list[dict[str, str]]:
-    """Rows as column -> cell text, in the CSV spelling for both formats."""
+def cli_stdout(src: str, command: str, config: Path, fmt: str) -> str:
     env = dict(os.environ, PYTHONPATH=src)
-    text = subprocess.run([sys.executable, "-m", "heisenring", "sweep", "--config",
+    return subprocess.run([sys.executable, "-m", "heisenring", command, "--config",
                            str(config), "--format", fmt],
                           env=env, check=True, capture_output=True, text=True).stdout
+
+
+def run(src: str, config: Path, fmt: str) -> list[dict[str, str]]:
+    """Rows as column -> cell text, in the CSV spelling for both formats."""
+    text = cli_stdout(src, "sweep", config, fmt)
     if fmt == "csv":
         return list(csv.DictReader(io.StringIO(text)))
     raw = json.loads(text, parse_float=str, parse_int=str)
@@ -87,6 +104,30 @@ def compare(base: list[dict], head: list[dict], worst: dict[str, float]) -> list
     return problems
 
 
+def levels(src: str, config: Path) -> tuple[int, dict[float, list[float]]]:
+    """(ground degeneracy, S_z label -> sorted energies) from `spectrum` JSON."""
+    doc = json.loads(cli_stdout(src, "spectrum", config, "json"))
+    by_label: dict[float, list[float]] = {}
+    for _, energy, s_z in doc["rows"]:
+        by_label.setdefault(s_z, []).append(energy)
+    return doc["ground_degeneracy"], {s: sorted(e) for s, e in by_label.items()}
+
+
+def compare_spectra(base, head, worst: dict[str, float]) -> list[str]:
+    (g_base, base), (g_head, head) = base, head
+    problems = []
+    if g_base != g_head:
+        problems.append(f"ground_degeneracy {g_base} != {g_head}")
+    if {s: len(e) for s, e in base.items()} != {s: len(e) for s, e in head.items()}:
+        return problems + ["levels per S_z label differ"]
+    for s_z in base:
+        diff = max(abs(a - b) for a, b in zip(base[s_z], head[s_z]))
+        worst["energy"] = max(worst.get("energy", 0.0), diff)
+        if diff > SPECTRUM_TOL:
+            problems.append(f"s_z={s_z}: energies differ by {diff:.3e}")
+    return problems
+
+
 def main() -> int:
     if len(sys.argv) != 3:
         sys.exit(__doc__)
@@ -104,6 +145,15 @@ def main() -> int:
                 print(f"{name} {fmt}: {'ok' if not problems else f'{len(problems)} problems'}")
                 for line in problems[:10]:
                     print(f"  {line}")
+        for name, model in SPECTRUM_MODELS.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps({"model": model}))
+            problems = compare_spectra(levels(base_src, path), levels(head_src, path),
+                                       worst)
+            failures += len(problems)
+            print(f"{name}: {'ok' if not problems else f'{len(problems)} problems'}")
+            for line in problems:
+                print(f"  {line}")
     for col, diff in sorted(worst.items(), key=lambda kv: -kv[1]):
         print(f"worst |diff| {col}: {diff:.3e}")
     return 1 if failures else 0

@@ -148,7 +148,12 @@ def parse_verify_options(doc: dict) -> VerifyOptions:
                     or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                                and math.isfinite(v) for v in vals)):
                 raise ConfigError(f"{key!r} must be a non-empty list of finite numbers")
-            kwargs[key] = tuple(int(v) for v in vals) if key == "n_values" \
+            # verify diagonalizes every grid ring densely as its oracle
+            if key == "n_values" and not all(isinstance(v, int)
+                                             and 2 <= v <= FULL_PATH_MAX_SITES for v in vals):
+                raise ConfigError(f"'n_values' must be integers in "
+                                  f"2..{FULL_PATH_MAX_SITES}, got {vals!r}")
+            kwargs[key] = tuple(vals) if key == "n_values" \
                 else tuple(float(v) for v in vals)
     if "temperatures" in doc:
         kwargs["temperatures"] = tuple(float(t) for t in parse_temperatures(

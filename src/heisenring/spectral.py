@@ -8,6 +8,12 @@ block independently and merges the eigenvalues.  It never forms the full
 4.3 GB.  Specs whose x and y couplings differ break S_z and go through the
 dense path, capped at N = 12; its eigenvectors form a single block over
 all 2^N states.
+
+Values-only decompositions of uniform rings split each sector further by
+lattice momentum (Sandvik, AIP Conf. Proc. 1297, 135 (2010)):
+one block per crystal momentum 2*pi*m/N over the translation-orbit
+representatives, built from the same bit rules and never from the dense
+sector block.  At N = 14 the largest block is 246 wide instead of 3432.
 """
 
 from __future__ import annotations
@@ -140,23 +146,94 @@ def _sector_block_from_spec(spec: ModelSpec, states: np.ndarray, k: int) -> np.n
     return block
 
 
+def orbit_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Translation orbits of all 2^n basis states, indexed by state.
+
+    T rotates the n-bit index left by one bit (a cyclic shift of the sites).
+    Returns (rep, shift, period): rep[s] is the smallest state of the orbit
+    of s, T^shift[s] takes s to rep[s], and period[s] is the orbit length.
+    """
+    states = np.arange(1 << n, dtype=np.int64)
+    rep, shift = states.copy(), np.zeros_like(states)
+    period = np.full_like(states, n)
+    rotated = states
+    for r in range(1, n):
+        rotated = ((rotated << 1) | (rotated >> (n - 1))) & ((1 << n) - 1)
+        smaller = rotated < rep
+        rep[smaller] = rotated[smaller]
+        shift[smaller] = r
+        period[(rotated == states) & (period == n)] = r
+    return rep, shift, period
+
+
+def _momentum_blocks(spec: ModelSpec, states: np.ndarray, k: int, orbits):
+    """The block of a uniform ring with k down spins, split by lattice momentum.
+
+    Yields one Hermitian block per momentum 2*pi*m/N that has states.  Its
+    basis is the momentum states of the orbit representatives a with
+    m * R_a = 0 (mod N), R_a the period.  A hop from a reaches the state b'
+    with representative b = T^l b' and has element
+    2J exp(-2*pi*i*m*l/N) sqrt(R_a / R_b); the diagonal holds the z-z
+    terms and the field, as in _sector_block_from_spec.  Blocks at m = 0
+    and 2m = N are real.
+    """
+    rep, shift, period = orbits
+    n = spec.n_sites
+    j, delta = spec.coupling.j, spec.coupling.delta
+    reps = states[rep[states] == states]
+    r_a = period[reps]
+    diag = np.full(reps.size, spec.field_b * (n - 2 * k), dtype=float)
+    rows, cols, ls, amps = [], [], [], []
+    for i, kk in spec.bonds():
+        bi, bk = n - i, n - kk
+        diag += j * delta * (1 - 2 * ((reps >> bi) & 1)) * (1 - 2 * ((reps >> bk) & 1))
+        anti = np.nonzero(((reps >> bi) ^ (reps >> bk)) & 1)[0]
+        flipped = reps[anti] ^ ((1 << bi) | (1 << bk))
+        rows.append(np.searchsorted(reps, rep[flipped]))
+        cols.append(anti)
+        ls.append(shift[flipped])
+        amps.append(2.0 * j * np.sqrt(r_a[anti] / period[flipped]))
+    rows, cols, ls, amps = map(np.concatenate, (rows, cols, ls, amps))
+
+    for m in range(n):
+        keep = (m * r_a) % n == 0
+        dim = int(keep.sum())
+        if dim == 0:
+            continue
+        index = np.cumsum(keep) - 1
+        hops = keep[rows] & keep[cols]
+        amp, l = amps[hops], ls[hops]
+        if (2 * m) % n == 0:
+            block = np.diag(diag[keep])
+            values = amp * (-1.0) ** (2 * m * l // n)
+        else:
+            block = np.diag(diag[keep].astype(complex))
+            values = amp * np.exp(-2j * np.pi * m * l / n)
+        np.add.at(block, (index[rows[hops]], index[cols[hops]]), values)
+        yield block
+
+
 def diagonalize_sectored(spec: ModelSpec, vectors: bool = True) -> SpectralDecomposition:
     """Sector-blocked eigendecomposition of an S_z-conserving spec.
 
     Each block is built from bit rules, never from a dense Hamiltonian.
-    With vectors=False only eigenvalues and sector labels are computed.
+    With vectors=False only eigenvalues and sector labels are computed, and
+    a uniform ring's sectors are split further into momentum blocks.
     """
     if not spec.conserves_sz:
         raise ValueError("spec does not conserve S_z (x and y couplings differ)")
     n = spec.n_sites
+    orbits = orbit_tables(n) if spec.is_uniform and not vectors else None
     all_evals, all_labels, vec_blocks = [], [], []
     for k, states in enumerate(sector_basis(n)):
-        block = _sector_block_from_spec(spec, states, k)
-        if vectors:
-            evals, bvecs = np.linalg.eigh(block)
+        if orbits is not None:
+            evals = np.concatenate([np.linalg.eigvalsh(block) for block in
+                                    _momentum_blocks(spec, states, k, orbits)])
+        elif vectors:
+            evals, bvecs = np.linalg.eigh(_sector_block_from_spec(spec, states, k))
             vec_blocks.append((states, bvecs))
         else:
-            evals = np.linalg.eigvalsh(block)
+            evals = np.linalg.eigvalsh(_sector_block_from_spec(spec, states, k))
         all_evals.append(evals)
         all_labels.append(np.full(evals.size, (n - 2 * k) / 2.0))
 

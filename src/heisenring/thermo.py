@@ -4,7 +4,9 @@ All Boltzmann weights are computed with the ground-energy shift
 exp(-beta*(E_i - E_0)), so only log Z is ever formed (beta*|E| can exceed
 700 in low-temperature sweeps).  T = 0 means the uniform mixture over the
 ground multiplet, the maximum-entropy limit of the Gibbs state; beta is
-reported as math.inf there.
+reported as math.inf there.  At T > 0 the whole ground multiplet (the
+ground_degeneracy lowest eigenvalues) has weight exactly 1, so the limit
+T -> 0 reaches that mixture however small T is.
 """
 
 from __future__ import annotations
@@ -42,16 +44,26 @@ class GibbsState:
         return self.matrix.shape[0]
 
 
+def _shifted_weights(sd: SpectralDecomposition, temperature: float) -> np.ndarray:
+    """exp(-(E_i - E_0)/T), with weight exactly 1 on the whole ground level.
+
+    The ground_degeneracy lowest eigenvalues are one level: their
+    rounding-level splittings divided by a tiny T must not split it.
+    """
+    w = np.exp(-(sd.eigenvalues - sd.eigenvalues[0]) / temperature)
+    w[: sd.ground_degeneracy] = 1.0
+    return w
+
+
 def thermal_probabilities(sd: SpectralDecomposition, temperature: float) -> np.ndarray:
     """Eigenstate occupation probabilities at the given temperature (k = 1)."""
     if not temperature >= 0:  # also rejects NaN
         raise ValueError(f"temperature must be >= 0, got {temperature}")
-    ev = sd.eigenvalues
     if temperature == 0.0:
-        p = np.zeros(ev.size)
+        p = np.zeros(sd.dim)
         p[: sd.ground_degeneracy] = 1.0 / sd.ground_degeneracy
         return p
-    w = np.exp(-(ev - ev[0]) / temperature)
+    w = _shifted_weights(sd, temperature)
     return w / w.sum()
 
 
@@ -61,8 +73,7 @@ def _log_z(sd: SpectralDecomposition, temperature: float) -> float:
         if e0 == 0.0:
             return math.log(sd.ground_degeneracy)
         return math.inf if e0 < 0 else -math.inf
-    w = np.exp(-(sd.eigenvalues - e0) / temperature)
-    return float(-e0 / temperature + math.log(w.sum()))
+    return float(-e0 / temperature + math.log(_shifted_weights(sd, temperature).sum()))
 
 
 def _sigma_z_diagonal(n: int) -> np.ndarray:

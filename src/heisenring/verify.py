@@ -81,10 +81,26 @@ def _spec_grid(opts: VerifyOptions):
                     yield model.ModelSpec.uniform(n, j, delta, b)
 
 
+def _label_spectrum_gap(a: spectral.SpectralDecomposition,
+                        b: spectral.SpectralDecomposition) -> float:
+    """Worst eigenvalue difference within each S_z label; inf if the levels per label differ."""
+    if not np.array_equal(np.unique(a.sector_labels, return_counts=True),
+                          np.unique(b.sector_labels, return_counts=True)):
+        return math.inf
+    return max(float(np.max(np.abs(a.eigenvalues[a.sector_labels == s]
+                                   - b.eigenvalues[b.sector_labels == s])))
+               for s in np.unique(a.sector_labels))
+
+
 def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
     opts = opts or VerifyOptions()
     col = _Collector()
     temps = np.asarray(opts.temperatures, dtype=float)
+    # the momentum blocks are checked once per N, on an anisotropic ring in
+    # a field when the grid has one
+    momentum_case = (next((d for d in opts.deltas if d != 1.0), opts.deltas[0]),
+                     next((b for b in opts.fields if b != 0.0), opts.fields[0]),
+                     opts.j_values[0])
 
     sampled_tensors: list[tuple[str, np.ndarray]] = []
     spec_index = 0
@@ -104,6 +120,9 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         full = spectral.diagonalize_full(h)
         col.record("sector_vs_full_spectrum",
                    float(np.max(np.abs(sd.eigenvalues - full.eigenvalues))), 1e-9, tag)
+        if (delta, b, j) == momentum_case:
+            col.record("momentum_vs_sector_spectrum", _label_spectrum_gap(
+                spectral.diagonalize_sectored(spec, vectors=False), sd), 1e-9, tag)
         resid, ortho = spectral.eigen_residuals(h, sd)
         col.record("eigen_residual", resid, 1e-9, tag)
         col.record("orthonormality", ortho, 1e-9, tag)

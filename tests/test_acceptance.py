@@ -24,6 +24,7 @@ from heisenring import (
     violation_xxx,
 )
 from heisenring.bell import frame_expectations, random_frames
+from heisenring.model import ring_coupling_matrices
 from helpers import c_two_site, cached_decompose, log_z_two_site, u_three_site
 
 
@@ -233,13 +234,26 @@ def test_criterion_11_sector_equivalence_and_scale():
         worst = max(worst, float(np.max(np.abs(full.eigenvalues - sect.eigenvalues))))
     assert worst <= 1e-9
 
+    # values-only, the uniform ring runs on momentum blocks; the same ring
+    # written with general couplings takes the S_z-sector eigvalsh
     start = time.perf_counter()
     spec14 = ModelSpec.uniform(14, 1.0)
     sd14 = diagonalize_sectored(spec14, vectors=False)
     elapsed = time.perf_counter() - start
+    ref14 = diagonalize_sectored(ModelSpec.general(*ring_coupling_matrices(spec14)),
+                                 vectors=False)
     assert elapsed < 60.0
     assert sd14.dim == 1 << 14
     # ground energy must sit in the zero-magnetization sector
     assert sd14.sector_labels[0] == 0.0
+    worst14 = 0.0
+    for k in range(15):
+        label = (14 - 2 * k) / 2.0
+        a = sd14.eigenvalues[sd14.sector_labels == label]
+        b = ref14.eigenvalues[ref14.sector_labels == label]
+        assert a.size == b.size == math.comb(14, k)
+        worst14 = max(worst14, float(np.max(np.abs(a - b))))
+    assert worst14 <= 1e-10
     report(11, f"sector path == full path for N<=10 (max dev {worst:.2e}); "
-               f"N=14 sectored in {elapsed:.1f}s (<60s), E0 = {sd14.ground_energy:.6f}")
+               f"N=14 momentum blocks in {elapsed:.1f}s (<60s) == sector blocks "
+               f"(max dev {worst14:.2e}), E0 = {sd14.ground_energy:.6f}")

@@ -159,6 +159,15 @@ def test_fractional_n_sites_rejected(tmp_path, capsys):
     assert "n_sites" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_values", [[2.5], [3, 2.5], [4.0], [1], [13]])
+def test_bad_n_values_rejected(tmp_path, capsys, n_values):
+    # int() would truncate 2.5 and quietly run the N = 2 grid; N = 1 has no
+    # ring, and N = 13 would build a 1 GB dense oracle before refusing it
+    cfg = write_config(tmp_path, {"n_values": n_values})
+    assert main(["verify", "--config", cfg]) == 2
+    assert "n_values" in capsys.readouterr().err
+
+
 def test_log_spacing_needs_positive_start(tmp_path):
     doc = {"model": {"n_sites": 2, "j": 1.0},
            "temperatures": {"start": 0.0, "stop": 1.0, "count": 3, "spacing": "log"}}

@@ -1,7 +1,10 @@
-"""Property tests of the pair-table route over random general couplings."""
+"""Property tests of the pair-table route over random general couplings,
+and of the momentum blocks over random uniform rings."""
+
+import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisenring import (
@@ -9,6 +12,7 @@ from heisenring import (
     build_hamiltonian,
     decompose,
     diagonalize_full,
+    diagonalize_sectored,
     gibbs_state,
     pair_rdm_thermal,
     reduce_to_pair,
@@ -53,3 +57,26 @@ def test_general_hamiltonian_equals_kron_reference(case):
     # jx != jy in about half the examples
     spec, _ = case
     assert np.array_equal(build_hamiltonian(spec), kron_hamiltonian(spec))
+
+
+@st.composite
+def uniform_specs(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    return ModelSpec.uniform(n, draw(coupling), draw(coupling), draw(coupling))
+
+
+@settings(max_examples=40)
+@given(uniform_specs())
+def test_momentum_blocks_match_sector_spectrum(spec):
+    # values-only decomposition of a uniform ring runs on momentum blocks;
+    # the S_z-sector eigh is the oracle, label by label
+    momentum = diagonalize_sectored(spec, vectors=False)
+    sector = diagonalize_sectored(spec)
+    n = spec.n_sites
+    for k in range(n + 1):
+        label = (n - 2 * k) / 2.0
+        a = momentum.eigenvalues[momentum.sector_labels == label]
+        b = sector.eigenvalues[sector.sector_labels == label]
+        assert a.size == b.size == math.comb(n, k)
+        assert np.max(np.abs(a - b)) <= 1e-10
+    assert momentum.ground_degeneracy == sector.ground_degeneracy

@@ -8,8 +8,10 @@ from heisenring import (
     diagonalize_sectored,
 )
 from heisenring.spectral import (
+    _momentum_blocks,
     eigen_residuals,
     expected_sector_sizes,
+    orbit_tables,
     sector_basis,
 )
 from helpers import cached_decompose
@@ -124,3 +126,51 @@ def test_delta_arithmetic_detour_same_spectrum():
     b = diagonalize_sectored(ModelSpec.uniform(4, 1.0, 0.5 * 2.0 * 1.0))
     assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= 1e-9
 
+
+
+def test_orbit_tables_brute_force():
+    n = 6
+    rep, shift, period = orbit_tables(n)
+
+    def rotate(s, r):
+        return ((s << r) | (s >> (n - r))) & ((1 << n) - 1) if r else s
+
+    for s in range(1 << n):
+        orbit = [rotate(s, r) for r in range(n)]
+        assert rep[s] == min(orbit)
+        assert rotate(s, int(shift[s])) == rep[s]
+        assert period[s] == next(r for r in range(1, n + 1) if rotate(s, r) == s)
+
+
+def test_two_site_momentum_blocks():
+    # one down spin: the representative 01 is its own block at k = 0 (the
+    # triplet, 2J) and at k = pi (the singlet, -6J); the bond counts twice
+    spec = ModelSpec.uniform(2, 1.0)
+    blocks = list(_momentum_blocks(spec, sector_basis(2)[1], 1, orbit_tables(2)))
+    assert [b.tolist() for b in blocks] == [[[2.0]], [[-6.0]]]
+
+
+def test_momentum_blocks_hermitian_and_sized():
+    # N = 14, one down-spin count at a time: together the blocks hold the
+    # C(14, k) levels; the largest is 246 wide, against 3432 for the sector
+    spec = ModelSpec.uniform(14, 1.0, 0.5, 0.3)
+    orbits = orbit_tables(14)
+    widths = []
+    for k, states in enumerate(sector_basis(14)):
+        blocks = list(_momentum_blocks(spec, states, k, orbits))
+        assert sum(b.shape[0] for b in blocks) == states.size
+        for b in blocks:
+            # hop sums agree with their transposed partners up to rounding
+            assert np.max(np.abs(b - b.conj().T)) <= 1e-12
+        widths += [b.shape[0] for b in blocks]
+    assert len(widths) == 184
+    assert max(widths) == 246
+
+
+def test_values_only_uniform_matches_full():
+    spec = ModelSpec.uniform(7, -0.8, 1.7, 0.25)
+    sd = diagonalize_sectored(spec, vectors=False)
+    full = diagonalize_full(build_hamiltonian(spec))
+    assert sd.eigvec_blocks is None
+    assert np.max(np.abs(sd.eigenvalues - full.eigenvalues)) <= 1e-10
+    assert sd.ground_degeneracy == full.ground_degeneracy

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from heisenring import (
     build_hamiltonian,
     check_derivatives,
     diagonalize_full,
+    diagonalize_sectored,
     gibbs_state,
     pair_rdm_thermal,
     thermo_point,
@@ -133,6 +135,37 @@ def test_low_temperature_stability():
     assert abs(cold.u - zero.u) <= 1e-6
     assert abs(cold.m - zero.m) <= 1e-6
     assert zero.beta == math.inf
+
+
+@pytest.mark.parametrize("t", [1e-20, 1e-300])
+def test_degenerate_ground_level_at_tiny_temperature(t):
+    # the N = 3 ring has a 4-fold ground level whose eigenvalues differ by
+    # rounding (~1e-15); divided by a tiny T that splitting must not give
+    # part of the level zero weight.  The momentum blocks scatter the level
+    # over four blocks.
+    spec, sd = cached_decompose(3, 1.0)
+    values_only = diagonalize_sectored(spec, vectors=False)
+    for d in (sd, values_only):
+        assert d.ground_degeneracy == 4
+        cold, zero = thermo_point(d, spec, t), thermo_point(d, spec, 0.0)
+        assert abs(cold.u - zero.u) <= 1e-12
+        assert abs(cold.m - zero.m) <= 1e-12
+        # log Z is -E0/T + log 4; with E0 shifted to 0 the log 4 is resolvable
+        shifted = replace(d, eigenvalues=d.eigenvalues - d.eigenvalues[0])
+        assert abs(thermo_point(shifted, spec, t).log_z
+                   - thermo_point(shifted, spec, 0.0).log_z) <= 1e-12
+    cold_rdm = pair_rdm_thermal(sd, t, 1, 2).matrix
+    zero_rdm = pair_rdm_thermal(sd, 0.0, 1, 2).matrix
+    assert np.max(np.abs(cold_rdm - zero_rdm)) <= 1e-12
+
+
+def test_nondegenerate_ground_weights_unchanged():
+    # the ground-level rule leaves a single ground state's weights alone
+    spec, sd = cached_decompose(4, 1.0, 0.5, 0.3)
+    assert sd.ground_degeneracy == 1
+    for t in (1e-3, 0.7, 40.0):
+        w = np.exp(-(sd.eigenvalues - sd.eigenvalues[0]) / t)
+        assert np.array_equal(thermal_probabilities(sd, t), w / w.sum())
 
 
 def test_deep_low_temperature_log_z():

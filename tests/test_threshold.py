@@ -5,6 +5,7 @@ import pytest
 from heisenring import (
     ModelSpec,
     concurrence_wootters,
+    decompose,
     find_threshold,
     pair_rdm_thermal,
     u_of_n_scan,
@@ -84,6 +85,23 @@ def test_u_of_n_ground_state_values():
     assert scan[4] >= scan[6] >= scan[8]
     # odd branch: non-decreasing
     assert scan[3] <= scan[5]
+
+
+def test_threshold_n14_pinned():
+    # above N = 12 the threshold runs values-only, on momentum blocks
+    spec = ModelSpec.uniform(14, 1.0)
+    res = find_threshold(spec, decompose(spec, vectors=False))
+    assert res.status == STATUS_FOUND
+    assert abs(res.t_c - 3.1804914921522141) <= 1e-7
+    assert abs(res.u_of_n - 1.0) <= 1e-7
+
+
+def test_u_of_n_even_odd_monotone_up_to_n14():
+    scan = u_of_n_scan(range(3, 15), 1.0, 0.0)
+    even = [scan[n] for n in range(4, 15, 2)]
+    odd = [scan[n] for n in range(3, 14, 2)]
+    assert all(a > b for a, b in zip(even, even[1:])), even
+    assert all(a < b for a, b in zip(odd, odd[1:])), odd
 
 
 def test_u_of_n_rejects_ferromagnet():

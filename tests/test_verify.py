@@ -12,7 +12,8 @@ def test_default_grid_all_pass():
     names = {r.name for r in results}
     for expected in ("hermiticity", "prop1_magnetization", "prop3_z_sign",
                      "route_energy", "bell_frames_bound", "threshold_two_sided",
-                     "derivative_u", "ground_state_entangled"):
+                     "derivative_u", "ground_state_entangled",
+                     "momentum_vs_sector_spectrum"):
         assert expected in names
 
 
@@ -30,3 +31,14 @@ def test_hermiticity_negative_control():
     bad = good.copy()
     bad[0, 1] = 5.0
     assert check_hermiticity(bad) > 1e-3
+
+
+def test_momentum_check_takes_anisotropic_ring_in_field():
+    # the grid's first delta != 1 and first B != 0, one ring per N
+    opts = VerifyOptions(n_values=(3, 4), deltas=(1.0, 0.5), fields=(0.0, 0.2),
+                         j_values=(1.0, -1.0), temperatures=(1.0,), frames=10,
+                         sampled_states=1)
+    (check,) = [r for r in run_verification(opts)
+                if r.name == "momentum_vs_sector_spectrum"]
+    assert check.passed
+    assert "delta=0.5 B=0.2" in check.detail
