@@ -1,4 +1,4 @@
-"""Diff the sweep and spectrum outputs of two source trees.
+"""Diff the sweep, spectrum and verify outputs of two source trees.
 
     python scripts/compare_sweeps.py BASE_SRC HEAD_SRC
 
@@ -13,6 +13,10 @@ Both trees also run `spectrum` (JSON) on uniform rings with N = 8, 11 and
 14.  There the sorted energies of each S_z label must agree within
 SPECTRUM_TOL and the ground degeneracy must be identical; the row order
 among degenerate levels of different labels may differ.
+
+Both trees also run `verify` on its default grid and on a small grid off
+the defaults (VERIFY_CONFIGS); the text reports and the exit codes must be
+identical.
 
 Prints the first differing cells of each run and the worst numeric
 difference per column, and exits 1 on any difference.
@@ -39,6 +43,12 @@ SPECTRUM_MODELS = {
     "spectrum-n8": {"n_sites": 8, "j": -1.0, "delta": 0.5, "field_b": 0.3},
     "spectrum-n11": {"n_sites": 11, "j": 1.0, "delta": 0.5, "field_b": 0.2},
     "spectrum-n14": {"n_sites": 14, "j": 1.0},
+}
+
+VERIFY_CONFIGS = {
+    "verify-default": {},
+    "verify-small": {"n_values": [2, 5, 8], "deltas": [0.5], "fields": [0.3],
+                     "j_values": [1.3, -0.7]},
 }
 
 
@@ -69,16 +79,21 @@ def configs() -> dict[str, dict]:
     return out
 
 
-def cli_stdout(src: str, command: str, config: Path, fmt: str) -> str:
+def cli_run(src: str, command: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-m", "heisenring", command, "--config",
-                           str(config), "--format", fmt],
-                          env=env, check=True, capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-m", "heisenring", command, *args],
+                          env=env, capture_output=True, text=True)
+
+
+def cli_stdout(src: str, command: str, *args: str) -> str:
+    proc = cli_run(src, command, *args)
+    proc.check_returncode()
+    return proc.stdout
 
 
 def run(src: str, config: Path, fmt: str) -> list[dict[str, str]]:
     """Rows as column -> cell text, in the CSV spelling for both formats."""
-    text = cli_stdout(src, "sweep", config, fmt)
+    text = cli_stdout(src, "sweep", "--config", str(config), "--format", fmt)
     if fmt == "csv":
         return list(csv.DictReader(io.StringIO(text)))
     raw = json.loads(text, parse_float=str, parse_int=str)
@@ -106,7 +121,7 @@ def compare(base: list[dict], head: list[dict], worst: dict[str, float]) -> list
 
 def levels(src: str, config: Path) -> tuple[int, dict[float, list[float]]]:
     """(ground degeneracy, S_z label -> sorted energies) from `spectrum` JSON."""
-    doc = json.loads(cli_stdout(src, "spectrum", config, "json"))
+    doc = json.loads(cli_stdout(src, "spectrum", "--config", str(config), "--format", "json"))
     by_label: dict[float, list[float]] = {}
     for _, energy, s_z in doc["rows"]:
         by_label.setdefault(s_z, []).append(energy)
@@ -154,6 +169,15 @@ def main() -> int:
             print(f"{name}: {'ok' if not problems else f'{len(problems)} problems'}")
             for line in problems:
                 print(f"  {line}")
+        for name, doc in VERIFY_CONFIGS.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            # a failing check (exit 1) is output to compare, not an error
+            base, head = (cli_run(src, "verify", "--config", str(path))
+                          for src in (base_src, head_src))
+            same = (base.returncode, base.stdout) == (head.returncode, head.stdout)
+            failures += not same
+            print(f"{name}: {'ok' if same else 'report or exit code differs'}")
     for col, diff in sorted(worst.items(), key=lambda kv: -kv[1]):
         print(f"worst |diff| {col}: {diff:.3e}")
     return 1 if failures else 0

@@ -102,7 +102,7 @@ def parse_temperatures(obj: dict) -> np.ndarray:
     if spacing not in ("linear", "log"):
         raise ConfigError(f"temperatures.spacing must be 'linear' or 'log', got {spacing!r}")
     count = obj["count"]
-    if not isinstance(count, int) or count < 1:
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ConfigError(f"temperatures.count must be an integer >= 1, got {count!r}")
     try:
         return temperature_grid(_number(obj, "start", "temperatures"),
@@ -153,6 +153,9 @@ def parse_verify_options(doc: dict) -> VerifyOptions:
                                              and 2 <= v <= FULL_PATH_MAX_SITES for v in vals):
                 raise ConfigError(f"'n_values' must be integers in "
                                   f"2..{FULL_PATH_MAX_SITES}, got {vals!r}")
+            # the closed-form energy routes divide by J
+            if key == "j_values" and 0 in vals:
+                raise ConfigError(f"'j_values' must be nonzero, got {vals!r}")
             kwargs[key] = tuple(vals) if key == "n_values" \
                 else tuple(float(v) for v in vals)
     if "temperatures" in doc:
@@ -160,9 +163,10 @@ def parse_verify_options(doc: dict) -> VerifyOptions:
             doc["temperatures"]))
     for key in ("seed", "frames", "sampled_states"):
         if key in doc:
-            if not isinstance(doc[key], int) or doc[key] < 0:
+            val = doc[key]
+            if isinstance(val, bool) or not isinstance(val, int) or val < 0:
                 raise ConfigError(f"{key!r} must be a non-negative integer")
-            kwargs[key] = doc[key]
+            kwargs[key] = val
     return VerifyOptions(**kwargs)
 
 

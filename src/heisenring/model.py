@@ -160,23 +160,35 @@ def bit_for_site(site: int, n: int) -> int:
     return n - site
 
 
-def embed(op: np.ndarray, sites: tuple[int, ...], n: int) -> np.ndarray:
-    """Operator `op` on `sites` of an n-site register, identity elsewhere.
+def site_indices(sites: tuple[int, ...], n: int) -> np.ndarray:
+    """Full-space basis indices grouped by their bits on `sites`.
 
-    The tensor factors of `op` act on `sites` in the order given, so
-    embed(kron(a, b), (3, 1), n) puts a on site 3 and b on site 1.  One kron
-    with the identity on the other sites, then one transpose of the
-    (2,) * 2n view moves every factor to its site.
+    The result is an int64 array of shape (2**k, 2**(n-k)).  Row a holds every index whose bits on `sites`, read in the order given
+    (first site most significant), spell a; the columns run over the other
+    sites' configurations in ascending order.
     """
     k = len(sites)
     for s in sites:
         bit_for_site(s, n)
     if len(set(sites)) != k:
         raise ValueError(f"sites must be distinct, got {sites}")
-    factor_sites = sites + tuple(s for s in range(1, n + 1) if s not in sites)
-    axes = np.argsort(factor_sites)
-    full = np.kron(op, np.eye(1 << (n - k))).reshape((2,) * (2 * n))
-    return full.transpose(*axes, *(axes + n)).reshape(1 << n, 1 << n)
+    order = [s - 1 for s in sites] + [s - 1 for s in range(1, n + 1) if s not in sites]
+    grid = np.arange(1 << n, dtype=np.int64).reshape((2,) * n)
+    return grid.transpose(order).reshape(1 << k, -1)
+
+
+def embed(op: np.ndarray, sites: tuple[int, ...], n: int) -> np.ndarray:
+    """Operator `op` on `sites` of an n-site register, identity elsewhere.
+
+    The tensor factors of `op` act on `sites` in the order given, so
+    embed(kron(a, b), (3, 1), n) puts a on site 3 and b on site 1.  Each
+    entry op[a, b] is written once per configuration of the other sites,
+    at the rows and columns site_indices gives; no identity kron is formed.
+    """
+    idx = site_indices(sites, n)
+    out = np.zeros((1 << n, 1 << n), dtype=np.result_type(op, float))
+    out[idx[:, None, :], idx[None, :, :]] = op[:, :, None]
+    return out
 
 
 def pauli_at(site: int, axis: str, n: int) -> np.ndarray:
@@ -193,20 +205,27 @@ def pauli_at(site: int, axis: str, n: int) -> np.ndarray:
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
     """Dense complex Hamiltonian matrix of the ring described by `spec`.
 
-    Uniform mode evaluates the periodic sum literally, one embedded 4x4
-    bond term per bond (so the N=2 bond is counted twice, see module
-    docstring).  General mode runs the ordered double sum over site pairs,
-    one embedded sigma_a x sigma_a per nonzero coupling.  Memory is
-    O(4**n); for n >= 13 prefer the sector-blocked eigensolver which never
-    forms this matrix.
+    Uniform mode evaluates the periodic sum literally, one 4x4 bond term
+    per bond (so the N=2 bond is counted twice, see module docstring).
+    General mode runs the ordered double sum over site pairs, one
+    sigma_a x sigma_a per nonzero coupling.  Each term is scatter-added
+    into h at the entries site_indices gives, so no identity kron and no
+    per-term 2**n x 2**n temporary is formed.  Memory is O(4**n); for
+    n >= 13 prefer the sector-blocked eigensolver which never forms this
+    matrix.
     """
     n = spec.n_sites
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
+
+    def add(op, sites):
+        idx = site_indices(sites, n)
+        h[idx[:, None, :], idx[None, :, :]] += op[:, :, None]
+
     if spec.is_uniform:
         j, delta = spec.coupling.j, spec.coupling.delta
         term = j * PAIR_PAULI["x"] + j * PAIR_PAULI["y"] + j * delta * PAIR_PAULI["z"]
         for bond in spec.bonds():
-            h += embed(term, bond, n)
+            add(term, bond)
     else:
         mats = {"x": spec.coupling.jx, "y": spec.coupling.jy, "z": spec.coupling.jz}
         for i in range(1, n + 1):
@@ -216,10 +235,10 @@ def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
                 for ax in AXES:
                     c = mats[ax][i - 1, k - 1]
                     if c != 0.0:
-                        h += c * embed(PAIR_PAULI[ax], (i, k), n)
+                        add(c * PAIR_PAULI[ax], (i, k))
     if spec.field_b != 0.0:
         for i in range(1, n + 1):
-            h += spec.field_b * embed(SIGMA_Z, (i,), n)
+            add(spec.field_b * SIGMA_Z, (i,))
     return h
 
 

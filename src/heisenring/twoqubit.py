@@ -14,11 +14,14 @@ off_structure_norm is the largest modulus among the entries this pattern
 forces to zero (all eight off-diagonals outside the inner anti-diagonal
 plus the two corners).
 
-Partial tracing iterates basis-index bits directly; no 2^N x 2^N
-permutations are ever formed.  correlations_from_rdm gives the nine
-g[a, b] = tr(rho sigma_a x sigma_b) and M/N in one contraction against the
-ten 4x4 Pauli products; the CorrelationSet it returns is the one tensor a
-state needs, for the concurrence routes and for bell alike.
+Partial tracing gathers the state's entries through one basis-index
+table (model.site_indices) and sums over the other sites; the full-space
+operators of the correlations oracle are placed through the same table,
+so no identity kron and no 2^N x 2^N permutation is ever formed.
+correlations_from_rdm gives the nine g[a, b] = tr(rho sigma_a x sigma_b)
+and M/N in one contraction against the ten 4x4 Pauli products; the
+CorrelationSet it returns is the one tensor a state needs, for the
+concurrence routes and for bell alike.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AXES, PAULI, SIGMA_Z, IDENTITY_2, bit_for_site, embed
+from .model import AXES, PAULI, SIGMA_Z, IDENTITY_2, bit_for_site, embed, site_indices
 from .spectral import SpectralDecomposition
 from .thermo import GibbsState, thermal_probabilities
 
@@ -86,30 +89,6 @@ class CorrelationSet:
     m_per_site: float
 
 
-def _insert_zero_bits(values: np.ndarray, positions: tuple[int, int]) -> np.ndarray:
-    """Expand indices by inserting 0 bits at the given (ascending) positions."""
-    out = values
-    for p in positions:
-        low = out & ((1 << p) - 1)
-        out = ((out >> p) << (p + 1)) | low
-    return out
-
-
-def _pair_row_indices(n: int, i: int, j: int) -> list[np.ndarray]:
-    """Full-space indices for each of the four pair states, over all rest configs.
-
-    Element a of the returned list covers pair state |a1 a2> with a1 the
-    site-i bit; entry r is the basis index with the remaining n-2 sites in
-    configuration r.
-    """
-    if i == j:
-        raise ValueError(f"need two distinct sites, got ({i}, {j})")
-    bi, bj = bit_for_site(i, n), bit_for_site(j, n)
-    rest = _insert_zero_bits(np.arange(1 << (n - 2), dtype=np.int64),
-                             tuple(sorted((bi, bj))))
-    return [rest | ((a >> 1) << bi) | ((a & 1) << bj) for a in range(4)]
-
-
 def _as_matrix(rho: GibbsState | np.ndarray) -> np.ndarray:
     return rho.matrix if isinstance(rho, GibbsState) else np.asarray(rho)
 
@@ -120,11 +99,8 @@ def reduce_to_pair(rho: GibbsState | np.ndarray, i: int, j: int) -> TwoQubitRDM:
     n = int(m.shape[0]).bit_length() - 1
     if m.shape != (1 << n, 1 << n):
         raise ValueError(f"density matrix dimension {m.shape[0]} is not a power of 2")
-    rows = _pair_row_indices(n, i, j)
-    rdm = np.empty((4, 4), dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            rdm[a, b] = m[rows[a], rows[b]].sum()
+    idx = site_indices((i, j), n)
+    rdm = m[idx[:, None, :], idx[None, :, :]].sum(axis=2)
     return TwoQubitRDM.from_matrix(rdm, (i, j))
 
 

@@ -352,6 +352,26 @@ def test_non_finite_verify_input_exits_two(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_zero_j_value_rejected(tmp_path, capsys):
+    # the closed-form energy routes divide by J
+    cfg = write_config(tmp_path, {"n_values": [3], "j_values": [0.0]})
+    assert main(["verify", "--config", cfg]) == 2
+    assert "j_values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"n_values": [2], "frames": True}, "frames"),
+    ({"n_values": [2], "seed": True}, "seed"),
+    ({"n_values": [2], "sampled_states": False}, "sampled_states"),
+    ({"n_values": [2], "temperatures": {"start": 0.5, "stop": 1.0, "count": True}},
+     "count"),
+])
+def test_boolean_verify_integers_rejected(tmp_path, capsys, doc, key):
+    # JSON true is an int to isinstance; it must not run as 1
+    assert main(["verify", "--config", write_config(tmp_path, doc)]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_negative_seed_rejected(tmp_path, capsys):
     assert main(["verify", "--seed", "-3"]) == 2
     assert "seed" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from heisenring import (
     shift_operator,
     symmetry_report,
 )
-from heisenring.model import PAULI, embed, is_hermitian
+from heisenring.model import PAULI, embed, is_hermitian, site_indices
 from heisenring.verify import VerifyOptions, _spec_grid
 from helpers import kron_hamiltonian, kron_sites
 
@@ -208,6 +208,22 @@ def test_embed_matches_per_site_kron():
     assert np.array_equal(embed(np.kron(sx, sz), (4, 2), 4), kron_sites({4: sx, 2: sz}, 4))
     assert np.array_equal(embed(np.kron(np.kron(sy, sx), sz), (3, 1, 2), 3),
                           kron_sites({3: sy, 1: sx, 2: sz}, 3))
+
+
+@pytest.mark.parametrize("sites, n", [((1,), 1), ((2, 4), 4), ((4, 2), 4),
+                                      ((3, 1, 5), 5), ((2, 1, 3), 3)])
+def test_site_indices_group_basis_by_site_bits(sites, n):
+    idx = site_indices(sites, n)
+    k = len(sites)
+    assert idx.shape == (1 << k, 1 << (n - k)) and idx.dtype == np.int64
+    # the rows partition the basis
+    assert np.array_equal(np.sort(idx, axis=None), np.arange(1 << n))
+    for a, row in enumerate(idx):
+        # row a reads a on `sites`, the first site listed most significant
+        read = sum(((row >> (n - s)) & 1) << (k - 1 - t) for t, s in enumerate(sites))
+        assert np.all(read == a)
+        # and runs over the other sites' configurations in ascending order
+        assert np.all(np.diff(row) > 0)
 
 
 def test_embed_validates_sites():

@@ -1,5 +1,6 @@
 """Property tests of the pair-table route over random general couplings,
-and of the momentum blocks over random uniform rings."""
+of operator embedding over random sites, and of the momentum blocks over
+random uniform rings."""
 
 import math
 
@@ -17,7 +18,8 @@ from heisenring import (
     pair_rdm_thermal,
     reduce_to_pair,
 )
-from helpers import kron_hamiltonian
+from heisenring.model import embed
+from helpers import kron_hamiltonian, kron_sites
 
 coupling = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 temperature = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=20.0))
@@ -57,6 +59,35 @@ def test_general_hamiltonian_equals_kron_reference(case):
     # jx != jy in about half the examples
     spec, _ = case
     assert np.array_equal(build_hamiltonian(spec), kron_hamiltonian(spec))
+
+
+@st.composite
+def embed_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    k = draw(st.integers(min_value=1, max_value=min(3, n)))
+    sites = tuple(draw(st.permutations(range(1, n + 1)))[:k])
+    dim = 1 << k
+    entries = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    op = np.reshape(draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim)),
+                    (dim, dim))
+    return op, sites, n
+
+
+@given(embed_cases())
+def test_embed_of_random_operator_matches_per_site_kron(case):
+    # op is the sum over its entries of op[a, b] times one product of
+    # per-site matrix units |a_t><b_t|, where a_t is bit t of a counted from
+    # the top, so the first tensor factor of op lands on the first site listed
+    op, sites, n = case
+    k, unit = len(sites), np.eye(2)
+
+    def bit(a, t):
+        return (a >> (k - 1 - t)) & 1
+
+    expected = sum(op[a, b] * kron_sites({s: np.outer(unit[bit(a, t)], unit[bit(b, t)])
+                                          for t, s in enumerate(sites)}, n)
+                   for a in range(1 << k) for b in range(1 << k))
+    assert np.array_equal(embed(op, sites, n), expected)
 
 
 @st.composite
