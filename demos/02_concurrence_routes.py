@@ -23,17 +23,19 @@ cases = [
     ("ferromagnet", ModelSpec.uniform(6, -1.0)),
 ]
 
+
+def cell(v):
+    return "      --- " if v is None else f"{v:10.6f}"
+
+
 temps = temperature_grid(0.1, 10.0, 9, "log")
 for label, spec in cases:
-    rows = run_sweep(spec, temps)
+    cols = run_sweep(spec, temps)
     print(f"=== {label} ===")
     print(f"{'T':>8} {'wootters':>10} {'x_form':>10} {'corr':>10} "
           f"{'energy':>10} {'spread':>9}")
-    for row in rows:
-        def cell(v):
-            return "      --- " if v is None else f"{v:10.6f}"
-        print(f"{row['T']:8.3f} {cell(row['C_wootters'])} {cell(row['C_x_form'])} "
-              f"{cell(row['C_correlation'])} {cell(row['C_energy'])} "
-              f"{row['max_route_disagreement']:9.1e}")
-    worst = max(row["max_route_disagreement"] for row in rows)
-    print(f"worst route disagreement: {worst:.2e}\n")
+    for t, c_w, c_x, c_c, c_e, spread in zip(
+            cols["T"], cols["C_wootters"], cols["C_x_form"], cols["C_correlation"],
+            cols["C_energy"], cols["max_route_disagreement"]):
+        print(f"{t:8.3f} {cell(c_w)} {cell(c_x)} {cell(c_c)} {cell(c_e)} {spread:9.1e}")
+    print(f"worst route disagreement: {max(cols['max_route_disagreement']):.2e}\n")

@@ -4,8 +4,9 @@
 
 BASE_SRC and HEAD_SRC are the `src` directories of two checkouts.  Both
 trees run the same `sweep` configs, in CSV and in JSON: the benchmark's
-`sweep_large` and `sweep_small` configs at seeds 1 and 2, plus two
-general-coupling rings, one S_z-conserving and one S_z-breaking.  Every
+`sweep_large` and `sweep_small` configs at seeds 1 and 2, two
+general-coupling rings, one S_z-conserving and one S_z-breaking, and
+ROUTE_SWEEPS, which reach the routes and rows the others skip.  Every
 cell must be bit-identical: the same 17-significant-digit text, the same
 boolean, or the same empty cell.
 
@@ -45,6 +46,26 @@ SPECTRUM_MODELS = {
     "spectrum-n14": {"n_sites": 14, "j": 1.0},
 }
 
+LOG_GRID = {"start": 0.05, "stop": 20.0, "count": 40, "spacing": "log"}
+ROUTE_SWEEPS = {
+    # zero-field anisotropic energy route
+    "delta0.5-b0": {"model": {"n_sites": 8, "j": 1.3, "delta": 0.5},
+                    "temperatures": LOG_GRID},
+    # isotropic route in a field
+    "xxx-b0.3": {"model": {"n_sites": 8, "j": 1.0, "field_b": 0.3},
+                 "temperatures": LOG_GRID},
+    # ferromagnetic branch of the isotropic route
+    "j-1": {"model": {"n_sites": 8, "j": -1.0}, "temperatures": LOG_GRID},
+    # T = 0 rows, on a ring with a degenerate ground level
+    "linear-from-t0": {"model": {"n_sites": 7, "j": 1.0},
+                       "temperatures": {"start": 0.0, "stop": 3.0, "count": 40}},
+    # the doubly counted bond
+    "n2": {"model": {"n_sites": 2, "j": 1.0}, "temperatures": LOG_GRID},
+    # a non-adjacent pair
+    "pair-1-3": {"model": {"n_sites": 8, "j": 1.0, "delta": 0.5, "field_b": 0.2},
+                 "temperatures": LOG_GRID, "pair": [1, 3]},
+}
+
 VERIFY_CONFIGS = {
     "verify-default": {},
     "verify-small": {"n_values": [2, 5, 8], "deltas": [0.5], "fields": [0.3],
@@ -76,6 +97,7 @@ def configs() -> dict[str, dict]:
                 random.Random(f"{name}:{seed}"))
     out["general-sz-n8"] = general_config(conserves_sz=True)
     out["general-n8"] = general_config(conserves_sz=False)
+    out.update(ROUTE_SWEEPS)
     return out
 
 

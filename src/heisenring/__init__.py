@@ -46,12 +46,14 @@ from .spectral import (
     diagonalize_full,
     diagonalize_sectored,
 )
-from .sweep import COLUMNS, run_sweep, sweep_row, temperature_grid
+from .sweep import COLUMNS, run_sweep, temperature_grid
 from .thermo import (
     GibbsState,
+    ThermoGrid,
     ThermoPoint,
     check_derivatives,
     gibbs_state,
+    thermo_grid,
     thermo_point,
 )
 from .threshold import ThresholdResult, find_threshold, u_of_n_scan
@@ -62,6 +64,7 @@ from .twoqubit import (
     correlations,
     correlations_from_rdm,
     pair_rdm_thermal,
+    pair_rdms,
     reduce_to_pair,
 )
 from .verify import CheckResult, VerifyOptions, run_verification

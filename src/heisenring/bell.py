@@ -8,7 +8,9 @@ quantum ceiling.
 
 Every function here reads the state only through its 3x3 tensor T, the
 `g` of twoqubit.CorrelationSet, so a caller computes T once per state and
-passes it on.
+passes it on.  violation_measure also takes the (R, 3, 3) tensors of a
+temperature sweep and runs one stacked eigvalsh over them; one tensor
+goes through the same code.
 """
 
 from __future__ import annotations
@@ -44,11 +46,14 @@ class MeasurementFrame:
 
 @dataclass(frozen=True)
 class BellResult:
-    """Top two eigenvalues of T T^t and the measure 2 sqrt(u + u~)."""
+    """Top two eigenvalues of T T^t and the measure 2 sqrt(u + u~).
 
-    top_two: tuple[float, float]
-    measure: float
-    violates: bool
+    For a stack of R tensors each field holds (R,) arrays.
+    """
+
+    top_two: tuple[float, float] | tuple[np.ndarray, np.ndarray]
+    measure: float | np.ndarray
+    violates: bool | np.ndarray
 
 
 def chsh_expectation(t: np.ndarray, frame: MeasurementFrame) -> float:
@@ -58,13 +63,19 @@ def chsh_expectation(t: np.ndarray, frame: MeasurementFrame) -> float:
 
 
 def violation_measure(t: np.ndarray) -> BellResult:
-    """Maximal |<CHSH>| over all frames, from the spectrum of T T^t."""
+    """Maximal |<CHSH>| over all frames, from the spectrum of T T^t.
+
+    t is one 3x3 tensor or an (R, 3, 3) stack of them.
+    """
     t = np.asarray(t, dtype=float)
-    if t.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 correlation matrix, got {t.shape}")
-    evals = np.clip(np.linalg.eigvalsh(t @ t.T), 0.0, None)  # PSD up to roundoff
-    u, u_tilde = float(evals[2]), float(evals[1])
-    measure = 2.0 * math.sqrt(u + u_tilde)
+    if t.ndim not in (2, 3) or t.shape[-2:] != (3, 3):
+        raise ValueError(f"expected a 3x3 correlation matrix or a stack of them, got {t.shape}")
+    evals = np.clip(np.linalg.eigvalsh(t @ t.swapaxes(-1, -2)), 0.0, None)  # PSD up to roundoff
+    u, u_tilde = evals[..., 2], evals[..., 1]
+    measure = 2.0 * np.sqrt(u + u_tilde)
+    if t.ndim == 2:
+        return BellResult(top_two=(float(u), float(u_tilde)), measure=float(measure),
+                          violates=bool(measure > 2.0))
     return BellResult(top_two=(u, u_tilde), measure=measure, violates=measure > 2.0)
 
 

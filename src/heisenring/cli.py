@@ -140,34 +140,14 @@ def parse_verify_options(doc: dict) -> VerifyOptions:
     _require_keys(doc, {"n_values": False, "deltas": False, "fields": False,
                         "j_values": False, "temperatures": False, "seed": False,
                         "frames": False, "sampled_states": False}, "config")
-    kwargs = {}
-    for key in ("n_values", "deltas", "fields", "j_values"):
-        if key in doc:
-            vals = doc[key]
-            if (not isinstance(vals, list) or not vals
-                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                               and math.isfinite(v) for v in vals)):
-                raise ConfigError(f"{key!r} must be a non-empty list of finite numbers")
-            # verify diagonalizes every grid ring densely as its oracle
-            if key == "n_values" and not all(isinstance(v, int)
-                                             and 2 <= v <= FULL_PATH_MAX_SITES for v in vals):
-                raise ConfigError(f"'n_values' must be integers in "
-                                  f"2..{FULL_PATH_MAX_SITES}, got {vals!r}")
-            # the closed-form energy routes divide by J
-            if key == "j_values" and 0 in vals:
-                raise ConfigError(f"'j_values' must be nonzero, got {vals!r}")
-            kwargs[key] = tuple(vals) if key == "n_values" \
-                else tuple(float(v) for v in vals)
+    kwargs = {key: doc[key] for key in ("n_values", "deltas", "fields", "j_values",
+                                        "seed", "frames", "sampled_states") if key in doc}
     if "temperatures" in doc:
-        kwargs["temperatures"] = tuple(float(t) for t in parse_temperatures(
-            doc["temperatures"]))
-    for key in ("seed", "frames", "sampled_states"):
-        if key in doc:
-            val = doc[key]
-            if isinstance(val, bool) or not isinstance(val, int) or val < 0:
-                raise ConfigError(f"{key!r} must be a non-negative integer")
-            kwargs[key] = val
-    return VerifyOptions(**kwargs)
+        kwargs["temperatures"] = tuple(parse_temperatures(doc["temperatures"]))
+    try:
+        return VerifyOptions(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +175,16 @@ def fmt_json_value(v) -> str:
     return str(v)
 
 
-def render_csv(columns, rows) -> str:
+def render_csv(columns, table: dict[str, list]) -> str:
+    """CSV of the named columns of `table` (column name -> values in row order)."""
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(fmt_value(row[c]) for c in columns))
+    for row in zip(*(table[c] for c in columns)):
+        lines.append(",".join(fmt_value(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def render_json(columns, rows, meta: dict | None = None) -> str:
+def render_json(columns, table: dict[str, list], meta: dict | None = None) -> str:
+    """JSON of the named columns of `table`, written row by row."""
     parts = []
     if meta:
         for k, v in meta.items():
@@ -210,8 +192,8 @@ def render_json(columns, rows, meta: dict | None = None) -> str:
     cols = ", ".join(json.dumps(c) for c in columns)
     parts.append(f'"columns": [{cols}]')
     row_strs = []
-    for row in rows:
-        row_strs.append("[" + ", ".join(fmt_json_value(row[c]) for c in columns) + "]")
+    for row in zip(*(table[c] for c in columns)):
+        row_strs.append("[" + ", ".join(fmt_json_value(v) for v in row) + "]")
     parts.append('"rows": [' + ", ".join(row_strs) + "]")
     return "{" + ", ".join(parts) + "}\n"
 
@@ -248,22 +230,20 @@ def cmd_sweep(args) -> int:
     doc = _load_config(args.config, required=True)
     cfg = parse_sweep_config(doc)
     fmt = args.format or cfg.fmt
-    rows = run_sweep(cfg.model, cfg.temperatures, cfg.pair)
+    table = run_sweep(cfg.model, cfg.temperatures, cfg.pair)
     if fmt == "csv":
-        text = render_csv(cfg.outputs, rows)
+        text = render_csv(cfg.outputs, table)
     else:
-        text = render_json(cfg.outputs, rows)
+        text = render_json(cfg.outputs, table)
     _write_out(text, args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
     doc = _load_config(args.config, required=False)
-    opts = parse_verify_options(doc)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be non-negative")
-        opts = VerifyOptions(**{**opts.__dict__, "seed": args.seed})
+        doc = {**doc, "seed": args.seed}
+    opts = parse_verify_options(doc)
     results = run_verification(opts)
     _write_out(render_report(results) + "\n", args.out)
     return 0 if all(r.passed for r in results) else 1
@@ -304,20 +284,19 @@ def cmd_spectrum(args) -> int:
     _require_keys(doc, {"model": True}, "config")
     spec = parse_model(doc["model"])
     sd = decompose(spec, vectors=False)
-    rows = []
-    for k, e in enumerate(sd.eigenvalues):
-        rows.append({
-            "index": k,
-            "energy": float(e),
-            "s_z": None if sd.sector_labels is None else float(sd.sector_labels[k]),
-        })
+    table = {
+        "index": list(range(sd.dim)),
+        "energy": sd.eigenvalues.tolist(),
+        "s_z": ([None] * sd.dim if sd.sector_labels is None
+                else sd.sector_labels.astype(float).tolist()),
+    }
     columns = ("index", "energy", "s_z")
     if (args.format or "csv") == "json":
-        text = render_json(columns, rows,
+        text = render_json(columns, table,
                            meta={"ground_energy": sd.ground_energy,
                                  "ground_degeneracy": sd.ground_degeneracy})
     else:
-        text = render_csv(columns, rows)
+        text = render_csv(columns, table)
     _write_out(text, args.out)
     return 0
 

@@ -6,12 +6,17 @@ instrument is that each shortcut matches the Wootters value wherever its
 precondition holds.  All routes clamp |C| <= 1e-12 to exactly 0 (so
 "entangled or not" is a crisp predicate) and cap at 1, logging if the cap
 ever fires.
+
+Every function takes one state or a stack of R states (a stacked
+TwoQubitRDM and CorrelationSet, (R,) arrays for u_bar and G_zz): Wootters
+runs as one stacked eigh and one stacked svd, and the closed forms, the
+clamp and the spread are array expressions.  One state goes through the
+same code with no leading axis.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,30 +31,46 @@ CLAMP_TOL = 1e-12
 X_FORM_TOL = 1e-8
 
 
-def clamp_concurrence(c: float) -> float:
-    """Snap near-zero values to 0 and cap at 1 (logged when the cap fires)."""
-    if abs(c) <= CLAMP_TOL:
-        return 0.0
-    if c > 1.0:
-        logger.info("concurrence %.17g capped to 1", c)
-        return 1.0
-    return float(c)
+def clamp_concurrence(c: float | np.ndarray) -> float | np.ndarray:
+    """Snap near-zero values to 0 and cap at 1 (logged when the cap fires).
+
+    Elementwise; a scalar gives a float.
+    """
+    c = np.asarray(c, dtype=float)
+    for value in c[c > 1.0]:
+        logger.info("concurrence %.17g capped to 1", value)
+    out = np.where(np.abs(c) <= CLAMP_TOL, 0.0, np.minimum(c, 1.0))
+    return float(out) if out.ndim == 0 else out
+
+
+def _modulus(z: complex | np.ndarray) -> float | np.ndarray:
+    """|z| by hypot, as Python's abs(complex) computes it; numpy's complex
+    absolute value differs from it in the last bit."""
+    return np.hypot(np.real(z), np.imag(z))
+
+
+_ROUTES = ("x_form", "correlation_form", "energy_form")
 
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
-    """Concurrence by every applicable route, with their worst disagreement."""
+    """Concurrence by every applicable route, with their worst disagreement.
 
-    wootters: float
+    For one state an absent route is None.  For a stack of R states every
+    field is an (R,) array (lambdas (R, 4)), NaN where a route is absent.
+    """
+
+    wootters: float | np.ndarray
     lambdas: np.ndarray
-    x_form: float | None = None
-    correlation_form: float | None = None
-    energy_form: float | None = None
-    max_disagreement: float = 0.0
+    x_form: float | np.ndarray | None = None
+    correlation_form: float | np.ndarray | None = None
+    energy_form: float | np.ndarray | None = None
+    max_disagreement: float | np.ndarray = 0.0
 
     def routes(self) -> dict[str, float]:
+        """The routes present for one state, by name."""
         out = {"wootters": self.wootters}
-        for name in ("x_form", "correlation_form", "energy_form"):
+        for name in _ROUTES:
             val = getattr(self, name)
             if val is not None:
                 out[name] = val
@@ -67,42 +88,47 @@ def concurrence_wootters(rdm: TwoQubitRDM) -> ConcurrenceResult:
     Eigenvalues of rho in [-1e-10, 0) are clipped to zero; anything lower
     means the input was not a density matrix and raises.
     """
-    rho = rdm.matrix
-    evals, vecs = np.linalg.eigh(rho)
-    if evals.min() < -1e-10:
+    evals, vecs = np.linalg.eigh(rdm.matrix)
+    lowest = evals.min(initial=0.0)
+    if lowest < -1e-10:
         raise ValueError(
-            f"density matrix has eigenvalue {evals.min():.3e} < -1e-10; "
+            f"density matrix has eigenvalue {lowest:.3e} < -1e-10; "
             "input is not a valid density matrix"
         )
-    sqrt_rho = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
+    sqrt_rho = ((vecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :])
+                @ vecs.conj().swapaxes(-1, -2))
     sqrt_flipped = PAIR_PAULI["y"] @ sqrt_rho.conj() @ PAIR_PAULI["y"]
     lambdas = np.linalg.svd(sqrt_flipped @ sqrt_rho, compute_uv=False)
-    c = clamp_concurrence(max(0.0, lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3]))
+    c = clamp_concurrence(np.maximum(
+        0.0, lambdas[..., 0] - lambdas[..., 1] - lambdas[..., 2] - lambdas[..., 3]))
     return ConcurrenceResult(wootters=c, lambdas=lambdas)
 
 
-def concurrence_x_form(rdm: TwoQubitRDM) -> float:
+def concurrence_x_form(rdm: TwoQubitRDM) -> float | np.ndarray:
     """C = 2 max(0, |z| - sqrt(u+ u-)) for the S_z-conserving sparsity pattern."""
-    if rdm.off_structure_norm > X_FORM_TOL:
+    worst = np.max(rdm.off_structure_norm, initial=0.0)
+    if worst > X_FORM_TOL:
         raise ValueError(
-            f"off-pattern entries reach {rdm.off_structure_norm:.3e}; "
+            f"off-pattern entries reach {worst:.3e}; "
             "the X-form shortcut does not apply"
         )
-    u_prod = max(rdm.u_plus, 0.0) * max(rdm.u_minus, 0.0)
-    return clamp_concurrence(2.0 * max(0.0, abs(rdm.z) - math.sqrt(u_prod)))
+    u_prod = np.maximum(rdm.u_plus, 0.0) * np.maximum(rdm.u_minus, 0.0)
+    return clamp_concurrence(2.0 * np.maximum(0.0, _modulus(rdm.z) - np.sqrt(u_prod)))
 
 
-def concurrence_from_correlations(cs: CorrelationSet) -> float:
+def concurrence_from_correlations(cs: CorrelationSet) -> float | np.ndarray:
     """C = max(0, |G_xx + G_yy| - G_zz - 1) / 2, valid for zero magnetization."""
-    if abs(cs.m_per_site) > 1e-8:
+    worst = np.max(np.abs(cs.m_per_site), initial=0.0)
+    if worst > 1e-8:
         raise ValueError(
-            f"correlation route needs vanishing magnetization, |M/N| = {abs(cs.m_per_site):.3e}"
+            f"correlation route needs vanishing magnetization, |M/N| = {worst:.3e}"
         )
     g = cs.g
-    return clamp_concurrence(0.5 * max(0.0, abs(g[0, 0] + g[1, 1]) - g[2, 2] - 1.0))
+    return clamp_concurrence(
+        0.5 * np.maximum(0.0, np.abs(g[..., 0, 0] + g[..., 1, 1]) - g[..., 2, 2] - 1.0))
 
 
-def concurrence_xxx_energy(u_bar: float, j: float) -> float:
+def concurrence_xxx_energy(u_bar: float | np.ndarray, j: float) -> float | np.ndarray:
     """Isotropic-ring concurrence straight from the internal energy per site.
 
     Antiferromagnetic (j > 0): C = max(0, -ubar/j - 1) / 2;
@@ -113,11 +139,17 @@ def concurrence_xxx_energy(u_bar: float, j: float) -> float:
     if j == 0.0:
         raise ValueError("isotropic energy route needs j != 0")
     r = u_bar / j
-    branch = 0.5 * max(0.0, -r - 1.0) if j > 0 else 0.5 * max(0.0, r / 3.0 - 1.0)
-    unified = (1.0 / 6.0) * max(0.0, 2.0 * abs(r) - r - 3.0)
-    if abs(branch - unified) > 1e-12:
+    if j > 0:
+        branch = 0.5 * np.maximum(0.0, -r - 1.0)
+    else:
+        branch = 0.5 * np.maximum(0.0, r / 3.0 - 1.0)
+    unified = (1.0 / 6.0) * np.maximum(0.0, 2.0 * np.abs(r) - r - 3.0)
+    gap = np.abs(branch - unified)
+    if np.any(gap > 1e-12):
+        k = np.argmax(gap)
         raise ValueError(
-            f"sign-branch ({branch:.17g}) and unified ({unified:.17g}) forms disagree; "
+            f"sign-branch ({np.ravel(branch)[k]:.17g}) and unified "
+            f"({np.ravel(unified)[k]:.17g}) forms disagree; "
             "input is outside the thermal domain (u_bar must be <= 0)"
         )
     return clamp_concurrence(branch)
@@ -138,7 +170,8 @@ def concurrence_ground_state(sd: SpectralDecomposition, j: float, n: int) -> flo
     return clamp_concurrence(0.5 * max(0.0, -sd.ground_energy / (j * n) - 1.0))
 
 
-def concurrence_anisotropic(u_bar: float, j: float, delta: float, g_zz: float) -> float:
+def concurrence_anisotropic(u_bar: float | np.ndarray, j: float, delta: float,
+                            g_zz: float | np.ndarray) -> float | np.ndarray:
     """Zero-field anisotropic route: C = max(0, |ubar/j - delta*G_zz| - G_zz - 1)/2.
 
     delta = 0 gives the XY special case max(0, |ubar/j| - G_zz - 1)/2 and
@@ -147,10 +180,11 @@ def concurrence_anisotropic(u_bar: float, j: float, delta: float, g_zz: float) -
     if j == 0.0:
         raise ValueError("anisotropic energy route needs j != 0")
     r = u_bar / j
-    return clamp_concurrence(0.5 * max(0.0, abs(r - delta * g_zz) - g_zz - 1.0))
+    return clamp_concurrence(0.5 * np.maximum(0.0, np.abs(r - delta * g_zz) - g_zz - 1.0))
 
 
-def concurrence_xxx_field(rdm: TwoQubitRDM, u_bar: float, j: float, b: float) -> float:
+def concurrence_xxx_field(rdm: TwoQubitRDM, u_bar: float | np.ndarray, j: float,
+                          b: float) -> float | np.ndarray:
     """Isotropic route with a magnetic field, where u+ != u-.
 
     C = 2 max{0, |z| - [(ubar/j - 4 Re z + 1 - (b/j) Mbar)^2 - 4 Mbar^2]^(1/2) / 4}
@@ -161,33 +195,49 @@ def concurrence_xxx_field(rdm: TwoQubitRDM, u_bar: float, j: float, b: float) ->
     if j == 0.0:
         raise ValueError("field energy route needs j != 0")
     m_bar = rdm.m_bar
-    arg = (u_bar / j - 4.0 * rdm.z.real + 1.0 - (b / j) * m_bar) ** 2 - 4.0 * m_bar ** 2
-    if arg < -1e-10:
+    # float_power squares through the C library's pow, as ** on a Python
+    # float does; ** on an array multiplies x*x, which rounds differently
+    arg = (np.float_power(u_bar / j - 4.0 * np.real(rdm.z) + 1.0 - (b / j) * m_bar, 2)
+           - 4.0 * np.float_power(m_bar, 2))
+    lowest = np.min(arg, initial=0.0)
+    if lowest < -1e-10:
         raise ValueError(
-            f"square-root argument {arg:.3e} < -1e-10 signals a convention mismatch"
+            f"square-root argument {lowest:.3e} < -1e-10 signals a convention mismatch"
         )
-    return clamp_concurrence(2.0 * max(0.0, abs(rdm.z) - 0.25 * math.sqrt(max(arg, 0.0))))
+    return clamp_concurrence(
+        2.0 * np.maximum(0.0, _modulus(rdm.z) - 0.25 * np.sqrt(np.maximum(arg, 0.0))))
+
+
+def _on_rows(applies, route, state):
+    """route(state) where `applies` holds and absent elsewhere: None for one
+    state, NaN in the rows of a stack."""
+    if np.ndim(applies) == 0:
+        return route(state) if applies else None
+    out = np.full(applies.size, np.nan)
+    if applies.all():
+        out[:] = route(state)
+    elif applies.any():
+        out[applies] = route(state.rows(applies))
+    return out
 
 
 def concurrence_report(rdm: TwoQubitRDM, cs: CorrelationSet, spec: ModelSpec,
-                       u_bar: float) -> ConcurrenceResult:
+                       u_bar: float | np.ndarray) -> ConcurrenceResult:
     """All routes whose preconditions hold for this spec, plus their spread.
 
     energy_form is the closed form matching the regime: isotropic, zero-field
-    anisotropic, or isotropic-with-field.  Routes whose preconditions fail
-    are left absent, never zero-filled.
+    anisotropic, or isotropic-with-field; the regime is decided once per
+    spec.  Routes whose preconditions fail are left absent, never
+    zero-filled: None for one state, NaN in the rows of a stack.
     """
     base = concurrence_wootters(rdm)
-    x_form = None
-    if rdm.off_structure_norm <= X_FORM_TOL:
-        x_form = concurrence_x_form(rdm)
-
-    correlation_form = None
-    if spec.field_b == 0.0 and rdm.off_structure_norm <= X_FORM_TOL:
-        # needs the global spin-flip symmetry (not just an accidentally
-        # small magnetization, whose error is O(M/N)) and the X pattern:
-        # corner-coupled states entangle through a channel G cannot see
-        correlation_form = concurrence_from_correlations(cs)
+    fits_x = rdm.off_structure_norm <= X_FORM_TOL
+    x_form = _on_rows(fits_x, concurrence_x_form, rdm)
+    # the correlation route needs the global spin-flip symmetry (not just an
+    # accidentally small magnetization, whose error is O(M/N)) and the X
+    # pattern: corner-coupled states entangle through a channel G cannot see
+    correlation_form = _on_rows(fits_x & (spec.field_b == 0.0),
+                                concurrence_from_correlations, cs)
 
     energy_form = None
     if spec.is_uniform and spec.coupling.j != 0.0:
@@ -195,18 +245,19 @@ def concurrence_report(rdm: TwoQubitRDM, cs: CorrelationSet, spec: ModelSpec,
         if delta == 1.0 and b == 0.0:
             energy_form = concurrence_xxx_energy(u_bar, j)
         elif b == 0.0:
-            energy_form = concurrence_anisotropic(u_bar, j, delta, cs.g[2, 2])
+            energy_form = concurrence_anisotropic(u_bar, j, delta, cs.g[..., 2, 2])
         elif delta == 1.0:
             energy_form = concurrence_xxx_field(rdm, u_bar, j, b)
 
-    values = [v for v in (base.wootters, x_form, correlation_form, energy_form)
+    routes = [v for v in (base.wootters, x_form, correlation_form, energy_form)
               if v is not None]
-    spread = max(values) - min(values) if len(values) > 1 else 0.0
+    if energy_form is None and np.ndim(fits_x):
+        energy_form = np.full(fits_x.size, np.nan)
     return ConcurrenceResult(
         wootters=base.wootters,
         lambdas=base.lambdas,
         x_form=x_form,
         correlation_form=correlation_form,
         energy_form=energy_form,
-        max_disagreement=float(spread),
+        max_disagreement=np.fmax.reduce(routes) - np.fmin.reduce(routes),
     )

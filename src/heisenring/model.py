@@ -137,10 +137,6 @@ class ModelSpec:
         return isinstance(self.coupling, UniformCoupling)
 
     @property
-    def is_xxx(self) -> bool:
-        return self.is_uniform and self.coupling.delta == 1.0
-
-    @property
     def conserves_sz(self) -> bool:
         """True when [H, S_z] = 0 holds identically (x and y couplings equal)."""
         if self.is_uniform:

@@ -1,21 +1,27 @@
-"""Temperature sweeps: one row of observables per grid point.
+"""Temperature sweeps: every observable as one column over the grid.
 
-All rows share one spectral decomposition; after the first row has built
-the pair table, each row costs one Boltzmann-weighted table product plus
-the 4x4 work.  Columns whose formula preconditions fail are None, never
-zero.
+One spectral decomposition serves the whole grid of R temperatures.
+thermo.thermo_grid turns it into one (R, dim) weight matrix, and with it
+log Z, U and M at every temperature; twoqubit.pair_rdms forms the
+(R, 4, 4) stack of pair RDMs from the cached pair table.  The correlation
+tensors, the concurrence routes and the Bell measure are then computed
+once for the whole stack: stacked eigh, svd and eigvalsh, and array
+expressions for the closed forms.  Columns whose formula preconditions
+fail are None, never zero.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .bell import violation_measure
 from .entanglement import concurrence_report
 from .model import ModelSpec
-from .spectral import SpectralDecomposition, decompose
-from .thermo import thermo_point
-from .twoqubit import correlations_from_rdm, pair_rdm_thermal
+from .spectral import decompose
+from .thermo import thermo_grid
+from .twoqubit import correlations_from_rdm, pair_rdms
 
 COLUMNS = (
     "T", "log_z", "U", "U_per_site", "M",
@@ -31,6 +37,8 @@ def temperature_grid(start: float, stop: float, count: int,
     """Temperature grid, linear or logarithmic, endpoints included."""
     if not np.all(np.isfinite((start, stop))):
         raise ValueError(f"start and stop must be finite, got {start!r}, {stop!r}")
+    if start < 0 or stop < 0:
+        raise ValueError(f"start and stop must be >= 0, got {start!r}, {stop!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if spacing == "linear":
@@ -42,23 +50,25 @@ def temperature_grid(start: float, stop: float, count: int,
     raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
 
 
-def sweep_row(sd: SpectralDecomposition, spec: ModelSpec, temperature: float,
-              pair: tuple[int, int] = (1, 2)) -> dict:
-    """All sweep columns at one temperature."""
-    tp = thermo_point(sd, spec, temperature)
-    rdm = pair_rdm_thermal(sd, temperature, *pair)
+def run_sweep(spec: ModelSpec, temperatures: np.ndarray,
+              pair: tuple[int, int] = (1, 2)) -> dict[str, list]:
+    """Every column in COLUMNS, as name -> list of values in grid order."""
+    sd = decompose(spec)
+    grid = thermo_grid(sd, spec, temperatures)
+    rdm = pair_rdms(sd, grid.probabilities, *pair)
     cs = correlations_from_rdm(rdm)
-    report = concurrence_report(rdm, cs, spec, tp.u_per_site)
+    u_bar = grid.u / spec.n_sites
+    report = concurrence_report(rdm, cs, spec, u_bar)
     bell = violation_measure(cs.g)
-    return {
-        "T": tp.temperature,
-        "log_z": tp.log_z,
-        "U": tp.u,
-        "U_per_site": tp.u_per_site,
-        "M": tp.m,
-        "G_xx": float(cs.g[0, 0]),
-        "G_yy": float(cs.g[1, 1]),
-        "G_zz": float(cs.g[2, 2]),
+    arrays = {
+        "T": grid.temperature,
+        "log_z": grid.log_z,
+        "U": grid.u,
+        "U_per_site": u_bar,
+        "M": grid.m,
+        "G_xx": cs.g[:, 0, 0],
+        "G_yy": cs.g[:, 1, 1],
+        "G_zz": cs.g[:, 2, 2],
         "u_plus": rdm.u_plus,
         "u_minus": rdm.u_minus,
         "z_re": rdm.z.real,
@@ -71,10 +81,7 @@ def sweep_row(sd: SpectralDecomposition, spec: ModelSpec, temperature: float,
         "bell_violates": bell.violates,
         "max_route_disagreement": report.max_disagreement,
     }
-
-
-def run_sweep(spec: ModelSpec, temperatures: np.ndarray,
-              pair: tuple[int, int] = (1, 2)) -> list[dict]:
-    """One row per temperature, in grid order."""
-    sd = decompose(spec)
-    return [sweep_row(sd, spec, float(t), pair) for t in temperatures]
+    columns = {name: arrays[name].tolist() for name in COLUMNS}
+    for name in ("C_x_form", "C_correlation", "C_energy"):  # NaN: route absent on that row
+        columns[name] = [None if math.isnan(v) else v for v in columns[name]]
+    return columns

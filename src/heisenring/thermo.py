@@ -7,6 +7,13 @@ ground multiplet, the maximum-entropy limit of the Gibbs state; beta is
 reported as math.inf there.  At T > 0 the whole ground multiplet (the
 ground_degeneracy lowest eigenvalues) has weight exactly 1, so the limit
 T -> 0 reaches that mixture however small T is.
+
+A grid of R temperatures is handled at once: thermo_grid builds one
+(R, dim) weight matrix and takes the probabilities, log Z, U and M of every
+temperature from it.  thermal_probabilities and thermo_point are its
+one-temperature case.  U and M are reduced one temperature at a time, as
+1-D dot products over a row of probabilities: a stacked matrix product
+sums in another order and moves them in the last bits.
 """
 
 from __future__ import annotations
@@ -34,6 +41,17 @@ class ThermoPoint:
 
 
 @dataclass(frozen=True)
+class ThermoGrid:
+    """Thermal quantities at R temperatures: probabilities (R, dim), the rest (R,)."""
+
+    temperature: np.ndarray
+    probabilities: np.ndarray
+    log_z: np.ndarray
+    u: np.ndarray
+    m: np.ndarray
+
+
+@dataclass(frozen=True)
 class GibbsState:
     """Thermal density matrix rho = exp(-H/T) / Z."""
 
@@ -44,36 +62,44 @@ class GibbsState:
         return self.matrix.shape[0]
 
 
-def _shifted_weights(sd: SpectralDecomposition, temperature: float) -> np.ndarray:
-    """exp(-(E_i - E_0)/T), with weight exactly 1 on the whole ground level.
+def _weights(sd: SpectralDecomposition,
+             temperatures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Occupation probabilities (R, dim) and log Z (R,) at R temperatures (k = 1).
 
-    The ground_degeneracy lowest eigenvalues are one level: their
-    rounding-level splittings divided by a tiny T must not split it.
+    Each row is exp(-(E_i - E_0)/T) normalised, with weight exactly 1 on the
+    ground_degeneracy lowest eigenvalues: they are one level, and their
+    rounding-level splittings divided by a tiny T must not split it.  At
+    T = 0 the same rule gives the uniform mixture over that level.
     """
-    w = np.exp(-(sd.eigenvalues - sd.eigenvalues[0]) / temperature)
-    w[: sd.ground_degeneracy] = 1.0
-    return w
+    t = np.asarray(temperatures, dtype=float)
+    if not (t >= 0).all():  # also catches NaN
+        raise ValueError(f"temperature must be >= 0, got {t[~(t >= 0)][0]}")
+    ev, g = sd.eigenvalues, sd.ground_degeneracy
+    e0 = ev[0]
+    # a T = 0 row divides by zero: -inf (weight 0) above the ground level
+    # and nan on it, where the weight of 1 overwrites it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = -(ev - e0) / t[:, None]
+    np.exp(p, out=p)
+    p[:, :g] = 1.0
+    sums = p.sum(axis=1)
+    p /= sums[:, None]
+    if e0 == 0.0:
+        log_z0 = math.log(g)
+    else:
+        log_z0 = math.inf if e0 < 0 else -math.inf
+    log_z = np.array([-e0 / ti + math.log(s) if ti > 0 else log_z0
+                      for ti, s in zip(t, sums)])
+    return p, log_z
 
 
 def thermal_probabilities(sd: SpectralDecomposition, temperature: float) -> np.ndarray:
     """Eigenstate occupation probabilities at the given temperature (k = 1)."""
-    if not temperature >= 0:  # also rejects NaN
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
-    if temperature == 0.0:
-        p = np.zeros(sd.dim)
-        p[: sd.ground_degeneracy] = 1.0 / sd.ground_degeneracy
-        return p
-    w = _shifted_weights(sd, temperature)
-    return w / w.sum()
+    return _weights(sd, [temperature])[0][0]
 
 
 def _log_z(sd: SpectralDecomposition, temperature: float) -> float:
-    e0 = sd.eigenvalues[0]
-    if temperature == 0.0:
-        if e0 == 0.0:
-            return math.log(sd.ground_degeneracy)
-        return math.inf if e0 < 0 else -math.inf
-    return float(-e0 / temperature + math.log(_shifted_weights(sd, temperature).sum()))
+    return float(_weights(sd, [temperature])[1][0])
 
 
 def _sigma_z_diagonal(n: int) -> np.ndarray:
@@ -83,33 +109,44 @@ def _sigma_z_diagonal(n: int) -> np.ndarray:
     return (n - 2 * np.bitwise_count(states).astype(np.int64)).astype(float)
 
 
-def thermo_point(sd: SpectralDecomposition, spec: ModelSpec,
-                 temperature: float) -> ThermoPoint:
-    """Partition function (as log Z), internal energy and magnetization.
+def thermo_grid(sd: SpectralDecomposition, spec: ModelSpec,
+                temperatures: np.ndarray) -> ThermoGrid:
+    """Probabilities, log Z, internal energy and magnetization at each temperature.
 
     U is the thermal average of the eigenvalues; M is <sum_i sigma_iz>,
     evaluated from the sector labels when present (exact for S_z-conserving
     models) and from the eigenvectors otherwise.
     """
-    p = thermal_probabilities(sd, temperature)
+    t = np.asarray(temperatures, dtype=float)
+    p, log_z = _weights(sd, t)
     ev = sd.eigenvalues
     e0 = ev[0]
-    u = float(e0 + (ev - e0) @ p)
+    de = ev - e0
+    u = np.array([e0 + de @ row for row in p])
 
     if sd.sector_labels is not None:
-        m = float((2.0 * sd.sector_labels) @ p)
+        spin = 2.0 * sd.sector_labels
+        m = np.array([spin @ row for row in p])
     elif sd.eigvec_blocks is not None:
         d = _sigma_z_diagonal(spec.n_sites)
-        m = float(sum(d[states] @ ((np.abs(v) ** 2) @ p[cols])
-                      for states, v, cols in sd.eigvec_blocks))
+        blocks = [(d[states], np.abs(v) ** 2, cols) for states, v, cols in sd.eigvec_blocks]
+        m = np.array([sum(ds @ (weight @ row[cols]) for ds, weight, cols in blocks)
+                      for row in p])
     else:
         raise ValueError("magnetization needs sector labels or eigenvectors")
+    return ThermoGrid(temperature=t, probabilities=p, log_z=log_z, u=u, m=m)
 
-    n = spec.n_sites
+
+def thermo_point(sd: SpectralDecomposition, spec: ModelSpec,
+                 temperature: float) -> ThermoPoint:
+    """Partition function (as log Z), internal energy and magnetization at one
+    temperature: the one-row case of thermo_grid."""
+    grid = thermo_grid(sd, spec, [temperature])
+    u, m, n = float(grid.u[0]), float(grid.m[0]), spec.n_sites
     return ThermoPoint(
         temperature=float(temperature),
         beta=math.inf if temperature == 0.0 else 1.0 / temperature,
-        log_z=_log_z(sd, temperature),
+        log_z=float(grid.log_z[0]),
         u=u,
         u_per_site=u / n,
         m=m,

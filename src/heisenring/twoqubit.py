@@ -19,9 +19,15 @@ table (model.site_indices) and sums over the other sites; the full-space
 operators of the correlations oracle are placed through the same table,
 so no identity kron and no 2^N x 2^N permutation is ever formed.
 correlations_from_rdm gives the nine g[a, b] = tr(rho sigma_a x sigma_b)
-and M/N in one contraction against the ten 4x4 Pauli products; the
+and M/N by contracting against the ten 4x4 Pauli products; the
 CorrelationSet it returns is the one tensor a state needs, for the
 concurrence routes and for bell alike.
+
+A temperature sweep works on stacks: pair_rdms gives the (R, 4, 4)
+reduced matrices of R temperatures as one TwoQubitRDM, and
+correlations_from_rdm turns it into one CorrelationSet of R tensors.
+pair_rdm_thermal is the one-row case of pair_rdms, and
+correlations_from_rdm runs the same contractions on one matrix.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .thermo import GibbsState, thermal_probabilities
 _X_PATTERN = np.zeros((4, 4), dtype=bool)
 _X_PATTERN[np.arange(4), np.arange(4)] = True
 _X_PATTERN[1, 2] = _X_PATTERN[2, 1] = True
+_OFF_PATTERN = ~_X_PATTERN
 
 # the nine sigma_a x sigma_b products in row-major (a, b) order, then
 # sigma_z x 1; tr(op rho) for each gives g[a, b] and M/N
@@ -48,45 +55,58 @@ _OPS.flags.writeable = False
 
 @dataclass(frozen=True)
 class TwoQubitRDM:
-    """4x4 reduced density matrix of a site pair plus its extracted elements."""
+    """4x4 reduced density matrix of a site pair plus its extracted elements.
+
+    Holds one state (a (4, 4) matrix, scalar elements) or a stack of R
+    states of the same pair (an (R, 4, 4) matrix, each element an (R,)
+    array).
+    """
 
     sites: tuple[int, int]
     matrix: np.ndarray
-    u_plus: float
-    u_minus: float
-    w1: float
-    w2: float
-    z: complex
-    off_structure_norm: float
+    u_plus: float | np.ndarray
+    u_minus: float | np.ndarray
+    w1: float | np.ndarray
+    w2: float | np.ndarray
+    z: complex | np.ndarray
+    off_structure_norm: float | np.ndarray
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, sites: tuple[int, int]) -> "TwoQubitRDM":
         m = np.asarray(matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-        return cls(
-            sites=tuple(sites),
-            matrix=m,
-            u_plus=float(m[0, 0].real),
-            u_minus=float(m[3, 3].real),
-            w1=float(m[1, 1].real),
-            w2=float(m[2, 2].real),
-            z=complex(m[2, 1]),
-            off_structure_norm=float(np.max(np.abs(m[~_X_PATTERN]))),
-        )
+        if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
+            raise ValueError(f"expected a 4x4 matrix or a stack of them, got {m.shape}")
+        s = m.reshape(-1, 4, 4)
+        # u+, u-, w1, w2 in field order, then z and the off-pattern norm
+        diagonal = s[:, (0, 3, 1, 2), (0, 3, 1, 2)].real
+        off = np.abs(s[:, _OFF_PATTERN]).max(axis=1)
+        if m.ndim == 2:
+            return cls(tuple(sites), m, *diagonal[0].tolist(), complex(s[0, 2, 1]), float(off[0]))
+        return cls(tuple(sites), m, *diagonal.T, s[:, 2, 1], off)
+
+    def rows(self, index) -> "TwoQubitRDM":
+        """The states of a stack picked by `index`; an integer picks one state."""
+        return TwoQubitRDM.from_matrix(self.matrix[index], self.sites)
 
     @property
-    def m_bar(self) -> float:
+    def m_bar(self) -> float | np.ndarray:
         """Per-site magnetization u+ - u-."""
         return self.u_plus - self.u_minus
 
 
 @dataclass(frozen=True)
 class CorrelationSet:
-    """3x3 correlation tensor g[a, b] = <sigma_ia sigma_jb> and M/N."""
+    """3x3 correlation tensor g[a, b] = <sigma_ia sigma_jb> and M/N.
+
+    For a stack of R states g is (R, 3, 3) and m_per_site is (R,).
+    """
 
     g: np.ndarray
-    m_per_site: float
+    m_per_site: float | np.ndarray
+
+    def rows(self, index) -> "CorrelationSet":
+        """The states of a stack picked by `index`."""
+        return CorrelationSet(g=self.g[index], m_per_site=self.m_per_site[index])
 
 
 def _as_matrix(rho: GibbsState | np.ndarray) -> np.ndarray:
@@ -136,28 +156,48 @@ def _pair_table(sd: SpectralDecomposition, i: int, j: int) -> np.ndarray:
     return table
 
 
-def pair_rdm_thermal(sd: SpectralDecomposition, temperature: float,
-                     i: int, j: int) -> TwoQubitRDM:
-    """Thermal pair RDM as the Boltzmann average of per-eigenstate pair RDMs.
-
-    Equivalent to reduce_to_pair(gibbs_state(sd, T), i, j).  The first call
-    for a pair builds its per-eigenstate table block by block and caches it
-    on `sd`; every call then costs one (dim,) x (dim, 16) product.
-    """
+def _pair_matrices(sd: SpectralDecomposition, probabilities: np.ndarray,
+                   i: int, j: int) -> np.ndarray:
     table = sd.pair_tables.get((i, j))
     if table is None:
         table = sd.pair_tables[(i, j)] = _pair_table(sd, i, j)
+    return np.array([p @ table for p in probabilities], dtype=table.dtype).reshape(-1, 4, 4)
+
+
+def pair_rdms(sd: SpectralDecomposition, probabilities: np.ndarray,
+              i: int, j: int) -> TwoQubitRDM:
+    """Stack of thermal pair RDMs, one per row of the (R, dim) `probabilities`.
+
+    Each is the Boltzmann average of the per-eigenstate pair RDMs.  The
+    first call for a pair builds its per-eigenstate table block by block and
+    caches it on `sd`; each row then costs one (dim,) x (dim, 16) product.
+    The products stay one per row: a stacked matrix product sums in another
+    order and moves the elements in the last bits.
+    """
+    return TwoQubitRDM.from_matrix(_pair_matrices(sd, probabilities, i, j), (i, j))
+
+
+def pair_rdm_thermal(sd: SpectralDecomposition, temperature: float,
+                     i: int, j: int) -> TwoQubitRDM:
+    """Thermal pair RDM at one temperature: the one-row case of pair_rdms.
+
+    Equivalent to reduce_to_pair(gibbs_state(sd, T), i, j).
+    """
     p = thermal_probabilities(sd, temperature)
-    return TwoQubitRDM.from_matrix((p @ table).reshape(4, 4), (i, j))
+    return TwoQubitRDM.from_matrix(_pair_matrices(sd, p[None], i, j)[0], (i, j))
 
 
 def _correlation_set(values: np.ndarray) -> CorrelationSet:
-    """CorrelationSet from the ten traces tr(op rho), one per _OPS entry."""
-    for name, im in zip(_OP_NAMES[:9], values.imag[:9]):
-        if abs(im) > 1e-8:
-            raise ValueError(f"correlation {name} has imaginary part {im:.3e}")
-    return CorrelationSet(g=values.real[:9].reshape(3, 3).copy(),
-                          m_per_site=float(values[9].real))
+    """CorrelationSet from the ten traces tr(op rho), one per _OPS entry,
+    along the last axis of `values`."""
+    bad = np.abs(values.imag[..., :9]) > 1e-8
+    if bad.any():
+        row, k = np.argwhere(bad.reshape(-1, 9))[0]
+        raise ValueError(f"correlation {_OP_NAMES[k]} has imaginary part "
+                         f"{values.imag.reshape(-1, 10)[row, k]:.3e}")
+    m = values.real[..., 9]
+    return CorrelationSet(g=values.real[..., :9].reshape(values.shape[:-1] + (3, 3)).copy(),
+                          m_per_site=m.item() if m.ndim == 0 else m)
 
 
 def correlations(rho: GibbsState | np.ndarray, i: int, j: int) -> CorrelationSet:
@@ -174,8 +214,13 @@ def correlations(rho: GibbsState | np.ndarray, i: int, j: int) -> CorrelationSet
 
 
 def correlations_from_rdm(rdm: TwoQubitRDM) -> CorrelationSet:
-    """Correlation tensor evaluated on the 4x4 reduced matrix, one contraction."""
-    return _correlation_set((_OPS * rdm.matrix.T).sum(axis=(1, 2)))
+    """Correlation tensor of one reduced matrix or of a stack of them.
+
+    One contraction per operator keeps a stack's temporaries at (R, 4, 4);
+    contracting all ten operators at once would broadcast to (R, 10, 4, 4).
+    """
+    mt = rdm.matrix.swapaxes(-1, -2)
+    return _correlation_set(np.stack([(op * mt).sum(axis=(-2, -1)) for op in _OPS], axis=-1))
 
 
 def check_element_relations(rdm: TwoQubitRDM, cs: CorrelationSet) -> dict[str, float]:

@@ -40,6 +40,30 @@ class VerifyOptions:
     frames: int = 10_000
     sampled_states: int = 20
 
+    def __post_init__(self):
+        # every grid ring is diagonalized densely as the oracle, and the
+        # closed-form energy routes divide by J
+        for key in ("n_values", "deltas", "fields", "j_values", "temperatures"):
+            vals = getattr(self, key)
+            if (not isinstance(vals, (list, tuple)) or not vals
+                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                               and math.isfinite(v) for v in vals)):
+                raise ValueError(f"{key!r} must be a non-empty list of finite numbers")
+            object.__setattr__(self, key, tuple(vals) if key == "n_values"
+                               else tuple(float(v) for v in vals))
+        max_n = spectral.FULL_PATH_MAX_SITES
+        if not all(isinstance(n, int) and 2 <= n <= max_n for n in self.n_values):
+            raise ValueError(f"'n_values' must be integers in 2..{max_n}, "
+                             f"got {list(self.n_values)!r}")
+        if 0.0 in self.j_values:
+            raise ValueError(f"'j_values' must be nonzero, got {list(self.j_values)!r}")
+        if min(self.temperatures) < 0.0:
+            raise ValueError(f"'temperatures' must be >= 0, got {list(self.temperatures)!r}")
+        for key in ("seed", "frames", "sampled_states"):
+            val = getattr(self, key)
+            if isinstance(val, bool) or not isinstance(val, int) or val < 0:
+                raise ValueError(f"{key!r} must be a non-negative integer")
+
 
 class _Collector:
     """Tracks the worst residual per named check."""

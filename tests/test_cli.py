@@ -174,6 +174,15 @@ def test_log_spacing_needs_positive_start(tmp_path):
     assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2
 
 
+@pytest.mark.parametrize("start, stop", [(-1.0, 2.0), (0.5, -2.0)])
+def test_negative_temperature_rejected(tmp_path, capsys, start, stop):
+    # a bad grid is a config error (exit 2), not an invariant failure
+    doc = {"model": {"n_sites": 2, "j": 1.0},
+           "temperatures": {"start": start, "stop": stop, "count": 3}}
+    assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2
+    assert ">= 0" in capsys.readouterr().err
+
+
 def test_missing_config_file(capsys):
     assert main(["sweep", "--config", "/nonexistent/cfg.json"]) == 2
 

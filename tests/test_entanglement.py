@@ -268,3 +268,47 @@ def test_concurrence_range():
         for t in (0.0, 0.3, 2.0):
             c = concurrence_wootters(pair_rdm_thermal(sd, t, 1, 2)).wootters
             assert 0.0 <= c <= 1.0
+
+
+def _non_psd():
+    return np.diag([0.5, 0.3, 0.201, -0.001]).astype(complex)
+
+
+def _imaginary():
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 3] = 0.1j
+    return m
+
+
+def _stack_around(bad):
+    # the offending state sits between two valid ones
+    return np.stack([np.eye(4, dtype=complex) / 4.0, bad, SINGLET_RHO])
+
+
+@pytest.mark.parametrize("bad, run", [
+    (_non_psd(), concurrence_wootters),
+    (_imaginary(), correlations_from_rdm),
+])
+def test_stack_with_one_bad_state_raises_as_single_state(bad, run):
+    with pytest.raises(ValueError) as single:
+        run(TwoQubitRDM.from_matrix(bad, (1, 2)))
+    with pytest.raises(ValueError) as stacked:
+        run(TwoQubitRDM.from_matrix(_stack_around(bad), (1, 2)))
+    assert str(stacked.value) == str(single.value)
+
+
+def test_stacked_energy_checks_raise_as_single_state():
+    # one u_bar outside the thermal domain among valid ones
+    with pytest.raises(ValueError) as single:
+        concurrence_xxx_energy(4.0, 1.0)
+    with pytest.raises(ValueError) as stacked:
+        concurrence_xxx_energy(np.array([-0.5, 4.0, -1.0]), 1.0)
+    assert str(stacked.value) == str(single.value)
+    # a field-route square-root argument below -1e-10 in one row
+    rdm = TwoQubitRDM.from_matrix(np.diag([0.7, 0.1, 0.1, 0.1]), (1, 2))
+    with pytest.raises(ValueError) as single:
+        concurrence_xxx_field(rdm, 0.0, 1.0, 0.0)
+    stack = TwoQubitRDM.from_matrix(np.stack([np.eye(4) / 4.0, rdm.matrix]), (1, 2))
+    with pytest.raises(ValueError) as stacked:
+        concurrence_xxx_field(stack, np.array([-0.25, 0.0]), 1.0, 0.0)
+    assert str(stacked.value) == str(single.value)

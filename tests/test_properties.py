@@ -1,6 +1,7 @@
 """Property tests of the pair-table route over random general couplings,
-of operator embedding over random sites, and of the momentum blocks over
-random uniform rings."""
+of operator embedding over random sites, of the momentum blocks over
+random uniform rings, and of the batched sweep against the single-state
+chain."""
 
 import math
 
@@ -9,14 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisenring import (
+    COLUMNS,
     ModelSpec,
     build_hamiltonian,
+    concurrence_report,
+    correlations_from_rdm,
     decompose,
     diagonalize_full,
     diagonalize_sectored,
     gibbs_state,
     pair_rdm_thermal,
     reduce_to_pair,
+    run_sweep,
+    thermo_point,
+    violation_measure,
 )
 from heisenring.model import embed
 from helpers import kron_hamiltonian, kron_sites
@@ -111,3 +118,69 @@ def test_momentum_blocks_match_sector_spectrum(spec):
         assert a.size == b.size == math.comb(n, k)
         assert np.max(np.abs(a - b)) <= 1e-10
     assert momentum.ground_degeneracy == sector.ground_degeneracy
+
+
+def _single_state_row(sd, spec, t, pair):
+    """The sweep's columns at one temperature, from the single-state API."""
+    tp = thermo_point(sd, spec, t)
+    rdm = pair_rdm_thermal(sd, t, *pair)
+    cs = correlations_from_rdm(rdm)
+    report = concurrence_report(rdm, cs, spec, tp.u_per_site)
+    bell = violation_measure(cs.g)
+    return {
+        "T": tp.temperature, "log_z": tp.log_z, "U": tp.u, "U_per_site": tp.u_per_site,
+        "M": tp.m, "G_xx": cs.g[0, 0], "G_yy": cs.g[1, 1], "G_zz": cs.g[2, 2],
+        "u_plus": rdm.u_plus, "u_minus": rdm.u_minus, "z_re": rdm.z.real, "z_im": rdm.z.imag,
+        "C_wootters": report.wootters, "C_x_form": report.x_form,
+        "C_correlation": report.correlation_form, "C_energy": report.energy_form,
+        "bell_measure": bell.measure, "bell_violates": bell.violates,
+        "max_route_disagreement": report.max_disagreement,
+    }
+
+
+def _bits(v):
+    """None, a bool, or the float's hex, which tells -0.0, inf and nan apart."""
+    return v if v is None or isinstance(v, bool) else float(v).hex()
+
+
+def _assert_columns_match_single_states(spec, temps, pair):
+    sd = decompose(spec)
+    columns = run_sweep(spec, np.array(temps), pair)
+    assert list(columns) == list(COLUMNS)
+    for r, t in enumerate(temps):
+        expected = _single_state_row(sd, spec, t, pair)
+        for name in COLUMNS:
+            assert _bits(columns[name][r]) == _bits(expected[name]), (name, t)
+
+
+# every grid holds T = 0, the uniform ground-level mixture
+grids = st.lists(st.floats(min_value=1e-4, max_value=50.0), max_size=6).map(
+    lambda ts: [0.0] + ts)
+
+
+@st.composite
+def uniform_sweeps(draw):
+    # the four energy-route regimes: isotropic, zero-field anisotropic,
+    # isotropic in a field, and anisotropic in a field (no energy route)
+    n = draw(st.integers(min_value=2, max_value=8))
+    anisotropic, in_field = draw(st.booleans()), draw(st.booleans())
+    delta = draw(coupling.filter(lambda d: d != 1.0)) if anisotropic else 1.0
+    b = draw(coupling.filter(lambda x: x != 0.0)) if in_field else 0.0
+    spec = ModelSpec.uniform(n, draw(coupling), delta, b)
+    pair = draw(st.lists(st.integers(min_value=1, max_value=n),
+                         min_size=2, max_size=2, unique=True))
+    return spec, tuple(pair)
+
+
+@given(uniform_sweeps(), grids)
+def test_sweep_columns_match_single_state_chain_uniform(case, temps):
+    spec, pair = case
+    _assert_columns_match_single_states(spec, temps, pair)
+
+
+@settings(max_examples=30)
+@given(general_specs(), grids)
+def test_sweep_columns_match_single_state_chain_general(case, temps):
+    # S_z-breaking couplings (jx != jy) in about half the examples
+    spec, pair = case
+    _assert_columns_match_single_states(spec, temps, pair)

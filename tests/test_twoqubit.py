@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from heisenring import (
+    ModelSpec,
     TwoQubitRDM,
     check_element_relations,
     correlations,
@@ -212,7 +213,9 @@ def test_imaginary_correlation_rejected():
 
 
 def test_sweep_computes_one_tensor_per_row(monkeypatch):
-    # count every call, under whichever module name a caller imported it
+    # count every call, under whichever module name a caller imported it;
+    # the sweep contracts the whole (R, 4, 4) stack once, so R rows cost
+    # R tensors and no row is contracted again (bell reads the same tensors)
     import heisenring
     original = heisenring.twoqubit.correlations_from_rdm
     calls = []
@@ -225,6 +228,15 @@ def test_sweep_computes_one_tensor_per_row(monkeypatch):
         module = getattr(heisenring, name)
         if getattr(module, "correlations_from_rdm", None) is original:
             monkeypatch.setattr(module, "correlations_from_rdm", counted)
-    rows = run_sweep(heisenring.ModelSpec.uniform(4, 1.0, 0.5, 0.2), np.linspace(0.1, 3.0, 7))
-    assert len(rows) == 7
-    assert len(calls) == 7
+    columns = run_sweep(heisenring.ModelSpec.uniform(4, 1.0, 0.5, 0.2),
+                        np.linspace(0.1, 3.0, 7))
+    assert all(len(values) == 7 for values in columns.values())
+    assert len(calls) == 1
+    assert calls[0].matrix.shape == (7, 4, 4)
+
+
+def test_sweep_of_an_empty_grid_is_empty():
+    # the isotropic ring, and the same ring in a field (the field route)
+    for spec in (ModelSpec.uniform(4, 1.0), ModelSpec.uniform(4, 1.0, 1.0, 0.3)):
+        columns = run_sweep(spec, np.array([]))
+        assert all(values == [] for values in columns.values())

@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import pytest
 
 from heisenring import VerifyOptions, run_verification
 from heisenring.verify import check_hermiticity, render_report
@@ -42,3 +45,31 @@ def test_momentum_check_takes_anisotropic_ring_in_field():
                 if r.name == "momentum_vs_sector_spectrum"]
     assert check.passed
     assert "delta=0.5 B=0.2" in check.detail
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    ({"n_values": (3,), "j_values": (0.0,)}, "j_values"),
+    ({"n_values": (3,), "j_values": (1.0, 0)}, "j_values"),
+    ({"n_values": (2.5,)}, "n_values"),
+    ({"n_values": (True,)}, "n_values"),
+    ({"n_values": (13,)}, "n_values"),
+    ({"n_values": ()}, "n_values"),
+    ({"deltas": (math.nan,)}, "deltas"),
+    ({"fields": (math.inf,)}, "fields"),
+    ({"j_values": (True,)}, "j_values"),
+    ({"temperatures": (-1.0,)}, "temperatures"),
+    ({"frames": -1}, "frames"),
+    ({"seed": True}, "seed"),
+])
+def test_options_rejected_at_construction(kwargs, key):
+    # from Python too, not only through the CLI: a zero J used to reach
+    # z_energy_relation and divide by zero
+    with pytest.raises(ValueError, match=key):
+        VerifyOptions(**kwargs)
+
+
+def test_options_normalised_to_float_tuples():
+    opts = VerifyOptions(n_values=[3], deltas=[1], j_values=[2])
+    assert opts.n_values == (3,)
+    assert opts.deltas == (1.0,) and isinstance(opts.deltas[0], float)
+    assert opts.j_values == (2.0,)
