@@ -64,6 +64,10 @@ ROUTE_SWEEPS = {
     # a non-adjacent pair
     "pair-1-3": {"model": {"n_sites": 8, "j": 1.0, "delta": 0.5, "field_b": 0.2},
                  "temperatures": LOG_GRID, "pair": [1, 3]},
+    # the wrap bond (N, 1), which keeps the energy route: a bond test that
+    # only accepts |i - j| = 1 would drop C_energy here
+    "pair-8-1": {"model": {"n_sites": 8, "j": 1.0}, "temperatures": LOG_GRID,
+                 "pair": [8, 1]},
 }
 
 VERIFY_CONFIGS = {

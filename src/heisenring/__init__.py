@@ -4,6 +4,9 @@ Thermal (Gibbs) states, thermodynamic potentials, two-site reduced density
 matrices, Wootters concurrence by every applicable closed-form route, and
 the Horodecki CHSH-violation measure, with the cross-route agreement
 serving as the built-in correctness instrument.
+
+The full-space reference routes that verify and the tests check these
+against live in heisenring.oracle, which is not re-exported here.
 """
 
 from .bell import (
@@ -21,7 +24,6 @@ from .entanglement import (
     ConcurrenceResult,
     concurrence_anisotropic,
     concurrence_from_correlations,
-    concurrence_ground_state,
     concurrence_report,
     concurrence_wootters,
     concurrence_x_form,
@@ -33,12 +35,7 @@ from .model import (
     ModelSpec,
     UniformCoupling,
     build_hamiltonian,
-    global_flip,
-    pauli_at,
     ring_coupling_matrices,
-    shift_operator,
-    symmetry_report,
-    total_spin,
 )
 from .spectral import (
     SpectralDecomposition,
@@ -48,11 +45,9 @@ from .spectral import (
 )
 from .sweep import COLUMNS, run_sweep, temperature_grid
 from .thermo import (
-    GibbsState,
     ThermoGrid,
     ThermoPoint,
     check_derivatives,
-    gibbs_state,
     thermo_grid,
     thermo_point,
 )
@@ -61,11 +56,9 @@ from .twoqubit import (
     CorrelationSet,
     TwoQubitRDM,
     check_element_relations,
-    correlations,
     correlations_from_rdm,
     pair_rdm_thermal,
     pair_rdms,
-    reduce_to_pair,
 )
 from .verify import CheckResult, VerifyOptions, run_verification
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PAIR_PAULI, ModelSpec
-from .spectral import SpectralDecomposition
 from .twoqubit import CorrelationSet, TwoQubitRDM
 
 logger = logging.getLogger(__name__)
@@ -155,21 +154,6 @@ def concurrence_xxx_energy(u_bar: float | np.ndarray, j: float) -> float | np.nd
     return clamp_concurrence(branch)
 
 
-def concurrence_ground_state(sd: SpectralDecomposition, j: float, n: int) -> float:
-    """Nearest-neighbour concurrence from the ground energy, C = max(0, -E0/(jN) - 1)/2.
-
-    Valid for antiferromagnetic (j > 0) even-N rings, where the ground state
-    is unique and the T -> 0 thermal limit lands on it.
-    """
-    if j <= 0.0:
-        raise ValueError("ground-state energy route needs antiferromagnetic j > 0")
-    if n % 2 != 0:
-        raise ValueError(f"ground-state energy route needs even n, got {n}")
-    if sd.dim != 1 << n:
-        raise ValueError(f"decomposition dimension {sd.dim} does not match n={n}")
-    return clamp_concurrence(0.5 * max(0.0, -sd.ground_energy / (j * n) - 1.0))
-
-
 def concurrence_anisotropic(u_bar: float | np.ndarray, j: float, delta: float,
                             g_zz: float | np.ndarray) -> float | np.ndarray:
     """Zero-field anisotropic route: C = max(0, |ubar/j - delta*G_zz| - G_zz - 1)/2.
@@ -227,8 +211,10 @@ def concurrence_report(rdm: TwoQubitRDM, cs: CorrelationSet, spec: ModelSpec,
 
     energy_form is the closed form matching the regime: isotropic, zero-field
     anisotropic, or isotropic-with-field; the regime is decided once per
-    spec.  Routes whose preconditions fail are left absent, never
-    zero-filled: None for one state, NaN in the rows of a stack.
+    spec.  The closed forms hold for a nearest-neighbour pair, so
+    energy_form is present only when rdm.sites is a bond of the ring.
+    Routes whose preconditions fail are left absent, never zero-filled:
+    None for one state, NaN in the rows of a stack.
     """
     base = concurrence_wootters(rdm)
     fits_x = rdm.off_structure_norm <= X_FORM_TOL
@@ -239,8 +225,10 @@ def concurrence_report(rdm: TwoQubitRDM, cs: CorrelationSet, spec: ModelSpec,
     correlation_form = _on_rows(fits_x & (spec.field_b == 0.0),
                                 concurrence_from_correlations, cs)
 
+    i, k = rdm.sites
+    on_bond = (i - k) % spec.n_sites in (1, spec.n_sites - 1)
     energy_form = None
-    if spec.is_uniform and spec.coupling.j != 0.0:
+    if spec.is_uniform and spec.coupling.j != 0.0 and on_bond:
         j, delta, b = spec.coupling.j, spec.coupling.delta, spec.field_b
         if delta == 1.0 and b == 0.0:
             energy_form = concurrence_xxx_energy(u_bar, j)

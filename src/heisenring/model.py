@@ -1,4 +1,4 @@
-"""Spin-1/2 ring Hamiltonians and their symmetry operators.
+"""Spin-1/2 ring Hamiltonians, basis-index tables and the translation permutation.
 
 Basis convention
 ----------------
@@ -30,7 +30,6 @@ unordered pair twice).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -173,29 +172,15 @@ def site_indices(sites: tuple[int, ...], n: int) -> np.ndarray:
     return grid.transpose(order).reshape(1 << k, -1)
 
 
-def embed(op: np.ndarray, sites: tuple[int, ...], n: int) -> np.ndarray:
-    """Operator `op` on `sites` of an n-site register, identity elsewhere.
+def translation(n: int) -> np.ndarray:
+    """Translation T of an n-site ring as a basis permutation.
 
-    The tensor factors of `op` act on `sites` in the order given, so
-    embed(kron(a, b), (3, 1), n) puts a on site 3 and b on site 1.  Each
-    entry op[a, b] is written once per configuration of the other sites,
-    at the rows and columns site_indices gives; no identity kron is formed.
+    Returns the int64 array p with p[s] the index s rotated left by one
+    bit, i.e. T|m_1 m_2 ... m_N> = |m_2 ... m_N m_1>.  Applying p to a state
+    label steps it along its orbit, and h[np.ix_(p, p)] is T^dagger h T.
     """
-    idx = site_indices(sites, n)
-    out = np.zeros((1 << n, 1 << n), dtype=np.result_type(op, float))
-    out[idx[:, None, :], idx[None, :, :]] = op[:, :, None]
-    return out
-
-
-def pauli_at(site: int, axis: str, n: int) -> np.ndarray:
-    """Pauli matrix sigma_axis acting on `site` of an n-site register.
-
-    Hermitian, traceless, squares to the identity; site 1 is the leftmost
-    tensor factor (most significant bit).
-    """
-    if axis not in PAULI:
-        raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    return embed(PAULI[axis], (site,), n)
+    s = np.arange(1 << n, dtype=np.int64)
+    return ((s << 1) | (s >> (n - 1))) & ((1 << n) - 1)
 
 
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
@@ -257,56 +242,7 @@ def ring_coupling_matrices(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.
     return jxy, jxy.copy(), jxy * delta
 
 
-def total_spin(axis: str, n: int) -> np.ndarray:
-    """Collective spin component S_axis = sum_i sigma_i,axis / 2."""
-    s = np.zeros((1 << n, 1 << n), dtype=complex)
-    for i in range(1, n + 1):
-        s += pauli_at(i, axis, n)
-    return 0.5 * s
-
-
-def global_flip(axis: str, n: int) -> np.ndarray:
-    """Q_axis = sigma_axis tensored over all n sites (Z_2 generator)."""
-    return reduce(np.kron, [PAULI[axis]] * n)
-
-
-def shift_operator(n: int) -> np.ndarray:
-    """Cyclic right shift T: |m_1 ... m_N> -> |m_N m_1 ... m_{N-1}>."""
-    dim = 1 << n
-    t = np.zeros((dim, dim), dtype=complex)
-    src = np.arange(dim)
-    dst = (src >> 1) | ((src & 1) << (n - 1))
-    t[dst, src] = 1.0
-    return t
-
-
-def commutator_max(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-entry modulus of the commutator [a, b]."""
-    return float(np.max(np.abs(a @ b - b @ a)))
-
-
-def symmetry_report(spec: ModelSpec) -> list[tuple[str, float]]:
-    """Scale-normalized commutator norms of H with S_z, S_x, S_y, Q_x and the shift.
-
-    Each norm is max|[H, A]| divided by max|H| (or the raw value if H = 0).
-    The caller decides which entries must vanish for which model.
-    """
-    n = spec.n_sites
-    h = build_hamiltonian(spec)
-    scale = float(np.max(np.abs(h)))
-    if scale == 0.0:
-        scale = 1.0
-    ops = [
-        ("S_z", total_spin("z", n)),
-        ("S_x", total_spin("x", n)),
-        ("S_y", total_spin("y", n)),
-        ("Q_x", global_flip("x", n)),
-        ("T_shift", shift_operator(n)),
-    ]
-    return [(name, commutator_max(h, op) / scale) for name, op in ops]
-
-
-def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
-    """Max-entry Hermiticity test, scale-normalized."""
+def hermiticity_defect(a: np.ndarray) -> float:
+    """Scale-normalized Hermiticity defect max|a - a^dagger| / max(1, max|a|)."""
     scale = max(1.0, float(np.max(np.abs(a))))
-    return float(np.max(np.abs(a - a.conj().T))) <= tol * scale
+    return float(np.max(np.abs(a - a.conj().T))) / scale

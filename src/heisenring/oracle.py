@@ -1,0 +1,94 @@
+"""Full-space reference routes for verify and the tests.
+
+Each function here computes from dense 2^N x 2^N matrices a quantity that
+the production modules compute another way, so the two routes can be
+checked against each other:
+
+- embed places an operator on chosen sites of the full register;
+- gibbs_state forms the thermal density matrix from eigenvectors;
+- reduce_to_pair partial-traces a full state onto a site pair, against
+  twoqubit.pair_rdm_thermal and its per-eigenstate table;
+- correlations takes tr(sigma_ia sigma_jb rho) with full-space operators,
+  against twoqubit.correlations_from_rdm on the 4x4 matrix;
+- eigen_residuals checks a decomposition against the dense Hamiltonian.
+
+Every placement goes through model.site_indices, so no identity kron is
+formed.  No production module imports this one, and the package does not
+re-export it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .model import site_indices
+from .spectral import SpectralDecomposition
+from .thermo import thermal_probabilities
+from .twoqubit import _OPS, CorrelationSet, TwoQubitRDM, _correlation_set
+
+
+def embed(op: np.ndarray, sites: tuple[int, ...], n: int) -> np.ndarray:
+    """Operator `op` on `sites` of an n-site register, identity elsewhere.
+
+    The tensor factors of `op` act on `sites` in the order given, so
+    embed(kron(a, b), (3, 1), n) puts a on site 3 and b on site 1.  Each
+    entry op[a, b] is written once per configuration of the other sites,
+    at the rows and columns site_indices gives; no identity kron is formed.
+    """
+    idx = site_indices(sites, n)
+    out = np.zeros((1 << n, 1 << n), dtype=np.result_type(op, float))
+    out[idx[:, None, :], idx[None, :, :]] = op[:, :, None]
+    return out
+
+
+def gibbs_state(sd: SpectralDecomposition, temperature: float) -> np.ndarray:
+    """Thermal density matrix exp(-H/T)/Z; at T = 0 the uniform ground-multiplet mixture."""
+    if sd.eigvec_blocks is None:
+        raise ValueError("Gibbs state needs eigenvectors; rerun with vectors=True")
+    p = thermal_probabilities(sd, temperature)
+    rho = np.zeros((sd.dim, sd.dim), dtype=complex)
+    for states, v, cols in sd.eigvec_blocks:
+        rho[np.ix_(states, states)] = (v * p[cols]) @ v.conj().T
+    return rho
+
+
+def reduce_to_pair(rho: np.ndarray, i: int, j: int) -> TwoQubitRDM:
+    """Partial trace onto sites (i, j), site i mapped to the first tensor slot."""
+    m = np.asarray(rho)
+    n = int(m.shape[0]).bit_length() - 1
+    if m.shape != (1 << n, 1 << n):
+        raise ValueError(f"density matrix dimension {m.shape[0]} is not a power of 2")
+    idx = site_indices((i, j), n)
+    rdm = m[idx[:, None, :], idx[None, :, :]].sum(axis=2)
+    return TwoQubitRDM.from_matrix(rdm, (i, j))
+
+
+def correlations(rho: np.ndarray, i: int, j: int) -> CorrelationSet:
+    """Correlation tensor from the full-space state: g[a,b] = tr(sigma_ia sigma_jb rho).
+
+    Evaluated with full 2^N operators, never through the 4x4 reduced
+    matrix, so it checks the partial-trace route independently.
+    """
+    m = np.asarray(rho)
+    n = int(m.shape[0]).bit_length() - 1
+    mt = m.T
+    return _correlation_set(np.array([np.sum(embed(op, (i, j), n) * mt) for op in _OPS]))
+
+
+def eigen_residuals(h: np.ndarray, sd: SpectralDecomposition) -> tuple[float, float]:
+    """(worst eigenpair residual scaled by max(1,|E|), worst orthonormality defect).
+
+    Vectors of different blocks have disjoint supports, so orthonormality
+    is checked within each block.
+    """
+    if sd.eigvec_blocks is None:
+        raise ValueError("decomposition carries no eigenvectors")
+    resid = ortho = 0.0
+    for states, v, cols in sd.eigvec_blocks:
+        e = sd.eigenvalues[cols]
+        r = h[:, states] @ v
+        r[states] -= v * e[None, :]
+        scale = np.maximum(1.0, np.abs(e))
+        resid = max(resid, float(np.max(np.linalg.norm(r, axis=0) / scale)))
+        ortho = max(ortho, float(np.max(np.abs(v.conj().T @ v - np.eye(cols.size)))))
+    return resid, ortho

@@ -14,6 +14,9 @@ lattice momentum (Sandvik, AIP Conf. Proc. 1297, 135 (2010)):
 one block per crystal momentum 2*pi*m/N over the translation-orbit
 representatives, built from the same bit rules and never from the dense
 sector block.  At N = 14 the largest block is 246 wide instead of 3432.
+
+The residual check of a decomposition against the dense Hamiltonian,
+eigen_residuals, is a reference route and lives in heisenring.oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelSpec, build_hamiltonian, is_hermitian
+from .model import ModelSpec, build_hamiltonian, hermiticity_defect, translation
 
 FULL_PATH_MAX_SITES = 12
 DEGENERACY_RTOL = 1e-9
@@ -86,7 +89,7 @@ def diagonalize_full(h: np.ndarray) -> SpectralDecomposition:
             f"dense full-path limit is dim {1 << FULL_PATH_MAX_SITES}; "
             "use diagonalize_sectored for larger rings"
         )
-    if not is_hermitian(h):
+    if hermiticity_defect(h) > 1e-10:
         raise ValueError("matrix is not Hermitian within tolerance")
     if np.iscomplexobj(h) and np.max(np.abs(h.imag)) == 0.0:
         h = h.real
@@ -149,16 +152,17 @@ def _sector_block_from_spec(spec: ModelSpec, states: np.ndarray, k: int) -> np.n
 def orbit_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Translation orbits of all 2^n basis states, indexed by state.
 
-    T rotates the n-bit index left by one bit (a cyclic shift of the sites).
-    Returns (rep, shift, period): rep[s] is the smallest state of the orbit
-    of s, T^shift[s] takes s to rep[s], and period[s] is the orbit length.
+    T is the basis permutation model.translation(n).  Returns (rep, shift,
+    period): rep[s] is the smallest state of the orbit of s, T^shift[s]
+    takes s to rep[s], and period[s] is the orbit length.
     """
     states = np.arange(1 << n, dtype=np.int64)
     rep, shift = states.copy(), np.zeros_like(states)
     period = np.full_like(states, n)
+    p = translation(n)
     rotated = states
     for r in range(1, n):
-        rotated = ((rotated << 1) | (rotated >> (n - 1))) & ((1 << n) - 1)
+        rotated = p[rotated]
         smaller = rotated < rep
         rep[smaller] = rotated[smaller]
         shift[smaller] = r
@@ -275,25 +279,6 @@ def decompose(spec: ModelSpec, vectors: bool = True) -> SpectralDecomposition:
         return diagonalize_sectored(spec, vectors)
     check_dense_cap(spec)
     return diagonalize_full(build_hamiltonian(spec))
-
-
-def eigen_residuals(h: np.ndarray, sd: SpectralDecomposition) -> tuple[float, float]:
-    """(worst eigenpair residual scaled by max(1,|E|), worst orthonormality defect).
-
-    Vectors of different blocks have disjoint supports, so orthonormality
-    is checked within each block.
-    """
-    if sd.eigvec_blocks is None:
-        raise ValueError("decomposition carries no eigenvectors")
-    resid = ortho = 0.0
-    for states, v, cols in sd.eigvec_blocks:
-        e = sd.eigenvalues[cols]
-        r = h[:, states] @ v
-        r[states] -= v * e[None, :]
-        scale = np.maximum(1.0, np.abs(e))
-        resid = max(resid, float(np.max(np.linalg.norm(r, axis=0) / scale)))
-        ortho = max(ortho, float(np.max(np.abs(v.conj().T @ v - np.eye(cols.size)))))
-    return resid, ortho
 
 
 def expected_sector_sizes(n: int) -> list[int]:

@@ -1,4 +1,4 @@
-"""Canonical-ensemble machinery: partition function, Gibbs state, U and M.
+"""Canonical ensemble: partition function, occupation probabilities, U and M.
 
 All Boltzmann weights are computed with the ground-energy shift
 exp(-beta*(E_i - E_0)), so only log Z is ever formed (beta*|E| can exceed
@@ -14,6 +14,9 @@ temperature from it.  thermal_probabilities and thermo_point are its
 one-temperature case.  U and M are reduced one temperature at a time, as
 1-D dot products over a row of probabilities: a stacked matrix product
 sums in another order and moves them in the last bits.
+
+The full Gibbs matrix is never formed here: oracle.gibbs_state builds it
+from the eigenvectors as a reference for the pair-RDM route.
 """
 
 from __future__ import annotations
@@ -49,17 +52,6 @@ class ThermoGrid:
     log_z: np.ndarray
     u: np.ndarray
     m: np.ndarray
-
-
-@dataclass(frozen=True)
-class GibbsState:
-    """Thermal density matrix rho = exp(-H/T) / Z."""
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _weights(sd: SpectralDecomposition,
@@ -152,17 +144,6 @@ def thermo_point(sd: SpectralDecomposition, spec: ModelSpec,
         m=m,
         m_per_site=m / n,
     )
-
-
-def gibbs_state(sd: SpectralDecomposition, temperature: float) -> GibbsState:
-    """Thermal density matrix; at T = 0 the uniform ground-multiplet mixture."""
-    if sd.eigvec_blocks is None:
-        raise ValueError("Gibbs state needs eigenvectors; rerun with vectors=True")
-    p = thermal_probabilities(sd, temperature)
-    rho = np.zeros((sd.dim, sd.dim), dtype=complex)
-    for states, v, cols in sd.eigvec_blocks:
-        rho[np.ix_(states, states)] = (v * p[cols]) @ v.conj().T
-    return GibbsState(matrix=rho)
 
 
 def check_derivatives(spec: ModelSpec, temperature: float,

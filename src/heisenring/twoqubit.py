@@ -14,10 +14,10 @@ off_structure_norm is the largest modulus among the entries this pattern
 forces to zero (all eight off-diagonals outside the inner anti-diagonal
 plus the two corners).
 
-Partial tracing gathers the state's entries through one basis-index
-table (model.site_indices) and sums over the other sites; the full-space
-operators of the correlations oracle are placed through the same table,
-so no identity kron and no 2^N x 2^N permutation is ever formed.
+The thermal pair RDM is the Boltzmann average of a per-eigenstate pair
+table built from the eigenvector blocks; no 2^N x 2^N matrix is formed.
+Its full-space references, the partial trace of the Gibbs matrix and the
+correlations with full 2^N operators, are in heisenring.oracle.
 correlations_from_rdm gives the nine g[a, b] = tr(rho sigma_a x sigma_b)
 and M/N by contracting against the ten 4x4 Pauli products; the
 CorrelationSet it returns is the one tensor a state needs, for the
@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AXES, PAULI, SIGMA_Z, IDENTITY_2, bit_for_site, embed, site_indices
+from .model import AXES, PAULI, SIGMA_Z, IDENTITY_2, bit_for_site
 from .spectral import SpectralDecomposition
-from .thermo import GibbsState, thermal_probabilities
+from .thermo import thermal_probabilities
 
 _X_PATTERN = np.zeros((4, 4), dtype=bool)
 _X_PATTERN[np.arange(4), np.arange(4)] = True
@@ -109,21 +109,6 @@ class CorrelationSet:
         return CorrelationSet(g=self.g[index], m_per_site=self.m_per_site[index])
 
 
-def _as_matrix(rho: GibbsState | np.ndarray) -> np.ndarray:
-    return rho.matrix if isinstance(rho, GibbsState) else np.asarray(rho)
-
-
-def reduce_to_pair(rho: GibbsState | np.ndarray, i: int, j: int) -> TwoQubitRDM:
-    """Partial trace onto sites (i, j), site i mapped to the first tensor slot."""
-    m = _as_matrix(rho)
-    n = int(m.shape[0]).bit_length() - 1
-    if m.shape != (1 << n, 1 << n):
-        raise ValueError(f"density matrix dimension {m.shape[0]} is not a power of 2")
-    idx = site_indices((i, j), n)
-    rdm = m[idx[:, None, :], idx[None, :, :]].sum(axis=2)
-    return TwoQubitRDM.from_matrix(rdm, (i, j))
-
-
 def _pair_table(sd: SpectralDecomposition, i: int, j: int) -> np.ndarray:
     """Per-eigenstate pair-RDM elements, shape (dim, 16): row n is rho_ij^(n) flattened.
 
@@ -181,7 +166,7 @@ def pair_rdm_thermal(sd: SpectralDecomposition, temperature: float,
                      i: int, j: int) -> TwoQubitRDM:
     """Thermal pair RDM at one temperature: the one-row case of pair_rdms.
 
-    Equivalent to reduce_to_pair(gibbs_state(sd, T), i, j).
+    Equivalent to oracle.reduce_to_pair(oracle.gibbs_state(sd, T), i, j).
     """
     p = thermal_probabilities(sd, temperature)
     return TwoQubitRDM.from_matrix(_pair_matrices(sd, p[None], i, j)[0], (i, j))
@@ -198,19 +183,6 @@ def _correlation_set(values: np.ndarray) -> CorrelationSet:
     m = values.real[..., 9]
     return CorrelationSet(g=values.real[..., :9].reshape(values.shape[:-1] + (3, 3)).copy(),
                           m_per_site=m.item() if m.ndim == 0 else m)
-
-
-def correlations(rho: GibbsState | np.ndarray, i: int, j: int) -> CorrelationSet:
-    """Correlation tensor from the full-space state: g[a,b] = tr(sigma_ia sigma_jb rho).
-
-    Deliberately evaluated with full 2^N operators so it can serve as an
-    independent cross-check of the partial-trace route; use
-    correlations_from_rdm for bulk work.
-    """
-    m = _as_matrix(rho)
-    n = int(m.shape[0]).bit_length() - 1
-    mt = m.T
-    return _correlation_set(np.array([np.sum(embed(op, (i, j), n) * mt) for op in _OPS]))
 
 
 def correlations_from_rdm(rdm: TwoQubitRDM) -> CorrelationSet:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bell, entanglement, model, spectral, thermo, threshold, twoqubit
+from . import bell, entanglement, model, oracle, spectral, thermo, threshold, twoqubit
 
 TSIRELSON = bell.TSIRELSON
 
@@ -91,12 +91,6 @@ class _Collector:
         return out
 
 
-def check_hermiticity(h: np.ndarray) -> float:
-    """Scale-normalized Hermiticity defect; the verify suite requires <= 1e-12."""
-    scale = max(1.0, float(np.max(np.abs(h))))
-    return float(np.max(np.abs(h - h.conj().T))) / scale
-
-
 def _spec_grid(opts: VerifyOptions):
     for n in opts.n_values:
         for delta in opts.deltas:
@@ -136,7 +130,7 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         tag = f"N={n} J={j} delta={delta} B={b}"
 
         h = model.build_hamiltonian(spec)
-        col.record("hermiticity", check_hermiticity(h), 1e-12, tag)
+        col.record("hermiticity", model.hermiticity_defect(h), 1e-12, tag)
 
         # the production path builds its blocks from bit rules; the dense
         # diagonalisation of h is the independent oracle
@@ -147,16 +141,16 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         if (delta, b, j) == momentum_case:
             col.record("momentum_vs_sector_spectrum", _label_spectrum_gap(
                 spectral.diagonalize_sectored(spec, vectors=False), sd), 1e-9, tag)
-        resid, ortho = spectral.eigen_residuals(h, sd)
+        resid, ortho = oracle.eigen_residuals(h, sd)
         col.record("eigen_residual", resid, 1e-9, tag)
         col.record("orthonormality", ortho, 1e-9, tag)
         col.record("trace_sum",
                    abs(float(sd.eigenvalues.sum()) - float(np.trace(h).real))
                    / max(1.0, abs(float(np.trace(h).real))), 1e-8, tag)
 
-        t_shift = model.shift_operator(n)
+        p = model.translation(n)
         col.record("translation_covariance",
-                   float(np.max(np.abs(t_shift @ h @ t_shift.conj().T - h))), 1e-12, tag)
+                   float(np.max(np.abs(h[np.ix_(p, p)] - h))), 1e-12, tag)
 
         if j != 0.0:
             jx, jy, jz = model.ring_coupling_matrices(spec)
@@ -193,25 +187,24 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
             if b == 0.0:
                 col.record("u_nonpositive_b0", max(0.0, tp.u), 1e-10, f"{tag} T={t:g}")
 
-            rho = thermo.gibbs_state(full, float(t))
-            col.record("gibbs_trace", abs(float(np.trace(rho.matrix).real) - 1.0),
+            rho = oracle.gibbs_state(full, float(t))
+            col.record("gibbs_trace", abs(float(np.trace(rho).real) - 1.0),
                        1e-12, f"{tag} T={t:g}")
-            col.record("gibbs_hermitian",
-                       float(np.max(np.abs(rho.matrix - rho.matrix.conj().T))),
+            col.record("gibbs_hermitian", model.hermiticity_defect(rho),
                        1e-12, f"{tag} T={t:g}")
             col.record("gibbs_positive",
-                       max(0.0, -float(np.linalg.eigvalsh(rho.matrix).min())),
+                       max(0.0, -float(np.linalg.eigvalsh(rho).min())),
                        1e-12, f"{tag} T={t:g}")
 
             rdm = twoqubit.pair_rdm_thermal(sd, float(t), 1, 2)
             col.record("pair_rdm_routes",
                        float(np.max(np.abs(
-                           twoqubit.reduce_to_pair(rho, 1, 2).matrix - rdm.matrix))),
+                           oracle.reduce_to_pair(rho, 1, 2).matrix - rdm.matrix))),
                        1e-12, f"{tag} T={t:g}")
             cs = twoqubit.correlations_from_rdm(rdm)
             cs_full = None
             if n <= 5:
-                cs_full = twoqubit.correlations(rho, 1, 2)
+                cs_full = oracle.correlations(rho, 1, 2)
                 col.record("correlations_full_vs_rdm",
                            max(float(np.max(np.abs(cs_full.g - cs.g))),
                                abs(cs_full.m_per_site - cs.m_per_site)),

@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 
-from heisenring import ModelSpec, decompose
-from heisenring.model import AXES, IDENTITY_2, PAULI, SIGMA_Z
+from heisenring import ModelSpec, build_hamiltonian, decompose
+from heisenring.model import AXES, IDENTITY_2, PAULI, SIGMA_Z, translation
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 SINGLET_RHO = np.outer(SINGLET, SINGLET).astype(complex)
@@ -74,3 +74,22 @@ def kron_hamiltonian(spec):
         for i in range(1, n + 1):
             h += spec.field_b * kron_sites({i: SIGMA_Z}, n)
     return h
+
+
+def symmetry_norms(spec):
+    """Scale-normalized max|[H, A]| for S_x, S_y, S_z, Q_x and the translation T.
+
+    The total spins are sums of per-site kron chains.  Q_x (sigma_x on every
+    site) and T permute the basis, and for a permutation P,
+    max|[H, P]| = max|P^T H P - H|, the permuted matrix minus H.
+    """
+    n, dim = spec.n_sites, spec.dim
+    h = build_hamiltonian(spec)
+    scale = float(np.max(np.abs(h))) or 1.0
+    norms = {}
+    for ax in AXES:
+        s = 0.5 * sum(kron_sites({i: PAULI[ax]}, n) for i in range(1, n + 1))
+        norms[f"S_{ax}"] = float(np.max(np.abs(h @ s - s @ h))) / scale
+    for name, p in (("Q_x", np.arange(dim) ^ (dim - 1)), ("T_shift", translation(n))):
+        norms[name] = float(np.max(np.abs(h[np.ix_(p, p)] - h))) / scale
+    return norms

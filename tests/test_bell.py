@@ -9,9 +9,7 @@ from heisenring import (
     chsh_expectation,
     concurrence_vs_violation,
     concurrence_wootters,
-    correlations,
     correlations_from_rdm,
-    gibbs_state,
     optimal_frame,
     pair_rdm_thermal,
     random_frame_search,
@@ -21,6 +19,7 @@ from heisenring import (
     violation_xxx,
 )
 from heisenring.bell import frame_expectations
+from heisenring.oracle import correlations, gibbs_state
 from helpers import SINGLET_RHO, cached_decompose
 
 TSIRELSON = 2.0 * math.sqrt(2.0)

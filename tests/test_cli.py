@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from heisenring.cli import main
-from heisenring.verify import check_hermiticity
+from heisenring.model import hermiticity_defect
 from helpers import c_two_site, u_three_site
 
 
@@ -152,6 +152,21 @@ def test_bad_pair_rejected(tmp_path):
     assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2
 
 
+def test_non_adjacent_pair_in_field_sweeps(tmp_path):
+    # (1, 3) is no bond of the ring, so the field route, which holds for
+    # nearest neighbours only, is left out; applied there, its square-root
+    # argument went negative at low T and the sweep exited 1
+    doc = {"model": {"n_sites": 8, "j": 1.0, "field_b": 0.3},
+           "temperatures": {"start": 0.001, "stop": 30.0, "count": 25, "spacing": "log"},
+           "pair": [1, 3]}
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    _, rows = parse_csv(out.read_text())
+    assert len(rows) == 25
+    assert all(r["C_energy"] == "" for r in rows)
+    assert max(float(r["max_route_disagreement"]) for r in rows) <= 1e-9
+
+
 def test_fractional_n_sites_rejected(tmp_path, capsys):
     doc = {"model": {"n_sites": 2.5, "j": 1.0},
            "temperatures": {"start": 1.0, "stop": 2.0, "count": 2}}
@@ -255,7 +270,7 @@ def test_corrupted_hamiltonian_fails_hermiticity():
     # negative control: the hermiticity check must actually bite
     h = np.zeros((4, 4), dtype=complex)
     h[0, 1] = 1.0  # missing conjugate partner
-    assert check_hermiticity(h) > 1e-6
+    assert hermiticity_defect(h) > 1e-6
 
 
 def test_sweep_beyond_dense_cap_on_sector_blocks(tmp_path):

@@ -8,7 +8,6 @@ from heisenring import (
     TwoQubitRDM,
     concurrence_anisotropic,
     concurrence_from_correlations,
-    concurrence_ground_state,
     concurrence_report,
     concurrence_wootters,
     concurrence_x_form,
@@ -16,6 +15,7 @@ from heisenring import (
     concurrence_xxx_field,
     correlations_from_rdm,
     pair_rdm_thermal,
+    run_sweep,
     thermo_point,
 )
 from heisenring.entanglement import clamp_concurrence
@@ -125,31 +125,27 @@ def test_energy_route_rejects_positive_energy():
 
 
 def test_ground_state_route_two_site():
+    # the isotropic energy route fed the ground energy per site: the T = 0
+    # limit of the thermal route on an even antiferromagnetic ring
     spec, sd = cached_decompose(2, 1.0)
-    assert concurrence_ground_state(sd, 1.0, 2) == 1.0
+    assert concurrence_xxx_energy(sd.ground_energy / 2, 1.0) == 1.0
+    assert abs(concurrence_wootters(pair_rdm_thermal(sd, 0.0, 1, 2)).wootters - 1.0) <= 1e-12
 
 
 def test_ground_state_route_matches_thermal_limit():
     spec, sd = cached_decompose(4, 1.0)
-    c_gs = concurrence_ground_state(sd, 1.0, 4)
+    c_gs = concurrence_xxx_energy(sd.ground_energy / 4, 1.0)
     c_thermal = concurrence_xxx_energy(thermo_point(sd, spec, 1e-6).u_per_site, 1.0)
     assert abs(c_gs - c_thermal) <= 1e-6
-
-
-def test_ground_state_route_matches_wootters():
-    spec, sd = cached_decompose(6, 1.0)
-    c_gs = concurrence_ground_state(sd, 1.0, 6)
     c_w = concurrence_wootters(pair_rdm_thermal(sd, 0.0, 1, 2)).wootters
     assert abs(c_gs - c_w) <= 1e-9
 
 
-def test_ground_state_route_preconditions():
-    spec, sd = cached_decompose(5, 1.0)
-    with pytest.raises(ValueError, match="even"):
-        concurrence_ground_state(sd, 1.0, 5)
-    spec, sd = cached_decompose(4, 1.0)
-    with pytest.raises(ValueError, match="antiferromagnetic"):
-        concurrence_ground_state(sd, -1.0, 4)
+def test_ground_state_route_matches_wootters():
+    spec, sd = cached_decompose(6, 1.0)
+    c_gs = concurrence_xxx_energy(sd.ground_energy / 6, 1.0)
+    c_w = concurrence_wootters(pair_rdm_thermal(sd, 0.0, 1, 2)).wootters
+    assert abs(c_gs - c_w) <= 1e-9
 
 
 def test_anisotropic_route_reduces_to_correlation_form():
@@ -231,13 +227,32 @@ def test_report_route_presence():
     assert rep.energy_form is None
 
 
+@pytest.mark.parametrize("n, pair, bond", [
+    (8, (1, 3), False), (8, (4, 8), False), (8, (2, 1), True), (8, (8, 1), True),
+    (2, (1, 2), True),
+])
+def test_energy_route_only_on_ring_bonds(n, pair, bond):
+    # the closed forms hold for nearest neighbours; on (1, 3) the isotropic
+    # route read 0.41 at T = 0.1 where Wootters reads 0
+    spec, sd = cached_decompose(n, 1.0)
+    tp = thermo_point(sd, spec, 0.1)
+    rdm = pair_rdm_thermal(sd, 0.1, *pair)
+    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, tp.u_per_site)
+    assert (rep.energy_form is not None) == bond
+    assert rep.max_disagreement <= 1e-9
+    columns = run_sweep(spec, [0.1], pair)
+    assert (columns["C_energy"][0] is not None) == bond
+    assert columns["max_route_disagreement"][0] <= 1e-9
+
+
 def test_report_excludes_correlation_route_for_corner_coupled_states():
     # jx = -jy couples |00> <-> |11>: entanglement lives in the corner
     # channel, invisible to the correlation tensor shortcut
     m = np.zeros((2, 2))
     m[0, 1] = m[1, 0] = 1.0
     spec = ModelSpec.general(m, -m, 0.0 * m)
-    from heisenring import build_hamiltonian, diagonalize_full, gibbs_state, reduce_to_pair
+    from heisenring import build_hamiltonian, diagonalize_full
+    from heisenring.oracle import gibbs_state, reduce_to_pair
     sd = diagonalize_full(build_hamiltonian(spec))
     rdm = reduce_to_pair(gibbs_state(sd, 0.2), 1, 2)
     assert abs(rdm.matrix[0, 3]) > 0.1  # corner really is populated

@@ -1,4 +1,5 @@
 """Property tests of the pair-table route over random general couplings,
+of the concurrence routes and the Bell measure on S_z-breaking couplings,
 of operator embedding over random sites, of the momentum blocks over
 random uniform rings, and of the batched sweep against the single-state
 chain."""
@@ -6,7 +7,7 @@ chain."""
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heisenring import (
@@ -18,14 +19,15 @@ from heisenring import (
     decompose,
     diagonalize_full,
     diagonalize_sectored,
-    gibbs_state,
     pair_rdm_thermal,
-    reduce_to_pair,
+    random_frames,
     run_sweep,
     thermo_point,
     violation_measure,
 )
-from heisenring.model import embed
+from heisenring.bell import TSIRELSON, frame_expectations
+from heisenring.entanglement import X_FORM_TOL
+from heisenring.oracle import embed, gibbs_state, reduce_to_pair
 from helpers import kron_hamiltonian, kron_sites
 
 coupling = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -33,7 +35,9 @@ temperature = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=20.0))
 
 
 @st.composite
-def general_specs(draw):
+def general_specs(draw, sz_breaking_only=False):
+    # jy = jx (S_z conserved) or an independent jy; only the latter, with
+    # jy != jx, when sz_breaking_only
     n = draw(st.integers(min_value=2, max_value=6))
 
     def symmetric():
@@ -42,7 +46,11 @@ def general_specs(draw):
         return m + m.T
 
     jx, jz = symmetric(), symmetric()
-    jy = jx.copy() if draw(st.booleans()) else symmetric()
+    if sz_breaking_only or not draw(st.booleans()):
+        jy = symmetric()
+        assume(not (sz_breaking_only and np.array_equal(jx, jy)))
+    else:
+        jy = jx.copy()
     spec = ModelSpec.general(jx, jy, jz, field_b=draw(coupling))
     pair = draw(st.lists(st.integers(min_value=1, max_value=n),
                          min_size=2, max_size=2, unique=True))
@@ -59,6 +67,31 @@ def test_table_route_matches_dense_gibbs(case, t):
     assert abs(np.trace(rdm) - 1.0) <= 1e-12
     assert np.max(np.abs(rdm - rdm.conj().T)) <= 1e-12
     assert np.linalg.eigvalsh(rdm).min() >= -1e-12
+
+
+# seeded once: the same frames probe every drawn state
+FRAMES = random_frames(2000, 20260811)
+
+
+@given(general_specs(sz_breaking_only=True), temperature)
+def test_sz_breaking_routes_and_bell_bounds(case, t):
+    # jx != jy: the X-form and correlation routes stand only where the RDM
+    # keeps the S_z pattern, and no energy route applies to general specs
+    spec, (i, j) = case
+    sd = decompose(spec)
+    rdm = pair_rdm_thermal(sd, t, i, j)
+    cs = correlations_from_rdm(rdm)
+    report = concurrence_report(rdm, cs, spec, thermo_point(sd, spec, t).u_per_site)
+    if rdm.off_structure_norm > X_FORM_TOL:
+        assert report.x_form is None and report.correlation_form is None
+    else:
+        assert report.x_form is not None
+    assert report.energy_form is None
+    # no seeded CHSH frame beats the Horodecki measure, which stays within
+    # Tsirelson's bound
+    measure = violation_measure(cs.g).measure
+    assert float(np.max(np.abs(frame_expectations(cs.g, FRAMES)))) <= measure + 1e-8
+    assert measure <= TSIRELSON + 1e-10
 
 
 @given(general_specs())

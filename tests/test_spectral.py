@@ -9,11 +9,11 @@ from heisenring import (
 )
 from heisenring.spectral import (
     _momentum_blocks,
-    eigen_residuals,
     expected_sector_sizes,
     orbit_tables,
     sector_basis,
 )
+from heisenring.oracle import eigen_residuals
 from helpers import cached_decompose
 
 

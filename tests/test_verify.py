@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from heisenring import VerifyOptions, run_verification
-from heisenring.verify import check_hermiticity, render_report
+from heisenring.model import hermiticity_defect
+from heisenring.verify import render_report
 
 
 def test_default_grid_all_pass():
@@ -30,10 +31,10 @@ def test_verification_deterministic():
 
 def test_hermiticity_negative_control():
     good = np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -1.0]])
-    assert check_hermiticity(good) <= 1e-15
+    assert hermiticity_defect(good) <= 1e-15
     bad = good.copy()
     bad[0, 1] = 5.0
-    assert check_hermiticity(bad) > 1e-3
+    assert hermiticity_defect(bad) > 1e-3
 
 
 def test_momentum_check_takes_anisotropic_ring_in_field():
