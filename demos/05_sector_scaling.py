@@ -9,8 +9,11 @@ is not.  The sectored column includes the block eigenvectors at every N.
 Translations commute with H too.  When only eigenvalues are wanted (the
 threshold, u(N), the spectrum), a uniform ring's sectors split further into
 one block per lattice momentum; the zero-momentum block, over the
-translation-orbit representatives of the widest sector, is the largest.  The momentum column
-times that values-only path.  Pass --large to include N = 13, 14.
+translation-orbit representatives of the widest sector, is the largest.
+That path also diagonalises each conjugate momentum pair m, -m once and
+each spin-flipped sector pair k, N - k once, since they share their
+levels.  The momentum column times that values-only path.  Pass --large to
+include N = 13, 14.
 """
 
 import sys

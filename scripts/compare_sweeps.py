@@ -10,10 +10,11 @@ ROUTE_SWEEPS, which reach the routes and rows the others skip.  Every
 cell must be bit-identical: the same 17-significant-digit text, the same
 boolean, or the same empty cell.
 
-Both trees also run `spectrum` (JSON) on uniform rings with N = 8, 11 and
-14.  There the sorted energies of each S_z label must agree within
-SPECTRUM_TOL and the ground degeneracy must be identical; the row order
-among degenerate levels of different labels may differ.
+Both trees also run `spectrum` (JSON) on the uniform rings of
+SPECTRUM_MODELS, with N = 8, 11, 13 and 14.  There the sorted energies of
+each S_z label must agree within SPECTRUM_TOL and the ground degeneracy
+must be identical; the row order among degenerate levels of different
+labels may differ.
 
 Both trees also run `verify` on its default grid and on a small grid off
 the defaults (VERIFY_CONFIGS); the text reports and the exit codes must be
@@ -44,6 +45,10 @@ SPECTRUM_MODELS = {
     "spectrum-n8": {"n_sites": 8, "j": -1.0, "delta": 0.5, "field_b": 0.3},
     "spectrum-n11": {"n_sites": 11, "j": 1.0, "delta": 0.5, "field_b": 0.2},
     "spectrum-n14": {"n_sites": 14, "j": 1.0},
+    # odd N: no S_z sector is its own spin flip
+    "spectrum-n13": {"n_sites": 13, "j": -0.8, "delta": 1.3, "field_b": 0.25},
+    # even N in a field: sector k = 7 is its own flip, the others shift by B
+    "spectrum-n14-field": {"n_sites": 14, "j": 1.0, "delta": 0.5, "field_b": 0.3},
 }
 
 LOG_GRID = {"start": 0.05, "stop": 20.0, "count": 40, "spacing": "log"}

@@ -254,6 +254,7 @@ def cmd_threshold(args) -> int:
     _require_keys(doc, {"model": True}, "config")
     spec = parse_model(doc["model"])
     try:
+        threshold_mod.require_afm_xxx(spec)
         # the Wootters cross-check needs vectors; larger rings stay values-only
         sd = decompose(spec, vectors=spec.n_sites <= FULL_PATH_MAX_SITES)
         res = threshold_mod.find_threshold(spec, sd)

@@ -36,7 +36,12 @@ class ThresholdResult:
     u_of_n: float | None
 
 
-def _require_afm_xxx(spec: ModelSpec) -> None:
+def require_afm_xxx(spec: ModelSpec) -> None:
+    """Refuse a spec the threshold search does not cover.
+
+    That is a non-uniform, anisotropic, field-carrying or ferromagnetic
+    spec.  Cheap, so callers run it before any diagonalisation.
+    """
     if not spec.is_uniform or spec.coupling.delta != 1.0 or spec.field_b != 0.0:
         raise ValueError(
             "threshold search is defined for the isotropic zero-field model "
@@ -57,7 +62,7 @@ def find_threshold(spec: ModelSpec, sd: SpectralDecomposition) -> ThresholdResul
     concurrence must be positive just below t_c and exactly zero just above
     (skipped when the decomposition carries no eigenvectors).
     """
-    _require_afm_xxx(spec)
+    require_afm_xxx(spec)
     n, j = spec.n_sites, spec.coupling.j
 
     def f(t: float) -> float:

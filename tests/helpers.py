@@ -76,6 +76,32 @@ def kron_hamiltonian(spec):
     return h
 
 
+def second_moment(n, j, delta, b):
+    """tr H^2 of the uniform ring: 2^N N [J^2 (2 + delta^2) + B^2].
+
+    H expands in Pauli strings, and tr H^2 = 2^N times the sum of the
+    squared coefficients: N bonds of J, J, J*delta and N field terms B.
+    At N = 2 both bonds are the same strings, so their coefficients add
+    and the J^2 term doubles.
+    """
+    bonds = 2 * n if n == 2 else n
+    return float(1 << n) * (bonds * j * j * (2.0 + delta * delta) + n * b * b)
+
+
+def check_spectral_moments(sd, n, j, delta, b):
+    """Oracles of a values-only spectrum that need no second solve.
+
+    C(N, k) levels per S_z label, sum E = tr H = 0 and
+    sum E^2 = second_moment, within 1e-12 of 2^N N (J^2 + B^2).
+    """
+    labels, counts = np.unique(sd.sector_labels, return_counts=True)
+    assert labels.tolist() == [(n - 2 * k) / 2.0 for k in range(n, -1, -1)]
+    assert counts.tolist() == [math.comb(n, k) for k in range(n, -1, -1)]
+    tol = 1e-12 * (1 << n) * n * (j * j + b * b)
+    assert abs(float(np.sum(sd.eigenvalues))) <= tol
+    assert abs(float(np.sum(sd.eigenvalues ** 2)) - second_moment(n, j, delta, b)) <= tol
+
+
 def symmetry_norms(spec):
     """Scale-normalized max|[H, A]| for S_x, S_y, S_z, Q_x and the translation T.
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from heisenring.cli import main
-from heisenring.model import hermiticity_defect
+from heisenring.model import ModelSpec, hermiticity_defect, ring_coupling_matrices
 from helpers import c_two_site, u_three_site
 
 
@@ -234,6 +234,37 @@ def test_threshold_rejects_ferromagnet(tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": {"n_sites": 4, "j": -1.0}})
     assert main(["threshold", "--config", cfg]) == 2
     assert "ferromagnetic" in capsys.readouterr().err
+
+
+def test_threshold_refuses_before_decompose(tmp_path, capsys, monkeypatch):
+    # a spec outside the search exits 2 before any spectrum is computed
+    def never(*args, **kwargs):
+        raise AssertionError("decompose ran")
+    monkeypatch.setattr("heisenring.cli.decompose", never)
+    # jx = jy = jz = 0.5 on the ring bonds
+    ring = ring_coupling_matrices(ModelSpec.uniform(14, 1.0))
+    isotropic = "defined for the isotropic zero-field model"
+    for model, message in (
+        (dict(zip(("jx", "jy", "jz"), (m.tolist() for m in ring))), isotropic),
+        ({"n_sites": 14, "j": 1.0, "delta": 0.5}, isotropic),
+        ({"n_sites": 14, "j": 1.0, "field_b": 0.2}, isotropic),
+        ({"n_sites": 14, "j": -1.0}, "ferromagnetic"),
+    ):
+        cfg = write_config(tmp_path, {"model": model})
+        assert main(["threshold", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_spectrum_of_sz_breaking_ring(tmp_path):
+    jx, jy, jz = ring_coupling_matrices(ModelSpec.uniform(6, 1.0))
+    model = {"jx": jx.tolist(), "jy": (0.5 * jy).tolist(), "jz": jz.tolist(),
+             "field_b": 0.2}
+    out = tmp_path / "spec.json"
+    assert main(["spectrum", "--config", write_config(tmp_path, {"model": model}),
+                 "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert len(doc["rows"]) == 64
+    assert all(s_z is None for _, _, s_z in doc["rows"])
 
 
 def test_spectrum_command(tmp_path):

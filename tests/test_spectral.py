@@ -4,6 +4,7 @@ import pytest
 from heisenring import (
     ModelSpec,
     build_hamiltonian,
+    decompose,
     diagonalize_full,
     diagonalize_sectored,
 )
@@ -13,8 +14,10 @@ from heisenring.spectral import (
     orbit_tables,
     sector_basis,
 )
+from heisenring.model import ring_coupling_matrices
 from heisenring.oracle import eigen_residuals
-from helpers import cached_decompose
+from heisenring.thermo import thermo_point
+from helpers import cached_decompose, check_spectral_moments, second_moment
 
 
 def test_plain_diagonal():
@@ -146,25 +149,72 @@ def test_two_site_momentum_blocks():
     # one down spin: the representative 01 is its own block at k = 0 (the
     # triplet, 2J) and at k = pi (the singlet, -6J); the bond counts twice
     spec = ModelSpec.uniform(2, 1.0)
-    blocks = list(_momentum_blocks(spec, sector_basis(2)[1], 1, orbit_tables(2)))
-    assert [b.tolist() for b in blocks] == [[[2.0]], [[-6.0]]]
+    blocks = list(_momentum_blocks(spec, sector_basis(2)[1], orbit_tables(2)))
+    assert [mult for mult, _ in blocks] == [1, 1]
+    assert [b.tolist() for _, b in blocks] == [[[2.0]], [[-6.0]]]
 
 
 def test_momentum_blocks_hermitian_and_sized():
-    # N = 14, one down-spin count at a time: together the blocks hold the
-    # C(14, k) levels; the largest is 246 wide, against 3432 for the sector
-    spec = ModelSpec.uniform(14, 1.0, 0.5, 0.3)
-    orbits = orbit_tables(14)
+    # N = 14, sectors with 2k <= N, momenta 0 <= m <= N/2: counted with
+    # their multiplicities the blocks hold the C(14, k) levels, and with
+    # the flipped sectors N - k they stand for the 184 blocks of every
+    # (k, m); the largest is 246 wide, against 3432 for the sector
+    n = 14
+    spec = ModelSpec.uniform(n, 1.0, 0.5, 0.3)
+    orbits = orbit_tables(n)
     widths = []
-    for k, states in enumerate(sector_basis(14)):
-        blocks = list(_momentum_blocks(spec, states, k, orbits))
-        assert sum(b.shape[0] for b in blocks) == states.size
-        for b in blocks:
+    for k, states in enumerate(sector_basis(n)[:n // 2 + 1]):
+        blocks = list(_momentum_blocks(spec, states, orbits))
+        assert sum(mult * b.shape[0] for mult, b in blocks) == states.size
+        for _, b in blocks:
             # hop sums agree with their transposed partners up to rounding
             assert np.max(np.abs(b - b.conj().T)) <= 1e-12
-        widths += [b.shape[0] for b in blocks]
+        sectors = 2 if 2 * k < n else 1
+        widths += [b.shape[0] for mult, b in blocks for _ in range(sectors * mult)]
     assert len(widths) == 184
     assert max(widths) == 246
+
+
+@pytest.mark.parametrize("delta,b,degeneracy", [(1.0, 0.0, 4), (0.5, 0.3, 2)])
+def test_conjugate_momenta_bit_equal(delta, b, degeneracy):
+    # N = 13: the ground level sits at a conjugate pair of momenta (and, at
+    # B = 0, in both S_z = +-1/2 sectors); one solve serves the whole level
+    sd = diagonalize_sectored(ModelSpec.uniform(13, 1.0, delta, b), vectors=False)
+    assert sd.ground_degeneracy == degeneracy
+    assert np.all(sd.eigenvalues[:degeneracy] == sd.eigenvalues[0])
+
+
+@pytest.mark.parametrize("n,j,delta,b", [
+    (6, 1.0, 1.0, 0.3),
+    (7, -0.8, 1.7, 0.25),
+    (10, 1.0, 0.6, -0.37),
+    (11, 0.7, 0.0, 1.1),
+])
+def test_flipped_sectors_shift_by_field(n, j, delta, b):
+    sd = diagonalize_sectored(ModelSpec.uniform(n, j, delta, b), vectors=False)
+    for s in np.unique(sd.sector_labels[sd.sector_labels > 0]):
+        up = np.sort(sd.eigenvalues[sd.sector_labels == s])
+        down = np.sort(sd.eigenvalues[sd.sector_labels == -s])
+        assert np.max(np.abs(down + 4.0 * s * b - up)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_second_moment_closed_form(n):
+    for j, delta, b in ((1.0, 1.0, 0.0), (-0.8, 1.3, 0.25), (1.2, 0.0, -0.6), (0.0, 1.0, 0.4)):
+        h = build_hamiltonian(ModelSpec.uniform(n, j, delta, b))
+        # tr(h @ h) without forming the product
+        tr_h2 = np.einsum("ij,ji->", h, h).real
+        assert abs(tr_h2 - second_moment(n, j, delta, b)) <= \
+            1e-12 * (1 << n) * n * (j * j + b * b)
+
+
+@pytest.mark.parametrize("n,j,delta,b", [
+    (13, -0.8, 1.3, 0.25),
+    (14, 1.0, 0.5, 0.3),
+])
+def test_paired_spectrum_moments(n, j, delta, b):
+    sd = diagonalize_sectored(ModelSpec.uniform(n, j, delta, b), vectors=False)
+    check_spectral_moments(sd, n, j, delta, b)
 
 
 def test_values_only_uniform_matches_full():
@@ -174,3 +224,16 @@ def test_values_only_uniform_matches_full():
     assert sd.eigvec_blocks is None
     assert np.max(np.abs(sd.eigenvalues - full.eigenvalues)) <= 1e-10
     assert sd.ground_degeneracy == full.ground_degeneracy
+
+
+def test_values_only_dense_path():
+    # jx != jy breaks S_z: the dense path honours vectors=False
+    jx, jy, jz = ring_coupling_matrices(ModelSpec.uniform(6, 1.0, 0.8))
+    spec = ModelSpec.general(jx, 0.5 * jy, jz, field_b=0.3)
+    values = decompose(spec, vectors=False)
+    full = decompose(spec)
+    assert values.eigvec_blocks is None
+    assert np.max(np.abs(values.eigenvalues - full.eigenvalues)) <= 1e-12
+    assert values.ground_degeneracy == full.ground_degeneracy
+    with pytest.raises(ValueError, match="magnetization needs sector labels or eigenvectors"):
+        thermo_point(values, spec, 1.0)
