@@ -10,11 +10,15 @@ ROUTE_SWEEPS, which reach the routes and rows the others skip.  Every
 cell must be bit-identical: the same 17-significant-digit text, the same
 boolean, or the same empty cell.
 
-Both trees also run `spectrum` (JSON) on the uniform rings of
-SPECTRUM_MODELS, with N = 8, 11, 13 and 14.  There the sorted energies of
-each S_z label must agree within SPECTRUM_TOL and the ground degeneracy
-must be identical; the row order among degenerate levels of different
-labels may differ.
+Both trees also run `spectrum` (JSON) on SPECTRUM_MODELS: uniform rings
+with N = 8, 11, 13 and 14, and the S_z-conserving general-coupling ring.
+There the sorted energies of each S_z label must agree within
+SPECTRUM_TOL and the ground degeneracy must be identical; the row order
+among degenerate levels of different labels may differ.
+
+Both trees also run `threshold` (JSON) on the isotropic J = 1 rings of
+THRESHOLD_SIZES.  Status, t_c, bracket and iterations must be identical
+text; the worst u_of_n difference is printed.
 
 Both trees also run `verify` on its default grid and on a small grid off
 the defaults (VERIFY_CONFIGS); the text reports and the exit codes must be
@@ -40,6 +44,21 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 from workloads import WORKLOADS  # noqa: E402
 
+
+def general_model(conserves_sz: bool) -> dict:
+    """Random all-pair couplings on N = 8 sites, with jy = jx when conserves_sz."""
+    rng = random.Random(7)
+    n = 8
+    jx, jy, jz = ([[0.0] * n for _ in range(n)] for _ in range(3))
+    for i in range(n):
+        for k in range(i + 1, n):
+            for m in (jx, jy, jz):
+                m[i][k] = m[k][i] = round(rng.uniform(-1.0, 1.0), 6)
+    if conserves_sz:
+        jy = jx
+    return {"jx": jx, "jy": jy, "jz": jz, "field_b": 0.3}
+
+
 SPECTRUM_TOL = 1e-10
 SPECTRUM_MODELS = {
     "spectrum-n8": {"n_sites": 8, "j": -1.0, "delta": 0.5, "field_b": 0.3},
@@ -49,7 +68,10 @@ SPECTRUM_MODELS = {
     "spectrum-n13": {"n_sites": 13, "j": -0.8, "delta": 1.3, "field_b": 0.25},
     # even N in a field: sector k = 7 is its own flip, the others shift by B
     "spectrum-n14-field": {"n_sites": 14, "j": 1.0, "delta": 0.5, "field_b": 0.3},
+    # general couplings with jx = jy: values-only blocks over trivial orbits
+    "spectrum-general-sz-n8": general_model(conserves_sz=True),
 }
+THRESHOLD_SIZES = [*range(2, 13), 14]
 
 LOG_GRID = {"start": 0.05, "stop": 20.0, "count": 40, "spacing": "log"}
 ROUTE_SWEEPS = {
@@ -83,16 +105,7 @@ VERIFY_CONFIGS = {
 
 
 def general_config(conserves_sz: bool) -> dict:
-    rng = random.Random(7)
-    n = 8
-    jx, jy, jz = ([[0.0] * n for _ in range(n)] for _ in range(3))
-    for i in range(n):
-        for k in range(i + 1, n):
-            for m in (jx, jy, jz):
-                m[i][k] = m[k][i] = round(rng.uniform(-1.0, 1.0), 6)
-    if conserves_sz:
-        jy = jx
-    return {"model": {"jx": jx, "jy": jy, "jz": jz, "field_b": 0.3},
+    return {"model": general_model(conserves_sz),
             "temperatures": {"start": 0.05, "stop": 20.0, "count": 40, "spacing": "log"},
             "pair": [2, 5]}
 
@@ -174,6 +187,21 @@ def compare_spectra(base, head, worst: dict[str, float]) -> list[str]:
     return problems
 
 
+def compare_thresholds(src_pair, config: Path, worst: dict[str, float]) -> list[str]:
+    base, head = (json.loads(cli_stdout(src, "threshold", "--config", str(config),
+                                        "--format", "json"), parse_float=str)
+                  for src in src_pair)
+    problems = [f"{key}: {base[key]!r} != {head[key]!r}"
+                for key in ("status", "t_c", "bracket", "iterations")
+                if base[key] != head[key]]
+    if None not in (base["u_of_n"], head["u_of_n"]):
+        diff = abs(float(base["u_of_n"]) - float(head["u_of_n"]))
+        worst["u_of_n"] = max(worst.get("u_of_n", 0.0), diff)
+    elif base["u_of_n"] != head["u_of_n"]:
+        problems.append(f"u_of_n: {base['u_of_n']!r} != {head['u_of_n']!r}")
+    return problems
+
+
 def main() -> int:
     if len(sys.argv) != 3:
         sys.exit(__doc__)
@@ -198,6 +226,14 @@ def main() -> int:
                                        worst)
             failures += len(problems)
             print(f"{name}: {'ok' if not problems else f'{len(problems)} problems'}")
+            for line in problems:
+                print(f"  {line}")
+        for n in THRESHOLD_SIZES:
+            path = Path(tmp) / f"threshold-n{n}.json"
+            path.write_text(json.dumps({"model": {"n_sites": n, "j": 1.0}}))
+            problems = compare_thresholds((base_src, head_src), path, worst)
+            failures += len(problems)
+            print(f"threshold-n{n}: {'ok' if not problems else f'{len(problems)} problems'}")
             for line in problems:
                 print(f"  {line}")
         for name, doc in VERIFY_CONFIGS.items():

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import threshold as threshold_mod
 from .model import ModelSpec
-from .spectral import FULL_PATH_MAX_SITES, check_dense_cap, decompose
+from .spectral import check_dense_cap, decompose
 from .sweep import COLUMNS, run_sweep, temperature_grid
 from .verify import VerifyOptions, render_report, run_verification
 
@@ -255,8 +255,7 @@ def cmd_threshold(args) -> int:
     spec = parse_model(doc["model"])
     try:
         threshold_mod.require_afm_xxx(spec)
-        # the Wootters cross-check needs vectors; larger rings stay values-only
-        sd = decompose(spec, vectors=spec.n_sites <= FULL_PATH_MAX_SITES)
+        sd = decompose(spec, vectors=False)
         res = threshold_mod.find_threshold(spec, sd)
     except ValueError as exc:
         raise ConfigError(f"threshold: {exc}") from exc

@@ -29,11 +29,11 @@ unordered pair twice).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_SITE_CAP = 14
+MAX_SITES = 14
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -73,26 +73,23 @@ class ModelSpec:
     Attributes
     ----------
     n_sites : int
-        Number of spins N, 2 <= N <= site_cap.
+        Number of spins N, 2 <= N <= MAX_SITES (a memory guard).
     coupling : UniformCoupling or GeneralCoupling
         Uniform (J, delta) ring bonds or arbitrary pair couplings.
     field_b : float
         Magnetic field B coupling to sum_i sigma_iz.
-    site_cap : int
-        Hard upper limit on N (memory guard), default 14.
     """
 
     n_sites: int
     coupling: UniformCoupling | GeneralCoupling
     field_b: float = 0.0
-    site_cap: int = field(default=DEFAULT_SITE_CAP, repr=False)
 
     def __post_init__(self):
         if self.n_sites < 2:
             raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
-        if self.n_sites > self.site_cap:
+        if self.n_sites > MAX_SITES:
             raise ValueError(
-                f"n_sites={self.n_sites} exceeds the configured cap of {self.site_cap}"
+                f"n_sites={self.n_sites} exceeds the configured cap of {MAX_SITES}"
             )
         for name, value in {"field_b": self.field_b, **vars(self.coupling)}.items():
             if not np.all(np.isfinite(value)):
@@ -115,17 +112,15 @@ class ModelSpec:
 
     @classmethod
     def uniform(cls, n_sites: int, j: float, delta: float = 1.0,
-                field_b: float = 0.0, site_cap: int = DEFAULT_SITE_CAP) -> "ModelSpec":
-        return cls(n_sites, UniformCoupling(float(j), float(delta)),
-                   float(field_b), site_cap)
+                field_b: float = 0.0) -> "ModelSpec":
+        return cls(n_sites, UniformCoupling(float(j), float(delta)), float(field_b))
 
     @classmethod
-    def general(cls, jx, jy, jz, field_b: float = 0.0,
-                site_cap: int = DEFAULT_SITE_CAP) -> "ModelSpec":
+    def general(cls, jx, jy, jz, field_b: float = 0.0) -> "ModelSpec":
         jx = np.asarray(jx, dtype=float)
         return cls(jx.shape[0], GeneralCoupling(jx, np.asarray(jy, dtype=float),
                                                 np.asarray(jz, dtype=float)),
-                   float(field_b), site_cap)
+                   float(field_b))
 
     @property
     def dim(self) -> int:

@@ -9,17 +9,19 @@ block independently and merges the eigenvalues.  It never forms the full
 dense path, capped at N = 12; its eigenvectors form a single block over
 all 2^N states.
 
-Values-only decompositions of uniform rings split each sector further by
-lattice momentum (Sandvik, AIP Conf. Proc. 1297, 135 (2010)):
-one block per crystal momentum 2*pi*m/N over the translation-orbit
-representatives, built from the same bit rules and never from the dense
-sector block.  At N = 14 the largest block is 246 wide instead of 3432.
-Two pairings cut the work further.  H is real, so momenta m and -m share a
-spectrum and only 0 <= m <= N/2 is diagonalised.  The global spin flip
-maps sector k onto sector N - k and reverses the field, so only the
-sectors with 2k <= N are diagonalised, at zero field, and each field
-shift is added afterwards.  At N = 14 that is 57 eigensolves instead of
-184.
+One builder, _blocks, writes every S_z-conserving block from the bit
+rules of _pair_terms.  It splits a sector by lattice momentum (Sandvik,
+AIP Conf. Proc. 1297, 135 (2010)): one block per crystal momentum
+2*pi*m/N over the orbit representatives it is given.  Values-only
+decompositions of uniform rings give it the translation orbits; at N = 14
+the largest block is then 246 wide instead of 3432.  Two pairings cut the
+work further.  H is real, so momenta m and -m share a spectrum and only
+0 <= m <= N/2 is diagonalised.  The global spin flip maps sector k onto
+sector N - k and reverses the field, so only the sectors with 2k <= N are
+diagonalised, at zero field, and each field shift is added afterwards.
+At N = 14 that is 57 eigensolves instead of 184.  Every other
+decomposition gives _blocks trivial orbits, where every state is its own
+representative, and gets the plain sector block, field included.
 
 The residual check of a decomposition against the dense Hamiltonian,
 eigen_residuals, is a reference route and lives in heisenring.oracle.
@@ -121,45 +123,6 @@ def sector_basis(n: int) -> list[np.ndarray]:
     return [states[weights == k] for k in range(n + 1)]
 
 
-def _sector_block_from_spec(spec: ModelSpec, states: np.ndarray, k: int) -> np.ndarray:
-    """One fixed-k block of H built directly from bit rules (no dense H).
-
-    Diagonal collects the z-z couplings and the field; the x/y couplings
-    connect states that differ by one antiparallel swap.  Requires an
-    S_z-conserving spec (equal x and y couplings).
-    """
-    n = spec.n_sites
-    m = states.size
-    block = np.zeros((m, m))
-    diag = np.full(m, spec.field_b * (n - 2 * k), dtype=float)
-
-    if spec.is_uniform:
-        j, delta = spec.coupling.j, spec.coupling.delta
-        pair_terms = [(i, kk, 2.0 * j, j * delta) for i, kk in spec.bonds()]
-    else:
-        jx, jz = spec.coupling.jx, spec.coupling.jz
-        pair_terms = []
-        for i in range(1, n + 1):
-            for kk in range(i + 1, n + 1):
-                cx, cz = jx[i - 1, kk - 1], jz[i - 1, kk - 1]
-                if cx != 0.0 or cz != 0.0:
-                    # ordered double sum counts the pair twice
-                    pair_terms.append((i, kk, 4.0 * cx, 2.0 * cz))
-
-    for i, kk, hop, zz in pair_terms:
-        bi, bk = n - i, n - kk
-        zi = 1 - 2 * ((states >> bi) & 1)
-        zk = 1 - 2 * ((states >> bk) & 1)
-        diag += zz * zi * zk
-        anti = np.nonzero(zi != zk)[0]
-        if anti.size and hop != 0.0:
-            flipped = states[anti] ^ ((1 << bi) | (1 << bk))
-            rows = np.searchsorted(states, flipped)
-            block[rows, anti] += hop
-    block[np.arange(m), np.arange(m)] += diag
-    return block
-
-
 def orbit_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Translation orbits of all 2^n basis states, indexed by state.
 
@@ -181,41 +144,75 @@ def orbit_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rep, shift, period
 
 
-def _momentum_blocks(spec: ModelSpec, states: np.ndarray, orbits):
-    """The zero-field block of a uniform ring on `states`, split by lattice momentum.
+def trivial_orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """orbit_tables with no symmetry: every state is its own orbit, of period 1."""
+    states = np.arange(1 << n, dtype=np.int64)
+    return states, np.zeros_like(states), np.ones_like(states)
 
-    Yields (multiplicity, block) with one Hermitian block per momentum
-    2*pi*m/N, 0 <= m <= N/2, that has states.  Its basis is the momentum
-    states of the orbit representatives a with m * R_a = 0 (mod N), R_a the
-    period.  A hop from a reaches the state b' with representative b = T^l b'
-    and has element 2J exp(-2*pi*i*m*l/N) sqrt(R_a / R_b); the diagonal holds
-    the z-z terms, as in _sector_block_from_spec, and no field.  H is real,
-    so the block at -m is the complex conjugate of the block at m and has
-    the same eigenvalues: each block with 0 < m < N - m stands for both and
-    has multiplicity 2.  Blocks at m = 0 and 2m = N are real and count once.
+
+def _pair_terms(spec: ModelSpec) -> list[tuple[int, int, float, float]]:
+    """(bit_i, bit_k, hop, zz) for every coupled site pair of an S_z-conserving spec.
+
+    The pair's x and y terms swap antiparallel spins on the two bits with
+    amplitude hop; its z-z term adds zz to the diagonal when they are
+    parallel and -zz when not.  Ring bonds, as the periodic sum visits them
+    (twice at N = 2), give (2J, J delta); general pairs i < k give
+    (4 jx, 2 jz), since the ordered double sum counts every pair twice.
+    """
+    n = spec.n_sites
+    if spec.is_uniform:
+        j, delta = spec.coupling.j, spec.coupling.delta
+        return [(n - i, n - kk, 2.0 * j, j * delta) for i, kk in spec.bonds()]
+    jx, jz = spec.coupling.jx, spec.coupling.jz
+    return [(n - i, n - kk, 4.0 * jx[i - 1, kk - 1], 2.0 * jz[i - 1, kk - 1])
+            for i in range(1, n + 1) for kk in range(i + 1, n + 1)
+            if jx[i - 1, kk - 1] != 0.0 or jz[i - 1, kk - 1] != 0.0]
+
+
+def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field: float):
+    """The block of H on `states`, built from bit rules and split by momentum.
+
+    `orbits` is (rep, shift, period) as from orbit_tables, and `field` the
+    diagonal field term of the sector.  Yields (multiplicity, block) with
+    one Hermitian block per lattice momentum 2*pi*m/N, 0 <= m <= N/2, that
+    has states (Sandvik, arXiv:1101.3281, section 4.1).  Its basis is the
+    momentum states of the orbit representatives a with m * R_a = 0
+    (mod N), R_a the period.  A hop from a reaches the state b' with
+    representative b = T^l b' and has element hop * exp(-2*pi*i*m*l/N)
+    * sqrt(R_a / R_b); the diagonal holds the field and the z-z terms.  H
+    is real, so the block at -m is the complex conjugate of the block at m
+    and has the same eigenvalues: each block with 0 < m < N - m stands for
+    both and has multiplicity 2.  Blocks at m = 0 and 2m = N are real and
+    count once.
+
+    With trivial_orbits every state is a representative of period 1 and
+    shift 0, so only m = 0 has states and its one real block is the plain
+    S_z sector block in the computational basis.
     """
     rep, shift, period = orbits
     n = spec.n_sites
-    j, delta = spec.coupling.j, spec.coupling.delta
     reps = states[rep[states] == states]
     r_a = period[reps]
-    diag = np.zeros(reps.size)
-    rows, cols, ls, amps = [], [], [], []
-    for i, kk in spec.bonds():
-        bi, bk = n - i, n - kk
-        diag += j * delta * (1 - 2 * ((reps >> bi) & 1)) * (1 - 2 * ((reps >> bk) & 1))
+    # + 0.0: a -0.0 field must not leave -0.0 on the diagonal
+    diag = np.full(reps.size, field + 0.0)
+    # seeded, so a spec without hops (J = 0, no couplings) still concatenates
+    empty = np.zeros(0, dtype=np.int64)
+    rows, cols, ls, amps = [empty], [empty], [empty], [empty]
+    for bi, bk, hop, zz in _pair_terms(spec):
+        diag += zz * (1 - 2 * ((reps >> bi) & 1)) * (1 - 2 * ((reps >> bk) & 1))
+        if hop == 0.0:
+            continue
         anti = np.nonzero(((reps >> bi) ^ (reps >> bk)) & 1)[0]
         flipped = reps[anti] ^ ((1 << bi) | (1 << bk))
         rows.append(np.searchsorted(reps, rep[flipped]))
         cols.append(anti)
         ls.append(shift[flipped])
-        amps.append(2.0 * j * np.sqrt(r_a[anti] / period[flipped]))
+        amps.append(hop * np.sqrt(r_a[anti] / period[flipped]))
     rows, cols, ls, amps = map(np.concatenate, (rows, cols, ls, amps))
 
     for m in range(n // 2 + 1):
         keep = (m * r_a) % n == 0
-        dim = int(keep.sum())
-        if dim == 0:
+        if not keep.any():
             continue
         index = np.cumsum(keep) - 1
         hops = keep[rows] & keep[cols]
@@ -234,38 +231,38 @@ def _momentum_blocks(spec: ModelSpec, states: np.ndarray, orbits):
 def diagonalize_sectored(spec: ModelSpec, vectors: bool = True) -> SpectralDecomposition:
     """Sector-blocked eigendecomposition of an S_z-conserving spec.
 
-    Each block is built from bit rules, never from a dense Hamiltonian.
-    With vectors=False only eigenvalues and sector labels are computed.  A
-    uniform ring then diagonalises only the sectors with 2k <= N, at zero
-    field, split into the momentum blocks 0 <= m <= N/2 of _momentum_blocks.
-    The global spin flip maps sector k onto sector N - k and reverses the
-    field, so sector k gets those values shifted by +B(N - 2k) and sector
-    N - k the same values shifted by -B(N - 2k).
+    Every block comes from _blocks, built from bit rules, never from a
+    dense Hamiltonian.  With vectors=False only eigenvalues and sector
+    labels are computed.  A uniform ring then diagonalises only the sectors
+    with 2k <= N, at zero field, split into the momentum blocks
+    0 <= m <= N/2 of orbit_tables.  The global spin flip maps sector k onto
+    sector N - k and reverses the field, so sector k gets those values
+    shifted by +B(N - 2k) and sector N - k the same values shifted by
+    -B(N - 2k).  Every other decomposition takes trivial_orbits, one plain
+    block per sector with the field on its diagonal.
     """
     if not spec.conserves_sz:
         raise ValueError("spec does not conserve S_z (x and y couplings differ)")
     n = spec.n_sites
+    paired = spec.is_uniform and not vectors
+    orbits = orbit_tables(n) if paired else trivial_orbits(n)
+    sectors = sector_basis(n)[:n // 2 + 1] if paired else sector_basis(n)
     all_evals, all_labels, vec_blocks = [], [], []
-    if spec.is_uniform and not vectors:
-        orbits = orbit_tables(n)
-        for k, states in enumerate(sector_basis(n)[:n // 2 + 1]):
-            parts = []
-            for mult, block in _momentum_blocks(spec, states, orbits):
-                parts.append(np.tile(np.linalg.eigvalsh(block), mult))
-                del block  # one block alive at a time: free it before the next is built
-            evals = np.concatenate(parts)
-            for sign in (1, -1) if 2 * k < n else (1,):
-                all_evals.append(evals + sign * spec.field_b * (n - 2 * k))
-                all_labels.append(np.full(evals.size, sign * (n - 2 * k) / 2.0))
-    else:
-        for k, states in enumerate(sector_basis(n)):
+    for k, states in enumerate(sectors):
+        field_k = spec.field_b * (n - 2 * k)
+        parts = []
+        for mult, block in _blocks(spec, states, orbits, 0.0 if paired else field_k):
             if vectors:
-                evals, bvecs = np.linalg.eigh(_sector_block_from_spec(spec, states, k))
+                evals, bvecs = np.linalg.eigh(block)
                 vec_blocks.append((states, bvecs))
             else:
-                evals = np.linalg.eigvalsh(_sector_block_from_spec(spec, states, k))
-            all_evals.append(evals)
-            all_labels.append(np.full(evals.size, (n - 2 * k) / 2.0))
+                evals = np.linalg.eigvalsh(block)
+            parts.append(np.tile(evals, mult))
+            del block  # one block alive at a time: free it before the next is built
+        evals = np.concatenate(parts)
+        for sign in (1, -1) if paired and 2 * k < n else (1,):
+            all_evals.append(evals + sign * field_k if paired else evals)
+            all_labels.append(np.full(evals.size, sign * (n - 2 * k) / 2.0))
 
     evals = np.concatenate(all_evals)
     labels = np.concatenate(all_labels)

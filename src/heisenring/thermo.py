@@ -29,6 +29,9 @@ import numpy as np
 from .model import ModelSpec
 from .spectral import SpectralDecomposition, decompose
 
+# field step of the central difference in check_derivatives
+FIELD_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class ThermoPoint:
@@ -146,12 +149,11 @@ def thermo_point(sd: SpectralDecomposition, spec: ModelSpec,
     )
 
 
-def check_derivatives(spec: ModelSpec, temperature: float,
-                      db: float = 1e-4) -> tuple[float, float]:
+def check_derivatives(spec: ModelSpec, temperature: float) -> tuple[float, float]:
     """Residuals of U and M against central finite differences of log Z.
 
     U is checked as -d(log Z)/d(beta) on the same spectrum; M as
-    -(1/beta) d(log Z)/dB, re-diagonalizing at B +- db.  Returns the two
+    -(1/beta) d(log Z)/dB, re-diagonalizing at B +- FIELD_STEP.  Returns the two
     absolute residuals.
     """
     if temperature <= 0:
@@ -169,5 +171,5 @@ def check_derivatives(spec: ModelSpec, temperature: float,
         shifted_spec = replace(spec, field_b=spec.field_b + delta_b)
         return _log_z(decompose(shifted_spec), temperature)
 
-    m_fd = -(shifted(db) - shifted(-db)) / (2.0 * db * beta)
+    m_fd = -(shifted(FIELD_STEP) - shifted(-FIELD_STEP)) / (2.0 * FIELD_STEP * beta)
     return abs(u_fd - tp.u), abs(m_fd - tp.m)

@@ -4,23 +4,27 @@ Above some T_c the nearest-neighbour concurrence of an antiferromagnetic
 isotropic ring is exactly zero; T_c solves U(T_c)/(-N J) = 1.  The root is
 found by bisecting f(T) = -U(T)/(N J) - 1, which is a clean sign change
 (monotone, because U is non-decreasing in T), rather than the clamped
-concurrence whose one-sided zero stalls bisection.
+concurrence whose one-sided zero stalls bisection.  The search runs in
+units of J: its floor, start, ceiling and width scale with J, so t_c/J
+does not depend on J's scale.  It needs only the spectrum, so callers
+decompose values-only; the Wootters concurrence on both sides of t_c is
+checked by verify (threshold_two_sided) and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .entanglement import CLAMP_TOL, concurrence_wootters, concurrence_xxx_energy
+from .entanglement import CLAMP_TOL, concurrence_xxx_energy
 from .model import ModelSpec
 from .spectral import SpectralDecomposition, decompose
 from .thermo import thermo_point
-from .twoqubit import pair_rdm_thermal
 
 STATUS_FOUND = "found"
 STATUS_NEVER = "never_entangled"
 STATUS_EVERYWHERE = "entangled_everywhere_in_range"
 
+# search range in units of J
 _T_FLOOR = 1e-6
 _T_CEILING = 1e6
 
@@ -58,9 +62,8 @@ def find_threshold(spec: ModelSpec, sd: SpectralDecomposition) -> ThresholdResul
     """Bisect for the temperature where the concurrence vanishes.
 
     Returns never_entangled when the T -> 0 concurrence is already zero
-    (e.g. three-site rings).  A found root is cross-checked: the Wootters
-    concurrence must be positive just below t_c and exactly zero just above
-    (skipped when the decomposition carries no eigenvectors).
+    (e.g. three-site rings), and entangled_everywhere_in_range when f stays
+    positive up to the ceiling.  Only eigenvalues are used.
     """
     require_afm_xxx(spec)
     n, j = spec.n_sites, spec.coupling.j
@@ -68,19 +71,20 @@ def find_threshold(spec: ModelSpec, sd: SpectralDecomposition) -> ThresholdResul
     def f(t: float) -> float:
         return -thermo_point(sd, spec, t).u / (n * j) - 1.0
 
-    if concurrence_xxx_energy(thermo_point(sd, spec, _T_FLOOR).u_per_site, j) <= CLAMP_TOL:
-        return ThresholdResult(STATUS_NEVER, None, (_T_FLOOR, _T_FLOOR), 0, None)
+    floor = _T_FLOOR * j
+    if concurrence_xxx_energy(thermo_point(sd, spec, floor).u_per_site, j) <= CLAMP_TOL:
+        return ThresholdResult(STATUS_NEVER, None, (floor, floor), 0, None)
 
-    lo, hi = _T_FLOOR, 1.0
+    lo, hi = floor, j
     while f(hi) > 0.0:
         lo = hi
         hi *= 2.0
-        if hi > _T_CEILING:
+        if hi > _T_CEILING * j:
             return ThresholdResult(STATUS_EVERYWHERE, None, (lo, hi), 0, None)
     bracket = (lo, hi)
 
     iterations = 0
-    while hi - lo > 1e-8 * max(1.0, 0.5 * (lo + hi)):
+    while hi - lo > 1e-8 * max(j, 0.5 * (lo + hi)):
         mid = 0.5 * (lo + hi)
         iterations += 1
         if f(mid) > 0.0:
@@ -89,17 +93,6 @@ def find_threshold(spec: ModelSpec, sd: SpectralDecomposition) -> ThresholdResul
             hi = mid
     t_c = 0.5 * (lo + hi)
     u_of_n = thermo_point(sd, spec, t_c).u / (-n * j)
-
-    if sd.eigvec_blocks is not None:
-        step = 1e-4 if t_c > 2e-4 else 0.5 * t_c
-        below = concurrence_wootters(pair_rdm_thermal(sd, t_c - step, 1, 2)).wootters
-        above = concurrence_wootters(pair_rdm_thermal(sd, t_c + step, 1, 2)).wootters
-        if below <= 0.0 or above != 0.0:
-            raise RuntimeError(
-                f"threshold cross-check failed at t_c={t_c!r}: "
-                f"C(t_c - {step:g}) = {below!r}, C(t_c + {step:g}) = {above!r}"
-            )
-
     return ThresholdResult(STATUS_FOUND, float(t_c), bracket, iterations, float(u_of_n))
 
 

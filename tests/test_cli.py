@@ -230,6 +230,20 @@ def test_threshold_five_site_positive(tmp_path):
     assert doc["t_c"] > 0.0
 
 
+def test_threshold_runs_values_only(tmp_path, monkeypatch):
+    # threshold needs no eigenvectors at any N, including N <= 12
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh ran")
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    cfg = write_config(tmp_path, {"model": {"n_sites": 12, "j": 1.0}})
+    out = tmp_path / "thr.json"
+    assert main(["threshold", "--config", cfg, "--format", "json",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "found"
+    assert abs(doc["u_of_n"] - 1.0) <= 1e-7
+
+
 def test_threshold_rejects_ferromagnet(tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": {"n_sites": 4, "j": -1.0}})
     assert main(["threshold", "--config", cfg]) == 2

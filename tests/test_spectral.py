@@ -9,10 +9,11 @@ from heisenring import (
     diagonalize_sectored,
 )
 from heisenring.spectral import (
-    _momentum_blocks,
+    _blocks,
     expected_sector_sizes,
     orbit_tables,
     sector_basis,
+    trivial_orbits,
 )
 from heisenring.model import ring_coupling_matrices
 from heisenring.oracle import eigen_residuals
@@ -149,7 +150,7 @@ def test_two_site_momentum_blocks():
     # one down spin: the representative 01 is its own block at k = 0 (the
     # triplet, 2J) and at k = pi (the singlet, -6J); the bond counts twice
     spec = ModelSpec.uniform(2, 1.0)
-    blocks = list(_momentum_blocks(spec, sector_basis(2)[1], orbit_tables(2)))
+    blocks = list(_blocks(spec, sector_basis(2)[1], orbit_tables(2), 0.0))
     assert [mult for mult, _ in blocks] == [1, 1]
     assert [b.tolist() for _, b in blocks] == [[[2.0]], [[-6.0]]]
 
@@ -164,7 +165,7 @@ def test_momentum_blocks_hermitian_and_sized():
     orbits = orbit_tables(n)
     widths = []
     for k, states in enumerate(sector_basis(n)[:n // 2 + 1]):
-        blocks = list(_momentum_blocks(spec, states, orbits))
+        blocks = list(_blocks(spec, states, orbits, 0.0))
         assert sum(mult * b.shape[0] for mult, b in blocks) == states.size
         for _, b in blocks:
             # hop sums agree with their transposed partners up to rounding
@@ -173,6 +174,45 @@ def test_momentum_blocks_hermitian_and_sized():
         widths += [b.shape[0] for mult, b in blocks for _ in range(sectors * mult)]
     assert len(widths) == 184
     assert max(widths) == 246
+
+
+def _general_sz_spec(n, seed, z=True, xy=True, field_b=0.3):
+    rng = np.random.default_rng(seed)
+
+    def sym():
+        a = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+        return a + a.T
+
+    jxy = sym() if xy else np.zeros((n, n))
+    jz = sym() if z else np.zeros((n, n))
+    return ModelSpec.general(jxy, jxy, jz, field_b)
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec.uniform(2, 1.0),                 # the double bond
+    ModelSpec.uniform(2, -0.7, 0.4, -0.3),
+    ModelSpec.uniform(5, 0.0, 1.3, 0.2),       # J = 0
+    ModelSpec.uniform(6, 1.1, 0.0, 0.4),       # delta = 0
+    ModelSpec.uniform(7, -0.9, 0.6, -0.55),    # B < 0
+    ModelSpec.uniform(8, 1.0, 1.0, -1.2),
+    _general_sz_spec(5, 1),
+    _general_sz_spec(6, 2, z=False),           # no z couplings
+    _general_sz_spec(4, 3, xy=False),          # z couplings only
+    _general_sz_spec(3, 4, z=False, xy=False, field_b=-0.4),  # no couplings at all
+], ids=["n2", "n2-field", "j0", "delta0", "b-neg", "n8", "general", "general-no-z",
+        "general-z-only", "general-zero"])
+def test_trivial_orbit_block_is_sector_block(spec):
+    # with every state its own orbit the builder yields one real block per
+    # sector, at m = 0: the dense H restricted to the sector's states
+    n = spec.n_sites
+    h = build_hamiltonian(spec)
+    assert np.max(np.abs(h.imag)) == 0.0
+    for k, states in enumerate(sector_basis(n)):
+        blocks = list(_blocks(spec, states, trivial_orbits(n), spec.field_b * (n - 2 * k)))
+        assert len(blocks) == 1
+        mult, block = blocks[0]
+        assert mult == 1 and block.dtype == np.float64
+        assert np.max(np.abs(block - h.real[np.ix_(states, states)])) <= 1e-13
 
 
 @pytest.mark.parametrize("delta,b,degeneracy", [(1.0, 0.0, 4), (0.5, 0.3, 2)])

@@ -33,6 +33,17 @@ def test_threshold_scales_linearly_in_j():
     assert abs(t2 - 2.0 * t1) <= 1e-6 * 2.0 * t1
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_threshold_independent_of_j_scale(n):
+    # the search runs in units of J: t_c / J does not move with J's scale
+    ref = find_threshold(*cached_decompose(n, 1.0))
+    for j in (1e-7, 1e-5, 0.73, 1.0, 1e5, 1e7):
+        res = find_threshold(*cached_decompose(n, j))
+        assert res.status == STATUS_FOUND
+        assert abs(res.t_c / j - ref.t_c) <= 1e-9 * ref.t_c
+        assert abs(res.u_of_n - 1.0) <= 1e-7
+
+
 def test_three_site_never_entangled():
     spec, sd = cached_decompose(3, 1.0)
     res = find_threshold(spec, sd)
@@ -40,8 +51,10 @@ def test_three_site_never_entangled():
     assert res.t_c is None
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [2, 4, 5, 6, 7, 8, 9, 10, 11, 12])
 def test_threshold_two_sided_concurrence(n):
+    # the search reads only eigenvalues; Wootters on the eigenvectors'
+    # pair state checks that the concurrence vanishes exactly at t_c
     spec, sd = cached_decompose(n, 1.0)
     res = find_threshold(spec, sd)
     assert res.status == STATUS_FOUND
