@@ -3,7 +3,7 @@
 The ring Hamiltonian conserves total S_z, so the 2^N x 2^N matrix splits
 into independent blocks of size C(N, k).  The largest block at N = 14 is
 3432-dimensional, and the block eigenvectors take 321 MB: desk-scale, where
-the dense 16384-dimensional problem (4.3 GB of complex eigenvectors alone)
+the dense 16384-dimensional problem (2.1 GB of real eigenvectors alone)
 is not.  The sectored column includes the block eigenvectors at every N.
 
 Translations commute with H too.  When only eigenvalues are wanted (the

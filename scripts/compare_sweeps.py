@@ -22,7 +22,8 @@ text; the worst u_of_n difference is printed.
 
 Both trees also run `verify` on its default grid and on a small grid off
 the defaults (VERIFY_CONFIGS); the text reports and the exit codes must be
-identical.
+identical.  A report that differs is shown as a unified diff, cut at
+VERIFY_DIFF_LINES lines.
 
 Prints the first differing cells of each run and the worst numeric
 difference per column, and exits 1 on any difference.
@@ -31,6 +32,7 @@ difference per column, and exits 1 on any difference.
 from __future__ import annotations
 
 import csv
+import difflib
 import io
 import json
 import os
@@ -97,6 +99,7 @@ ROUTE_SWEEPS = {
                  "pair": [8, 1]},
 }
 
+VERIFY_DIFF_LINES = 20
 VERIFY_CONFIGS = {
     "verify-default": {},
     "verify-small": {"n_values": [2, 5, 8], "deltas": [0.5], "fields": [0.3],
@@ -245,6 +248,15 @@ def main() -> int:
             same = (base.returncode, base.stdout) == (head.returncode, head.stdout)
             failures += not same
             print(f"{name}: {'ok' if same else 'report or exit code differs'}")
+            if base.returncode != head.returncode:
+                print(f"  exit code {base.returncode} != {head.returncode}")
+            report_diff = list(difflib.unified_diff(
+                base.stdout.splitlines(), head.stdout.splitlines(),
+                f"{name} base", f"{name} head", lineterm=""))
+            for line in report_diff[:VERIFY_DIFF_LINES]:
+                print(f"  {line}")
+            if len(report_diff) > VERIFY_DIFF_LINES:
+                print(f"  ... {len(report_diff) - VERIFY_DIFF_LINES} more diff lines")
     for col, diff in sorted(worst.items(), key=lambda kv: -kv[1]):
         print(f"worst |diff| {col}: {diff:.3e}")
     return 1 if failures else 0

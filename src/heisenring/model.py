@@ -49,6 +49,20 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2, *PAIR_PAULI.values()):
     _m.flags.writeable = False
 
 
+def _real_part(name: str, m: np.ndarray) -> np.ndarray:
+    # build_hamiltonian adds real parts only, so an imaginary part must be zero
+    if np.any(m.imag != 0.0):
+        raise RuntimeError(f"{name} has a nonzero imaginary part; H would not be real")
+    return m.real
+
+
+# H is a sum of sigma_a x sigma_a bond terms and sigma_z field terms, all
+# real: the two factors of i in sigma_y x sigma_y multiply to -1
+_REAL_PAIR_PAULI = {ax: _real_part(f"sigma_{ax} x sigma_{ax}", m)
+                    for ax, m in PAIR_PAULI.items()}
+_REAL_SIGMA_Z = _real_part("sigma_z", SIGMA_Z)
+
+
 @dataclass(frozen=True)
 class UniformCoupling:
     """Single exchange constant J with z-axis anisotropy delta."""
@@ -179,7 +193,13 @@ def translation(n: int) -> np.ndarray:
 
 
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
-    """Dense complex Hamiltonian matrix of the ring described by `spec`.
+    """Dense real symmetric (float64) Hamiltonian matrix of the ring described by `spec`.
+
+    Every term is real: sigma_x x sigma_x and sigma_z x sigma_z are, and so
+    is sigma_y x sigma_y, whose two factors of i multiply to -1; no lone
+    sigma_y occurs.  Only the real parts of the terms are added, so the
+    matrix equals the complex kron sum entry for entry, and the dense
+    eigensolvers run in real arithmetic.
 
     Uniform mode evaluates the periodic sum literally, one 4x4 bond term
     per bond (so the N=2 bond is counted twice, see module docstring).
@@ -191,7 +211,7 @@ def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
     matrix.
     """
     n = spec.n_sites
-    h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    h = np.zeros((spec.dim, spec.dim))
 
     def add(op, sites):
         idx = site_indices(sites, n)
@@ -199,7 +219,8 @@ def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
 
     if spec.is_uniform:
         j, delta = spec.coupling.j, spec.coupling.delta
-        term = j * PAIR_PAULI["x"] + j * PAIR_PAULI["y"] + j * delta * PAIR_PAULI["z"]
+        term = (j * _REAL_PAIR_PAULI["x"] + j * _REAL_PAIR_PAULI["y"]
+                + j * delta * _REAL_PAIR_PAULI["z"])
         for bond in spec.bonds():
             add(term, bond)
     else:
@@ -211,10 +232,10 @@ def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
                 for ax in AXES:
                     c = mats[ax][i - 1, k - 1]
                     if c != 0.0:
-                        add(c * PAIR_PAULI[ax], (i, k))
+                        add(c * _REAL_PAIR_PAULI[ax], (i, k))
     if spec.field_b != 0.0:
         for i in range(1, n + 1):
-            add(spec.field_b * SIGMA_Z, (i,))
+            add(spec.field_b * _REAL_SIGMA_Z, (i,))
     return h
 
 

@@ -42,11 +42,18 @@ def embed(op: np.ndarray, sites: tuple[int, ...], n: int) -> np.ndarray:
 
 
 def gibbs_state(sd: SpectralDecomposition, temperature: float) -> np.ndarray:
-    """Thermal density matrix exp(-H/T)/Z; at T = 0 the uniform ground-multiplet mixture."""
+    """Thermal density matrix exp(-H/T)/Z; at T = 0 the uniform ground-multiplet mixture.
+
+    rho takes the dtype of the eigenvectors: it is real for real blocks (the
+    S_z sector blocks, and diagonalize_full of build_hamiltonian, which is
+    real), so the dense checks on it run in real arithmetic, and complex
+    for complex blocks.
+    """
     if sd.eigvec_blocks is None:
         raise ValueError("Gibbs state needs eigenvectors; rerun with vectors=True")
     p = thermal_probabilities(sd, temperature)
-    rho = np.zeros((sd.dim, sd.dim), dtype=complex)
+    dtype = np.result_type(float, *(blk.vectors for blk in sd.eigvec_blocks))
+    rho = np.zeros((sd.dim, sd.dim), dtype=dtype)
     for states, v, cols in sd.eigvec_blocks:
         rho[np.ix_(states, states)] = (v * p[cols]) @ v.conj().T
     return rho

@@ -4,8 +4,8 @@ The sector path groups computational basis states by their number of down
 spins k (Hamming weight of the basis index), diagonalizes each C(N, k)
 block independently and merges the eigenvalues.  It never forms the full
 2^N x 2^N matrix, and it keeps the eigenvectors as the blocks themselves:
-321 MB at N = 14, where one dense complex eigenvector matrix would take
-4.3 GB.  Specs whose x and y couplings differ break S_z and go through the
+321 MB at N = 14, where one dense real eigenvector matrix would take
+2.1 GB.  Specs whose x and y couplings differ break S_z and go through the
 dense path, capped at N = 12; its eigenvectors form a single block over
 all 2^N states.
 

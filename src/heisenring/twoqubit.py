@@ -115,7 +115,9 @@ def _pair_table(sd: SpectralDecomposition, i: int, j: int) -> np.ndarray:
     Element (a, b) pairs each basis state whose (i, j) bits read a with the
     state that has the same other bits and reads b; only pairs inside one
     block contribute.  An S_z block thus fills u+, w1, w2, u-, z and z*,
-    and the single dense block fills all 16.
+    and the single dense block fills all 16.  The partner of a state for
+    column b does not depend on a, so each block runs one search per b and
+    then picks, for each a, the found rows whose bits read a.
     """
     if sd.eigvec_blocks is None:
         raise ValueError("pair RDM needs eigenvectors; rerun with vectors=True")
@@ -129,15 +131,15 @@ def _pair_table(sd: SpectralDecomposition, i: int, j: int) -> np.ndarray:
     for states, vecs, cols in sd.eigvec_blocks:
         rest = states & ~pair_bits[3]
         label = ((states >> bi) & 1) * 2 + ((states >> bj) & 1)
-        for a in range(4):
-            rows = np.nonzero(label == a)[0]
-            for b in range(4):
-                partner = rest[rows] | pair_bits[b]
-                pos = np.minimum(np.searchsorted(states, partner), states.size - 1)
-                hit = states[pos] == partner
-                if hit.any():
+        for b in range(4):
+            partner = rest | pair_bits[b]
+            pos = np.minimum(np.searchsorted(states, partner), states.size - 1)
+            hit = states[pos] == partner
+            for a in range(4):
+                rows = np.nonzero(hit & (label == a))[0]
+                if rows.size:
                     table[cols, 4 * a + b] = np.sum(
-                        vecs[rows[hit]] * vecs[pos[hit]].conj(), axis=0)
+                        vecs[rows] * vecs[pos[rows]].conj(), axis=0)
     return table
 
 

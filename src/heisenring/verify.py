@@ -63,6 +63,9 @@ class VerifyOptions:
             val = getattr(self, key)
             if isinstance(val, bool) or not isinstance(val, int) or val < 0:
                 raise ValueError(f"{key!r} must be a non-negative integer")
+        # bell_frames_bound takes the best of the frames, so it needs one
+        if self.frames < 1:
+            raise ValueError(f"'frames' must be >= 1, got {self.frames}")
 
 
 class _Collector:

@@ -42,6 +42,25 @@ def u_three_site(beta, j=1.0):
     return -3.0 * j * math.tanh(3.0 * beta * j)
 
 
+def random_general_spec(n, seed, field_b=0.0):
+    """General couplings with jx, jy and jz drawn independently: S_z is broken."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(3):
+        m = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+        mats.append(m + m.T)
+    return ModelSpec.general(*mats, field_b=field_b)
+
+
+def eigenvector_matrix(sd):
+    """Full-space eigenvectors: column n is the eigenvector of eigenvalue n."""
+    dtype = np.result_type(float, *(blk.vectors for blk in sd.eigvec_blocks))
+    v = np.zeros((sd.dim, sd.dim), dtype=dtype)
+    for states, vecs, cols in sd.eigvec_blocks:
+        v[np.ix_(states, cols)] = vecs
+    return v
+
+
 # --- the dense Hamiltonian written out with one np.kron per site ---
 
 def kron_sites(factors, n):

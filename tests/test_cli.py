@@ -441,6 +441,13 @@ def test_boolean_verify_integers_rejected(tmp_path, capsys, doc, key):
     assert key in capsys.readouterr().err
 
 
+def test_zero_frames_rejected(tmp_path, capsys):
+    # bell_frames_bound takes the best of the frames; none is bad input
+    cfg = write_config(tmp_path, {"n_values": [2], "frames": 0})
+    assert main(["verify", "--config", cfg]) == 2
+    assert "'frames' must be >= 1" in capsys.readouterr().err
+
+
 def test_negative_seed_rejected(tmp_path, capsys):
     assert main(["verify", "--seed", "-3"]) == 2
     assert "seed" in capsys.readouterr().err

@@ -9,10 +9,17 @@ from heisenring import (
     build_hamiltonian,
     ring_coupling_matrices,
 )
-from heisenring.model import PAULI, hermiticity_defect, site_indices, translation
+from heisenring.model import (
+    PAULI,
+    SIGMA_Y,
+    _real_part,
+    hermiticity_defect,
+    site_indices,
+    translation,
+)
 from heisenring.oracle import embed
 from heisenring.verify import VerifyOptions, _spec_grid
-from helpers import kron_hamiltonian, kron_sites, symmetry_norms
+from helpers import kron_hamiltonian, kron_sites, random_general_spec, symmetry_norms
 
 
 def pauli_at(site, axis, n):
@@ -248,6 +255,32 @@ def test_embed_validates_sites():
         embed(sz, (4,), 3)
     with pytest.raises(ValueError, match="distinct"):
         embed(np.kron(sz, sz), (2, 2), 3)
+
+
+def _jy_only_spec(n):
+    jy = random_general_spec(n, seed=5).coupling.jy
+    return ModelSpec.general(np.zeros((n, n)), jy, np.zeros((n, n)))
+
+
+@pytest.mark.parametrize("spec", [
+    *(pytest.param(ModelSpec.uniform(n, j, delta, b), id=f"uniform-N{n}")
+      for n, j, delta, b in [(2, 1.0, 1.0, 0.0), (3, -1.0, 0.5, 0.3), (4, 1.3, 0.0, 0.0),
+                             (5, -0.7, 2.0, 1.0), (6, 1.0, 0.0, -0.4), (7, 2.0, 1.0, 0.5),
+                             (8, -1.0, 0.5, 0.2)]),
+    pytest.param(random_general_spec(5, seed=3, field_b=0.3), id="general-N5"),
+    pytest.param(_jy_only_spec(4), id="jy-only-N4"),
+])
+def test_hamiltonian_is_real(spec):
+    # sigma_y x sigma_y is real, so the real build equals the complex kron sum
+    h = build_hamiltonian(spec)
+    assert h.dtype == np.float64
+    assert np.array_equal(h, kron_hamiltonian(spec))
+
+
+def test_real_part_refuses_an_imaginary_term():
+    # a term with an imaginary part is never dropped in silence
+    with pytest.raises(RuntimeError, match="sigma_y"):
+        _real_part("sigma_y", SIGMA_Y)
 
 
 def test_hamiltonian_equals_kron_reference_on_verify_grid():

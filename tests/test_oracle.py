@@ -1,13 +1,18 @@
-"""The dense reference routes stay out of the production path."""
+"""The dense reference routes: the Gibbs matrix they build, and that they
+stay out of the production path."""
 
 import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import heisenring
-from heisenring import oracle
+from heisenring import ModelSpec, build_hamiltonian, decompose, diagonalize_full, oracle
+from heisenring.model import SIGMA_Y
+from heisenring.thermo import thermal_probabilities
+from helpers import eigenvector_matrix, random_general_spec
 
 PACKAGE = Path(heisenring.__file__).parent
 ROUTES = ("correlations", "eigen_residuals", "embed", "gibbs_state", "reduce_to_pair")
@@ -57,3 +62,36 @@ def test_oracle_is_the_only_home_of_its_routes():
             tree = ast.parse(path.read_text())
             defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
             assert not defined & set(ROUTES), path.name
+
+
+def _gibbs_by_matrix_product(sd, t):
+    """V diag(p) V^dagger over the full eigenvector matrix V."""
+    v = eigenvector_matrix(sd)
+    return (v * thermal_probabilities(sd, t)) @ v.conj().T
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(ModelSpec.uniform(6, 1.0, 0.5, 0.3), id="uniform-N6"),
+    pytest.param(ModelSpec.uniform(4, -1.0), id="uniform-N4-fm"),
+    pytest.param(random_general_spec(5, seed=3, field_b=0.3), id="general-N5"),
+])
+def test_gibbs_state_is_real_for_real_eigenvectors(spec):
+    # the dense diagonalisation of the real H and the sector blocks alike
+    for sd in (diagonalize_full(build_hamiltonian(spec)), decompose(spec)):
+        for t in (0.0, 0.3, 2.0):
+            rho = oracle.gibbs_state(sd, t)
+            assert rho.dtype == np.float64
+            assert np.max(np.abs(rho - _gibbs_by_matrix_product(sd, t))) <= 1e-15
+
+
+def test_gibbs_state_is_complex_for_complex_eigenvectors():
+    # a lone sigma_y field on site 2 makes H complex Hermitian
+    n = 4
+    h = build_hamiltonian(ModelSpec.uniform(n, 1.0, 0.5)) + 0.3 * oracle.embed(SIGMA_Y, (2,), n)
+    assert np.max(np.abs(h.imag)) > 0.0
+    sd = diagonalize_full(h)
+    for t in (0.0, 0.7):
+        rho = oracle.gibbs_state(sd, t)
+        assert rho.dtype == np.complex128
+        assert np.max(np.abs(rho.imag)) > 0.0
+        assert np.max(np.abs(rho - _gibbs_by_matrix_product(sd, t))) <= 1e-15

@@ -8,12 +8,18 @@ from heisenring import (
     TwoQubitRDM,
     check_element_relations,
     correlations_from_rdm,
+    decompose,
     pair_rdm_thermal,
     run_sweep,
     thermo_point,
 )
 from heisenring.oracle import correlations, gibbs_state, reduce_to_pair
-from helpers import SINGLET_RHO, cached_decompose
+from heisenring.twoqubit import _pair_table
+from helpers import SINGLET_RHO, cached_decompose, eigenvector_matrix, random_general_spec
+
+# (a, b) entries of a pair RDM whose two basis states differ in S_z
+SZ_FORBIDDEN = np.array([bin(a).count("1") != bin(b).count("1")
+                         for a in range(4) for b in range(4)])
 
 
 def test_maximally_mixed_any_pair():
@@ -152,6 +158,27 @@ def test_fast_path_matches_partial_trace():
             direct = reduce_to_pair(rho, *pair)
             fast = pair_rdm_thermal(sd, t, *pair)
             assert np.max(np.abs(direct.matrix - fast.matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(ModelSpec.uniform(6, 1.0, 0.5, 0.3), id="sector-blocks-N6"),
+    pytest.param(ModelSpec.uniform(5, -1.0, 2.0, 0.4), id="sector-blocks-N5"),
+    pytest.param(random_general_spec(5, seed=3, field_b=0.3), id="dense-general-N5"),
+])
+def test_pair_table_rows_are_eigenstate_pair_rdms(spec):
+    # row k of the table is the pair RDM of the projector on eigenstate k
+    sd = decompose(spec)
+    v = eigenvector_matrix(sd)
+    for pair in [(1, 2), (2, 1), (1, spec.n_sites)]:
+        table = _pair_table(sd, *pair)
+        for k in range(sd.dim):
+            oracle = reduce_to_pair(np.outer(v[:, k], v[:, k].conj()), *pair).matrix
+            assert np.max(np.abs(table[k].reshape(4, 4) - oracle)) <= 1e-13, (pair, k)
+        if spec.conserves_sz:
+            assert np.all(table[:, SZ_FORBIDDEN] == 0.0)
+        else:
+            # the one dense block pairs every state with every partner
+            assert np.all(np.any(table != 0.0, axis=0))
 
 
 def test_off_structure_norm_vanishes_when_sz_conserved():

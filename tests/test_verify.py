@@ -61,6 +61,7 @@ def test_momentum_check_takes_anisotropic_ring_in_field():
     ({"temperatures": (-1.0,)}, "temperatures"),
     ({"frames": -1}, "frames"),
     ({"seed": True}, "seed"),
+    ({"frames": 0}, "frames"),
 ])
 def test_options_rejected_at_construction(kwargs, key):
     # from Python too, not only through the CLI: a zero J used to reach
