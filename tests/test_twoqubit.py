@@ -172,8 +172,8 @@ def test_pair_table_rows_are_eigenstate_pair_rdms(spec):
     for pair in [(1, 2), (2, 1), (1, spec.n_sites)]:
         table = _pair_table(sd, *pair)
         for k in range(sd.dim):
-            oracle = reduce_to_pair(np.outer(v[:, k], v[:, k].conj()), *pair).matrix
-            assert np.max(np.abs(table[k].reshape(4, 4) - oracle)) <= 1e-13, (pair, k)
+            expected = reduce_to_pair(np.outer(v[:, k], v[:, k].conj()), *pair).matrix
+            assert np.max(np.abs(table[k].reshape(4, 4) - expected)) <= 1e-13, (pair, k)
         if spec.conserves_sz:
             assert np.all(table[:, SZ_FORBIDDEN] == 0.0)
         else:
