@@ -11,10 +11,11 @@ cell must be bit-identical: the same 17-significant-digit text, the same
 boolean, or the same empty cell.
 
 Both trees also run `spectrum` (JSON) on SPECTRUM_MODELS: uniform rings
-with N = 8, 11, 13 and 14, and the S_z-conserving general-coupling ring.
-There the sorted energies of each S_z label must agree within
-SPECTRUM_TOL and the ground degeneracy must be identical; the row order
-among degenerate levels of different labels may differ.
+with N = 8, 11, 13 and 14, and the two general-coupling rings.  There the
+sorted energies of each S_z label must agree within SPECTRUM_TOL and the
+ground degeneracy must be identical; the row order among degenerate
+levels of different labels may differ.  The S_z-breaking ring has no
+labels, so its whole spectrum is one group.
 
 Both trees also run `threshold` (JSON) on the isotropic J = 1 rings of
 THRESHOLD_SIZES.  Status, t_c, bracket and iterations must be identical
@@ -24,6 +25,9 @@ Both trees also run `verify` on its default grid and on a small grid off
 the defaults (VERIFY_CONFIGS); the text reports and the exit codes must be
 identical.  A report that differs is shown as a unified diff, cut at
 VERIFY_DIFF_LINES lines.
+
+Every run pins OPENBLAS_NUM_THREADS to BLAS_THREADS: some verify residuals
+differ in their last digits between BLAS thread counts on one tree.
 
 Prints the first differing cells of each run and the worst numeric
 difference per column, and exits 1 on any difference.
@@ -72,6 +76,8 @@ SPECTRUM_MODELS = {
     "spectrum-n14-field": {"n_sites": 14, "j": 1.0, "delta": 0.5, "field_b": 0.3},
     # general couplings with jx = jy: values-only blocks over trivial orbits
     "spectrum-general-sz-n8": general_model(conserves_sz=True),
+    # jx != jy: the two spin-flip parity blocks, no S_z labels
+    "spectrum-general-n8": general_model(conserves_sz=False),
 }
 THRESHOLD_SIZES = [*range(2, 13), 14]
 
@@ -100,6 +106,7 @@ ROUTE_SWEEPS = {
 }
 
 VERIFY_DIFF_LINES = 20
+BLAS_THREADS = "1"
 VERIFY_CONFIGS = {
     "verify-default": {},
     "verify-small": {"n_values": [2, 5, 8], "deltas": [0.5], "fields": [0.3],
@@ -127,7 +134,7 @@ def configs() -> dict[str, dict]:
 
 
 def cli_run(src: str, command: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=BLAS_THREADS)
     return subprocess.run([sys.executable, "-m", "heisenring", command, *args],
                           env=env, capture_output=True, text=True)
 
@@ -211,6 +218,7 @@ def main() -> int:
     base_src, head_src = sys.argv[1:]
     worst: dict[str, float] = {}
     failures = 0
+    print(f"OPENBLAS_NUM_THREADS={BLAS_THREADS}")
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in configs().items():
             path = Path(tmp) / f"{name}.json"

@@ -41,7 +41,6 @@ from .spectral import (
     SpectralDecomposition,
     decompose,
     diagonalize_full,
-    diagonalize_sectored,
 )
 from .sweep import COLUMNS, run_sweep, temperature_grid
 from .thermo import (

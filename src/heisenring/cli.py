@@ -22,7 +22,7 @@ import numpy as np
 
 from . import threshold as threshold_mod
 from .model import ModelSpec
-from .spectral import check_dense_cap, decompose
+from .spectral import decompose
 from .sweep import COLUMNS, run_sweep, temperature_grid
 from .verify import VerifyOptions, render_report, run_verification
 
@@ -72,7 +72,6 @@ def parse_model(obj: dict) -> ModelSpec:
                                      np.asarray(obj["jy"], dtype=float),
                                      np.asarray(obj["jz"], dtype=float),
                                      field_b=_number(obj, "field_b", "model", 0.0))
-            check_dense_cap(spec)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"model: {exc}") from exc
         if "n_sites" in obj and obj["n_sites"] != spec.n_sites:

@@ -34,6 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_SITES = 14
+# specs whose x and y couplings differ keep their eigenvectors in two
+# spin-flip parity blocks of 2^(N-1) states each, not in S_z sectors
+SZ_BREAKING_MAX_SITES = 12
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -87,7 +90,8 @@ class ModelSpec:
     Attributes
     ----------
     n_sites : int
-        Number of spins N, 2 <= N <= MAX_SITES (a memory guard).
+        Number of spins N, 2 <= N <= MAX_SITES, and N <= SZ_BREAKING_MAX_SITES
+        when the x and y couplings differ (memory guards).
     coupling : UniformCoupling or GeneralCoupling
         Uniform (J, delta) ring bonds or arbitrary pair couplings.
     field_b : float
@@ -123,6 +127,11 @@ class ModelSpec:
                 arr = arr.copy()
                 arr.flags.writeable = False
                 object.__setattr__(self.coupling, name, arr)
+            if not self.conserves_sz and n > SZ_BREAKING_MAX_SITES:
+                raise ValueError(
+                    f"n_sites={n} breaks S_z (x and y couplings differ), which "
+                    f"is capped at n_sites={SZ_BREAKING_MAX_SITES}"
+                )
 
     @classmethod
     def uniform(cls, n_sites: int, j: float, delta: float = 1.0,
@@ -206,9 +215,9 @@ def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
     General mode runs the ordered double sum over site pairs, one
     sigma_a x sigma_a per nonzero coupling.  Each term is scatter-added
     into h at the entries site_indices gives, so no identity kron and no
-    per-term 2**n x 2**n temporary is formed.  Memory is O(4**n); for
-    n >= 13 prefer the sector-blocked eigensolver which never forms this
-    matrix.
+    per-term 2**n x 2**n temporary is formed.  Memory is O(4**n).  This
+    matrix is the dense oracle of verify and the tests; the production
+    eigensolver, spectral.decompose, never forms it.
     """
     n = spec.n_sites
     h = np.zeros((spec.dim, spec.dim))

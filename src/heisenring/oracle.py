@@ -45,8 +45,8 @@ def gibbs_state(sd: SpectralDecomposition, temperature: float) -> np.ndarray:
     """Thermal density matrix exp(-H/T)/Z; at T = 0 the uniform ground-multiplet mixture.
 
     rho takes the dtype of the eigenvectors: it is real for real blocks (the
-    S_z sector blocks, and diagonalize_full of build_hamiltonian, which is
-    real), so the dense checks on it run in real arithmetic, and complex
+    S_z sector and parity blocks, and diagonalize_full of build_hamiltonian,
+    which is real), so the dense checks on it run in real arithmetic, and complex
     for complex blocks.
     """
     if sd.eigvec_blocks is None:

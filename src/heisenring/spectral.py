@@ -1,30 +1,36 @@
-"""Hermitian eigendecomposition, full or blocked by total-S_z sectors.
+"""Hermitian eigendecomposition in symmetry blocks built from bit rules.
 
-The sector path groups computational basis states by their number of down
-spins k (Hamming weight of the basis index), diagonalizes each C(N, k)
+Every Hamiltonian the model can express conserves the spin-flip parity
+prod_i sigma^z_i: its x-x and y-y terms flip two spins at a time and the
+field lies along z.  When the x and y couplings are equal it conserves
+total S_z as well.  decompose groups the computational basis states by
+their number of down spins k (Hamming weight of the basis index) when S_z
+is conserved, and by the parity of k when it is not, diagonalizes each
 block independently and merges the eigenvalues.  It never forms the full
 2^N x 2^N matrix, and it keeps the eigenvectors as the blocks themselves:
 321 MB at N = 14, where one dense real eigenvector matrix would take
-2.1 GB.  Specs whose x and y couplings differ break S_z and go through the
-dense path, capped at N = 12; its eigenvectors form a single block over
-all 2^N states.
+2.1 GB.  S_z-breaking specs are capped at N = 12 (model.ModelSpec), where
+each parity block is 2048 wide.
 
-One builder, _blocks, writes every S_z-conserving block from the bit
-rules of _pair_terms.  It splits a sector by lattice momentum (Sandvik,
-AIP Conf. Proc. 1297, 135 (2010)): one block per crystal momentum
-2*pi*m/N over the orbit representatives it is given.  Values-only
-decompositions of uniform rings give it the translation orbits; at N = 14
-the largest block is then 246 wide instead of 3432.  Two pairings cut the
-work further.  H is real, so momenta m and -m share a spectrum and only
-0 <= m <= N/2 is diagonalised.  The global spin flip maps sector k onto
-sector N - k and reverses the field, so only the sectors with 2k <= N are
-diagonalised, at zero field, and each field shift is added afterwards.
-At N = 14 that is 57 eigensolves instead of 184.  Every other
-decomposition gives _blocks trivial orbits, where every state is its own
-representative, and gets the plain sector block, field included.
+One builder, _blocks, writes every block from the bit rules of
+_pair_terms.  It splits a block by lattice momentum (Sandvik, AIP Conf.
+Proc. 1297, 135 (2010)): one block per crystal momentum 2*pi*m/N over the
+orbit representatives it is given.  Values-only decompositions of uniform
+rings give it the translation orbits; at N = 14 the largest block is then
+246 wide instead of 3432.  Two pairings cut the work further.  H is real,
+so momenta m and -m share a spectrum and only 0 <= m <= N/2 is
+diagonalised.  The global spin flip maps sector k onto sector N - k and
+reverses the field, so only the sectors with 2k <= N are diagonalised, at
+zero field, and each field shift is added afterwards.  At N = 14 that is
+57 eigensolves instead of 184.  Every other decomposition gives _blocks
+trivial orbits, where every state is its own representative, and gets the
+plain sector or parity block, field included.
 
-The residual check of a decomposition against the dense Hamiltonian,
-eigen_residuals, is a reference route and lives in heisenring.oracle.
+diagonalize_full diagonalizes a dense matrix.  It is the oracle that
+verify, the tests and the demos hold the blocks against, and no
+production path calls it.  The residual check of a decomposition against
+the dense Hamiltonian, eigen_residuals, is a reference route and lives in
+heisenring.oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelSpec, build_hamiltonian, hermiticity_defect, translation
+from .model import ModelSpec, hermiticity_defect, translation
 
 FULL_PATH_MAX_SITES = 12
 DEGENERACY_RTOL = 1e-9
@@ -58,11 +64,12 @@ class SpectralDecomposition:
     """Eigenvalues (ascending) and eigenvectors of one Hamiltonian.
 
     eigvec_blocks holds the eigenvectors as EigenBlocks with disjoint
-    supports (one per S_z sector, or one over all states on the dense path),
-    or None when the decomposition was computed values-only.  sector_labels
-    holds the total-S_z quantum number of each eigenvalue for S_z-conserving
-    models, else None.  pair_tables caches the per-eigenstate pair elements
-    built by twoqubit.pair_rdm_thermal, keyed by site pair.
+    supports (one per S_z sector or parity sector from decompose, one over
+    all states from diagonalize_full), or None when the decomposition was
+    computed values-only.  sector_labels holds the total-S_z quantum number
+    of each eigenvalue for S_z-conserving models, else None.  pair_tables
+    caches the per-eigenstate pair elements built by
+    twoqubit.pair_rdm_thermal, keyed by site pair.
     """
 
     eigenvalues: np.ndarray
@@ -96,7 +103,7 @@ def diagonalize_full(h: np.ndarray, vectors: bool = True) -> SpectralDecompositi
     if h.shape[0] > (1 << FULL_PATH_MAX_SITES):
         raise ValueError(
             f"dense full-path limit is dim {1 << FULL_PATH_MAX_SITES}; "
-            "use diagonalize_sectored for larger rings"
+            "use decompose for larger rings"
         )
     if hermiticity_defect(h) > 1e-10:
         raise ValueError("matrix is not Hermitian within tolerance")
@@ -150,64 +157,83 @@ def trivial_orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return states, np.zeros_like(states), np.ones_like(states)
 
 
-def _pair_terms(spec: ModelSpec) -> list[tuple[int, int, float, float]]:
-    """(bit_i, bit_k, hop, zz) for every coupled site pair of an S_z-conserving spec.
+def parity_basis(n: int) -> list[np.ndarray]:
+    """Basis indices with an even, then an odd, down-spin count, each ascending."""
+    states = np.arange(1 << n, dtype=np.int64)
+    odd = np.bitwise_count(states) & 1
+    return [states[odd == 0], states[odd == 1]]
 
-    The pair's x and y terms swap antiparallel spins on the two bits with
-    amplitude hop; its z-z term adds zz to the diagonal when they are
-    parallel and -zz when not.  Ring bonds, as the periodic sum visits them
-    (twice at N = 2), give (2J, J delta); general pairs i < k give
-    (4 jx, 2 jz), since the ordered double sum counts every pair twice.
+
+def _pair_terms(spec: ModelSpec) -> list[tuple[int, int, float, float, float]]:
+    """(bit_i, bit_k, hop, flip, zz) for every coupled site pair of a spec.
+
+    With couplings jx, jy and jz on a pair, its x and y terms swap
+    antiparallel spins on the two bits with amplitude hop = jx + jy and flip
+    parallel spins with amplitude flip = jx - jy; its z-z term adds zz = jz
+    to the diagonal when they are parallel and -zz when not.  Ring bonds, as
+    the periodic sum visits them (twice at N = 2), give (2J, 0, J delta);
+    general pairs i < k give (2(jx + jy), 2(jx - jy), 2 jz), since the
+    ordered double sum counts every pair twice.  A spec with jx = jy has
+    flip = 0 on every pair, which is what conserves S_z.
     """
     n = spec.n_sites
     if spec.is_uniform:
         j, delta = spec.coupling.j, spec.coupling.delta
-        return [(n - i, n - kk, 2.0 * j, j * delta) for i, kk in spec.bonds()]
-    jx, jz = spec.coupling.jx, spec.coupling.jz
-    return [(n - i, n - kk, 4.0 * jx[i - 1, kk - 1], 2.0 * jz[i - 1, kk - 1])
-            for i in range(1, n + 1) for kk in range(i + 1, n + 1)
-            if jx[i - 1, kk - 1] != 0.0 or jz[i - 1, kk - 1] != 0.0]
+        return [(n - i, n - kk, 2.0 * j, 0.0, j * delta) for i, kk in spec.bonds()]
+    jx, jy, jz = spec.coupling.jx, spec.coupling.jy, spec.coupling.jz
+    terms = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            if jx[a, b] != 0.0 or jy[a, b] != 0.0 or jz[a, b] != 0.0:
+                terms.append((n - 1 - a, n - 1 - b, 2.0 * (jx[a, b] + jy[a, b]),
+                              2.0 * (jx[a, b] - jy[a, b]), 2.0 * jz[a, b]))
+    return terms
 
 
-def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field: float):
+def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float):
     """The block of H on `states`, built from bit rules and split by momentum.
 
-    `orbits` is (rep, shift, period) as from orbit_tables, and `field` the
-    diagonal field term of the sector.  Yields (multiplicity, block) with
-    one Hermitian block per lattice momentum 2*pi*m/N, 0 <= m <= N/2, that
-    has states (Sandvik, arXiv:1101.3281, section 4.1).  Its basis is the
-    momentum states of the orbit representatives a with m * R_a = 0
-    (mod N), R_a the period.  A hop from a reaches the state b' with
-    representative b = T^l b' and has element hop * exp(-2*pi*i*m*l/N)
-    * sqrt(R_a / R_b); the diagonal holds the field and the z-z terms.  H
-    is real, so the block at -m is the complex conjugate of the block at m
-    and has the same eigenvalues: each block with 0 < m < N - m stands for
-    both and has multiplicity 2.  Blocks at m = 0 and 2m = N are real and
-    count once.
+    `states` is closed under H: an S_z sector, or a parity sector of an
+    S_z-breaking spec.  `orbits` is (rep, shift, period) as from
+    orbit_tables, and field_b the field B, or 0.0 to leave the field out:
+    a state with k down spins gets B(N - 2k) on the diagonal.  Yields
+    (multiplicity, block) with one Hermitian block per lattice momentum
+    2*pi*m/N, 0 <= m <= N/2, that has states (Sandvik, arXiv:1101.3281,
+    section 4.1).  Its basis is the momentum states of the orbit
+    representatives a with m * R_a = 0 (mod N), R_a the period.  A hop or
+    pair flip from a reaches the state b' with representative b = T^l b'
+    and has element amplitude * exp(-2*pi*i*m*l/N) * sqrt(R_a / R_b); the
+    diagonal holds the field and the z-z terms.  H is real, so the block at
+    -m is the complex conjugate of the block at m and has the same
+    eigenvalues: each block with 0 < m < N - m stands for both and has
+    multiplicity 2.  Blocks at m = 0 and 2m = N are real and count once.
 
     With trivial_orbits every state is a representative of period 1 and
     shift 0, so only m = 0 has states and its one real block is the plain
-    S_z sector block in the computational basis.
+    block of H on `states` in the computational basis.
     """
     rep, shift, period = orbits
     n = spec.n_sites
     reps = states[rep[states] == states]
     r_a = period[reps]
     # + 0.0: a -0.0 field must not leave -0.0 on the diagonal
-    diag = np.full(reps.size, field + 0.0)
+    diag = field_b * (n - 2 * np.bitwise_count(reps).astype(np.int64)) + 0.0
     # seeded, so a spec without hops (J = 0, no couplings) still concatenates
     empty = np.zeros(0, dtype=np.int64)
     rows, cols, ls, amps = [empty], [empty], [empty], [empty]
-    for bi, bk, hop, zz in _pair_terms(spec):
+    for bi, bk, hop, flip, zz in _pair_terms(spec):
         diag += zz * (1 - 2 * ((reps >> bi) & 1)) * (1 - 2 * ((reps >> bk) & 1))
-        if hop == 0.0:
-            continue
-        anti = np.nonzero(((reps >> bi) ^ (reps >> bk)) & 1)[0]
-        flipped = reps[anti] ^ ((1 << bi) | (1 << bk))
-        rows.append(np.searchsorted(reps, rep[flipped]))
-        cols.append(anti)
-        ls.append(shift[flipped])
-        amps.append(hop * np.sqrt(r_a[anti] / period[flipped]))
+        anti = ((reps >> bi) ^ (reps >> bk)) & 1
+        # hops move antiparallel spins (anti = 1), pair flips parallel ones
+        for amp, moving in ((hop, 1), (flip, 0)):
+            if amp == 0.0:
+                continue
+            movers = np.nonzero(anti == moving)[0]
+            flipped = reps[movers] ^ ((1 << bi) | (1 << bk))
+            rows.append(np.searchsorted(reps, rep[flipped]))
+            cols.append(movers)
+            ls.append(shift[flipped])
+            amps.append(amp * np.sqrt(r_a[movers] / period[flipped]))
     rows, cols, ls, amps = map(np.concatenate, (rows, cols, ls, amps))
 
     for m in range(n // 2 + 1):
@@ -228,30 +254,34 @@ def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field: float):
         del block  # the caller's reference is the last one
 
 
-def diagonalize_sectored(spec: ModelSpec, vectors: bool = True) -> SpectralDecomposition:
-    """Sector-blocked eigendecomposition of an S_z-conserving spec.
+def decompose(spec: ModelSpec, vectors: bool = True) -> SpectralDecomposition:
+    """Eigendecomposition of the spec's Hamiltonian, one symmetry block at a time.
 
     Every block comes from _blocks, built from bit rules, never from a
-    dense Hamiltonian.  With vectors=False only eigenvalues and sector
-    labels are computed.  A uniform ring then diagonalises only the sectors
-    with 2k <= N, at zero field, split into the momentum blocks
-    0 <= m <= N/2 of orbit_tables.  The global spin flip maps sector k onto
-    sector N - k and reverses the field, so sector k gets those values
-    shifted by +B(N - 2k) and sector N - k the same values shifted by
-    -B(N - 2k).  Every other decomposition takes trivial_orbits, one plain
-    block per sector with the field on its diagonal.
+    dense Hamiltonian.  An S_z-conserving spec gets one block per S_z sector
+    and its sector labels.  Any other spec still conserves the spin-flip
+    parity prod_i sigma^z_i, since its x-x and y-y terms flip two spins at
+    a time, so it gets the two blocks of parity_basis and no labels.  With
+    vectors=False only eigenvalues (and labels) are computed.  A uniform
+    ring then diagonalises only the sectors with 2k <= N, at zero field,
+    split into the momentum blocks 0 <= m <= N/2 of orbit_tables.  The
+    global spin flip maps sector k onto sector N - k and reverses the field,
+    so sector k gets those values shifted by +B(N - 2k) and sector N - k the
+    same values shifted by -B(N - 2k).  Every other decomposition takes
+    trivial_orbits, one plain block per sector with the field on its
+    diagonal.
     """
-    if not spec.conserves_sz:
-        raise ValueError("spec does not conserve S_z (x and y couplings differ)")
     n = spec.n_sites
     paired = spec.is_uniform and not vectors
     orbits = orbit_tables(n) if paired else trivial_orbits(n)
-    sectors = sector_basis(n)[:n // 2 + 1] if paired else sector_basis(n)
-    all_evals, all_labels, vec_blocks = [], [], []
+    if not spec.conserves_sz:
+        sectors = parity_basis(n)
+    else:
+        sectors = sector_basis(n)[:n // 2 + 1] if paired else sector_basis(n)
+    all_evals, all_keys, vec_blocks = [], [], []
     for k, states in enumerate(sectors):
-        field_k = spec.field_b * (n - 2 * k)
         parts = []
-        for mult, block in _blocks(spec, states, orbits, 0.0 if paired else field_k):
+        for mult, block in _blocks(spec, states, orbits, 0.0 if paired else spec.field_b):
             if vectors:
                 evals, bvecs = np.linalg.eigh(block)
                 vec_blocks.append((states, bvecs))
@@ -260,15 +290,18 @@ def diagonalize_sectored(spec: ModelSpec, vectors: bool = True) -> SpectralDecom
             parts.append(np.tile(evals, mult))
             del block  # one block alive at a time: free it before the next is built
         evals = np.concatenate(parts)
+        # the sort key among equal levels: the S_z label, or the parity
+        key = (n - 2 * k) / 2.0 if spec.conserves_sz else float(k)
+        field_k = spec.field_b * (n - 2 * k)
         for sign in (1, -1) if paired and 2 * k < n else (1,):
             all_evals.append(evals + sign * field_k if paired else evals)
-            all_labels.append(np.full(evals.size, sign * (n - 2 * k) / 2.0))
+            all_keys.append(np.full(evals.size, sign * key))
 
     evals = np.concatenate(all_evals)
-    labels = np.concatenate(all_labels)
-    order = np.lexsort((labels, evals))
+    keys = np.concatenate(all_keys)
+    order = np.lexsort((keys, evals))
     evals = evals[order]
-    labels = labels[order]
+    keys = keys[order]
 
     blocks = None
     if vectors:
@@ -283,28 +316,8 @@ def diagonalize_sectored(spec: ModelSpec, vectors: bool = True) -> SpectralDecom
         eigvec_blocks=blocks,
         ground_energy=float(evals[0]),
         ground_degeneracy=ground_degeneracy_count(evals),
-        sector_labels=labels,
+        sector_labels=keys if spec.conserves_sz else None,
     )
-
-
-def check_dense_cap(spec: ModelSpec) -> None:
-    """Refuse, before anything is allocated, a spec too large for the dense path."""
-    if not spec.conserves_sz and spec.n_sites > FULL_PATH_MAX_SITES:
-        raise ValueError(
-            f"n_sites={spec.n_sites} breaks S_z (x and y couplings differ), which "
-            f"needs the dense path, capped at n_sites={FULL_PATH_MAX_SITES}"
-        )
-
-
-def decompose(spec: ModelSpec, vectors: bool = True) -> SpectralDecomposition:
-    """Sector path when S_z is conserved, else the dense path.
-
-    With vectors=False either path computes eigenvalues only.
-    """
-    if spec.conserves_sz:
-        return diagonalize_sectored(spec, vectors)
-    check_dense_cap(spec)
-    return diagonalize_full(build_hamiltonian(spec), vectors)
 
 
 def expected_sector_sizes(n: int) -> list[int]:

@@ -12,7 +12,9 @@ z sits at (row |10>, column |01>), which makes it equal to
 <sigma_i^+ sigma_j^-> with sigma^+- = (sigma_x +- i sigma_y)/2.
 off_structure_norm is the largest modulus among the entries this pattern
 forces to zero (all eight off-diagonals outside the inner anti-diagonal
-plus the two corners).
+plus the two corners).  An S_z-breaking spec still conserves the
+spin-flip parity, so its pair matrices keep the eight entries off the X
+pattern at zero and fill the corners as well.
 
 The thermal pair RDM is the Boltzmann average of a per-eigenstate pair
 table built from the eigenvector blocks; no 2^N x 2^N matrix is formed.
@@ -114,8 +116,10 @@ def _pair_table(sd: SpectralDecomposition, i: int, j: int) -> np.ndarray:
 
     Element (a, b) pairs each basis state whose (i, j) bits read a with the
     state that has the same other bits and reads b; only pairs inside one
-    block contribute.  An S_z block thus fills u+, w1, w2, u-, z and z*,
-    and the single dense block fills all 16.  The partner of a state for
+    block contribute.  An S_z block thus fills u+, w1, w2, u-, z and z*;
+    a parity block of an S_z-breaking spec also fills the corners
+    (00, 11) and (11, 00), the other X-pattern entries, and leaves the
+    eight entries off that pattern at exactly 0.  The partner of a state for
     column b does not depend on a, so each block runs one search per b and
     then picks, for each a, the found rows whose bits read a.
     """

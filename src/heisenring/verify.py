@@ -17,6 +17,10 @@ import numpy as np
 from . import bell, entanglement, model, oracle, spectral, thermo, threshold, twoqubit
 
 TSIRELSON = bell.TSIRELSON
+# peak bytes per frame of bell.random_frames (the normal draw, its squares
+# and norms, and the normalised copy), and the most the frames may take
+FRAME_BYTES = 264
+FRAMES_BUDGET_BYTES = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,11 @@ class VerifyOptions:
         # bell_frames_bound takes the best of the frames, so it needs one
         if self.frames < 1:
             raise ValueError(f"'frames' must be >= 1, got {self.frames}")
+        if self.frames * FRAME_BYTES > FRAMES_BUDGET_BYTES:
+            raise ValueError(
+                f"'frames'={self.frames} needs about {self.frames * FRAME_BYTES >> 20} MiB, "
+                f"over the {FRAMES_BUDGET_BYTES >> 20} MiB budget; at most "
+                f"{FRAMES_BUDGET_BYTES // FRAME_BYTES} frames")
 
 
 class _Collector:
@@ -143,7 +152,7 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
                    float(np.max(np.abs(sd.eigenvalues - full.eigenvalues))), 1e-9, tag)
         if (delta, b, j) == momentum_case:
             col.record("momentum_vs_sector_spectrum", _label_spectrum_gap(
-                spectral.diagonalize_sectored(spec, vectors=False), sd), 1e-9, tag)
+                spectral.decompose(spec, vectors=False), sd), 1e-9, tag)
         resid, ortho = oracle.eigen_residuals(h, sd)
         col.record("eigen_residual", resid, 1e-9, tag)
         col.record("orthonormality", ortho, 1e-9, tag)
@@ -324,8 +333,9 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         else:
             col.require("ground_state_entangled", c0 > 1e-3, f"N={n} C={c0:.4g}")
 
-    # seeded random CHSH frames never beat the Horodecki measure
-    frames = bell.random_frames(opts.frames, opts.seed)
+    # seeded random CHSH frames never beat the Horodecki measure; no
+    # sampled state, no frames drawn
+    frames = bell.random_frames(opts.frames, opts.seed) if sampled_tensors else None
     for tag, g in sampled_tensors:
         best = float(np.max(np.abs(bell.frame_expectations(g, frames))))
         measure = bell.violation_measure(g).measure

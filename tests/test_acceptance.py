@@ -14,8 +14,8 @@ from heisenring import (
     concurrence_xxx_energy,
     correlations_from_rdm,
     check_derivatives,
+    decompose,
     diagonalize_full,
-    diagonalize_sectored,
     build_hamiltonian,
     find_threshold,
     pair_rdm_thermal,
@@ -230,7 +230,7 @@ def test_criterion_11_sector_equivalence_and_scale():
                                  0.3 if n % 3 == 0 else 0.0)
         h = build_hamiltonian(spec)
         full = diagonalize_full(h)
-        sect = diagonalize_sectored(spec)
+        sect = decompose(spec)
         worst = max(worst, float(np.max(np.abs(full.eigenvalues - sect.eigenvalues))))
     assert worst <= 1e-9
 
@@ -238,10 +238,10 @@ def test_criterion_11_sector_equivalence_and_scale():
     # written with general couplings takes the S_z-sector eigvalsh
     start = time.perf_counter()
     spec14 = ModelSpec.uniform(14, 1.0)
-    sd14 = diagonalize_sectored(spec14, vectors=False)
+    sd14 = decompose(spec14, vectors=False)
     elapsed = time.perf_counter() - start
-    ref14 = diagonalize_sectored(ModelSpec.general(*ring_coupling_matrices(spec14)),
-                                 vectors=False)
+    ref14 = decompose(ModelSpec.general(*ring_coupling_matrices(spec14)),
+                      vectors=False)
     assert elapsed < 60.0
     assert sd14.dim == 1 << 14
     # ground energy must sit in the zero-magnetization sector

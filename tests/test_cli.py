@@ -1,9 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import heisenring
 from heisenring.cli import main
 from heisenring.model import ModelSpec, hermiticity_defect, ring_coupling_matrices
 from helpers import c_two_site, u_three_site
@@ -332,11 +334,11 @@ def test_sweep_beyond_dense_cap_on_sector_blocks(tmp_path):
 
 
 def test_general_spec_beyond_dense_cap_exits_two(tmp_path, capsys, monkeypatch):
-    # jx != jy breaks S_z, so N = 13 would need the dense path: refused
-    # as a config error before any Hamiltonian is built
+    # jx != jy breaks S_z, which is capped at N = 12: N = 13 is refused as
+    # a config error before any Hamiltonian is built
     def never(spec):
         raise AssertionError("build_hamiltonian ran")
-    monkeypatch.setattr("heisenring.spectral.build_hamiltonian", never)
+    monkeypatch.setattr("heisenring.model.build_hamiltonian", never)
     ring = np.zeros((13, 13))
     for i in range(13):
         ring[i, (i + 1) % 13] = ring[(i + 1) % 13, i] = 0.5
@@ -349,7 +351,38 @@ def test_general_spec_beyond_dense_cap_exits_two(tmp_path, capsys, monkeypatch):
     }
     for command, doc in configs.items():
         assert main([command, "--config", write_config(tmp_path, doc)]) == 2
-        assert "dense path" in capsys.readouterr().err
+        assert "breaks S_z" in capsys.readouterr().err
+
+
+def test_sz_breaking_spec_runs_without_dense_hamiltonian(tmp_path, monkeypatch):
+    # the parity blocks come from bit rules: neither the sweep nor the
+    # spectrum of an S_z-breaking spec builds or diagonalizes the dense H,
+    # under whichever module name a caller imported those functions
+    originals = {"build_hamiltonian": heisenring.model.build_hamiltonian,
+                 "diagonalize_full": heisenring.spectral.diagonalize_full}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense oracle ran")
+
+    for name, module in list(sys.modules.items()):
+        if name == "heisenring" or name.startswith("heisenring."):
+            for attr, original in originals.items():
+                if getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, refuse)
+    jx, jy, jz = ring_coupling_matrices(ModelSpec.uniform(6, 1.0, 0.8))
+    spec = ModelSpec.general(jx, 0.5 * jy, jz, field_b=0.3)
+    assert not spec.conserves_sz
+    columns = heisenring.run_sweep(spec, np.array([0.5, 2.0]), (1, 4))
+    assert len(columns["C_wootters"]) == 2
+    assert max(columns["max_route_disagreement"]) <= 1e-9
+    model_doc = {"jx": jx.tolist(), "jy": (0.5 * jy).tolist(), "jz": jz.tolist(),
+                 "field_b": 0.3}
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--config", write_config(tmp_path, {"model": model_doc}),
+                 "--out", str(out)]) == 0
+    _, rows = parse_csv(out.read_text())
+    assert len(rows) == 64
+    assert all(row["s_z"] == "" for row in rows)
 
 
 def _reject_constant(name):
@@ -439,6 +472,18 @@ def test_boolean_verify_integers_rejected(tmp_path, capsys, doc, key):
     # JSON true is an int to isinstance; it must not run as 1
     assert main(["verify", "--config", write_config(tmp_path, doc)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_frames_over_budget_exit_two(tmp_path, capsys, monkeypatch):
+    # refused at parse time; were it not, the patched draw fails the test
+    # instead of asking for about 26 GB
+    def refuse(count, seed):
+        raise AssertionError("frames drawn")
+
+    monkeypatch.setattr("heisenring.bell.random_frames", refuse)
+    cfg = write_config(tmp_path, {"n_values": [2], "frames": 10**8})
+    assert main(["verify", "--config", cfg]) == 2
+    assert "MiB budget" in capsys.readouterr().err
 
 
 def test_zero_frames_rejected(tmp_path, capsys):

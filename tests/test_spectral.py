@@ -6,19 +6,25 @@ from heisenring import (
     build_hamiltonian,
     decompose,
     diagonalize_full,
-    diagonalize_sectored,
 )
 from heisenring.spectral import (
     _blocks,
     expected_sector_sizes,
     orbit_tables,
+    parity_basis,
     sector_basis,
     trivial_orbits,
 )
 from heisenring.model import ring_coupling_matrices
-from heisenring.oracle import eigen_residuals
+from heisenring.oracle import eigen_residuals, gibbs_state, reduce_to_pair
 from heisenring.thermo import thermo_point
-from helpers import cached_decompose, check_spectral_moments, second_moment
+from heisenring.twoqubit import pair_rdm_thermal
+from helpers import (
+    cached_decompose,
+    check_spectral_moments,
+    random_general_spec,
+    second_moment,
+)
 
 
 def test_plain_diagonal():
@@ -46,7 +52,7 @@ def test_two_site_sector_blocks():
     basis = sector_basis(2)
     assert [b.size for b in basis] == [1, 2, 1]
     spec = ModelSpec.uniform(2, 1.0)
-    sd = diagonalize_sectored(spec)
+    sd = decompose(spec)
     assert np.allclose(sd.eigenvalues, [-6.0, 2.0, 2.0, 2.0], atol=1e-12)
     assert sd.sector_labels is not None
 
@@ -57,12 +63,17 @@ def test_nonhermitian_rejected():
         diagonalize_full(bad)
 
 
-def test_sectored_rejects_sz_breaking_h():
+def test_sz_breaking_spec_gets_parity_blocks():
+    # jx != jy breaks S_z but keeps the spin-flip parity: one block over
+    # the states with an even down-spin count, one over the odd, no labels
     m = np.zeros((2, 2))
     m[0, 1] = m[1, 0] = 1.0
-    spec = ModelSpec.general(m, 2 * m, m)  # jx != jy breaks S_z
-    with pytest.raises(ValueError, match="S_z"):
-        diagonalize_sectored(spec)
+    spec = ModelSpec.general(m, 2 * m, m, field_b=0.3)
+    sd = decompose(spec)
+    assert sd.sector_labels is None
+    assert [blk.states.tolist() for blk in sd.eigvec_blocks] == [[0, 3], [1, 2]]
+    full = diagonalize_full(build_hamiltonian(spec))
+    assert np.max(np.abs(sd.eigenvalues - full.eigenvalues)) <= 1e-12
 
 
 @pytest.mark.parametrize("n,j,delta,b", [
@@ -77,7 +88,7 @@ def test_sector_matches_full(n, j, delta, b):
     spec = ModelSpec.uniform(n, j, delta, b)
     h = build_hamiltonian(spec)
     full = diagonalize_full(h)
-    for sd in (diagonalize_sectored(spec), full):
+    for sd in (decompose(spec), full):
         assert np.max(np.abs(sd.eigenvalues - full.eigenvalues)) <= 1e-9
         resid, ortho = eigen_residuals(h, sd)
         assert resid <= 1e-9
@@ -88,7 +99,7 @@ def test_sector_matches_full(n, j, delta, b):
 
 def test_sector_labels_match_hamming():
     spec = ModelSpec.uniform(4, 1.0, 0.5, 0.3)
-    sd = diagonalize_sectored(spec)
+    sd = decompose(spec)
     # each block lives inside one sector and its columns carry that label;
     # together the columns cover the sorted spectrum exactly once
     covered = np.concatenate([cols for _, _, cols in sd.eigvec_blocks])
@@ -102,8 +113,8 @@ def test_sector_labels_match_hamming():
 
 def test_deterministic_repeat():
     spec = ModelSpec.uniform(5, 1.0, 0.5, 0.2)
-    a = diagonalize_sectored(spec)
-    b = diagonalize_sectored(spec)
+    a = decompose(spec)
+    b = decompose(spec)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     for blk_a, blk_b in zip(a.eigvec_blocks, b.eigvec_blocks, strict=True):
         assert all(np.array_equal(x, y) for x, y in zip(blk_a, blk_b))
@@ -126,8 +137,8 @@ def test_degenerate_ground_space():
 
 def test_delta_arithmetic_detour_same_spectrum():
     # delta arriving via arithmetic equal to 1.0 changes nothing
-    a = diagonalize_sectored(ModelSpec.uniform(4, 1.0, 1.0))
-    b = diagonalize_sectored(ModelSpec.uniform(4, 1.0, 0.5 * 2.0 * 1.0))
+    a = decompose(ModelSpec.uniform(4, 1.0, 1.0))
+    b = decompose(ModelSpec.uniform(4, 1.0, 0.5 * 2.0 * 1.0))
     assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= 1e-9
 
 
@@ -207,8 +218,8 @@ def test_trivial_orbit_block_is_sector_block(spec):
     n = spec.n_sites
     h = build_hamiltonian(spec)
     assert np.max(np.abs(h.imag)) == 0.0
-    for k, states in enumerate(sector_basis(n)):
-        blocks = list(_blocks(spec, states, trivial_orbits(n), spec.field_b * (n - 2 * k)))
+    for states in sector_basis(n):
+        blocks = list(_blocks(spec, states, trivial_orbits(n), spec.field_b))
         assert len(blocks) == 1
         mult, block = blocks[0]
         assert mult == 1 and block.dtype == np.float64
@@ -219,7 +230,7 @@ def test_trivial_orbit_block_is_sector_block(spec):
 def test_conjugate_momenta_bit_equal(delta, b, degeneracy):
     # N = 13: the ground level sits at a conjugate pair of momenta (and, at
     # B = 0, in both S_z = +-1/2 sectors); one solve serves the whole level
-    sd = diagonalize_sectored(ModelSpec.uniform(13, 1.0, delta, b), vectors=False)
+    sd = decompose(ModelSpec.uniform(13, 1.0, delta, b), vectors=False)
     assert sd.ground_degeneracy == degeneracy
     assert np.all(sd.eigenvalues[:degeneracy] == sd.eigenvalues[0])
 
@@ -231,7 +242,7 @@ def test_conjugate_momenta_bit_equal(delta, b, degeneracy):
     (11, 0.7, 0.0, 1.1),
 ])
 def test_flipped_sectors_shift_by_field(n, j, delta, b):
-    sd = diagonalize_sectored(ModelSpec.uniform(n, j, delta, b), vectors=False)
+    sd = decompose(ModelSpec.uniform(n, j, delta, b), vectors=False)
     for s in np.unique(sd.sector_labels[sd.sector_labels > 0]):
         up = np.sort(sd.eigenvalues[sd.sector_labels == s])
         down = np.sort(sd.eigenvalues[sd.sector_labels == -s])
@@ -253,13 +264,13 @@ def test_second_moment_closed_form(n):
     (14, 1.0, 0.5, 0.3),
 ])
 def test_paired_spectrum_moments(n, j, delta, b):
-    sd = diagonalize_sectored(ModelSpec.uniform(n, j, delta, b), vectors=False)
+    sd = decompose(ModelSpec.uniform(n, j, delta, b), vectors=False)
     check_spectral_moments(sd, n, j, delta, b)
 
 
 def test_values_only_uniform_matches_full():
     spec = ModelSpec.uniform(7, -0.8, 1.7, 0.25)
-    sd = diagonalize_sectored(spec, vectors=False)
+    sd = decompose(spec, vectors=False)
     full = diagonalize_full(build_hamiltonian(spec))
     assert sd.eigvec_blocks is None
     assert np.max(np.abs(sd.eigenvalues - full.eigenvalues)) <= 1e-10
@@ -267,7 +278,7 @@ def test_values_only_uniform_matches_full():
 
 
 def test_values_only_dense_path():
-    # jx != jy breaks S_z: the dense path honours vectors=False
+    # jx != jy breaks S_z: the parity blocks honour vectors=False
     jx, jy, jz = ring_coupling_matrices(ModelSpec.uniform(6, 1.0, 0.8))
     spec = ModelSpec.general(jx, 0.5 * jy, jz, field_b=0.3)
     values = decompose(spec, vectors=False)
@@ -277,3 +288,41 @@ def test_values_only_dense_path():
     assert values.ground_degeneracy == full.ground_degeneracy
     with pytest.raises(ValueError, match="magnetization needs sector labels or eigenvectors"):
         thermo_point(values, spec, 1.0)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_cross_parity_elements_vanish(n):
+    # x-x and y-y terms flip two spins and the field lies along z, so H
+    # never connects an even down-spin count to an odd one
+    h = build_hamiltonian(random_general_spec(n, seed=n, field_b=0.4))
+    even, odd = parity_basis(n)
+    assert np.all(h[np.ix_(even, odd)] == 0.0)
+    assert np.any(h[np.ix_(even, even)] != 0.0) and np.any(h[np.ix_(odd, odd)] != 0.0)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_trivial_orbit_block_is_parity_block(n):
+    # pair flips join the hops: each parity block is the dense H restricted
+    # to its states, field included
+    spec = random_general_spec(n, seed=n + 20, field_b=-0.35)
+    h = build_hamiltonian(spec)
+    for states in parity_basis(n):
+        ((mult, block),) = _blocks(spec, states, trivial_orbits(n), spec.field_b)
+        assert mult == 1 and block.dtype == np.float64
+        assert np.max(np.abs(block - h[np.ix_(states, states)])) <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_parity_blocks_match_dense_oracle(n):
+    spec = random_general_spec(n, seed=n + 40, field_b=0.3)
+    assert not spec.conserves_sz
+    sd = decompose(spec)
+    full = diagonalize_full(build_hamiltonian(spec))
+    assert sd.sector_labels is None
+    assert np.max(np.abs(sd.eigenvalues - full.eigenvalues)) <= 1e-12
+    for t in (0.0, 0.3, 2.0):
+        rho = gibbs_state(full, t)
+        for pair in ((1, 2), (1, n), (n, 1)):
+            got = pair_rdm_thermal(sd, t, *pair).matrix
+            want = reduce_to_pair(rho, *pair).matrix
+            assert np.max(np.abs(got - want)) <= 1e-12, (t, pair)

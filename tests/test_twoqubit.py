@@ -20,6 +20,9 @@ from helpers import SINGLET_RHO, cached_decompose, eigenvector_matrix, random_ge
 # (a, b) entries of a pair RDM whose two basis states differ in S_z
 SZ_FORBIDDEN = np.array([bin(a).count("1") != bin(b).count("1")
                          for a in range(4) for b in range(4)])
+# (a, b) entries whose states differ in spin-flip parity lie off the X pattern
+X_PATTERN = np.array([bin(a ^ b).count("1") % 2 == 0
+                      for a in range(4) for b in range(4)])
 
 
 def test_maximally_mixed_any_pair():
@@ -163,7 +166,7 @@ def test_fast_path_matches_partial_trace():
 @pytest.mark.parametrize("spec", [
     pytest.param(ModelSpec.uniform(6, 1.0, 0.5, 0.3), id="sector-blocks-N6"),
     pytest.param(ModelSpec.uniform(5, -1.0, 2.0, 0.4), id="sector-blocks-N5"),
-    pytest.param(random_general_spec(5, seed=3, field_b=0.3), id="dense-general-N5"),
+    pytest.param(random_general_spec(5, seed=3, field_b=0.3), id="parity-general-N5"),
 ])
 def test_pair_table_rows_are_eigenstate_pair_rdms(spec):
     # row k of the table is the pair RDM of the projector on eigenstate k
@@ -177,8 +180,11 @@ def test_pair_table_rows_are_eigenstate_pair_rdms(spec):
         if spec.conserves_sz:
             assert np.all(table[:, SZ_FORBIDDEN] == 0.0)
         else:
-            # the one dense block pairs every state with every partner
-            assert np.all(np.any(table != 0.0, axis=0))
+            # a parity block pairs states whose pair bits differ in
+            # parity with no partner: only the X pattern, corners included,
+            # is filled
+            assert np.all(table[:, ~X_PATTERN] == 0.0)
+            assert np.all(np.any(table[:, X_PATTERN] != 0.0, axis=0))
 
 
 def test_off_structure_norm_vanishes_when_sz_conserved():

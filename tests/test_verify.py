@@ -5,7 +5,7 @@ import pytest
 
 from heisenring import VerifyOptions, run_verification
 from heisenring.model import hermiticity_defect
-from heisenring.verify import render_report
+from heisenring.verify import FRAME_BYTES, FRAMES_BUDGET_BYTES, render_report
 
 
 def test_default_grid_all_pass():
@@ -75,3 +75,26 @@ def test_options_normalised_to_float_tuples():
     assert opts.n_values == (3,)
     assert opts.deltas == (1.0,) and isinstance(opts.deltas[0], float)
     assert opts.j_values == (2.0,)
+
+
+def test_frames_over_memory_budget_rejected():
+    # refused from the estimate alone, before a frame is drawn: 1e8 frames
+    # would take about 26 GB
+    most = FRAMES_BUDGET_BYTES // FRAME_BYTES
+    assert VerifyOptions().frames == 10_000 <= most
+    assert VerifyOptions(frames=most).frames == most
+    for frames in (most + 1, 10**8):
+        with pytest.raises(ValueError, match="'frames'=.* MiB budget"):
+            VerifyOptions(frames=frames)
+
+
+def test_no_frames_drawn_without_sampled_states(monkeypatch):
+    def refuse(count, seed):
+        raise AssertionError("frames drawn")
+
+    monkeypatch.setattr("heisenring.bell.random_frames", refuse)
+    opts = VerifyOptions(n_values=(2, 3), deltas=(1.0,), fields=(0.0,),
+                         temperatures=(1.0,), sampled_states=0)
+    names = {r.name for r in run_verification(opts)}
+    assert "bell_frames_bound" not in names
+    assert "derivative_u" in names
