@@ -21,9 +21,9 @@ Both trees also run `threshold` (JSON) on the isotropic J = 1 rings of
 THRESHOLD_SIZES.  Status, t_c, bracket and iterations must be identical
 text; the worst u_of_n difference is printed.
 
-Both trees also run `verify` on its default grid and on a small grid off
-the defaults (VERIFY_CONFIGS); the text reports and the exit codes must be
-identical.  A report that differs is shown as a unified diff, cut at
+Both trees also run `verify` on its default grid and on two small grids
+off the defaults (VERIFY_CONFIGS); the text reports and the exit codes
+must be identical.  A report that differs is shown as a unified diff, cut at
 VERIFY_DIFF_LINES lines.
 
 Every run pins OPENBLAS_NUM_THREADS to BLAS_THREADS: some verify residuals
@@ -111,6 +111,12 @@ VERIFY_CONFIGS = {
     "verify-default": {},
     "verify-small": {"n_values": [2, 5, 8], "deltas": [0.5], "fields": [0.3],
                      "j_values": [1.3, -0.7]},
+    # a T = 0 row; no J = 1 ring, so the threshold and zero-temperature
+    # sections decompose their own; N on both sides of the full-space
+    # correlation cutoff (N <= 5)
+    "verify-t0": {"n_values": [3, 4, 6, 7], "deltas": [1.0, 0.0], "fields": [0.0, 0.4],
+                  "j_values": [0.8, -1.5],
+                  "temperatures": {"start": 0.0, "stop": 2.5, "count": 5}},
 }
 
 

@@ -7,9 +7,9 @@ checked against each other:
 - embed places an operator on chosen sites of the full register;
 - gibbs_state forms the thermal density matrix from eigenvectors;
 - reduce_to_pair partial-traces a full state onto a site pair, against
-  twoqubit.pair_rdm_thermal and its per-eigenstate table;
+  twoqubit.pair_rdms, which averages per-eigenstate pair tables;
 - correlations takes tr(sigma_ia sigma_jb rho) with full-space operators,
-  against twoqubit.correlations_from_rdm on the 4x4 matrix;
+  against twoqubit.correlations_from_rdm on the 4x4 matrices;
 - eigen_residuals checks a decomposition against the dense Hamiltonian.
 
 Every placement goes through model.site_indices, so no identity kron is
@@ -74,12 +74,20 @@ def correlations(rho: np.ndarray, i: int, j: int) -> CorrelationSet:
     """Correlation tensor from the full-space state: g[a,b] = tr(sigma_ia sigma_jb rho).
 
     Evaluated with full 2^N operators, never through the 4x4 reduced
-    matrix, so it checks the partial-trace route independently.
+    matrix, so it checks the partial-trace route independently.  rho is
+    one density matrix or an (R, 2^N, 2^N) stack of them, which gives a
+    stacked CorrelationSet; each operator is embedded once for the stack,
+    and each trace is one sum over one state.
     """
     m = np.asarray(rho)
-    n = int(m.shape[0]).bit_length() - 1
-    mt = m.T
-    return _correlation_set(np.array([np.sum(embed(op, (i, j), n) * mt) for op in _OPS]))
+    n = int(m.shape[-1]).bit_length() - 1
+    states = m.reshape((-1,) + m.shape[-2:])
+    values = np.empty((states.shape[0], len(_OPS)), dtype=complex)
+    for k, op in enumerate(_OPS):
+        e = embed(op, (i, j), n)
+        for r, state in enumerate(states):
+            values[r, k] = np.sum(e * state.T)
+    return _correlation_set(values.reshape(m.shape[:-2] + (len(_OPS),)))
 
 
 def eigen_residuals(h: np.ndarray, sd: SpectralDecomposition) -> tuple[float, float]:

@@ -68,8 +68,9 @@ class SpectralDecomposition:
     all states from diagonalize_full), or None when the decomposition was
     computed values-only.  sector_labels holds the total-S_z quantum number
     of each eigenvalue for S_z-conserving models, else None.  pair_tables
-    caches the per-eigenstate pair elements built by
-    twoqubit.pair_rdm_thermal, keyed by site pair.
+    caches the per-eigenstate pair elements that twoqubit._pair_matrices
+    builds on first use, for pair_rdms and pair_rdm_thermal alike, keyed by
+    site pair.
     """
 
     eigenvalues: np.ndarray

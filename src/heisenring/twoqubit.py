@@ -201,18 +201,20 @@ def correlations_from_rdm(rdm: TwoQubitRDM) -> CorrelationSet:
     return _correlation_set(np.stack([(op * mt).sum(axis=(-2, -1)) for op in _OPS], axis=-1))
 
 
-def check_element_relations(rdm: TwoQubitRDM, cs: CorrelationSet) -> dict[str, float]:
+def check_element_relations(rdm: TwoQubitRDM,
+                            cs: CorrelationSet) -> dict[str, float | np.ndarray]:
     """Residuals of the matrix-element identities tying the RDM to g and M/N.
 
     u+- = (1 +- 2*Mbar + G_zz)/4,  u+ - u- = Mbar,  u+ + u- = (1 + G_zz)/2,
     Re z = (G_xx + G_yy)/4,  Im z = (G_xy - G_yx)/4.
+    For a stack of R states each residual is an (R,) array.
     """
     g, mbar = cs.g, cs.m_per_site
     return {
-        "u_plus": abs(rdm.u_plus - 0.25 * (1 + 2 * mbar + g[2, 2])),
-        "u_minus": abs(rdm.u_minus - 0.25 * (1 - 2 * mbar + g[2, 2])),
+        "u_plus": abs(rdm.u_plus - 0.25 * (1 + 2 * mbar + g[..., 2, 2])),
+        "u_minus": abs(rdm.u_minus - 0.25 * (1 - 2 * mbar + g[..., 2, 2])),
         "m_bar": abs((rdm.u_plus - rdm.u_minus) - mbar),
-        "u_sum": abs((rdm.u_plus + rdm.u_minus) - 0.5 * (1 + g[2, 2])),
-        "re_z": abs(rdm.z.real - 0.25 * (g[0, 0] + g[1, 1])),
-        "im_z": abs(rdm.z.imag - 0.25 * (g[0, 1] - g[1, 0])),
+        "u_sum": abs((rdm.u_plus + rdm.u_minus) - 0.5 * (1 + g[..., 2, 2])),
+        "re_z": abs(rdm.z.real - 0.25 * (g[..., 0, 0] + g[..., 1, 1])),
+        "im_z": abs(rdm.z.imag - 0.25 * (g[..., 0, 1] - g[..., 1, 0])),
     }

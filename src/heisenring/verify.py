@@ -5,12 +5,19 @@ Runs every library invariant and closed-form identity on a configurable
 check.  Deterministic for a fixed seed, including the random-frame CHSH
 probes.  The CLI `verify` subcommand renders this report and exits nonzero
 if any check fails.
+
+The production side of each grid spec runs as the sweep runs it: one
+thermo_grid over the whole temperature grid, one pair_rdms stack per site
+pair, and one correlation, concurrence and Bell evaluation on the stack.
+The dense oracle (heisenring.oracle) builds one Gibbs matrix at a time, so
+an N = 12 grid never holds a stack of 2^N x 2^N matrices.  Each check then
+records its residual row by row, in temperature order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +28,8 @@ TSIRELSON = bell.TSIRELSON
 # and norms, and the normalised copy), and the most the frames may take
 FRAME_BYTES = 264
 FRAMES_BUDGET_BYTES = 256 << 20
+# the high-temperature limit and the near-zero stability probe of each spec
+PROBE_TEMPERATURES = (1e6, 1e-8, 0.0)
 
 
 @dataclass(frozen=True)
@@ -55,6 +64,8 @@ class VerifyOptions:
                 raise ValueError(f"{key!r} must be a non-empty list of finite numbers")
             object.__setattr__(self, key, tuple(vals) if key == "n_values"
                                else tuple(float(v) for v in vals))
+        # ascending, so the monotonicity checks read the grid in T order
+        object.__setattr__(self, "temperatures", tuple(sorted(self.temperatures)))
         max_n = spectral.FULL_PATH_MAX_SITES
         if not all(isinstance(n, int) and 2 <= n <= max_n for n in self.n_values):
             raise ValueError(f"'n_values' must be integers in 2..{max_n}, "
@@ -126,6 +137,7 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
     opts = opts or VerifyOptions()
     col = _Collector()
     temps = np.asarray(opts.temperatures, dtype=float)
+    n_temps = temps.size
     # the momentum blocks are checked once per N, on an anisotropic ring in
     # a field when the grid has one
     momentum_case = (next((d for d in opts.deltas if d != 1.0), opts.deltas[0]),
@@ -134,6 +146,8 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
 
     sampled_tensors: list[tuple[str, np.ndarray]] = []
     spec_index = 0
+    # the isotropic J = 1 ring of each N, when the grid has it
+    isotropic: dict[int, spectral.SpectralDecomposition] = {}
 
     for spec in _spec_grid(opts):
         spec_index += 1
@@ -177,134 +191,134 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
                        float(np.max(np.abs(np.linalg.eigvalsh(flipped)
                                            - sd.eigenvalues))), 1e-10, tag)
 
-        # high-temperature limit and a near-zero-temperature stability probe
-        tp_hot = thermo.thermo_point(sd, spec, 1e6)
-        col.record("u_high_t_limit", abs(tp_hot.u) / (n * max(abs(j), 1e-300)),
-                   1e-3, tag)
-        tp_cold = thermo.thermo_point(sd, spec, 1e-8)
-        tp_zero = thermo.thermo_point(sd, spec, 0.0)
-        stable = (math.isfinite(tp_cold.u) and math.isfinite(tp_cold.m)
-                  and abs(tp_cold.u - tp_zero.u) <= 1e-6
-                  and abs(tp_cold.m - tp_zero.m) <= 1e-6)
+        # the production side runs once on the whole temperature stack: the
+        # grid rows, then the high-temperature limit and the near-zero
+        # stability probe
+        grid = thermo.thermo_grid(sd, spec, np.concatenate((temps, PROBE_TEMPERATURES)))
+        u_hot, u_cold, u_zero = grid.u[n_temps:].tolist()
+        m_cold, m_zero = grid.m[n_temps + 1:].tolist()
+        col.record("u_high_t_limit", abs(u_hot) / (n * max(abs(j), 1e-300)), 1e-3, tag)
+        stable = (math.isfinite(u_cold) and math.isfinite(m_cold)
+                  and abs(u_cold - u_zero) <= 1e-6
+                  and abs(m_cold - m_zero) <= 1e-6)
         col.require("low_t_stability", stable, tag)
 
-        prev_u = None
-        c_series = []
-        for t in temps:
-            tp = thermo.thermo_point(sd, spec, float(t))
-            if prev_u is not None:
-                col.record("u_monotone", max(0.0, prev_u - tp.u), 1e-12,
-                           f"{tag} T={t:g}")
-            prev_u = tp.u
-            if b == 0.0:
-                col.record("u_nonpositive_b0", max(0.0, tp.u), 1e-10, f"{tag} T={t:g}")
+        probabilities = grid.probabilities[:n_temps]
+        u, m = grid.u[:n_temps], grid.m[:n_temps]
+        rdm = twoqubit.pair_rdms(sd, probabilities, 1, 2)
+        k = 1 + n // 2  # some other bond (k, k+1) around the ring
+        rdm_shift = twoqubit.pair_rdms(sd, probabilities, k, k % n + 1)
+        cs = twoqubit.correlations_from_rdm(rdm)
+        report = entanglement.concurrence_report(rdm, cs, spec, u / n)
+        bres = bell.violation_measure(cs.g)
+        if (j, delta, b) == (1.0, 1.0, 0.0):
+            # the threshold and zero-temperature sections read only the
+            # spectrum and the (1, 2) pair table, so the vectors are dropped
+            isotropic[n] = replace(sd, eigvec_blocks=None)
 
+        details = [f"{tag} T={t:g}" for t in temps]
+        # the dense oracle, one Gibbs matrix at a time; the small ones are
+        # kept for the full-space correlations
+        rhos = []
+        for r, (t, at) in enumerate(zip(temps, details)):
             rho = oracle.gibbs_state(full, float(t))
-            col.record("gibbs_trace", abs(float(np.trace(rho).real) - 1.0),
-                       1e-12, f"{tag} T={t:g}")
-            col.record("gibbs_hermitian", model.hermiticity_defect(rho),
-                       1e-12, f"{tag} T={t:g}")
+            col.record("gibbs_trace", abs(float(np.trace(rho).real) - 1.0), 1e-12, at)
+            col.record("gibbs_hermitian", model.hermiticity_defect(rho), 1e-12, at)
             col.record("gibbs_positive",
-                       max(0.0, -float(np.linalg.eigvalsh(rho).min())),
-                       1e-12, f"{tag} T={t:g}")
-
-            rdm = twoqubit.pair_rdm_thermal(sd, float(t), 1, 2)
+                       max(0.0, -float(np.linalg.eigvalsh(rho).min())), 1e-12, at)
             col.record("pair_rdm_routes",
                        float(np.max(np.abs(
-                           oracle.reduce_to_pair(rho, 1, 2).matrix - rdm.matrix))),
-                       1e-12, f"{tag} T={t:g}")
-            cs = twoqubit.correlations_from_rdm(rdm)
-            cs_full = None
+                           oracle.reduce_to_pair(rho, 1, 2).matrix - rdm.matrix[r]))),
+                       1e-12, at)
             if n <= 5:
-                cs_full = oracle.correlations(rho, 1, 2)
-                col.record("correlations_full_vs_rdm",
-                           max(float(np.max(np.abs(cs_full.g - cs.g))),
-                               abs(cs_full.m_per_site - cs.m_per_site)),
-                           1e-12, f"{tag} T={t:g}")
-
-            for rel, r in twoqubit.check_element_relations(rdm, cs).items():
-                col.record(f"element_relation_{rel}", r, 1e-10, f"{tag} T={t:g}")
-            col.record("g_bound", max(0.0, float(np.max(np.abs(cs.g))) - 1.0),
-                       1e-12, f"{tag} T={t:g}")
-            col.record("m_bar_vs_thermo", abs(rdm.m_bar - tp.m_per_site), 1e-10,
-                       f"{tag} T={t:g}")
-            col.record("reflection_im_z", abs(rdm.z.imag), 1e-10, f"{tag} T={t:g}")
-
-            k = 1 + n // 2  # some other bond (k, k+1) around the ring
-            rdm_shift = twoqubit.pair_rdm_thermal(sd, float(t), k, k % n + 1)
-            col.record("pair_translation",
-                       float(np.max(np.abs(rdm.matrix - rdm_shift.matrix))),
-                       1e-10, f"{tag} T={t:g}")
-
-            report = entanglement.concurrence_report(rdm, cs, spec, tp.u_per_site)
-            c_series.append(report.wootters)
-            if report.x_form is not None:
-                col.record("route_x_form", abs(report.x_form - report.wootters),
-                           1e-10, f"{tag} T={t:g}")
-            if report.correlation_form is not None:
-                col.record("route_correlation",
-                           abs(report.correlation_form - report.wootters),
-                           1e-9, f"{tag} T={t:g}")
-            if report.energy_form is not None:
-                col.record("route_energy", abs(report.energy_form - report.wootters),
-                           1e-9, f"{tag} T={t:g}")
-                if report.energy_form == 0.0:
-                    col.record("clamp_consistency", report.wootters, 1e-9,
-                               f"{tag} T={t:g}")
-
-            if delta == 1.0 and b == 0.0:
-                col.record("prop1_magnetization", abs(tp.m), 1e-10, f"{tag} T={t:g}")
-                col.record("prop1_im_z", abs(rdm.z.imag), 1e-10, f"{tag} T={t:g}")
-                col.record("prop3_u_nonpositive", max(0.0, tp.u), 1e-10,
-                           f"{tag} T={t:g}")
-                if abs(rdm.z) > 1e-12:
-                    col.require("prop3_z_sign",
-                                (rdm.z.real < 0) == (j > 0), f"{tag} T={t:g}")
-                col.record("z_energy_relation",
-                           abs(rdm.z.real - tp.u / (6.0 * j * n)), 1e-10,
-                           f"{tag} T={t:g}")
-                col.record("gzz_energy_relation",
-                           abs(float(cs.g[2, 2]) - tp.u / (3.0 * j * n)), 1e-10,
-                           f"{tag} T={t:g}")
-                if j < 0:
-                    col.record("fm_concurrence_zero", report.wootters, 1e-12,
-                               f"{tag} T={t:g}")
-
-                bres = bell.violation_measure(cs.g)
-                col.record("bell_xxx_closed_form",
-                           abs(bres.measure - bell.violation_xxx(tp.u, j, n)),
-                           1e-10, f"{tag} T={t:g}")
-                col.record("bell_c_vs_b",
-                           abs(bell.concurrence_vs_violation(
-                               bres.measure, "afm" if j > 0 else "fm")
-                               - report.wootters), 1e-9, f"{tag} T={t:g}")
-                if bres.measure > 2.0:
-                    col.require("bell_witness_direction", report.wootters > 0.0,
-                                f"{tag} T={t:g}")
-
-            if b != 0.0 and cs_full is not None:
+                rhos.append(rho)
+        if n <= 5:
+            cs_full = oracle.correlations(np.stack(rhos), 1, 2)
+            g_gap = np.abs(cs_full.g - cs.g).max(axis=(1, 2)).tolist()
+            m_gap = np.abs(cs_full.m_per_site - cs.m_per_site).tolist()
+            for r, at in enumerate(details):
+                col.record("correlations_full_vs_rdm", max(g_gap[r], m_gap[r]), 1e-12, at)
+            if b != 0.0:
                 # the measure is a function of the correlation tensor alone;
                 # feed it the independently computed full-space tensor
-                col.record("bell_field_independence",
-                           abs(bell.violation_measure(cs_full.g).measure
-                               - bell.violation_measure(cs.g).measure),
-                           1e-12, f"{tag} T={t:g}")
+                field_gap = np.abs(bell.violation_measure(cs_full.g).measure - bres.measure)
+                for r, at in enumerate(details):
+                    col.record("bell_field_independence", field_gap[r], 1e-12, at)
+
+        # the production stacks, row by row in temperature order
+        u_rows, m_rows = u.tolist(), m.tolist()
+        z_rows = rdm.z.tolist()
+        g_zz = cs.g[:, 2, 2].tolist()
+        relations = twoqubit.check_element_relations(rdm, cs)
+        g_max = np.abs(cs.g).max(axis=(1, 2)).tolist()
+        m_bar_gap = np.abs(rdm.m_bar - m / n).tolist()
+        translation_gap = np.abs(rdm.matrix - rdm_shift.matrix).max(axis=(1, 2)).tolist()
+        c_rows = report.wootters.tolist()
+        x_rows, corr_rows, energy_rows = (
+            getattr(report, name).tolist()
+            for name in ("x_form", "correlation_form", "energy_form"))
+        measure = bres.measure.tolist()
+        for r, at in enumerate(details):
+            if r:
+                col.record("u_monotone", max(0.0, u_rows[r - 1] - u_rows[r]), 1e-12, at)
+            if b == 0.0:
+                col.record("u_nonpositive_b0", max(0.0, u_rows[r]), 1e-10, at)
+            for rel, res in relations.items():
+                col.record(f"element_relation_{rel}", res[r], 1e-10, at)
+            col.record("g_bound", max(0.0, g_max[r] - 1.0), 1e-12, at)
+            col.record("m_bar_vs_thermo", m_bar_gap[r], 1e-10, at)
+            col.record("reflection_im_z", abs(z_rows[r].imag), 1e-10, at)
+            col.record("pair_translation", translation_gap[r], 1e-10, at)
+
+            # NaN marks a route whose precondition fails on that row
+            for check, value, limit in (("route_x_form", x_rows[r], 1e-10),
+                                        ("route_correlation", corr_rows[r], 1e-9),
+                                        ("route_energy", energy_rows[r], 1e-9)):
+                if not math.isnan(value):
+                    col.record(check, abs(value - c_rows[r]), limit, at)
+            if energy_rows[r] == 0.0:
+                col.record("clamp_consistency", c_rows[r], 1e-9, at)
+
+            if delta == 1.0 and b == 0.0:
+                z = z_rows[r]
+                col.record("prop1_magnetization", abs(m_rows[r]), 1e-10, at)
+                col.record("prop1_im_z", abs(z.imag), 1e-10, at)
+                col.record("prop3_u_nonpositive", max(0.0, u_rows[r]), 1e-10, at)
+                if abs(z) > 1e-12:
+                    col.require("prop3_z_sign", (z.real < 0) == (j > 0), at)
+                col.record("z_energy_relation",
+                           abs(z.real - u_rows[r] / (6.0 * j * n)), 1e-10, at)
+                col.record("gzz_energy_relation",
+                           abs(g_zz[r] - u_rows[r] / (3.0 * j * n)), 1e-10, at)
+                if j < 0:
+                    col.record("fm_concurrence_zero", c_rows[r], 1e-12, at)
+                col.record("bell_xxx_closed_form",
+                           abs(measure[r] - bell.violation_xxx(u_rows[r], j, n)), 1e-10, at)
+                col.record("bell_c_vs_b",
+                           abs(bell.concurrence_vs_violation(
+                               measure[r], "afm" if j > 0 else "fm") - c_rows[r]),
+                           1e-9, at)
+                if measure[r] > 2.0:
+                    col.require("bell_witness_direction", c_rows[r] > 0.0, at)
 
             if spec_index % 7 == 0 and len(sampled_tensors) < opts.sampled_states:
-                sampled_tensors.append((f"{tag} T={t:g}", cs.g))
+                sampled_tensors.append((at, cs.g[r]))
 
         if delta == 1.0 and b == 0.0 and j > 0:
-            drops = [max(0.0, c_series[k + 1] - c_series[k])
-                     for k in range(len(c_series) - 1)]
+            drops = [max(0.0, c_rows[k + 1] - c_rows[k]) for k in range(len(c_rows) - 1)]
             col.record("concurrence_monotone_afm", max(drops) if drops else 0.0,
                        1e-12, tag)
 
     # threshold machinery on a few antiferromagnetic isotropic rings
+    def isotropic_ring(n: int) -> tuple[model.ModelSpec, spectral.SpectralDecomposition]:
+        spec = model.ModelSpec.uniform(n, 1.0)
+        sd = isotropic.get(n)
+        return spec, spectral.decompose(spec) if sd is None else sd
+
     for n in (2, 4, 5):
         if n not in opts.n_values:
             continue
-        spec = model.ModelSpec.uniform(n, 1.0)
-        sd = spectral.decompose(spec)
+        spec, sd = isotropic_ring(n)
         res = threshold.find_threshold(spec, sd)
         col.require("threshold_found", res.status == threshold.STATUS_FOUND, f"N={n}")
         if res.status == threshold.STATUS_FOUND:
@@ -315,17 +329,16 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
                 twoqubit.pair_rdm_thermal(sd, res.t_c * (1 + 1e-3), 1, 2)).wootters
             col.require("threshold_two_sided", below > 0.0 and above == 0.0, f"N={n}")
     if 2 in opts.n_values:
-        spec1 = model.ModelSpec.uniform(2, 1.0)
+        spec1, sd1 = isotropic_ring(2)
         spec2 = model.ModelSpec.uniform(2, 2.0)
-        t1 = threshold.find_threshold(spec1, spectral.decompose(spec1)).t_c
+        t1 = threshold.find_threshold(spec1, sd1).t_c
         t2 = threshold.find_threshold(spec2, spectral.decompose(spec2)).t_c
         col.record("threshold_linear_in_j", abs(t2 - 2.0 * t1) / (2.0 * t1), 1e-6,
                    "N=2, J=1 vs J=2")
 
     # zero-temperature entanglement pattern
     for n in opts.n_values:
-        spec = model.ModelSpec.uniform(n, 1.0)
-        sd = spectral.decompose(spec)
+        spec, sd = isotropic_ring(n)
         c0 = entanglement.concurrence_wootters(
             twoqubit.pair_rdm_thermal(sd, 0.0, 1, 2)).wootters
         if n == 3:

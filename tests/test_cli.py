@@ -307,6 +307,23 @@ def test_verify_small_grid_passes(tmp_path):
     assert "prop1_magnetization" in text
 
 
+def test_verify_descending_grid_reads_as_ascending(tmp_path):
+    # a grid from 3.0 down to 0.1 used to fail u_monotone and
+    # concurrence_monotone_afm though no invariant broke
+    reports = []
+    for start, stop in ((3.0, 0.1), (0.1, 3.0)):
+        cfg = write_config(tmp_path, {
+            "n_values": [2, 4], "deltas": [1.0], "fields": [0.0],
+            "temperatures": {"start": start, "stop": stop, "count": 4},
+            "frames": 50, "sampled_states": 2,
+        }, name=f"verify-{start}.json")
+        out = tmp_path / f"verify-{start}.txt"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+    assert "FAIL" not in reports[0]
+
+
 def test_verify_unknown_key(tmp_path, capsys):
     cfg = write_config(tmp_path, {"bogus": 1})
     assert main(["verify", "--config", cfg]) == 2

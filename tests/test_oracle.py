@@ -95,3 +95,16 @@ def test_gibbs_state_is_complex_for_complex_eigenvectors():
         assert rho.dtype == np.complex128
         assert np.max(np.abs(rho.imag)) > 0.0
         assert np.max(np.abs(rho - _gibbs_by_matrix_product(sd, t))) <= 1e-15
+
+
+def test_correlations_of_a_stack_match_each_state():
+    # the operators are embedded once for the stack; each trace stays one
+    # sum over one state, so every entry equals the one-state call exactly
+    sd = decompose(ModelSpec.uniform(4, 1.0, 0.5, 0.3))
+    rhos = np.stack([oracle.gibbs_state(sd, t) for t in (0.0, 0.4, 2.5)])
+    stacked = oracle.correlations(rhos, 2, 3)
+    assert stacked.g.shape == (3, 3, 3) and stacked.m_per_site.shape == (3,)
+    for r, rho in enumerate(rhos):
+        one = oracle.correlations(rho, 2, 3)
+        assert np.array_equal(stacked.g[r], one.g)
+        assert stacked.m_per_site[r] == one.m_per_site

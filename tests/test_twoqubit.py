@@ -10,7 +10,9 @@ from heisenring import (
     correlations_from_rdm,
     decompose,
     pair_rdm_thermal,
+    pair_rdms,
     run_sweep,
+    thermo_grid,
     thermo_point,
 )
 from heisenring.oracle import correlations, gibbs_state, reduce_to_pair
@@ -102,6 +104,23 @@ def test_element_relations(n, j, delta, b, t):
     cs = correlations_from_rdm(rdm)
     for name, residual in check_element_relations(rdm, cs).items():
         assert residual <= 1e-10, (name, residual)
+
+
+@pytest.mark.parametrize("temperatures", [(1.0,), (0.2, 3.0), (0.2, 1.0, 3.0)])
+def test_element_relations_of_a_stack_match_each_row(temperatures):
+    # a stacked call once read g[2, 2] as the third state's third row
+    spec, sd = cached_decompose(5, 1.0, 0.5, 0.3)
+    grid = thermo_grid(sd, spec, temperatures)
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    cs = correlations_from_rdm(rdm)
+    stacked = check_element_relations(rdm, cs)
+    for r in range(len(temperatures)):
+        row = check_element_relations(rdm.rows(r), cs.rows(r))
+        assert row.keys() == stacked.keys()
+        for name, residual in row.items():
+            assert stacked[name].shape == (len(temperatures),)
+            assert stacked[name][r] == residual, (name, r)
+            assert residual <= 1e-10, (name, r)
 
 
 def test_z_is_real_for_isotropic_ring():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heisenring import VerifyOptions, run_verification
+from heisenring import ModelSpec, VerifyOptions, run_verification
 from heisenring.model import hermiticity_defect
 from heisenring.verify import FRAME_BYTES, FRAMES_BUDGET_BYTES, render_report
 
@@ -71,8 +71,9 @@ def test_options_rejected_at_construction(kwargs, key):
 
 
 def test_options_normalised_to_float_tuples():
-    opts = VerifyOptions(n_values=[3], deltas=[1], j_values=[2])
+    opts = VerifyOptions(n_values=[3], deltas=[1], j_values=[2], temperatures=[2, 0.5])
     assert opts.n_values == (3,)
+    assert opts.temperatures == (0.5, 2.0)
     assert opts.deltas == (1.0,) and isinstance(opts.deltas[0], float)
     assert opts.j_values == (2.0,)
 
@@ -98,3 +99,36 @@ def test_no_frames_drawn_without_sampled_states(monkeypatch):
     names = {r.name for r in run_verification(opts)}
     assert "bell_frames_bound" not in names
     assert "derivative_u" in names
+
+
+def test_grid_specs_run_as_temperature_stacks(monkeypatch):
+    # the production side of a grid spec runs once on its whole T grid, and
+    # the full-space operators of an N <= 5 spec are embedded once, however
+    # many temperatures the grid has
+    from heisenring import oracle, thermo, twoqubit
+
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name].append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(thermo, "thermo_grid")
+    count(twoqubit, "pair_rdms")
+    count(oracle, "embed")
+    specs = [ModelSpec.uniform(n, j, delta, b) for n in (3, 6) for delta in (1.0, 0.5)
+             for b in (0.0, 0.4) for j in (1.0, -1.0)]
+    for temperatures in ((0.5,), (0.2, 0.7, 1.5, 4.0)):
+        calls.update(thermo_grid=[], pair_rdms=[], embed=[])
+        run_verification(VerifyOptions(n_values=(3, 6), deltas=(1.0, 0.5),
+                                       fields=(0.0, 0.4), temperatures=temperatures,
+                                       frames=10, sampled_states=1))
+        grid_specs = [args[1] for args in calls["thermo_grid"]]
+        assert all(grid_specs.count(spec) == 1 for spec in specs)
+        assert len(calls["pair_rdms"]) == 2 * len(specs)
+        assert len(calls["embed"]) == 10 * sum(spec.n_sites <= 5 for spec in specs)
