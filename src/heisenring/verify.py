@@ -28,7 +28,8 @@ TSIRELSON = bell.TSIRELSON
 # and norms, and the normalised copy), and the most the frames may take
 FRAME_BYTES = 264
 FRAMES_BUDGET_BYTES = 256 << 20
-# the high-temperature limit and the near-zero stability probe of each spec
+# the high-temperature limit, then the near-zero stability probe and T = 0,
+# appended to each spec's temperature stack in this order
 PROBE_TEMPERATURES = (1e6, 1e-8, 0.0)
 
 

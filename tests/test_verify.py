@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heisenring import ModelSpec, VerifyOptions, run_verification
+from heisenring import ModelSpec, VerifyOptions, oracle, run_verification, thermo, twoqubit
 from heisenring.model import hermiticity_defect
 from heisenring.verify import FRAME_BYTES, FRAMES_BUDGET_BYTES, render_report
 
@@ -105,8 +105,6 @@ def test_grid_specs_run_as_temperature_stacks(monkeypatch):
     # the production side of a grid spec runs once on its whole T grid, and
     # the full-space operators of an N <= 5 spec are embedded once, however
     # many temperatures the grid has
-    from heisenring import oracle, thermo, twoqubit
-
     calls = {}
 
     def count(module, name):
