@@ -103,6 +103,9 @@ ROUTE_SWEEPS = {
     # only accepts |i - j| = 1 would drop C_energy here
     "pair-8-1": {"model": {"n_sites": 8, "j": 1.0}, "temperatures": LOG_GRID,
                  "pair": [8, 1]},
+    # J = 0 from T = 0: free spins in a field, where the bond's z is 0
+    "j0-b0.4": {"model": {"n_sites": 5, "j": 0.0, "field_b": 0.4},
+                "temperatures": {"start": 0.0, "stop": 3.0, "count": 40}},
 }
 
 VERIFY_DIFF_LINES = 20

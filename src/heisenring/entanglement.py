@@ -225,10 +225,8 @@ def concurrence_report(rdm: TwoQubitRDM, cs: CorrelationSet, spec: ModelSpec,
     correlation_form = _on_rows(fits_x & (spec.field_b == 0.0),
                                 concurrence_from_correlations, cs)
 
-    i, k = rdm.sites
-    on_bond = (i - k) % spec.n_sites in (1, spec.n_sites - 1)
     energy_form = None
-    if spec.is_uniform and spec.coupling.j != 0.0 and on_bond:
+    if spec.is_uniform and spec.coupling.j != 0.0 and spec.is_bond(*rdm.sites):
         j, delta, b = spec.coupling.j, spec.coupling.delta, spec.field_b
         if delta == 1.0 and b == 0.0:
             energy_form = concurrence_xxx_energy(u_bar, j)

@@ -165,6 +165,10 @@ class ModelSpec:
         n = self.n_sites
         return [(i, i % n + 1) for i in range(1, n + 1)]
 
+    def is_bond(self, i: int, j: int) -> bool:
+        """True when sites i and j are ring neighbours, in either order; (N, 1) included."""
+        return (i - j) % self.n_sites in (1, self.n_sites - 1)
+
 
 def bit_for_site(site: int, n: int) -> int:
     """Bit position (from LSB) of a 1-based site index."""

@@ -22,9 +22,14 @@ so momenta m and -m share a spectrum and only 0 <= m <= N/2 is
 diagonalised.  The global spin flip maps sector k onto sector N - k and
 reverses the field, so only the sectors with 2k <= N are diagonalised, at
 zero field, and each field shift is added afterwards.  At N = 14 that is
-57 eigensolves instead of 184.  Every other decomposition gives _blocks
-trivial orbits, where every state is its own representative, and gets the
-plain sector or parity block, field included.
+57 eigensolves instead of 184.  The bond mode of decompose solves the
+same paired blocks with eigh and keeps, per eigenstate, only the
+sigma^z sigma^z bond sum read off each block's vectors before they are
+dropped; with the energy and the S_z label it fixes the nearest-neighbour
+pair RDM of a uniform ring, which is how a sweep of a ring bond runs.
+Every other decomposition gives _blocks trivial orbits, where every state
+is its own representative, and gets the plain sector or parity block,
+field included.
 
 diagonalize_full diagonalizes a dense matrix.  It is the oracle that
 verify, the tests and the demos hold the blocks against, and no
@@ -66,11 +71,13 @@ class SpectralDecomposition:
     eigvec_blocks holds the eigenvectors as EigenBlocks with disjoint
     supports (one per S_z sector or parity sector from decompose, one over
     all states from diagonalize_full), or None when the decomposition was
-    computed values-only.  sector_labels holds the total-S_z quantum number
-    of each eigenvalue for S_z-conserving models, else None.  pair_tables
-    caches the per-eigenstate pair elements that twoqubit._pair_matrices
-    builds on first use, for pair_rdms and pair_rdm_thermal alike, keyed by
-    site pair.
+    computed values-only or in the bond mode.  sector_labels holds the
+    total-S_z quantum number of each eigenvalue for S_z-conserving models,
+    else None.  pair_tables caches the per-eigenstate pair elements, shape
+    (dim, 16), for pair_rdms and pair_rdm_thermal alike, keyed by site
+    pair.  The bond mode of decompose fills the entry of its ring bond from
+    (E_n, S_z label, ZZ_n); twoqubit._pair_matrices builds any other entry
+    from the eigenvectors on first use.
     """
 
     eigenvalues: np.ndarray
@@ -191,6 +198,11 @@ def _pair_terms(spec: ModelSpec) -> list[tuple[int, int, float, float, float]]:
     return terms
 
 
+def _zz_sign(states: np.ndarray, bi: int, bk: int) -> np.ndarray:
+    """sigma^z sigma^z on bits bi and bk of each state: +1 parallel, -1 antiparallel."""
+    return (1 - 2 * ((states >> bi) & 1)) * (1 - 2 * ((states >> bk) & 1))
+
+
 def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float):
     """The block of H on `states`, built from bit rules and split by momentum.
 
@@ -198,10 +210,11 @@ def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float):
     S_z-breaking spec.  `orbits` is (rep, shift, period) as from
     orbit_tables, and field_b the field B, or 0.0 to leave the field out:
     a state with k down spins gets B(N - 2k) on the diagonal.  Yields
-    (multiplicity, block) with one Hermitian block per lattice momentum
-    2*pi*m/N, 0 <= m <= N/2, that has states (Sandvik, arXiv:1101.3281,
-    section 4.1).  Its basis is the momentum states of the orbit
-    representatives a with m * R_a = 0 (mod N), R_a the period.  A hop or
+    (multiplicity, basis, block) with one Hermitian block per lattice
+    momentum 2*pi*m/N, 0 <= m <= N/2, that has states (Sandvik,
+    arXiv:1101.3281, section 4.1).  Its basis is the momentum states of
+    the orbit representatives a with m * R_a = 0 (mod N), R_a the period;
+    `basis` holds those representatives in block order.  A hop or
     pair flip from a reaches the state b' with representative b = T^l b'
     and has element amplitude * exp(-2*pi*i*m*l/N) * sqrt(R_a / R_b); the
     diagonal holds the field and the z-z terms.  H is real, so the block at
@@ -223,7 +236,7 @@ def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float):
     empty = np.zeros(0, dtype=np.int64)
     rows, cols, ls, amps = [empty], [empty], [empty], [empty]
     for bi, bk, hop, flip, zz in _pair_terms(spec):
-        diag += zz * (1 - 2 * ((reps >> bi) & 1)) * (1 - 2 * ((reps >> bk) & 1))
+        diag += zz * _zz_sign(reps, bi, bk)
         anti = ((reps >> bi) ^ (reps >> bk)) & 1
         # hops move antiparallel spins (anti = 1), pair flips parallel ones
         for amp, moving in ((hop, 1), (flip, 0)):
@@ -251,11 +264,12 @@ def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float):
             block = np.diag(diag[keep].astype(complex))
             values = amp * np.exp(-2j * np.pi * m * l / n)
         np.add.at(block, (index[rows[hops]], index[cols[hops]]), values)
-        yield (1 if (2 * m) % n == 0 else 2), block
+        yield (1 if (2 * m) % n == 0 else 2), reps[keep], block
         del block  # the caller's reference is the last one
 
 
-def decompose(spec: ModelSpec, vectors: bool = True) -> SpectralDecomposition:
+def decompose(spec: ModelSpec, vectors: bool = True,
+              bond: tuple[int, int] | None = None) -> SpectralDecomposition:
     """Eigendecomposition of the spec's Hamiltonian, one symmetry block at a time.
 
     Every block comes from _blocks, built from bit rules, never from a
@@ -271,19 +285,43 @@ def decompose(spec: ModelSpec, vectors: bool = True) -> SpectralDecomposition:
     same values shifted by -B(N - 2k).  Every other decomposition takes
     trivial_orbits, one plain block per sector with the field on its
     diagonal.
+
+    bond=(i, j), a ring bond of a uniform spec (model.ModelSpec.is_bond),
+    selects the bond mode: the same paired momentum blocks as vectors=False,
+    each solved by eigh, with every block's vectors dropped as soon as
+    ZZ_n = <sum_bonds sigma^z sigma^z>_n = sum_c |v_c|^2 zz(rep_c) is read
+    off them.  No eigenvectors are kept, so memory stays O(2^N).  The zero
+    field level E0_n = J XY_n + J delta ZZ_n then gives
+    XY_n = <sum_bonds (sigma^x sigma^x + sigma^y sigma^y)>_n, 0 at J = 0,
+    where every level of a sector is one degenerate level.  Translation
+    makes every bond alike, so with m_n = 2 S_z / N and g_n = ZZ_n / N the
+    bond's per-eigenstate pair RDM is the X state u+- = (1 +- 2 m_n + g_n)/4,
+    w1 = w2 = (1 - g_n)/4 and z = XY_n / (4N), Im z = 0.  Its rows fill
+    pair_tables[bond], so pair_rdms and pair_rdm_thermal read that bond
+    from it; a conjugate pair of momenta carries opposite spin currents,
+    which cancel in the Im z of any thermal average.
     """
     n = spec.n_sites
-    paired = spec.is_uniform and not vectors
+    if bond is not None and not (spec.is_uniform and spec.is_bond(*bond)):
+        raise ValueError(f"bond mode needs a uniform ring and a ring bond, got {bond}")
+    paired = spec.is_uniform and (not vectors or bond is not None)
     orbits = orbit_tables(n) if paired else trivial_orbits(n)
     if not spec.conserves_sz:
         sectors = parity_basis(n)
     else:
         sectors = sector_basis(n)[:n // 2 + 1] if paired else sector_basis(n)
-    all_evals, all_keys, vec_blocks = [], [], []
+    bond_bits = [bits[:2] for bits in _pair_terms(spec)] if bond is not None else []
+    all_evals, all_keys, bond_rows, vec_blocks = [], [], [], []
     for k, states in enumerate(sectors):
-        parts = []
-        for mult, block in _blocks(spec, states, orbits, 0.0 if paired else spec.field_b):
-            if vectors:
+        parts, zz_parts = [], []
+        for mult, basis, block in _blocks(spec, states, orbits,
+                                          0.0 if paired else spec.field_b):
+            if bond is not None:
+                evals, bvecs = np.linalg.eigh(block)
+                zz = sum(_zz_sign(basis, bi, bk) for bi, bk in bond_bits)
+                zz_parts.append(np.tile(zz @ (bvecs * bvecs.conj()).real, mult))
+                del bvecs  # only ZZ_n is kept
+            elif vectors:
                 evals, bvecs = np.linalg.eigh(block)
                 vec_blocks.append((states, bvecs))
             else:
@@ -297,6 +335,10 @@ def decompose(spec: ModelSpec, vectors: bool = True) -> SpectralDecomposition:
         for sign in (1, -1) if paired and 2 * k < n else (1,):
             all_evals.append(evals + sign * field_k if paired else evals)
             all_keys.append(np.full(evals.size, sign * key))
+            if bond is not None:
+                # the spin flip keeps sigma^z sigma^z, so ZZ and the zero
+                # field level, hence XY, carry over to sector N - k
+                bond_rows.append((np.concatenate(zz_parts), evals))
 
     evals = np.concatenate(all_evals)
     keys = np.concatenate(all_keys)
@@ -305,20 +347,45 @@ def decompose(spec: ModelSpec, vectors: bool = True) -> SpectralDecomposition:
     keys = keys[order]
 
     blocks = None
-    if vectors:
+    if vectors and bond is None:
         # position of each block column in the sorted spectrum
         columns = np.split(np.argsort(order),
                            np.cumsum([states.size for states, _ in vec_blocks])[:-1])
         blocks = tuple(EigenBlock(states, bvecs, cols)
                        for (states, bvecs), cols in zip(vec_blocks, columns))
 
-    return SpectralDecomposition(
+    sd = SpectralDecomposition(
         eigenvalues=evals,
         eigvec_blocks=blocks,
         ground_energy=float(evals[0]),
         ground_degeneracy=ground_degeneracy_count(evals),
         sector_labels=keys if spec.conserves_sz else None,
     )
+    if bond is not None:
+        zz, e0 = (np.concatenate(rows)[order] for rows in zip(*bond_rows))
+        sd.pair_tables[tuple(bond)] = _bond_table(spec, zz, e0, keys)
+    return sd
+
+
+def _bond_table(spec: ModelSpec, zz: np.ndarray, e0: np.ndarray,
+                s_z: np.ndarray) -> np.ndarray:
+    """Per-eigenstate X-form pair RDMs of a ring bond, shape (dim, 16), as _pair_table.
+
+    zz is ZZ_n, e0 the zero-field level E0_n and s_z the S_z label of each
+    eigenstate; decompose gives the formulas.
+    """
+    n = spec.n_sites
+    j, delta = spec.coupling.j, spec.coupling.delta
+    g = zz / n
+    m = 2.0 * s_z / n
+    table = np.zeros((zz.size, 16))
+    table[:, 0] = (1 + 2 * m + g) / 4   # u+ at (00, 00)
+    table[:, 15] = (1 - 2 * m + g) / 4  # u- at (11, 11)
+    table[:, 5] = table[:, 10] = (1 - g) / 4  # w1, w2
+    if j != 0.0:
+        # z at (10, 01) and its conjugate at (01, 10)
+        table[:, 9] = table[:, 6] = (e0 - j * delta * zz) / j / (4 * n)
+    return table
 
 
 def expected_sector_sizes(n: int) -> list[int]:

@@ -3,7 +3,14 @@
 One spectral decomposition serves the whole grid of R temperatures.
 thermo.thermo_grid turns it into one (R, dim) weight matrix, and with it
 log Z, U and M at every temperature; twoqubit.pair_rdms forms the
-(R, 4, 4) stack of pair RDMs from the cached pair table.  The correlation
+(R, 4, 4) stack of pair RDMs from the cached pair table.  Which
+decomposition that is depends on the pair (sweep_decomposition).  A
+nearest-neighbour pair of a uniform ring, (N, 1) included, takes the
+bond mode of spectral.decompose: momentum blocks, no eigenvectors kept,
+and a pair table filled from each eigenstate's energy, S_z label and
+sigma^z sigma^z bond sum.  Every other pair, and every general-coupling
+spec, takes the sector (or parity) eigenvectors and the pair table
+built from them.  The correlation
 tensors, the concurrence routes and the Bell measure are then computed
 once for the whole stack: stacked eigh, svd and eigvalsh, and array
 expressions for the closed forms.  Columns whose formula preconditions
@@ -19,7 +26,7 @@ import numpy as np
 from .bell import violation_measure
 from .entanglement import concurrence_report
 from .model import ModelSpec
-from .spectral import decompose
+from .spectral import SpectralDecomposition, decompose
 from .thermo import thermo_grid
 from .twoqubit import correlations_from_rdm, pair_rdms
 
@@ -50,10 +57,23 @@ def temperature_grid(start: float, stop: float, count: int,
     raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
 
 
+def sweep_decomposition(spec: ModelSpec, pair: tuple[int, int]) -> SpectralDecomposition:
+    """The decomposition run_sweep reads the pair's RDMs from.
+
+    A ring bond of a uniform spec takes decompose's bond mode: its pair
+    table comes from (E_n, S_z label, ZZ_n) on the momentum blocks, with no
+    eigenvectors kept.  Any other pair or spec takes the S_z-sector or
+    parity eigenvectors, from which pair_rdms builds the pair table.
+    """
+    if spec.is_uniform and spec.is_bond(*pair):
+        return decompose(spec, bond=pair)
+    return decompose(spec)
+
+
 def run_sweep(spec: ModelSpec, temperatures: np.ndarray,
               pair: tuple[int, int] = (1, 2)) -> dict[str, list]:
     """Every column in COLUMNS, as name -> list of values in grid order."""
-    sd = decompose(spec)
+    sd = sweep_decomposition(spec, pair)
     grid = thermo_grid(sd, spec, temperatures)
     rdm = pair_rdms(sd, grid.probabilities, *pair)
     cs = correlations_from_rdm(rdm)

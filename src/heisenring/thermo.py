@@ -31,6 +31,8 @@ from .spectral import SpectralDecomposition, decompose
 
 # field step of the central difference in check_derivatives
 FIELD_STEP = 1e-4
+# anisotropy step of the central difference in zz_from_log_z
+DELTA_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -173,3 +175,24 @@ def check_derivatives(spec: ModelSpec, temperature: float) -> tuple[float, float
 
     m_fd = -(shifted(FIELD_STEP) - shifted(-FIELD_STEP)) / (2.0 * FIELD_STEP * beta)
     return abs(u_fd - tp.u), abs(m_fd - tp.m)
+
+
+def zz_from_log_z(spec: ModelSpec, temperature: float) -> float:
+    """<sum_bonds sigma^z sigma^z> of a uniform ring as -(T/J) d(log Z)/d(delta).
+
+    H depends on delta only through J delta sum_bonds sigma^z sigma^z, so
+    by Hellmann-Feynman d(log Z)/d(delta) = -(J/T) <sum_bonds sigma^z sigma^z>.
+    The derivative is a central difference of values-only spectra at
+    delta +- DELTA_STEP; no eigenvector enters.
+    """
+    if temperature <= 0:
+        raise ValueError("finite-difference check needs temperature > 0")
+    if not spec.is_uniform or spec.coupling.j == 0.0:
+        raise ValueError("the delta derivative needs a uniform ring with J != 0")
+
+    def shifted(step: float) -> float:
+        coupling = replace(spec.coupling, delta=spec.coupling.delta + step)
+        return _log_z(decompose(replace(spec, coupling=coupling), vectors=False), temperature)
+
+    dlog_z = (shifted(DELTA_STEP) - shifted(-DELTA_STEP)) / (2.0 * DELTA_STEP)
+    return -temperature / spec.coupling.j * dlog_z

@@ -140,10 +140,12 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
     temps = np.asarray(opts.temperatures, dtype=float)
     n_temps = temps.size
     # the momentum blocks are checked once per N, on an anisotropic ring in
-    # a field when the grid has one
+    # a field when the grid has one; their bond mode also on the isotropic
+    # J = 1 ring, when the grid has it
     momentum_case = (next((d for d in opts.deltas if d != 1.0), opts.deltas[0]),
                      next((b for b in opts.fields if b != 0.0), opts.fields[0]),
                      opts.j_values[0])
+    bond_cases = (momentum_case, (1.0, 0.0, 1.0))
 
     sampled_tensors: list[tuple[str, np.ndarray]] = []
     spec_index = 0
@@ -166,6 +168,9 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         col.record("sector_vs_full_spectrum",
                    float(np.max(np.abs(sd.eigenvalues - full.eigenvalues))), 1e-9, tag)
         if (delta, b, j) == momentum_case:
+            # the values-only spectrum that threshold and spectrum read; the
+            # bond mode solves the same blocks by eigh, a different LAPACK
+            # path, so it is checked through its pair RDMs below
             col.record("momentum_vs_sector_spectrum", _label_spectrum_gap(
                 spectral.decompose(spec, vectors=False), sd), 1e-9, tag)
         resid, ortho = oracle.eigen_residuals(h, sd)
@@ -207,6 +212,15 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         probabilities = grid.probabilities[:n_temps]
         u, m = grid.u[:n_temps], grid.m[:n_temps]
         rdm = twoqubit.pair_rdms(sd, probabilities, 1, 2)
+        if (delta, b, j) in bond_cases:
+            # the bond's table from (E_n, S_z label, ZZ_n) on the momentum
+            # blocks, against the table from the sector eigenvectors
+            bond_sd = spectral.decompose(spec, bond=(1, 2))
+            bond_rdm = twoqubit.pair_rdms(
+                bond_sd, thermo.thermo_grid(bond_sd, spec, temps).probabilities, 1, 2)
+            bond_gap = np.abs(bond_rdm.matrix - rdm.matrix).max(axis=(1, 2)).tolist()
+            for t, gap in zip(temps, bond_gap):
+                col.record("bond_route_vs_pair_table", gap, 1e-12, f"{tag} T={t:g}")
         k = 1 + n // 2  # some other bond (k, k+1) around the ring
         rdm_shift = twoqubit.pair_rdms(sd, probabilities, k, k % n + 1)
         cs = twoqubit.correlations_from_rdm(rdm)
@@ -370,6 +384,12 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         u_res, m_res = thermo.check_derivatives(spec, t)
         col.record("derivative_u", u_res, 1e-5, f"N={n} T={t:.3g}")
         col.record("derivative_m", m_res, 1e-5, f"N={n} T={t:.3g}")
+        # Hellmann-Feynman: the bond mode's sigma^z sigma^z bond sum against
+        # -(T/J) d(log Z)/d(delta) from values-only spectra
+        rdm = twoqubit.pair_rdm_thermal(spectral.decompose(spec, bond=(1, 2)), t, 1, 2)
+        zz = n * twoqubit.correlations_from_rdm(rdm).g[2, 2]
+        col.record("derivative_zz", abs(zz - thermo.zz_from_log_z(spec, t)), 1e-5,
+                   f"N={n} T={t:.3g}")
 
     return col.results()
 

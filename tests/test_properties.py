@@ -27,6 +27,7 @@ from heisenring import (
 from heisenring.bell import TSIRELSON, frame_expectations
 from heisenring.entanglement import X_FORM_TOL
 from heisenring.oracle import embed, gibbs_state, reduce_to_pair
+from heisenring.sweep import sweep_decomposition
 from helpers import kron_hamiltonian, kron_sites
 
 coupling = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -176,7 +177,8 @@ def _bits(v):
 
 
 def _assert_columns_match_single_states(spec, temps, pair):
-    sd = decompose(spec)
+    # the reference chain reads the decomposition the sweep itself takes
+    sd = sweep_decomposition(spec, pair)
     columns = run_sweep(spec, np.array(temps), pair)
     assert list(columns) == list(COLUMNS)
     for r, t in enumerate(temps):

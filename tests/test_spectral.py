@@ -162,8 +162,9 @@ def test_two_site_momentum_blocks():
     # triplet, 2J) and at k = pi (the singlet, -6J); the bond counts twice
     spec = ModelSpec.uniform(2, 1.0)
     blocks = list(_blocks(spec, sector_basis(2)[1], orbit_tables(2), 0.0))
-    assert [mult for mult, _ in blocks] == [1, 1]
-    assert [b.tolist() for _, b in blocks] == [[[2.0]], [[-6.0]]]
+    assert [mult for mult, _, _ in blocks] == [1, 1]
+    assert [basis.tolist() for _, basis, _ in blocks] == [[1], [1]]
+    assert [b.tolist() for _, _, b in blocks] == [[[2.0]], [[-6.0]]]
 
 
 def test_momentum_blocks_hermitian_and_sized():
@@ -177,12 +178,13 @@ def test_momentum_blocks_hermitian_and_sized():
     widths = []
     for k, states in enumerate(sector_basis(n)[:n // 2 + 1]):
         blocks = list(_blocks(spec, states, orbits, 0.0))
-        assert sum(mult * b.shape[0] for mult, b in blocks) == states.size
-        for _, b in blocks:
+        assert sum(mult * b.shape[0] for mult, _, b in blocks) == states.size
+        for _, basis, b in blocks:
+            assert basis.shape == b.shape[:1]
             # hop sums agree with their transposed partners up to rounding
             assert np.max(np.abs(b - b.conj().T)) <= 1e-12
         sectors = 2 if 2 * k < n else 1
-        widths += [b.shape[0] for mult, b in blocks for _ in range(sectors * mult)]
+        widths += [b.shape[0] for mult, _, b in blocks for _ in range(sectors * mult)]
     assert len(widths) == 184
     assert max(widths) == 246
 
@@ -221,8 +223,9 @@ def test_trivial_orbit_block_is_sector_block(spec):
     for states in sector_basis(n):
         blocks = list(_blocks(spec, states, trivial_orbits(n), spec.field_b))
         assert len(blocks) == 1
-        mult, block = blocks[0]
+        mult, basis, block = blocks[0]
         assert mult == 1 and block.dtype == np.float64
+        assert np.array_equal(basis, states)
         assert np.max(np.abs(block - h.real[np.ix_(states, states)])) <= 1e-13
 
 
@@ -307,7 +310,8 @@ def test_trivial_orbit_block_is_parity_block(n):
     spec = random_general_spec(n, seed=n + 20, field_b=-0.35)
     h = build_hamiltonian(spec)
     for states in parity_basis(n):
-        ((mult, block),) = _blocks(spec, states, trivial_orbits(n), spec.field_b)
+        ((mult, basis, block),) = _blocks(spec, states, trivial_orbits(n), spec.field_b)
+        assert np.array_equal(basis, states)
         assert mult == 1 and block.dtype == np.float64
         assert np.max(np.abs(block - h[np.ix_(states, states)])) <= 1e-13
 
@@ -326,3 +330,62 @@ def test_parity_blocks_match_dense_oracle(n):
             got = pair_rdm_thermal(sd, t, *pair).matrix
             want = reduce_to_pair(rho, *pair).matrix
             assert np.max(np.abs(got - want)) <= 1e-12, (t, pair)
+
+
+BOND_TEMPERATURES = (0.0, 0.05, 0.5, 2.0, 20.0)
+
+
+@pytest.mark.parametrize("n,j,delta,b", [
+    (2, 1.0, 1.0, 0.0),      # the double bond
+    (2, -0.7, 0.4, -0.3),
+    (3, 1.0, 1.0, 0.0),      # fourfold ground level
+    (4, -1.0, 1.0, 0.0),     # ferromagnet: fivefold ground level
+    (5, 0.0, 1.3, 0.4),      # J = 0: z = 0
+    (6, 1.3, 0.0, 0.2),      # delta = 0
+    (7, -0.7, 2.0, 0.4),     # J < 0, delta = 2
+    (8, 1.0, 0.5, 0.2),
+    (9, 2.0, 2.0, 0.2),
+    (10, 1.0, 0.5, 0.4),
+])
+def test_bond_mode_matches_pair_table_and_oracle(n, j, delta, b):
+    # the bond's table from (E_n, S_z label, ZZ_n) gives the thermal pair
+    # RDMs of the sector eigenvectors' table and of the dense Gibbs matrix,
+    # for every ring bond and both orders of its sites
+    spec = ModelSpec.uniform(n, j, delta, b)
+    sector = decompose(spec)
+    full = diagonalize_full(build_hamiltonian(spec))
+    rhos = [gibbs_state(full, t) for t in BOND_TEMPERATURES]
+    for pair in {(1, 2), (2, 1), (1, n), (n, 1)}:
+        bond = decompose(spec, bond=pair)
+        assert bond.eigvec_blocks is None
+        assert list(bond.pair_tables) == [pair]
+        assert bond.ground_degeneracy == sector.ground_degeneracy
+        assert np.max(np.abs(bond.eigenvalues - sector.eigenvalues)) <= 1e-12
+        for t, rho in zip(BOND_TEMPERATURES, rhos):
+            got = pair_rdm_thermal(bond, t, *pair)
+            assert got.z.imag == 0.0
+            assert abs(thermo_point(bond, spec, t).m - thermo_point(sector, spec, t).m) <= 1e-12
+            for want in (pair_rdm_thermal(sector, t, *pair).matrix,
+                         reduce_to_pair(rho, *pair).matrix):
+                assert np.max(np.abs(got.matrix - want)) <= 1e-13, (pair, t)
+
+
+def test_bond_mode_needs_a_uniform_ring_bond():
+    spec = ModelSpec.uniform(6, 1.0, 0.5, 0.2)
+    jx, jy, jz = ring_coupling_matrices(spec)
+    for bad_spec, pair in ((spec, (1, 3)), (spec, (2, 2)),
+                           (ModelSpec.general(jx, jy, jz, 0.2), (1, 2))):
+        with pytest.raises(ValueError, match="bond mode"):
+            decompose(bad_spec, bond=pair)
+
+
+def test_values_only_decompose_runs_no_eigh(monkeypatch):
+    # threshold and spectrum read values-only spectra: eigvalsh alone
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    jx, jy, jz = ring_coupling_matrices(ModelSpec.uniform(6, 1.0))
+    for spec in (ModelSpec.uniform(9, 1.0, 0.5, 0.2), ModelSpec.uniform(8, -1.0),
+                 ModelSpec.general(jx, jy, jz, 0.3), random_general_spec(5, seed=3)):
+        assert decompose(spec, vectors=False).eigvec_blocks is None

@@ -15,7 +15,7 @@ from heisenring import (
     thermo_point,
 )
 from heisenring.oracle import gibbs_state
-from heisenring.thermo import thermal_probabilities
+from heisenring.thermo import thermal_probabilities, zz_from_log_z
 from helpers import (
     SINGLET_RHO,
     cached_decompose,
@@ -205,3 +205,27 @@ def test_m_bar_matches_pair_rdm():
         tp = thermo_point(sd, spec, t)
         rdm = pair_rdm_thermal(sd, t, 1, 2)
         assert abs(tp.m_per_site - rdm.m_bar) <= 1e-10
+
+
+@pytest.mark.parametrize("n,j,delta,b,t", [
+    (2, 1.0, 1.0, 0.0, 0.7),
+    (4, -1.3, 0.5, 0.2, 1.5),
+    (5, 0.8, 0.0, 0.4, 0.6),
+    (6, 2.0, 2.0, 0.3, 3.0),
+])
+def test_zz_from_log_z_matches_dense_gibbs(n, j, delta, b, t):
+    # Hellmann-Feynman against <sum_bonds sigma^z sigma^z> of the dense
+    # Gibbs matrix, whose diagonal the bond sum weights; at N = 2 the
+    # periodic sum visits the one bond twice, as the roll does
+    spec = ModelSpec.uniform(n, j, delta, b)
+    states = np.arange(1 << n)
+    spins = 1 - 2 * ((states[:, None] >> np.arange(n)) & 1)
+    zz = (spins * np.roll(spins, 1, axis=1)).sum(axis=1)
+    rho = gibbs_state(diagonalize_full(build_hamiltonian(spec)), t)
+    assert abs(zz_from_log_z(spec, t) - np.diagonal(rho) @ zz) <= 1e-6
+
+
+def test_zz_from_log_z_rejects_its_preconditions():
+    for spec, t in ((ModelSpec.uniform(3, 1.0), 0.0), (ModelSpec.uniform(3, 0.0), 1.0)):
+        with pytest.raises(ValueError):
+            zz_from_log_z(spec, t)

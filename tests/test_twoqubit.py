@@ -15,6 +15,8 @@ from heisenring import (
     thermo_grid,
     thermo_point,
 )
+from heisenring import twoqubit
+from heisenring.model import ring_coupling_matrices
 from heisenring.oracle import correlations, gibbs_state, reduce_to_pair
 from heisenring.twoqubit import _pair_table
 from helpers import SINGLET_RHO, cached_decompose, eigenvector_matrix, random_general_spec
@@ -290,3 +292,50 @@ def test_sweep_of_an_empty_grid_is_empty():
     for spec in (ModelSpec.uniform(4, 1.0), ModelSpec.uniform(4, 1.0, 1.0, 0.3)):
         columns = run_sweep(spec, np.array([]))
         assert all(values == [] for values in columns.values())
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Runs run_sweep and returns (widths of the 2-D eigh calls, _pair_table pairs)."""
+    eigh, pair_table = np.linalg.eigh, twoqubit._pair_table
+    widths, tables = [], []
+
+    def counted_eigh(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            widths.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    def counted_table(sd, i, j):
+        tables.append((i, j))
+        return pair_table(sd, i, j)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(twoqubit, "_pair_table", counted_table)
+
+    def run(spec, pair):
+        widths.clear()
+        tables.clear()
+        run_sweep(spec, np.array([0.0, 0.5, 2.0]), pair)
+        return list(widths), list(tables)
+
+    return run
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 1), (1, 8), (8, 1), (4, 5)])
+def test_uniform_bond_sweep_holds_no_sector_vectors(sweep_calls, pair):
+    # a ring bond of a uniform ring reads its table from the momentum
+    # blocks: no eigh on a sector-wide block, no pair table from vectors
+    widths, tables = sweep_calls(ModelSpec.uniform(8, 1.0, 0.5, 0.2), pair)
+    assert tables == []
+    assert widths and max(widths) < math.comb(8, 4)
+
+
+def test_other_sweeps_keep_the_sector_pair_table(sweep_calls):
+    # a non-adjacent pair, and a general spec even on a ring bond, still
+    # take the sector eigenvectors and build the pair table from them
+    uniform = ModelSpec.uniform(8, 1.0, 0.5, 0.2)
+    general = ModelSpec.general(*ring_coupling_matrices(uniform), field_b=0.2)
+    for spec, pair in ((uniform, (1, 3)), (uniform, (2, 6)), (general, (1, 2))):
+        widths, tables = sweep_calls(spec, pair)
+        assert tables == [pair]
+        assert math.comb(8, 4) in widths

@@ -104,7 +104,8 @@ def test_no_frames_drawn_without_sampled_states(monkeypatch):
 def test_grid_specs_run_as_temperature_stacks(monkeypatch):
     # the production side of a grid spec runs once on its whole T grid, and
     # the full-space operators of an N <= 5 spec are embedded once, however
-    # many temperatures the grid has
+    # many temperatures the grid has; the bond route adds one stack on each
+    # N's momentum case and isotropic J = 1 ring
     calls = {}
 
     def count(module, name):
@@ -121,12 +122,22 @@ def test_grid_specs_run_as_temperature_stacks(monkeypatch):
     count(oracle, "embed")
     specs = [ModelSpec.uniform(n, j, delta, b) for n in (3, 6) for delta in (1.0, 0.5)
              for b in (0.0, 0.4) for j in (1.0, -1.0)]
+    bond_specs = [ModelSpec.uniform(n, 1.0, delta, b) for n in (3, 6)
+                  for delta, b in ((0.5, 0.4), (1.0, 0.0))]
     for temperatures in ((0.5,), (0.2, 0.7, 1.5, 4.0)):
         calls.update(thermo_grid=[], pair_rdms=[], embed=[])
         run_verification(VerifyOptions(n_values=(3, 6), deltas=(1.0, 0.5),
                                        fields=(0.0, 0.4), temperatures=temperatures,
                                        frames=10, sampled_states=1))
         grid_specs = [args[1] for args in calls["thermo_grid"]]
-        assert all(grid_specs.count(spec) == 1 for spec in specs)
-        assert len(calls["pair_rdms"]) == 2 * len(specs)
+        assert all(grid_specs.count(spec) == 1 + (spec in bond_specs) for spec in specs)
+        assert len(calls["pair_rdms"]) == 2 * len(specs) + len(bond_specs)
         assert len(calls["embed"]) == 10 * sum(spec.n_sites <= 5 for spec in specs)
+
+
+def test_bond_route_and_zz_derivative_are_checked():
+    opts = VerifyOptions(n_values=(2, 5), deltas=(1.0, 0.5), fields=(0.0, 0.3),
+                         temperatures=(0.0, 0.7), frames=10, sampled_states=0)
+    results = {r.name: r for r in run_verification(opts)}
+    for name, threshold in (("bond_route_vs_pair_table", 1e-12), ("derivative_zz", 1e-5)):
+        assert results[name].passed and results[name].threshold == threshold
