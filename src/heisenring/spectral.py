@@ -310,7 +310,10 @@ def decompose(spec: ModelSpec, vectors: bool = True,
         sectors = parity_basis(n)
     else:
         sectors = sector_basis(n)[:n // 2 + 1] if paired else sector_basis(n)
-    bond_bits = [bits[:2] for bits in _pair_terms(spec)] if bond is not None else []
+    if bond is not None:
+        # sum_bonds sigma^z sigma^z of every basis state, read per block basis
+        every_state = np.arange(1 << n, dtype=np.int64)
+        bond_zz = sum(_zz_sign(every_state, bi, bk) for bi, bk, *_ in _pair_terms(spec))
     all_evals, all_keys, bond_rows, vec_blocks = [], [], [], []
     for k, states in enumerate(sectors):
         parts, zz_parts = [], []
@@ -318,8 +321,7 @@ def decompose(spec: ModelSpec, vectors: bool = True,
                                           0.0 if paired else spec.field_b):
             if bond is not None:
                 evals, bvecs = np.linalg.eigh(block)
-                zz = sum(_zz_sign(basis, bi, bk) for bi, bk in bond_bits)
-                zz_parts.append(np.tile(zz @ (bvecs * bvecs.conj()).real, mult))
+                zz_parts.append(np.tile(bond_zz[basis] @ (bvecs * bvecs.conj()).real, mult))
                 del bvecs  # only ZZ_n is kept
             elif vectors:
                 evals, bvecs = np.linalg.eigh(block)
