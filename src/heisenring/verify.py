@@ -13,8 +13,8 @@ The dense oracle (heisenring.oracle) builds one Gibbs matrix at a time, so
 an N = 12 grid never holds a stack of 2^N x 2^N matrices.  Each check then
 records its residual row by row, in temperature order.  The bond mode of
 spectral.decompose, which sweeps of a ring bond take, is held against the
-sector pair table on two specs per N and against a derivative of log Z in
-the anisotropy.
+sector pair table on one or two specs per N and against a derivative of
+log Z in the anisotropy.
 """
 
 from __future__ import annotations
