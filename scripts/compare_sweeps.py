@@ -11,7 +11,8 @@ cell must be bit-identical: the same 17-significant-digit text, the same
 boolean, or the same empty cell.
 
 Both trees also run `spectrum` (JSON) on SPECTRUM_MODELS: uniform rings
-with N = 8, 11, 13 and 14, and the two general-coupling rings.  There the
+with N = 8, 11, 12 (the XX ring), 13 and 14, and the two general-coupling
+rings.  There the
 sorted energies of each S_z label must agree within SPECTRUM_TOL and the
 ground degeneracy must be identical; the row order among degenerate
 levels of different labels may differ.  The S_z-breaking ring has no
@@ -74,6 +75,9 @@ SPECTRUM_MODELS = {
     "spectrum-n13": {"n_sites": 13, "j": -0.8, "delta": 1.3, "field_b": 0.25},
     # even N in a field: sector k = 7 is its own flip, the others shift by B
     "spectrum-n14-field": {"n_sites": 14, "j": 1.0, "delta": 0.5, "field_b": 0.3},
+    # the XX ring (delta = 0): highly degenerate, so a wrong phase in the
+    # real momentum basis would split or shift its levels
+    "spectrum-n12-xx": {"n_sites": 12, "j": 1.0, "delta": 0.0},
     # general couplings with jx = jy: values-only blocks over trivial orbits
     "spectrum-general-sz-n8": general_model(conserves_sz=True),
     # jx != jy: the two spin-flip parity blocks, no S_z labels

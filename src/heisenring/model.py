@@ -1,4 +1,4 @@
-"""Spin-1/2 ring Hamiltonians, basis-index tables and the translation permutation.
+"""Spin-1/2 ring Hamiltonians, basis-index tables and the ring permutations.
 
 Basis convention
 ----------------
@@ -203,6 +203,21 @@ def translation(n: int) -> np.ndarray:
     """
     s = np.arange(1 << n, dtype=np.int64)
     return ((s << 1) | (s >> (n - 1))) & ((1 << n) - 1)
+
+
+def reflection(n: int) -> np.ndarray:
+    """Site reflection R: i -> N + 1 - i of an n-site ring as a basis permutation.
+
+    Returns the int64 array p with p[s] the index s with its n bits
+    reversed, i.e. R|m_1 m_2 ... m_N> = |m_N ... m_2 m_1>.  R maps every
+    ring bond onto a ring bond, so it commutes with a uniform H, and
+    R T R = T^-1.
+    """
+    s = np.arange(1 << n, dtype=np.int64)
+    r = np.zeros_like(s)
+    for bit in range(n):
+        r |= ((s >> bit) & 1) << (n - 1 - bit)
+    return r
 
 
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:

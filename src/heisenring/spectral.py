@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelSpec, hermiticity_defect, translation
+from .model import ModelSpec, hermiticity_defect, reflection, translation
 
 FULL_PATH_MAX_SITES = 12
 DEGENERACY_RTOL = 1e-9
@@ -203,7 +203,8 @@ def _zz_sign(states: np.ndarray, bi: int, bk: int) -> np.ndarray:
     return (1 - 2 * ((states >> bi) & 1)) * (1 - 2 * ((states >> bk) & 1))
 
 
-def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float):
+def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float,
+            mirror: np.ndarray | None = None):
     """The block of H on `states`, built from bit rules and split by momentum.
 
     `states` is closed under H: an S_z sector, or a parity sector of an
@@ -221,6 +222,20 @@ def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float):
     -m is the complex conjugate of the block at m and has the same
     eigenvalues: each block with 0 < m < N - m stands for both and has
     multiplicity 2.  Blocks at m = 0 and 2m = N are real and count once.
+
+    mirror, the reflection permutation model.reflection(N) of a uniform
+    ring, makes every block with 0 < m < N - m real symmetric as well; None
+    keeps it complex Hermitian.  The antiunitary K R, K complex conjugation
+    and R the site reflection, commutes with H and maps T to T^-1, so it
+    maps momentum m into itself: it sends the momentum state of a to
+    phi_a = exp(-2*pi*i*m*l/N) times that of abar = rep[R a], with
+    l = shift[R a], and squares to 1 (Sandvik, arXiv:1101.3281, section
+    4.2).  Its invariant vectors form a real orthonormal basis:
+    (e_a + phi_a e_abar)/sqrt(2) and i(e_a - phi_a e_abar)/sqrt(2) for
+    each pair a != abar, and exp(i theta_a/2) e_a for each a = abar with
+    phi_a = exp(i theta_a).  The block in that basis, _real_block, is real
+    and has the same eigenvalues; `basis` then holds each column's pair
+    representative a.
 
     With trivial_orbits every state is a representative of period 1 and
     shift 0, so only m = 0 has states and its one real block is the plain
@@ -249,6 +264,9 @@ def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float):
             ls.append(shift[flipped])
             amps.append(amp * np.sqrt(r_a[movers] / period[flipped]))
     rows, cols, ls, amps = map(np.concatenate, (rows, cols, ls, amps))
+    if mirror is not None:
+        mirrored = mirror[reps]
+        partner, l_mirror = np.searchsorted(reps, rep[mirrored]), shift[mirrored]
 
     for m in range(n // 2 + 1):
         keep = (m * r_a) % n == 0
@@ -257,15 +275,57 @@ def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float):
         index = np.cumsum(keep) - 1
         hops = keep[rows] & keep[cols]
         amp, l = amps[hops], ls[hops]
+        at = (index[rows[hops]], index[cols[hops]])
+        basis = reps[keep]
         if (2 * m) % n == 0:
             block = np.diag(diag[keep])
-            values = amp * (-1.0) ** (2 * m * l // n)
+            np.add.at(block, at, amp * (-1.0) ** (2 * m * l // n))
         else:
-            block = np.diag(diag[keep].astype(complex))
             values = amp * np.exp(-2j * np.pi * m * l / n)
-        np.add.at(block, (index[rows[hops]], index[cols[hops]]), values)
-        yield (1 if (2 * m) % n == 0 else 2), reps[keep], block
+            if mirror is None:
+                block = np.diag(diag[keep].astype(complex))
+                np.add.at(block, at, values)
+            else:
+                phases = np.exp(-2j * np.pi * m * l_mirror[keep] / n)
+                owners, block = _real_block(diag[keep], index[partner[keep]], phases,
+                                            *at, values)
+                basis = basis[owners]
+        yield (1 if (2 * m) % n == 0 else 2), basis, block
         del block  # the caller's reference is the last one
+
+
+def _real_block(diag: np.ndarray, partner: np.ndarray, phases: np.ndarray,
+                rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
+    """A complex momentum block rewritten in the real basis of K R (see _blocks).
+
+    diag, partner (the block index of abar) and phases (phi_a) are indexed
+    by the block's momentum states; each hop element values[h] sits at
+    (rows[h], cols[h]).  Every momentum state spans at most two real basis
+    vectors, so each hop element lands on at most four entries of the real
+    block; only the real part of each product is added, since the imaginary
+    parts cancel in the sum.  The diagonal stays diagonal: R maps the z-z
+    terms onto themselves.  Returns the momentum state that owns each real
+    column (a for both columns of a pair) and the real block.
+    """
+    states = np.arange(diag.size)
+    paired = (states != partner).astype(np.int64)
+    # each pair opens its two columns at its smaller member, a self-partner one
+    opens = np.where(states <= partner, 1 + paired, 0)
+    first_column = (np.cumsum(opens) - opens)[np.minimum(states, partner)]
+    root = math.sqrt(0.5)
+    # columns (first_column, first_column + 1) of pair members a < abar and abar,
+    # and the one column of a self-partner
+    weights = (np.where(paired, np.where(states < partner, root, root * phases),
+                        np.sqrt(phases)),
+               np.where(states < partner, 1j * root, -1j * root * phases) * paired)
+    columns = (first_column, first_column + paired)
+    owners = np.repeat(states, opens)
+    block = np.diag(diag[owners])
+    for col_r, w_r in zip(columns, weights):
+        for col_c, w_c in zip(columns, weights):
+            np.add.at(block, (col_r[rows], col_c[cols]),
+                      (w_r[rows].conj() * values * w_c[cols]).real)
+    return owners, block
 
 
 def decompose(spec: ModelSpec, vectors: bool = True,
@@ -306,6 +366,8 @@ def decompose(spec: ModelSpec, vectors: bool = True,
         raise ValueError(f"bond mode needs a uniform ring and a ring bond, got {bond}")
     paired = spec.is_uniform and (not vectors or bond is not None)
     orbits = orbit_tables(n) if paired else trivial_orbits(n)
+    # values-only paired blocks go real; the bond mode keeps complex blocks
+    mirror = reflection(n) if paired and bond is None else None
     if not spec.conserves_sz:
         sectors = parity_basis(n)
     else:
@@ -318,7 +380,7 @@ def decompose(spec: ModelSpec, vectors: bool = True,
     for k, states in enumerate(sectors):
         parts, zz_parts = [], []
         for mult, basis, block in _blocks(spec, states, orbits,
-                                          0.0 if paired else spec.field_b):
+                                          0.0 if paired else spec.field_b, mirror):
             if bond is not None:
                 evals, bvecs = np.linalg.eigh(block)
                 zz_parts.append(np.tile(bond_zz[basis] @ (bvecs * bvecs.conj()).real, mult))

@@ -156,11 +156,12 @@ def check_derivatives(spec: ModelSpec, temperature: float) -> tuple[float, float
 
     U is checked as -d(log Z)/d(beta) on the same spectrum; M as
     -(1/beta) d(log Z)/dB, re-diagonalizing at B +- FIELD_STEP.  Returns the two
-    absolute residuals.
+    absolute residuals.  Every spectrum is values-only, except that an
+    S_z-breaking spec has no sector labels and reads M off its eigenvectors.
     """
     if temperature <= 0:
         raise ValueError("finite-difference check needs temperature > 0")
-    sd = decompose(spec)
+    sd = decompose(spec, vectors=not spec.conserves_sz)
     tp = thermo_point(sd, spec, temperature)
 
     beta = 1.0 / temperature
@@ -171,7 +172,7 @@ def check_derivatives(spec: ModelSpec, temperature: float) -> tuple[float, float
 
     def shifted(delta_b: float) -> float:
         shifted_spec = replace(spec, field_b=spec.field_b + delta_b)
-        return _log_z(decompose(shifted_spec), temperature)
+        return _log_z(decompose(shifted_spec, vectors=False), temperature)
 
     m_fd = -(shifted(FIELD_STEP) - shifted(-FIELD_STEP)) / (2.0 * FIELD_STEP * beta)
     return abs(u_fd - tp.u), abs(m_fd - tp.m)

@@ -14,6 +14,7 @@ from heisenring.model import (
     SIGMA_Y,
     _real_part,
     hermiticity_defect,
+    reflection,
     site_indices,
     translation,
 )
@@ -125,6 +126,32 @@ def test_translation_rotates_bits_left():
     for s in range(1 << n):
         bits = format(s, f"0{n}b")
         assert p[s] == int(bits[1:] + bits[0], 2)
+
+
+def test_reflection_reverses_bits():
+    # brute force at N = 6: site i's spin moves to site N + 1 - i
+    n = 6
+    p = reflection(n)
+    assert p.dtype == np.int64
+    for s in range(1 << n):
+        assert p[s] == int(format(s, f"0{n}b")[::-1], 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 7])
+def test_reflection_is_an_involution_that_inverts_translation(n):
+    r, t = reflection(n), translation(n)
+    every_state = np.arange(1 << n)
+    assert np.array_equal(r[r], every_state)
+    # R T R = T^-1: R T R T is the identity
+    assert np.array_equal(r[t[r[t]]], every_state)
+
+
+@pytest.mark.parametrize("n,j,delta,b", [(3, 1.0, 1.0, 0.0), (4, -0.8, 0.5, 0.3),
+                                         (5, 1.0, 2.0, -0.4), (6, 0.7, 0.0, 0.2)])
+def test_reflection_commutes_with_uniform_ring(n, j, delta, b):
+    h = build_hamiltonian(ModelSpec.uniform(n, j, delta, b))
+    p = reflection(n)
+    assert np.max(np.abs(h[np.ix_(p, p)] - h)) <= 1e-12
 
 
 @pytest.mark.parametrize("n,b", [(2, 0.5), (4, 1.0), (5, 2.0)])

@@ -15,7 +15,7 @@ from heisenring.spectral import (
     sector_basis,
     trivial_orbits,
 )
-from heisenring.model import ring_coupling_matrices
+from heisenring.model import reflection, ring_coupling_matrices
 from heisenring.oracle import eigen_residuals, gibbs_state, reduce_to_pair
 from heisenring.thermo import thermo_point
 from heisenring.twoqubit import pair_rdm_thermal
@@ -389,3 +389,44 @@ def test_values_only_decompose_runs_no_eigh(monkeypatch):
     for spec in (ModelSpec.uniform(9, 1.0, 0.5, 0.2), ModelSpec.uniform(8, -1.0),
                  ModelSpec.general(jx, jy, jz, 0.3), random_general_spec(5, seed=3)):
         assert decompose(spec, vectors=False).eigvec_blocks is None
+
+
+@pytest.mark.parametrize("n,blocks,widest", [(13, 43, 132), (14, 57, 246)])
+def test_values_only_uniform_solves_real_blocks(monkeypatch, n, blocks, widest):
+    # every momentum block of a values-only uniform ring reaches eigvalsh
+    # as a real float64 matrix, 0 < m < N/2 included; the blocks stay as many
+    # and as wide as the complex ones
+    eigvalsh, seen = np.linalg.eigvalsh, []
+
+    def recording(a, *args, **kwargs):
+        seen.append((a.dtype, a.shape[0]))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    decompose(ModelSpec.uniform(n, 1.0, 0.5, 0.3), vectors=False)
+    assert {dtype for dtype, _ in seen} == {np.dtype(np.float64)}
+    assert len(seen) == blocks
+    assert max(width for _, width in seen) == widest
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_real_blocks_match_complex_momentum_blocks(n):
+    # the real basis of K R gives each block the spectrum of its complex
+    # momentum block, for every sector with 2k <= N and every momentum
+    orbits, mirror = orbit_tables(n), reflection(n)
+    for j in (1.0, -0.8, 0.0):
+        for delta in (0.0, 0.5, 1.0, 2.0):
+            spec = ModelSpec.uniform(n, j, delta)
+            for states in sector_basis(n)[:n // 2 + 1]:
+                pairs = zip(_blocks(spec, states, orbits, 0.0),
+                            _blocks(spec, states, orbits, 0.0, mirror), strict=True)
+                for (mult, basis, block), (real_mult, real_basis, real) in pairs:
+                    assert real_mult == mult and real.dtype == np.float64
+                    assert real.shape == block.shape
+                    # each real column belongs to a pair or self-partner of the block
+                    assert set(real_basis.tolist()) <= set(basis.tolist())
+                    want = np.linalg.eigvalsh(block)
+                    got = np.linalg.eigvalsh(real)
+                    scale = max(1.0, float(np.max(np.abs(want))))
+                    assert np.max(np.abs(real - real.T)) <= 1e-12 * scale
+                    assert np.max(np.abs(got - want)) <= 1e-12 * scale, (j, delta, mult)

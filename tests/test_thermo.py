@@ -20,6 +20,7 @@ from helpers import (
     SINGLET_RHO,
     cached_decompose,
     log_z_two_site,
+    random_general_spec,
     u_three_site,
     u_two_site,
 )
@@ -99,6 +100,24 @@ def test_derivative_check_three_site():
 
 def test_derivative_check_anisotropic_field():
     u_res, m_res = check_derivatives(ModelSpec.uniform(4, 1.0, 0.5, 0.3), 2.0)
+    assert u_res <= 1e-5
+    assert m_res <= 1e-5
+
+
+def test_derivative_check_is_values_only(monkeypatch):
+    # log Z, U and the label-based M need no eigenvectors
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    u_res, m_res = check_derivatives(ModelSpec.uniform(5, -1.2, 0.7, 0.4), 1.5)
+    assert u_res <= 1e-5
+    assert m_res <= 1e-5
+
+
+def test_derivative_check_sz_breaking_spec():
+    # no sector labels: M comes from the eigenvectors of the main spectrum
+    u_res, m_res = check_derivatives(random_general_spec(4, seed=11, field_b=0.3), 1.0)
     assert u_res <= 1e-5
     assert m_res <= 1e-5
 
