@@ -22,11 +22,16 @@ so momenta m and -m share a spectrum and only 0 <= m <= N/2 is
 diagonalised.  The global spin flip maps sector k onto sector N - k and
 reverses the field, so only the sectors with 2k <= N are diagonalised, at
 zero field, and each field shift is added afterwards.  At N = 14 that is
-57 eigensolves instead of 184.  The bond mode of decompose solves the
-same paired blocks with eigh and keeps, per eigenstate, only the
-sigma^z sigma^z bond sum read off each block's vectors before they are
-dropped; with the energy and the S_z label it fixes the nearest-neighbour
-pair RDM of a uniform ring, which is how a sweep of a ring bond runs.
+57 eigensolves instead of 184.  The blocks with 0 < m < N/2 are complex
+in the momentum basis; values-only decompositions rewrite them in the
+real basis of the antiunitary K R, complex conjugation times the site
+reflection (Sandvik, arXiv:1101.3281, section 4.2), so every eigvalsh
+runs on a real symmetric block of the same width.  The bond mode of
+decompose solves the same paired blocks, complex, with eigh and keeps,
+per eigenstate, only the sigma^z sigma^z bond sum read off each block's
+vectors before they are dropped; with the energy and the S_z label it
+fixes the nearest-neighbour pair RDM of a uniform ring, which is how a
+sweep of a ring bond runs.
 Every other decomposition gives _blocks trivial orbits, where every state
 is its own representative, and gets the plain sector or parity block,
 field included.
@@ -234,8 +239,8 @@ def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float,
     (e_a + phi_a e_abar)/sqrt(2) and i(e_a - phi_a e_abar)/sqrt(2) for
     each pair a != abar, and exp(i theta_a/2) e_a for each a = abar with
     phi_a = exp(i theta_a).  The block in that basis, _real_block, is real
-    and has the same eigenvalues; `basis` then holds each column's pair
-    representative a.
+    and has the same eigenvalues.  `basis` is unchanged: each column of the
+    real block belongs to a or abar, and R keeps sigma^z sigma^z sums.
 
     With trivial_orbits every state is a representative of period 1 and
     shift 0, so only m = 0 has states and its one real block is the plain
@@ -287,45 +292,41 @@ def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float,
                 np.add.at(block, at, values)
             else:
                 phases = np.exp(-2j * np.pi * m * l_mirror[keep] / n)
-                owners, block = _real_block(diag[keep], index[partner[keep]], phases,
-                                            *at, values)
-                basis = basis[owners]
+                block = _real_block(diag[keep], index[partner[keep]], phases, *at, values)
         yield (1 if (2 * m) % n == 0 else 2), basis, block
         del block  # the caller's reference is the last one
 
 
 def _real_block(diag: np.ndarray, partner: np.ndarray, phases: np.ndarray,
-                rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
+                rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
     """A complex momentum block rewritten in the real basis of K R (see _blocks).
 
     diag, partner (the block index of abar) and phases (phi_a) are indexed
     by the block's momentum states; each hop element values[h] sits at
-    (rows[h], cols[h]).  Every momentum state spans at most two real basis
-    vectors, so each hop element lands on at most four entries of the real
-    block; only the real part of each product is added, since the imaginary
-    parts cancel in the sum.  The diagonal stays diagonal: R maps the z-z
-    terms onto themselves.  Returns the momentum state that owns each real
-    column (a for both columns of a pair) and the real block.
+    (rows[h], cols[h]).  A pair a < abar puts (e_a + phi_a e_abar)/sqrt(2)
+    in column a and i(e_a - phi_a e_abar)/sqrt(2) in column abar; a
+    self-partner a = abar puts exp(i theta_a/2) e_a in column a.  So every
+    momentum state reaches at most two columns, its own and its partner's,
+    and each hop element lands on at most four entries of the real block;
+    only the real part of each product is added, since the imaginary parts
+    cancel in the sum.
+    The diagonal stays diagonal: R maps the z-z terms onto themselves.
     """
     states = np.arange(diag.size)
-    paired = (states != partner).astype(np.int64)
-    # each pair opens its two columns at its smaller member, a self-partner one
-    opens = np.where(states <= partner, 1 + paired, 0)
-    first_column = (np.cumsum(opens) - opens)[np.minimum(states, partner)]
+    below, above = states < partner, states > partner
     root = math.sqrt(0.5)
-    # columns (first_column, first_column + 1) of pair members a < abar and abar,
-    # and the one column of a self-partner
-    weights = (np.where(paired, np.where(states < partner, root, root * phases),
-                        np.sqrt(phases)),
-               np.where(states < partner, 1j * root, -1j * root * phases) * paired)
-    columns = (first_column, first_column + paired)
-    owners = np.repeat(states, opens)
-    block = np.diag(diag[owners])
-    for col_r, w_r in zip(columns, weights):
-        for col_c, w_c in zip(columns, weights):
-            np.add.at(block, (col_r[rows], col_c[cols]),
-                      (w_r[rows].conj() * values * w_c[cols]).real)
-    return owners, block
+    # each momentum state's weights in column min(a, abar) and column
+    # max(a, abar); a self-partner has a zero second weight
+    low = (np.minimum(states, partner),
+           np.where(below, root, np.where(above, root * phases, np.sqrt(phases))))
+    high = (np.maximum(states, partner),
+            np.where(below, 1j * root, np.where(above, -1j * root * phases, 0.0)))
+    block = np.diag(diag)
+    for col_r, w_r in (low, high):
+        left = w_r[rows].conj() * values
+        for col_c, w_c in (low, high):
+            np.add.at(block, (col_r[rows], col_c[cols]), (left * w_c[cols]).real)
+    return block
 
 
 def decompose(spec: ModelSpec, vectors: bool = True,
@@ -339,7 +340,10 @@ def decompose(spec: ModelSpec, vectors: bool = True,
     a time, so it gets the two blocks of parity_basis and no labels.  With
     vectors=False only eigenvalues (and labels) are computed.  A uniform
     ring then diagonalises only the sectors with 2k <= N, at zero field,
-    split into the momentum blocks 0 <= m <= N/2 of orbit_tables.  The
+    split into the momentum blocks 0 <= m <= N/2 of orbit_tables, each
+    real symmetric: the blocks with 0 < m < N/2 come in the real basis
+    of K R that _blocks builds from model.reflection (Sandvik,
+    arXiv:1101.3281, section 4.2), and eigvalsh runs on float64 only.  The
     global spin flip maps sector k onto sector N - k and reverses the field,
     so sector k gets those values shifted by +B(N - 2k) and sector N - k the
     same values shifted by -B(N - 2k).  Every other decomposition takes
@@ -348,7 +352,8 @@ def decompose(spec: ModelSpec, vectors: bool = True,
 
     bond=(i, j), a ring bond of a uniform spec (model.ModelSpec.is_bond),
     selects the bond mode: the same paired momentum blocks as vectors=False,
-    each solved by eigh, with every block's vectors dropped as soon as
+    but complex in the momentum basis, each solved by eigh, with every
+    block's vectors dropped as soon as
     ZZ_n = <sum_bonds sigma^z sigma^z>_n = sum_c |v_c|^2 zz(rep_c) is read
     off them.  No eigenvectors are kept, so memory stays O(2^N).  The zero
     field level E0_n = J XY_n + J delta ZZ_n then gives

@@ -423,8 +423,7 @@ def test_real_blocks_match_complex_momentum_blocks(n):
                 for (mult, basis, block), (real_mult, real_basis, real) in pairs:
                     assert real_mult == mult and real.dtype == np.float64
                     assert real.shape == block.shape
-                    # each real column belongs to a pair or self-partner of the block
-                    assert set(real_basis.tolist()) <= set(basis.tolist())
+                    assert np.array_equal(real_basis, basis)
                     want = np.linalg.eigvalsh(block)
                     got = np.linalg.eigvalsh(real)
                     scale = max(1.0, float(np.max(np.abs(want))))
