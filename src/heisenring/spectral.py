@@ -309,8 +309,8 @@ def _real_block(diag: np.ndarray, partner: np.ndarray, phases: np.ndarray,
     momentum state reaches at most two columns, its own and its partner's,
     and each hop element lands on at most four entries of the real block;
     only the real part of each product is added, since the imaginary parts
-    cancel in the sum.
-    The diagonal stays diagonal: R maps the z-z terms onto themselves.
+    cancel in the sum.  The diagonal stays diagonal: R maps the z-z terms
+    onto themselves.
     """
     states = np.arange(diag.size)
     below, above = states < partner, states > partner
