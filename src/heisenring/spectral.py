@@ -98,9 +98,14 @@ class SpectralDecomposition:
 
 
 def ground_degeneracy_count(eigenvalues: np.ndarray) -> int:
-    """Number of eigenvalues within the degeneracy tolerance of the lowest."""
+    """Number of eigenvalues within the degeneracy tolerance of the lowest.
+
+    The tolerance is relative to the spectrum's scale, max(|E_0|, |E_last|)
+    of the ascending eigenvalues, so it follows J down to any magnitude.
+    """
     e0 = eigenvalues[0]
-    return int(np.sum(np.abs(eigenvalues - e0) <= DEGENERACY_RTOL * max(1.0, abs(e0))))
+    scale = max(abs(e0), abs(eigenvalues[-1]))
+    return int(np.sum(np.abs(eigenvalues - e0) <= DEGENERACY_RTOL * scale))
 
 
 def diagonalize_full(h: np.ndarray, vectors: bool = True) -> SpectralDecomposition:

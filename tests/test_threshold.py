@@ -37,7 +37,7 @@ def test_threshold_scales_linearly_in_j():
 def test_threshold_independent_of_j_scale(n):
     # the search runs in units of J: t_c / J does not move with J's scale
     ref = find_threshold(*cached_decompose(n, 1.0))
-    for j in (1e-7, 1e-5, 0.73, 1.0, 1e5, 1e7):
+    for j in (1e-12, 1e-10, 1e-7, 1e-5, 0.73, 1.0, 1e5, 1e7):
         res = find_threshold(*cached_decompose(n, j))
         assert res.status == STATUS_FOUND
         assert abs(res.t_c / j - ref.t_c) <= 1e-9 * ref.t_c
