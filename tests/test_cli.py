@@ -471,6 +471,42 @@ def test_non_finite_verify_input_exits_two(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", [
+    {"n_sites": 4, "j": 1e308},
+    {"n_sites": 4, "j": 1e307, "delta": 30},
+    {"n_sites": 14, "j": 1, "field_b": 1e308},
+    {"jx": [[0.0, 1e308], [1e308, 0.0]], "jy": [[0.0, 1e308], [1e308, 0.0]],
+     "jz": [[0.0, 0.0], [0.0, 0.0]]},
+])
+def test_overflowing_couplings_exit_two(tmp_path, capsys, model):
+    # every number is finite, but the bound on |H| is not: eigh would fail
+    # or the outputs would hold inf/NaN, so the spec is refused at the boundary
+    cfg = write_config(tmp_path, {"model": model,
+                                  "temperatures": {"start": 0.5, "stop": 1.0, "count": 2}})
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "overflow" in capsys.readouterr().err
+    cfg = write_config(tmp_path, {"model": model}, "spectrum.json")
+    assert main(["spectrum", "--config", cfg]) == 2
+    assert "overflow" in capsys.readouterr().err
+
+
+def test_overflowing_verify_grid_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"n_values": [4], "j_values": [1e308]})
+    assert main(["verify", "--config", cfg]) == 2
+    assert "overflow" in capsys.readouterr().err
+
+
+def test_threshold_at_huge_j(tmp_path):
+    # J = 1e300 keeps a finite bound on |H|, and t_c / J is J = 1's
+    cfg = write_config(tmp_path, {"model": {"n_sites": 4, "j": 1e300}})
+    out = tmp_path / "thr.json"
+    assert main(["threshold", "--config", cfg, "--format", "json",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "found"
+    assert abs(doc["t_c"] / 1e300 - 3.45345647633076) <= 1e-9
+
+
 def test_zero_j_value_rejected(tmp_path, capsys):
     # the closed-form energy routes divide by J
     cfg = write_config(tmp_path, {"n_values": [3], "j_values": [0.0]})
