@@ -132,26 +132,16 @@ class ModelSpec:
                     f"n_sites={n} breaks S_z (x and y couplings differ), which "
                     f"is capped at n_sites={SZ_BREAKING_MAX_SITES}"
                 )
-        if not np.isfinite(self._norm_bound()):
+        # |H| is at most the pair-term amplitudes plus N |B|; past float
+        # range eigh fails.  spectral imports this module, hence the late import
+        from .spectral import _pair_terms
+        with np.errstate(over="ignore"):
+            bound = sum(abs(hop) + abs(flip) + abs(zz)
+                        for *_, hop, flip, zz in _pair_terms(self))
+            bound += self.n_sites * abs(self.field_b)
+        if not np.isfinite(bound):
             raise ValueError("couplings and field overflow: the bound on |H|, "
                              "sum |hop| + |flip| + |zz| + N |B|, is not finite")
-
-    def _norm_bound(self) -> float:
-        """A bound on the norm of H: its pair-term amplitudes plus N |B|.
-
-        The amplitudes are those of spectral._pair_terms, |hop| + |flip| +
-        |zz| per coupled pair: (2J, 0, J delta) per ring bond, and
-        (2(jx + jy), 2(jx - jy), 2 jz) per general pair i < k.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.is_uniform:
-                j, delta = self.coupling.j, self.coupling.delta
-                terms = self.n_sites * (2.0 * abs(j) + abs(j * delta))
-            else:
-                jx, jy, jz = self.coupling.jx, self.coupling.jy, self.coupling.jz
-                pairs = np.triu(np.abs(jx + jy) + np.abs(jx - jy) + np.abs(jz), 1)
-                terms = 2.0 * np.sum(pairs)
-            return float(terms + self.n_sites * abs(self.field_b))
 
     @classmethod
     def uniform(cls, n_sites: int, j: float, delta: float = 1.0,

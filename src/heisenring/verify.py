@@ -77,8 +77,7 @@ class VerifyOptions:
         if 0.0 in self.j_values:
             raise ValueError(f"'j_values' must be nonzero, got {list(self.j_values)!r}")
         # building every grid spec refuses couplings whose bound on |H| overflows
-        for _ in _spec_grid(self):
-            pass
+        list(_spec_grid(self))
         if min(self.temperatures) < 0.0:
             raise ValueError(f"'temperatures' must be >= 0, got {list(self.temperatures)!r}")
         for key in ("seed", "frames", "sampled_states"):
