@@ -110,6 +110,11 @@ ROUTE_SWEEPS = {
     # J = 0 from T = 0: free spins in a field, where the bond's z is 0
     "j0-b0.4": {"model": {"n_sites": 5, "j": 0.0, "field_b": 0.4},
                 "temperatures": {"start": 0.0, "stop": 3.0, "count": 40}},
+    # the bond mode at the size cap: 57 momentum blocks, widest 246
+    "bond-n14": {"model": {"n_sites": 14, "j": 1.0}, "temperatures": LOG_GRID},
+    # the bond mode at odd N in a field, on the wrap bond
+    "bond-n13-wrap": {"model": {"n_sites": 13, "j": 1.0, "delta": 0.5, "field_b": 0.3},
+                      "temperatures": LOG_GRID, "pair": [13, 1]},
 }
 
 VERIFY_DIFF_LINES = 20

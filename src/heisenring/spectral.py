@@ -22,16 +22,14 @@ so momenta m and -m share a spectrum and only 0 <= m <= N/2 is
 diagonalised.  The global spin flip maps sector k onto sector N - k and
 reverses the field, so only the sectors with 2k <= N are diagonalised, at
 zero field, and each field shift is added afterwards.  At N = 14 that is
-57 eigensolves instead of 184.  The blocks with 0 < m < N/2 are complex
-in the momentum basis; values-only decompositions rewrite them in the
-real basis of the antiunitary K R, complex conjugation times the site
-reflection (Sandvik, arXiv:1101.3281, section 4.2), so every eigvalsh
-runs on a real symmetric block of the same width.  The bond mode of
-decompose solves the same paired blocks, complex, with eigh and keeps,
-per eigenstate, only the sigma^z sigma^z bond sum read off each block's
-vectors before they are dropped; with the energy and the S_z label it
-fixes the nearest-neighbour pair RDM of a uniform ring, which is how a
-sweep of a ring bond runs.
+57 eigensolves instead of 184, each on a real symmetric block: those
+with 0 < m < N/2 come in the real basis of the antiunitary K R, complex
+conjugation times the site reflection (Sandvik, arXiv:1101.3281, section
+4.2).  The bond mode of decompose solves them with eigh and keeps, per
+eigenstate, only the sigma^z sigma^z bond sum read off each block's
+vectors; with the energy and the S_z label it fixes the
+nearest-neighbour pair RDM of a uniform ring, which is how a sweep of a
+ring bond runs.
 Every other decomposition gives _blocks trivial orbits, where every state
 is its own representative, and gets the plain sector or parity block,
 field included.
@@ -98,11 +96,7 @@ class SpectralDecomposition:
 
 
 def ground_degeneracy_count(eigenvalues: np.ndarray) -> int:
-    """Number of eigenvalues within the degeneracy tolerance of the lowest.
-
-    The tolerance is relative to the spectrum's scale, max(|E_0|, |E_last|)
-    of the ascending eigenvalues, so it follows J down to any magnitude.
-    """
+    """Number of eigenvalues within DEGENERACY_RTOL * max(|E_0|, |E_last|) of E_0."""
     e0 = eigenvalues[0]
     scale = max(abs(e0), abs(eigenvalues[-1]))
     return int(np.sum(np.abs(eigenvalues - e0) <= DEGENERACY_RTOL * scale))
@@ -213,15 +207,14 @@ def _zz_sign(states: np.ndarray, bi: int, bk: int) -> np.ndarray:
     return (1 - 2 * ((states >> bi) & 1)) * (1 - 2 * ((states >> bk) & 1))
 
 
-def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float,
-            mirror: np.ndarray | None = None):
+def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float):
     """The block of H on `states`, built from bit rules and split by momentum.
 
     `states` is closed under H: an S_z sector, or a parity sector of an
     S_z-breaking spec.  `orbits` is (rep, shift, period) as from
     orbit_tables, and field_b the field B, or 0.0 to leave the field out:
     a state with k down spins gets B(N - 2k) on the diagonal.  Yields
-    (multiplicity, basis, block) with one Hermitian block per lattice
+    (multiplicity, basis, block) with one real symmetric block per lattice
     momentum 2*pi*m/N, 0 <= m <= N/2, that has states (Sandvik,
     arXiv:1101.3281, section 4.1).  Its basis is the momentum states of
     the orbit representatives a with m * R_a = 0 (mod N), R_a the period;
@@ -233,19 +226,17 @@ def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float,
     eigenvalues: each block with 0 < m < N - m stands for both and has
     multiplicity 2.  Blocks at m = 0 and 2m = N are real and count once.
 
-    mirror, the reflection permutation model.reflection(N) of a uniform
-    ring, makes every block with 0 < m < N - m real symmetric as well; None
-    keeps it complex Hermitian.  The antiunitary K R, K complex conjugation
-    and R the site reflection, commutes with H and maps T to T^-1, so it
+    Those with 0 < m < N - m, complex in the momentum basis, come in a
+    real basis.  Only translation orbits give them, and only uniform rings,
+    which commute with the site reflection R (model.reflection), get those.
+    The antiunitary K R, K complex conjugation, maps T to T^-1, so it
     maps momentum m into itself: it sends the momentum state of a to
     phi_a = exp(-2*pi*i*m*l/N) times that of abar = rep[R a], with
     l = shift[R a], and squares to 1 (Sandvik, arXiv:1101.3281, section
-    4.2).  Its invariant vectors form a real orthonormal basis:
-    (e_a + phi_a e_abar)/sqrt(2) and i(e_a - phi_a e_abar)/sqrt(2) for
-    each pair a != abar, and exp(i theta_a/2) e_a for each a = abar with
-    phi_a = exp(i theta_a).  The block in that basis, _real_block, is real
-    and has the same eigenvalues.  `basis` is unchanged: each column of the
-    real block belongs to a or abar, and R keeps sigma^z sigma^z sums.
+    4.2).  Its invariant vectors form a real orthonormal basis, in which
+    the block (_real_block) is real with the same eigenvalues.  `basis` is
+    unchanged: each column of the real block lies on a and abar, and R
+    keeps sigma^z sigma^z sums.
 
     With trivial_orbits every state is a representative of period 1 and
     shift 0, so only m = 0 has states and its one real block is the plain
@@ -274,9 +265,8 @@ def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float,
             ls.append(shift[flipped])
             amps.append(amp * np.sqrt(r_a[movers] / period[flipped]))
     rows, cols, ls, amps = map(np.concatenate, (rows, cols, ls, amps))
-    if mirror is not None:
-        mirrored = mirror[reps]
-        partner, l_mirror = np.searchsorted(reps, rep[mirrored]), shift[mirrored]
+    mirrored = reflection(n)[reps]
+    partner, l_mirror = np.searchsorted(reps, rep[mirrored]), shift[mirrored]
 
     for m in range(n // 2 + 1):
         keep = (m * r_a) % n == 0
@@ -292,12 +282,8 @@ def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float,
             np.add.at(block, at, amp * (-1.0) ** (2 * m * l // n))
         else:
             values = amp * np.exp(-2j * np.pi * m * l / n)
-            if mirror is None:
-                block = np.diag(diag[keep].astype(complex))
-                np.add.at(block, at, values)
-            else:
-                phases = np.exp(-2j * np.pi * m * l_mirror[keep] / n)
-                block = _real_block(diag[keep], index[partner[keep]], phases, *at, values)
+            phases = np.exp(-2j * np.pi * m * l_mirror[keep] / n)
+            block = _real_block(diag[keep], index[partner[keep]], phases, *at, values)
         yield (1 if (2 * m) % n == 0 else 2), basis, block
         del block  # the caller's reference is the last one
 
@@ -310,7 +296,7 @@ def _real_block(diag: np.ndarray, partner: np.ndarray, phases: np.ndarray,
     by the block's momentum states; each hop element values[h] sits at
     (rows[h], cols[h]).  A pair a < abar puts (e_a + phi_a e_abar)/sqrt(2)
     in column a and i(e_a - phi_a e_abar)/sqrt(2) in column abar; a
-    self-partner a = abar puts exp(i theta_a/2) e_a in column a.  So every
+    self-partner a = abar puts sqrt(phi_a) e_a in column a.  So every
     momentum state reaches at most two columns, its own and its partner's,
     and each hop element lands on at most four entries of the real block;
     only the real part of each product is added, since the imaginary parts
@@ -346,22 +332,19 @@ def decompose(spec: ModelSpec, vectors: bool = True,
     vectors=False only eigenvalues (and labels) are computed.  A uniform
     ring then diagonalises only the sectors with 2k <= N, at zero field,
     split into the momentum blocks 0 <= m <= N/2 of orbit_tables, each
-    real symmetric: the blocks with 0 < m < N/2 come in the real basis
-    of K R that _blocks builds from model.reflection (Sandvik,
-    arXiv:1101.3281, section 4.2), and eigvalsh runs on float64 only.  The
-    global spin flip maps sector k onto sector N - k and reverses the field,
-    so sector k gets those values shifted by +B(N - 2k) and sector N - k the
+    real symmetric (_blocks), so eigvalsh runs on float64 only.  The global
+    spin flip maps sector k onto sector N - k and reverses the field, so
+    sector k gets those values shifted by +B(N - 2k) and sector N - k the
     same values shifted by -B(N - 2k).  Every other decomposition takes
     trivial_orbits, one plain block per sector with the field on its
     diagonal.
 
     bond=(i, j), a ring bond of a uniform spec (model.ModelSpec.is_bond),
-    selects the bond mode: the same paired momentum blocks as vectors=False,
-    but complex in the momentum basis, each solved by eigh, with every
-    block's vectors dropped as soon as
-    ZZ_n = <sum_bonds sigma^z sigma^z>_n = sum_c |v_c|^2 zz(rep_c) is read
-    off them.  No eigenvectors are kept, so memory stays O(2^N).  The zero
-    field level E0_n = J XY_n + J delta ZZ_n then gives
+    selects the bond mode: the blocks of vectors=False, each solved by eigh,
+    with its vectors dropped as soon as ZZ_n = <sum_bonds sigma^z sigma^z>_n
+    = sum_c v_c^2 zz(rep_c) is read off them (_blocks says why the real
+    basis keeps that sum).  No eigenvectors are kept, so memory stays
+    O(2^N).  The zero field level E0_n = J XY_n + J delta ZZ_n then gives
     XY_n = <sum_bonds (sigma^x sigma^x + sigma^y sigma^y)>_n, 0 at J = 0,
     where every level of a sector is one degenerate level.  Translation
     makes every bond alike, so with m_n = 2 S_z / N and g_n = ZZ_n / N the
@@ -376,8 +359,6 @@ def decompose(spec: ModelSpec, vectors: bool = True,
         raise ValueError(f"bond mode needs a uniform ring and a ring bond, got {bond}")
     paired = spec.is_uniform and (not vectors or bond is not None)
     orbits = orbit_tables(n) if paired else trivial_orbits(n)
-    # values-only paired blocks go real; the bond mode keeps complex blocks
-    mirror = reflection(n) if paired and bond is None else None
     if not spec.conserves_sz:
         sectors = parity_basis(n)
     else:
@@ -390,10 +371,10 @@ def decompose(spec: ModelSpec, vectors: bool = True,
     for k, states in enumerate(sectors):
         parts, zz_parts = [], []
         for mult, basis, block in _blocks(spec, states, orbits,
-                                          0.0 if paired else spec.field_b, mirror):
+                                          0.0 if paired else spec.field_b):
             if bond is not None:
                 evals, bvecs = np.linalg.eigh(block)
-                zz_parts.append(np.tile(bond_zz[basis] @ (bvecs * bvecs.conj()).real, mult))
+                zz_parts.append(np.tile(bond_zz[basis] @ (bvecs * bvecs), mult))
                 del bvecs  # only ZZ_n is kept
             elif vectors:
                 evals, bvecs = np.linalg.eigh(block)

@@ -174,8 +174,8 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
                    float(np.max(np.abs(sd.eigenvalues - full.eigenvalues))), 1e-9, tag)
         if (delta, b, j) == momentum_case:
             # the values-only spectrum that threshold and spectrum read; the
-            # bond mode solves the same blocks by eigh, a different LAPACK
-            # path, so it is checked through its pair RDMs below
+            # bond mode solves the same real blocks by eigh, another LAPACK
+            # driver, so it is checked through its pair RDMs below
             col.record("momentum_vs_sector_spectrum", _label_spectrum_gap(
                 spectral.decompose(spec, vectors=False), sd), 1e-9, tag)
         resid, ortho = oracle.eigen_residuals(h, sd)

@@ -15,7 +15,7 @@ from heisenring.spectral import (
     sector_basis,
     trivial_orbits,
 )
-from heisenring.model import reflection, ring_coupling_matrices
+from heisenring.model import ring_coupling_matrices
 from heisenring.oracle import eigen_residuals, gibbs_state, reduce_to_pair
 from heisenring.thermo import thermo_point
 from heisenring.twoqubit import pair_rdm_thermal
@@ -181,6 +181,7 @@ def test_momentum_blocks_hermitian_and_sized():
         assert sum(mult * b.shape[0] for mult, _, b in blocks) == states.size
         for _, basis, b in blocks:
             assert basis.shape == b.shape[:1]
+            assert b.dtype == np.float64
             # hop sums agree with their transposed partners up to rounding
             assert np.max(np.abs(b - b.conj().T)) <= 1e-12
         sectors = 2 if 2 * k < n else 1
@@ -393,39 +394,50 @@ def test_values_only_decompose_runs_no_eigh(monkeypatch):
 
 @pytest.mark.parametrize("n,blocks,widest", [(13, 43, 132), (14, 57, 246)])
 def test_values_only_uniform_solves_real_blocks(monkeypatch, n, blocks, widest):
-    # every momentum block of a values-only uniform ring reaches eigvalsh
-    # as a real float64 matrix, 0 < m < N/2 included; the blocks stay as many
-    # and as wide as the complex ones
-    eigvalsh, seen = np.linalg.eigvalsh, []
+    # every momentum block of a uniform ring reaches eigvalsh (values-only)
+    # or eigh (the bond mode) as a real float64 matrix, 0 < m < N/2
+    # included; both modes solve the same blocks
+    seen = {}
 
-    def recording(a, *args, **kwargs):
-        seen.append((a.dtype, a.shape[0]))
-        return eigvalsh(a, *args, **kwargs)
+    def recording(name):
+        solve, seen[name] = getattr(np.linalg, name), []
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    decompose(ModelSpec.uniform(n, 1.0, 0.5, 0.3), vectors=False)
-    assert {dtype for dtype, _ in seen} == {np.dtype(np.float64)}
-    assert len(seen) == blocks
-    assert max(width for _, width in seen) == widest
+        def run(a, *args, **kwargs):
+            seen[name].append((a.dtype, a.shape[0]))
+            return solve(a, *args, **kwargs)
+        return run
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
+    spec = ModelSpec.uniform(n, 1.0, 0.5, 0.3)
+    decompose(spec, vectors=False)
+    assert seen["eigh"] == []
+    decompose(spec, bond=(1, 2))
+    assert seen["eigh"] == seen["eigvalsh"]
+    assert {dtype for dtype, _ in seen["eigh"]} == {np.dtype(np.float64)}
+    assert len(seen["eigh"]) == blocks
+    assert max(width for _, width in seen["eigh"]) == widest
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_real_blocks_match_complex_momentum_blocks(n):
-    # the real basis of K R gives each block the spectrum of its complex
-    # momentum block, for every sector with 2k <= N and every momentum
-    orbits, mirror = orbit_tables(n), reflection(n)
+    # the complex momentum blocks of a sector together hold the spectrum of
+    # the plain sector block, which the trivial orbits give; so must the
+    # real K R blocks, each tiled by its multiplicity, for every sector with
+    # 2k <= N
+    orbits, plain = orbit_tables(n), trivial_orbits(n)
     for j in (1.0, -0.8, 0.0):
         for delta in (0.0, 0.5, 1.0, 2.0):
             spec = ModelSpec.uniform(n, j, delta)
             for states in sector_basis(n)[:n // 2 + 1]:
-                pairs = zip(_blocks(spec, states, orbits, 0.0),
-                            _blocks(spec, states, orbits, 0.0, mirror), strict=True)
-                for (mult, basis, block), (real_mult, real_basis, real) in pairs:
-                    assert real_mult == mult and real.dtype == np.float64
-                    assert real.shape == block.shape
-                    assert np.array_equal(real_basis, basis)
-                    want = np.linalg.eigvalsh(block)
-                    got = np.linalg.eigvalsh(real)
-                    scale = max(1.0, float(np.max(np.abs(want))))
+                ((_, _, sector),) = _blocks(spec, states, plain, 0.0)
+                want = np.linalg.eigvalsh(sector)
+                scale = max(1.0, float(np.max(np.abs(want))))
+                got = []
+                for mult, basis, real in _blocks(spec, states, orbits, 0.0):
+                    assert real.dtype == np.float64
+                    assert basis.shape == real.shape[:1]
                     assert np.max(np.abs(real - real.T)) <= 1e-12 * scale
-                    assert np.max(np.abs(got - want)) <= 1e-12 * scale, (j, delta, mult)
+                    got.append(np.tile(np.linalg.eigvalsh(real), mult))
+                got = np.sort(np.concatenate(got))
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale, (j, delta, states.size)
