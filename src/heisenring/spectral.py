@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelSpec, hermiticity_defect, reflection, translation
+from .model import ModelSpec, hermiticity_defect, translation
 
 FULL_PATH_MAX_SITES = 12
 DEGENERACY_RTOL = 1e-9
@@ -265,7 +265,8 @@ def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float):
             ls.append(shift[flipped])
             amps.append(amp * np.sqrt(r_a[movers] / period[flipped]))
     rows, cols, ls, amps = map(np.concatenate, (rows, cols, ls, amps))
-    mirrored = reflection(n)[reps]
+    # R a for each representative: its n bits reversed, as model.reflection does
+    mirrored = sum(((reps >> bit) & 1) << (n - 1 - bit) for bit in range(n))
     partner, l_mirror = np.searchsorted(reps, rep[mirrored]), shift[mirrored]
 
     for m in range(n // 2 + 1):
