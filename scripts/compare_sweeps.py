@@ -30,8 +30,9 @@ VERIFY_DIFF_LINES lines.
 Every run pins OPENBLAS_NUM_THREADS to BLAS_THREADS: some verify residuals
 differ in their last digits between BLAS thread counts on one tree.
 
-Prints the first differing cells of each run and the worst numeric
-difference per column, and exits 1 on any difference.
+Prints the first differing cells of each run and, per column, the worst
+numeric difference |a - b| and the worst relative difference
+|a - b| / max(|a|, |b|, REL_FLOOR), and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -67,6 +68,11 @@ def general_model(conserves_sz: bool) -> dict:
 
 
 SPECTRUM_TOL = 1e-10
+# sweep cells are pair elements, correlations and concurrences of order
+# 0.01 to 1, or sums of them; a cell below the floor (a concurrence near
+# its threshold, a magnetization near zero) is a difference of larger
+# terms, so its rounding is judged at the floor's scale
+REL_FLOOR = 1e-2
 SPECTRUM_MODELS = {
     "spectrum-n8": {"n_sites": 8, "j": -1.0, "delta": 0.5, "field_b": 0.3},
     "spectrum-n11": {"n_sites": 11, "j": 1.0, "delta": 0.5, "field_b": 0.2},
@@ -110,11 +116,14 @@ ROUTE_SWEEPS = {
     # J = 0 from T = 0: free spins in a field, where the bond's z is 0
     "j0-b0.4": {"model": {"n_sites": 5, "j": 0.0, "field_b": 0.4},
                 "temperatures": {"start": 0.0, "stop": 3.0, "count": 40}},
-    # the bond mode at the size cap: 57 momentum blocks, widest 246
+    # the pair mode at the size cap: 57 momentum blocks, widest 246
     "bond-n14": {"model": {"n_sites": 14, "j": 1.0}, "temperatures": LOG_GRID},
-    # the bond mode at odd N in a field, on the wrap bond
+    # the pair mode at odd N in a field, on the wrap bond
     "bond-n13-wrap": {"model": {"n_sites": 13, "j": 1.0, "delta": 0.5, "field_b": 0.3},
                       "temperatures": LOG_GRID, "pair": [13, 1]},
+    # distance r = N/2, where the N pairs at distance r count each pair twice
+    "pair-n10-1-6": {"model": {"n_sites": 10, "j": 1.0, "delta": 0.5, "field_b": 0.2},
+                     "temperatures": LOG_GRID, "pair": [1, 6]},
 }
 
 VERIFY_DIFF_LINES = 20
@@ -174,7 +183,8 @@ def run(src: str, config: Path, fmt: str) -> list[dict[str, str]]:
              for c, v in zip(raw["columns"], row)} for row in raw["rows"]]
 
 
-def compare(base: list[dict], head: list[dict], worst: dict[str, float]) -> list[str]:
+def compare(base: list[dict], head: list[dict], worst: dict[str, float],
+            worst_rel: dict[str, float]) -> list[str]:
     problems = []
     if len(base) != len(head):
         return [f"row count {len(base)} != {len(head)}"]
@@ -187,7 +197,11 @@ def compare(base: list[dict], head: list[dict], worst: dict[str, float]) -> list
                 continue
             problems.append(f"row {r} {col}: {x!r} != {y!r}")
             if "" not in (x, y) and not {x, y} & {"true", "false"}:
-                worst[col] = max(worst.get(col, 0.0), abs(float(x) - float(y)))
+                a_val, b_val = float(x), float(y)
+                diff = abs(a_val - b_val)
+                worst[col] = max(worst.get(col, 0.0), diff)
+                worst_rel[col] = max(worst_rel.get(col, 0.0),
+                                     diff / max(abs(a_val), abs(b_val), REL_FLOOR))
     return problems
 
 
@@ -235,6 +249,7 @@ def main() -> int:
         sys.exit(__doc__)
     base_src, head_src = sys.argv[1:]
     worst: dict[str, float] = {}
+    worst_rel: dict[str, float] = {}
     failures = 0
     print(f"OPENBLAS_NUM_THREADS={BLAS_THREADS}")
     with tempfile.TemporaryDirectory() as tmp:
@@ -243,7 +258,7 @@ def main() -> int:
             path.write_text(json.dumps(doc))
             for fmt in ("csv", "json"):
                 problems = compare(run(base_src, path, fmt), run(head_src, path, fmt),
-                                   worst)
+                                   worst, worst_rel)
                 failures += len(problems)
                 print(f"{name} {fmt}: {'ok' if not problems else f'{len(problems)} problems'}")
                 for line in problems[:10]:
@@ -285,6 +300,8 @@ def main() -> int:
                 print(f"  ... {len(report_diff) - VERIFY_DIFF_LINES} more diff lines")
     for col, diff in sorted(worst.items(), key=lambda kv: -kv[1]):
         print(f"worst |diff| {col}: {diff:.3e}")
+    for col, rel in sorted(worst_rel.items(), key=lambda kv: -kv[1]):
+        print(f"worst relative diff {col}: {rel:.3e} (floor {REL_FLOOR:g})")
     return 1 if failures else 0
 
 

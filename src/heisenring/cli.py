@@ -201,8 +201,11 @@ def _write_out(text: str, out: str) -> None:
     if out in ("stdout", "-"):
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out!r}: {exc}") from exc
 
 
 def _load_config(path: str | None, required: bool) -> dict:

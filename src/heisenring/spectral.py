@@ -12,10 +12,10 @@ block independently and merges the eigenvalues.  It never forms the full
 2.1 GB.  S_z-breaking specs are capped at N = 12 (model.ModelSpec), where
 each parity block is 2048 wide.
 
-One builder, _blocks, writes every block from the bit rules of
-_pair_terms.  It splits a block by lattice momentum (Sandvik, AIP Conf.
-Proc. 1297, 135 (2010)): one block per crystal momentum 2*pi*m/N over the
-orbit representatives it is given.  Values-only decompositions of uniform
+One builder, _blocks, writes every block from a list of pair terms, for
+H those of _pair_terms.  It splits a block by lattice momentum (Sandvik,
+AIP Conf. Proc. 1297, 135 (2010)): one block per crystal momentum
+2*pi*m/N over the orbit representatives it is given.  Values-only decompositions of uniform
 rings give it the translation orbits; at N = 14 the largest block is then
 246 wide instead of 3432.  Two pairings cut the work further.  H is real,
 so momenta m and -m share a spectrum and only 0 <= m <= N/2 is
@@ -25,11 +25,11 @@ zero field, and each field shift is added afterwards.  At N = 14 that is
 57 eigensolves instead of 184, each on a real symmetric block: those
 with 0 < m < N/2 come in the real basis of the antiunitary K R, complex
 conjugation times the site reflection (Sandvik, arXiv:1101.3281, section
-4.2).  The bond mode of decompose solves them with eigh and keeps, per
-eigenstate, only the sigma^z sigma^z bond sum read off each block's
-vectors; with the energy and the S_z label it fixes the
-nearest-neighbour pair RDM of a uniform ring, which is how a sweep of a
-ring bond runs.
+4.2).  The pair mode of decompose solves them with eigh and keeps, per
+eigenstate, only two sums over the N site pairs at the pair's distance r,
+sigma^z sigma^z and sigma^x sigma^x + sigma^y sigma^y, read off each
+block's vectors; with the S_z label they fix the pair RDM of any two
+sites of a uniform ring, which is how every sweep of a uniform ring runs.
 Every other decomposition gives _blocks trivial orbits, where every state
 is its own representative, and gets the plain sector or parity block,
 field included.
@@ -74,12 +74,12 @@ class SpectralDecomposition:
     eigvec_blocks holds the eigenvectors as EigenBlocks with disjoint
     supports (one per S_z sector or parity sector from decompose, one over
     all states from diagonalize_full), or None when the decomposition was
-    computed values-only or in the bond mode.  sector_labels holds the
+    computed values-only or in the pair mode.  sector_labels holds the
     total-S_z quantum number of each eigenvalue for S_z-conserving models,
     else None.  pair_tables caches the per-eigenstate pair elements, shape
     (dim, 16), for pair_rdms and pair_rdm_thermal alike, keyed by site
-    pair.  The bond mode of decompose fills the entry of its ring bond from
-    (E_n, S_z label, ZZ_n); twoqubit._pair_matrices builds any other entry
+    pair.  The pair mode of decompose fills the entry of its pair from
+    (S_z label, ZZ_n, XY_n); twoqubit._pair_matrices builds any other entry
     from the eigenvectors on first use.
     """
 
@@ -102,12 +102,11 @@ def ground_degeneracy_count(eigenvalues: np.ndarray) -> int:
     return int(np.sum(np.abs(eigenvalues - e0) <= DEGENERACY_RTOL * scale))
 
 
-def diagonalize_full(h: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
+def diagonalize_full(h: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a dense Hermitian matrix.
 
-    With vectors=False only the eigenvalues are computed and eigvec_blocks
-    is None.  Raises on non-Hermitian input; eigensolver convergence
-    failures propagate as numpy.linalg.LinAlgError.
+    Raises on non-Hermitian input; eigensolver convergence failures
+    propagate as numpy.linalg.LinAlgError.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -121,15 +120,11 @@ def diagonalize_full(h: np.ndarray, vectors: bool = True) -> SpectralDecompositi
         raise ValueError("matrix is not Hermitian within tolerance")
     if np.iscomplexobj(h) and np.max(np.abs(h.imag)) == 0.0:
         h = h.real
-    if not vectors:
-        evals, blocks = np.linalg.eigvalsh(h), None
-    else:
-        evals, vecs = np.linalg.eigh(h)
-        every_state = np.arange(evals.size, dtype=np.int64)
-        blocks = (EigenBlock(every_state, vecs, every_state),)
+    evals, vecs = np.linalg.eigh(h)
+    every_state = np.arange(evals.size, dtype=np.int64)
     return SpectralDecomposition(
         eigenvalues=evals,
-        eigvec_blocks=blocks,
+        eigvec_blocks=(EigenBlock(every_state, vecs, every_state),),
         ground_energy=float(evals[0]),
         ground_degeneracy=ground_degeneracy_count(evals),
     )
@@ -207,43 +202,47 @@ def _zz_sign(states: np.ndarray, bi: int, bk: int) -> np.ndarray:
     return (1 - 2 * ((states >> bi) & 1)) * (1 - 2 * ((states >> bk) & 1))
 
 
-def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float):
-    """The block of H on `states`, built from bit rules and split by momentum.
+def _blocks(n: int, terms, states: np.ndarray, orbits, field_b: float):
+    """The block of an n-site operator on `states`, built from bit rules and split by momentum.
 
-    `states` is closed under H: an S_z sector, or a parity sector of an
-    S_z-breaking spec.  `orbits` is (rep, shift, period) as from
-    orbit_tables, and field_b the field B, or 0.0 to leave the field out:
-    a state with k down spins gets B(N - 2k) on the diagonal.  Yields
-    (multiplicity, basis, block) with one real symmetric block per lattice
-    momentum 2*pi*m/N, 0 <= m <= N/2, that has states (Sandvik,
-    arXiv:1101.3281, section 4.1).  Its basis is the momentum states of
-    the orbit representatives a with m * R_a = 0 (mod N), R_a the period;
-    `basis` holds those representatives in block order.  A hop or
+    The operator sums `terms`, (bit_i, bit_k, hop, flip, zz): _pair_terms
+    for H, or the N pairs at distance r with (2, 0, 0) for decompose's
+    O_r^xy.  `states` is closed under the operator: an S_z sector, or a
+    parity sector of an S_z-breaking spec.  `orbits` is (rep, shift,
+    period) as from orbit_tables, and field_b the field B, or 0.0 to leave
+    the field out: a state with k down spins gets B(N - 2k) on the
+    diagonal.  Yields (multiplicity, basis, block) with one real symmetric
+    block per lattice momentum 2*pi*m/N, 0 <= m <= N/2, that has states
+    (Sandvik, arXiv:1101.3281, section 4.1).  Its basis is the momentum
+    states of the orbit representatives a with m * R_a = 0 (mod N), R_a the
+    period; `basis` holds those representatives in block order.  A hop or
     pair flip from a reaches the state b' with representative b = T^l b'
     and has element amplitude * exp(-2*pi*i*m*l/N) * sqrt(R_a / R_b); the
-    diagonal holds the field and the z-z terms.  H is real, so the block at
-    -m is the complex conjugate of the block at m and has the same
-    eigenvalues: each block with 0 < m < N - m stands for both and has
-    multiplicity 2.  Blocks at m = 0 and 2m = N are real and count once.
+    diagonal holds the field, the z-z terms and hops inside an orbit.  The
+    operator is real, so the block at -m is the complex conjugate of the
+    block at m and has the same eigenvalues: each block with 0 < m < N - m
+    stands for both and has multiplicity 2.  Blocks at m = 0 and 2m = N
+    are real and count once.
 
     Those with 0 < m < N - m, complex in the momentum basis, come in a
-    real basis.  Only translation orbits give them, and only uniform rings,
-    which commute with the site reflection R (model.reflection), get those.
-    The antiunitary K R, K complex conjugation, maps T to T^-1, so it
-    maps momentum m into itself: it sends the momentum state of a to
+    real basis.  Only translation orbits give them, and only operators
+    that commute with the site reflection R (model.reflection) get those:
+    a uniform H, and O_r, as R maps pairs at distance r onto such pairs.
+    The antiunitary K R, K complex conjugation, maps T to T^-1, so it maps
+    momentum m into itself: it sends the momentum state of a to
     phi_a = exp(-2*pi*i*m*l/N) times that of abar = rep[R a], with
     l = shift[R a], and squares to 1 (Sandvik, arXiv:1101.3281, section
     4.2).  Its invariant vectors form a real orthonormal basis, in which
-    the block (_real_block) is real with the same eigenvalues.  `basis` is
-    unchanged: each column of the real block lies on a and abar, and R
-    keeps sigma^z sigma^z sums.
+    the block (_real_block) is real with the same eigenvalues.  That basis
+    depends on the orbits alone, so H and O_r on one sector share it, and
+    `basis` is unchanged: each column of the real block lies on a and abar,
+    and R keeps sigma^z sigma^z sums.
 
     With trivial_orbits every state is a representative of period 1 and
     shift 0, so only m = 0 has states and its one real block is the plain
-    block of H on `states` in the computational basis.
+    block of the operator on `states` in the computational basis.
     """
     rep, shift, period = orbits
-    n = spec.n_sites
     reps = states[rep[states] == states]
     r_a = period[reps]
     # + 0.0: a -0.0 field must not leave -0.0 on the diagonal
@@ -251,7 +250,7 @@ def _blocks(spec: ModelSpec, states: np.ndarray, orbits, field_b: float):
     # seeded, so a spec without hops (J = 0, no couplings) still concatenates
     empty = np.zeros(0, dtype=np.int64)
     rows, cols, ls, amps = [empty], [empty], [empty], [empty]
-    for bi, bk, hop, flip, zz in _pair_terms(spec):
+    for bi, bk, hop, flip, zz in terms:
         diag += zz * _zz_sign(reps, bi, bk)
         anti = ((reps >> bi) ^ (reps >> bk)) & 1
         # hops move antiparallel spins (anti = 1), pair flips parallel ones
@@ -322,7 +321,7 @@ def _real_block(diag: np.ndarray, partner: np.ndarray, phases: np.ndarray,
 
 
 def decompose(spec: ModelSpec, vectors: bool = True,
-              bond: tuple[int, int] | None = None) -> SpectralDecomposition:
+              pair: tuple[int, int] | None = None) -> SpectralDecomposition:
     """Eigendecomposition of the spec's Hamiltonian, one symmetry block at a time.
 
     Every block comes from _blocks, built from bit rules, never from a
@@ -340,43 +339,53 @@ def decompose(spec: ModelSpec, vectors: bool = True,
     trivial_orbits, one plain block per sector with the field on its
     diagonal.
 
-    bond=(i, j), a ring bond of a uniform spec (model.ModelSpec.is_bond),
-    selects the bond mode: the blocks of vectors=False, each solved by eigh,
-    with its vectors dropped as soon as ZZ_n = <sum_bonds sigma^z sigma^z>_n
-    = sum_c v_c^2 zz(rep_c) is read off them (_blocks says why the real
-    basis keeps that sum).  No eigenvectors are kept, so memory stays
-    O(2^N).  The zero field level E0_n = J XY_n + J delta ZZ_n then gives
-    XY_n = <sum_bonds (sigma^x sigma^x + sigma^y sigma^y)>_n, 0 at J = 0,
-    where every level of a sector is one degenerate level.  Translation
-    makes every bond alike, so with m_n = 2 S_z / N and g_n = ZZ_n / N the
-    bond's per-eigenstate pair RDM is the X state u+- = (1 +- 2 m_n + g_n)/4,
-    w1 = w2 = (1 - g_n)/4 and z = XY_n / (4N), Im z = 0.  Its rows fill
-    pair_tables[bond], so pair_rdms and pair_rdm_thermal read that bond
-    from it; a conjugate pair of momenta carries opposite spin currents,
-    which cancel in the Im z of any thermal average.
+    pair=(i, j), two distinct sites 1..N of a uniform spec, selects the
+    pair mode: the blocks of vectors=False, each solved by eigh, whose
+    vectors v are dropped once two sums over the N site pairs at distance
+    r = (j - i) mod N are read off them: ZZ_n = sum_c v_c^2 zz_r(rep_c) of
+    sigma^z sigma^z, from the representatives' bits (not from the diagonal
+    of the O_r block, which also holds hops inside an orbit), and
+    XY_n = v^T O_r v of O_r^xy = sum (sigma^x sigma^x + sigma^y sigma^y),
+    whose block _blocks builds on the same sector, orbits and real basis.
+    So memory stays O(2^N).  Every pair at distance r is alike, and
+    g_xx = g_yy, so with m_n = 2 S_z / N and g_n = ZZ_n / N the pair's
+    per-eigenstate RDM is the X state u+- = (1 +- 2 m_n + g_n)/4,
+    w1 = w2 = (1 - g_n)/4, z = XY_n / (4N) (at r = N/2 the N pairs count
+    each pair twice, which the N absorbs).  Its rows fill pair_tables[pair].
+    A degenerate level shares one weight, so the basis eigh picks inside it
+    does not matter; a conjugate pair of momenta carries opposite spin
+    currents, which cancel in Im z, which the table sets to 0.
     """
     n = spec.n_sites
-    if bond is not None and not (spec.is_uniform and spec.is_bond(*bond)):
-        raise ValueError(f"bond mode needs a uniform ring and a ring bond, got {bond}")
-    paired = spec.is_uniform and (not vectors or bond is not None)
+    if pair is not None:
+        if not (spec.is_uniform and len(set(pair)) == 2 and all(1 <= s <= n for s in pair)):
+            raise ValueError(f"pair mode needs distinct sites 1..{n} of a uniform ring: {pair}")
+        r = (pair[1] - pair[0]) % n
+        # O_r^xy: the N site pairs at distance r, as (bit, bit) terms
+        xy_terms = [(bit, (bit - r) % n, 2.0, 0.0, 0.0) for bit in range(n)]
+    paired = spec.is_uniform and (not vectors or pair is not None)
     orbits = orbit_tables(n) if paired else trivial_orbits(n)
     if not spec.conserves_sz:
         sectors = parity_basis(n)
     else:
         sectors = sector_basis(n)[:n // 2 + 1] if paired else sector_basis(n)
-    if bond is not None:
-        # sum_bonds sigma^z sigma^z of every basis state, read per block basis
-        every_state = np.arange(1 << n, dtype=np.int64)
-        bond_zz = sum(_zz_sign(every_state, bi, bk) for bi, bk, *_ in _pair_terms(spec))
-    all_evals, all_keys, bond_rows, vec_blocks = [], [], [], []
+    terms = _pair_terms(spec)
+    all_evals, all_keys, pair_rows, vec_blocks = [], [], [], []
     for k, states in enumerate(sectors):
-        parts, zz_parts = [], []
-        for mult, basis, block in _blocks(spec, states, orbits,
+        parts, pair_parts = [], []
+        xy_blocks = None if pair is None else _blocks(n, xy_terms, states, orbits, 0.0)
+        for mult, basis, block in _blocks(n, terms, states, orbits,
                                           0.0 if paired else spec.field_b):
-            if bond is not None:
+            if pair is not None:
                 evals, bvecs = np.linalg.eigh(block)
-                zz_parts.append(np.tile(bond_zz[basis] @ (bvecs * bvecs), mult))
-                del bvecs  # only ZZ_n is kept
+                _, _, xy_block = next(xy_blocks)
+                # sigma^z sigma^z summed over the pairs at distance r: N less
+                # twice the bits in which a representative and its turn by r differ
+                turned = ((basis << r) | (basis >> (n - r))) & ((1 << n) - 1)
+                zz_r = n - 2 * np.bitwise_count(basis ^ turned).astype(np.int64)
+                pair_parts.append(np.tile([zz_r @ (bvecs * bvecs),
+                                           np.sum(bvecs * (xy_block @ bvecs), axis=0)], mult))
+                del bvecs, xy_block  # only ZZ_n and XY_n are kept
             elif vectors:
                 evals, bvecs = np.linalg.eigh(block)
                 vec_blocks.append((states, bvecs))
@@ -391,10 +400,9 @@ def decompose(spec: ModelSpec, vectors: bool = True,
         for sign in (1, -1) if paired and 2 * k < n else (1,):
             all_evals.append(evals + sign * field_k if paired else evals)
             all_keys.append(np.full(evals.size, sign * key))
-            if bond is not None:
-                # the spin flip keeps sigma^z sigma^z, so ZZ and the zero
-                # field level, hence XY, carry over to sector N - k
-                bond_rows.append((np.concatenate(zz_parts), evals))
+            if pair is not None:
+                # the spin flip keeps both sums, so they carry over to sector N - k
+                pair_rows.append(np.concatenate(pair_parts, axis=1))
 
     evals = np.concatenate(all_evals)
     keys = np.concatenate(all_keys)
@@ -403,7 +411,7 @@ def decompose(spec: ModelSpec, vectors: bool = True,
     keys = keys[order]
 
     blocks = None
-    if vectors and bond is None:
+    if vectors and pair is None:
         # position of each block column in the sorted spectrum
         columns = np.split(np.argsort(order),
                            np.cumsum([states.size for states, _ in vec_blocks])[:-1])
@@ -417,30 +425,23 @@ def decompose(spec: ModelSpec, vectors: bool = True,
         ground_degeneracy=ground_degeneracy_count(evals),
         sector_labels=keys if spec.conserves_sz else None,
     )
-    if bond is not None:
-        zz, e0 = (np.concatenate(rows)[order] for rows in zip(*bond_rows))
-        sd.pair_tables[tuple(bond)] = _bond_table(spec, zz, e0, keys)
+    if pair is not None:
+        zz, xy = np.concatenate(pair_rows, axis=1)[:, order]
+        sd.pair_tables[tuple(pair)] = _x_form_table(zz / n, xy / n, 2.0 * keys / n)
     return sd
 
 
-def _bond_table(spec: ModelSpec, zz: np.ndarray, e0: np.ndarray,
-                s_z: np.ndarray) -> np.ndarray:
-    """Per-eigenstate X-form pair RDMs of a ring bond, shape (dim, 16), as _pair_table.
+def _x_form_table(g: np.ndarray, xy: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Per-eigenstate X-form pair RDMs, shape (dim, 16), as _pair_table.
 
-    zz is ZZ_n, e0 the zero-field level E0_n and s_z the S_z label of each
+    g is g_zz, xy is g_xx + g_yy and m the per-site magnetization of each
     eigenstate; decompose gives the formulas.
     """
-    n = spec.n_sites
-    j, delta = spec.coupling.j, spec.coupling.delta
-    g = zz / n
-    m = 2.0 * s_z / n
-    table = np.zeros((zz.size, 16))
+    table = np.zeros((g.size, 16))
     table[:, 0] = (1 + 2 * m + g) / 4   # u+ at (00, 00)
     table[:, 15] = (1 - 2 * m + g) / 4  # u- at (11, 11)
     table[:, 5] = table[:, 10] = (1 - g) / 4  # w1, w2
-    if j != 0.0:
-        # z at (10, 01) and its conjugate at (01, 10)
-        table[:, 9] = table[:, 6] = (e0 - j * delta * zz) / j / (4 * n)
+    table[:, 9] = table[:, 6] = xy / 4  # z at (10, 01) and its conjugate at (01, 10)
     return table
 
 

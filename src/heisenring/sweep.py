@@ -4,16 +4,16 @@ One spectral decomposition serves the whole grid of R temperatures.
 thermo.thermo_grid turns it into one (R, dim) weight matrix, and with it
 log Z, U and M at every temperature; twoqubit.pair_rdms forms the
 (R, 4, 4) stack of pair RDMs from the cached pair table.  Which
-decomposition that is depends on the pair (sweep_decomposition).  A
-nearest-neighbour pair of a uniform ring, (N, 1) included, takes the
-bond mode of spectral.decompose: momentum blocks, no eigenvectors kept,
-and a pair table filled from each eigenstate's energy, S_z label and
-sigma^z sigma^z bond sum.  Every other pair, and every general-coupling
-spec, takes the sector (or parity) eigenvectors and the pair table
-built from them.  The correlation
-tensors, the concurrence routes and the Bell measure are then computed
-once for the whole stack: stacked eigh, svd and eigvalsh, and array
-expressions for the closed forms.  Columns whose formula preconditions
+decomposition that is depends on the spec (sweep_decomposition).  Every
+pair of a uniform ring takes the pair mode of spectral.decompose:
+momentum blocks, no eigenvectors kept, and a pair table filled from each
+eigenstate's S_z label and its sigma^z sigma^z and sigma^x sigma^x +
+sigma^y sigma^y sums over the pairs at the pair's distance.  Every
+general-coupling spec takes the sector (or parity) eigenvectors and the
+pair table built from them.  The correlation tensors, the concurrence
+routes and the Bell measure are then computed once for the whole stack:
+stacked eigh, svd and eigvalsh, and array expressions for the closed
+forms.  Columns whose formula preconditions
 fail are None, never zero.
 """
 
@@ -60,14 +60,12 @@ def temperature_grid(start: float, stop: float, count: int,
 def sweep_decomposition(spec: ModelSpec, pair: tuple[int, int]) -> SpectralDecomposition:
     """The decomposition run_sweep reads the pair's RDMs from.
 
-    A ring bond of a uniform spec takes decompose's bond mode: its pair
-    table comes from (E_n, S_z label, ZZ_n) on the momentum blocks, with no
-    eigenvectors kept.  Any other pair or spec takes the S_z-sector or
-    parity eigenvectors, from which pair_rdms builds the pair table.
+    Any pair of a uniform spec takes decompose's pair mode: its pair table
+    comes from (S_z label, ZZ_n, XY_n) on the momentum blocks, with no
+    eigenvectors kept.  A general spec takes the S_z-sector or parity
+    eigenvectors, from which pair_rdms builds the pair table.
     """
-    if spec.is_uniform and spec.is_bond(*pair):
-        return decompose(spec, bond=pair)
-    return decompose(spec)
+    return decompose(spec, pair=pair) if spec.is_uniform else decompose(spec)
 
 
 def run_sweep(spec: ModelSpec, temperatures: np.ndarray,

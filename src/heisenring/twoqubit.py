@@ -18,8 +18,8 @@ pattern at zero and fill the corners as well.
 
 The thermal pair RDM is the Boltzmann average of a per-eigenstate pair
 table; no 2^N x 2^N matrix is formed.  _pair_table builds it from the
-eigenvector blocks, unless the bond mode of spectral.decompose has
-already filled it for a ring bond of a uniform ring.
+eigenvector blocks, unless the pair mode of spectral.decompose has
+already filled it for a pair of a uniform ring.
 Its full-space references, the partial trace of the Gibbs matrix and the
 correlations with full 2^N operators, are in heisenring.oracle.
 correlations_from_rdm gives the nine g[a, b] = tr(rho sigma_a x sigma_b)
@@ -163,7 +163,7 @@ def pair_rdms(sd: SpectralDecomposition, probabilities: np.ndarray,
 
     Each is the Boltzmann average of the per-eigenstate pair RDMs.  The
     first call for a pair builds its per-eigenstate table block by block and
-    caches it on `sd`, unless decompose's bond mode filled it; each row then
+    caches it on `sd`, unless decompose's pair mode filled it; each row then
     costs one (dim,) x (dim, 16) product.
     The products stay one per row: a stacked matrix product sums in another
     order and moves the elements in the last bits.

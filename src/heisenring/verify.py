@@ -11,10 +11,11 @@ thermo_grid over the whole temperature grid, one pair_rdms stack per site
 pair, and one correlation, concurrence and Bell evaluation on the stack.
 The dense oracle (heisenring.oracle) builds one Gibbs matrix at a time, so
 an N = 12 grid never holds a stack of 2^N x 2^N matrices.  Each check then
-records its residual row by row, in temperature order.  The bond mode of
-spectral.decompose, which sweeps of a ring bond take, is held against the
-sector pair table on one or two specs per N and against a derivative of
-log Z in the anisotropy.
+records its residual row by row, in temperature order.  The pair mode of
+spectral.decompose, which every sweep of a uniform ring takes, is held
+against the sector pair table on one or two specs per N, for a ring bond
+and for a pair half the ring apart, and against a derivative of log Z in
+the anisotropy.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
     temps = np.asarray(opts.temperatures, dtype=float)
     n_temps = temps.size
     # the momentum blocks are checked once per N, on an anisotropic ring in
-    # a field when the grid has one; their bond mode also on the isotropic
+    # a field when the grid has one; their pair mode also on the isotropic
     # J = 1 ring, when the grid has it
     momentum_case = (next((d for d in opts.deltas if d != 1.0), opts.deltas[0]),
                      next((b for b in opts.fields if b != 0.0), opts.fields[0]),
@@ -174,7 +175,7 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
                    float(np.max(np.abs(sd.eigenvalues - full.eigenvalues))), 1e-9, tag)
         if (delta, b, j) == momentum_case:
             # the values-only spectrum that threshold and spectrum read; the
-            # bond mode solves the same real blocks by eigh, another LAPACK
+            # pair mode solves the same real blocks by eigh, another LAPACK
             # driver, so it is checked through its pair RDMs below
             col.record("momentum_vs_sector_spectrum", _label_spectrum_gap(
                 spectral.decompose(spec, vectors=False), sd), 1e-9, tag)
@@ -218,14 +219,22 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         u, m = grid.u[:n_temps], grid.m[:n_temps]
         rdm = twoqubit.pair_rdms(sd, probabilities, 1, 2)
         if (delta, b, j) in bond_cases:
-            # the bond's table from (E_n, S_z label, ZZ_n) on the momentum
-            # blocks, against the table from the sector eigenvectors
-            bond_sd = spectral.decompose(spec, bond=(1, 2))
-            bond_rdm = twoqubit.pair_rdms(
-                bond_sd, thermo.thermo_grid(bond_sd, spec, temps).probabilities, 1, 2)
-            bond_gap = np.abs(bond_rdm.matrix - rdm.matrix).max(axis=(1, 2)).tolist()
-            for t, gap in zip(temps, bond_gap):
-                col.record("bond_route_vs_pair_table", gap, 1e-12, f"{tag} T={t:g}")
+            # the pair mode's table from (S_z label, ZZ_n, XY_n) on the
+            # momentum blocks, against the table from the sector
+            # eigenvectors: a ring bond, and from N = 4 a pair at distance
+            # N // 2, which is no bond
+            pair_checks = [("bond_route_vs_pair_table", (1, 2), rdm)]
+            if n >= 4:
+                far = (1, 1 + n // 2)
+                pair_checks.append(("distance_route_vs_pair_table", far,
+                                    twoqubit.pair_rdms(sd, probabilities, *far)))
+            for name, pair, want in pair_checks:
+                pair_sd = spectral.decompose(spec, pair=pair)
+                got = twoqubit.pair_rdms(
+                    pair_sd, thermo.thermo_grid(pair_sd, spec, temps).probabilities, *pair)
+                gaps = np.abs(got.matrix - want.matrix).max(axis=(1, 2)).tolist()
+                for t, gap in zip(temps, gaps):
+                    col.record(name, gap, 1e-12, f"{tag} T={t:g}")
         k = 1 + n // 2  # some other bond (k, k+1) around the ring
         rdm_shift = twoqubit.pair_rdms(sd, probabilities, k, k % n + 1)
         cs = twoqubit.correlations_from_rdm(rdm)
@@ -389,9 +398,9 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         u_res, m_res = thermo.check_derivatives(spec, t)
         col.record("derivative_u", u_res, 1e-5, f"N={n} T={t:.3g}")
         col.record("derivative_m", m_res, 1e-5, f"N={n} T={t:.3g}")
-        # Hellmann-Feynman: the bond mode's sigma^z sigma^z bond sum against
-        # -(T/J) d(log Z)/d(delta) from values-only spectra
-        rdm = twoqubit.pair_rdm_thermal(spectral.decompose(spec, bond=(1, 2)), t, 1, 2)
+        # Hellmann-Feynman: the pair mode's sigma^z sigma^z sum over the
+        # ring bonds against -(T/J) d(log Z)/d(delta) from values-only spectra
+        rdm = twoqubit.pair_rdm_thermal(spectral.decompose(spec, pair=(1, 2)), t, 1, 2)
         zz = n * twoqubit.correlations_from_rdm(rdm).g[2, 2]
         col.record("derivative_zz", abs(zz - thermo.zz_from_log_z(spec, t)), 1e-5,
                    f"N={n} T={t:.3g}")

@@ -146,6 +146,17 @@ def test_missing_required_key(tmp_path, capsys):
     assert "temperatures" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,doc", [
+    ("sweep", sweep_config(n_sites=2, j=1.0)),
+    ("spectrum", {"model": {"n_sites": 2, "j": 1.0}}),
+])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, command, doc):
+    # exit 2, not a traceback and exit 1, which would read as a failed invariant
+    out = tmp_path / "missing" / "rows.csv"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert "cannot write output" in capsys.readouterr().err
+
+
 def test_bad_pair_rejected(tmp_path):
     doc = sweep_config(n_sites=3, j=1.0)
     doc["pair"] = [1, 4]

@@ -9,6 +9,7 @@ from heisenring import (
 )
 from heisenring.spectral import (
     _blocks,
+    _pair_terms,
     expected_sector_sizes,
     orbit_tables,
     parity_basis,
@@ -161,7 +162,8 @@ def test_two_site_momentum_blocks():
     # one down spin: the representative 01 is its own block at k = 0 (the
     # triplet, 2J) and at k = pi (the singlet, -6J); the bond counts twice
     spec = ModelSpec.uniform(2, 1.0)
-    blocks = list(_blocks(spec, sector_basis(2)[1], orbit_tables(2), 0.0))
+    blocks = list(_blocks(spec.n_sites, _pair_terms(spec), sector_basis(2)[1],
+                          orbit_tables(2), 0.0))
     assert [mult for mult, _, _ in blocks] == [1, 1]
     assert [basis.tolist() for _, basis, _ in blocks] == [[1], [1]]
     assert [b.tolist() for _, _, b in blocks] == [[[2.0]], [[-6.0]]]
@@ -177,7 +179,7 @@ def test_momentum_blocks_hermitian_and_sized():
     orbits = orbit_tables(n)
     widths = []
     for k, states in enumerate(sector_basis(n)[:n // 2 + 1]):
-        blocks = list(_blocks(spec, states, orbits, 0.0))
+        blocks = list(_blocks(spec.n_sites, _pair_terms(spec), states, orbits, 0.0))
         assert sum(mult * b.shape[0] for mult, _, b in blocks) == states.size
         for _, basis, b in blocks:
             assert basis.shape == b.shape[:1]
@@ -222,7 +224,8 @@ def test_trivial_orbit_block_is_sector_block(spec):
     h = build_hamiltonian(spec)
     assert np.max(np.abs(h.imag)) == 0.0
     for states in sector_basis(n):
-        blocks = list(_blocks(spec, states, trivial_orbits(n), spec.field_b))
+        blocks = list(_blocks(spec.n_sites, _pair_terms(spec), states, trivial_orbits(n),
+                              spec.field_b))
         assert len(blocks) == 1
         mult, basis, block = blocks[0]
         assert mult == 1 and block.dtype == np.float64
@@ -311,7 +314,8 @@ def test_trivial_orbit_block_is_parity_block(n):
     spec = random_general_spec(n, seed=n + 20, field_b=-0.35)
     h = build_hamiltonian(spec)
     for states in parity_basis(n):
-        ((mult, basis, block),) = _blocks(spec, states, trivial_orbits(n), spec.field_b)
+        ((mult, basis, block),) = _blocks(spec.n_sites, _pair_terms(spec), states,
+                                          trivial_orbits(n), spec.field_b)
         assert np.array_equal(basis, states)
         assert mult == 1 and block.dtype == np.float64
         assert np.max(np.abs(block - h[np.ix_(states, states)])) <= 1e-13
@@ -349,35 +353,40 @@ BOND_TEMPERATURES = (0.0, 0.05, 0.5, 2.0, 20.0)
     (10, 1.0, 0.5, 0.4),
 ])
 def test_bond_mode_matches_pair_table_and_oracle(n, j, delta, b):
-    # the bond's table from (E_n, S_z label, ZZ_n) gives the thermal pair
-    # RDMs of the sector eigenvectors' table and of the dense Gibbs matrix,
-    # for every ring bond and both orders of its sites
+    # the pair mode's table from (S_z label, ZZ_n, XY_n) gives the thermal
+    # pair RDMs of the sector eigenvectors' table and of the dense Gibbs
+    # matrix, for every ring bond and both orders of its sites, and for
+    # pairs further apart: distance 2 and half the ring
     spec = ModelSpec.uniform(n, j, delta, b)
     sector = decompose(spec)
     full = diagonalize_full(build_hamiltonian(spec))
     rhos = [gibbs_state(full, t) for t in BOND_TEMPERATURES]
-    for pair in {(1, 2), (2, 1), (1, n), (n, 1)}:
-        bond = decompose(spec, bond=pair)
-        assert bond.eigvec_blocks is None
-        assert list(bond.pair_tables) == [pair]
-        assert bond.ground_degeneracy == sector.ground_degeneracy
-        assert np.max(np.abs(bond.eigenvalues - sector.eigenvalues)) <= 1e-12
+    pairs = {(1, 2), (2, 1), (1, n), (n, 1), (1, 1 + n // 2)}
+    if n >= 3:
+        pairs |= {(1, 3), (3, 1)}
+    for pair in pairs:
+        pair_sd = decompose(spec, pair=pair)
+        assert pair_sd.eigvec_blocks is None
+        assert list(pair_sd.pair_tables) == [pair]
+        assert pair_sd.ground_degeneracy == sector.ground_degeneracy
+        assert np.max(np.abs(pair_sd.eigenvalues - sector.eigenvalues)) <= 1e-12
         for t, rho in zip(BOND_TEMPERATURES, rhos):
-            got = pair_rdm_thermal(bond, t, *pair)
+            got = pair_rdm_thermal(pair_sd, t, *pair)
             assert got.z.imag == 0.0
-            assert abs(thermo_point(bond, spec, t).m - thermo_point(sector, spec, t).m) <= 1e-12
+            assert abs(thermo_point(pair_sd, spec, t).m - thermo_point(sector, spec, t).m) <= 1e-12
             for want in (pair_rdm_thermal(sector, t, *pair).matrix,
                          reduce_to_pair(rho, *pair).matrix):
                 assert np.max(np.abs(got.matrix - want)) <= 1e-13, (pair, t)
 
 
 def test_bond_mode_needs_a_uniform_ring_bond():
+    # any two distinct sites 1..N of a uniform ring, and nothing else
     spec = ModelSpec.uniform(6, 1.0, 0.5, 0.2)
     jx, jy, jz = ring_coupling_matrices(spec)
-    for bad_spec, pair in ((spec, (1, 3)), (spec, (2, 2)),
+    for bad_spec, pair in ((spec, (2, 2)), (spec, (0, 1)), (spec, (7, 8)),
                            (ModelSpec.general(jx, jy, jz, 0.2), (1, 2))):
-        with pytest.raises(ValueError, match="bond mode"):
-            decompose(bad_spec, bond=pair)
+        with pytest.raises(ValueError, match="pair mode"):
+            decompose(bad_spec, pair=pair)
 
 
 def test_values_only_decompose_runs_no_eigh(monkeypatch):
@@ -395,7 +404,7 @@ def test_values_only_decompose_runs_no_eigh(monkeypatch):
 @pytest.mark.parametrize("n,blocks,widest", [(13, 43, 132), (14, 57, 246)])
 def test_values_only_uniform_solves_real_blocks(monkeypatch, n, blocks, widest):
     # every momentum block of a uniform ring reaches eigvalsh (values-only)
-    # or eigh (the bond mode) as a real float64 matrix, 0 < m < N/2
+    # or eigh (the pair mode) as a real float64 matrix, 0 < m < N/2
     # included; both modes solve the same blocks
     seen = {}
 
@@ -412,7 +421,7 @@ def test_values_only_uniform_solves_real_blocks(monkeypatch, n, blocks, widest):
     spec = ModelSpec.uniform(n, 1.0, 0.5, 0.3)
     decompose(spec, vectors=False)
     assert seen["eigh"] == []
-    decompose(spec, bond=(1, 2))
+    decompose(spec, pair=(1, 2))
     assert seen["eigh"] == seen["eigvalsh"]
     assert {dtype for dtype, _ in seen["eigh"]} == {np.dtype(np.float64)}
     assert len(seen["eigh"]) == blocks
@@ -430,11 +439,12 @@ def test_real_blocks_match_complex_momentum_blocks(n):
         for delta in (0.0, 0.5, 1.0, 2.0):
             spec = ModelSpec.uniform(n, j, delta)
             for states in sector_basis(n)[:n // 2 + 1]:
-                ((_, _, sector),) = _blocks(spec, states, plain, 0.0)
+                ((_, _, sector),) = _blocks(spec.n_sites, _pair_terms(spec), states, plain, 0.0)
                 want = np.linalg.eigvalsh(sector)
                 scale = max(1.0, float(np.max(np.abs(want))))
                 got = []
-                for mult, basis, real in _blocks(spec, states, orbits, 0.0):
+                for mult, basis, real in _blocks(spec.n_sites, _pair_terms(spec), states,
+                                                 orbits, 0.0):
                     assert real.dtype == np.float64
                     assert basis.shape == real.shape[:1]
                     assert np.max(np.abs(real - real.T)) <= 1e-12 * scale

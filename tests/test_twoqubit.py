@@ -321,21 +321,21 @@ def sweep_calls(monkeypatch):
     return run
 
 
-@pytest.mark.parametrize("pair", [(1, 2), (2, 1), (1, 8), (8, 1), (4, 5)])
+@pytest.mark.parametrize("pair", [(1, 2), (2, 1), (1, 8), (8, 1), (4, 5), (1, 3), (2, 6)])
 def test_uniform_bond_sweep_holds_no_sector_vectors(sweep_calls, pair):
-    # a ring bond of a uniform ring reads its table from the momentum
-    # blocks: no eigh on a sector-wide block, no pair table from vectors
+    # every pair of a uniform ring, ring bond or not, reads its table from
+    # the momentum blocks: no eigh on a sector-wide block, no pair table
+    # from vectors
     widths, tables = sweep_calls(ModelSpec.uniform(8, 1.0, 0.5, 0.2), pair)
     assert tables == []
     assert widths and max(widths) < math.comb(8, 4)
 
 
 def test_other_sweeps_keep_the_sector_pair_table(sweep_calls):
-    # a non-adjacent pair, and a general spec even on a ring bond, still
-    # take the sector eigenvectors and build the pair table from them
+    # a general spec, even on a ring bond, still takes the sector
+    # eigenvectors and builds the pair table from them
     uniform = ModelSpec.uniform(8, 1.0, 0.5, 0.2)
     general = ModelSpec.general(*ring_coupling_matrices(uniform), field_b=0.2)
-    for spec, pair in ((uniform, (1, 3)), (uniform, (2, 6)), (general, (1, 2))):
-        widths, tables = sweep_calls(spec, pair)
-        assert tables == [pair]
-        assert math.comb(8, 4) in widths
+    widths, tables = sweep_calls(general, (1, 2))
+    assert tables == [(1, 2)]
+    assert math.comb(8, 4) in widths

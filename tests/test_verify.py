@@ -104,8 +104,10 @@ def test_no_frames_drawn_without_sampled_states(monkeypatch):
 def test_grid_specs_run_as_temperature_stacks(monkeypatch):
     # the production side of a grid spec runs once on its whole T grid, and
     # the full-space operators of an N <= 5 spec are embedded once, however
-    # many temperatures the grid has; the bond route adds one stack on each
-    # N's momentum case and isotropic J = 1 ring
+    # many temperatures the grid has; the pair mode adds one stack for the
+    # bond on each N's momentum case and isotropic J = 1 ring, and from
+    # N = 4 one more for the pair at distance N // 2, whose sector table
+    # is one more stack again
     calls = {}
 
     def count(module, name):
@@ -130,8 +132,10 @@ def test_grid_specs_run_as_temperature_stacks(monkeypatch):
                                        fields=(0.0, 0.4), temperatures=temperatures,
                                        frames=10, sampled_states=1))
         grid_specs = [args[1] for args in calls["thermo_grid"]]
-        assert all(grid_specs.count(spec) == 1 + (spec in bond_specs) for spec in specs)
-        assert len(calls["pair_rdms"]) == 2 * len(specs) + len(bond_specs)
+        pair_modes = {spec: 1 + (spec.n_sites >= 4) for spec in bond_specs}
+        assert all(grid_specs.count(spec) == 1 + pair_modes.get(spec, 0) for spec in specs)
+        assert len(calls["pair_rdms"]) == 2 * len(specs) + sum(
+            2 * modes - 1 for modes in pair_modes.values())
         assert len(calls["embed"]) == 10 * sum(spec.n_sites <= 5 for spec in specs)
 
 
@@ -139,5 +143,6 @@ def test_bond_route_and_zz_derivative_are_checked():
     opts = VerifyOptions(n_values=(2, 5), deltas=(1.0, 0.5), fields=(0.0, 0.3),
                          temperatures=(0.0, 0.7), frames=10, sampled_states=0)
     results = {r.name: r for r in run_verification(opts)}
-    for name, threshold in (("bond_route_vs_pair_table", 1e-12), ("derivative_zz", 1e-5)):
+    for name, threshold in (("bond_route_vs_pair_table", 1e-12),
+                            ("distance_route_vs_pair_table", 1e-12), ("derivative_zz", 1e-5)):
         assert results[name].passed and results[name].threshold == threshold
