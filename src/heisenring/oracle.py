@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._blas import threads_for
 from .model import site_indices
 from .spectral import SpectralDecomposition
 from .thermo import thermal_probabilities
@@ -55,7 +56,8 @@ def gibbs_state(sd: SpectralDecomposition, temperature: float) -> np.ndarray:
     dtype = np.result_type(float, *(blk.vectors for blk in sd.eigvec_blocks))
     rho = np.zeros((sd.dim, sd.dim), dtype=dtype)
     for states, v, cols in sd.eigvec_blocks:
-        rho[np.ix_(states, states)] = (v * p[cols]) @ v.conj().T
+        with threads_for(states.size):
+            rho[np.ix_(states, states)] = (v * p[cols]) @ v.conj().T
     return rho
 
 
@@ -101,9 +103,11 @@ def eigen_residuals(h: np.ndarray, sd: SpectralDecomposition) -> tuple[float, fl
     resid = ortho = 0.0
     for states, v, cols in sd.eigvec_blocks:
         e = sd.eigenvalues[cols]
-        r = h[:, states] @ v
+        with threads_for(states.size):
+            r = h[:, states] @ v
+            gram = v.conj().T @ v
         r[states] -= v * e[None, :]
         scale = np.maximum(1.0, np.abs(e))
         resid = max(resid, float(np.max(np.linalg.norm(r, axis=0) / scale)))
-        ortho = max(ortho, float(np.max(np.abs(v.conj().T @ v - np.eye(cols.size)))))
+        ortho = max(ortho, float(np.max(np.abs(gram - np.eye(cols.size)))))
     return resid, ortho

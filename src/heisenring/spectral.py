@@ -32,7 +32,16 @@ block's vectors; with the S_z label they fix the pair RDM of any two
 sites of a uniform ring, which is how every sweep of a uniform ring runs.
 Every other decomposition gives _blocks trivial orbits, where every state
 is its own representative, and gets the plain sector or parity block,
-field included.
+field included.  _sector does a sector's orbit bookkeeping (the
+representatives, the momenta they reach and the real K R basis) once, and
+the pair mode builds H's and O_r's blocks from the same one.
+
+Each block's eigensolve and products run under _blas.threads_for: a block
+narrower than _blas.WIDE = 512 on one OpenBLAS thread, a wider one with
+the count OpenBLAS started with.  So every momentum block up to N = 14
+(246 wide) and every S_z sector up to N = 11 (462) is solved on one
+thread, while the widest S_z sectors from N = 12 (924 and up) and the
+parity blocks from N = 10 (512 and up) keep the starting count.
 
 diagonalize_full diagonalizes a dense matrix.  It is the oracle that
 verify, the tests and the demos hold the blocks against, and no
@@ -49,6 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._blas import threads_for
 from .model import ModelSpec, hermiticity_defect, translation
 
 FULL_PATH_MAX_SITES = 12
@@ -120,7 +130,8 @@ def diagonalize_full(h: np.ndarray) -> SpectralDecomposition:
         raise ValueError("matrix is not Hermitian within tolerance")
     if np.iscomplexobj(h) and np.max(np.abs(h.imag)) == 0.0:
         h = h.real
-    evals, vecs = np.linalg.eigh(h)
+    with threads_for(h.shape[0]):
+        evals, vecs = np.linalg.eigh(h)
     every_state = np.arange(evals.size, dtype=np.int64)
     return SpectralDecomposition(
         eigenvalues=evals,
@@ -202,27 +213,69 @@ def _zz_sign(states: np.ndarray, bi: int, bk: int) -> np.ndarray:
     return (1 - 2 * ((states >> bi) & 1)) * (1 - 2 * ((states >> bk) & 1))
 
 
-def _blocks(n: int, terms, states: np.ndarray, orbits, field_b: float):
-    """The block of an n-site operator on `states`, built from bit rules and split by momentum.
+class _Sector(NamedTuple):
+    """The orbit bookkeeping of one sector, shared by every operator _blocks builds on it.
+
+    reps holds the sector's orbit representatives, ascending, and period
+    their orbit lengths R_a.  momenta holds (m, keep, index, columns) for
+    every momentum 0 <= m <= N/2 that has states: keep marks the
+    representatives with m * R_a = 0 (mod N), index[a] is the block index
+    of a kept representative a, and columns is the K R basis of
+    _kr_columns for 0 < m < N/2, else None.
+    """
+
+    n: int
+    orbits: tuple[np.ndarray, np.ndarray, np.ndarray]
+    reps: np.ndarray
+    period: np.ndarray
+    momenta: list
+
+
+def _sector(n: int, states: np.ndarray, orbits) -> _Sector:
+    """The _Sector of `states` (closed under the operators) under `orbits`, as from orbit_tables."""
+    rep, shift, period = orbits
+    reps = states[rep[states] == states]
+    r_a = period[reps]
+    momenta, mirror = [], None
+    for m in range(n // 2 + 1):
+        keep = (m * r_a) % n == 0
+        if not keep.any():
+            continue
+        index = np.cumsum(keep) - 1
+        columns = None
+        if (2 * m) % n:
+            if mirror is None:
+                # R a for each representative: its n bits reversed, as model.reflection does
+                mirrored = sum(((reps >> bit) & 1) << (n - 1 - bit) for bit in range(n))
+                mirror = np.searchsorted(reps, rep[mirrored]), shift[mirrored]
+            partner, l_mirror = mirror
+            columns = _kr_columns(index[partner[keep]],
+                                  np.exp(-2j * np.pi * m * l_mirror[keep] / n))
+        momenta.append((m, keep, index, columns))
+    return _Sector(n, orbits, reps, r_a, momenta)
+
+
+def _blocks(terms, sector: _Sector, field_b: float):
+    """The block of an n-site operator on a sector, built from bit rules and split by momentum.
 
     The operator sums `terms`, (bit_i, bit_k, hop, flip, zz): _pair_terms
     for H, or the N pairs at distance r with (2, 0, 0) for decompose's
-    O_r^xy.  `states` is closed under the operator: an S_z sector, or a
-    parity sector of an S_z-breaking spec.  `orbits` is (rep, shift,
-    period) as from orbit_tables, and field_b the field B, or 0.0 to leave
-    the field out: a state with k down spins gets B(N - 2k) on the
-    diagonal.  Yields (multiplicity, basis, block) with one real symmetric
-    block per lattice momentum 2*pi*m/N, 0 <= m <= N/2, that has states
-    (Sandvik, arXiv:1101.3281, section 4.1).  Its basis is the momentum
-    states of the orbit representatives a with m * R_a = 0 (mod N), R_a the
-    period; `basis` holds those representatives in block order.  A hop or
-    pair flip from a reaches the state b' with representative b = T^l b'
-    and has element amplitude * exp(-2*pi*i*m*l/N) * sqrt(R_a / R_b); the
-    diagonal holds the field, the z-z terms and hops inside an orbit.  The
-    operator is real, so the block at -m is the complex conjugate of the
-    block at m and has the same eigenvalues: each block with 0 < m < N - m
-    stands for both and has multiplicity 2.  Blocks at m = 0 and 2m = N
-    are real and count once.
+    O_r^xy.  `sector` (_sector) holds states closed under the operator, an
+    S_z sector or a parity sector of an S_z-breaking spec, with their
+    orbits, and field_b is the field B, or 0.0 to leave the field out: a
+    state with k down spins gets B(N - 2k) on the diagonal.  Yields
+    (multiplicity, basis, block) with one real symmetric block per lattice
+    momentum 2*pi*m/N, 0 <= m <= N/2, that has states (Sandvik,
+    arXiv:1101.3281, section 4.1).  Its basis is the momentum states of the
+    orbit representatives a with m * R_a = 0 (mod N), R_a the period;
+    `basis` holds those representatives in block order.  A hop or pair
+    flip from a reaches the state b' with representative b = T^l b' and has
+    element amplitude * exp(-2*pi*i*m*l/N) * sqrt(R_a / R_b); the diagonal
+    holds the field, the z-z terms and hops inside an orbit.  The operator
+    is real, so the block at -m is the complex conjugate of the block at m
+    and has the same eigenvalues: each block with 0 < m < N - m stands for
+    both and has multiplicity 2.  Blocks at m = 0 and 2m = N are real and
+    count once.
 
     Those with 0 < m < N - m, complex in the momentum basis, come in a
     real basis.  Only translation orbits give them, and only operators
@@ -234,17 +287,16 @@ def _blocks(n: int, terms, states: np.ndarray, orbits, field_b: float):
     l = shift[R a], and squares to 1 (Sandvik, arXiv:1101.3281, section
     4.2).  Its invariant vectors form a real orthonormal basis, in which
     the block (_real_block) is real with the same eigenvalues.  That basis
-    depends on the orbits alone, so H and O_r on one sector share it, and
-    `basis` is unchanged: each column of the real block lies on a and abar,
-    and R keeps sigma^z sigma^z sums.
+    depends on the orbits alone, so the sector holds it and H and O_r on
+    one sector share it, and `basis` is unchanged: each column of the real
+    block lies on a and abar, and R keeps sigma^z sigma^z sums.
 
     With trivial_orbits every state is a representative of period 1 and
     shift 0, so only m = 0 has states and its one real block is the plain
     block of the operator on `states` in the computational basis.
     """
-    rep, shift, period = orbits
-    reps = states[rep[states] == states]
-    r_a = period[reps]
+    n, reps, r_a = sector.n, sector.reps, sector.period
+    rep, shift, period = sector.orbits
     # + 0.0: a -0.0 field must not leave -0.0 on the diagonal
     diag = field_b * (n - 2 * np.bitwise_count(reps).astype(np.int64)) + 0.0
     # seeded, so a spec without hops (J = 0, no couplings) still concatenates
@@ -264,58 +316,57 @@ def _blocks(n: int, terms, states: np.ndarray, orbits, field_b: float):
             ls.append(shift[flipped])
             amps.append(amp * np.sqrt(r_a[movers] / period[flipped]))
     rows, cols, ls, amps = map(np.concatenate, (rows, cols, ls, amps))
-    # R a for each representative: its n bits reversed, as model.reflection does
-    mirrored = sum(((reps >> bit) & 1) << (n - 1 - bit) for bit in range(n))
-    partner, l_mirror = np.searchsorted(reps, rep[mirrored]), shift[mirrored]
 
-    for m in range(n // 2 + 1):
-        keep = (m * r_a) % n == 0
-        if not keep.any():
-            continue
-        index = np.cumsum(keep) - 1
+    for m, keep, index, columns in sector.momenta:
         hops = keep[rows] & keep[cols]
         amp, l = amps[hops], ls[hops]
         at = (index[rows[hops]], index[cols[hops]])
-        basis = reps[keep]
-        if (2 * m) % n == 0:
+        if columns is None:
             block = np.diag(diag[keep])
             np.add.at(block, at, amp * (-1.0) ** (2 * m * l // n))
         else:
             values = amp * np.exp(-2j * np.pi * m * l / n)
-            phases = np.exp(-2j * np.pi * m * l_mirror[keep] / n)
-            block = _real_block(diag[keep], index[partner[keep]], phases, *at, values)
-        yield (1 if (2 * m) % n == 0 else 2), basis, block
+            block = _real_block(diag[keep], columns, *at, values)
+        yield (1 if columns is None else 2), reps[keep], block
         del block  # the caller's reference is the last one
 
 
-def _real_block(diag: np.ndarray, partner: np.ndarray, phases: np.ndarray,
-                rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """A complex momentum block rewritten in the real basis of K R (see _blocks).
+def _kr_columns(partner: np.ndarray, phases: np.ndarray):
+    """The real basis of K R on one momentum block (see _blocks and _real_block).
 
-    diag, partner (the block index of abar) and phases (phi_a) are indexed
-    by the block's momentum states; each hop element values[h] sits at
-    (rows[h], cols[h]).  A pair a < abar puts (e_a + phi_a e_abar)/sqrt(2)
-    in column a and i(e_a - phi_a e_abar)/sqrt(2) in column abar; a
-    self-partner a = abar puts sqrt(phi_a) e_a in column a.  So every
-    momentum state reaches at most two columns, its own and its partner's,
-    and each hop element lands on at most four entries of the real block;
-    only the real part of each product is added, since the imaginary parts
-    cancel in the sum.  The diagonal stays diagonal: R maps the z-z terms
-    onto themselves.
+    partner (the block index of abar) and phases (phi_a) are indexed by
+    the block's momentum states.  A pair a < abar puts
+    (e_a + phi_a e_abar)/sqrt(2) in column a and
+    i(e_a - phi_a e_abar)/sqrt(2) in column abar; a self-partner a = abar
+    puts sqrt(phi_a) e_a in column a.  So every momentum state reaches at
+    most two columns, its own and its partner's.  Returns, for the column
+    min(a, abar) and then for max(a, abar), each state's column and weight
+    there; a self-partner has a zero second weight.
     """
-    states = np.arange(diag.size)
+    states = np.arange(partner.size)
     below, above = states < partner, states > partner
     root = math.sqrt(0.5)
-    # each momentum state's weights in column min(a, abar) and column
-    # max(a, abar); a self-partner has a zero second weight
     low = (np.minimum(states, partner),
            np.where(below, root, np.where(above, root * phases, np.sqrt(phases))))
     high = (np.maximum(states, partner),
             np.where(below, 1j * root, np.where(above, -1j * root * phases, 0.0)))
+    return low, high
+
+
+def _real_block(diag: np.ndarray, columns, rows: np.ndarray, cols: np.ndarray,
+                values: np.ndarray) -> np.ndarray:
+    """A complex momentum block rewritten in the real basis `columns` of K R (_kr_columns).
+
+    diag is indexed by the block's momentum states; each hop element
+    values[h] sits at (rows[h], cols[h]).  Each hop element lands on at
+    most four entries of the real block; only the real part of each
+    product is added, since the imaginary parts cancel in the sum.  The
+    diagonal stays diagonal: R maps the z-z terms onto themselves.
+    """
     block = np.diag(diag)
-    for col_r, w_r in (low, high):
+    for col_r, w_r in columns:
         left = w_r[rows].conj() * values
-        for col_c, w_c in (low, high):
+        for col_c, w_c in columns:
             np.add.at(block, (col_r[rows], col_c[cols]), (left * w_c[cols]).real)
     return block
 
@@ -373,24 +424,26 @@ def decompose(spec: ModelSpec, vectors: bool = True,
     all_evals, all_keys, pair_rows, vec_blocks = [], [], [], []
     for k, states in enumerate(sectors):
         parts, pair_parts = [], []
-        xy_blocks = None if pair is None else _blocks(n, xy_terms, states, orbits, 0.0)
-        for mult, basis, block in _blocks(n, terms, states, orbits,
-                                          0.0 if paired else spec.field_b):
-            if pair is not None:
-                evals, bvecs = np.linalg.eigh(block)
-                _, _, xy_block = next(xy_blocks)
-                # sigma^z sigma^z summed over the pairs at distance r: N less
-                # twice the bits in which a representative and its turn by r differ
-                turned = ((basis << r) | (basis >> (n - r))) & ((1 << n) - 1)
-                zz_r = n - 2 * np.bitwise_count(basis ^ turned).astype(np.int64)
-                pair_parts.append(np.tile([zz_r @ (bvecs * bvecs),
-                                           np.sum(bvecs * (xy_block @ bvecs), axis=0)], mult))
-                del bvecs, xy_block  # only ZZ_n and XY_n are kept
-            elif vectors:
-                evals, bvecs = np.linalg.eigh(block)
-                vec_blocks.append((states, bvecs))
-            else:
-                evals = np.linalg.eigvalsh(block)
+        sector = _sector(n, states, orbits)
+        xy_blocks = None if pair is None else _blocks(xy_terms, sector, 0.0)
+        for mult, basis, block in _blocks(terms, sector, 0.0 if paired else spec.field_b):
+            with threads_for(basis.size):
+                if pair is not None:
+                    evals, bvecs = np.linalg.eigh(block)
+                    _, _, xy_block = next(xy_blocks)
+                    # sigma^z sigma^z summed over the pairs at distance r: N less
+                    # twice the bits in which a representative and its turn by r differ
+                    turned = ((basis << r) | (basis >> (n - r))) & ((1 << n) - 1)
+                    zz_r = n - 2 * np.bitwise_count(basis ^ turned).astype(np.int64)
+                    pair_parts.append(np.tile([zz_r @ (bvecs * bvecs),
+                                               np.sum(bvecs * (xy_block @ bvecs), axis=0)],
+                                              mult))
+                    del bvecs, xy_block  # only ZZ_n and XY_n are kept
+                elif vectors:
+                    evals, bvecs = np.linalg.eigh(block)
+                    vec_blocks.append((states, bvecs))
+                else:
+                    evals = np.linalg.eigvalsh(block)
             parts.append(np.tile(evals, mult))
             del block  # one block alive at a time: free it before the next is built
         evals = np.concatenate(parts)

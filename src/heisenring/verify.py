@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bell, entanglement, model, oracle, spectral, thermo, threshold, twoqubit
+from ._blas import threads_for
 
 TSIRELSON = bell.TSIRELSON
 # peak bytes per frame of bell.random_frames (the normal draw, its squares
@@ -199,9 +200,10 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         if delta == 1.0 and b != 0.0:
             flipped = model.build_hamiltonian(
                 model.ModelSpec.uniform(n, j, delta, -b))
+            with threads_for(flipped.shape[0]):
+                flipped_evals = np.linalg.eigvalsh(flipped)
             col.record("field_flip_spectrum",
-                       float(np.max(np.abs(np.linalg.eigvalsh(flipped)
-                                           - sd.eigenvalues))), 1e-10, tag)
+                       float(np.max(np.abs(flipped_evals - sd.eigenvalues))), 1e-10, tag)
 
         # the production side runs once on the whole temperature stack: the
         # grid rows, then the high-temperature limit and the near-zero
@@ -253,8 +255,9 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
             rho = oracle.gibbs_state(full, float(t))
             col.record("gibbs_trace", abs(float(np.trace(rho).real) - 1.0), 1e-12, at)
             col.record("gibbs_hermitian", model.hermiticity_defect(rho), 1e-12, at)
-            col.record("gibbs_positive",
-                       max(0.0, -float(np.linalg.eigvalsh(rho).min())), 1e-12, at)
+            with threads_for(rho.shape[0]):
+                rho_min = float(np.linalg.eigvalsh(rho).min())
+            col.record("gibbs_positive", max(0.0, -rho_min), 1e-12, at)
             col.record("pair_rdm_routes",
                        float(np.max(np.abs(
                            oracle.reduce_to_pair(rho, 1, 2).matrix - rdm.matrix[r]))),

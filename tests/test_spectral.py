@@ -10,12 +10,14 @@ from heisenring import (
 from heisenring.spectral import (
     _blocks,
     _pair_terms,
+    _sector,
     expected_sector_sizes,
     orbit_tables,
     parity_basis,
     sector_basis,
     trivial_orbits,
 )
+from heisenring import spectral
 from heisenring.model import ring_coupling_matrices
 from heisenring.oracle import eigen_residuals, gibbs_state, reduce_to_pair
 from heisenring.thermo import thermo_point
@@ -162,8 +164,8 @@ def test_two_site_momentum_blocks():
     # one down spin: the representative 01 is its own block at k = 0 (the
     # triplet, 2J) and at k = pi (the singlet, -6J); the bond counts twice
     spec = ModelSpec.uniform(2, 1.0)
-    blocks = list(_blocks(spec.n_sites, _pair_terms(spec), sector_basis(2)[1],
-                          orbit_tables(2), 0.0))
+    blocks = list(_blocks(_pair_terms(spec), _sector(2, sector_basis(2)[1], orbit_tables(2)),
+                          0.0))
     assert [mult for mult, _, _ in blocks] == [1, 1]
     assert [basis.tolist() for _, basis, _ in blocks] == [[1], [1]]
     assert [b.tolist() for _, _, b in blocks] == [[[2.0]], [[-6.0]]]
@@ -179,7 +181,7 @@ def test_momentum_blocks_hermitian_and_sized():
     orbits = orbit_tables(n)
     widths = []
     for k, states in enumerate(sector_basis(n)[:n // 2 + 1]):
-        blocks = list(_blocks(spec.n_sites, _pair_terms(spec), states, orbits, 0.0))
+        blocks = list(_blocks(_pair_terms(spec), _sector(n, states, orbits), 0.0))
         assert sum(mult * b.shape[0] for mult, _, b in blocks) == states.size
         for _, basis, b in blocks:
             assert basis.shape == b.shape[:1]
@@ -224,7 +226,7 @@ def test_trivial_orbit_block_is_sector_block(spec):
     h = build_hamiltonian(spec)
     assert np.max(np.abs(h.imag)) == 0.0
     for states in sector_basis(n):
-        blocks = list(_blocks(spec.n_sites, _pair_terms(spec), states, trivial_orbits(n),
+        blocks = list(_blocks(_pair_terms(spec), _sector(n, states, trivial_orbits(n)),
                               spec.field_b))
         assert len(blocks) == 1
         mult, basis, block = blocks[0]
@@ -314,8 +316,8 @@ def test_trivial_orbit_block_is_parity_block(n):
     spec = random_general_spec(n, seed=n + 20, field_b=-0.35)
     h = build_hamiltonian(spec)
     for states in parity_basis(n):
-        ((mult, basis, block),) = _blocks(spec.n_sites, _pair_terms(spec), states,
-                                          trivial_orbits(n), spec.field_b)
+        sector = _sector(n, states, trivial_orbits(n))
+        ((mult, basis, block),) = _blocks(_pair_terms(spec), sector, spec.field_b)
         assert np.array_equal(basis, states)
         assert mult == 1 and block.dtype == np.float64
         assert np.max(np.abs(block - h[np.ix_(states, states)])) <= 1e-13
@@ -428,6 +430,27 @@ def test_values_only_uniform_solves_real_blocks(monkeypatch, n, blocks, widest):
     assert max(width for _, width in seen["eigh"]) == widest
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_pair_mode_shares_sector_bookkeeping(monkeypatch, n):
+    # H's blocks and O_r's are built on one _sector per S_z sector, 2k <= N,
+    # and only the momenta 0 < m < N/2 get a K R basis
+    made = []
+
+    def recording(*args):
+        made.append(_sector(*args))
+        return made[-1]
+
+    monkeypatch.setattr(spectral, "_sector", recording)
+    decompose(ModelSpec.uniform(n, 1.0, 0.5, 0.2), pair=(1, 3))
+    assert len(made) == n // 2 + 1
+    for sector in made:
+        for m, _, _, columns in sector.momenta:
+            assert (columns is None) == ((2 * m) % n == 0)
+    decompose(ModelSpec.uniform(n, 1.0, 0.5, 0.2))
+    assert all(columns is None for sector in made[n // 2 + 1:]
+               for _, _, _, columns in sector.momenta)
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_real_blocks_match_complex_momentum_blocks(n):
     # the complex momentum blocks of a sector together hold the spectrum of
@@ -439,12 +462,12 @@ def test_real_blocks_match_complex_momentum_blocks(n):
         for delta in (0.0, 0.5, 1.0, 2.0):
             spec = ModelSpec.uniform(n, j, delta)
             for states in sector_basis(n)[:n // 2 + 1]:
-                ((_, _, sector),) = _blocks(spec.n_sites, _pair_terms(spec), states, plain, 0.0)
+                ((_, _, sector),) = _blocks(_pair_terms(spec), _sector(n, states, plain), 0.0)
                 want = np.linalg.eigvalsh(sector)
                 scale = max(1.0, float(np.max(np.abs(want))))
                 got = []
-                for mult, basis, real in _blocks(spec.n_sites, _pair_terms(spec), states,
-                                                 orbits, 0.0):
+                for mult, basis, real in _blocks(_pair_terms(spec), _sector(n, states, orbits),
+                                                 0.0):
                     assert real.dtype == np.float64
                     assert basis.shape == real.shape[:1]
                     assert np.max(np.abs(real - real.T)) <= 1e-12 * scale
