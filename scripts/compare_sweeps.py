@@ -27,8 +27,12 @@ off the defaults (VERIFY_CONFIGS); the text reports and the exit codes
 must be identical.  A report that differs is shown as a unified diff, cut at
 VERIFY_DIFF_LINES lines.
 
-Every run pins OPENBLAS_NUM_THREADS to BLAS_THREADS: some verify residuals
-differ in their last digits between BLAS thread counts on one tree.
+Every run pins OPENBLAS_NUM_THREADS to BLAS_THREADS.  The program runs
+every matrix narrower than heisenring._blas.WIDE (512) on one BLAS thread
+at any setting, so one tree's outputs differ between thread counts only
+where a matrix is at least that wide: verify grids from N = 9, S_z
+sectors from N = 12 and parity blocks from N = 10, whose results can move
+in their last digits.  The pin keeps those comparable too.
 
 Prints the first differing cells of each run and, per column, the worst
 numeric difference |a - b| and the worst relative difference

@@ -28,9 +28,9 @@ def _thread_count():
     return get
 
 
-def _run(code_or_args, threads):
+def _run(args, threads):
     env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=str(threads))
-    out = subprocess.run([sys.executable, *code_or_args], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, *args], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return out.stdout
@@ -59,24 +59,16 @@ def test_eigh_threads_follow_block_width(monkeypatch):
     assert get() == 1
 
 
-class _FakePool:
-    def __init__(self):
-        self.calls = []
-
-    def __call__(self, count):
-        self.calls.append(count)
-
-
 def test_wide_call_restores_one_thread_after_exception(monkeypatch):
-    fake = _FakePool()
-    monkeypatch.setattr(_blas, "_pool", (fake, 2))
+    calls = []
+    monkeypatch.setattr(_blas, "_pool", (calls.append, 2))
     with _blas.threads_for(_blas.WIDE - 1):
         pass
-    assert fake.calls == []
+    assert calls == []
     with pytest.raises(RuntimeError), _blas.threads_for(_blas.WIDE):
-        assert fake.calls == [2]
+        assert calls == [2]
         raise RuntimeError("solve failed")
-    assert fake.calls == [2, 1]
+    assert calls == [2, 1]
 
 
 def test_real_pool_restored_after_exception():
