@@ -115,6 +115,7 @@ def test_import_leaves_the_pool_alone():
 
 
 def test_verify_report_same_at_one_and_two_threads(tmp_path):
+    _thread_count()
     # every matrix of an N = 8 grid is at most 256 wide, so every solve and
     # product runs on one thread at either setting; at two threads they
     # would change residuals in their last digits
