@@ -37,7 +37,6 @@ class SweepConfig:
     temperatures: np.ndarray
     pair: tuple[int, int]
     outputs: tuple[str, ...]
-    fmt: str
 
 
 def _require_keys(obj: dict, allowed: dict[str, bool], where: str) -> None:
@@ -58,6 +57,8 @@ def _number(obj: dict, key: str, where: str, default=None):
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {val!r}")
+    if isinstance(val, int) and abs(val) > sys.float_info.max:
+        raise ConfigError(f"{where}.{key} is too large for a float")
     return val
 
 
@@ -72,7 +73,7 @@ def parse_model(obj: dict) -> ModelSpec:
                                      np.asarray(obj["jy"], dtype=float),
                                      np.asarray(obj["jz"], dtype=float),
                                      field_b=_number(obj, "field_b", "model", 0.0))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"model: {exc}") from exc
         if "n_sites" in obj and obj["n_sites"] != spec.n_sites:
             raise ConfigError(
@@ -113,8 +114,7 @@ def parse_temperatures(obj: dict) -> np.ndarray:
 
 def parse_sweep_config(doc: dict) -> SweepConfig:
     _require_keys(doc, {"model": True, "temperatures": True, "pair": False,
-                        "outputs": False, "format": False},
-                  "config")
+                        "outputs": False}, "config")
     spec = parse_model(doc["model"])
     temps = parse_temperatures(doc["temperatures"])
     pair = doc.get("pair", [1, 2])
@@ -129,10 +129,7 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
     for col in outputs:
         if col not in COLUMNS:
             raise ConfigError(f"unknown output column {col!r}")
-    fmt = doc.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"'format' must be 'csv' or 'json', got {fmt!r}")
-    return SweepConfig(spec, temps, (pair[0], pair[1]), tuple(outputs), fmt)
+    return SweepConfig(spec, temps, (pair[0], pair[1]), tuple(outputs))
 
 
 def parse_verify_options(doc: dict) -> VerifyOptions:
@@ -231,9 +228,8 @@ def _load_config(path: str | None, required: bool) -> dict:
 def cmd_sweep(args) -> int:
     doc = _load_config(args.config, required=True)
     cfg = parse_sweep_config(doc)
-    fmt = args.format or cfg.fmt
     table = run_sweep(cfg.model, cfg.temperatures, cfg.pair)
-    if fmt == "csv":
+    if args.format == "csv":
         text = render_csv(cfg.outputs, table)
     else:
         text = render_json(cfg.outputs, table)
@@ -261,7 +257,7 @@ def cmd_threshold(args) -> int:
         res = threshold_mod.find_threshold(spec, sd)
     except ValueError as exc:
         raise ConfigError(f"threshold: {exc}") from exc
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         body = ", ".join([
             f'"status": {json.dumps(res.status)}',
             f'"t_c": {fmt_json_value(res.t_c)}',
@@ -293,7 +289,7 @@ def cmd_spectrum(args) -> int:
                 else sd.sector_labels.astype(float).tolist()),
     }
     columns = ("index", "energy", "s_z")
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         text = render_json(columns, table,
                            meta={"ground_energy": sd.ground_energy,
                                  "ground_degeneracy": sd.ground_degeneracy})
@@ -322,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int,
                            help="seed for the random CHSH frames and sampled models")
         else:
-            p.add_argument("--format", choices=("csv", "json"),
-                           help="output format (overrides the config)")
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="output format")
         p.set_defaults(fn=fn)
     return parser
 

@@ -204,6 +204,19 @@ def site_indices(sites: tuple[int, ...], n: int) -> np.ndarray:
     return grid.transpose(order).reshape(1 << k, -1)
 
 
+def rotate(states: np.ndarray, r: int, n: int) -> np.ndarray:
+    """T^r on an int64 array of n-bit states: each rotated left by r bits, 0 <= r <= n."""
+    return ((states << r) | (states >> (n - r))) & ((1 << n) - 1)
+
+
+def reflect(states: np.ndarray, n: int) -> np.ndarray:
+    """The site reflection R: i -> N + 1 - i on an int64 array of n-bit states: bits reversed."""
+    r = np.zeros_like(states)
+    for bit in range(n):
+        r |= ((states >> bit) & 1) << (n - 1 - bit)
+    return r
+
+
 def translation(n: int) -> np.ndarray:
     """Translation T of an n-site ring as a basis permutation.
 
@@ -211,8 +224,7 @@ def translation(n: int) -> np.ndarray:
     bit, i.e. T|m_1 m_2 ... m_N> = |m_2 ... m_N m_1>.  Applying p to a state
     label steps it along its orbit, and h[np.ix_(p, p)] is T^dagger h T.
     """
-    s = np.arange(1 << n, dtype=np.int64)
-    return ((s << 1) | (s >> (n - 1))) & ((1 << n) - 1)
+    return rotate(np.arange(1 << n, dtype=np.int64), 1, n)
 
 
 def reflection(n: int) -> np.ndarray:
@@ -223,11 +235,7 @@ def reflection(n: int) -> np.ndarray:
     ring bond onto a ring bond, so it commutes with a uniform H, and
     R T R = T^-1.
     """
-    s = np.arange(1 << n, dtype=np.int64)
-    r = np.zeros_like(s)
-    for bit in range(n):
-        r |= ((s >> bit) & 1) << (n - 1 - bit)
-    return r
+    return reflect(np.arange(1 << n, dtype=np.int64), n)
 
 
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:

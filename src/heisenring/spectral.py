@@ -15,8 +15,10 @@ each parity block is 2048 wide.
 One builder, _blocks, writes every block from a list of pair terms, for
 H those of _pair_terms.  It splits a block by lattice momentum (Sandvik,
 AIP Conf. Proc. 1297, 135 (2010)): one block per crystal momentum
-2*pi*m/N over the orbit representatives it is given.  Values-only decompositions of uniform
-rings give it the translation orbits; at N = 14 the largest block is then
+2*pi*m/N over the orbit representatives of a sector.  Values-only
+decompositions of uniform rings take the translation orbits, which
+_sector works out from the rotations of the sector's own states, so no
+table over all 2^N states is formed; at N = 14 the largest block is then
 246 wide instead of 3432.  Two pairings cut the work further.  H is real,
 so momenta m and -m share a spectrum and only 0 <= m <= N/2 is
 diagonalised.  The global spin flip maps sector k onto sector N - k and
@@ -30,9 +32,9 @@ eigenstate, only two sums over the N site pairs at the pair's distance r,
 sigma^z sigma^z and sigma^x sigma^x + sigma^y sigma^y, read off each
 block's vectors; with the S_z label they fix the pair RDM of any two
 sites of a uniform ring, which is how every sweep of a uniform ring runs.
-Every other decomposition gives _blocks trivial orbits, where every state
-is its own representative, and gets the plain sector or parity block,
-field included.  _sector does a sector's orbit bookkeeping (the
+Every other decomposition takes no translation, so every state is its
+own representative, and gets the plain sector or parity block, field
+included.  _sector does a sector's orbit bookkeeping (the
 representatives, the momenta they reach and the real K R basis) once, and
 the pair mode builds H's and O_r's blocks from the same one.
 
@@ -59,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._blas import threads_for
-from .model import ModelSpec, hermiticity_defect, translation
+from .model import ModelSpec, hermiticity_defect, reflect, rotate
 
 FULL_PATH_MAX_SITES = 12
 DEGENERACY_RTOL = 1e-9
@@ -148,33 +150,6 @@ def sector_basis(n: int) -> list[np.ndarray]:
     return [states[weights == k] for k in range(n + 1)]
 
 
-def orbit_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Translation orbits of all 2^n basis states, indexed by state.
-
-    T is the basis permutation model.translation(n).  Returns (rep, shift,
-    period): rep[s] is the smallest state of the orbit of s, T^shift[s]
-    takes s to rep[s], and period[s] is the orbit length.
-    """
-    states = np.arange(1 << n, dtype=np.int64)
-    rep, shift = states.copy(), np.zeros_like(states)
-    period = np.full_like(states, n)
-    p = translation(n)
-    rotated = states
-    for r in range(1, n):
-        rotated = p[rotated]
-        smaller = rotated < rep
-        rep[smaller] = rotated[smaller]
-        shift[smaller] = r
-        period[(rotated == states) & (period == n)] = r
-    return rep, shift, period
-
-
-def trivial_orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """orbit_tables with no symmetry: every state is its own orbit, of period 1."""
-    states = np.arange(1 << n, dtype=np.int64)
-    return states, np.zeros_like(states), np.ones_like(states)
-
-
 def parity_basis(n: int) -> list[np.ndarray]:
     """Basis indices with an even, then an odd, down-spin count, each ascending."""
     states = np.arange(1 << n, dtype=np.int64)
@@ -216,26 +191,40 @@ def _zz_sign(states: np.ndarray, bi: int, bk: int) -> np.ndarray:
 class _Sector(NamedTuple):
     """The orbit bookkeeping of one sector, shared by every operator _blocks builds on it.
 
-    reps holds the sector's orbit representatives, ascending, and period
-    their orbit lengths R_a.  momenta holds (m, keep, index, columns) for
-    every momentum 0 <= m <= N/2 that has states: keep marks the
-    representatives with m * R_a = 0 (mod N), index[a] is the block index
-    of a kept representative a, and columns is the K R basis of
+    For each of the ascending `states`, T^shift takes it to its orbit's
+    representative reps[orbit].  reps holds the representatives, ascending,
+    and period their orbit lengths R_a.  momenta holds (m, keep, index,
+    columns) for every momentum 0 <= m <= N/2 that has states: keep marks
+    the representatives with m * R_a = 0 (mod N), index[a] is the block
+    index of a kept representative a, and columns is the K R basis of
     _kr_columns for 0 < m < N/2, else None.
     """
 
     n: int
-    orbits: tuple[np.ndarray, np.ndarray, np.ndarray]
+    states: np.ndarray
+    orbit: np.ndarray
+    shift: np.ndarray
     reps: np.ndarray
     period: np.ndarray
     momenta: list
 
 
-def _sector(n: int, states: np.ndarray, orbits) -> _Sector:
-    """The _Sector of `states` (closed under the operators) under `orbits`, as from orbit_tables."""
-    rep, shift, period = orbits
-    reps = states[rep[states] == states]
-    r_a = period[reps]
+def _sector(n: int, states: np.ndarray, translate: bool) -> _Sector:
+    """The _Sector of `states` (closed under the operators) under translation or none.
+
+    With translate, a state's representative is its smallest rotation,
+    at the smallest shift that reaches it, and R_a counts the states that
+    share the representative a; without it, each state is its own.
+    """
+    rep, shift = states.copy(), np.zeros_like(states)
+    for r in range(1, n if translate else 1):
+        rotated = rotate(states, r, n)
+        smaller = rotated < rep
+        rep[smaller] = rotated[smaller]
+        shift[smaller] = r
+    reps = states[rep == states]
+    orbit = np.searchsorted(reps, rep)
+    r_a = np.bincount(orbit)
     momenta, mirror = [], None
     for m in range(n // 2 + 1):
         keep = (m * r_a) % n == 0
@@ -245,14 +234,14 @@ def _sector(n: int, states: np.ndarray, orbits) -> _Sector:
         columns = None
         if (2 * m) % n:
             if mirror is None:
-                # R a for each representative: its n bits reversed, as model.reflection does
-                mirrored = sum(((reps >> bit) & 1) << (n - 1 - bit) for bit in range(n))
-                mirror = np.searchsorted(reps, rep[mirrored]), shift[mirrored]
+                # R a for each representative, found among the sector's states
+                at = np.searchsorted(states, reflect(reps, n))
+                mirror = orbit[at], shift[at]
             partner, l_mirror = mirror
             columns = _kr_columns(index[partner[keep]],
                                   np.exp(-2j * np.pi * m * l_mirror[keep] / n))
         momenta.append((m, keep, index, columns))
-    return _Sector(n, orbits, reps, r_a, momenta)
+    return _Sector(n, states, orbit, shift, reps, r_a, momenta)
 
 
 def _blocks(terms, sector: _Sector, field_b: float):
@@ -271,7 +260,8 @@ def _blocks(terms, sector: _Sector, field_b: float):
     `basis` holds those representatives in block order.  A hop or pair
     flip from a reaches the state b' with representative b = T^l b' and has
     element amplitude * exp(-2*pi*i*m*l/N) * sqrt(R_a / R_b); the diagonal
-    holds the field, the z-z terms and hops inside an orbit.  The operator
+    holds the field, the z-z terms and hops inside an orbit.  b' is looked
+    up among the sector's states by searchsorted.  The operator
     is real, so the block at -m is the complex conjugate of the block at m
     and has the same eigenvalues: each block with 0 < m < N - m stands for
     both and has multiplicity 2.  Blocks at m = 0 and 2m = N are real and
@@ -279,24 +269,24 @@ def _blocks(terms, sector: _Sector, field_b: float):
 
     Those with 0 < m < N - m, complex in the momentum basis, come in a
     real basis.  Only translation orbits give them, and only operators
-    that commute with the site reflection R (model.reflection) get those:
+    that commute with the site reflection R (model.reflect) get those:
     a uniform H, and O_r, as R maps pairs at distance r onto such pairs.
     The antiunitary K R, K complex conjugation, maps T to T^-1, so it maps
     momentum m into itself: it sends the momentum state of a to
-    phi_a = exp(-2*pi*i*m*l/N) times that of abar = rep[R a], with
-    l = shift[R a], and squares to 1 (Sandvik, arXiv:1101.3281, section
+    phi_a = exp(-2*pi*i*m*l/N) times that of abar, the representative of
+    R a, with R a = T^-l abar, and squares to 1 (Sandvik, arXiv:1101.3281, section
     4.2).  Its invariant vectors form a real orthonormal basis, in which
     the block (_real_block) is real with the same eigenvalues.  That basis
     depends on the orbits alone, so the sector holds it and H and O_r on
     one sector share it, and `basis` is unchanged: each column of the real
     block lies on a and abar, and R keeps sigma^z sigma^z sums.
 
-    With trivial_orbits every state is a representative of period 1 and
-    shift 0, so only m = 0 has states and its one real block is the plain
-    block of the operator on `states` in the computational basis.
+    Without translation (_sector with translate=False) every state is a
+    representative of period 1 and shift 0, so only m = 0 has states and
+    its one real block is the plain block of the operator on `states` in
+    the computational basis.
     """
     n, reps, r_a = sector.n, sector.reps, sector.period
-    rep, shift, period = sector.orbits
     # + 0.0: a -0.0 field must not leave -0.0 on the diagonal
     diag = field_b * (n - 2 * np.bitwise_count(reps).astype(np.int64)) + 0.0
     # seeded, so a spec without hops (J = 0, no couplings) still concatenates
@@ -310,11 +300,11 @@ def _blocks(terms, sector: _Sector, field_b: float):
             if amp == 0.0:
                 continue
             movers = np.nonzero(anti == moving)[0]
-            flipped = reps[movers] ^ ((1 << bi) | (1 << bk))
-            rows.append(np.searchsorted(reps, rep[flipped]))
+            at = np.searchsorted(sector.states, reps[movers] ^ ((1 << bi) | (1 << bk)))
+            rows.append(sector.orbit[at])
             cols.append(movers)
-            ls.append(shift[flipped])
-            amps.append(amp * np.sqrt(r_a[movers] / period[flipped]))
+            ls.append(sector.shift[at])
+            amps.append(amp * np.sqrt(r_a[movers] / r_a[rows[-1]]))
     rows, cols, ls, amps = map(np.concatenate, (rows, cols, ls, amps))
 
     for m, keep, index, columns in sector.momenta:
@@ -382,12 +372,13 @@ def decompose(spec: ModelSpec, vectors: bool = True,
     a time, so it gets the two blocks of parity_basis and no labels.  With
     vectors=False only eigenvalues (and labels) are computed.  A uniform
     ring then diagonalises only the sectors with 2k <= N, at zero field,
-    split into the momentum blocks 0 <= m <= N/2 of orbit_tables, each
-    real symmetric (_blocks), so eigvalsh runs on float64 only.  The global
+    split into the momentum blocks 0 <= m <= N/2 of its translation
+    orbits (_sector with translate=True), each real symmetric (_blocks),
+    so eigvalsh runs on float64 only.  The global
     spin flip maps sector k onto sector N - k and reverses the field, so
     sector k gets those values shifted by +B(N - 2k) and sector N - k the
     same values shifted by -B(N - 2k).  Every other decomposition takes
-    trivial_orbits, one plain block per sector with the field on its
+    no translation, one plain block per sector with the field on its
     diagonal.
 
     pair=(i, j), two distinct sites 1..N of a uniform spec, selects the
@@ -415,7 +406,6 @@ def decompose(spec: ModelSpec, vectors: bool = True,
         # O_r^xy: the N site pairs at distance r, as (bit, bit) terms
         xy_terms = [(bit, (bit - r) % n, 2.0, 0.0, 0.0) for bit in range(n)]
     paired = spec.is_uniform and (not vectors or pair is not None)
-    orbits = orbit_tables(n) if paired else trivial_orbits(n)
     if not spec.conserves_sz:
         sectors = parity_basis(n)
     else:
@@ -424,7 +414,7 @@ def decompose(spec: ModelSpec, vectors: bool = True,
     all_evals, all_keys, pair_rows, vec_blocks = [], [], [], []
     for k, states in enumerate(sectors):
         parts, pair_parts = [], []
-        sector = _sector(n, states, orbits)
+        sector = _sector(n, states, paired)
         xy_blocks = None if pair is None else _blocks(xy_terms, sector, 0.0)
         for mult, basis, block in _blocks(terms, sector, 0.0 if paired else spec.field_b):
             with threads_for(basis.size):
@@ -433,7 +423,7 @@ def decompose(spec: ModelSpec, vectors: bool = True,
                     _, _, xy_block = next(xy_blocks)
                     # sigma^z sigma^z summed over the pairs at distance r: N less
                     # twice the bits in which a representative and its turn by r differ
-                    turned = ((basis << r) | (basis >> (n - r))) & ((1 << n) - 1)
+                    turned = rotate(basis, r, n)
                     zz_r = n - 2 * np.bitwise_count(basis ^ turned).astype(np.int64)
                     pair_parts.append(np.tile([zz_r @ (bvecs * bvecs),
                                                np.sum(bvecs * (xy_block @ bvecs), axis=0)],

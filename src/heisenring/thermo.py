@@ -99,13 +99,6 @@ def _log_z(sd: SpectralDecomposition, temperature: float) -> float:
     return float(_weights(sd, [temperature])[1][0])
 
 
-def _sigma_z_diagonal(n: int) -> np.ndarray:
-    """Eigenvalues of sum_i sigma_iz over the computational basis."""
-    states = np.arange(1 << n, dtype=np.int64)
-    # bitwise_count returns uint8, which would wrap under subtraction
-    return (n - 2 * np.bitwise_count(states).astype(np.int64)).astype(float)
-
-
 def thermo_grid(sd: SpectralDecomposition, spec: ModelSpec,
                 temperatures: np.ndarray) -> ThermoGrid:
     """Probabilities, log Z, internal energy and magnetization at each temperature.
@@ -125,8 +118,11 @@ def thermo_grid(sd: SpectralDecomposition, spec: ModelSpec,
         spin = 2.0 * sd.sector_labels
         m = np.array([spin @ row for row in p])
     elif sd.eigvec_blocks is not None:
-        d = _sigma_z_diagonal(spec.n_sites)
-        blocks = [(d[states], np.abs(v) ** 2, cols) for states, v, cols in sd.eigvec_blocks]
+        # sum_i sigma_iz on each block state; bitwise_count returns uint8,
+        # which would wrap under subtraction
+        n = spec.n_sites
+        blocks = [((n - 2 * np.bitwise_count(states).astype(np.int64)).astype(float),
+                   np.abs(v) ** 2, cols) for states, v, cols in sd.eigvec_blocks]
         m = np.array([sum(ds @ (weight @ row[cols]) for ds, weight, cols in blocks)
                       for row in p])
     else:

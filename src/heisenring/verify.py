@@ -21,6 +21,7 @@ the anisotropy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,9 +65,10 @@ class VerifyOptions:
         # closed-form energy routes divide by J
         for key in ("n_values", "deltas", "fields", "j_values", "temperatures"):
             vals = getattr(self, key)
+            # not math.isfinite, which raises on an int past float range
             if (not isinstance(vals, (list, tuple)) or not vals
                     or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                               and math.isfinite(v) for v in vals)):
+                               and abs(v) <= sys.float_info.max for v in vals)):
                 raise ValueError(f"{key!r} must be a non-empty list of finite numbers")
             object.__setattr__(self, key, tuple(vals) if key == "n_values"
                                else tuple(float(v) for v in vals))

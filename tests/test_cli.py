@@ -134,6 +134,14 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+def test_sweep_format_key_rejected(tmp_path, capsys):
+    # the output format is --format's alone
+    doc = sweep_config(n_sites=2, j=1.0)
+    doc["format"] = "json"
+    assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2
+    assert "unknown key 'format'" in capsys.readouterr().err
+
+
 def test_unknown_model_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, sweep_config(n_sites=2, j=1.0, jj=2.0))
     assert main(["sweep", "--config", cfg]) == 2
@@ -505,6 +513,25 @@ def test_overflowing_verify_grid_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, {"n_values": [4], "j_values": [1e308]})
     assert main(["verify", "--config", cfg]) == 2
     assert "overflow" in capsys.readouterr().err
+
+
+HUGE = 10 ** 400  # a JSON integer past float range
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("sweep", sweep_config(n_sites=4, j=HUGE)),
+    ("threshold", {"model": {"n_sites": 4, "j": 1.0, "field_b": HUGE}}),
+    ("spectrum", {"model": {"n_sites": 4, "j": 1.0, "field_b": HUGE}}),
+    ("spectrum", {"model": {"jx": [[0, HUGE], [HUGE, 0]], "jy": [[0, 1], [1, 0]],
+                            "jz": [[0, 1], [1, 0]]}}),
+    ("verify", {"n_values": [2], "temperatures": {"start": 0.5, "stop": HUGE, "count": 2}}),
+    ("verify", {"n_values": [2, HUGE]}),
+], ids=["sweep-j", "threshold-field", "spectrum-field", "general-jx", "verify-stop",
+        "verify-n"])
+def test_integer_past_float_range_exits_two(tmp_path, capsys, command, doc):
+    # an OverflowError or TypeError traceback would exit 1, read as a failed invariant
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_threshold_at_huge_j(tmp_path):

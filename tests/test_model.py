@@ -15,6 +15,7 @@ from heisenring.model import (
     _real_part,
     hermiticity_defect,
     reflection,
+    rotate,
     site_indices,
     translation,
 )
@@ -120,12 +121,16 @@ def test_translation_is_permutation():
 
 
 def test_translation_rotates_bits_left():
-    # brute force at N = 6: site i + 1's spin moves to site i, site 1's to site N
+    # brute force at N = 6: site i + 1's spin moves to site i, site 1's to
+    # site N; rotate by r, 0 <= r <= N, does that r times
     n = 6
     p = translation(n)
+    states = np.arange(1 << n, dtype=np.int64)
     for s in range(1 << n):
         bits = format(s, f"0{n}b")
         assert p[s] == int(bits[1:] + bits[0], 2)
+        for r in range(n + 1):
+            assert rotate(states, r, n)[s] == int(bits[r:] + bits[:r], 2)
 
 
 def test_reflection_reverses_bits():

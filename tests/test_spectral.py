@@ -12,10 +12,8 @@ from heisenring.spectral import (
     _pair_terms,
     _sector,
     expected_sector_sizes,
-    orbit_tables,
     parity_basis,
     sector_basis,
-    trivial_orbits,
 )
 from heisenring import spectral
 from heisenring.model import ring_coupling_matrices
@@ -146,26 +144,37 @@ def test_delta_arithmetic_detour_same_spectrum():
 
 
 
-def test_orbit_tables_brute_force():
+@pytest.mark.parametrize("translate", [True, False])
+@pytest.mark.parametrize("k", range(7))
+def test_sector_orbits_brute_force(k, translate):
+    # every N = 6 sector: each state's representative is its smallest
+    # rotation, reached at the smallest shift, and R_a is the orbit length;
+    # without translation every state is its own orbit
     n = 6
-    rep, shift, period = orbit_tables(n)
+    states = sector_basis(n)[k]
+    sector = _sector(n, states, translate)
+    assert np.array_equal(sector.states, states)
 
     def rotate(s, r):
-        return ((s << r) | (s >> (n - r))) & ((1 << n) - 1) if r else s
+        bits = format(s, f"0{n}b")
+        return int(bits[r:] + bits[:r], 2)
 
-    for s in range(1 << n):
-        orbit = [rotate(s, r) for r in range(n)]
-        assert rep[s] == min(orbit)
-        assert rotate(s, int(shift[s])) == rep[s]
-        assert period[s] == next(r for r in range(1, n + 1) if rotate(s, r) == s)
+    orbits = {}
+    for s, a, l in zip(states.tolist(), sector.orbit, sector.shift):
+        orbit = [rotate(s, r) for r in range(n)] if translate else [s]
+        rep = sector.reps[a]
+        assert rep == min(orbit)
+        assert l == orbit.index(rep)
+        orbits[rep] = len(set(orbit))
+    assert sector.reps.tolist() == sorted(orbits)
+    assert sector.period.tolist() == [orbits[rep] for rep in sorted(orbits)]
 
 
 def test_two_site_momentum_blocks():
     # one down spin: the representative 01 is its own block at k = 0 (the
     # triplet, 2J) and at k = pi (the singlet, -6J); the bond counts twice
     spec = ModelSpec.uniform(2, 1.0)
-    blocks = list(_blocks(_pair_terms(spec), _sector(2, sector_basis(2)[1], orbit_tables(2)),
-                          0.0))
+    blocks = list(_blocks(_pair_terms(spec), _sector(2, sector_basis(2)[1], True), 0.0))
     assert [mult for mult, _, _ in blocks] == [1, 1]
     assert [basis.tolist() for _, basis, _ in blocks] == [[1], [1]]
     assert [b.tolist() for _, _, b in blocks] == [[[2.0]], [[-6.0]]]
@@ -178,10 +187,9 @@ def test_momentum_blocks_hermitian_and_sized():
     # (k, m); the largest is 246 wide, against 3432 for the sector
     n = 14
     spec = ModelSpec.uniform(n, 1.0, 0.5, 0.3)
-    orbits = orbit_tables(n)
     widths = []
     for k, states in enumerate(sector_basis(n)[:n // 2 + 1]):
-        blocks = list(_blocks(_pair_terms(spec), _sector(n, states, orbits), 0.0))
+        blocks = list(_blocks(_pair_terms(spec), _sector(n, states, True), 0.0))
         assert sum(mult * b.shape[0] for mult, _, b in blocks) == states.size
         for _, basis, b in blocks:
             assert basis.shape == b.shape[:1]
@@ -226,8 +234,7 @@ def test_trivial_orbit_block_is_sector_block(spec):
     h = build_hamiltonian(spec)
     assert np.max(np.abs(h.imag)) == 0.0
     for states in sector_basis(n):
-        blocks = list(_blocks(_pair_terms(spec), _sector(n, states, trivial_orbits(n)),
-                              spec.field_b))
+        blocks = list(_blocks(_pair_terms(spec), _sector(n, states, False), spec.field_b))
         assert len(blocks) == 1
         mult, basis, block = blocks[0]
         assert mult == 1 and block.dtype == np.float64
@@ -316,7 +323,7 @@ def test_trivial_orbit_block_is_parity_block(n):
     spec = random_general_spec(n, seed=n + 20, field_b=-0.35)
     h = build_hamiltonian(spec)
     for states in parity_basis(n):
-        sector = _sector(n, states, trivial_orbits(n))
+        sector = _sector(n, states, False)
         ((mult, basis, block),) = _blocks(_pair_terms(spec), sector, spec.field_b)
         assert np.array_equal(basis, states)
         assert mult == 1 and block.dtype == np.float64
@@ -454,20 +461,18 @@ def test_pair_mode_shares_sector_bookkeeping(monkeypatch, n):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_real_blocks_match_complex_momentum_blocks(n):
     # the complex momentum blocks of a sector together hold the spectrum of
-    # the plain sector block, which the trivial orbits give; so must the
-    # real K R blocks, each tiled by its multiplicity, for every sector with
-    # 2k <= N
-    orbits, plain = orbit_tables(n), trivial_orbits(n)
+    # the plain sector block, which _sector without translation gives; so
+    # must the real K R blocks, each tiled by its multiplicity, for every
+    # sector with 2k <= N
     for j in (1.0, -0.8, 0.0):
         for delta in (0.0, 0.5, 1.0, 2.0):
             spec = ModelSpec.uniform(n, j, delta)
             for states in sector_basis(n)[:n // 2 + 1]:
-                ((_, _, sector),) = _blocks(_pair_terms(spec), _sector(n, states, plain), 0.0)
+                ((_, _, sector),) = _blocks(_pair_terms(spec), _sector(n, states, False), 0.0)
                 want = np.linalg.eigvalsh(sector)
                 scale = max(1.0, float(np.max(np.abs(want))))
                 got = []
-                for mult, basis, real in _blocks(_pair_terms(spec), _sector(n, states, orbits),
-                                                 0.0):
+                for mult, basis, real in _blocks(_pair_terms(spec), _sector(n, states, True), 0.0):
                     assert real.dtype == np.float64
                     assert basis.shape == real.shape[:1]
                     assert np.max(np.abs(real - real.T)) <= 1e-12 * scale
