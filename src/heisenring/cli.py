@@ -22,9 +22,14 @@ import numpy as np
 
 from . import threshold as threshold_mod
 from .model import ModelSpec
-from .spectral import decompose
+from .spectral import FULL_PATH_MAX_SITES, decompose
 from .sweep import COLUMNS, run_sweep, temperature_grid
 from .verify import VerifyOptions, render_report, run_verification
+
+
+# the most bytes one float64 (count, 2^N) weight matrix of a temperature
+# grid may take
+WEIGHTS_BUDGET_BYTES = 4 << 30
 
 
 class ConfigError(ValueError):
@@ -95,7 +100,8 @@ def parse_model(obj: dict) -> ModelSpec:
         raise ConfigError(f"model: {exc}") from exc
 
 
-def parse_temperatures(obj: dict) -> np.ndarray:
+def parse_temperatures(obj: dict, dim: int) -> np.ndarray:
+    """The temperature grid for a spectrum of `dim` levels."""
     _require_keys(obj, {"start": True, "stop": True, "count": True,
                         "spacing": False}, "temperatures")
     spacing = obj.get("spacing", "linear")
@@ -104,6 +110,12 @@ def parse_temperatures(obj: dict) -> np.ndarray:
     count = obj["count"]
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ConfigError(f"temperatures.count must be an integer >= 1, got {count!r}")
+    # refused before the grid itself is allocated
+    weight_bytes = 8 * count * dim
+    if weight_bytes > WEIGHTS_BUDGET_BYTES:
+        raise ConfigError(
+            f"temperatures.count={count} needs a {weight_bytes}-byte weight matrix over "
+            f"{dim} levels, over the {WEIGHTS_BUDGET_BYTES}-byte budget")
     try:
         return temperature_grid(_number(obj, "start", "temperatures"),
                                 _number(obj, "stop", "temperatures"),
@@ -116,7 +128,7 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
     _require_keys(doc, {"model": True, "temperatures": True, "pair": False,
                         "outputs": False}, "config")
     spec = parse_model(doc["model"])
-    temps = parse_temperatures(doc["temperatures"])
+    temps = parse_temperatures(doc["temperatures"], spec.dim)
     pair = doc.get("pair", [1, 2])
     if (not isinstance(pair, list) or len(pair) != 2
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)):
@@ -134,12 +146,13 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
 
 def parse_verify_options(doc: dict) -> VerifyOptions:
     _require_keys(doc, {"n_values": False, "deltas": False, "fields": False,
-                        "j_values": False, "temperatures": False, "seed": False,
-                        "frames": False, "sampled_states": False}, "config")
-    kwargs = {key: doc[key] for key in ("n_values", "deltas", "fields", "j_values",
-                                        "seed", "frames", "sampled_states") if key in doc}
+                        "j_values": False, "temperatures": False, "seed": False}, "config")
+    kwargs = {key: doc[key] for key in ("n_values", "deltas", "fields", "j_values", "seed")
+              if key in doc}
     if "temperatures" in doc:
-        kwargs["temperatures"] = tuple(parse_temperatures(doc["temperatures"]))
+        # the widest ring verify accepts
+        kwargs["temperatures"] = tuple(parse_temperatures(doc["temperatures"],
+                                                          1 << FULL_PATH_MAX_SITES))
     try:
         return VerifyOptions(**kwargs)
     except ValueError as exc:
@@ -149,25 +162,15 @@ def parse_verify_options(doc: dict) -> VerifyOptions:
 # ---------------------------------------------------------------------------
 # rendering: every float as %.17g in both formats
 
-def fmt_value(v) -> str:
+def fmt_value(v, null: str = "") -> str:
+    """One CSV cell, or one JSON value with null="null"; no cell is a string."""
+    # floats first: they are nearly every cell
+    if isinstance(v, float):
+        return f"{v:.17g}" if math.isfinite(v) else null
     if v is None:
-        return ""
+        return null
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.17g}" if math.isfinite(v) else ""
-    return str(v)
-
-
-def fmt_json_value(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.17g}" if math.isfinite(v) else "null"
-    if isinstance(v, str):
-        return json.dumps(v)
     return str(v)
 
 
@@ -184,12 +187,12 @@ def render_json(columns, table: dict[str, list], meta: dict | None = None) -> st
     parts = []
     if meta:
         for k, v in meta.items():
-            parts.append(f'"{k}": {fmt_json_value(v)}')
+            parts.append(f'"{k}": {fmt_value(v, "null")}')
     cols = ", ".join(json.dumps(c) for c in columns)
     parts.append(f'"columns": [{cols}]')
     row_strs = []
     for row in zip(*(table[c] for c in columns)):
-        row_strs.append("[" + ", ".join(fmt_json_value(v) for v in row) + "]")
+        row_strs.append("[" + ", ".join(fmt_value(v, "null") for v in row) + "]")
     parts.append('"rows": [' + ", ".join(row_strs) + "]")
     return "{" + ", ".join(parts) + "}\n"
 
@@ -238,10 +241,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    doc = _load_config(args.config, required=False)
-    if args.seed is not None:
-        doc = {**doc, "seed": args.seed}
-    opts = parse_verify_options(doc)
+    opts = parse_verify_options(_load_config(args.config, required=False))
     results = run_verification(opts)
     _write_out(render_report(results) + "\n", args.out)
     return 0 if all(r.passed for r in results) else 1
@@ -260,10 +260,11 @@ def cmd_threshold(args) -> int:
     if args.format == "json":
         body = ", ".join([
             f'"status": {json.dumps(res.status)}',
-            f'"t_c": {fmt_json_value(res.t_c)}',
-            f'"bracket": [{fmt_json_value(res.bracket[0])}, {fmt_json_value(res.bracket[1])}]',
+            f'"t_c": {fmt_value(res.t_c, "null")}',
+            f'"bracket": [{fmt_value(res.bracket[0], "null")}, '
+            f'{fmt_value(res.bracket[1], "null")}]',
             f'"iterations": {res.iterations}',
-            f'"u_of_n": {fmt_json_value(res.u_of_n)}',
+            f'"u_of_n": {fmt_value(res.u_of_n, "null")}',
         ])
         _write_out("{" + body + "}\n", args.out)
     else:
@@ -314,10 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to the JSON configuration")
         p.add_argument("--out", default="stdout", help="output path or 'stdout'")
-        if name == "verify":
-            p.add_argument("--seed", type=int,
-                           help="seed for the random CHSH frames and sampled models")
-        else:
+        if name != "verify":
             p.add_argument("--format", choices=("csv", "json"), default="csv",
                            help="output format")
         p.set_defaults(fn=fn)

@@ -48,9 +48,6 @@ def _modulus(z: complex | np.ndarray) -> float | np.ndarray:
     return np.hypot(np.real(z), np.imag(z))
 
 
-_ROUTES = ("x_form", "correlation_form", "energy_form")
-
-
 @dataclass(frozen=True)
 class ConcurrenceResult:
     """Concurrence by every applicable route, with their worst disagreement.
@@ -65,15 +62,6 @@ class ConcurrenceResult:
     correlation_form: float | np.ndarray | None = None
     energy_form: float | np.ndarray | None = None
     max_disagreement: float | np.ndarray = 0.0
-
-    def routes(self) -> dict[str, float]:
-        """The routes present for one state, by name."""
-        out = {"wootters": self.wootters}
-        for name in _ROUTES:
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        return out
 
 
 def concurrence_wootters(rdm: TwoQubitRDM) -> ConcurrenceResult:

@@ -6,22 +6,25 @@ check.  Deterministic for a fixed seed, including the random-frame CHSH
 probes.  The CLI `verify` subcommand renders this report and exits nonzero
 if any check fails.
 
-The production side of each grid spec runs as the sweep runs it: one
-thermo_grid over the whole temperature grid, one pair_rdms stack per site
-pair, and one correlation, concurrence and Bell evaluation on the stack.
-The dense oracle (heisenring.oracle) builds one Gibbs matrix at a time, so
-an N = 12 grid never holds a stack of 2^N x 2^N matrices.  Each check then
-records its residual row by row, in temperature order.  The pair mode of
-spectral.decompose, which every sweep of a uniform ring takes, is held
-against the sector pair table on one or two specs per N, for a ring bond
-and for a pair half the ring apart, and against a derivative of log Z in
-the anisotropy.
+The production side of each grid spec runs on the sector eigenvectors:
+one thermo_grid over the whole temperature grid, one pair_rdms stack per
+site pair from the pair table those eigenvectors give, and one
+correlation, concurrence and Bell evaluation on the stack.  A sweep of a
+uniform ring reads its pair table from the pair mode of
+spectral.decompose instead; verify holds that mode against the sector
+table only on the bond cases, one or two specs per N, for a ring bond and
+for a pair half the ring apart, and against a derivative of log Z in the
+anisotropy.  The dense oracle (heisenring.oracle) builds one Gibbs matrix
+at a time, so an N = 12 grid never holds a stack of 2^N x 2^N matrices.
+Each check records the worst entry of its residual stack, the first in
+temperature order on a tie.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,10 +33,9 @@ from . import bell, entanglement, model, oracle, spectral, thermo, threshold, tw
 from ._blas import threads_for
 
 TSIRELSON = bell.TSIRELSON
-# peak bytes per frame of bell.random_frames (the normal draw, its squares
-# and norms, and the normalised copy), and the most the frames may take
-FRAME_BYTES = 264
-FRAMES_BUDGET_BYTES = 256 << 20
+# random CHSH frames drawn, and grid states they probe
+FRAMES = 10_000
+SAMPLED_STATES = 20
 # the high-temperature limit, then the near-zero stability probe and T = 0,
 # appended to each spec's temperature stack in this order
 PROBE_TEMPERATURES = (1e6, 1e-8, 0.0)
@@ -57,8 +59,6 @@ class VerifyOptions:
     temperatures: tuple[float, ...] = field(
         default_factory=lambda: tuple(np.geomspace(0.1, 10.0, 6)))
     seed: int = 20260811
-    frames: int = 10_000
-    sampled_states: int = 20
 
     def __post_init__(self):
         # every grid ring is diagonalized densely as the oracle, and the
@@ -84,18 +84,8 @@ class VerifyOptions:
         list(_spec_grid(self))
         if min(self.temperatures) < 0.0:
             raise ValueError(f"'temperatures' must be >= 0, got {list(self.temperatures)!r}")
-        for key in ("seed", "frames", "sampled_states"):
-            val = getattr(self, key)
-            if isinstance(val, bool) or not isinstance(val, int) or val < 0:
-                raise ValueError(f"{key!r} must be a non-negative integer")
-        # bell_frames_bound takes the best of the frames, so it needs one
-        if self.frames < 1:
-            raise ValueError(f"'frames' must be >= 1, got {self.frames}")
-        if self.frames * FRAME_BYTES > FRAMES_BUDGET_BYTES:
-            raise ValueError(
-                f"'frames'={self.frames} needs about {self.frames * FRAME_BYTES >> 20} MiB, "
-                f"over the {FRAMES_BUDGET_BYTES >> 20} MiB budget; at most "
-                f"{FRAMES_BUDGET_BYTES // FRAME_BYTES} frames")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError("'seed' must be a non-negative integer")
 
 
 class _Collector:
@@ -106,10 +96,22 @@ class _Collector:
         self.thresholds: dict[str, float] = {}
 
     def record(self, name: str, residual: float, threshold: float, detail: str = ""):
+        # a NaN is the worst residual and stays; otherwise the first largest
         self.thresholds[name] = threshold
         prev = self.worst.get(name)
-        if prev is None or residual > prev[0]:
+        if (prev is None or residual > prev[0]
+                or (math.isnan(residual) and not math.isnan(prev[0]))):
             self.worst[name] = (float(residual), detail)
+
+    def record_worst(self, name: str, residuals: np.ndarray, threshold: float,
+                     details: Sequence[str]):
+        """Record the worst entry of a residual stack, with the detail at its index.
+
+        The first NaN, else the first largest entry; an empty stack records nothing.
+        """
+        if len(residuals):
+            worst = int(np.argmax(residuals))
+            self.record(name, residuals[worst], threshold, details[worst])
 
     def require(self, name: str, ok: bool, detail: str = ""):
         # boolean checks: residual 1 on failure
@@ -211,8 +213,8 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         # grid rows, then the high-temperature limit and the near-zero
         # stability probe
         grid = thermo.thermo_grid(sd, spec, np.concatenate((temps, PROBE_TEMPERATURES)))
-        u_hot, u_cold, u_zero = grid.u[n_temps:].tolist()
-        m_cold, m_zero = grid.m[n_temps + 1:].tolist()
+        u_hot, u_cold, u_zero = grid.u[n_temps:]
+        m_cold, m_zero = grid.m[n_temps + 1:]
         col.record("u_high_t_limit", abs(u_hot) / (n * max(abs(j), 1e-300)), 1e-3, tag)
         stable = (math.isfinite(u_cold) and math.isfinite(m_cold)
                   and abs(u_cold - u_zero) <= 1e-6
@@ -221,6 +223,7 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
 
         probabilities = grid.probabilities[:n_temps]
         u, m = grid.u[:n_temps], grid.m[:n_temps]
+        details = np.array([f"{tag} T={t:g}" for t in temps], dtype=object)
         rdm = twoqubit.pair_rdms(sd, probabilities, 1, 2)
         if (delta, b, j) in bond_cases:
             # the pair mode's table from (S_z label, ZZ_n, XY_n) on the
@@ -236,112 +239,99 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
                 pair_sd = spectral.decompose(spec, pair=pair)
                 got = twoqubit.pair_rdms(
                     pair_sd, thermo.thermo_grid(pair_sd, spec, temps).probabilities, *pair)
-                gaps = np.abs(got.matrix - want.matrix).max(axis=(1, 2)).tolist()
-                for t, gap in zip(temps, gaps):
-                    col.record(name, gap, 1e-12, f"{tag} T={t:g}")
+                col.record_worst(name, np.abs(got.matrix - want.matrix).max(axis=(1, 2)),
+                                 1e-12, details)
         k = 1 + n // 2  # some other bond (k, k+1) around the ring
         rdm_shift = twoqubit.pair_rdms(sd, probabilities, k, k % n + 1)
         cs = twoqubit.correlations_from_rdm(rdm)
         report = entanglement.concurrence_report(rdm, cs, spec, u / n)
-        bres = bell.violation_measure(cs.g)
+        measure = bell.violation_measure(cs.g).measure
         if (j, delta, b) == (1.0, 1.0, 0.0):
             # the threshold and zero-temperature sections read only the
             # spectrum and the (1, 2) pair table, so the vectors are dropped
             isotropic[n] = replace(sd, eigvec_blocks=None)
 
-        details = [f"{tag} T={t:g}" for t in temps]
         # the dense oracle, one Gibbs matrix at a time; the small ones are
         # kept for the full-space correlations
         rhos = []
-        for r, (t, at) in enumerate(zip(temps, details)):
+        for t, pair_rho, at in zip(temps, rdm.matrix, details):
             rho = oracle.gibbs_state(full, float(t))
             col.record("gibbs_trace", abs(float(np.trace(rho).real) - 1.0), 1e-12, at)
             col.record("gibbs_hermitian", model.hermiticity_defect(rho), 1e-12, at)
             with threads_for(rho.shape[0]):
                 rho_min = float(np.linalg.eigvalsh(rho).min())
-            col.record("gibbs_positive", max(0.0, -rho_min), 1e-12, at)
+            col.record("gibbs_positive", float(np.maximum(-rho_min, 0.0)), 1e-12, at)
             col.record("pair_rdm_routes",
                        float(np.max(np.abs(
-                           oracle.reduce_to_pair(rho, 1, 2).matrix - rdm.matrix[r]))),
+                           oracle.reduce_to_pair(rho, 1, 2).matrix - pair_rho))),
                        1e-12, at)
             if n <= 5:
                 rhos.append(rho)
         if n <= 5:
             cs_full = oracle.correlations(np.stack(rhos), 1, 2)
-            g_gap = np.abs(cs_full.g - cs.g).max(axis=(1, 2)).tolist()
-            m_gap = np.abs(cs_full.m_per_site - cs.m_per_site).tolist()
-            for r, at in enumerate(details):
-                col.record("correlations_full_vs_rdm", max(g_gap[r], m_gap[r]), 1e-12, at)
+            col.record_worst("correlations_full_vs_rdm", np.maximum(
+                np.abs(cs_full.g - cs.g).max(axis=(1, 2)),
+                np.abs(cs_full.m_per_site - cs.m_per_site)), 1e-12, details)
             if b != 0.0:
                 # the measure is a function of the correlation tensor alone;
                 # feed it the independently computed full-space tensor
-                field_gap = np.abs(bell.violation_measure(cs_full.g).measure - bres.measure)
-                for r, at in enumerate(details):
-                    col.record("bell_field_independence", field_gap[r], 1e-12, at)
+                col.record_worst("bell_field_independence", np.abs(
+                    bell.violation_measure(cs_full.g).measure - measure), 1e-12, details)
 
-        # the production stacks, row by row in temperature order
-        u_rows, m_rows = u.tolist(), m.tolist()
-        z_rows = rdm.z.tolist()
-        g_zz = cs.g[:, 2, 2].tolist()
-        relations = twoqubit.check_element_relations(rdm, cs)
-        g_max = np.abs(cs.g).max(axis=(1, 2)).tolist()
-        m_bar_gap = np.abs(rdm.m_bar - m / n).tolist()
-        translation_gap = np.abs(rdm.matrix - rdm_shift.matrix).max(axis=(1, 2)).tolist()
-        c_rows = report.wootters.tolist()
-        x_rows, corr_rows, energy_rows = (
-            getattr(report, name).tolist()
-            for name in ("x_form", "correlation_form", "energy_form"))
-        measure = bres.measure.tolist()
-        for r, at in enumerate(details):
-            if r:
-                col.record("u_monotone", max(0.0, u_rows[r - 1] - u_rows[r]), 1e-12, at)
-            if b == 0.0:
-                col.record("u_nonpositive_b0", max(0.0, u_rows[r]), 1e-10, at)
-            for rel, res in relations.items():
-                col.record(f"element_relation_{rel}", res[r], 1e-10, at)
-            col.record("g_bound", max(0.0, g_max[r] - 1.0), 1e-12, at)
-            col.record("m_bar_vs_thermo", m_bar_gap[r], 1e-10, at)
-            col.record("reflection_im_z", abs(z_rows[r].imag), 1e-10, at)
-            col.record("pair_translation", translation_gap[r], 1e-10, at)
+        # the production stacks; np.maximum(x, 0.0) keeps a NaN, and maps -0.0 to 0.0
+        col.record_worst("u_monotone", np.maximum(u[:-1] - u[1:], 0.0), 1e-12, details[1:])
+        if b == 0.0:
+            col.record_worst("u_nonpositive_b0", np.maximum(u, 0.0), 1e-10, details)
+        for rel, res in twoqubit.check_element_relations(rdm, cs).items():
+            col.record_worst(f"element_relation_{rel}", res, 1e-10, details)
+        col.record_worst("g_bound", np.maximum(np.abs(cs.g).max(axis=(1, 2)) - 1.0, 0.0),
+                         1e-12, details)
+        col.record_worst("m_bar_vs_thermo", np.abs(rdm.m_bar - m / n), 1e-10, details)
+        col.record_worst("reflection_im_z", np.abs(rdm.z.imag), 1e-10, details)
+        col.record_worst("pair_translation",
+                         np.abs(rdm.matrix - rdm_shift.matrix).max(axis=(1, 2)), 1e-10, details)
 
-            # NaN marks a route whose precondition fails on that row
-            for check, value, limit in (("route_x_form", x_rows[r], 1e-10),
-                                        ("route_correlation", corr_rows[r], 1e-9),
-                                        ("route_energy", energy_rows[r], 1e-9)):
-                if not math.isnan(value):
-                    col.record(check, abs(value - c_rows[r]), limit, at)
-            if energy_rows[r] == 0.0:
-                col.record("clamp_consistency", c_rows[r], 1e-9, at)
+        c = report.wootters
+        # NaN marks a route whose precondition fails on that row
+        for check, route, limit in (("route_x_form", report.x_form, 1e-10),
+                                    ("route_correlation", report.correlation_form, 1e-9),
+                                    ("route_energy", report.energy_form, 1e-9)):
+            present = ~np.isnan(route)
+            col.record_worst(check, np.abs(route - c)[present], limit, details[present])
+        clamped = report.energy_form == 0.0
+        col.record_worst("clamp_consistency", c[clamped], 1e-9, details[clamped])
 
-            if delta == 1.0 and b == 0.0:
-                z = z_rows[r]
-                col.record("prop1_magnetization", abs(m_rows[r]), 1e-10, at)
-                col.record("prop1_im_z", abs(z.imag), 1e-10, at)
-                col.record("prop3_u_nonpositive", max(0.0, u_rows[r]), 1e-10, at)
-                if abs(z) > 1e-12:
-                    col.require("prop3_z_sign", (z.real < 0) == (j > 0), at)
-                col.record("z_energy_relation",
-                           abs(z.real - u_rows[r] / (6.0 * j * n)), 1e-10, at)
-                col.record("gzz_energy_relation",
-                           abs(g_zz[r] - u_rows[r] / (3.0 * j * n)), 1e-10, at)
-                if j < 0:
-                    col.record("fm_concurrence_zero", c_rows[r], 1e-12, at)
-                col.record("bell_xxx_closed_form",
-                           abs(measure[r] - bell.violation_xxx(u_rows[r], j, n)), 1e-10, at)
-                col.record("bell_c_vs_b",
-                           abs(bell.concurrence_vs_violation(
-                               measure[r], "afm" if j > 0 else "fm") - c_rows[r]),
-                           1e-9, at)
-                if measure[r] > 2.0:
-                    col.require("bell_witness_direction", c_rows[r] > 0.0, at)
+        if delta == 1.0 and b == 0.0:
+            z = rdm.z
+            col.record_worst("prop1_magnetization", np.abs(m), 1e-10, details)
+            col.record_worst("prop1_im_z", np.abs(z.imag), 1e-10, details)
+            col.record_worst("prop3_u_nonpositive", np.maximum(u, 0.0), 1e-10, details)
+            # boolean checks as in require: residual 1 on failure
+            signed = np.hypot(z.real, z.imag) > 1e-12  # |z| as abs(complex) computes it
+            sign_fails = np.where((z.real < 0) == (j > 0), 0.0, 1.0)
+            col.record_worst("prop3_z_sign", sign_fails[signed], 0.5, details[signed])
+            col.record_worst("z_energy_relation", np.abs(z.real - u / (6.0 * j * n)),
+                             1e-10, details)
+            col.record_worst("gzz_energy_relation", np.abs(cs.g[:, 2, 2] - u / (3.0 * j * n)),
+                             1e-10, details)
+            if j < 0:
+                col.record_worst("fm_concurrence_zero", c, 1e-12, details)
+            closed = np.array([bell.violation_xxx(x, j, n) for x in u])
+            col.record_worst("bell_xxx_closed_form", np.abs(measure - closed), 1e-10, details)
+            regime = "afm" if j > 0 else "fm"
+            implied = np.array([bell.concurrence_vs_violation(x, regime)
+                                for x in measure])
+            col.record_worst("bell_c_vs_b", np.abs(implied - c), 1e-9, details)
+            violating = measure > 2.0
+            col.record_worst("bell_witness_direction", np.where(c > 0.0, 0.0, 1.0)[violating],
+                             0.5, details[violating])
+            if j > 0:
+                col.record("concurrence_monotone_afm",
+                           float(np.maximum(np.diff(c), 0.0).max(initial=0.0)), 1e-12, tag)
 
-            if spec_index % 7 == 0 and len(sampled_tensors) < opts.sampled_states:
-                sampled_tensors.append((at, cs.g[r]))
-
-        if delta == 1.0 and b == 0.0 and j > 0:
-            drops = [max(0.0, c_rows[k + 1] - c_rows[k]) for k in range(len(c_rows) - 1)]
-            col.record("concurrence_monotone_afm", max(drops) if drops else 0.0,
-                       1e-12, tag)
+        if spec_index % 7 == 0:
+            take = SAMPLED_STATES - len(sampled_tensors)
+            sampled_tensors.extend(zip(details[:take], cs.g[:take]))
 
     # threshold machinery on a few antiferromagnetic isotropic rings
     def isotropic_ring(n: int) -> tuple[model.ModelSpec, spectral.SpectralDecomposition]:
@@ -382,7 +372,7 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
 
     # seeded random CHSH frames never beat the Horodecki measure; no
     # sampled state, no frames drawn
-    frames = bell.random_frames(opts.frames, opts.seed) if sampled_tensors else None
+    frames = bell.random_frames(FRAMES, opts.seed) if sampled_tensors else None
     for tag, g in sampled_tensors:
         best = float(np.max(np.abs(bell.frame_expectations(g, frames))))
         measure = bell.violation_measure(g).measure

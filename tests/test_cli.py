@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import heisenring
-from heisenring.cli import main
+from heisenring.cli import ConfigError, main, parse_temperatures
 from heisenring.model import ModelSpec, hermiticity_defect, ring_coupling_matrices
 from helpers import c_two_site, u_three_site
 
@@ -317,7 +317,6 @@ def test_verify_small_grid_passes(tmp_path):
     cfg = write_config(tmp_path, {
         "n_values": [2, 3], "deltas": [1.0], "fields": [0.0],
         "temperatures": {"start": 0.5, "stop": 5.0, "count": 3, "spacing": "log"},
-        "frames": 500, "sampled_states": 4,
     })
     out = tmp_path / "verify.txt"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
@@ -334,7 +333,6 @@ def test_verify_descending_grid_reads_as_ascending(tmp_path):
         cfg = write_config(tmp_path, {
             "n_values": [2, 4], "deltas": [1.0], "fields": [0.0],
             "temperatures": {"start": start, "stop": stop, "count": 4},
-            "frames": 50, "sampled_states": 2,
         }, name=f"verify-{start}.json")
         out = tmp_path / f"verify-{start}.txt"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
@@ -347,6 +345,39 @@ def test_verify_unknown_key(tmp_path, capsys):
     cfg = write_config(tmp_path, {"bogus": 1})
     assert main(["verify", "--config", cfg]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["frames", "sampled_states"])
+def test_verify_frame_counts_are_not_config_keys(tmp_path, capsys, key):
+    # the frame and sampled-state counts are fixed: verify.FRAMES, verify.SAMPLED_STATES
+    cfg = write_config(tmp_path, {"n_values": [2], key: 10})
+    assert main(["verify", "--config", cfg]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_temperature_count_over_budget_exits_two(tmp_path, capsys, monkeypatch, command):
+    # refused from the count alone: were it not, the patched grids fail the
+    # test instead of asking for 10^12 temperatures
+    def refuse(*args, **kwargs):
+        raise AssertionError("temperature grid built")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr(np, "geomspace", refuse)
+    for spacing in ("linear", "log"):
+        grid = {"start": 0.5, "stop": 2.0, "count": 10**12, "spacing": spacing}
+        doc = ({"model": {"n_sites": 4, "j": 1.0}, "temperatures": grid} if command == "sweep"
+               else {"n_values": [2], "temperatures": grid})
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        assert "byte budget" in capsys.readouterr().err
+
+
+def test_temperature_count_budget_scales_with_the_ring(tmp_path):
+    # 4 GiB of float64 weights: 32768 temperatures at N = 14 fit, one more does not
+    grid = {"start": 0.5, "stop": 2.0, "count": 32768}
+    assert parse_temperatures(grid, 1 << 14).shape == (32768,)
+    with pytest.raises(ConfigError, match="4295098368-byte"):
+        parse_temperatures({**grid, "count": 32769}, 1 << 14)
 
 
 def test_corrupted_hamiltonian_fails_hermiticity():
@@ -553,9 +584,9 @@ def test_zero_j_value_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc, key", [
-    ({"n_values": [2], "frames": True}, "frames"),
+    ({"n_values": [True]}, "n_values"),
     ({"n_values": [2], "seed": True}, "seed"),
-    ({"n_values": [2], "sampled_states": False}, "sampled_states"),
+    ({"n_values": [2], "j_values": [True]}, "j_values"),
     ({"n_values": [2], "temperatures": {"start": 0.5, "stop": 1.0, "count": True}},
      "count"),
 ])
@@ -565,33 +596,14 @@ def test_boolean_verify_integers_rejected(tmp_path, capsys, doc, key):
     assert key in capsys.readouterr().err
 
 
-def test_frames_over_budget_exit_two(tmp_path, capsys, monkeypatch):
-    # refused at parse time; were it not, the patched draw fails the test
-    # instead of asking for about 26 GB
-    def refuse(count, seed):
-        raise AssertionError("frames drawn")
-
-    monkeypatch.setattr("heisenring.bell.random_frames", refuse)
-    cfg = write_config(tmp_path, {"n_values": [2], "frames": 10**8})
-    assert main(["verify", "--config", cfg]) == 2
-    assert "MiB budget" in capsys.readouterr().err
-
-
-def test_zero_frames_rejected(tmp_path, capsys):
-    # bell_frames_bound takes the best of the frames; none is bad input
-    cfg = write_config(tmp_path, {"n_values": [2], "frames": 0})
-    assert main(["verify", "--config", cfg]) == 2
-    assert "'frames' must be >= 1" in capsys.readouterr().err
-
-
 def test_negative_seed_rejected(tmp_path, capsys):
-    assert main(["verify", "--seed", "-3"]) == 2
+    assert main(["verify", "--config", write_config(tmp_path, {"seed": -3})]) == 2
     assert "seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "--seed", "1"], ["threshold", "--seed", "1"], ["spectrum", "--seed", "1"],
-    ["verify", "--format", "json"],
+    ["verify", "--format", "json"], ["verify", "--seed", "1"],
 ])
 def test_flags_belong_to_their_subcommands(tmp_path, argv):
     cfg = write_config(tmp_path, sweep_config(n_sites=2, j=1.0))

@@ -208,7 +208,7 @@ def test_report_route_presence():
     tp = thermo_point(sd, spec, 0.5)
     rdm = pair_rdm_thermal(sd, 0.5, 1, 2)
     rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, tp.u_per_site)
-    assert set(rep.routes()) == {"wootters", "x_form", "correlation_form", "energy_form"}
+    assert None not in (rep.x_form, rep.correlation_form, rep.energy_form)
     assert rep.max_disagreement <= 1e-9
 
     # field on: correlation route must be absent

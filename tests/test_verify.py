@@ -5,7 +5,7 @@ import pytest
 
 from heisenring import ModelSpec, VerifyOptions, oracle, run_verification, thermo, twoqubit
 from heisenring.model import hermiticity_defect
-from heisenring.verify import FRAME_BYTES, FRAMES_BUDGET_BYTES, render_report
+from heisenring.verify import _Collector, render_report
 
 
 def test_default_grid_all_pass():
@@ -23,7 +23,7 @@ def test_default_grid_all_pass():
 
 def test_verification_deterministic():
     opts = VerifyOptions(n_values=(2, 3), deltas=(1.0,), fields=(0.0,),
-                         temperatures=(0.5, 2.0), frames=200, sampled_states=2)
+                         temperatures=(0.5, 2.0))
     a = run_verification(opts)
     b = run_verification(opts)
     assert [(r.name, r.residual) for r in a] == [(r.name, r.residual) for r in b]
@@ -40,8 +40,7 @@ def test_hermiticity_negative_control():
 def test_momentum_check_takes_anisotropic_ring_in_field():
     # the grid's first delta != 1 and first B != 0, one ring per N
     opts = VerifyOptions(n_values=(3, 4), deltas=(1.0, 0.5), fields=(0.0, 0.2),
-                         j_values=(1.0, -1.0), temperatures=(1.0,), frames=10,
-                         sampled_states=1)
+                         j_values=(1.0, -1.0), temperatures=(1.0,))
     (check,) = [r for r in run_verification(opts)
                 if r.name == "momentum_vs_sector_spectrum"]
     assert check.passed
@@ -59,9 +58,9 @@ def test_momentum_check_takes_anisotropic_ring_in_field():
     ({"fields": (math.inf,)}, "fields"),
     ({"j_values": (True,)}, "j_values"),
     ({"temperatures": (-1.0,)}, "temperatures"),
-    ({"frames": -1}, "frames"),
+    ({"seed": -1}, "seed"),
     ({"seed": True}, "seed"),
-    ({"frames": 0}, "frames"),
+    ({"seed": 1.5}, "seed"),
 ])
 def test_options_rejected_at_construction(kwargs, key):
     # from Python too, not only through the CLI: a zero J used to reach
@@ -78,15 +77,25 @@ def test_options_normalised_to_float_tuples():
     assert opts.j_values == (2.0,)
 
 
-def test_frames_over_memory_budget_rejected():
-    # refused from the estimate alone, before a frame is drawn: 1e8 frames
-    # would take about 26 GB
-    most = FRAMES_BUDGET_BYTES // FRAME_BYTES
-    assert VerifyOptions().frames == 10_000 <= most
-    assert VerifyOptions(frames=most).frames == most
-    for frames in (most + 1, 10**8):
-        with pytest.raises(ValueError, match="'frames'=.* MiB budget"):
-            VerifyOptions(frames=frames)
+def test_record_worst_keeps_first_worst_entry():
+    col = _Collector()
+    col.record_worst("tie", np.array([0.5, 2.0, 1.0, 2.0]), 1.0, ["a", "b", "c", "d"])
+    col.record_worst("tie", np.array([2.0]), 1.0, ["e"])
+    col.record_worst("empty", np.array([]), 1.0, [])
+    col.record_worst("nan", np.array([3.0, math.nan, 5.0, math.nan]), 10.0, ["a", "b", "c", "d"])
+    (nan, tie) = col.results()
+    assert (tie.name, tie.residual, tie.detail, tie.passed) == ("tie", 2.0, "b", False)
+    assert nan.name == "nan" and math.isnan(nan.residual) and nan.detail == "b"
+    assert not nan.passed
+
+
+@pytest.mark.parametrize("order", [(1e-15, math.nan), (math.nan, 1e-15)])
+def test_nan_residual_fails_in_any_order(order):
+    col = _Collector()
+    for k, residual in enumerate(order):
+        col.record("x", residual, 1e-12, f"row {k}")
+    (check,) = col.results()
+    assert math.isnan(check.residual) and not check.passed
 
 
 def test_no_frames_drawn_without_sampled_states(monkeypatch):
@@ -95,7 +104,7 @@ def test_no_frames_drawn_without_sampled_states(monkeypatch):
 
     monkeypatch.setattr("heisenring.bell.random_frames", refuse)
     opts = VerifyOptions(n_values=(2, 3), deltas=(1.0,), fields=(0.0,),
-                         temperatures=(1.0,), sampled_states=0)
+                         temperatures=(1.0,))
     names = {r.name for r in run_verification(opts)}
     assert "bell_frames_bound" not in names
     assert "derivative_u" in names
@@ -129,8 +138,7 @@ def test_grid_specs_run_as_temperature_stacks(monkeypatch):
     for temperatures in ((0.5,), (0.2, 0.7, 1.5, 4.0)):
         calls.update(thermo_grid=[], pair_rdms=[], embed=[])
         run_verification(VerifyOptions(n_values=(3, 6), deltas=(1.0, 0.5),
-                                       fields=(0.0, 0.4), temperatures=temperatures,
-                                       frames=10, sampled_states=1))
+                                       fields=(0.0, 0.4), temperatures=temperatures))
         grid_specs = [args[1] for args in calls["thermo_grid"]]
         pair_modes = {spec: 1 + (spec.n_sites >= 4) for spec in bond_specs}
         assert all(grid_specs.count(spec) == 1 + pair_modes.get(spec, 0) for spec in specs)
@@ -141,7 +149,7 @@ def test_grid_specs_run_as_temperature_stacks(monkeypatch):
 
 def test_bond_route_and_zz_derivative_are_checked():
     opts = VerifyOptions(n_values=(2, 5), deltas=(1.0, 0.5), fields=(0.0, 0.3),
-                         temperatures=(0.0, 0.7), frames=10, sampled_states=0)
+                         temperatures=(0.0, 0.7))
     results = {r.name: r for r in run_verification(opts)}
     for name, threshold in (("bond_route_vs_pair_table", 1e-12),
                             ("distance_route_vs_pair_table", 1e-12), ("derivative_zz", 1e-5)):
