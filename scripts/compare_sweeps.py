@@ -11,11 +11,12 @@ cell must be bit-identical: the same 17-significant-digit text, the same
 boolean, or the same empty cell.
 
 Both trees also run `spectrum` (JSON) on SPECTRUM_MODELS: uniform rings
-with N = 8, 11, 12 (the XX ring), 13 and 14, and the two general-coupling
-rings.  There the
-sorted energies of each S_z label must agree within SPECTRUM_TOL and the
-ground degeneracy must be identical; the row order among degenerate
-levels of different labels may differ.  The S_z-breaking ring has no
+with N = 8, 11, 12 (the XX ring), 13 and 14, the small rings N = 2, 5
+and 6, whose blocks lie mostly at momenta 0 and N/2, and the two
+general-coupling rings.  There the sorted energies of each S_z label
+must agree within SPECTRUM_TOL and the ground degeneracy must be
+identical; the row order among degenerate levels of different labels may
+differ.  The S_z-breaking ring has no
 labels, so its whole spectrum is one group.
 
 Both trees also run `threshold` (JSON) on the isotropic J = 1 rings of
@@ -88,6 +89,12 @@ SPECTRUM_MODELS = {
     # the XX ring (delta = 0): highly degenerate, so a wrong phase in the
     # real momentum basis would split or shift its levels
     "spectrum-n12-xx": {"n_sites": 12, "j": 1.0, "delta": 0.0},
+    # small rings, whose blocks lie mostly at m = 0 and 2m = N: the doubly
+    # counted bond, odd N, a ferromagnet, and J = 0, which has no hops
+    "spectrum-n2": {"n_sites": 2, "j": 1.0, "field_b": 0.7},
+    "spectrum-n5": {"n_sites": 5, "j": 1.0, "delta": 0.5, "field_b": 0.3},
+    "spectrum-n6-ferro": {"n_sites": 6, "j": -1.0, "delta": 2.0, "field_b": 0.2},
+    "spectrum-n6-j0": {"n_sites": 6, "j": 0.0, "field_b": 0.4},
     # general couplings with jx = jy: values-only blocks over trivial orbits
     "spectrum-general-sz-n8": general_model(conserves_sz=True),
     # jx != jy: the two spin-flip parity blocks, no S_z labels

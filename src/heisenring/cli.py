@@ -67,16 +67,31 @@ def _number(obj: dict, key: str, where: str, default=None):
     return val
 
 
+def _coupling_rows(obj: dict, key: str) -> list:
+    """obj[key], checked to be a list of equal-length lists of JSON numbers."""
+    rows = obj[key]
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+            and len({len(row) for row in rows}) <= 1):
+        raise ConfigError(f"model.{key} must be a list of equal-length lists of numbers")
+    for row in rows:
+        for val in row:
+            # JSON true is an int to isinstance; it must not run as 1
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise ConfigError(f"model.{key} entries must be numbers, got {val!r}")
+    return rows
+
+
 def parse_model(obj: dict) -> ModelSpec:
     if not isinstance(obj, dict):
         raise ConfigError("'model' must be a JSON object")
     if "jx" in obj or "jy" in obj or "jz" in obj:
         _require_keys(obj, {"jx": True, "jy": True, "jz": True,
                             "field_b": False, "n_sites": False}, "model")
+        jx, jy, jz = (_coupling_rows(obj, key) for key in ("jx", "jy", "jz"))
         try:
-            spec = ModelSpec.general(np.asarray(obj["jx"], dtype=float),
-                                     np.asarray(obj["jy"], dtype=float),
-                                     np.asarray(obj["jz"], dtype=float),
+            spec = ModelSpec.general(np.asarray(jx, dtype=float),
+                                     np.asarray(jy, dtype=float),
+                                     np.asarray(jz, dtype=float),
                                      field_b=_number(obj, "field_b", "model", 0.0))
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"model: {exc}") from exc

@@ -171,10 +171,16 @@ def concurrence_xxx_field(rdm: TwoQubitRDM, u_bar: float | np.ndarray, j: float,
     # float does; ** on an array multiplies x*x, which rounds differently
     arg = (np.float_power(u_bar / j - 4.0 * np.real(rdm.z) + 1.0 - (b / j) * m_bar, 2)
            - 4.0 * np.float_power(m_bar, 2))
-    lowest = np.min(arg, initial=0.0)
-    if lowest < -1e-10:
+    # the bracket's terms grow like b/j, and the rounding of its square with
+    # them: a true 16 u+ u- >= 0 may read that far below 0
+    terms = np.abs(u_bar / j) + 4.0 * np.abs(np.real(rdm.z)) + 1.0 + np.abs((b / j) * m_bar)
+    floor = 1e-10 + 64.0 * np.finfo(float).eps * terms * terms
+    margin = np.ravel(arg + floor)
+    if np.any(margin < 0.0):
+        worst = np.argmin(margin)
         raise ValueError(
-            f"square-root argument {lowest:.3e} < -1e-10 signals a convention mismatch"
+            f"square-root argument {np.ravel(arg)[worst]:.3e} < -{np.ravel(floor)[worst]:.3e} "
+            "signals a convention mismatch"
         )
     return clamp_concurrence(
         2.0 * np.maximum(0.0, _modulus(rdm.z) - 0.25 * np.sqrt(np.maximum(arg, 0.0))))

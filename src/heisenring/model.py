@@ -133,11 +133,10 @@ class ModelSpec:
                     f"is capped at n_sites={SZ_BREAKING_MAX_SITES}"
                 )
         # |H| is at most the pair-term amplitudes plus N |B|; past float
-        # range eigh fails.  spectral imports this module, hence the late import
-        from .spectral import _pair_terms
+        # range eigh fails
         with np.errstate(over="ignore"):
             bound = sum(abs(hop) + abs(flip) + abs(zz)
-                        for *_, hop, flip, zz in _pair_terms(self))
+                        for *_, hop, flip, zz in self.pair_terms())
             bound += self.n_sites * abs(self.field_b)
         if not np.isfinite(bound):
             raise ValueError("couplings and field overflow: the bound on |H|, "
@@ -151,6 +150,8 @@ class ModelSpec:
     @classmethod
     def general(cls, jx, jy, jz, field_b: float = 0.0) -> "ModelSpec":
         jx = np.asarray(jx, dtype=float)
+        if jx.ndim != 2:
+            raise ValueError(f"jx must be a matrix, got shape {jx.shape}")
         return cls(jx.shape[0], GeneralCoupling(jx, np.asarray(jy, dtype=float),
                                                 np.asarray(jz, dtype=float)),
                    float(field_b))
@@ -174,6 +175,31 @@ class ModelSpec:
         """Directed ring bonds (i, i+1) with wrap-around, as the periodic sum visits them."""
         n = self.n_sites
         return [(i, i % n + 1) for i in range(1, n + 1)]
+
+    def pair_terms(self) -> list[tuple[int, int, float, float, float]]:
+        """(bit_i, bit_k, hop, flip, zz) for every coupled site pair.
+
+        With couplings jx, jy and jz on a pair, its x and y terms swap
+        antiparallel spins on the two bits with amplitude hop = jx + jy and
+        flip parallel spins with amplitude flip = jx - jy; its z-z term adds
+        zz = jz to the diagonal when they are parallel and -zz when not.  Ring
+        bonds, as the periodic sum visits them (twice at N = 2), give
+        (2J, 0, J delta); general pairs i < k give (2(jx + jy), 2(jx - jy),
+        2 jz), since the ordered double sum counts every pair twice.  A spec
+        with jx = jy has flip = 0 on every pair, which is what conserves S_z.
+        """
+        n = self.n_sites
+        if self.is_uniform:
+            j, delta = self.coupling.j, self.coupling.delta
+            return [(n - i, n - kk, 2.0 * j, 0.0, j * delta) for i, kk in self.bonds()]
+        jx, jy, jz = self.coupling.jx, self.coupling.jy, self.coupling.jz
+        terms = []
+        for a in range(n):
+            for b in range(a + 1, n):
+                if jx[a, b] != 0.0 or jy[a, b] != 0.0 or jz[a, b] != 0.0:
+                    terms.append((n - 1 - a, n - 1 - b, 2.0 * (jx[a, b] + jy[a, b]),
+                                  2.0 * (jx[a, b] - jy[a, b]), 2.0 * jz[a, b]))
+        return terms
 
     def is_bond(self, i: int, j: int) -> bool:
         """True when sites i and j are ring neighbours, in either order; (N, 1) included."""

@@ -13,9 +13,9 @@ block independently and merges the eigenvalues.  It never forms the full
 each parity block is 2048 wide.
 
 One builder, _blocks, writes every block from a list of pair terms, for
-H those of _pair_terms.  It splits a block by lattice momentum (Sandvik,
-AIP Conf. Proc. 1297, 135 (2010)): one block per crystal momentum
-2*pi*m/N over the orbit representatives of a sector.  Values-only
+H those of ModelSpec.pair_terms.  It splits a block by lattice momentum
+(Sandvik, AIP Conf. Proc. 1297, 135 (2010)): one block per crystal
+momentum 2*pi*m/N over the orbit representatives of a sector.  Values-only
 decompositions of uniform rings take the translation orbits, which
 _sector works out from the rotations of the sector's own states, so no
 table over all 2^N states is formed; at N = 14 the largest block is then
@@ -27,16 +27,19 @@ zero field, and each field shift is added afterwards.  At N = 14 that is
 57 eigensolves instead of 184, each on a real symmetric block: those
 with 0 < m < N/2 come in the real basis of the antiunitary K R, complex
 conjugation times the site reflection (Sandvik, arXiv:1101.3281, section
-4.2).  The pair mode of decompose solves them with eigh and keeps, per
-eigenstate, only two sums over the N site pairs at the pair's distance r,
-sigma^z sigma^z and sigma^x sigma^x + sigma^y sigma^y, read off each
-block's vectors; with the S_z label they fix the pair RDM of any two
-sites of a uniform ring, which is how every sweep of a uniform ring runs.
+4.2), and all others in the identity basis.  The pair mode of decompose
+solves them with eigh and keeps, per eigenstate, only two sums over the
+N site pairs at the pair's distance r, sigma^z sigma^z and
+sigma^x sigma^x + sigma^y sigma^y, read off each block's vectors; with
+the S_z label they fix the pair RDM of any two sites of a uniform ring,
+which is how every sweep of a uniform ring runs.
 Every other decomposition takes no translation, so every state is its
 own representative, and gets the plain sector or parity block, field
-included.  _sector does a sector's orbit bookkeeping (the
-representatives, the momenta they reach and the real K R basis) once, and
-the pair mode builds H's and O_r's blocks from the same one.
+included.  _sector does a sector's orbit bookkeeping once: the
+representatives, the momenta they reach, and every block's real basis
+and multiplicity.  _blocks writes each block through _real_block in that
+basis, with one phase rule for every momentum, and the pair mode builds
+H's and O_r's blocks from the same sector.
 
 Each block's eigensolve and products run under _blas.threads_for: a block
 narrower than _blas.WIDE = 512 on one OpenBLAS thread, a wider one with
@@ -157,32 +160,6 @@ def parity_basis(n: int) -> list[np.ndarray]:
     return [states[odd == 0], states[odd == 1]]
 
 
-def _pair_terms(spec: ModelSpec) -> list[tuple[int, int, float, float, float]]:
-    """(bit_i, bit_k, hop, flip, zz) for every coupled site pair of a spec.
-
-    With couplings jx, jy and jz on a pair, its x and y terms swap
-    antiparallel spins on the two bits with amplitude hop = jx + jy and flip
-    parallel spins with amplitude flip = jx - jy; its z-z term adds zz = jz
-    to the diagonal when they are parallel and -zz when not.  Ring bonds, as
-    the periodic sum visits them (twice at N = 2), give (2J, 0, J delta);
-    general pairs i < k give (2(jx + jy), 2(jx - jy), 2 jz), since the
-    ordered double sum counts every pair twice.  A spec with jx = jy has
-    flip = 0 on every pair, which is what conserves S_z.
-    """
-    n = spec.n_sites
-    if spec.is_uniform:
-        j, delta = spec.coupling.j, spec.coupling.delta
-        return [(n - i, n - kk, 2.0 * j, 0.0, j * delta) for i, kk in spec.bonds()]
-    jx, jy, jz = spec.coupling.jx, spec.coupling.jy, spec.coupling.jz
-    terms = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if jx[a, b] != 0.0 or jy[a, b] != 0.0 or jz[a, b] != 0.0:
-                terms.append((n - 1 - a, n - 1 - b, 2.0 * (jx[a, b] + jy[a, b]),
-                              2.0 * (jx[a, b] - jy[a, b]), 2.0 * jz[a, b]))
-    return terms
-
-
 def _zz_sign(states: np.ndarray, bi: int, bk: int) -> np.ndarray:
     """sigma^z sigma^z on bits bi and bk of each state: +1 parallel, -1 antiparallel."""
     return (1 - 2 * ((states >> bi) & 1)) * (1 - 2 * ((states >> bk) & 1))
@@ -194,10 +171,10 @@ class _Sector(NamedTuple):
     For each of the ascending `states`, T^shift takes it to its orbit's
     representative reps[orbit].  reps holds the representatives, ascending,
     and period their orbit lengths R_a.  momenta holds (m, keep, index,
-    columns) for every momentum 0 <= m <= N/2 that has states: keep marks
-    the representatives with m * R_a = 0 (mod N), index[a] is the block
-    index of a kept representative a, and columns is the K R basis of
-    _kr_columns for 0 < m < N/2, else None.
+    columns, mult) for every momentum 0 <= m <= N/2 that has states: keep
+    marks the representatives with m * R_a = 0 (mod N), index[a] is the
+    block index of a kept representative a, columns is the block's real
+    basis in the form _real_block reads and mult its multiplicity.
     """
 
     n: int
@@ -215,6 +192,13 @@ def _sector(n: int, states: np.ndarray, translate: bool) -> _Sector:
     With translate, a state's representative is its smallest rotation,
     at the smallest shift that reaches it, and R_a counts the states that
     share the representative a; without it, each state is its own.
+
+    Every block gets its real basis and multiplicity here (see _blocks).
+    A block at 0 < m < N/2 gets the K R basis of _kr_columns and counts
+    twice, for m and -m.  A block at m = 0 or 2m = N is real in its
+    momentum states, so it gets the identity basis, one column of weight 1
+    per state, and counts once; so does the one block, at m = 0, of a
+    sector without translation.
     """
     rep, shift = states.copy(), np.zeros_like(states)
     for r in range(1, n if translate else 1):
@@ -231,44 +215,50 @@ def _sector(n: int, states: np.ndarray, translate: bool) -> _Sector:
         if not keep.any():
             continue
         index = np.cumsum(keep) - 1
-        columns = None
-        if (2 * m) % n:
-            if mirror is None:
-                # R a for each representative, found among the sector's states
-                at = np.searchsorted(states, reflect(reps, n))
-                mirror = orbit[at], shift[at]
-            partner, l_mirror = mirror
-            columns = _kr_columns(index[partner[keep]],
-                                  np.exp(-2j * np.pi * m * l_mirror[keep] / n))
-        momenta.append((m, keep, index, columns))
+        if (2 * m) % n == 0:
+            size = index[-1] + 1
+            momenta.append((m, keep, index, ((np.arange(size), np.ones(size)),), 1))
+            continue
+        if mirror is None:
+            # R a for each representative, found among the sector's states
+            at = np.searchsorted(states, reflect(reps, n))
+            mirror = orbit[at], shift[at]
+        partner, l_mirror = mirror
+        columns = _kr_columns(index[partner[keep]],
+                              np.exp(-2j * np.pi * m * l_mirror[keep] / n))
+        momenta.append((m, keep, index, columns, 2))
     return _Sector(n, states, orbit, shift, reps, r_a, momenta)
 
 
 def _blocks(terms, sector: _Sector, field_b: float):
     """The block of an n-site operator on a sector, built from bit rules and split by momentum.
 
-    The operator sums `terms`, (bit_i, bit_k, hop, flip, zz): _pair_terms
-    for H, or the N pairs at distance r with (2, 0, 0) for decompose's
-    O_r^xy.  `sector` (_sector) holds states closed under the operator, an
-    S_z sector or a parity sector of an S_z-breaking spec, with their
-    orbits, and field_b is the field B, or 0.0 to leave the field out: a
-    state with k down spins gets B(N - 2k) on the diagonal.  Yields
-    (multiplicity, basis, block) with one real symmetric block per lattice
-    momentum 2*pi*m/N, 0 <= m <= N/2, that has states (Sandvik,
-    arXiv:1101.3281, section 4.1).  Its basis is the momentum states of the
-    orbit representatives a with m * R_a = 0 (mod N), R_a the period;
+    The operator sums `terms`, (bit_i, bit_k, hop, flip, zz):
+    ModelSpec.pair_terms for H, or the N pairs at distance r with
+    (2, 0, 0) for decompose's O_r^xy.  `sector` (_sector) holds states
+    closed under the operator, an S_z sector or a parity sector of an
+    S_z-breaking spec, with their orbits, and field_b is the field B, or
+    0.0 to leave the field out: a state with k down spins gets B(N - 2k)
+    on the diagonal.  Yields (multiplicity, basis, block) with one real
+    symmetric block per lattice momentum 2*pi*m/N, 0 <= m <= N/2, that
+    has states (Sandvik, arXiv:1101.3281, section 4.1).  Its basis is the
+    momentum states of the orbit representatives a with m * R_a = 0
+    (mod N), R_a the period;
     `basis` holds those representatives in block order.  A hop or pair
     flip from a reaches the state b' with representative b = T^l b' and has
     element amplitude * exp(-2*pi*i*m*l/N) * sqrt(R_a / R_b); the diagonal
     holds the field, the z-z terms and hops inside an orbit.  b' is looked
-    up among the sector's states by searchsorted.  The operator
-    is real, so the block at -m is the complex conjugate of the block at m
-    and has the same eigenvalues: each block with 0 < m < N - m stands for
-    both and has multiplicity 2.  Blocks at m = 0 and 2m = N are real and
-    count once.
+    up among the sector's states by searchsorted.  Every block is written
+    through _real_block in the real basis, and yielded with the
+    multiplicity, that _sector gave it.  The operator is real, so the
+    block at -m is the complex conjugate of the block at m and has the
+    same eigenvalues: each block with 0 < m < N - m stands for both and
+    has multiplicity 2.  Blocks at m = 0 and 2m = N, where the phases are
+    +-1, are real in the momentum states: their basis is the identity and
+    they count once.
 
-    Those with 0 < m < N - m, complex in the momentum basis, come in a
-    real basis.  Only translation orbits give them, and only operators
+    Those with 0 < m < N - m, complex in the momentum basis, come in the
+    basis of K R.  Only translation orbits give them, and only operators
     that commute with the site reflection R (model.reflect) get those:
     a uniform H, and O_r, as R maps pairs at distance r onto such pairs.
     The antiunitary K R, K complex conjugation, maps T to T^-1, so it maps
@@ -283,8 +273,8 @@ def _blocks(terms, sector: _Sector, field_b: float):
 
     Without translation (_sector with translate=False) every state is a
     representative of period 1 and shift 0, so only m = 0 has states and
-    its one real block is the plain block of the operator on `states` in
-    the computational basis.
+    its one block, in the identity basis, is the plain block of the
+    operator on `states` in the computational basis.
     """
     n, reps, r_a = sector.n, sector.reps, sector.period
     # + 0.0: a -0.0 field must not leave -0.0 on the diagonal
@@ -307,22 +297,18 @@ def _blocks(terms, sector: _Sector, field_b: float):
             amps.append(amp * np.sqrt(r_a[movers] / r_a[rows[-1]]))
     rows, cols, ls, amps = map(np.concatenate, (rows, cols, ls, amps))
 
-    for m, keep, index, columns in sector.momenta:
+    for m, keep, index, columns, mult in sector.momenta:
         hops = keep[rows] & keep[cols]
-        amp, l = amps[hops], ls[hops]
-        at = (index[rows[hops]], index[cols[hops]])
-        if columns is None:
-            block = np.diag(diag[keep])
-            np.add.at(block, at, amp * (-1.0) ** (2 * m * l // n))
-        else:
-            values = amp * np.exp(-2j * np.pi * m * l / n)
-            block = _real_block(diag[keep], columns, *at, values)
-        yield (1 if columns is None else 2), reps[keep], block
+        values = amps[hops] * np.exp(-2j * np.pi * m * ls[hops] / n)
+        block = _real_block(diag[keep], columns, index[rows[hops]], index[cols[hops]], values)
+        yield mult, reps[keep], block
         del block  # the caller's reference is the last one
 
 
 def _kr_columns(partner: np.ndarray, phases: np.ndarray):
-    """The real basis of K R on one momentum block (see _blocks and _real_block).
+    """The real basis of K R on one momentum block with 0 < m < N/2 (see _blocks).
+
+    _sector gives it to those blocks and the identity basis to every other.
 
     partner (the block index of abar) and phases (phi_a) are indexed by
     the block's momentum states.  A pair a < abar puts
@@ -345,13 +331,17 @@ def _kr_columns(partner: np.ndarray, phases: np.ndarray):
 
 def _real_block(diag: np.ndarray, columns, rows: np.ndarray, cols: np.ndarray,
                 values: np.ndarray) -> np.ndarray:
-    """A complex momentum block rewritten in the real basis `columns` of K R (_kr_columns).
+    """A momentum block rewritten in the real basis `columns` that _sector gave it.
 
-    diag is indexed by the block's momentum states; each hop element
-    values[h] sits at (rows[h], cols[h]).  Each hop element lands on at
-    most four entries of the real block; only the real part of each
-    product is added, since the imaginary parts cancel in the sum.  The
-    diagonal stays diagonal: R maps the z-z terms onto themselves.
+    columns lists, per column slot, each momentum state's column and
+    weight there: the two slots of _kr_columns, or the one slot of the
+    identity basis, every state in its own column with weight 1.  diag is
+    indexed by the block's momentum states; each hop element values[h]
+    sits at (rows[h], cols[h]).  Each hop element lands on at most four
+    entries of the real block, one in the identity basis; only the real
+    part of each product is added, since the imaginary parts cancel in the
+    sum.  The diagonal stays diagonal: R maps the z-z terms onto
+    themselves.
     """
     block = np.diag(diag)
     for col_r, w_r in columns:
@@ -410,7 +400,7 @@ def decompose(spec: ModelSpec, vectors: bool = True,
         sectors = parity_basis(n)
     else:
         sectors = sector_basis(n)[:n // 2 + 1] if paired else sector_basis(n)
-    terms = _pair_terms(spec)
+    terms = spec.pair_terms()
     all_evals, all_keys, pair_rows, vec_blocks = [], [], [], []
     for k, states in enumerate(sectors):
         parts, pair_parts = [], []

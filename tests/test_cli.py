@@ -188,6 +188,20 @@ def test_non_adjacent_pair_in_field_sweeps(tmp_path):
     assert max(float(r["max_route_disagreement"]) for r in rows) <= 1e-9
 
 
+def test_field_route_at_small_j_sweeps(tmp_path):
+    # at B/J = 5e4 the field route's bracket is a difference of terms near
+    # 1e5, so its squared rounding passed an absolute -1e-10 floor and the
+    # sweep exited 1; the route now keeps within the sweep's tolerance
+    doc = {"model": {"n_sites": 8, "j": 1e-5, "field_b": 0.5},
+           "temperatures": {"start": 0.01, "stop": 20.0, "count": 200, "spacing": "log"}}
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    _, rows = parse_csv(out.read_text())
+    assert len(rows) == 200
+    assert all(r["C_energy"] != "" for r in rows)
+    assert max(float(r["max_route_disagreement"]) for r in rows) <= 1e-9
+
+
 def test_fractional_n_sites_rejected(tmp_path, capsys):
     doc = {"model": {"n_sites": 2.5, "j": 1.0},
            "temperatures": {"start": 1.0, "stop": 2.0, "count": 2}}
@@ -519,6 +533,20 @@ def test_non_finite_verify_input_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, {"n_values": [2], "deltas": [math.nan]})
     assert main(["verify", "--config", cfg]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", [
+    {"jx": [[0, True, 0], [True, 0, True], [0, True, 0]],
+     "jy": [[0, 1, 0], [1, 0, 1], [0, 1, 0]], "jz": [[0, 1, 0], [1, 0, 1], [0, 1, 0]]},
+    {"jx": [[0, "1"], ["1", 0]], "jy": [[0, 1], [1, 0]], "jz": [[0, 1], [1, 0]]},
+    {"jx": 3, "jy": [[0, 1], [1, 0]], "jz": [[0, 1], [1, 0]]},
+], ids=["booleans", "strings", "scalar"])
+def test_coupling_matrix_of_non_numbers_exits_two(tmp_path, capsys, model):
+    # true and "1" used to run as 1.0, and a bare number died with an IndexError
+    cfg = write_config(tmp_path, {"model": model,
+                                  "temperatures": {"start": 0.5, "stop": 1.0, "count": 2}})
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "config error: model.jx" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("model", [

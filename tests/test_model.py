@@ -209,6 +209,14 @@ def test_spec_validation():
         ModelSpec.general(np.zeros((3, 3)), np.zeros((2, 2)), np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("jx", [3.0, np.zeros(3), np.zeros((2, 2, 2))],
+                         ids=["scalar", "vector", "3d"])
+def test_general_spec_needs_matrices(jx):
+    # a ValueError, not an IndexError from reading the size off a scalar
+    with pytest.raises(ValueError, match="jx must be a matrix"):
+        ModelSpec.general(jx, np.zeros((3, 3)), np.zeros((3, 3)))
+
+
 @pytest.mark.parametrize("kwargs,name", [
     ({"j": math.nan}, "j"), ({"j": 1.0, "delta": math.inf}, "delta"),
     ({"j": 1.0, "field_b": -math.inf}, "field_b"), ({"j": 1.0, "field_b": math.nan}, "field_b"),

@@ -9,7 +9,6 @@ from heisenring import (
 )
 from heisenring.spectral import (
     _blocks,
-    _pair_terms,
     _sector,
     expected_sector_sizes,
     parity_basis,
@@ -174,7 +173,7 @@ def test_two_site_momentum_blocks():
     # one down spin: the representative 01 is its own block at k = 0 (the
     # triplet, 2J) and at k = pi (the singlet, -6J); the bond counts twice
     spec = ModelSpec.uniform(2, 1.0)
-    blocks = list(_blocks(_pair_terms(spec), _sector(2, sector_basis(2)[1], True), 0.0))
+    blocks = list(_blocks(spec.pair_terms(), _sector(2, sector_basis(2)[1], True), 0.0))
     assert [mult for mult, _, _ in blocks] == [1, 1]
     assert [basis.tolist() for _, basis, _ in blocks] == [[1], [1]]
     assert [b.tolist() for _, _, b in blocks] == [[[2.0]], [[-6.0]]]
@@ -189,7 +188,7 @@ def test_momentum_blocks_hermitian_and_sized():
     spec = ModelSpec.uniform(n, 1.0, 0.5, 0.3)
     widths = []
     for k, states in enumerate(sector_basis(n)[:n // 2 + 1]):
-        blocks = list(_blocks(_pair_terms(spec), _sector(n, states, True), 0.0))
+        blocks = list(_blocks(spec.pair_terms(), _sector(n, states, True), 0.0))
         assert sum(mult * b.shape[0] for mult, _, b in blocks) == states.size
         for _, basis, b in blocks:
             assert basis.shape == b.shape[:1]
@@ -234,7 +233,7 @@ def test_trivial_orbit_block_is_sector_block(spec):
     h = build_hamiltonian(spec)
     assert np.max(np.abs(h.imag)) == 0.0
     for states in sector_basis(n):
-        blocks = list(_blocks(_pair_terms(spec), _sector(n, states, False), spec.field_b))
+        blocks = list(_blocks(spec.pair_terms(), _sector(n, states, False), spec.field_b))
         assert len(blocks) == 1
         mult, basis, block = blocks[0]
         assert mult == 1 and block.dtype == np.float64
@@ -324,7 +323,7 @@ def test_trivial_orbit_block_is_parity_block(n):
     h = build_hamiltonian(spec)
     for states in parity_basis(n):
         sector = _sector(n, states, False)
-        ((mult, basis, block),) = _blocks(_pair_terms(spec), sector, spec.field_b)
+        ((mult, basis, block),) = _blocks(spec.pair_terms(), sector, spec.field_b)
         assert np.array_equal(basis, states)
         assert mult == 1 and block.dtype == np.float64
         assert np.max(np.abs(block - h[np.ix_(states, states)])) <= 1e-13
@@ -440,7 +439,8 @@ def test_values_only_uniform_solves_real_blocks(monkeypatch, n, blocks, widest):
 @pytest.mark.parametrize("n", [6, 7])
 def test_pair_mode_shares_sector_bookkeeping(monkeypatch, n):
     # H's blocks and O_r's are built on one _sector per S_z sector, 2k <= N,
-    # and only the momenta 0 < m < N/2 get a K R basis
+    # which gives every block a real basis over all its momentum states and
+    # its multiplicity: 2 exactly for the conjugate momenta 0 < m < N/2
     made = []
 
     def recording(*args):
@@ -451,11 +451,47 @@ def test_pair_mode_shares_sector_bookkeeping(monkeypatch, n):
     decompose(ModelSpec.uniform(n, 1.0, 0.5, 0.2), pair=(1, 3))
     assert len(made) == n // 2 + 1
     for sector in made:
-        for m, _, _, columns in sector.momenta:
-            assert (columns is None) == ((2 * m) % n == 0)
+        for m, keep, _, columns, mult in sector.momenta:
+            assert columns and all(col.size == w.size == np.count_nonzero(keep)
+                                   for col, w in columns)
+            assert (mult == 2) == (0 < 2 * m < n)
+    # without translation every block counts once
     decompose(ModelSpec.uniform(n, 1.0, 0.5, 0.2))
-    assert all(columns is None for sector in made[n // 2 + 1:]
-               for _, _, _, columns in sector.momenta)
+    assert len(made) == n // 2 + 1 + n + 1
+    assert all(mult == 1 for sector in made[n // 2 + 1:] for *_, mult in sector.momenta)
+
+
+@pytest.mark.parametrize("spec", [
+    *(ModelSpec.uniform(n, j, delta, b) for n in range(2, 7)
+      for j, delta, b in ((1.0, 1.0, 0.3), (-0.8, 0.0, -0.45))),
+    random_general_spec(6, seed=61, field_b=0.35),
+], ids=[*(f"n{n}-{tag}" for n in range(2, 7) for tag in ("xxx", "xx-neg")), "general"])
+def test_identity_basis_adds_no_rounding(spec):
+    # a block without translation goes through the identity basis and must
+    # come out byte for byte as the plain block built here: the field and
+    # z-z terms on the diagonal, then one add.at of every hop and pair flip
+    n = spec.n_sites
+    terms = spec.pair_terms()
+    for states in sector_basis(n) if spec.conserves_sz else parity_basis(n):
+        ((mult, basis, block),) = _blocks(terms, _sector(n, states, False), spec.field_b)
+        assert mult == 1 and np.array_equal(basis, states)
+        where = np.full(1 << n, -1)
+        where[states] = np.arange(states.size)
+        diag = spec.field_b * (n - 2 * np.bitwise_count(states).astype(np.int64)) + 0.0
+        rows, cols, amps = [], [], []
+        for bi, bk, hop, flip, zz in terms:
+            anti = ((states >> bi) ^ (states >> bk)) & 1
+            diag += zz * (1 - 2 * anti)
+            for amp, moving in ((hop, 1), (flip, 0)):
+                if amp != 0.0:
+                    movers = np.nonzero(anti == moving)[0]
+                    rows.append(where[states[movers] ^ ((1 << bi) | (1 << bk))])
+                    cols.append(movers)
+                    amps.append(np.full(movers.size, amp))
+        plain = np.diag(diag)
+        if rows:
+            np.add.at(plain, (np.concatenate(rows), np.concatenate(cols)), np.concatenate(amps))
+        assert block.dtype == plain.dtype and block.tobytes() == plain.tobytes()
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -468,11 +504,11 @@ def test_real_blocks_match_complex_momentum_blocks(n):
         for delta in (0.0, 0.5, 1.0, 2.0):
             spec = ModelSpec.uniform(n, j, delta)
             for states in sector_basis(n)[:n // 2 + 1]:
-                ((_, _, sector),) = _blocks(_pair_terms(spec), _sector(n, states, False), 0.0)
+                ((_, _, sector),) = _blocks(spec.pair_terms(), _sector(n, states, False), 0.0)
                 want = np.linalg.eigvalsh(sector)
                 scale = max(1.0, float(np.max(np.abs(want))))
                 got = []
-                for mult, basis, real in _blocks(_pair_terms(spec), _sector(n, states, True), 0.0):
+                for mult, basis, real in _blocks(spec.pair_terms(), _sector(n, states, True), 0.0):
                     assert real.dtype == np.float64
                     assert basis.shape == real.shape[:1]
                     assert np.max(np.abs(real - real.T)) <= 1e-12 * scale
