@@ -22,8 +22,8 @@ from heisenring import (
     concurrence_wootters,
     correlations_from_rdm,
     decompose,
-    pair_rdm_thermal,
-    thermo_point,
+    pair_rdms,
+    thermo_grid,
 )
 
 temps = np.geomspace(0.1, 50.0, 12)
@@ -33,17 +33,18 @@ spec = ModelSpec.uniform(2, 1.0)
 sd = decompose(spec)
 print(f"spectrum: {np.round(sd.eigenvalues, 12)}")
 print(f"{'T':>8} {'U':>12} {'U exact':>12} {'C':>10} {'C exact':>10}")
+# the whole temperature grid as one stack
+grid = thermo_grid(sd, spec, temps)
+cs = concurrence_wootters(pair_rdms(sd, grid.probabilities, 1, 2)).wootters
 worst_u = worst_c = 0.0
-for t in temps:
+for t, u, c in zip(temps, grid.u, cs):
     beta = 1.0 / t
-    tp = thermo_point(sd, spec, float(t))
     r = 3.0 * math.exp(-8.0 * beta)
     u_exact = 6.0 * (r / 3.0 - 1.0) / (r + 1.0)
     c_exact = max(0.0, (1.0 - r) / (1.0 + r))
-    c = concurrence_wootters(pair_rdm_thermal(sd, float(t), 1, 2)).wootters
-    worst_u = max(worst_u, abs(tp.u - u_exact))
+    worst_u = max(worst_u, abs(u - u_exact))
     worst_c = max(worst_c, abs(c - c_exact))
-    print(f"{t:8.3f} {tp.u:12.6f} {u_exact:12.6f} {c:10.6f} {c_exact:10.6f}")
+    print(f"{t:8.3f} {u:12.6f} {u_exact:12.6f} {c:10.6f} {c_exact:10.6f}")
 print(f"worst |U - exact| = {worst_u:.2e},  worst |C - exact| = {worst_c:.2e}")
 
 print("\n=== three-site ring, J = 1 ===")
@@ -51,10 +52,11 @@ spec = ModelSpec.uniform(3, 1.0)
 sd = decompose(spec)
 print(f"spectrum: {np.round(sd.eigenvalues, 12)}  (4-fold +-3J)")
 print(f"{'T':>8} {'U':>12} {'-3tanh(3/T)':>12} {'C (all routes)':>15}")
-for t in temps[:8]:
-    tp = thermo_point(sd, spec, float(t))
-    rdm = pair_rdm_thermal(sd, float(t), 1, 2)
-    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, tp.u_per_site)
-    routes = {rep.wootters, rep.x_form, rep.correlation_form, rep.energy_form}
-    print(f"{t:8.3f} {tp.u:12.6f} {-3.0 * math.tanh(3.0 / t):12.6f} {sorted(routes)!s:>15}")
+grid = thermo_grid(sd, spec, temps[:8])
+rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u / spec.n_sites)
+for r, (t, u) in enumerate(zip(grid.temperature, grid.u)):
+    routes = {float(route[r]) for route in (rep.wootters, rep.x_form,
+                                            rep.correlation_form, rep.energy_form)}
+    print(f"{t:8.3f} {u:12.6f} {-3.0 * math.tanh(3.0 / t):12.6f} {sorted(routes)!s:>15}")
 print("three-site rings are never pairwise entangled, by every route")

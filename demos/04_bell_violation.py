@@ -19,9 +19,9 @@ from heisenring import (
     correlations_from_rdm,
     decompose,
     optimal_frame,
-    pair_rdm_thermal,
+    pair_rdms,
     random_frame_search,
-    thermo_point,
+    thermo_grid,
     violation_measure,
     violation_xxx,
 )
@@ -32,24 +32,26 @@ sd = decompose(spec)
 print("=== two-site antiferromagnetic ring ===")
 print(f"{'T':>7} {'measure':>9} {'closed':>9} {'violates':>9} "
       f"{'C':>9} {'best of 2000 frames':>20}")
-for t in [0.2, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0]:
-    tp = thermo_point(sd, spec, t)
-    rdm = pair_rdm_thermal(sd, t, 1, 2)
-    g = correlations_from_rdm(rdm).g
-    res = violation_measure(g)
-    closed = violation_xxx(tp.u, 1.0, 2)
-    c = concurrence_wootters(rdm).wootters
-    sampled = random_frame_search(g, 2000, seed=42)
-    print(f"{t:7.2f} {res.measure:9.5f} {closed:9.5f} {res.violates!s:>9} "
-          f"{c:9.5f} {sampled:20.5f}")
+# one stack over the temperatures; the random-frame search takes one state
+grid = thermo_grid(sd, spec, [0.2, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0])
+rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+gs = correlations_from_rdm(rdm).g
+res = violation_measure(gs)
+cs = concurrence_wootters(rdm).wootters
+for r, t in enumerate(grid.temperature):
+    closed = violation_xxx(grid.u[r], 1.0, 2)
+    sampled = random_frame_search(gs[r], 2000, seed=42)
+    print(f"{t:7.2f} {res.measure[r]:9.5f} {closed:9.5f} {res.violates[r]!s:>9} "
+          f"{cs[r]:9.5f} {sampled:20.5f}")
 
 print(f"\nquantum ceiling 2*sqrt(2) = {2 * math.sqrt(2):.5f}; classical bound 2")
 print("entangled-but-not-violating window: measure in (2*sqrt(2)/3, 2] "
       f"= ({2 * math.sqrt(2) / 3:.5f}, 2]")
 
 print("\n=== the analytic optimal frame attains the measure exactly ===")
-for t in (0.5, 4.0, 9.0):
-    g = correlations_from_rdm(pair_rdm_thermal(sd, t, 1, 2)).g
+grid = thermo_grid(sd, spec, [0.5, 4.0, 9.0])
+for t, g in zip(grid.temperature,
+                correlations_from_rdm(pair_rdms(sd, grid.probabilities, 1, 2)).g):
     res = violation_measure(g)
     attained = abs(chsh_expectation(g, optimal_frame(g)))
     print(f"T={t:5.2f}: measure {res.measure:.12f}  frame value {attained:.12f}  "
@@ -58,7 +60,8 @@ for t in (0.5, 4.0, 9.0):
 print("\n=== random frames approach but never beat the bound (N=4, T=0.5) ===")
 spec4 = ModelSpec.uniform(4, 1.0)
 sd4 = decompose(spec4)
-g4 = correlations_from_rdm(pair_rdm_thermal(sd4, 0.5, 1, 2)).g
+g4 = correlations_from_rdm(
+    pair_rdms(sd4, thermo_grid(sd4, spec4, [0.5]).probabilities, 1, 2)).g[0]
 bound = violation_measure(g4).measure
 for count in (100, 1000, 10000, 100000):
     best = random_frame_search(g4, count, seed=7)

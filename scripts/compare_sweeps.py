@@ -28,6 +28,11 @@ off the defaults (VERIFY_CONFIGS); the text reports and the exit codes
 must be identical.  A report that differs is shown as a unified diff, cut at
 VERIFY_DIFF_LINES lines.
 
+Every run is stopped after RUN_TIMEOUT_S seconds, ample for the default
+verify grid and the N = 14 runs; a run that hits it counts as a
+difference, named with its command and tree, so a tree that never
+returns cannot stall the diff.
+
 Every run pins OPENBLAS_NUM_THREADS to BLAS_THREADS.  The program runs
 every matrix narrower than heisenring._blas.WIDE (512) on one BLAS thread
 at any setting, so one tree's outputs differ between thread counts only
@@ -139,6 +144,7 @@ ROUTE_SWEEPS = {
 
 VERIFY_DIFF_LINES = 20
 BLAS_THREADS = "1"
+RUN_TIMEOUT_S = 300
 VERIFY_CONFIGS = {
     "verify-default": {},
     "verify-small": {"n_values": [2, 5, 8], "deltas": [0.5], "fields": [0.3],
@@ -172,10 +178,19 @@ def configs() -> dict[str, dict]:
     return out
 
 
+class RunTimeout(Exception):
+    """A CLI run that did not finish within RUN_TIMEOUT_S."""
+
+
 def cli_run(src: str, command: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=BLAS_THREADS)
-    return subprocess.run([sys.executable, "-m", "heisenring", command, *args],
-                          env=env, capture_output=True, text=True)
+    try:
+        return subprocess.run([sys.executable, "-m", "heisenring", command, *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise RunTimeout(f"{command} {' '.join(args)} under {src} "
+                         f"timed out after {RUN_TIMEOUT_S} s") from None
 
 
 def cli_stdout(src: str, command: str, *args: str) -> str:
@@ -256,6 +271,38 @@ def compare_thresholds(src_pair, config: Path, worst: dict[str, float]) -> list[
     return problems
 
 
+def verify_problems(name: str, path: Path, base_src: str, head_src: str) -> list[str]:
+    """The exit codes and the cut unified diff of two verify reports."""
+    # a failing check (exit 1) is output to compare, not an error
+    base, head = (cli_run(src, "verify", "--config", str(path))
+                  for src in (base_src, head_src))
+    problems = []
+    if base.returncode != head.returncode:
+        problems.append(f"exit code {base.returncode} != {head.returncode}")
+    report_diff = list(difflib.unified_diff(
+        base.stdout.splitlines(), head.stdout.splitlines(),
+        f"{name} base", f"{name} head", lineterm=""))
+    problems += report_diff[:VERIFY_DIFF_LINES]
+    if len(report_diff) > VERIFY_DIFF_LINES:
+        problems.append(f"... {len(report_diff) - VERIFY_DIFF_LINES} more diff lines")
+    return problems
+
+
+def check(name: str, problems_of, limit: int | None = None) -> int:
+    """Print the run's status line and up to `limit` of its problems; return their count.
+
+    A run that times out is one problem, named by the timeout.
+    """
+    try:
+        problems = problems_of()
+    except RunTimeout as exc:
+        problems = [str(exc)]
+    print(f"{name}: {'ok' if not problems else f'{len(problems)} problems'}")
+    for line in problems[:limit]:
+        print(f"  {line}")
+    return len(problems)
+
+
 def main() -> int:
     if len(sys.argv) != 3:
         sys.exit(__doc__)
@@ -269,53 +316,28 @@ def main() -> int:
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(doc))
             for fmt in ("csv", "json"):
-                problems = compare(run(base_src, path, fmt), run(head_src, path, fmt),
-                                   worst, worst_rel)
-                failures += len(problems)
-                print(f"{name} {fmt}: {'ok' if not problems else f'{len(problems)} problems'}")
-                for line in problems[:10]:
-                    print(f"  {line}")
+                failures += check(f"{name} {fmt}", lambda: compare(
+                    run(base_src, path, fmt), run(head_src, path, fmt), worst, worst_rel),
+                    limit=10)
         for name, model in SPECTRUM_MODELS.items():
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps({"model": model}))
-            problems = compare_spectra(levels(base_src, path), levels(head_src, path),
-                                       worst)
-            failures += len(problems)
-            print(f"{name}: {'ok' if not problems else f'{len(problems)} problems'}")
-            for line in problems:
-                print(f"  {line}")
+            failures += check(name, lambda: compare_spectra(
+                levels(base_src, path), levels(head_src, path), worst))
         for n in THRESHOLD_SIZES:
             path = Path(tmp) / f"threshold-n{n}.json"
             path.write_text(json.dumps({"model": {"n_sites": n, "j": 1.0}}))
-            problems = compare_thresholds((base_src, head_src), path, worst)
-            failures += len(problems)
-            print(f"threshold-n{n}: {'ok' if not problems else f'{len(problems)} problems'}")
-            for line in problems:
-                print(f"  {line}")
+            failures += check(f"threshold-n{n}",
+                              lambda: compare_thresholds((base_src, head_src), path, worst))
         for name, doc in VERIFY_CONFIGS.items():
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(doc))
-            # a failing check (exit 1) is output to compare, not an error
-            base, head = (cli_run(src, "verify", "--config", str(path))
-                          for src in (base_src, head_src))
-            same = (base.returncode, base.stdout) == (head.returncode, head.stdout)
-            failures += not same
-            print(f"{name}: {'ok' if same else 'report or exit code differs'}")
-            if base.returncode != head.returncode:
-                print(f"  exit code {base.returncode} != {head.returncode}")
-            report_diff = list(difflib.unified_diff(
-                base.stdout.splitlines(), head.stdout.splitlines(),
-                f"{name} base", f"{name} head", lineterm=""))
-            for line in report_diff[:VERIFY_DIFF_LINES]:
-                print(f"  {line}")
-            if len(report_diff) > VERIFY_DIFF_LINES:
-                print(f"  ... {len(report_diff) - VERIFY_DIFF_LINES} more diff lines")
+            failures += check(name, lambda: verify_problems(name, path, base_src, head_src))
     for col, diff in sorted(worst.items(), key=lambda kv: -kv[1]):
         print(f"worst |diff| {col}: {diff:.3e}")
     for col, rel in sorted(worst_rel.items(), key=lambda kv: -kv[1]):
         print(f"worst relative diff {col}: {rel:.3e} (floor {REL_FLOOR:g})")
     return 1 if failures else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

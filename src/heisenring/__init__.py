@@ -45,10 +45,8 @@ from .spectral import (
 from .sweep import COLUMNS, run_sweep, temperature_grid
 from .thermo import (
     ThermoGrid,
-    ThermoPoint,
     check_derivatives,
     thermo_grid,
-    thermo_point,
 )
 from .threshold import ThresholdResult, find_threshold, u_of_n_scan
 from .twoqubit import (
@@ -56,7 +54,6 @@ from .twoqubit import (
     TwoQubitRDM,
     check_element_relations,
     correlations_from_rdm,
-    pair_rdm_thermal,
     pair_rdms,
 )
 from .verify import CheckResult, VerifyOptions, run_verification

@@ -283,13 +283,10 @@ def cmd_threshold(args) -> int:
         ])
         _write_out("{" + body + "}\n", args.out)
     else:
-        lines = [f"status: {res.status}"]
-        if res.t_c is not None:
-            lines.append(f"t_c: {fmt_value(res.t_c)}")
-            lines.append(f"u_of_n_residual: {fmt_value(abs(res.u_of_n - 1.0))}")
-        lines.append(f"bracket: [{fmt_value(res.bracket[0])}, {fmt_value(res.bracket[1])}]")
-        lines.append(f"iterations: {res.iterations}")
-        _write_out("\n".join(lines) + "\n", args.out)
+        row = {"status": res.status, "t_c": res.t_c, "bracket_lo": res.bracket[0],
+               "bracket_hi": res.bracket[1], "iterations": res.iterations,
+               "u_of_n": res.u_of_n}
+        _write_out(render_csv(list(row), {k: [v] for k, v in row.items()}), args.out)
     return 0
 
 

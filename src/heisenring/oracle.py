@@ -24,7 +24,7 @@ import numpy as np
 from ._blas import threads_for
 from .model import site_indices
 from .spectral import SpectralDecomposition
-from .thermo import thermal_probabilities
+from .thermo import _weights
 from .twoqubit import _OPS, CorrelationSet, TwoQubitRDM, _correlation_set
 
 
@@ -52,7 +52,7 @@ def gibbs_state(sd: SpectralDecomposition, temperature: float) -> np.ndarray:
     """
     if sd.eigvec_blocks is None:
         raise ValueError("Gibbs state needs eigenvectors; rerun with vectors=True")
-    p = thermal_probabilities(sd, temperature)
+    p = _weights(sd, [temperature])[0][0]
     dtype = np.result_type(float, *(blk.vectors for blk in sd.eigvec_blocks))
     rho = np.zeros((sd.dim, sd.dim), dtype=dtype)
     for states, v, cols in sd.eigvec_blocks:

@@ -91,11 +91,12 @@ class SpectralDecomposition:
     all states from diagonalize_full), or None when the decomposition was
     computed values-only or in the pair mode.  sector_labels holds the
     total-S_z quantum number of each eigenvalue for S_z-conserving models,
-    else None.  pair_tables caches the per-eigenstate pair elements, shape
-    (dim, 16), for pair_rdms and pair_rdm_thermal alike, keyed by site
-    pair.  The pair mode of decompose fills the entry of its pair from
-    (S_z label, ZZ_n, XY_n); twoqubit._pair_matrices builds any other entry
-    from the eigenvectors on first use.
+    else None.  pair_tables holds the per-eigenstate pair elements, shape
+    (dim, 16), keyed by site pair, that twoqubit.pair_rdms reads.  Only the
+    pair mode of decompose fills it, with the entry of its pair from
+    (S_z label, ZZ_n, XY_n); every other decomposition leaves it empty,
+    and pair_rdms builds the table it needs from the eigenvectors on each
+    call without storing it.
     """
 
     eigenvalues: np.ndarray

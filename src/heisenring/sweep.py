@@ -3,7 +3,7 @@
 One spectral decomposition serves the whole grid of R temperatures.
 thermo.thermo_grid turns it into one (R, dim) weight matrix, and with it
 log Z, U and M at every temperature; twoqubit.pair_rdms forms the
-(R, 4, 4) stack of pair RDMs from the cached pair table.  Which
+(R, 4, 4) stack of pair RDMs from the pair table.  Which
 decomposition that is depends on the spec (sweep_decomposition).  Every
 pair of a uniform ring takes the pair mode of spectral.decompose:
 momentum blocks, no eigenvectors kept, and a pair table filled from each

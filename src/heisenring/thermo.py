@@ -3,17 +3,17 @@
 All Boltzmann weights are computed with the ground-energy shift
 exp(-beta*(E_i - E_0)), so only log Z is ever formed (beta*|E| can exceed
 700 in low-temperature sweeps).  T = 0 means the uniform mixture over the
-ground multiplet, the maximum-entropy limit of the Gibbs state; beta is
-reported as math.inf there.  At T > 0 the whole ground multiplet (the
+ground multiplet, the maximum-entropy limit of the Gibbs state.  At T > 0 the whole ground multiplet (the
 ground_degeneracy lowest eigenvalues) has weight exactly 1, so the limit
 T -> 0 reaches that mixture however small T is.
 
-A grid of R temperatures is handled at once: thermo_grid builds one
-(R, dim) weight matrix and takes the probabilities, log Z, U and M of every
-temperature from it.  thermal_probabilities and thermo_point are its
-one-temperature case.  U and M are reduced one temperature at a time, as
-1-D dot products over a row of probabilities: a stacked matrix product
-sums in another order and moves them in the last bits.
+Every caller asks for its temperatures as one grid, and one temperature
+is a grid of one: thermo_grid builds one (R, dim) weight matrix and takes
+the probabilities, log Z, U and M of every temperature from it.  U and M
+are reduced one temperature at a time, as 1-D dot products over a row of
+probabilities: a stacked matrix product sums in another order and moves
+them in the last bits.  So each row is the same number whatever else
+shares its grid.
 
 The full Gibbs matrix is never formed here: oracle.gibbs_state builds it
 from the eigenvectors as a reference for the pair-RDM route.
@@ -33,19 +33,6 @@ from .spectral import SpectralDecomposition, decompose
 FIELD_STEP = 1e-4
 # anisotropy step of the central difference in zz_from_log_z
 DELTA_STEP = 1e-4
-
-
-@dataclass(frozen=True)
-class ThermoPoint:
-    """One temperature point: log Z, internal energy U and magnetization M."""
-
-    temperature: float
-    beta: float
-    log_z: float
-    u: float
-    u_per_site: float
-    m: float
-    m_per_site: float
 
 
 @dataclass(frozen=True)
@@ -90,15 +77,6 @@ def _weights(sd: SpectralDecomposition,
     return p, log_z
 
 
-def thermal_probabilities(sd: SpectralDecomposition, temperature: float) -> np.ndarray:
-    """Eigenstate occupation probabilities at the given temperature (k = 1)."""
-    return _weights(sd, [temperature])[0][0]
-
-
-def _log_z(sd: SpectralDecomposition, temperature: float) -> float:
-    return float(_weights(sd, [temperature])[1][0])
-
-
 def thermo_grid(sd: SpectralDecomposition, spec: ModelSpec,
                 temperatures: np.ndarray) -> ThermoGrid:
     """Probabilities, log Z, internal energy and magnetization at each temperature.
@@ -130,23 +108,6 @@ def thermo_grid(sd: SpectralDecomposition, spec: ModelSpec,
     return ThermoGrid(temperature=t, probabilities=p, log_z=log_z, u=u, m=m)
 
 
-def thermo_point(sd: SpectralDecomposition, spec: ModelSpec,
-                 temperature: float) -> ThermoPoint:
-    """Partition function (as log Z), internal energy and magnetization at one
-    temperature: the one-row case of thermo_grid."""
-    grid = thermo_grid(sd, spec, [temperature])
-    u, m, n = float(grid.u[0]), float(grid.m[0]), spec.n_sites
-    return ThermoPoint(
-        temperature=float(temperature),
-        beta=math.inf if temperature == 0.0 else 1.0 / temperature,
-        log_z=float(grid.log_z[0]),
-        u=u,
-        u_per_site=u / n,
-        m=m,
-        m_per_site=m / n,
-    )
-
-
 def check_derivatives(spec: ModelSpec, temperature: float) -> tuple[float, float]:
     """Residuals of U and M against central finite differences of log Z.
 
@@ -158,20 +119,18 @@ def check_derivatives(spec: ModelSpec, temperature: float) -> tuple[float, float
     if temperature <= 0:
         raise ValueError("finite-difference check needs temperature > 0")
     sd = decompose(spec, vectors=not spec.conserves_sz)
-    tp = thermo_point(sd, spec, temperature)
-
     beta = 1.0 / temperature
     dbeta = 1e-4 * max(1.0, beta)
-    lz_plus = _log_z(sd, 1.0 / (beta + dbeta))
-    lz_minus = _log_z(sd, 1.0 / (beta - dbeta))
-    u_fd = -(lz_plus - lz_minus) / (2.0 * dbeta)
+    # rows: T, then beta + dbeta and beta - dbeta
+    grid = thermo_grid(sd, spec, [temperature, 1.0 / (beta + dbeta), 1.0 / (beta - dbeta)])
+    u_fd = -(grid.log_z[1] - grid.log_z[2]) / (2.0 * dbeta)
 
     def shifted(delta_b: float) -> float:
         shifted_spec = replace(spec, field_b=spec.field_b + delta_b)
-        return _log_z(decompose(shifted_spec, vectors=False), temperature)
+        return _weights(decompose(shifted_spec, vectors=False), [temperature])[1][0]
 
     m_fd = -(shifted(FIELD_STEP) - shifted(-FIELD_STEP)) / (2.0 * FIELD_STEP * beta)
-    return abs(u_fd - tp.u), abs(m_fd - tp.m)
+    return float(abs(u_fd - grid.u[0])), float(abs(m_fd - grid.m[0]))
 
 
 def zz_from_log_z(spec: ModelSpec, temperature: float) -> float:
@@ -189,7 +148,8 @@ def zz_from_log_z(spec: ModelSpec, temperature: float) -> float:
 
     def shifted(step: float) -> float:
         coupling = replace(spec.coupling, delta=spec.coupling.delta + step)
-        return _log_z(decompose(replace(spec, coupling=coupling), vectors=False), temperature)
+        return _weights(decompose(replace(spec, coupling=coupling), vectors=False),
+                        [temperature])[1][0]
 
     dlog_z = (shifted(DELTA_STEP) - shifted(-DELTA_STEP)) / (2.0 * DELTA_STEP)
-    return -temperature / spec.coupling.j * dlog_z
+    return float(-temperature / spec.coupling.j * dlog_z)

@@ -6,19 +6,22 @@ found by bisecting f(T) = -U(T)/(N J) - 1, which is a clean sign change
 (monotone, because U is non-decreasing in T), rather than the clamped
 concurrence whose one-sided zero stalls bisection.  The search runs in
 units of J: its floor, start, ceiling and width scale with J, so t_c/J
-does not depend on J's scale.  It needs only the spectrum, so callers
-decompose values-only; the Wootters concurrence on both sides of t_c is
-checked by verify (threshold_two_sided) and the tests.
+does not depend on J's scale; a subnormal J, whose width 1e-8 J would
+underflow, is refused.  Each probe is the one row of a thermo_grid.  The
+search needs only the spectrum, so callers decompose values-only; the
+Wootters concurrence on both sides of t_c is checked by verify
+(threshold_two_sided) and the tests.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .entanglement import CLAMP_TOL, concurrence_xxx_energy
 from .model import ModelSpec
 from .spectral import SpectralDecomposition, decompose
-from .thermo import thermo_point
+from .thermo import thermo_grid
 
 STATUS_FOUND = "found"
 STATUS_NEVER = "never_entangled"
@@ -44,7 +47,8 @@ def require_afm_xxx(spec: ModelSpec) -> None:
     """Refuse a spec the threshold search does not cover.
 
     That is a non-uniform, anisotropic, field-carrying or ferromagnetic
-    spec.  Cheap, so callers run it before any diagonalisation.
+    spec, or one whose J is subnormal.  Cheap, so callers run it before any
+    diagonalisation.
     """
     if not spec.is_uniform or spec.coupling.delta != 1.0 or spec.field_b != 0.0:
         raise ValueError(
@@ -55,6 +59,11 @@ def require_afm_xxx(spec: ModelSpec) -> None:
         raise ValueError(
             "ferromagnetic rings (j <= 0) are never pairwise entangled; "
             "no threshold exists"
+        )
+    if spec.coupling.j < sys.float_info.min:
+        raise ValueError(
+            f"j = {spec.coupling.j!r} is subnormal; the search scales with J "
+            f"and needs j >= {sys.float_info.min!r}"
         )
 
 
@@ -69,10 +78,10 @@ def find_threshold(spec: ModelSpec, sd: SpectralDecomposition) -> ThresholdResul
     n, j = spec.n_sites, spec.coupling.j
 
     def f(t: float) -> float:
-        return -thermo_point(sd, spec, t).u / (n * j) - 1.0
+        return -thermo_grid(sd, spec, [t]).u[0] / (n * j) - 1.0
 
     floor = _T_FLOOR * j
-    if concurrence_xxx_energy(thermo_point(sd, spec, floor).u_per_site, j) <= CLAMP_TOL:
+    if concurrence_xxx_energy(thermo_grid(sd, spec, [floor]).u[0] / n, j) <= CLAMP_TOL:
         return ThresholdResult(STATUS_NEVER, None, (floor, floor), 0, None)
 
     lo, hi = floor, j
@@ -92,7 +101,7 @@ def find_threshold(spec: ModelSpec, sd: SpectralDecomposition) -> ThresholdResul
         else:
             hi = mid
     t_c = 0.5 * (lo + hi)
-    u_of_n = thermo_point(sd, spec, t_c).u / (-n * j)
+    u_of_n = thermo_grid(sd, spec, [t_c]).u[0] / (-n * j)
     return ThresholdResult(STATUS_FOUND, float(t_c), bracket, iterations, float(u_of_n))
 
 
@@ -109,6 +118,5 @@ def u_of_n_scan(n_list: list[int], j: float, t: float) -> dict[int, float]:
     for n in n_list:
         spec = ModelSpec.uniform(n, j)
         sd = decompose(spec, vectors=False)
-        u = thermo_point(sd, spec, t).u
-        out[n] = float(u / (-n * j))
+        out[n] = float(thermo_grid(sd, spec, [t]).u[0] / (-n * j))
     return out

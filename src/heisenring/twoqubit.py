@@ -17,9 +17,10 @@ spin-flip parity, so its pair matrices keep the eight entries off the X
 pattern at zero and fill the corners as well.
 
 The thermal pair RDM is the Boltzmann average of a per-eigenstate pair
-table; no 2^N x 2^N matrix is formed.  _pair_table builds it from the
-eigenvector blocks, unless the pair mode of spectral.decompose has
-already filled it for a pair of a uniform ring.
+table; no 2^N x 2^N matrix is formed.  The pair mode of
+spectral.decompose fills the table of its pair of a uniform ring;
+for any other decomposition _pair_table builds it from the eigenvector
+blocks on each call and stores it nowhere.
 Its full-space references, the partial trace of the Gibbs matrix and the
 correlations with full 2^N operators, are in heisenring.oracle.
 correlations_from_rdm gives the nine g[a, b] = tr(rho sigma_a x sigma_b)
@@ -27,11 +28,11 @@ and M/N by contracting against the ten 4x4 Pauli products; the
 CorrelationSet it returns is the one tensor a state needs, for the
 concurrence routes and for bell alike.
 
-A temperature sweep works on stacks: pair_rdms gives the (R, 4, 4)
-reduced matrices of R temperatures as one TwoQubitRDM, and
-correlations_from_rdm turns it into one CorrelationSet of R tensors.
-pair_rdm_thermal is the one-row case of pair_rdms, and
-correlations_from_rdm runs the same contractions on one matrix.
+Thermal states come in stacks: pair_rdms gives the (R, 4, 4) reduced
+matrices of the R rows of a thermo.thermo_grid as one TwoQubitRDM, and
+correlations_from_rdm turns it into one CorrelationSet of R tensors.  One
+temperature is a stack of one, and TwoQubitRDM.rows(0) its single
+state; correlations_from_rdm runs the same contractions on one matrix.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import numpy as np
 
 from .model import AXES, PAULI, SIGMA_Z, IDENTITY_2, bit_for_site
 from .spectral import SpectralDecomposition
-from .thermo import thermal_probabilities
 
 _X_PATTERN = np.zeros((4, 4), dtype=bool)
 _X_PATTERN[np.arange(4), np.arange(4)] = True
@@ -118,12 +118,15 @@ def _pair_table(sd: SpectralDecomposition, i: int, j: int) -> np.ndarray:
 
     Element (a, b) pairs each basis state whose (i, j) bits read a with the
     state that has the same other bits and reads b; only pairs inside one
-    block contribute.  An S_z block thus fills u+, w1, w2, u-, z and z*;
-    a parity block of an S_z-breaking spec also fills the corners
-    (00, 11) and (11, 00), the other X-pattern entries, and leaves the
-    eight entries off that pattern at exactly 0.  The partner of a state for
-    column b does not depend on a, so each block runs one search per b and
-    then picks, for each a, the found rows whose bits read a.
+    block contribute.  Every block decompose yields holds states of one
+    spin-flip parity, so a state meets only itself, on the diagonal, and
+    its partner with both pair bits flipped, at (a, 3 - a): one search per
+    block.  An S_z block thus fills u+, w1, w2, u-, z and z*; a parity
+    block of an S_z-breaking spec also fills the corners (00, 11) and
+    (11, 00), and the eight entries off that X pattern stay exactly 0.  A
+    block that mixes parities, such as the one dense block of
+    diagonalize_full, is refused: its reference route is
+    oracle.reduce_to_pair of oracle.gibbs_state.
     """
     if sd.eigvec_blocks is None:
         raise ValueError("pair RDM needs eigenvectors; rerun with vectors=True")
@@ -131,21 +134,26 @@ def _pair_table(sd: SpectralDecomposition, i: int, j: int) -> np.ndarray:
         raise ValueError(f"need two distinct sites, got ({i}, {j})")
     n = sd.dim.bit_length() - 1
     bi, bj = bit_for_site(i, n), bit_for_site(j, n)
-    pair_bits = [((a >> 1) << bi) | ((a & 1) << bj) for a in range(4)]
+    both = (1 << bi) | (1 << bj)
     dtype = np.result_type(*(blk.vectors for blk in sd.eigvec_blocks))
     table = np.zeros((sd.dim, 16), dtype=dtype)
     for states, vecs, cols in sd.eigvec_blocks:
-        rest = states & ~pair_bits[3]
+        parity = np.bitwise_count(states) & 1
+        if (parity != parity[0]).any():
+            raise ValueError("pair table needs blocks of one spin-flip parity; "
+                             "reduce oracle.gibbs_state instead")
         label = ((states >> bi) & 1) * 2 + ((states >> bj) & 1)
-        for b in range(4):
-            partner = rest | pair_bits[b]
-            pos = np.minimum(np.searchsorted(states, partner), states.size - 1)
-            hit = states[pos] == partner
-            for a in range(4):
-                rows = np.nonzero(hit & (label == a))[0]
-                if rows.size:
-                    table[cols, 4 * a + b] = np.sum(
-                        vecs[rows] * vecs[pos[rows]].conj(), axis=0)
+        partner = states ^ both
+        pos = np.minimum(np.searchsorted(states, partner), states.size - 1)
+        hit = states[pos] == partner
+        # element (a, b) is column 4a + b: (a, a) is 5a, (a, 3 - a) is 3a + 3
+        for a in range(4):
+            rows = np.nonzero(label == a)[0]
+            if rows.size:
+                table[cols, 5 * a] = np.sum(vecs[rows] * vecs[rows].conj(), axis=0)
+            rows = rows[hit[rows]]
+            if rows.size:
+                table[cols, 3 * a + 3] = np.sum(vecs[rows] * vecs[pos[rows]].conj(), axis=0)
     return table
 
 
@@ -153,7 +161,7 @@ def _pair_matrices(sd: SpectralDecomposition, probabilities: np.ndarray,
                    i: int, j: int) -> np.ndarray:
     table = sd.pair_tables.get((i, j))
     if table is None:
-        table = sd.pair_tables[(i, j)] = _pair_table(sd, i, j)
+        table = _pair_table(sd, i, j)
     return np.array([p @ table for p in probabilities], dtype=table.dtype).reshape(-1, 4, 4)
 
 
@@ -161,24 +169,16 @@ def pair_rdms(sd: SpectralDecomposition, probabilities: np.ndarray,
               i: int, j: int) -> TwoQubitRDM:
     """Stack of thermal pair RDMs, one per row of the (R, dim) `probabilities`.
 
-    Each is the Boltzmann average of the per-eigenstate pair RDMs.  The
-    first call for a pair builds its per-eigenstate table block by block and
-    caches it on `sd`, unless decompose's pair mode filled it; each row then
-    costs one (dim,) x (dim, 16) product.
+    Each is the Boltzmann average of the per-eigenstate pair RDMs: one
+    (dim,) x (dim, 16) product per row with the pair table, which the pair
+    mode of decompose filled or which is built here, block by block, from
+    the eigenvectors.
     The products stay one per row: a stacked matrix product sums in another
-    order and moves the elements in the last bits.
+    order and moves the elements in the last bits.  One temperature is a
+    stack of one; rows(0) of the result is its single state.
+    Equivalent, row by row, to oracle.reduce_to_pair(oracle.gibbs_state(sd, T), i, j).
     """
     return TwoQubitRDM.from_matrix(_pair_matrices(sd, probabilities, i, j), (i, j))
-
-
-def pair_rdm_thermal(sd: SpectralDecomposition, temperature: float,
-                     i: int, j: int) -> TwoQubitRDM:
-    """Thermal pair RDM at one temperature: the one-row case of pair_rdms.
-
-    Equivalent to oracle.reduce_to_pair(oracle.gibbs_state(sd, T), i, j).
-    """
-    p = thermal_probabilities(sd, temperature)
-    return TwoQubitRDM.from_matrix(_pair_matrices(sd, p[None], i, j)[0], (i, j))
 
 
 def _correlation_set(values: np.ndarray) -> CorrelationSet:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -215,7 +215,8 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         grid = thermo.thermo_grid(sd, spec, np.concatenate((temps, PROBE_TEMPERATURES)))
         u_hot, u_cold, u_zero = grid.u[n_temps:]
         m_cold, m_zero = grid.m[n_temps + 1:]
-        col.record("u_high_t_limit", abs(u_hot) / (n * max(abs(j), 1e-300)), 1e-3, tag)
+        # U ~ -<H^2>/T at high T, and <H^2> grows with both J^2 and B^2
+        col.record("u_high_t_limit", abs(u_hot) / (n * max(abs(j), abs(b))), 1e-3, tag)
         stable = (math.isfinite(u_cold) and math.isfinite(m_cold)
                   and abs(u_cold - u_zero) <= 1e-6
                   and abs(m_cold - m_zero) <= 1e-6)
@@ -247,9 +248,7 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         report = entanglement.concurrence_report(rdm, cs, spec, u / n)
         measure = bell.violation_measure(cs.g).measure
         if (j, delta, b) == (1.0, 1.0, 0.0):
-            # the threshold and zero-temperature sections read only the
-            # spectrum and the (1, 2) pair table, so the vectors are dropped
-            isotropic[n] = replace(sd, eigvec_blocks=None)
+            isotropic[n] = sd
 
         # the dense oracle, one Gibbs matrix at a time; the small ones are
         # kept for the full-space correlations
@@ -347,10 +346,9 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         col.require("threshold_found", res.status == threshold.STATUS_FOUND, f"N={n}")
         if res.status == threshold.STATUS_FOUND:
             col.record("threshold_u_of_n", abs(res.u_of_n - 1.0), 1e-7, f"N={n}")
-            below = entanglement.concurrence_wootters(
-                twoqubit.pair_rdm_thermal(sd, res.t_c * (1 - 1e-3), 1, 2)).wootters
-            above = entanglement.concurrence_wootters(
-                twoqubit.pair_rdm_thermal(sd, res.t_c * (1 + 1e-3), 1, 2)).wootters
+            near = thermo.thermo_grid(sd, spec, [res.t_c * (1 - 1e-3), res.t_c * (1 + 1e-3)])
+            below, above = entanglement.concurrence_wootters(
+                twoqubit.pair_rdms(sd, near.probabilities, 1, 2)).wootters
             col.require("threshold_two_sided", below > 0.0 and above == 0.0, f"N={n}")
     if 2 in opts.n_values:
         spec1, sd1 = isotropic_ring(2)
@@ -363,8 +361,9 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
     # zero-temperature entanglement pattern
     for n in opts.n_values:
         spec, sd = isotropic_ring(n)
+        zero = thermo.thermo_grid(sd, spec, [0.0])
         c0 = entanglement.concurrence_wootters(
-            twoqubit.pair_rdm_thermal(sd, 0.0, 1, 2)).wootters
+            twoqubit.pair_rdms(sd, zero.probabilities, 1, 2).rows(0)).wootters
         if n == 3:
             col.record("ground_state_n3_zero", c0, 1e-10, "N=3")
         else:
@@ -395,7 +394,9 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         col.record("derivative_m", m_res, 1e-5, f"N={n} T={t:.3g}")
         # Hellmann-Feynman: the pair mode's sigma^z sigma^z sum over the
         # ring bonds against -(T/J) d(log Z)/d(delta) from values-only spectra
-        rdm = twoqubit.pair_rdm_thermal(spectral.decompose(spec, pair=(1, 2)), t, 1, 2)
+        pair_sd = spectral.decompose(spec, pair=(1, 2))
+        rdm = twoqubit.pair_rdms(
+            pair_sd, thermo.thermo_grid(pair_sd, spec, [t]).probabilities, 1, 2).rows(0)
         zz = n * twoqubit.correlations_from_rdm(rdm).g[2, 2]
         col.record("derivative_zz", abs(zz - thermo.zz_from_log_z(spec, t)), 1e-5,
                    f"N={n} T={t:.3g}")

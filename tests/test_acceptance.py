@@ -18,8 +18,8 @@ from heisenring import (
     diagonalize_full,
     build_hamiltonian,
     find_threshold,
-    pair_rdm_thermal,
-    thermo_point,
+    pair_rdms,
+    thermo_grid,
     violation_measure,
     violation_xxx,
 )
@@ -36,12 +36,12 @@ def test_criterion_01_two_site_closed_forms():
     start = time.perf_counter()
     spec, sd = cached_decompose(2, 1.0)
     worst_z, worst_c = 0.0, 0.0
-    for t in np.geomspace(0.1, 100.0, 60):
+    grid = thermo_grid(sd, spec, np.geomspace(0.1, 100.0, 60))
+    cs = concurrence_wootters(pair_rdms(sd, grid.probabilities, 1, 2)).wootters
+    for t, log_z, c in zip(grid.temperature, grid.log_z, cs):
         beta = 1.0 / float(t)
-        tp = thermo_point(sd, spec, float(t))
         oracle = log_z_two_site(beta)
-        worst_z = max(worst_z, abs(tp.log_z - oracle) / abs(oracle))
-        c = concurrence_wootters(pair_rdm_thermal(sd, float(t), 1, 2)).wootters
+        worst_z = max(worst_z, abs(log_z - oracle) / abs(oracle))
         worst_c = max(worst_c, abs(c - c_two_site(beta)))
     elapsed = time.perf_counter() - start
     assert worst_z <= 1e-12
@@ -61,14 +61,13 @@ def test_criterion_02_two_site_threshold():
 
 def test_criterion_03_three_site():
     spec, sd = cached_decompose(3, 1.0)
-    worst_u, worst_c = 0.0, 0.0
-    for t in np.geomspace(0.1, 100.0, 40):
-        tp = thermo_point(sd, spec, float(t))
-        worst_u = max(worst_u, abs(tp.u - u_three_site(1.0 / float(t))))
-        rdm = pair_rdm_thermal(sd, float(t), 1, 2)
-        rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, tp.u_per_site)
-        worst_c = max(worst_c, rep.wootters, rep.x_form, rep.correlation_form,
-                      rep.energy_form)
+    grid = thermo_grid(sd, spec, np.geomspace(0.1, 100.0, 40))
+    worst_u = max(abs(u - u_three_site(1.0 / float(t)))
+                  for t, u in zip(grid.temperature, grid.u))
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u / 3)
+    worst_c = float(np.max([rep.wootters, rep.x_form, rep.correlation_form,
+                            rep.energy_form]))
     assert worst_u <= 1e-10
     assert worst_c == 0.0
     report(3, f"N=3 U err {worst_u:.2e} (<=1e-10), all concurrence routes exactly 0")
@@ -81,11 +80,10 @@ def test_criterion_04_energy_route_agreement():
     for n in range(2, 11):
         for j in (1.0, -1.0):
             spec, sd = cached_decompose(n, j)
-            for t in grid:
-                tp = thermo_point(sd, spec, float(t))
-                c_w = concurrence_wootters(pair_rdm_thermal(sd, float(t), 1, 2)).wootters
-                c_e = concurrence_xxx_energy(tp.u_per_site, j)
-                worst = max(worst, abs(c_w - c_e))
+            thermal = thermo_grid(sd, spec, grid)
+            c_w = concurrence_wootters(pair_rdms(sd, thermal.probabilities, 1, 2)).wootters
+            c_e = concurrence_xxx_energy(thermal.u / n, j)
+            worst = max(worst, float(np.max(np.abs(c_w - c_e))))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-9
     assert elapsed < 120.0
@@ -97,11 +95,10 @@ def test_criterion_05_ferromagnet_never_entangled():
     worst = 0.0
     for n in range(2, 11):
         spec, sd = cached_decompose(n, -1.0)
-        for t in np.geomspace(0.05, 50.0, 40):
-            tp = thermo_point(sd, spec, float(t))
-            c_w = concurrence_wootters(pair_rdm_thermal(sd, float(t), 1, 2)).wootters
-            c_e = concurrence_xxx_energy(tp.u_per_site, -1.0)
-            worst = max(worst, c_w, c_e)
+        grid = thermo_grid(sd, spec, np.geomspace(0.05, 50.0, 40))
+        c_w = concurrence_wootters(pair_rdms(sd, grid.probabilities, 1, 2)).wootters
+        c_e = concurrence_xxx_energy(grid.u / n, -1.0)
+        worst = max(worst, float(np.max(c_w)), float(np.max(c_e)))
     assert worst <= 1e-12
     report(5, f"FM J=-1, N=2..10: max concurrence {worst:.2e} (<=1e-12)")
 
@@ -112,14 +109,13 @@ def test_criterion_06_zero_field_isotropic_identities():
     for n in range(2, 9):
         for j in (1.0, -1.0):
             spec, sd = cached_decompose(n, j)
-            for t in np.geomspace(0.1, 20.0, 12):
-                tp = thermo_point(sd, spec, float(t))
-                rdm = pair_rdm_thermal(sd, float(t), 1, 2)
-                worst_m = max(worst_m, abs(tp.m))
-                worst_imz = max(worst_imz, abs(rdm.z.imag))
-                worst_u = max(worst_u, tp.u)
-                if abs(rdm.z) > 1e-12:
-                    sign_ok = sign_ok and ((rdm.z.real < 0) == (j > 0))
+            grid = thermo_grid(sd, spec, np.geomspace(0.1, 20.0, 12))
+            z = pair_rdms(sd, grid.probabilities, 1, 2).z
+            worst_m = max(worst_m, float(np.max(np.abs(grid.m))))
+            worst_imz = max(worst_imz, float(np.max(np.abs(z.imag))))
+            worst_u = max(worst_u, float(np.max(grid.u)))
+            signed = np.abs(z) > 1e-12
+            sign_ok = sign_ok and bool(np.all((z.real[signed] < 0) == (j > 0)))
     assert worst_m <= 1e-10
     assert worst_imz <= 1e-10
     assert worst_u <= 1e-10
@@ -134,15 +130,15 @@ def test_criterion_07_bell_closed_form_and_frames():
     for n in range(2, 9):
         for j in (1.0, -1.0):
             spec, sd = cached_decompose(n, j)
-            for t in np.geomspace(0.1, 20.0, 10):
-                tp = thermo_point(sd, spec, float(t))
-                rdm = pair_rdm_thermal(sd, float(t), 1, 2)
-                g = correlations_from_rdm(rdm).g
-                res = violation_measure(g)
-                worst_b = max(worst_b, abs(res.measure - violation_xxx(tp.u, j, n)))
-                c_rel = concurrence_vs_violation(res.measure, "afm" if j > 0 else "fm")
-                worst_c = max(worst_c,
-                              abs(c_rel - concurrence_wootters(rdm).wootters))
+            grid = thermo_grid(sd, spec, np.geomspace(0.1, 20.0, 10))
+            rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+            gs = correlations_from_rdm(rdm).g
+            measures = violation_measure(gs).measure
+            c_w = concurrence_wootters(rdm).wootters
+            for u, g, measure, c in zip(grid.u, gs, measures, c_w):
+                worst_b = max(worst_b, abs(measure - violation_xxx(u, j, n)))
+                c_rel = concurrence_vs_violation(measure, "afm" if j > 0 else "fm")
+                worst_c = max(worst_c, abs(c_rel - c))
                 states.append(g)
     assert worst_b <= 1e-10
     assert worst_c <= 1e-9
@@ -166,13 +162,11 @@ def test_criterion_08_anisotropy_and_field_oracles():
     for delta, b in cases:
         for n in (2, 4, 6):
             spec, sd = cached_decompose(n, 1.0, delta, b)
-            for t in np.geomspace(0.1, 10.0, 20):
-                tp = thermo_point(sd, spec, float(t))
-                rdm = pair_rdm_thermal(sd, float(t), 1, 2)
-                rep = concurrence_report(rdm, correlations_from_rdm(rdm),
-                                         spec, tp.u_per_site)
-                assert rep.energy_form is not None, (delta, b)
-                worst = max(worst, abs(rep.energy_form - rep.wootters))
+            grid = thermo_grid(sd, spec, np.geomspace(0.1, 10.0, 20))
+            rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+            rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u / n)
+            assert not np.isnan(rep.energy_form).any(), (delta, b)
+            worst = max(worst, float(np.max(np.abs(rep.energy_form - rep.wootters))))
     assert worst <= 1e-9
     report(8, f"delta in {{0,0.5,2}} and B in {{0.5,1,3}}: formula vs Wootters "
               f"max err {worst:.2e} (<=1e-9)")
@@ -182,7 +176,8 @@ def test_criterion_09_ground_state_pattern():
     values = {}
     for n in (2, 3, 4, 5, 6, 7, 8):
         spec, sd = cached_decompose(n, 1.0)
-        values[n] = concurrence_wootters(pair_rdm_thermal(sd, 0.0, 1, 2)).wootters
+        zero = thermo_grid(sd, spec, [0.0])
+        values[n] = concurrence_wootters(pair_rdms(sd, zero.probabilities, 1, 2)).wootters[0]
     for n in (2, 4, 5, 6, 7, 8):
         assert values[n] > 1e-3, (n, values[n])
     assert values[3] <= 1e-10
@@ -212,12 +207,8 @@ def test_criterion_10_thermodynamic_self_consistency():
     for n, j, delta, b in [(4, 1.0, 1.0, 0.0), (5, -1.0, 0.5, 0.5),
                            (6, 1.0, 2.0, 0.0), (3, 1.0, 0.0, 1.0)]:
         spec, sd = cached_decompose(n, j, delta, b)
-        u_prev = None
-        for t in np.geomspace(0.05, 50.0, 40):
-            u = thermo_point(sd, spec, float(t)).u
-            if u_prev is not None:
-                worst_drop = max(worst_drop, u_prev - u)
-            u_prev = u
+        u = thermo_grid(sd, spec, np.geomspace(0.05, 50.0, 40)).u
+        worst_drop = max(worst_drop, float(np.max(u[:-1] - u[1:])))
     assert worst_drop <= 1e-12
     report(10, f"finite-difference residuals: U {worst_u:.2e}, M {worst_m:.2e} "
                f"(<=1e-5); U(T) monotone (max drop {worst_drop:.2e})")

@@ -11,10 +11,10 @@ from heisenring import (
     concurrence_wootters,
     correlations_from_rdm,
     optimal_frame,
-    pair_rdm_thermal,
+    pair_rdms,
     random_frame_search,
     random_frames,
-    thermo_point,
+    thermo_grid,
     violation_measure,
     violation_xxx,
 )
@@ -32,12 +32,6 @@ def _rdm(matrix):
 def _t(matrix):
     """Correlation tensor T of a 4x4 density matrix."""
     return correlations_from_rdm(_rdm(matrix)).g
-
-
-def _thermal(sd, t):
-    """Pair RDM of sites (1, 2) and its correlation tensor."""
-    rdm = pair_rdm_thermal(sd, t, 1, 2)
-    return rdm, correlations_from_rdm(rdm).g
 
 
 def _canonical_frame():
@@ -58,9 +52,9 @@ def test_t_matrix_product_state():
 
 def test_t_matrix_isotropic_thermal_is_scalar():
     spec, sd = cached_decompose(4, 1.0)
-    tp = thermo_point(sd, spec, 0.7)
-    _, t = _thermal(sd, 0.7)
-    g = tp.u / (3.0 * 4)
+    grid = thermo_grid(sd, spec, [0.7])
+    t = correlations_from_rdm(pair_rdms(sd, grid.probabilities, 1, 2)).g[0]
+    g = grid.u[0] / (3.0 * 4)
     assert np.max(np.abs(t - g * np.eye(3))) <= 1e-10
 
 
@@ -85,7 +79,8 @@ def test_chsh_equals_operator_trace():
     paulis = np.stack([sx, sy, sz])
 
     spec, sd = cached_decompose(4, 1.0, 0.5, 0.3)
-    rdm, t = _thermal(sd, 0.6)
+    rdm = pair_rdms(sd, thermo_grid(sd, spec, [0.6]).probabilities, 1, 2).rows(0)
+    t = correlations_from_rdm(rdm).g
     frame = MeasurementFrame(*random_frames(1, seed=3)[0])
 
     def dot(v):
@@ -114,16 +109,16 @@ def test_violation_measure_product_state_at_classical_bound():
 
 def test_violation_two_site_closed_form():
     spec, sd = cached_decompose(2, 1.0)
-    tp = thermo_point(sd, spec, 1.0)
-    res = violation_measure(_thermal(sd, 1.0)[1])
-    assert abs(res.measure - TSIRELSON * abs(tp.u) / 6.0) <= 1e-10
+    grid = thermo_grid(sd, spec, [1.0])
+    res = violation_measure(correlations_from_rdm(pair_rdms(sd, grid.probabilities, 1, 2)).g)
+    assert abs(res.measure[0] - TSIRELSON * abs(grid.u[0]) / 6.0) <= 1e-10
 
 
 def test_violation_xxx_limits():
     assert violation_xxx(0.0, 1.0, 4) == 0.0
     spec, sd = cached_decompose(3, 1.0)
-    tp = thermo_point(sd, spec, 1.0)
-    assert abs(violation_xxx(tp.u, 1.0, 3)
+    u = thermo_grid(sd, spec, [1.0]).u[0]
+    assert abs(violation_xxx(u, 1.0, 3)
                - TSIRELSON * math.tanh(3.0) / 3.0) <= 1e-12
     with pytest.raises(ValueError):
         violation_xxx(-1.0, 0.0, 2)
@@ -132,10 +127,10 @@ def test_violation_xxx_limits():
 @pytest.mark.parametrize("n,j", [(2, 1.0), (3, 1.0), (5, 1.0), (4, -1.0)])
 def test_violation_closed_form_matches_measure(n, j):
     spec, sd = cached_decompose(n, j)
-    for t in (0.1, 0.8, 3.0):
-        tp = thermo_point(sd, spec, t)
-        res = violation_measure(_thermal(sd, t)[1])
-        assert abs(res.measure - violation_xxx(tp.u, j, n)) <= 1e-10
+    grid = thermo_grid(sd, spec, [0.1, 0.8, 3.0])
+    res = violation_measure(correlations_from_rdm(pair_rdms(sd, grid.probabilities, 1, 2)).g)
+    for measure, u in zip(res.measure, grid.u):
+        assert abs(measure - violation_xxx(u, j, n)) <= 1e-10
 
 
 def test_concurrence_vs_violation_mapping():
@@ -152,26 +147,29 @@ def test_concurrence_vs_violation_mapping():
 def test_concurrence_violation_relation_on_grid(n, j):
     spec, sd = cached_decompose(n, j)
     regime = "afm" if j > 0 else "fm"
-    for t in np.geomspace(0.1, 20.0, 10):
-        rdm, g = _thermal(sd, float(t))
-        res = violation_measure(g)
-        c_from_b = concurrence_vs_violation(res.measure, regime)
-        assert abs(c_from_b - concurrence_wootters(rdm).wootters) <= 1e-9
-        if res.violates:
-            assert concurrence_wootters(rdm).wootters > 0.0
+    rdm = pair_rdms(sd, thermo_grid(sd, spec, np.geomspace(0.1, 20.0, 10)).probabilities,
+                    1, 2)
+    res = violation_measure(correlations_from_rdm(rdm).g)
+    for measure, violates, c in zip(res.measure, res.violates,
+                                    concurrence_wootters(rdm).wootters):
+        c_from_b = concurrence_vs_violation(measure, regime)
+        assert abs(c_from_b - c) <= 1e-9
+        if violates:
+            assert c > 0.0
 
 
 def test_entangled_without_violation_window():
     # antiferromagnetic two-site ring passes through 2sqrt(2)/3 < B <= 2
     spec, sd = cached_decompose(2, 1.0)
     seen = False
-    for t in np.linspace(3.0, 7.0, 25):
-        rdm, g = _thermal(sd, float(t))
-        res = violation_measure(g)
-        if TSIRELSON / 3.0 < res.measure <= 2.0:
+    rdm = pair_rdms(sd, thermo_grid(sd, spec, np.linspace(3.0, 7.0, 25)).probabilities, 1, 2)
+    res = violation_measure(correlations_from_rdm(rdm).g)
+    for measure, violates, c in zip(res.measure, res.violates,
+                                    concurrence_wootters(rdm).wootters):
+        if TSIRELSON / 3.0 < measure <= 2.0:
             seen = True
-            assert not res.violates
-            assert concurrence_wootters(rdm).wootters > 0.0
+            assert not violates
+            assert c > 0.0
     assert seen
 
 
@@ -180,7 +178,8 @@ def test_random_frames_never_beat_measure():
     cases = [(2, 1.0, 1.0, 0.0, 0.5), (4, 1.0, 0.5, 0.3, 1.0), (5, -1.0, 2.0, 0.0, 0.2)]
     for n, j, delta, b, t in cases:
         spec, sd = cached_decompose(n, j, delta, b)
-        _, g = _thermal(sd, t)
+        p = thermo_grid(sd, spec, [t]).probabilities
+        g = correlations_from_rdm(pair_rdms(sd, p, 1, 2)).g[0]
         res = violation_measure(g)
         best = float(np.max(np.abs(frame_expectations(g, frames))))
         assert best <= res.measure + 1e-8
@@ -188,7 +187,8 @@ def test_random_frames_never_beat_measure():
 
 def test_random_frame_search_deterministic():
     spec, sd = cached_decompose(3, 1.0)
-    _, g = _thermal(sd, 0.4)
+    p = thermo_grid(sd, spec, [0.4]).probabilities
+    g = correlations_from_rdm(pair_rdms(sd, p, 1, 2)).g[0]
     assert random_frame_search(g, 500, seed=5) == random_frame_search(g, 500, seed=5)
     assert np.array_equal(random_frames(64, 9), random_frames(64, 9))
     assert not np.array_equal(random_frames(64, 9), random_frames(64, 10))
@@ -197,7 +197,8 @@ def test_random_frame_search_deterministic():
 def test_optimal_frame_attains_measure():
     cases = [SINGLET_RHO, np.eye(4) / 4.0]
     spec, sd = cached_decompose(5, 1.0, 2.0, 0.5)
-    tensors = [_t(c) for c in cases] + [_thermal(sd, t)[1] for t in (0.2, 1.0)]
+    p = thermo_grid(sd, spec, [0.2, 1.0]).probabilities
+    tensors = [_t(c) for c in cases] + list(correlations_from_rdm(pair_rdms(sd, p, 1, 2)).g)
     for g in tensors:
         res = violation_measure(g)
         frame = optimal_frame(g)
@@ -208,7 +209,8 @@ def test_measure_depends_only_on_correlations():
     # in a field: the full-space tensor from the Gibbs matrix and the tensor
     # of the table-route pair RDM give the same measure
     spec, sd = cached_decompose(4, 1.0, 1.0, 0.8)
-    _, g = _thermal(sd, 0.5)
+    p = thermo_grid(sd, spec, [0.5]).probabilities
+    g = correlations_from_rdm(pair_rdms(sd, p, 1, 2)).g[0]
     res = violation_measure(g)
     full = violation_measure(correlations(gibbs_state(sd, 0.5), 1, 2).g)
     assert abs(full.measure - res.measure) <= 1e-12

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import sys
@@ -298,6 +299,9 @@ def test_threshold_refuses_before_decompose(tmp_path, capsys, monkeypatch):
         ({"n_sites": 14, "j": 1.0, "delta": 0.5}, isotropic),
         ({"n_sites": 14, "j": 1.0, "field_b": 0.2}, isotropic),
         ({"n_sites": 14, "j": -1.0}, "ferromagnetic"),
+        # the bisection width 1e-8 J underflows, and the search never ended
+        ({"n_sites": 4, "j": 1e-320}, "subnormal"),
+        ({"n_sites": 14, "j": 5e-324}, "subnormal"),
     ):
         cfg = write_config(tmp_path, {"model": model})
         assert main(["threshold", "--config", cfg]) == 2
@@ -500,16 +504,24 @@ def test_csv_outputs_parse_strictly(tmp_path):
     sweep_doc = {"model": {"n_sites": 4, "j": 1.0},
                  "temperatures": {"start": 0.0, "stop": 1.0, "count": 3}}
     model_doc = {"model": {"n_sites": 4, "j": 1.0}}
-    for command, doc in (("sweep", sweep_doc), ("spectrum", model_doc)):
+    for command, doc in (("sweep", sweep_doc), ("spectrum", model_doc),
+                         ("threshold", model_doc)):
         out = tmp_path / f"{command}.csv"
         assert main([command, "--config", write_config(tmp_path, doc),
                      "--format", "csv", "--out", str(out)]) == 0
         _, rows = parse_csv(out.read_text())
         for row in rows:
-            for cell in row.values():
-                assert cell in ("", "true", "false") or math.isfinite(float(cell))
+            for column, cell in row.items():
+                # the one text cell: threshold's status
+                assert ((column, cell) == ("status", "found")
+                        or cell in ("", "true", "false") or math.isfinite(float(cell)))
     _, rows = parse_csv((tmp_path / "sweep.csv").read_text())
     assert rows[0]["T"] == "0" and rows[0]["log_z"] == ""
+    # threshold: one header row and one value row, the JSON's fields
+    with open(tmp_path / "threshold.csv", newline="") as fh:
+        header, values = csv.reader(fh)
+    assert header == ["status", "t_c", "bracket_lo", "bracket_hi", "iterations", "u_of_n"]
+    assert values[0] == "found" and abs(float(values[-1]) - 1.0) <= 1e-7
 
 
 @pytest.mark.parametrize("doc", [

@@ -14,9 +14,9 @@ from heisenring import (
     concurrence_xxx_energy,
     concurrence_xxx_field,
     correlations_from_rdm,
-    pair_rdm_thermal,
+    pair_rdms,
     run_sweep,
-    thermo_point,
+    thermo_grid,
 )
 from heisenring.entanglement import clamp_concurrence
 from heisenring.twoqubit import CorrelationSet
@@ -42,7 +42,8 @@ def test_wootters_product_state():
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 7.0, 8.0, 20.0])
 def test_wootters_two_site_closed_form(t):
     spec, sd = cached_decompose(2, 1.0)
-    c = concurrence_wootters(pair_rdm_thermal(sd, t, 1, 2)).wootters
+    c = concurrence_wootters(
+        pair_rdms(sd, thermo_grid(sd, spec, [t]).probabilities, 1, 2)).wootters[0]
     assert abs(c - c_two_site(1.0 / t)) <= 1e-10
 
 
@@ -68,10 +69,10 @@ def test_x_form_requires_pattern():
 ])
 def test_x_form_agrees_with_wootters(n, j, delta, b):
     spec, sd = cached_decompose(n, j, delta, b)
-    for t in np.geomspace(0.1, 10.0, 8):
-        rdm = pair_rdm_thermal(sd, float(t), 1, 2)
-        assert abs(concurrence_x_form(rdm)
-                   - concurrence_wootters(rdm).wootters) <= 1e-10
+    p = thermo_grid(sd, spec, np.geomspace(0.1, 10.0, 8)).probabilities
+    rdm = pair_rdms(sd, p, 1, 2)
+    assert np.all(np.abs(concurrence_x_form(rdm)
+                         - concurrence_wootters(rdm).wootters) <= 1e-10)
 
 
 def test_correlation_route_limits():
@@ -90,31 +91,29 @@ def test_correlation_route_rejects_magnetized():
 @pytest.mark.parametrize("delta", [0.0, 0.5, 2.0])
 def test_correlation_route_agrees_with_wootters(delta):
     spec, sd = cached_decompose(4, 1.0, delta)
-    for t in (0.3, 0.5, 1.0, 4.0):
-        rdm = pair_rdm_thermal(sd, t, 1, 2)
-        c = concurrence_from_correlations(correlations_from_rdm(rdm))
-        assert abs(c - concurrence_wootters(rdm).wootters) <= 1e-9
+    rdm = pair_rdms(sd, thermo_grid(sd, spec, [0.3, 0.5, 1.0, 4.0]).probabilities, 1, 2)
+    c = concurrence_from_correlations(correlations_from_rdm(rdm))
+    assert np.all(np.abs(c - concurrence_wootters(rdm).wootters) <= 1e-9)
 
 
 def test_energy_route_two_site():
     spec, sd = cached_decompose(2, 1.0)
     beta = 1.0
-    tp = thermo_point(sd, spec, 1.0 / beta)
-    c = concurrence_xxx_energy(tp.u_per_site, 1.0)
+    c = concurrence_xxx_energy(thermo_grid(sd, spec, [1.0 / beta]).u[0] / 2, 1.0)
     assert abs(c - (math.exp(8.0) - 3.0) / (math.exp(8.0) + 3.0)) <= 1e-10
 
 
 def test_energy_route_three_site_never_entangled():
     spec, sd = cached_decompose(3, 1.0)
-    for t in (0.05, 0.5, 1.0, 10.0):
-        assert concurrence_xxx_energy(thermo_point(sd, spec, t).u_per_site, 1.0) == 0.0
+    u = thermo_grid(sd, spec, [0.05, 0.5, 1.0, 10.0]).u
+    assert np.all(concurrence_xxx_energy(u / 3, 1.0) == 0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_energy_route_ferromagnetic_zero(n):
     spec, sd = cached_decompose(n, -1.0)
-    for t in (0.1, 1.0, 10.0):
-        assert concurrence_xxx_energy(thermo_point(sd, spec, t).u_per_site, -1.0) == 0.0
+    u = thermo_grid(sd, spec, [0.1, 1.0, 10.0]).u
+    assert np.all(concurrence_xxx_energy(u / n, -1.0) == 0.0)
 
 
 def test_energy_route_rejects_positive_energy():
@@ -129,30 +128,34 @@ def test_ground_state_route_two_site():
     # limit of the thermal route on an even antiferromagnetic ring
     spec, sd = cached_decompose(2, 1.0)
     assert concurrence_xxx_energy(sd.ground_energy / 2, 1.0) == 1.0
-    assert abs(concurrence_wootters(pair_rdm_thermal(sd, 0.0, 1, 2)).wootters - 1.0) <= 1e-12
+    zero = thermo_grid(sd, spec, [0.0])
+    c = concurrence_wootters(pair_rdms(sd, zero.probabilities, 1, 2)).wootters[0]
+    assert abs(c - 1.0) <= 1e-12
 
 
 def test_ground_state_route_matches_thermal_limit():
     spec, sd = cached_decompose(4, 1.0)
     c_gs = concurrence_xxx_energy(sd.ground_energy / 4, 1.0)
-    c_thermal = concurrence_xxx_energy(thermo_point(sd, spec, 1e-6).u_per_site, 1.0)
+    grid = thermo_grid(sd, spec, [1e-6, 0.0])
+    c_thermal = concurrence_xxx_energy(grid.u[0] / 4, 1.0)
     assert abs(c_gs - c_thermal) <= 1e-6
-    c_w = concurrence_wootters(pair_rdm_thermal(sd, 0.0, 1, 2)).wootters
+    c_w = concurrence_wootters(pair_rdms(sd, grid.probabilities, 1, 2)).wootters[1]
     assert abs(c_gs - c_w) <= 1e-9
 
 
 def test_ground_state_route_matches_wootters():
     spec, sd = cached_decompose(6, 1.0)
     c_gs = concurrence_xxx_energy(sd.ground_energy / 6, 1.0)
-    c_w = concurrence_wootters(pair_rdm_thermal(sd, 0.0, 1, 2)).wootters
+    zero = thermo_grid(sd, spec, [0.0])
+    c_w = concurrence_wootters(pair_rdms(sd, zero.probabilities, 1, 2)).wootters[0]
     assert abs(c_gs - c_w) <= 1e-9
 
 
 def test_anisotropic_route_reduces_to_correlation_form():
     spec, sd = cached_decompose(4, 1.0)
-    tp = thermo_point(sd, spec, 0.8)
-    cs = correlations_from_rdm(pair_rdm_thermal(sd, 0.8, 1, 2))
-    c_a = concurrence_anisotropic(tp.u_per_site, 1.0, 1.0, float(cs.g[2, 2]))
+    grid = thermo_grid(sd, spec, [0.8])
+    cs = correlations_from_rdm(pair_rdms(sd, grid.probabilities, 1, 2).rows(0))
+    c_a = concurrence_anisotropic(grid.u[0] / 4, 1.0, 1.0, float(cs.g[2, 2]))
     c_g = concurrence_from_correlations(cs)
     assert abs(c_a - c_g) <= 1e-12
 
@@ -160,33 +163,33 @@ def test_anisotropic_route_reduces_to_correlation_form():
 @pytest.mark.parametrize("n,delta,t", [(4, 0.0, 0.5), (6, 2.0, 1.0), (4, 0.5, 0.3)])
 def test_anisotropic_route_agrees_with_wootters(n, delta, t):
     spec, sd = cached_decompose(n, 1.0, delta)
-    tp = thermo_point(sd, spec, t)
-    rdm = pair_rdm_thermal(sd, t, 1, 2)
+    grid = thermo_grid(sd, spec, [t])
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2).rows(0)
     cs = correlations_from_rdm(rdm)
-    c = concurrence_anisotropic(tp.u_per_site, 1.0, delta, float(cs.g[2, 2]))
+    c = concurrence_anisotropic(grid.u[0] / n, 1.0, delta, float(cs.g[2, 2]))
     assert abs(c - concurrence_wootters(rdm).wootters) <= 1e-9
 
 
 def test_field_route_reduces_at_zero_field():
     spec, sd = cached_decompose(4, 1.0)
-    tp = thermo_point(sd, spec, 0.6)
-    rdm = pair_rdm_thermal(sd, 0.6, 1, 2)
-    assert abs(concurrence_xxx_field(rdm, tp.u_per_site, 1.0, 0.0)
+    grid = thermo_grid(sd, spec, [0.6])
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2).rows(0)
+    assert abs(concurrence_xxx_field(rdm, grid.u[0] / 4, 1.0, 0.0)
                - concurrence_x_form(rdm)) <= 1e-10
 
 
 @pytest.mark.parametrize("n,b,t", [(4, 0.5, 0.5), (2, 3.0, 0.1), (6, 1.0, 1.0)])
 def test_field_route_agrees_with_wootters(n, b, t):
     spec, sd = cached_decompose(n, 1.0, 1.0, b)
-    tp = thermo_point(sd, spec, t)
-    rdm = pair_rdm_thermal(sd, t, 1, 2)
-    c = concurrence_xxx_field(rdm, tp.u_per_site, 1.0, b)
+    grid = thermo_grid(sd, spec, [t])
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2).rows(0)
+    c = concurrence_xxx_field(rdm, grid.u[0] / n, 1.0, b)
     assert abs(c - concurrence_wootters(rdm).wootters) <= 1e-9
 
 
 def test_field_route_flags_convention_mismatch():
     spec, sd = cached_decompose(4, 1.0, 1.0, 2.0)
-    rdm = pair_rdm_thermal(sd, 0.3, 1, 2)
+    rdm = pair_rdms(sd, thermo_grid(sd, spec, [0.3]).probabilities, 1, 2).rows(0)
     assert abs(rdm.m_bar) > 1e-3
     # an energy input that zeroes the squared bracket leaves the argument
     # at -4*m_bar^2 < 0, which must be surfaced rather than clamped
@@ -205,25 +208,25 @@ def test_clamping():
 def test_report_route_presence():
     # isotropic zero field: all four routes
     spec, sd = cached_decompose(4, 1.0)
-    tp = thermo_point(sd, spec, 0.5)
-    rdm = pair_rdm_thermal(sd, 0.5, 1, 2)
-    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, tp.u_per_site)
+    grid = thermo_grid(sd, spec, [0.5])
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2).rows(0)
+    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u[0] / 4)
     assert None not in (rep.x_form, rep.correlation_form, rep.energy_form)
     assert rep.max_disagreement <= 1e-9
 
     # field on: correlation route must be absent
     spec, sd = cached_decompose(4, 1.0, 1.0, 0.5)
-    tp = thermo_point(sd, spec, 0.5)
-    rdm = pair_rdm_thermal(sd, 0.5, 1, 2)
-    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, tp.u_per_site)
+    grid = thermo_grid(sd, spec, [0.5])
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2).rows(0)
+    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u[0] / 4)
     assert rep.correlation_form is None
     assert rep.energy_form is not None
 
     # zero coupling: no energy-family route
     spec, sd = cached_decompose(4, 0.0, 1.0, 1.0)
-    tp = thermo_point(sd, spec, 0.5)
-    rdm = pair_rdm_thermal(sd, 0.5, 1, 2)
-    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, tp.u_per_site)
+    grid = thermo_grid(sd, spec, [0.5])
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2).rows(0)
+    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u[0] / 4)
     assert rep.energy_form is None
 
 
@@ -235,9 +238,9 @@ def test_energy_route_only_on_ring_bonds(n, pair, bond):
     # the closed forms hold for nearest neighbours; on (1, 3) the isotropic
     # route read 0.41 at T = 0.1 where Wootters reads 0
     spec, sd = cached_decompose(n, 1.0)
-    tp = thermo_point(sd, spec, 0.1)
-    rdm = pair_rdm_thermal(sd, 0.1, *pair)
-    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, tp.u_per_site)
+    grid = thermo_grid(sd, spec, [0.1])
+    rdm = pair_rdms(sd, grid.probabilities, *pair).rows(0)
+    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u[0] / n)
     assert (rep.energy_form is not None) == bond
     assert rep.max_disagreement <= 1e-9
     columns = run_sweep(spec, [0.1], pair)
@@ -269,9 +272,9 @@ def test_report_general_coupling_has_no_energy_route():
     spec = ModelSpec.general(m, m, m)
     from heisenring import decompose
     sd = decompose(spec)
-    tp = thermo_point(sd, spec, 0.5)
-    rdm = pair_rdm_thermal(sd, 0.5, 1, 2)
-    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, tp.u_per_site)
+    grid = thermo_grid(sd, spec, [0.5])
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2).rows(0)
+    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u[0] / 4)
     assert rep.energy_form is None
     assert rep.x_form is not None
     assert rep.max_disagreement <= 1e-9
@@ -280,9 +283,9 @@ def test_report_general_coupling_has_no_energy_route():
 def test_concurrence_range():
     for args in [(2, 1.0, 1.0, 0.0), (5, 1.0, 0.5, 0.5), (6, -1.0, 2.0, 0.0)]:
         spec, sd = cached_decompose(*args)
-        for t in (0.0, 0.3, 2.0):
-            c = concurrence_wootters(pair_rdm_thermal(sd, t, 1, 2)).wootters
-            assert 0.0 <= c <= 1.0
+        p = thermo_grid(sd, spec, [0.0, 0.3, 2.0]).probabilities
+        c = concurrence_wootters(pair_rdms(sd, p, 1, 2)).wootters
+        assert np.all((0.0 <= c) & (c <= 1.0))
 
 
 def _non_psd():

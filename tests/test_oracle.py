@@ -11,7 +11,7 @@ import pytest
 import heisenring
 from heisenring import ModelSpec, build_hamiltonian, decompose, diagonalize_full, oracle
 from heisenring.model import SIGMA_Y
-from heisenring.thermo import thermal_probabilities
+from heisenring.thermo import thermo_grid
 from helpers import eigenvector_matrix, random_general_spec
 
 PACKAGE = Path(heisenring.__file__).parent
@@ -64,10 +64,10 @@ def test_oracle_is_the_only_home_of_its_routes():
             assert not defined & set(ROUTES), path.name
 
 
-def _gibbs_by_matrix_product(sd, t):
-    """V diag(p) V^dagger over the full eigenvector matrix V."""
+def _gibbs_by_matrix_product(sd, p):
+    """V diag(p) V^dagger over the full eigenvector matrix V, p one row of a thermo_grid."""
     v = eigenvector_matrix(sd)
-    return (v * thermal_probabilities(sd, t)) @ v.conj().T
+    return (v * p) @ v.conj().T
 
 
 @pytest.mark.parametrize("spec", [
@@ -77,11 +77,12 @@ def _gibbs_by_matrix_product(sd, t):
 ])
 def test_gibbs_state_is_real_for_real_eigenvectors(spec):
     # the dense diagonalisation of the real H and the sector blocks alike
+    temps = (0.0, 0.3, 2.0)
     for sd in (diagonalize_full(build_hamiltonian(spec)), decompose(spec)):
-        for t in (0.0, 0.3, 2.0):
+        for t, p in zip(temps, thermo_grid(sd, spec, temps).probabilities):
             rho = oracle.gibbs_state(sd, t)
             assert rho.dtype == np.float64
-            assert np.max(np.abs(rho - _gibbs_by_matrix_product(sd, t))) <= 1e-15
+            assert np.max(np.abs(rho - _gibbs_by_matrix_product(sd, p))) <= 1e-15
 
 
 def test_gibbs_state_is_complex_for_complex_eigenvectors():
@@ -90,11 +91,14 @@ def test_gibbs_state_is_complex_for_complex_eigenvectors():
     h = build_hamiltonian(ModelSpec.uniform(n, 1.0, 0.5)) + 0.3 * oracle.embed(SIGMA_Y, (2,), n)
     assert np.max(np.abs(h.imag)) > 0.0
     sd = diagonalize_full(h)
-    for t in (0.0, 0.7):
+    temps = (0.0, 0.7)
+    # thermo_grid reads only the ring size from the spec of the real part
+    probabilities = thermo_grid(sd, ModelSpec.uniform(n, 1.0, 0.5), temps).probabilities
+    for t, p in zip(temps, probabilities):
         rho = oracle.gibbs_state(sd, t)
         assert rho.dtype == np.complex128
         assert np.max(np.abs(rho.imag)) > 0.0
-        assert np.max(np.abs(rho - _gibbs_by_matrix_product(sd, t))) <= 1e-15
+        assert np.max(np.abs(rho - _gibbs_by_matrix_product(sd, p))) <= 1e-15
 
 
 def test_correlations_of_a_stack_match_each_state():

@@ -18,10 +18,10 @@ from heisenring import (
     correlations_from_rdm,
     decompose,
     diagonalize_full,
-    pair_rdm_thermal,
+    pair_rdms,
     random_frames,
     run_sweep,
-    thermo_point,
+    thermo_grid,
     violation_measure,
 )
 from heisenring.bell import TSIRELSON, frame_expectations
@@ -60,7 +60,8 @@ def general_specs(draw, sz_breaking_only=False):
 @given(general_specs(), temperature)
 def test_table_route_matches_dense_gibbs(case, t):
     spec, (i, j) = case
-    rdm = pair_rdm_thermal(decompose(spec), t, i, j).matrix
+    sd = decompose(spec)
+    rdm = pair_rdms(sd, thermo_grid(sd, spec, [t]).probabilities, i, j).matrix[0]
     oracle = reduce_to_pair(gibbs_state(diagonalize_full(build_hamiltonian(spec)), t),
                             i, j).matrix
     assert np.max(np.abs(rdm - oracle)) <= 1e-12
@@ -79,9 +80,10 @@ def test_sz_breaking_routes_and_bell_bounds(case, t):
     # keeps the S_z pattern, and no energy route applies to general specs
     spec, (i, j) = case
     sd = decompose(spec)
-    rdm = pair_rdm_thermal(sd, t, i, j)
+    grid = thermo_grid(sd, spec, [t])
+    rdm = pair_rdms(sd, grid.probabilities, i, j).rows(0)
     cs = correlations_from_rdm(rdm)
-    report = concurrence_report(rdm, cs, spec, thermo_point(sd, spec, t).u_per_site)
+    report = concurrence_report(rdm, cs, spec, grid.u[0] / spec.n_sites)
     if rdm.off_structure_norm > X_FORM_TOL:
         assert report.x_form is None and report.correlation_form is None
     else:
@@ -154,15 +156,16 @@ def test_momentum_blocks_match_sector_spectrum(spec):
 
 
 def _single_state_row(sd, spec, t, pair):
-    """The sweep's columns at one temperature, from the single-state API."""
-    tp = thermo_point(sd, spec, t)
-    rdm = pair_rdm_thermal(sd, t, *pair)
+    """The sweep's columns at one temperature, from a grid of one and its one state."""
+    grid = thermo_grid(sd, spec, [t])
+    u_per_site = grid.u[0] / spec.n_sites
+    rdm = pair_rdms(sd, grid.probabilities, *pair).rows(0)
     cs = correlations_from_rdm(rdm)
-    report = concurrence_report(rdm, cs, spec, tp.u_per_site)
+    report = concurrence_report(rdm, cs, spec, u_per_site)
     bell = violation_measure(cs.g)
     return {
-        "T": tp.temperature, "log_z": tp.log_z, "U": tp.u, "U_per_site": tp.u_per_site,
-        "M": tp.m, "G_xx": cs.g[0, 0], "G_yy": cs.g[1, 1], "G_zz": cs.g[2, 2],
+        "T": grid.temperature[0], "log_z": grid.log_z[0], "U": grid.u[0],
+        "U_per_site": u_per_site, "M": grid.m[0], "G_xx": cs.g[0, 0], "G_yy": cs.g[1, 1], "G_zz": cs.g[2, 2],
         "u_plus": rdm.u_plus, "u_minus": rdm.u_minus, "z_re": rdm.z.real, "z_im": rdm.z.imag,
         "C_wootters": report.wootters, "C_x_form": report.x_form,
         "C_correlation": report.correlation_form, "C_energy": report.energy_form,

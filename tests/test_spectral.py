@@ -17,8 +17,8 @@ from heisenring.spectral import (
 from heisenring import spectral
 from heisenring.model import ring_coupling_matrices
 from heisenring.oracle import eigen_residuals, gibbs_state, reduce_to_pair
-from heisenring.thermo import thermo_point
-from heisenring.twoqubit import pair_rdm_thermal
+from heisenring.thermo import thermo_grid
+from heisenring.twoqubit import pair_rdms
 from helpers import (
     cached_decompose,
     check_spectral_moments,
@@ -302,7 +302,7 @@ def test_values_only_dense_path():
     assert np.max(np.abs(values.eigenvalues - full.eigenvalues)) <= 1e-12
     assert values.ground_degeneracy == full.ground_degeneracy
     with pytest.raises(ValueError, match="magnetization needs sector labels or eigenvectors"):
-        thermo_point(values, spec, 1.0)
+        thermo_grid(values, spec, [1.0])
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -337,11 +337,12 @@ def test_parity_blocks_match_dense_oracle(n):
     full = diagonalize_full(build_hamiltonian(spec))
     assert sd.sector_labels is None
     assert np.max(np.abs(sd.eigenvalues - full.eigenvalues)) <= 1e-12
-    for t in (0.0, 0.3, 2.0):
-        rho = gibbs_state(full, t)
-        for pair in ((1, 2), (1, n), (n, 1)):
-            got = pair_rdm_thermal(sd, t, *pair).matrix
-            want = reduce_to_pair(rho, *pair).matrix
+    temps = (0.0, 0.3, 2.0)
+    p = thermo_grid(sd, spec, temps).probabilities
+    for pair in ((1, 2), (1, n), (n, 1)):
+        stack = pair_rdms(sd, p, *pair).matrix
+        for t, got in zip(temps, stack):
+            want = reduce_to_pair(gibbs_state(full, t), *pair).matrix
             assert np.max(np.abs(got - want)) <= 1e-12, (t, pair)
 
 
@@ -369,6 +370,7 @@ def test_bond_mode_matches_pair_table_and_oracle(n, j, delta, b):
     sector = decompose(spec)
     full = diagonalize_full(build_hamiltonian(spec))
     rhos = [gibbs_state(full, t) for t in BOND_TEMPERATURES]
+    sector_grid = thermo_grid(sector, spec, BOND_TEMPERATURES)
     pairs = {(1, 2), (2, 1), (1, n), (n, 1), (1, 1 + n // 2)}
     if n >= 3:
         pairs |= {(1, 3), (3, 1)}
@@ -378,13 +380,14 @@ def test_bond_mode_matches_pair_table_and_oracle(n, j, delta, b):
         assert list(pair_sd.pair_tables) == [pair]
         assert pair_sd.ground_degeneracy == sector.ground_degeneracy
         assert np.max(np.abs(pair_sd.eigenvalues - sector.eigenvalues)) <= 1e-12
-        for t, rho in zip(BOND_TEMPERATURES, rhos):
-            got = pair_rdm_thermal(pair_sd, t, *pair)
-            assert got.z.imag == 0.0
-            assert abs(thermo_point(pair_sd, spec, t).m - thermo_point(sector, spec, t).m) <= 1e-12
-            for want in (pair_rdm_thermal(sector, t, *pair).matrix,
-                         reduce_to_pair(rho, *pair).matrix):
-                assert np.max(np.abs(got.matrix - want)) <= 1e-13, (pair, t)
+        pair_grid = thermo_grid(pair_sd, spec, BOND_TEMPERATURES)
+        got = pair_rdms(pair_sd, pair_grid.probabilities, *pair)
+        assert np.all(got.z.imag == 0.0)
+        assert np.all(np.abs(pair_grid.m - sector_grid.m) <= 1e-12)
+        from_sector = pair_rdms(sector, sector_grid.probabilities, *pair).matrix
+        for r, (t, rho) in enumerate(zip(BOND_TEMPERATURES, rhos)):
+            for want in (from_sector[r], reduce_to_pair(rho, *pair).matrix):
+                assert np.max(np.abs(got.matrix[r] - want)) <= 1e-13, (pair, t)
 
 
 def test_bond_mode_needs_a_uniform_ring_bond():

@@ -11,11 +11,12 @@ from heisenring import (
     check_derivatives,
     decompose,
     diagonalize_full,
-    pair_rdm_thermal,
-    thermo_point,
+    pair_rdms,
+    run_sweep,
+    thermo_grid,
 )
 from heisenring.oracle import gibbs_state
-from heisenring.thermo import thermal_probabilities, zz_from_log_z
+from heisenring.thermo import zz_from_log_z
 from helpers import (
     SINGLET_RHO,
     cached_decompose,
@@ -29,27 +30,28 @@ from helpers import (
 @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 3.0, 10.0, 100.0])
 def test_two_site_closed_forms(t):
     spec, sd = cached_decompose(2, 1.0)
-    tp = thermo_point(sd, spec, t)
+    grid = thermo_grid(sd, spec, [t])
     beta = 1.0 / t
-    assert abs(tp.log_z - log_z_two_site(beta)) <= 1e-12 * abs(log_z_two_site(beta))
-    assert abs(tp.u - u_two_site(beta)) <= 1e-10
+    assert abs(grid.log_z[0] - log_z_two_site(beta)) <= 1e-12 * abs(log_z_two_site(beta))
+    assert abs(grid.u[0] - u_two_site(beta)) <= 1e-10
 
 
 @pytest.mark.parametrize("t", [0.2, 1.0, 5.0])
 def test_three_site_internal_energy(t):
     spec, sd = cached_decompose(3, 1.0)
-    tp = thermo_point(sd, spec, t)
-    assert abs(tp.u - u_three_site(1.0 / t)) <= 1e-10
-    assert tp.u_per_site == tp.u / 3.0
+    grid = thermo_grid(sd, spec, [t])
+    assert abs(grid.u[0] - u_three_site(1.0 / t)) <= 1e-10
+    columns = run_sweep(spec, np.array([t]))
+    assert columns["U_per_site"][0] == columns["U"][0] / 3.0
 
 
 @pytest.mark.parametrize("n,delta", [(2, 1.0), (4, 0.5), (5, 2.0)])
 def test_infinite_temperature_limit(n, delta):
     spec, sd = cached_decompose(n, 1.0, delta)
-    tp = thermo_point(sd, spec, 1e9)
+    grid = thermo_grid(sd, spec, [1e9])
     # traceless Hamiltonian: U -> tr(H)/2^n = 0
-    assert abs(tp.u) <= 1e-6
-    assert abs(tp.log_z - n * math.log(2.0)) <= 1e-6
+    assert abs(grid.u[0]) <= 1e-6
+    assert abs(grid.log_z[0] - n * math.log(2.0)) <= 1e-6
 
 
 def test_zero_temperature_singlet():
@@ -86,10 +88,10 @@ def test_magnetization_label_and_vector_paths_agree():
     spec = ModelSpec.uniform(4, 1.0, 0.5, 0.6)
     sd_full = diagonalize_full(build_hamiltonian(spec))  # no labels
     _, sd_sect = cached_decompose(4, 1.0, 0.5, 0.6)
-    for t in (0.3, 1.0, 4.0):
-        m_vec = thermo_point(sd_full, spec, t).m
-        m_lab = thermo_point(sd_sect, spec, t).m
-        assert abs(m_vec - m_lab) <= 1e-10
+    temps = [0.3, 1.0, 4.0]
+    m_vec = thermo_grid(sd_full, spec, temps).m
+    m_lab = thermo_grid(sd_sect, spec, temps).m
+    assert np.all(np.abs(m_vec - m_lab) <= 1e-10)
 
 
 def test_derivative_check_three_site():
@@ -126,34 +128,31 @@ def test_derivative_check_sz_breaking_spec():
 def test_free_spins_paramagnet(n):
     # J = 0, B = 1: independent spins give M = -N tanh(beta)
     spec, sd = cached_decompose(n, 0.0, 1.0, 1.0)
-    for t in (0.5, 1.0, 2.0):
-        tp = thermo_point(sd, spec, t)
-        assert abs(tp.m - (-n * math.tanh(1.0 / t))) <= 1e-8
+    temps = np.array([0.5, 1.0, 2.0])
+    m = thermo_grid(sd, spec, temps).m
+    assert np.all(np.abs(m - (-n * np.tanh(1.0 / temps))) <= 1e-8)
 
 
 @pytest.mark.parametrize("n,j,delta,b", [(4, 1.0, 1.0, 0.0), (5, -1.0, 0.5, 0.5)])
 def test_internal_energy_monotone(n, j, delta, b):
     spec, sd = cached_decompose(n, j, delta, b)
     grid = np.geomspace(0.05, 50.0, 30)
-    u_values = [thermo_point(sd, spec, t).u for t in grid]
+    u_values = thermo_grid(sd, spec, grid).u
     assert all(b2 >= a2 - 1e-12 for a2, b2 in zip(u_values, u_values[1:]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_vanishing_magnetization_isotropic(n):
     spec, sd = cached_decompose(n, 1.0)
-    for t in (0.1, 1.0, 10.0):
-        assert abs(thermo_point(sd, spec, t).m) <= 1e-10
+    assert np.all(np.abs(thermo_grid(sd, spec, [0.1, 1.0, 10.0]).m) <= 1e-10)
 
 
 def test_low_temperature_stability():
     spec, sd = cached_decompose(5, 1.0, 2.0, 0.3)
-    cold = thermo_point(sd, spec, 1e-8)
-    zero = thermo_point(sd, spec, 0.0)
-    assert math.isfinite(cold.u) and math.isfinite(cold.m) and math.isfinite(cold.log_z)
-    assert abs(cold.u - zero.u) <= 1e-6
-    assert abs(cold.m - zero.m) <= 1e-6
-    assert zero.beta == math.inf
+    grid = thermo_grid(sd, spec, [1e-8, 0.0])
+    assert np.all(np.isfinite([grid.u[0], grid.m[0], grid.log_z[0]]))
+    assert abs(grid.u[0] - grid.u[1]) <= 1e-6
+    assert abs(grid.m[0] - grid.m[1]) <= 1e-6
 
 
 @pytest.mark.parametrize("t", [1e-20, 1e-300])
@@ -166,15 +165,15 @@ def test_degenerate_ground_level_at_tiny_temperature(t):
     values_only = decompose(spec, vectors=False)
     for d in (sd, values_only):
         assert d.ground_degeneracy == 4
-        cold, zero = thermo_point(d, spec, t), thermo_point(d, spec, 0.0)
-        assert abs(cold.u - zero.u) <= 1e-12
-        assert abs(cold.m - zero.m) <= 1e-12
+        cold_zero = thermo_grid(d, spec, [t, 0.0])
+        assert abs(cold_zero.u[0] - cold_zero.u[1]) <= 1e-12
+        assert abs(cold_zero.m[0] - cold_zero.m[1]) <= 1e-12
         # log Z is -E0/T + log 4; with E0 shifted to 0 the log 4 is resolvable
         shifted = replace(d, eigenvalues=d.eigenvalues - d.eigenvalues[0])
-        assert abs(thermo_point(shifted, spec, t).log_z
-                   - thermo_point(shifted, spec, 0.0).log_z) <= 1e-12
-    cold_rdm = pair_rdm_thermal(sd, t, 1, 2).matrix
-    zero_rdm = pair_rdm_thermal(sd, 0.0, 1, 2).matrix
+        log_z = thermo_grid(shifted, spec, [t, 0.0]).log_z
+        assert abs(log_z[0] - log_z[1]) <= 1e-12
+    cold_rdm, zero_rdm = pair_rdms(sd, thermo_grid(sd, spec, [t, 0.0]).probabilities,
+                                   1, 2).matrix
     assert np.max(np.abs(cold_rdm - zero_rdm)) <= 1e-12
 
 
@@ -182,22 +181,23 @@ def test_nondegenerate_ground_weights_unchanged():
     # the ground-level rule leaves a single ground state's weights alone
     spec, sd = cached_decompose(4, 1.0, 0.5, 0.3)
     assert sd.ground_degeneracy == 1
-    for t in (1e-3, 0.7, 40.0):
+    temps = (1e-3, 0.7, 40.0)
+    for t, p in zip(temps, thermo_grid(sd, spec, temps).probabilities):
         w = np.exp(-(sd.eigenvalues - sd.eigenvalues[0]) / t)
-        assert np.array_equal(thermal_probabilities(sd, t), w / w.sum())
+        assert np.array_equal(p, w / w.sum())
 
 
 def test_deep_low_temperature_log_z():
     spec, sd = cached_decompose(2, 1.0)
     t = 1e-3  # beta |E| = 6000: raw exponentials would overflow
-    tp = thermo_point(sd, spec, t)
-    assert abs(tp.log_z - log_z_two_site(1.0 / t)) <= 1e-12 * log_z_two_site(1.0 / t)
+    log_z = thermo_grid(sd, spec, [t]).log_z[0]
+    assert abs(log_z - log_z_two_site(1.0 / t)) <= 1e-12 * log_z_two_site(1.0 / t)
 
 
 def test_negative_temperature_rejected():
     spec, sd = cached_decompose(2, 1.0)
     with pytest.raises(ValueError):
-        thermo_point(sd, spec, -0.1)
+        thermo_grid(sd, spec, [-0.1])
     with pytest.raises(ValueError):
         check_derivatives(spec, 0.0)
 
@@ -205,9 +205,9 @@ def test_negative_temperature_rejected():
 def test_nan_temperature_rejected():
     spec, sd = cached_decompose(2, 1.0)
     with pytest.raises(ValueError, match="temperature must be >= 0"):
-        thermal_probabilities(sd, math.nan)
-    with pytest.raises(ValueError):
-        thermo_point(sd, spec, math.nan)
+        thermo_grid(sd, spec, [math.nan])
+    with pytest.raises(ValueError, match="temperature must be >= 0"):
+        thermo_grid(sd, spec, [1.0, math.nan])
 
 
 def test_temperature_grid_rejects_non_finite():
@@ -220,10 +220,9 @@ def test_temperature_grid_rejects_non_finite():
 
 def test_m_bar_matches_pair_rdm():
     spec, sd = cached_decompose(5, 1.0, 2.0, 0.8)
-    for t in (0.2, 1.0, 5.0):
-        tp = thermo_point(sd, spec, t)
-        rdm = pair_rdm_thermal(sd, t, 1, 2)
-        assert abs(tp.m_per_site - rdm.m_bar) <= 1e-10
+    grid = thermo_grid(sd, spec, [0.2, 1.0, 5.0])
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    assert np.all(np.abs(grid.m / 5 - rdm.m_bar) <= 1e-10)
 
 
 @pytest.mark.parametrize("n,j,delta,b,t", [

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -7,10 +8,11 @@ from heisenring import (
     concurrence_wootters,
     decompose,
     find_threshold,
-    pair_rdm_thermal,
+    pair_rdms,
+    thermo_grid,
     u_of_n_scan,
 )
-from heisenring.threshold import STATUS_FOUND, STATUS_NEVER
+from heisenring.threshold import STATUS_FOUND, STATUS_NEVER, require_afm_xxx
 from helpers import cached_decompose
 
 
@@ -37,7 +39,10 @@ def test_threshold_scales_linearly_in_j():
 def test_threshold_independent_of_j_scale(n):
     # the search runs in units of J: t_c / J does not move with J's scale
     ref = find_threshold(*cached_decompose(n, 1.0))
-    for j in (1e-12, 1e-10, 1e-7, 1e-5, 0.73, 1.0, 1e5, 1e7):
+    # down to the smallest normal J, where the bisection width 1e-8 J is
+    # still a normal float
+    for j in (sys.float_info.min, 2.3e-308, 1e-307, 1e-12, 1e-10, 1e-7, 1e-5, 0.73, 1.0,
+              1e5, 1e7):
         res = find_threshold(*cached_decompose(n, j))
         assert res.status == STATUS_FOUND
         assert abs(res.t_c / j - ref.t_c) <= 1e-9 * ref.t_c
@@ -59,10 +64,8 @@ def test_threshold_two_sided_concurrence(n):
     res = find_threshold(spec, sd)
     assert res.status == STATUS_FOUND
     assert abs(res.u_of_n - 1.0) <= 1e-7
-    below = concurrence_wootters(
-        pair_rdm_thermal(sd, res.t_c * (1 - 1e-3), 1, 2)).wootters
-    above = concurrence_wootters(
-        pair_rdm_thermal(sd, res.t_c * (1 + 1e-3), 1, 2)).wootters
+    near = thermo_grid(sd, spec, [res.t_c * (1 - 1e-3), res.t_c * (1 + 1e-3)])
+    below, above = concurrence_wootters(pair_rdms(sd, near.probabilities, 1, 2)).wootters
     assert below > 0.0
     assert above == 0.0
 
@@ -85,6 +88,11 @@ def test_threshold_rejections():
     spec, sd = cached_decompose(4, 1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="isotropic"):
         find_threshold(spec, sd)
+    # a subnormal J's bisection width 1e-8 J underflows, and the search
+    # never ended
+    for j in (5e-324, 1e-320, 1e-316, sys.float_info.min / 2):
+        with pytest.raises(ValueError, match="subnormal"):
+            require_afm_xxx(ModelSpec.uniform(4, j))
 
 
 def test_u_of_n_ground_state_values():
@@ -133,10 +141,8 @@ def test_entangled_exactly_up_to_threshold():
     spec, sd = cached_decompose(4, 1.0)
     res = find_threshold(spec, sd)
     # energy-route concurrence is positive strictly below and zero above
-    from heisenring import concurrence_xxx_energy, thermo_point
-    c_lo = concurrence_xxx_energy(
-        thermo_point(sd, spec, res.t_c * 0.9).u_per_site, 1.0)
-    c_hi = concurrence_xxx_energy(
-        thermo_point(sd, spec, res.t_c * 1.1).u_per_site, 1.0)
+    from heisenring import concurrence_xxx_energy
+    u = thermo_grid(sd, spec, [res.t_c * 0.9, res.t_c * 1.1]).u
+    c_lo, c_hi = concurrence_xxx_energy(u / 4, 1.0)
     assert c_lo > 0.0
     assert c_hi == 0.0

@@ -8,12 +8,12 @@ from heisenring import (
     TwoQubitRDM,
     check_element_relations,
     correlations_from_rdm,
+    build_hamiltonian,
     decompose,
-    pair_rdm_thermal,
+    diagonalize_full,
     pair_rdms,
     run_sweep,
     thermo_grid,
-    thermo_point,
 )
 from heisenring import twoqubit
 from heisenring.model import ring_coupling_matrices
@@ -49,11 +49,11 @@ def test_singlet_elements():
 
 def test_three_site_z_energy_identity():
     spec, sd = cached_decompose(3, 1.0)
-    tp = thermo_point(sd, spec, 1.0)
+    u = thermo_grid(sd, spec, [1.0]).u[0]
     rdm = reduce_to_pair(gibbs_state(sd, 1.0), 1, 2)
     # z = U / (6 J N) with U = -3 tanh(3)
     assert abs(rdm.z.real - (-math.tanh(3.0) / 6.0)) <= 1e-10
-    assert abs(rdm.z.real - tp.u / 18.0) <= 1e-12
+    assert abs(rdm.z.real - u / 18.0) <= 1e-12
     assert abs(rdm.z.imag) <= 1e-12
 
 
@@ -74,12 +74,12 @@ def test_full_space_correlations_match_rdm(n, j, delta, b, t):
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_isotropic_correlations(n):
     spec, sd = cached_decompose(n, 1.0)
-    tp = thermo_point(sd, spec, 0.8)
-    cs = correlations_from_rdm(pair_rdm_thermal(sd, 0.8, 1, 2))
-    g = cs.g
+    grid = thermo_grid(sd, spec, [0.8])
+    cs = correlations_from_rdm(pair_rdms(sd, grid.probabilities, 1, 2))
+    g = cs.g[0]
     assert abs(g[0, 0] - g[1, 1]) <= 1e-10
     assert abs(g[0, 0] - g[2, 2]) <= 1e-10
-    assert abs(g[0, 0] - tp.u / (3.0 * n)) <= 1e-10
+    assert abs(g[0, 0] - grid.u[0] / (3.0 * n)) <= 1e-10
 
 
 def test_singlet_correlations():
@@ -90,7 +90,8 @@ def test_singlet_correlations():
 
 def test_infinite_temperature_correlations_vanish():
     spec, sd = cached_decompose(4, 1.0)
-    cs = correlations_from_rdm(pair_rdm_thermal(sd, 1e12, 1, 2))
+    cs = correlations_from_rdm(pair_rdms(sd, thermo_grid(sd, spec, [1e12]).probabilities,
+                                         1, 2))
     assert np.max(np.abs(cs.g)) <= 1e-10
 
 
@@ -102,10 +103,10 @@ def test_infinite_temperature_correlations_vanish():
 ])
 def test_element_relations(n, j, delta, b, t):
     spec, sd = cached_decompose(n, j, delta, b)
-    rdm = pair_rdm_thermal(sd, t, 1, 2)
+    rdm = pair_rdms(sd, thermo_grid(sd, spec, [t]).probabilities, 1, 2)
     cs = correlations_from_rdm(rdm)
     for name, residual in check_element_relations(rdm, cs).items():
-        assert residual <= 1e-10, (name, residual)
+        assert residual[0] <= 1e-10, (name, residual)
 
 
 @pytest.mark.parametrize("temperatures", [(1.0,), (0.2, 3.0), (0.2, 1.0, 3.0)])
@@ -127,25 +128,24 @@ def test_element_relations_of_a_stack_match_each_row(temperatures):
 
 def test_z_is_real_for_isotropic_ring():
     spec, sd = cached_decompose(3, 1.0)
-    rdm = pair_rdm_thermal(sd, 0.5, 1, 2)
+    rdm = pair_rdms(sd, thermo_grid(sd, spec, [0.5]).probabilities, 1, 2)
     cs = correlations_from_rdm(rdm)
-    assert abs(rdm.z.imag) <= 1e-12
-    assert check_element_relations(rdm, cs)["im_z"] <= 1e-12
+    assert abs(rdm.z[0].imag) <= 1e-12
+    assert check_element_relations(rdm, cs)["im_z"][0] <= 1e-12
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.5, 2.0])
 def test_z_real_even_for_anisotropic_rings(delta):
     # reflection symmetry of the ring keeps <s+ s-> real away from delta = 1
     spec, sd = cached_decompose(5, 1.0, delta, 0.4)
-    for t in (0.3, 2.0):
-        assert abs(pair_rdm_thermal(sd, t, 1, 2).z.imag) <= 1e-10
+    rdm = pair_rdms(sd, thermo_grid(sd, spec, [0.3, 2.0]).probabilities, 1, 2)
+    assert np.all(np.abs(rdm.z.imag) <= 1e-10)
 
 
 @pytest.mark.parametrize("n,j", [(2, 1.0), (4, 1.0), (5, 1.0), (2, -1.0), (4, -1.0)])
 def test_z_sign_tracks_exchange_sign(n, j):
     spec, sd = cached_decompose(n, j)
-    for t in (0.2, 1.0, 5.0):
-        z = pair_rdm_thermal(sd, t, 1, 2).z
+    for z in pair_rdms(sd, thermo_grid(sd, spec, [0.2, 1.0, 5.0]).probabilities, 1, 2).z:
         if abs(z) > 1e-12:
             assert (z.real < 0) == (j > 0)
 
@@ -153,35 +153,37 @@ def test_z_sign_tracks_exchange_sign(n, j):
 @pytest.mark.parametrize("n,t", [(2, 0.5), (4, 1.0), (6, 0.3)])
 def test_z_energy_relation_isotropic(n, t):
     spec, sd = cached_decompose(n, 1.0)
-    tp = thermo_point(sd, spec, t)
-    rdm = pair_rdm_thermal(sd, t, 1, 2)
-    assert abs(rdm.z.real - tp.u / (6.0 * n)) <= 1e-10
+    grid = thermo_grid(sd, spec, [t])
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    assert abs(rdm.z[0].real - grid.u[0] / (6.0 * n)) <= 1e-10
 
 
 def test_pair_translation_invariance():
     spec, sd = cached_decompose(6, 1.0, 0.5, 0.3)
-    base = pair_rdm_thermal(sd, 0.7, 1, 2)
+    p = thermo_grid(sd, spec, [0.7]).probabilities
+    base = pair_rdms(sd, p, 1, 2)
     for k in (2, 3, 5):
-        shifted = pair_rdm_thermal(sd, 0.7, k, k % 6 + 1)
+        shifted = pair_rdms(sd, p, k, k % 6 + 1)
         assert np.max(np.abs(base.matrix - shifted.matrix)) <= 1e-10
 
 
 def test_correlation_bound():
     for args in [(4, 1.0, 1.0, 0.0), (5, 1.0, 2.0, 1.0), (6, -1.0, 0.0, 0.0)]:
         spec, sd = cached_decompose(*args)
-        for t in (0.1, 1.0):
-            cs = correlations_from_rdm(pair_rdm_thermal(sd, t, 1, 2))
-            assert np.max(np.abs(cs.g)) <= 1.0 + 1e-12
+        p = thermo_grid(sd, spec, [0.1, 1.0]).probabilities
+        cs = correlations_from_rdm(pair_rdms(sd, p, 1, 2))
+        assert np.max(np.abs(cs.g)) <= 1.0 + 1e-12
 
 
 def test_fast_path_matches_partial_trace():
     spec, sd = cached_decompose(6, 1.0, 0.5, 0.4)
-    for t in (0.2, 1.0, 8.0):
-        rho = gibbs_state(sd, t)
-        for pair in [(1, 2), (2, 5), (4, 1)]:
-            direct = reduce_to_pair(rho, *pair)
-            fast = pair_rdm_thermal(sd, t, *pair)
-            assert np.max(np.abs(direct.matrix - fast.matrix)) <= 1e-12
+    temps = [0.2, 1.0, 8.0]
+    p = thermo_grid(sd, spec, temps).probabilities
+    for pair in [(1, 2), (2, 5), (4, 1)]:
+        fast = pair_rdms(sd, p, *pair)
+        for t, fast_matrix in zip(temps, fast.matrix):
+            direct = reduce_to_pair(gibbs_state(sd, t), *pair)
+            assert np.max(np.abs(direct.matrix - fast_matrix)) <= 1e-12
 
 
 @pytest.mark.parametrize("spec", [
@@ -208,10 +210,31 @@ def test_pair_table_rows_are_eigenstate_pair_rdms(spec):
             assert np.all(np.any(table[:, X_PATTERN] != 0.0, axis=0))
 
 
+def test_pair_rdms_store_no_table():
+    # only the pair mode of decompose fills pair_tables; a table built
+    # from the eigenvectors is not kept on the decomposition
+    spec = ModelSpec.uniform(5, 1.0, 0.5, 0.3)
+    sd = decompose(spec)
+    p = thermo_grid(sd, spec, [0.5, 2.0]).probabilities
+    first = pair_rdms(sd, p, 1, 2).matrix
+    assert sd.pair_tables == {}
+    assert np.array_equal(pair_rdms(sd, p, 1, 2).matrix, first)
+    assert sd.pair_tables == {}
+
+
+def test_pair_table_refuses_mixed_parity_blocks():
+    # the one dense block of diagonalize_full mixes spin-flip parities;
+    # its pair RDMs come from oracle.reduce_to_pair of the Gibbs matrix
+    spec = ModelSpec.uniform(4, 1.0, 0.5, 0.3)
+    full = diagonalize_full(build_hamiltonian(spec))
+    with pytest.raises(ValueError, match="one spin-flip parity"):
+        pair_rdms(full, thermo_grid(full, spec, [1.0]).probabilities, 1, 2)
+
+
 def test_off_structure_norm_vanishes_when_sz_conserved():
     spec, sd = cached_decompose(5, 1.0, 0.5, 0.7)
-    rdm = pair_rdm_thermal(sd, 0.5, 1, 2)
-    assert rdm.off_structure_norm <= 1e-10
+    rdm = pair_rdms(sd, thermo_grid(sd, spec, [0.5]).probabilities, 1, 2)
+    assert rdm.off_structure_norm[0] <= 1e-10
 
 
 @pytest.mark.parametrize("n,j,delta,b,t", [
@@ -219,7 +242,7 @@ def test_off_structure_norm_vanishes_when_sz_conserved():
 ])
 def test_rdm_is_a_density_matrix(n, j, delta, b, t):
     spec, sd = cached_decompose(n, j, delta, b)
-    rdm = pair_rdm_thermal(sd, t, 1, 2)
+    rdm = pair_rdms(sd, thermo_grid(sd, spec, [t]).probabilities, 1, 2).rows(0)
     assert abs(rdm.u_plus + rdm.w1 + rdm.w2 + rdm.u_minus - 1.0) <= 1e-12
     assert abs(np.trace(rdm.matrix) - 1.0) <= 1e-12
     assert np.max(np.abs(rdm.matrix - rdm.matrix.conj().T)) <= 1e-12
@@ -240,8 +263,9 @@ def test_pair_slot_order():
     # site i goes to the first tensor slot: swapping the pair transposes
     # the one-site marginals
     spec, sd = cached_decompose(4, 1.0, 1.0, 0.9)
-    a = pair_rdm_thermal(sd, 0.5, 1, 2).matrix
-    b = pair_rdm_thermal(sd, 0.5, 2, 1).matrix
+    p = thermo_grid(sd, spec, [0.5]).probabilities
+    a = pair_rdms(sd, p, 1, 2).matrix[0]
+    b = pair_rdms(sd, p, 2, 1).matrix[0]
     first_a = a.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
     second_b = b.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
     assert np.max(np.abs(first_a - second_b)) <= 1e-12

@@ -116,7 +116,10 @@ def test_grid_specs_run_as_temperature_stacks(monkeypatch):
     # many temperatures the grid has; the pair mode adds one stack for the
     # bond on each N's momentum case and isotropic J = 1 ring, and from
     # N = 4 one more for the pair at distance N // 2, whose sector table
-    # is one more stack again
+    # is one more stack again.  The zero-temperature section adds a
+    # one-row stack for each N's isotropic J = 1 ring, and each of the ten
+    # derivative samples one thermo_grid in check_derivatives and one
+    # stack of each for derivative_zz
     calls = {}
 
     def count(module, name):
@@ -141,10 +144,24 @@ def test_grid_specs_run_as_temperature_stacks(monkeypatch):
                                        fields=(0.0, 0.4), temperatures=temperatures))
         grid_specs = [args[1] for args in calls["thermo_grid"]]
         pair_modes = {spec: 1 + (spec.n_sites >= 4) for spec in bond_specs}
-        assert all(grid_specs.count(spec) == 1 + pair_modes.get(spec, 0) for spec in specs)
+        zero_t = {ModelSpec.uniform(n, 1.0) for n in (3, 6)}
+        assert all(grid_specs.count(spec) == 1 + pair_modes.get(spec, 0) + (spec in zero_t)
+                   for spec in specs)
+        assert len(grid_specs) == (len(specs) + sum(pair_modes.values()) + len(zero_t)
+                                   + 2 * 10)
         assert len(calls["pair_rdms"]) == 2 * len(specs) + sum(
-            2 * modes - 1 for modes in pair_modes.values())
+            2 * modes - 1 for modes in pair_modes.values()) + len(zero_t) + 10
         assert len(calls["embed"]) == 10 * sum(spec.n_sites <= 5 for spec in specs)
+
+
+def test_high_t_limit_scales_with_the_field():
+    # U ~ -<H^2>/T grows with B^2 as well as J^2: against N |J| alone this
+    # grid read a residual of 0.25 and failed
+    opts = VerifyOptions(n_values=(4,), j_values=(1e-6,), deltas=(1.0,), fields=(0.5,))
+    results = {r.name: r for r in run_verification(opts)}
+    assert results["u_high_t_limit"].residual <= 1e-6
+    assert all(r.passed for r in results.values()), [
+        r.name for r in results.values() if not r.passed]
 
 
 def test_bond_route_and_zz_derivative_are_checked():
