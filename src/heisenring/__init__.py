@@ -9,6 +9,9 @@ The full-space reference routes that verify and the tests check these
 against live in heisenring.oracle, which is not re-exported here.
 """
 
+# _blas first: it imports numpy with OpenBLAS started on one thread, which
+# works only while nothing has imported numpy yet
+from . import _blas  # noqa: F401
 from .bell import (
     BellResult,
     MeasurementFrame,

@@ -16,28 +16,77 @@ products gain from width 256, but those of that width (verify's N = 8
 Gibbs matrices) take under a millisecond each, so one WIDE serves all
 three.
 
-So the first call of threads_for finds the OpenBLAS that numpy bundles,
-reads the thread count it started with (OPENBLAS_NUM_THREADS caps it)
-and sets the pool to one thread; only a matrix at least WIDE wide runs
-with the starting count.  Without that library or its thread symbols
-threads_for does nothing.  Importing this module touches no library.
+The spare threads cost even before the first solve: OpenBLAS starts them
+when numpy loads it, and they spin.  On the same machine a bare ``import
+numpy`` took 0.183 s of CPU time at two threads, 0.118 s at one, and
+0.110 s at two with the spin cut short by OPENBLAS_THREAD_TIMEOUT=4
+(medians of 12 fresh processes each).  So when this module is imported
+before numpy and numpy bundles scipy-openblas, it imports numpy with
+OPENBLAS_NUM_THREADS=1 and then puts the environment back as it was,
+keeping the count the environment asked for.  The package imports this
+module first for that reason.
+
+The first call of threads_for finds that library and sets the pool to one
+thread.  Only a matrix at least WIDE wide runs with the starting count:
+the asked count, grown to on the first such call, or else the count the
+library started with (OPENBLAS_NUM_THREADS caps it).  Without that library
+numpy starts as it would; without its thread symbols threads_for does
+nothing.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
+import importlib.util
 import os
+import re
+import sys
 from contextlib import contextmanager
 
-import numpy as np
-
 WIDE = 512
-_LIBRARY = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                        "libscipy_openblas64_*.so")
+_LIBRARY = os.path.join(os.path.dirname(importlib.util.find_spec("numpy").origin),
+                        os.pardir, "numpy.libs", "libscipy_openblas64_*.so")
+# OpenBLAS's own order: the first of these that atoi reads as positive wins
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS",
+                     "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_ATOI = re.compile(r"[ \t\n\v\f\r]*([+-]?[0-9]+)")
 # (set_num_threads, starting count) once found, () when absent, None before
 # the first call; the pool it describes is process-wide state too
 _pool = None
+
+
+def _asked_threads() -> int | None:
+    """The thread count the environment asks OpenBLAS to start with, read as
+    OpenBLAS reads it; 0 stands for the CPU count.  None where numpy is
+    imported already or bundles no scipy-openblas: its start is not ours."""
+    if "numpy" in sys.modules or not glob.glob(_LIBRARY):
+        return None
+    for name in _THREAD_VARIABLES:
+        match = _ATOI.match(os.environ.get(name, ""))
+        if match and int(match.group(1)) > 0:
+            return int(match.group(1))
+    return 0
+
+
+def _import_numpy_on_one_thread() -> int | None:
+    """Import numpy with its OpenBLAS started on one thread; the asked count."""
+    asked = _asked_threads()
+    if asked is None:
+        return None
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401  (loads OpenBLAS, which reads the variable once)
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+    return asked
+
+
+_asked = _import_numpy_on_one_thread()
 
 
 def _find_pool():
@@ -45,12 +94,15 @@ def _find_pool():
         try:
             lib = ctypes.CDLL(path)
             get = lib.scipy_openblas_get_num_threads64_
+            procs = lib.scipy_openblas_get_num_procs64_
             set_threads = lib.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
         get.argtypes, get.restype = [], ctypes.c_int
+        procs.argtypes, procs.restype = [], ctypes.c_int
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        start = get()
+        # OpenBLAS caps the asked count at the CPU count when it starts
+        start = get() if _asked is None else min(_asked or procs(), procs())
         set_threads(1)
         return set_threads, start
     return ()
