@@ -18,7 +18,7 @@ three.
 
 The spare threads cost even before the first solve: OpenBLAS starts them
 when numpy loads it, and they spin.  On the same machine a bare ``import
-numpy`` took 0.183 s of CPU time at two threads, 0.118 s at one, and
+numpy`` took 0.178 s of CPU time at two threads, 0.118 s at one, and
 0.110 s at two with the spin cut short by OPENBLAS_THREAD_TIMEOUT=4
 (medians of 12 fresh processes each).  So when this module is imported
 before numpy and numpy bundles scipy-openblas, it imports numpy with
