@@ -7,7 +7,8 @@ u, u~ the top eigenvalues of T T^t.  On isotropic rings this collapses to
 and nonlocality.  Violation (measure > 2) is strictly stronger than
 entanglement: between 2 sqrt(2)/3 and 2 the state is entangled but no
 CHSH frame can show it.  Every Bell function reads the state only through
-its 3x3 correlation tensor T, computed once per state here.
+its 3x3 correlation tensor T, computed once per state here: the measure
+takes the whole stack of tensors, a frame one tensor.
 """
 
 import math
@@ -37,11 +38,11 @@ grid = thermo_grid(sd, spec, [0.2, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0])
 rdm = pair_rdms(sd, grid.probabilities, 1, 2)
 gs = correlations_from_rdm(rdm).g
 res = violation_measure(gs)
+closed = violation_xxx(grid.u, 1.0, 2)
 cs = concurrence_wootters(rdm).wootters
 for r, t in enumerate(grid.temperature):
-    closed = violation_xxx(grid.u[r], 1.0, 2)
     sampled = random_frame_search(gs[r], 2000, seed=42)
-    print(f"{t:7.2f} {res.measure[r]:9.5f} {closed:9.5f} {res.violates[r]!s:>9} "
+    print(f"{t:7.2f} {res.measure[r]:9.5f} {closed[r]:9.5f} {res.violates[r]!s:>9} "
           f"{cs[r]:9.5f} {sampled:20.5f}")
 
 print(f"\nquantum ceiling 2*sqrt(2) = {2 * math.sqrt(2):.5f}; classical bound 2")
@@ -50,20 +51,19 @@ print("entangled-but-not-violating window: measure in (2*sqrt(2)/3, 2] "
 
 print("\n=== the analytic optimal frame attains the measure exactly ===")
 grid = thermo_grid(sd, spec, [0.5, 4.0, 9.0])
-for t, g in zip(grid.temperature,
-                correlations_from_rdm(pair_rdms(sd, grid.probabilities, 1, 2)).g):
-    res = violation_measure(g)
+gs = correlations_from_rdm(pair_rdms(sd, grid.probabilities, 1, 2)).g
+for t, g, measure in zip(grid.temperature, gs, violation_measure(gs).measure):
     attained = abs(chsh_expectation(g, optimal_frame(g)))
-    print(f"T={t:5.2f}: measure {res.measure:.12f}  frame value {attained:.12f}  "
-          f"diff {abs(res.measure - attained):.1e}")
+    print(f"T={t:5.2f}: measure {measure:.12f}  frame value {attained:.12f}  "
+          f"diff {abs(measure - attained):.1e}")
 
 print("\n=== random frames approach but never beat the bound (N=4, T=0.5) ===")
 spec4 = ModelSpec.uniform(4, 1.0)
 sd4 = decompose(spec4)
 g4 = correlations_from_rdm(
-    pair_rdms(sd4, thermo_grid(sd4, spec4, [0.5]).probabilities, 1, 2)).g[0]
-bound = violation_measure(g4).measure
+    pair_rdms(sd4, thermo_grid(sd4, spec4, [0.5]).probabilities, 1, 2)).g
+bound = violation_measure(g4).measure[0]
 for count in (100, 1000, 10000, 100000):
-    best = random_frame_search(g4, count, seed=7)
+    best = random_frame_search(g4[0], count, seed=7)
     print(f"{count:7d} frames: best {best:.6f}  (bound {bound:.6f}, "
           f"gap {bound - best:.2e})")

@@ -28,6 +28,12 @@ off the defaults (VERIFY_CONFIGS); the text reports and the exit codes
 must be identical.  A report that differs is shown as a unified diff, cut at
 VERIFY_DIFF_LINES lines.
 
+Both trees also run DEMOS, demos 01 to 04 of their own `demos`
+directory (the directory beside BASE_SRC or HEAD_SRC), each with its own
+`src` on PYTHONPATH; their stdout must be identical, and a difference is
+shown as a diff cut the same way.  Demo 05 prints wall times, so it is
+not compared.
+
 Every run is stopped after RUN_TIMEOUT_S seconds, ample for the default
 verify grid and the N = 14 runs; a run that hits it counts as a
 difference, named with its command and tree, so a tree that never
@@ -143,6 +149,8 @@ ROUTE_SWEEPS = {
 }
 
 VERIFY_DIFF_LINES = 20
+# the demos compared, by file-name prefix; 05_sector_scaling prints wall times
+DEMOS = ("01_", "02_", "03_", "04_")
 BLAS_THREADS = "1"
 RUN_TIMEOUT_S = 300
 VERIFY_CONFIGS = {
@@ -182,15 +190,19 @@ class RunTimeout(Exception):
     """A CLI run that did not finish within RUN_TIMEOUT_S."""
 
 
-def cli_run(src: str, command: str, *args: str) -> subprocess.CompletedProcess:
+def python_run(src: str, *args: str) -> subprocess.CompletedProcess:
+    """`python *args` with `src` on PYTHONPATH."""
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=BLAS_THREADS)
     try:
-        return subprocess.run([sys.executable, "-m", "heisenring", command, *args],
-                              env=env, capture_output=True, text=True,
-                              timeout=RUN_TIMEOUT_S)
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        raise RunTimeout(f"{command} {' '.join(args)} under {src} "
+        raise RunTimeout(f"{' '.join(args)} under {src} "
                          f"timed out after {RUN_TIMEOUT_S} s") from None
+
+
+def cli_run(src: str, command: str, *args: str) -> subprocess.CompletedProcess:
+    return python_run(src, "-m", "heisenring", command, *args)
 
 
 def cli_stdout(src: str, command: str, *args: str) -> str:
@@ -271,6 +283,16 @@ def compare_thresholds(src_pair, config: Path, worst: dict[str, float]) -> list[
     return problems
 
 
+def text_diff(name: str, base: str, head: str) -> list[str]:
+    """The unified diff of two outputs, cut at VERIFY_DIFF_LINES lines."""
+    diff = list(difflib.unified_diff(base.splitlines(), head.splitlines(),
+                                     f"{name} base", f"{name} head", lineterm=""))
+    if len(diff) > VERIFY_DIFF_LINES:
+        return diff[:VERIFY_DIFF_LINES] + [
+            f"... {len(diff) - VERIFY_DIFF_LINES} more diff lines"]
+    return diff
+
+
 def verify_problems(name: str, path: Path, base_src: str, head_src: str) -> list[str]:
     """The exit codes and the cut unified diff of two verify reports."""
     # a failing check (exit 1) is output to compare, not an error
@@ -279,13 +301,20 @@ def verify_problems(name: str, path: Path, base_src: str, head_src: str) -> list
     problems = []
     if base.returncode != head.returncode:
         problems.append(f"exit code {base.returncode} != {head.returncode}")
-    report_diff = list(difflib.unified_diff(
-        base.stdout.splitlines(), head.stdout.splitlines(),
-        f"{name} base", f"{name} head", lineterm=""))
-    problems += report_diff[:VERIFY_DIFF_LINES]
-    if len(report_diff) > VERIFY_DIFF_LINES:
-        problems.append(f"... {len(report_diff) - VERIFY_DIFF_LINES} more diff lines")
-    return problems
+    return problems + text_diff(name, base.stdout, head.stdout)
+
+
+def demo_stdout(src: str, prefix: str) -> str:
+    """stdout of the demo named `prefix`* in the demos directory beside `src`."""
+    (path,) = (Path(src).resolve().parent / "demos").glob(f"{prefix}*.py")
+    proc = python_run(src, str(path))
+    proc.check_returncode()
+    return proc.stdout
+
+
+def demo_problems(prefix: str, base_src: str, head_src: str) -> list[str]:
+    return text_diff(f"demo {prefix}", demo_stdout(base_src, prefix),
+                     demo_stdout(head_src, prefix))
 
 
 def check(name: str, problems_of, limit: int | None = None) -> int:
@@ -333,6 +362,8 @@ def main() -> int:
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(doc))
             failures += check(name, lambda: verify_problems(name, path, base_src, head_src))
+    for prefix in DEMOS:
+        failures += check(f"demo {prefix}*", lambda: demo_problems(prefix, base_src, head_src))
     for col, diff in sorted(worst.items(), key=lambda kv: -kv[1]):
         print(f"worst |diff| {col}: {diff:.3e}")
     for col, rel in sorted(worst_rel.items(), key=lambda kv: -kv[1]):

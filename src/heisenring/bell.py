@@ -8,9 +8,12 @@ quantum ceiling.
 
 Every function here reads the state only through its 3x3 tensor T, the
 `g` of twoqubit.CorrelationSet, so a caller computes T once per state and
-passes it on.  violation_measure also takes the (R, 3, 3) tensors of a
-temperature sweep and runs one stacked eigvalsh over them; one tensor
-goes through the same code.
+passes it on.  violation_measure takes the (R, 3, 3) tensors of R states
+and runs one stacked eigvalsh over them; violation_xxx and
+concurrence_vs_violation take (R,) arrays.  One state is a stack of one.
+The frame tools (MeasurementFrame, chsh_expectation, frame_expectations,
+random_frame_search, optimal_frame) take one 3x3 tensor, because a frame
+belongs to one state.
 """
 
 from __future__ import annotations
@@ -46,14 +49,11 @@ class MeasurementFrame:
 
 @dataclass(frozen=True)
 class BellResult:
-    """Top two eigenvalues of T T^t and the measure 2 sqrt(u + u~).
+    """Top two eigenvalues of T T^t and the measure 2 sqrt(u + u~), as (R,) arrays."""
 
-    For a stack of R tensors each field holds (R,) arrays.
-    """
-
-    top_two: tuple[float, float] | tuple[np.ndarray, np.ndarray]
-    measure: float | np.ndarray
-    violates: bool | np.ndarray
+    top_two: tuple[np.ndarray, np.ndarray]
+    measure: np.ndarray
+    violates: np.ndarray
 
 
 def chsh_expectation(t: np.ndarray, frame: MeasurementFrame) -> float:
@@ -63,48 +63,44 @@ def chsh_expectation(t: np.ndarray, frame: MeasurementFrame) -> float:
 
 
 def violation_measure(t: np.ndarray) -> BellResult:
-    """Maximal |<CHSH>| over all frames, from the spectrum of T T^t.
-
-    t is one 3x3 tensor or an (R, 3, 3) stack of them.
-    """
+    """Maximal |<CHSH>| over all frames of each (3, 3) tensor of the (R, 3, 3) `t`,
+    from the spectrum of T T^t."""
     t = np.asarray(t, dtype=float)
-    if t.ndim not in (2, 3) or t.shape[-2:] != (3, 3):
-        raise ValueError(f"expected a 3x3 correlation matrix or a stack of them, got {t.shape}")
+    if t.ndim != 3 or t.shape[1:] != (3, 3):
+        raise ValueError(f"expected an (R, 3, 3) stack of correlation tensors, got shape {t.shape}")
     evals = np.clip(np.linalg.eigvalsh(t @ t.swapaxes(-1, -2)), 0.0, None)  # PSD up to roundoff
-    u, u_tilde = evals[..., 2], evals[..., 1]
+    u, u_tilde = evals[:, 2], evals[:, 1]
     measure = 2.0 * np.sqrt(u + u_tilde)
-    if t.ndim == 2:
-        return BellResult(top_two=(float(u), float(u_tilde)), measure=float(measure),
-                          violates=bool(measure > 2.0))
     return BellResult(top_two=(u, u_tilde), measure=measure, violates=measure > 2.0)
 
 
-def violation_xxx(u: float, j: float, n: int) -> float:
-    """Isotropic-ring closed form 2 sqrt(2) |U/(3 j N)|, by exchange-sign branch."""
+def violation_xxx(u: np.ndarray, j: float, n: int) -> np.ndarray:
+    """Isotropic-ring closed form 2 sqrt(2) |U/(3 j N)| of the (R,) energies U,
+    by exchange-sign branch."""
     if j == 0.0:
         raise ValueError("isotropic closed form needs j != 0")
     value = -TSIRELSON * u / (3.0 * j * n) if j > 0 else TSIRELSON * u / (3.0 * j * n)
-    if value < -1e-10:
+    if np.any(value < -1e-10):
         raise ValueError(
-            f"closed form gave {value:.3e} < 0; thermal internal energy must be <= 0"
+            f"closed form gave {np.min(value):.3e} < 0; thermal internal energy must be <= 0"
         )
-    return max(0.0, value)
+    return np.maximum(0.0, value)
 
 
-def concurrence_vs_violation(measure: float, regime: str) -> float:
-    """Concurrence implied by the violation measure on isotropic rings.
+def concurrence_vs_violation(measure: np.ndarray, j: float) -> np.ndarray:
+    """Concurrence implied by the (R,) violation measures of an isotropic ring.
 
-    AFM: C = max(0, 3 measure / (2 sqrt 2) - 1) / 2;
-    FM:  C = max(0,   measure / (2 sqrt 2) - 1) / 2 (always 0 below the ceiling).
+    AFM (j > 0): C = max(0, 3 measure / (2 sqrt 2) - 1) / 2;
+    FM  (j < 0): C = max(0,   measure / (2 sqrt 2) - 1) / 2 (always 0 below the ceiling).
     """
-    if not 0.0 <= measure <= TSIRELSON + 1e-10:
-        raise ValueError(f"measure {measure!r} outside [0, 2*sqrt(2)]")
-    reg = regime.lower()
-    if reg == "afm":
-        return clamp_concurrence(0.5 * max(0.0, 3.0 * measure / TSIRELSON - 1.0))
-    if reg == "fm":
-        return clamp_concurrence(0.5 * max(0.0, measure / TSIRELSON - 1.0))
-    raise ValueError(f"regime must be 'afm' or 'fm', got {regime!r}")
+    measure = np.asarray(measure, dtype=float)
+    outside = ~((0.0 <= measure) & (measure <= TSIRELSON + 1e-10))  # also catches NaN
+    if outside.any():
+        raise ValueError(f"measure {float(measure[outside][0])!r} outside [0, 2*sqrt(2)]")
+    if j == 0.0:
+        raise ValueError("isotropic closed form needs j != 0")
+    ratio = 3.0 * measure / TSIRELSON if j > 0 else measure / TSIRELSON
+    return clamp_concurrence(0.5 * np.maximum(0.0, ratio - 1.0))
 
 
 def random_frames(count: int, seed: int) -> np.ndarray:

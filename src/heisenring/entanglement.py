@@ -7,11 +7,11 @@ precondition holds.  All routes clamp |C| <= 1e-12 to exactly 0 (so
 "entangled or not" is a crisp predicate) and cap at 1, logging if the cap
 ever fires.
 
-Every function takes one state or a stack of R states (a stacked
-TwoQubitRDM and CorrelationSet, (R,) arrays for u_bar and G_zz): Wootters
-runs as one stacked eigh and one stacked svd, and the closed forms, the
-clamp and the spread are array expressions.  One state goes through the
-same code with no leading axis.
+Every function takes a stack of R states (a TwoQubitRDM and a
+CorrelationSet of R states, (R,) arrays for u_bar and G_zz) and returns
+(R,) arrays; one state is a stack of one.  Wootters runs as one stacked
+eigh and one stacked svd, and the closed forms, the clamp and the spread
+are array expressions.
 """
 
 from __future__ import annotations
@@ -30,19 +30,15 @@ CLAMP_TOL = 1e-12
 X_FORM_TOL = 1e-8
 
 
-def clamp_concurrence(c: float | np.ndarray) -> float | np.ndarray:
-    """Snap near-zero values to 0 and cap at 1 (logged when the cap fires).
-
-    Elementwise; a scalar gives a float.
-    """
+def clamp_concurrence(c: np.ndarray) -> np.ndarray:
+    """Snap near-zero values to 0 and cap at 1 (logged when the cap fires), elementwise."""
     c = np.asarray(c, dtype=float)
     for value in c[c > 1.0]:
         logger.info("concurrence %.17g capped to 1", value)
-    out = np.where(np.abs(c) <= CLAMP_TOL, 0.0, np.minimum(c, 1.0))
-    return float(out) if out.ndim == 0 else out
+    return np.where(np.abs(c) <= CLAMP_TOL, 0.0, np.minimum(c, 1.0))
 
 
-def _modulus(z: complex | np.ndarray) -> float | np.ndarray:
+def _modulus(z: np.ndarray) -> np.ndarray:
     """|z| by hypot, as Python's abs(complex) computes it; numpy's complex
     absolute value differs from it in the last bit."""
     return np.hypot(np.real(z), np.imag(z))
@@ -50,18 +46,17 @@ def _modulus(z: complex | np.ndarray) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
-    """Concurrence by every applicable route, with their worst disagreement.
+    """Concurrence of R states by every applicable route, with their worst disagreement.
 
-    For one state an absent route is None.  For a stack of R states every
-    field is an (R,) array (lambdas (R, 4)), NaN where a route is absent.
+    Every field is an (R,) array (lambdas (R, 4)), NaN where a route is absent.
     """
 
-    wootters: float | np.ndarray
+    wootters: np.ndarray
     lambdas: np.ndarray
-    x_form: float | np.ndarray | None = None
-    correlation_form: float | np.ndarray | None = None
-    energy_form: float | np.ndarray | None = None
-    max_disagreement: float | np.ndarray = 0.0
+    x_form: np.ndarray
+    correlation_form: np.ndarray
+    energy_form: np.ndarray
+    max_disagreement: np.ndarray
 
 
 def concurrence_wootters(rdm: TwoQubitRDM) -> ConcurrenceResult:
@@ -73,7 +68,8 @@ def concurrence_wootters(rdm: TwoQubitRDM) -> ConcurrenceResult:
     product is similar to M^dagger M), which avoids the accuracy loss of
     square-rooting near-zero eigenvalues of the non-Hermitian product.
     Eigenvalues of rho in [-1e-10, 0) are clipped to zero; anything lower
-    means the input was not a density matrix and raises.
+    means the input was not a density matrix and raises.  Only the Wootters
+    route is filled: the others are NaN, and the spread 0.
     """
     evals, vecs = np.linalg.eigh(rdm.matrix)
     lowest = evals.min(initial=0.0)
@@ -82,16 +78,16 @@ def concurrence_wootters(rdm: TwoQubitRDM) -> ConcurrenceResult:
             f"density matrix has eigenvalue {lowest:.3e} < -1e-10; "
             "input is not a valid density matrix"
         )
-    sqrt_rho = ((vecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :])
+    sqrt_rho = ((vecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :])
                 @ vecs.conj().swapaxes(-1, -2))
     sqrt_flipped = PAIR_PAULI["y"] @ sqrt_rho.conj() @ PAIR_PAULI["y"]
     lambdas = np.linalg.svd(sqrt_flipped @ sqrt_rho, compute_uv=False)
     c = clamp_concurrence(np.maximum(
-        0.0, lambdas[..., 0] - lambdas[..., 1] - lambdas[..., 2] - lambdas[..., 3]))
-    return ConcurrenceResult(wootters=c, lambdas=lambdas)
+        0.0, lambdas[:, 0] - lambdas[:, 1] - lambdas[:, 2] - lambdas[:, 3]))
+    return ConcurrenceResult(c, lambdas, *np.full((3,) + c.shape, np.nan), np.zeros(c.shape))
 
 
-def concurrence_x_form(rdm: TwoQubitRDM) -> float | np.ndarray:
+def concurrence_x_form(rdm: TwoQubitRDM) -> np.ndarray:
     """C = 2 max(0, |z| - sqrt(u+ u-)) for the S_z-conserving sparsity pattern."""
     worst = np.max(rdm.off_structure_norm, initial=0.0)
     if worst > X_FORM_TOL:
@@ -103,7 +99,7 @@ def concurrence_x_form(rdm: TwoQubitRDM) -> float | np.ndarray:
     return clamp_concurrence(2.0 * np.maximum(0.0, _modulus(rdm.z) - np.sqrt(u_prod)))
 
 
-def concurrence_from_correlations(cs: CorrelationSet) -> float | np.ndarray:
+def concurrence_from_correlations(cs: CorrelationSet) -> np.ndarray:
     """C = max(0, |G_xx + G_yy| - G_zz - 1) / 2, valid for zero magnetization."""
     worst = np.max(np.abs(cs.m_per_site), initial=0.0)
     if worst > 1e-8:
@@ -112,10 +108,10 @@ def concurrence_from_correlations(cs: CorrelationSet) -> float | np.ndarray:
         )
     g = cs.g
     return clamp_concurrence(
-        0.5 * np.maximum(0.0, np.abs(g[..., 0, 0] + g[..., 1, 1]) - g[..., 2, 2] - 1.0))
+        0.5 * np.maximum(0.0, np.abs(g[:, 0, 0] + g[:, 1, 1]) - g[:, 2, 2] - 1.0))
 
 
-def concurrence_xxx_energy(u_bar: float | np.ndarray, j: float) -> float | np.ndarray:
+def concurrence_xxx_energy(u_bar: np.ndarray, j: float) -> np.ndarray:
     """Isotropic-ring concurrence straight from the internal energy per site.
 
     Antiferromagnetic (j > 0): C = max(0, -ubar/j - 1) / 2;
@@ -135,15 +131,15 @@ def concurrence_xxx_energy(u_bar: float | np.ndarray, j: float) -> float | np.nd
     if np.any(gap > 1e-12):
         k = np.argmax(gap)
         raise ValueError(
-            f"sign-branch ({np.ravel(branch)[k]:.17g}) and unified "
-            f"({np.ravel(unified)[k]:.17g}) forms disagree; "
+            f"sign-branch ({branch[k]:.17g}) and unified "
+            f"({unified[k]:.17g}) forms disagree; "
             "input is outside the thermal domain (u_bar must be <= 0)"
         )
     return clamp_concurrence(branch)
 
 
-def concurrence_anisotropic(u_bar: float | np.ndarray, j: float, delta: float,
-                            g_zz: float | np.ndarray) -> float | np.ndarray:
+def concurrence_anisotropic(u_bar: np.ndarray, j: float, delta: float,
+                            g_zz: np.ndarray) -> np.ndarray:
     """Zero-field anisotropic route: C = max(0, |ubar/j - delta*G_zz| - G_zz - 1)/2.
 
     delta = 0 gives the XY special case max(0, |ubar/j| - G_zz - 1)/2 and
@@ -155,8 +151,8 @@ def concurrence_anisotropic(u_bar: float | np.ndarray, j: float, delta: float,
     return clamp_concurrence(0.5 * np.maximum(0.0, np.abs(r - delta * g_zz) - g_zz - 1.0))
 
 
-def concurrence_xxx_field(rdm: TwoQubitRDM, u_bar: float | np.ndarray, j: float,
-                          b: float) -> float | np.ndarray:
+def concurrence_xxx_field(rdm: TwoQubitRDM, u_bar: np.ndarray, j: float,
+                          b: float) -> np.ndarray:
     """Isotropic route with a magnetic field, where u+ != u-.
 
     C = 2 max{0, |z| - [(ubar/j - 4 Re z + 1 - (b/j) Mbar)^2 - 4 Mbar^2]^(1/2) / 4}
@@ -167,19 +163,19 @@ def concurrence_xxx_field(rdm: TwoQubitRDM, u_bar: float | np.ndarray, j: float,
     if j == 0.0:
         raise ValueError("field energy route needs j != 0")
     m_bar = rdm.m_bar
-    # float_power squares through the C library's pow, as ** on a Python
-    # float does; ** on an array multiplies x*x, which rounds differently
+    # float_power squares through the C library's pow; ** on an array
+    # multiplies x*x, which rounds differently
     arg = (np.float_power(u_bar / j - 4.0 * np.real(rdm.z) + 1.0 - (b / j) * m_bar, 2)
            - 4.0 * np.float_power(m_bar, 2))
     # the bracket's terms grow like b/j, and the rounding of its square with
     # them: a true 16 u+ u- >= 0 may read that far below 0
     terms = np.abs(u_bar / j) + 4.0 * np.abs(np.real(rdm.z)) + 1.0 + np.abs((b / j) * m_bar)
     floor = 1e-10 + 64.0 * np.finfo(float).eps * terms * terms
-    margin = np.ravel(arg + floor)
+    margin = arg + floor
     if np.any(margin < 0.0):
         worst = np.argmin(margin)
         raise ValueError(
-            f"square-root argument {np.ravel(arg)[worst]:.3e} < -{np.ravel(floor)[worst]:.3e} "
+            f"square-root argument {arg[worst]:.3e} < -{floor[worst]:.3e} "
             "signals a convention mismatch"
         )
     return clamp_concurrence(
@@ -187,10 +183,7 @@ def concurrence_xxx_field(rdm: TwoQubitRDM, u_bar: float | np.ndarray, j: float,
 
 
 def _on_rows(applies, route, state):
-    """route(state) where `applies` holds and absent elsewhere: None for one
-    state, NaN in the rows of a stack."""
-    if np.ndim(applies) == 0:
-        return route(state) if applies else None
+    """route(state) on the rows where `applies` holds, NaN elsewhere."""
     out = np.full(applies.size, np.nan)
     if applies.all():
         out[:] = route(state)
@@ -200,15 +193,14 @@ def _on_rows(applies, route, state):
 
 
 def concurrence_report(rdm: TwoQubitRDM, cs: CorrelationSet, spec: ModelSpec,
-                       u_bar: float | np.ndarray) -> ConcurrenceResult:
+                       u_bar: np.ndarray) -> ConcurrenceResult:
     """All routes whose preconditions hold for this spec, plus their spread.
 
     energy_form is the closed form matching the regime: isotropic, zero-field
     anisotropic, or isotropic-with-field; the regime is decided once per
     spec.  The closed forms hold for a nearest-neighbour pair, so
     energy_form is present only when rdm.sites is a bond of the ring.
-    Routes whose preconditions fail are left absent, never zero-filled:
-    None for one state, NaN in the rows of a stack.
+    Routes whose preconditions fail are left NaN, never zero-filled.
     """
     base = concurrence_wootters(rdm)
     fits_x = rdm.off_structure_norm <= X_FORM_TOL
@@ -219,20 +211,18 @@ def concurrence_report(rdm: TwoQubitRDM, cs: CorrelationSet, spec: ModelSpec,
     correlation_form = _on_rows(fits_x & (spec.field_b == 0.0),
                                 concurrence_from_correlations, cs)
 
-    energy_form = None
+    energy_form = np.full(fits_x.size, np.nan)
     if spec.is_uniform and spec.coupling.j != 0.0 and spec.is_bond(*rdm.sites):
         j, delta, b = spec.coupling.j, spec.coupling.delta, spec.field_b
         if delta == 1.0 and b == 0.0:
             energy_form = concurrence_xxx_energy(u_bar, j)
         elif b == 0.0:
-            energy_form = concurrence_anisotropic(u_bar, j, delta, cs.g[..., 2, 2])
+            energy_form = concurrence_anisotropic(u_bar, j, delta, cs.g[:, 2, 2])
         elif delta == 1.0:
             energy_form = concurrence_xxx_field(rdm, u_bar, j, b)
 
-    routes = [v for v in (base.wootters, x_form, correlation_form, energy_form)
-              if v is not None]
-    if energy_form is None and np.ndim(fits_x):
-        energy_form = np.full(fits_x.size, np.nan)
+    # fmax and fmin skip the NaN of an absent route
+    routes = (base.wootters, x_form, correlation_form, energy_form)
     return ConcurrenceResult(
         wootters=base.wootters,
         lambdas=base.lambdas,

@@ -6,11 +6,15 @@ checked against each other:
 
 - embed places an operator on chosen sites of the full register;
 - gibbs_state forms the thermal density matrix from eigenvectors;
-- reduce_to_pair partial-traces a full state onto a site pair, against
+- reduce_to_pair partial-traces full states onto a site pair, against
   twoqubit.pair_rdms, which averages per-eigenstate pair tables;
 - correlations takes tr(sigma_ia sigma_jb rho) with full-space operators,
   against twoqubit.correlations_from_rdm on the 4x4 matrices;
 - eigen_residuals checks a decomposition against the dense Hamiltonian.
+
+gibbs_state builds one 2^N x 2^N matrix; reduce_to_pair and correlations
+take an (R, 2^N, 2^N) stack of them, and one state is a stack of one
+(rho[None]).
 
 Every placement goes through model.site_indices, so no identity kron is
 formed.  No production module imports this one, and the package does not
@@ -62,34 +66,37 @@ def gibbs_state(sd: SpectralDecomposition, temperature: float) -> np.ndarray:
 
 
 def reduce_to_pair(rho: np.ndarray, i: int, j: int) -> TwoQubitRDM:
-    """Partial trace onto sites (i, j), site i mapped to the first tensor slot."""
+    """Partial traces of the (R, 2^N, 2^N) `rho` onto sites (i, j), site i
+    mapped to the first tensor slot."""
     m = np.asarray(rho)
-    n = int(m.shape[0]).bit_length() - 1
-    if m.shape != (1 << n, 1 << n):
-        raise ValueError(f"density matrix dimension {m.shape[0]} is not a power of 2")
+    n = int(m.shape[-1]).bit_length() - 1
+    if m.ndim != 3 or m.shape[1:] != (1 << n, 1 << n):
+        raise ValueError("expected an (R, 2^N, 2^N) stack of density matrices, "
+                         f"got shape {m.shape}")
     idx = site_indices((i, j), n)
-    rdm = m[idx[:, None, :], idx[None, :, :]].sum(axis=2)
+    rdm = m[:, idx[:, None, :], idx[None, :, :]].sum(axis=3)
     return TwoQubitRDM.from_matrix(rdm, (i, j))
 
 
 def correlations(rho: np.ndarray, i: int, j: int) -> CorrelationSet:
-    """Correlation tensor from the full-space state: g[a,b] = tr(sigma_ia sigma_jb rho).
+    """Correlation tensors from full-space states: g[a,b] = tr(sigma_ia sigma_jb rho).
 
     Evaluated with full 2^N operators, never through the 4x4 reduced
-    matrix, so it checks the partial-trace route independently.  rho is
-    one density matrix or an (R, 2^N, 2^N) stack of them, which gives a
-    stacked CorrelationSet; each operator is embedded once for the stack,
+    matrices, so it checks the partial-trace route independently.  rho is
+    an (R, 2^N, 2^N) stack; each operator is embedded once for the stack,
     and each trace is one sum over one state.
     """
     m = np.asarray(rho)
     n = int(m.shape[-1]).bit_length() - 1
-    states = m.reshape((-1,) + m.shape[-2:])
-    values = np.empty((states.shape[0], len(_OPS)), dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (1 << n, 1 << n):
+        raise ValueError("expected an (R, 2^N, 2^N) stack of density matrices, "
+                         f"got shape {m.shape}")
+    values = np.empty((m.shape[0], len(_OPS)), dtype=complex)
     for k, op in enumerate(_OPS):
         e = embed(op, (i, j), n)
-        for r, state in enumerate(states):
+        for r, state in enumerate(m):
             values[r, k] = np.sum(e * state.T)
-    return _correlation_set(values.reshape(m.shape[:-2] + (len(_OPS),)))
+    return _correlation_set(values)
 
 
 def eigen_residuals(h: np.ndarray, sd: SpectralDecomposition) -> tuple[float, float]:

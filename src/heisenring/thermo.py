@@ -108,6 +108,11 @@ def thermo_grid(sd: SpectralDecomposition, spec: ModelSpec,
     return ThermoGrid(temperature=t, probabilities=p, log_z=log_z, u=u, m=m)
 
 
+def _log_z(spec: ModelSpec, temperature: float) -> float:
+    """log Z of `spec` at one temperature, from its values-only spectrum."""
+    return _weights(decompose(spec, vectors=False), [temperature])[1][0]
+
+
 def check_derivatives(spec: ModelSpec, temperature: float) -> tuple[float, float]:
     """Residuals of U and M against central finite differences of log Z.
 
@@ -125,11 +130,9 @@ def check_derivatives(spec: ModelSpec, temperature: float) -> tuple[float, float
     grid = thermo_grid(sd, spec, [temperature, 1.0 / (beta + dbeta), 1.0 / (beta - dbeta)])
     u_fd = -(grid.log_z[1] - grid.log_z[2]) / (2.0 * dbeta)
 
-    def shifted(delta_b: float) -> float:
-        shifted_spec = replace(spec, field_b=spec.field_b + delta_b)
-        return _weights(decompose(shifted_spec, vectors=False), [temperature])[1][0]
-
-    m_fd = -(shifted(FIELD_STEP) - shifted(-FIELD_STEP)) / (2.0 * FIELD_STEP * beta)
+    up, down = (_log_z(replace(spec, field_b=spec.field_b + step), temperature)
+                for step in (FIELD_STEP, -FIELD_STEP))
+    m_fd = -(up - down) / (2.0 * FIELD_STEP * beta)
     return float(abs(u_fd - grid.u[0])), float(abs(m_fd - grid.m[0]))
 
 
@@ -146,10 +149,8 @@ def zz_from_log_z(spec: ModelSpec, temperature: float) -> float:
     if not spec.is_uniform or spec.coupling.j == 0.0:
         raise ValueError("the delta derivative needs a uniform ring with J != 0")
 
-    def shifted(step: float) -> float:
-        coupling = replace(spec.coupling, delta=spec.coupling.delta + step)
-        return _weights(decompose(replace(spec, coupling=coupling), vectors=False),
-                        [temperature])[1][0]
-
-    dlog_z = (shifted(DELTA_STEP) - shifted(-DELTA_STEP)) / (2.0 * DELTA_STEP)
+    c = spec.coupling
+    up, down = (_log_z(replace(spec, coupling=replace(c, delta=c.delta + step)), temperature)
+                for step in (DELTA_STEP, -DELTA_STEP))
+    dlog_z = (up - down) / (2.0 * DELTA_STEP)
     return float(-temperature / spec.coupling.j * dlog_z)

@@ -81,7 +81,7 @@ def find_threshold(spec: ModelSpec, sd: SpectralDecomposition) -> ThresholdResul
         return -thermo_grid(sd, spec, [t]).u[0] / (n * j) - 1.0
 
     floor = _T_FLOOR * j
-    if concurrence_xxx_energy(thermo_grid(sd, spec, [floor]).u[0] / n, j) <= CLAMP_TOL:
+    if concurrence_xxx_energy(thermo_grid(sd, spec, [floor]).u / n, j)[0] <= CLAMP_TOL:
         return ThresholdResult(STATUS_NEVER, None, (floor, floor), 0, None)
 
     lo, hi = floor, j

@@ -28,11 +28,10 @@ and M/N by contracting against the ten 4x4 Pauli products; the
 CorrelationSet it returns is the one tensor a state needs, for the
 concurrence routes and for bell alike.
 
-Thermal states come in stacks: pair_rdms gives the (R, 4, 4) reduced
-matrices of the R rows of a thermo.thermo_grid as one TwoQubitRDM, and
-correlations_from_rdm turns it into one CorrelationSet of R tensors.  One
-temperature is a stack of one, and TwoQubitRDM.rows(0) its single
-state; correlations_from_rdm runs the same contractions on one matrix.
+Thermal states come in stacks, and one state is a stack of one:
+pair_rdms gives the (R, 4, 4) reduced matrices of the R rows of a
+thermo.thermo_grid as one TwoQubitRDM, and correlations_from_rdm turns
+it into one CorrelationSet of R tensors.
 """
 
 from __future__ import annotations
@@ -59,57 +58,57 @@ _OPS.flags.writeable = False
 
 @dataclass(frozen=True)
 class TwoQubitRDM:
-    """4x4 reduced density matrix of a site pair plus its extracted elements.
+    """4x4 reduced density matrices of R states of one site pair, and their elements.
 
-    Holds one state (a (4, 4) matrix, scalar elements) or a stack of R
-    states of the same pair (an (R, 4, 4) matrix, each element an (R,)
-    array).
+    matrix is (R, 4, 4) and each element an (R,) array.
     """
 
     sites: tuple[int, int]
     matrix: np.ndarray
-    u_plus: float | np.ndarray
-    u_minus: float | np.ndarray
-    w1: float | np.ndarray
-    w2: float | np.ndarray
-    z: complex | np.ndarray
-    off_structure_norm: float | np.ndarray
+    u_plus: np.ndarray
+    u_minus: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    z: np.ndarray
+    off_structure_norm: np.ndarray
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, sites: tuple[int, int]) -> "TwoQubitRDM":
         m = np.asarray(matrix, dtype=complex)
-        if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix or a stack of them, got {m.shape}")
-        s = m.reshape(-1, 4, 4)
+        if m.ndim != 3 or m.shape[1:] != (4, 4):
+            raise ValueError(f"expected an (R, 4, 4) stack of pair matrices, got shape {m.shape}")
         # u+, u-, w1, w2 in field order, then z and the off-pattern norm
-        diagonal = s[:, (0, 3, 1, 2), (0, 3, 1, 2)].real
-        off = np.abs(s[:, _OFF_PATTERN]).max(axis=1)
-        if m.ndim == 2:
-            return cls(tuple(sites), m, *diagonal[0].tolist(), complex(s[0, 2, 1]), float(off[0]))
-        return cls(tuple(sites), m, *diagonal.T, s[:, 2, 1], off)
+        diagonal = m[:, (0, 3, 1, 2), (0, 3, 1, 2)].real
+        return cls(tuple(sites), m, *diagonal.T, m[:, 2, 1],
+                   np.abs(m[:, _OFF_PATTERN]).max(axis=1))
 
     def rows(self, index) -> "TwoQubitRDM":
-        """The states of a stack picked by `index`; an integer picks one state."""
+        """The states picked by the boolean mask or index array `index`."""
         return TwoQubitRDM.from_matrix(self.matrix[index], self.sites)
 
     @property
-    def m_bar(self) -> float | np.ndarray:
+    def m_bar(self) -> np.ndarray:
         """Per-site magnetization u+ - u-."""
         return self.u_plus - self.u_minus
 
 
 @dataclass(frozen=True)
 class CorrelationSet:
-    """3x3 correlation tensor g[a, b] = <sigma_ia sigma_jb> and M/N.
+    """3x3 correlation tensors g[a, b] = <sigma_ia sigma_jb> and M/N of R states.
 
-    For a stack of R states g is (R, 3, 3) and m_per_site is (R,).
+    g is (R, 3, 3) and m_per_site (R,).
     """
 
     g: np.ndarray
-    m_per_site: float | np.ndarray
+    m_per_site: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.g) != 3 or np.shape(self.g)[1:] != (3, 3):
+            raise ValueError(f"expected an (R, 3, 3) stack of correlation tensors, "
+                             f"got shape {np.shape(self.g)}")
 
     def rows(self, index) -> "CorrelationSet":
-        """The states of a stack picked by `index`."""
+        """The states picked by the boolean mask or index array `index`."""
         return CorrelationSet(g=self.g[index], m_per_site=self.m_per_site[index])
 
 
@@ -129,6 +128,10 @@ def _pair_table(sd: SpectralDecomposition, i: int, j: int) -> np.ndarray:
     oracle.reduce_to_pair of oracle.gibbs_state.
     """
     if sd.eigvec_blocks is None:
+        if sd.pair_tables:  # the pair mode keeps one pair's table and no eigenvectors
+            raise ValueError(f"the decomposition holds the pair table of "
+                             f"{next(iter(sd.pair_tables))} only; decompose(spec, "
+                             f"pair=({i}, {j})) gives the pair ({i}, {j})")
         raise ValueError("pair RDM needs eigenvectors; rerun with vectors=True")
     if i == j:
         raise ValueError(f"need two distinct sites, got ({i}, {j})")
@@ -174,50 +177,45 @@ def pair_rdms(sd: SpectralDecomposition, probabilities: np.ndarray,
     mode of decompose filled or which is built here, block by block, from
     the eigenvectors.
     The products stay one per row: a stacked matrix product sums in another
-    order and moves the elements in the last bits.  One temperature is a
-    stack of one; rows(0) of the result is its single state.
-    Equivalent, row by row, to oracle.reduce_to_pair(oracle.gibbs_state(sd, T), i, j).
+    order and moves the elements in the last bits.
+    Equivalent, row by row, to oracle.reduce_to_pair(oracle.gibbs_state(sd, T)[None], i, j).
     """
     return TwoQubitRDM.from_matrix(_pair_matrices(sd, probabilities, i, j), (i, j))
 
 
 def _correlation_set(values: np.ndarray) -> CorrelationSet:
-    """CorrelationSet from the ten traces tr(op rho), one per _OPS entry,
-    along the last axis of `values`."""
-    bad = np.abs(values.imag[..., :9]) > 1e-8
+    """CorrelationSet from the (R, 10) traces tr(op rho), one column per _OPS entry."""
+    bad = np.abs(values.imag[:, :9]) > 1e-8
     if bad.any():
-        row, k = np.argwhere(bad.reshape(-1, 9))[0]
+        row, k = np.argwhere(bad)[0]
         raise ValueError(f"correlation {_OP_NAMES[k]} has imaginary part "
-                         f"{values.imag.reshape(-1, 10)[row, k]:.3e}")
-    m = values.real[..., 9]
-    return CorrelationSet(g=values.real[..., :9].reshape(values.shape[:-1] + (3, 3)).copy(),
-                          m_per_site=m.item() if m.ndim == 0 else m)
+                         f"{values.imag[row, k]:.3e}")
+    return CorrelationSet(g=values.real[:, :9].reshape(-1, 3, 3).copy(),
+                          m_per_site=values.real[:, 9])
 
 
 def correlations_from_rdm(rdm: TwoQubitRDM) -> CorrelationSet:
-    """Correlation tensor of one reduced matrix or of a stack of them.
+    """Correlation tensors of a stack of reduced matrices.
 
-    One contraction per operator keeps a stack's temporaries at (R, 4, 4);
+    One contraction per operator keeps the temporaries at (R, 4, 4);
     contracting all ten operators at once would broadcast to (R, 10, 4, 4).
     """
     mt = rdm.matrix.swapaxes(-1, -2)
     return _correlation_set(np.stack([(op * mt).sum(axis=(-2, -1)) for op in _OPS], axis=-1))
 
 
-def check_element_relations(rdm: TwoQubitRDM,
-                            cs: CorrelationSet) -> dict[str, float | np.ndarray]:
-    """Residuals of the matrix-element identities tying the RDM to g and M/N.
+def check_element_relations(rdm: TwoQubitRDM, cs: CorrelationSet) -> dict[str, np.ndarray]:
+    """(R,) residuals of the matrix-element identities tying the RDMs to g and M/N.
 
     u+- = (1 +- 2*Mbar + G_zz)/4,  u+ - u- = Mbar,  u+ + u- = (1 + G_zz)/2,
     Re z = (G_xx + G_yy)/4,  Im z = (G_xy - G_yx)/4.
-    For a stack of R states each residual is an (R,) array.
     """
     g, mbar = cs.g, cs.m_per_site
     return {
-        "u_plus": abs(rdm.u_plus - 0.25 * (1 + 2 * mbar + g[..., 2, 2])),
-        "u_minus": abs(rdm.u_minus - 0.25 * (1 - 2 * mbar + g[..., 2, 2])),
+        "u_plus": abs(rdm.u_plus - 0.25 * (1 + 2 * mbar + g[:, 2, 2])),
+        "u_minus": abs(rdm.u_minus - 0.25 * (1 - 2 * mbar + g[:, 2, 2])),
         "m_bar": abs((rdm.u_plus - rdm.u_minus) - mbar),
-        "u_sum": abs((rdm.u_plus + rdm.u_minus) - 0.5 * (1 + g[..., 2, 2])),
-        "re_z": abs(rdm.z.real - 0.25 * (g[..., 0, 0] + g[..., 1, 1])),
-        "im_z": abs(rdm.z.imag - 0.25 * (g[..., 0, 1] - g[..., 1, 0])),
+        "u_sum": abs((rdm.u_plus + rdm.u_minus) - 0.5 * (1 + g[:, 2, 2])),
+        "re_z": abs(rdm.z.real - 0.25 * (g[:, 0, 0] + g[:, 1, 1])),
+        "im_z": abs(rdm.z.imag - 0.25 * (g[:, 0, 1] - g[:, 1, 0])),
     }

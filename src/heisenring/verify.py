@@ -262,7 +262,7 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
             col.record("gibbs_positive", float(np.maximum(-rho_min, 0.0)), 1e-12, at)
             col.record("pair_rdm_routes",
                        float(np.max(np.abs(
-                           oracle.reduce_to_pair(rho, 1, 2).matrix - pair_rho))),
+                           oracle.reduce_to_pair(rho[None], 1, 2).matrix[0] - pair_rho))),
                        1e-12, at)
             if n <= 5:
                 rhos.append(rho)
@@ -315,12 +315,10 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
                              1e-10, details)
             if j < 0:
                 col.record_worst("fm_concurrence_zero", c, 1e-12, details)
-            closed = np.array([bell.violation_xxx(x, j, n) for x in u])
-            col.record_worst("bell_xxx_closed_form", np.abs(measure - closed), 1e-10, details)
-            regime = "afm" if j > 0 else "fm"
-            implied = np.array([bell.concurrence_vs_violation(x, regime)
-                                for x in measure])
-            col.record_worst("bell_c_vs_b", np.abs(implied - c), 1e-9, details)
+            col.record_worst("bell_xxx_closed_form",
+                             np.abs(measure - bell.violation_xxx(u, j, n)), 1e-10, details)
+            col.record_worst("bell_c_vs_b",
+                             np.abs(bell.concurrence_vs_violation(measure, j) - c), 1e-9, details)
             violating = measure > 2.0
             col.record_worst("bell_witness_direction", np.where(c > 0.0, 0.0, 1.0)[violating],
                              0.5, details[violating])
@@ -363,7 +361,7 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         spec, sd = isotropic_ring(n)
         zero = thermo.thermo_grid(sd, spec, [0.0])
         c0 = entanglement.concurrence_wootters(
-            twoqubit.pair_rdms(sd, zero.probabilities, 1, 2).rows(0)).wootters
+            twoqubit.pair_rdms(sd, zero.probabilities, 1, 2)).wootters[0]
         if n == 3:
             col.record("ground_state_n3_zero", c0, 1e-10, "N=3")
         else:
@@ -371,12 +369,13 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
 
     # seeded random CHSH frames never beat the Horodecki measure; no
     # sampled state, no frames drawn
-    frames = bell.random_frames(FRAMES, opts.seed) if sampled_tensors else None
-    for tag, g in sampled_tensors:
-        best = float(np.max(np.abs(bell.frame_expectations(g, frames))))
-        measure = bell.violation_measure(g).measure
-        col.record("bell_frames_bound", max(0.0, best - measure), 1e-8, tag)
-        col.record("bell_measure_range", max(0.0, measure - TSIRELSON), 1e-10, tag)
+    if sampled_tensors:
+        tags, gs = zip(*sampled_tensors)
+        frames = bell.random_frames(FRAMES, opts.seed)
+        for tag, g, measure in zip(tags, gs, bell.violation_measure(np.stack(gs)).measure):
+            best = float(np.max(np.abs(bell.frame_expectations(g, frames))))
+            col.record("bell_frames_bound", max(0.0, best - measure), 1e-8, tag)
+            col.record("bell_measure_range", max(0.0, measure - TSIRELSON), 1e-10, tag)
 
     # finite-difference thermodynamic self-checks on a seeded random sample
     rng = np.random.default_rng(opts.seed)
@@ -396,8 +395,8 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         # ring bonds against -(T/J) d(log Z)/d(delta) from values-only spectra
         pair_sd = spectral.decompose(spec, pair=(1, 2))
         rdm = twoqubit.pair_rdms(
-            pair_sd, thermo.thermo_grid(pair_sd, spec, [t]).probabilities, 1, 2).rows(0)
-        zz = n * twoqubit.correlations_from_rdm(rdm).g[2, 2]
+            pair_sd, thermo.thermo_grid(pair_sd, spec, [t]).probabilities, 1, 2)
+        zz = n * twoqubit.correlations_from_rdm(rdm).g[0, 2, 2]
         col.record("derivative_zz", abs(zz - thermo.zz_from_log_z(spec, t)), 1e-5,
                    f"N={n} T={t:.3g}")
 

@@ -25,13 +25,15 @@ from helpers import SINGLET_RHO, cached_decompose
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
 
-def _rdm(matrix):
-    return TwoQubitRDM.from_matrix(np.asarray(matrix, dtype=complex), (1, 2))
+def _ts(matrix):
+    """Correlation tensor T of a 4x4 density matrix, as a stack of one."""
+    return correlations_from_rdm(
+        TwoQubitRDM.from_matrix(np.asarray(matrix, dtype=complex)[None], (1, 2))).g
 
 
 def _t(matrix):
-    """Correlation tensor T of a 4x4 density matrix."""
-    return correlations_from_rdm(_rdm(matrix)).g
+    """Correlation tensor T of a 4x4 density matrix, for the frame tools."""
+    return _ts(matrix)[0]
 
 
 def _canonical_frame():
@@ -79,8 +81,8 @@ def test_chsh_equals_operator_trace():
     paulis = np.stack([sx, sy, sz])
 
     spec, sd = cached_decompose(4, 1.0, 0.5, 0.3)
-    rdm = pair_rdms(sd, thermo_grid(sd, spec, [0.6]).probabilities, 1, 2).rows(0)
-    t = correlations_from_rdm(rdm).g
+    rdm = pair_rdms(sd, thermo_grid(sd, spec, [0.6]).probabilities, 1, 2)
+    t = correlations_from_rdm(rdm).g[0]
     frame = MeasurementFrame(*random_frames(1, seed=3)[0])
 
     def dot(v):
@@ -88,23 +90,23 @@ def test_chsh_equals_operator_trace():
 
     op = (np.kron(dot(frame.a), dot(frame.b + frame.b_prime))
           + np.kron(dot(frame.a_prime), dot(frame.b - frame.b_prime)))
-    expected = np.trace(rdm.matrix @ op).real
+    expected = np.trace(rdm.matrix[0] @ op).real
     assert abs(chsh_expectation(t, frame) - expected) <= 1e-12
 
 
 def test_violation_measure_singlet():
-    res = violation_measure(_t(SINGLET_RHO))
-    assert abs(res.measure - TSIRELSON) <= 1e-12
-    assert res.violates
+    res = violation_measure(_ts(SINGLET_RHO))
+    assert abs(res.measure[0] - TSIRELSON) <= 1e-12
+    assert res.violates.tolist() == [True]
 
 
 def test_violation_measure_product_state_at_classical_bound():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    res = violation_measure(_t(rho))
-    assert abs(res.measure - 2.0) <= 1e-12
-    assert res.top_two == (1.0, 0.0)
-    assert not res.violates
+    res = violation_measure(_ts(rho))
+    assert abs(res.measure[0] - 2.0) <= 1e-12
+    assert [v.tolist() for v in res.top_two] == [[1.0], [0.0]]
+    assert res.violates.tolist() == [False]
 
 
 def test_violation_two_site_closed_form():
@@ -115,13 +117,13 @@ def test_violation_two_site_closed_form():
 
 
 def test_violation_xxx_limits():
-    assert violation_xxx(0.0, 1.0, 4) == 0.0
+    assert violation_xxx(np.array([0.0]), 1.0, 4).tolist() == [0.0]
     spec, sd = cached_decompose(3, 1.0)
-    u = thermo_grid(sd, spec, [1.0]).u[0]
-    assert abs(violation_xxx(u, 1.0, 3)
+    u = thermo_grid(sd, spec, [1.0]).u
+    assert abs(violation_xxx(u, 1.0, 3)[0]
                - TSIRELSON * math.tanh(3.0) / 3.0) <= 1e-12
     with pytest.raises(ValueError):
-        violation_xxx(-1.0, 0.0, 2)
+        violation_xxx(np.array([-1.0]), 0.0, 2)
 
 
 @pytest.mark.parametrize("n,j", [(2, 1.0), (3, 1.0), (5, 1.0), (4, -1.0)])
@@ -129,33 +131,27 @@ def test_violation_closed_form_matches_measure(n, j):
     spec, sd = cached_decompose(n, j)
     grid = thermo_grid(sd, spec, [0.1, 0.8, 3.0])
     res = violation_measure(correlations_from_rdm(pair_rdms(sd, grid.probabilities, 1, 2)).g)
-    for measure, u in zip(res.measure, grid.u):
-        assert abs(measure - violation_xxx(u, j, n)) <= 1e-10
+    assert np.max(np.abs(res.measure - violation_xxx(grid.u, j, n))) <= 1e-10
 
 
 def test_concurrence_vs_violation_mapping():
-    assert concurrence_vs_violation(TSIRELSON, "afm") == 1.0
-    assert concurrence_vs_violation(2.0, "fm") == 0.0
-    assert concurrence_vs_violation(TSIRELSON, "fm") == 0.0
-    with pytest.raises(ValueError):
-        concurrence_vs_violation(3.0, "afm")
-    with pytest.raises(ValueError):
-        concurrence_vs_violation(1.0, "xfm")
+    assert concurrence_vs_violation(np.array([TSIRELSON]), 1.0).tolist() == [1.0]
+    assert concurrence_vs_violation(np.array([2.0, TSIRELSON]), -1.0).tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError, match="outside"):
+        concurrence_vs_violation(np.array([1.0, 3.0]), 1.0)
+    with pytest.raises(ValueError, match="j != 0"):
+        concurrence_vs_violation(np.array([1.0]), 0.0)
 
 
 @pytest.mark.parametrize("n,j", [(2, 1.0), (4, 1.0), (5, 1.0), (3, -1.0)])
 def test_concurrence_violation_relation_on_grid(n, j):
     spec, sd = cached_decompose(n, j)
-    regime = "afm" if j > 0 else "fm"
     rdm = pair_rdms(sd, thermo_grid(sd, spec, np.geomspace(0.1, 20.0, 10)).probabilities,
                     1, 2)
     res = violation_measure(correlations_from_rdm(rdm).g)
-    for measure, violates, c in zip(res.measure, res.violates,
-                                    concurrence_wootters(rdm).wootters):
-        c_from_b = concurrence_vs_violation(measure, regime)
-        assert abs(c_from_b - c) <= 1e-9
-        if violates:
-            assert c > 0.0
+    c = concurrence_wootters(rdm).wootters
+    assert np.max(np.abs(concurrence_vs_violation(res.measure, j) - c)) <= 1e-9
+    assert np.all(c[res.violates] > 0.0)
 
 
 def test_entangled_without_violation_window():
@@ -179,10 +175,9 @@ def test_random_frames_never_beat_measure():
     for n, j, delta, b, t in cases:
         spec, sd = cached_decompose(n, j, delta, b)
         p = thermo_grid(sd, spec, [t]).probabilities
-        g = correlations_from_rdm(pair_rdms(sd, p, 1, 2)).g[0]
-        res = violation_measure(g)
-        best = float(np.max(np.abs(frame_expectations(g, frames))))
-        assert best <= res.measure + 1e-8
+        gs = correlations_from_rdm(pair_rdms(sd, p, 1, 2)).g
+        best = float(np.max(np.abs(frame_expectations(gs[0], frames))))
+        assert best <= violation_measure(gs).measure[0] + 1e-8
 
 
 def test_random_frame_search_deterministic():
@@ -198,11 +193,11 @@ def test_optimal_frame_attains_measure():
     cases = [SINGLET_RHO, np.eye(4) / 4.0]
     spec, sd = cached_decompose(5, 1.0, 2.0, 0.5)
     p = thermo_grid(sd, spec, [0.2, 1.0]).probabilities
-    tensors = [_t(c) for c in cases] + list(correlations_from_rdm(pair_rdms(sd, p, 1, 2)).g)
-    for g in tensors:
-        res = violation_measure(g)
+    tensors = np.concatenate([_ts(c) for c in cases]
+                             + [correlations_from_rdm(pair_rdms(sd, p, 1, 2)).g])
+    for g, measure in zip(tensors, violation_measure(tensors).measure):
         frame = optimal_frame(g)
-        assert abs(abs(chsh_expectation(g, frame)) - res.measure) <= 1e-10
+        assert abs(abs(chsh_expectation(g, frame)) - measure) <= 1e-10
 
 
 def test_measure_depends_only_on_correlations():
@@ -210,11 +205,10 @@ def test_measure_depends_only_on_correlations():
     # of the table-route pair RDM give the same measure
     spec, sd = cached_decompose(4, 1.0, 1.0, 0.8)
     p = thermo_grid(sd, spec, [0.5]).probabilities
-    g = correlations_from_rdm(pair_rdms(sd, p, 1, 2)).g[0]
-    res = violation_measure(g)
-    full = violation_measure(correlations(gibbs_state(sd, 0.5), 1, 2).g)
-    assert abs(full.measure - res.measure) <= 1e-12
-    assert 0.0 <= res.measure <= TSIRELSON + 1e-10
+    measure = violation_measure(correlations_from_rdm(pair_rdms(sd, p, 1, 2)).g).measure
+    full = violation_measure(correlations(gibbs_state(sd, 0.5)[None], 1, 2).g).measure
+    assert abs(full[0] - measure[0]) <= 1e-12
+    assert 0.0 <= measure[0] <= TSIRELSON + 1e-10
 
 
 def test_frame_validation():
@@ -226,5 +220,7 @@ def test_frame_validation():
 
 
 def test_tensor_shape_checked():
-    with pytest.raises(ValueError, match="3x3"):
-        violation_measure(np.eye(4))
+    # a bare 3x3 tensor is refused too: one state is a stack of one
+    for t in (np.eye(3), np.eye(4), np.zeros((2, 3, 4)), np.zeros((1, 1, 3, 3))):
+        with pytest.raises(ValueError, match=r"\(R, 3, 3\) stack"):
+            violation_measure(t)

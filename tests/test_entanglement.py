@@ -23,20 +23,26 @@ from heisenring.twoqubit import CorrelationSet
 from helpers import SINGLET_RHO, c_two_site, cached_decompose
 
 
-def _rdm(matrix):
-    return TwoQubitRDM.from_matrix(np.asarray(matrix, dtype=complex), (1, 2))
+def _rdm(*matrices):
+    """The 4x4 matrices as one TwoQubitRDM stack of pair (1, 2)."""
+    return TwoQubitRDM.from_matrix(np.asarray(matrices, dtype=complex), (1, 2))
+
+
+def _cs(g, m_per_site=0.0):
+    """One correlation tensor and its M/N as a CorrelationSet stack of one."""
+    return CorrelationSet(g=np.asarray(g, dtype=float)[None], m_per_site=np.array([m_per_site]))
 
 
 def test_wootters_singlet():
     res = concurrence_wootters(_rdm(SINGLET_RHO))
-    assert abs(res.wootters - 1.0) <= 1e-12
-    assert np.all(res.lambdas[:-1] >= res.lambdas[1:])  # descending
+    assert abs(res.wootters[0] - 1.0) <= 1e-12
+    assert np.all(res.lambdas[0, :-1] >= res.lambdas[0, 1:])  # descending
 
 
 def test_wootters_product_state():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    assert concurrence_wootters(_rdm(rho)).wootters == 0.0
+    assert concurrence_wootters(_rdm(rho)).wootters.tolist() == [0.0]
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 7.0, 8.0, 20.0])
@@ -54,8 +60,9 @@ def test_wootters_rejects_garbage():
 
 
 def test_x_form_singlet_and_mixed():
-    assert abs(concurrence_x_form(_rdm(SINGLET_RHO)) - 1.0) <= 1e-12
-    assert concurrence_x_form(_rdm(np.eye(4) / 4.0)) == 0.0
+    c = concurrence_x_form(_rdm(SINGLET_RHO, np.eye(4) / 4.0))
+    assert abs(c[0] - 1.0) <= 1e-12
+    assert c[1] == 0.0
 
 
 def test_x_form_requires_pattern():
@@ -76,16 +83,13 @@ def test_x_form_agrees_with_wootters(n, j, delta, b):
 
 
 def test_correlation_route_limits():
-    singlet_cs = CorrelationSet(g=-np.eye(3), m_per_site=0.0)
-    assert abs(concurrence_from_correlations(singlet_cs) - 1.0) <= 1e-12
-    assert concurrence_from_correlations(
-        CorrelationSet(g=np.zeros((3, 3)), m_per_site=0.0)) == 0.0
+    assert abs(concurrence_from_correlations(_cs(-np.eye(3)))[0] - 1.0) <= 1e-12
+    assert concurrence_from_correlations(_cs(np.zeros((3, 3)))).tolist() == [0.0]
 
 
 def test_correlation_route_rejects_magnetized():
     with pytest.raises(ValueError, match="magnetization"):
-        concurrence_from_correlations(CorrelationSet(g=np.zeros((3, 3)),
-                                                     m_per_site=0.2))
+        concurrence_from_correlations(_cs(np.zeros((3, 3)), 0.2))
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.5, 2.0])
@@ -99,8 +103,8 @@ def test_correlation_route_agrees_with_wootters(delta):
 def test_energy_route_two_site():
     spec, sd = cached_decompose(2, 1.0)
     beta = 1.0
-    c = concurrence_xxx_energy(thermo_grid(sd, spec, [1.0 / beta]).u[0] / 2, 1.0)
-    assert abs(c - (math.exp(8.0) - 3.0) / (math.exp(8.0) + 3.0)) <= 1e-10
+    c = concurrence_xxx_energy(thermo_grid(sd, spec, [1.0 / beta]).u / 2, 1.0)
+    assert abs(c[0] - (math.exp(8.0) - 3.0) / (math.exp(8.0) + 3.0)) <= 1e-10
 
 
 def test_energy_route_three_site_never_entangled():
@@ -118,16 +122,16 @@ def test_energy_route_ferromagnetic_zero(n):
 
 def test_energy_route_rejects_positive_energy():
     with pytest.raises(ValueError):
-        concurrence_xxx_energy(4.0, 1.0)  # u_bar/j far outside [-3, 3]
+        concurrence_xxx_energy(np.array([4.0]), 1.0)  # u_bar/j far outside [-3, 3]
     with pytest.raises(ValueError):
-        concurrence_xxx_energy(-1.0, 0.0)
+        concurrence_xxx_energy(np.array([-1.0]), 0.0)
 
 
 def test_ground_state_route_two_site():
     # the isotropic energy route fed the ground energy per site: the T = 0
     # limit of the thermal route on an even antiferromagnetic ring
     spec, sd = cached_decompose(2, 1.0)
-    assert concurrence_xxx_energy(sd.ground_energy / 2, 1.0) == 1.0
+    assert concurrence_xxx_energy(np.array([sd.ground_energy / 2]), 1.0).tolist() == [1.0]
     zero = thermo_grid(sd, spec, [0.0])
     c = concurrence_wootters(pair_rdms(sd, zero.probabilities, 1, 2)).wootters[0]
     assert abs(c - 1.0) <= 1e-12
@@ -135,9 +139,9 @@ def test_ground_state_route_two_site():
 
 def test_ground_state_route_matches_thermal_limit():
     spec, sd = cached_decompose(4, 1.0)
-    c_gs = concurrence_xxx_energy(sd.ground_energy / 4, 1.0)
+    c_gs = concurrence_xxx_energy(np.array([sd.ground_energy / 4]), 1.0)[0]
     grid = thermo_grid(sd, spec, [1e-6, 0.0])
-    c_thermal = concurrence_xxx_energy(grid.u[0] / 4, 1.0)
+    c_thermal = concurrence_xxx_energy(grid.u / 4, 1.0)[0]
     assert abs(c_gs - c_thermal) <= 1e-6
     c_w = concurrence_wootters(pair_rdms(sd, grid.probabilities, 1, 2)).wootters[1]
     assert abs(c_gs - c_w) <= 1e-9
@@ -145,7 +149,7 @@ def test_ground_state_route_matches_thermal_limit():
 
 def test_ground_state_route_matches_wootters():
     spec, sd = cached_decompose(6, 1.0)
-    c_gs = concurrence_xxx_energy(sd.ground_energy / 6, 1.0)
+    c_gs = concurrence_xxx_energy(np.array([sd.ground_energy / 6]), 1.0)[0]
     zero = thermo_grid(sd, spec, [0.0])
     c_w = concurrence_wootters(pair_rdms(sd, zero.probabilities, 1, 2)).wootters[0]
     assert abs(c_gs - c_w) <= 1e-9
@@ -154,43 +158,43 @@ def test_ground_state_route_matches_wootters():
 def test_anisotropic_route_reduces_to_correlation_form():
     spec, sd = cached_decompose(4, 1.0)
     grid = thermo_grid(sd, spec, [0.8])
-    cs = correlations_from_rdm(pair_rdms(sd, grid.probabilities, 1, 2).rows(0))
-    c_a = concurrence_anisotropic(grid.u[0] / 4, 1.0, 1.0, float(cs.g[2, 2]))
+    cs = correlations_from_rdm(pair_rdms(sd, grid.probabilities, 1, 2))
+    c_a = concurrence_anisotropic(grid.u / 4, 1.0, 1.0, cs.g[:, 2, 2])
     c_g = concurrence_from_correlations(cs)
-    assert abs(c_a - c_g) <= 1e-12
+    assert abs(c_a[0] - c_g[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("n,delta,t", [(4, 0.0, 0.5), (6, 2.0, 1.0), (4, 0.5, 0.3)])
 def test_anisotropic_route_agrees_with_wootters(n, delta, t):
     spec, sd = cached_decompose(n, 1.0, delta)
     grid = thermo_grid(sd, spec, [t])
-    rdm = pair_rdms(sd, grid.probabilities, 1, 2).rows(0)
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
     cs = correlations_from_rdm(rdm)
-    c = concurrence_anisotropic(grid.u[0] / n, 1.0, delta, float(cs.g[2, 2]))
-    assert abs(c - concurrence_wootters(rdm).wootters) <= 1e-9
+    c = concurrence_anisotropic(grid.u / n, 1.0, delta, cs.g[:, 2, 2])
+    assert abs(c[0] - concurrence_wootters(rdm).wootters[0]) <= 1e-9
 
 
 def test_field_route_reduces_at_zero_field():
     spec, sd = cached_decompose(4, 1.0)
     grid = thermo_grid(sd, spec, [0.6])
-    rdm = pair_rdms(sd, grid.probabilities, 1, 2).rows(0)
-    assert abs(concurrence_xxx_field(rdm, grid.u[0] / 4, 1.0, 0.0)
-               - concurrence_x_form(rdm)) <= 1e-10
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    assert abs(concurrence_xxx_field(rdm, grid.u / 4, 1.0, 0.0)[0]
+               - concurrence_x_form(rdm)[0]) <= 1e-10
 
 
 @pytest.mark.parametrize("n,b,t", [(4, 0.5, 0.5), (2, 3.0, 0.1), (6, 1.0, 1.0)])
 def test_field_route_agrees_with_wootters(n, b, t):
     spec, sd = cached_decompose(n, 1.0, 1.0, b)
     grid = thermo_grid(sd, spec, [t])
-    rdm = pair_rdms(sd, grid.probabilities, 1, 2).rows(0)
-    c = concurrence_xxx_field(rdm, grid.u[0] / n, 1.0, b)
-    assert abs(c - concurrence_wootters(rdm).wootters) <= 1e-9
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    c = concurrence_xxx_field(rdm, grid.u / n, 1.0, b)
+    assert abs(c[0] - concurrence_wootters(rdm).wootters[0]) <= 1e-9
 
 
 def test_field_route_flags_convention_mismatch():
     spec, sd = cached_decompose(4, 1.0, 1.0, 2.0)
-    rdm = pair_rdms(sd, thermo_grid(sd, spec, [0.3]).probabilities, 1, 2).rows(0)
-    assert abs(rdm.m_bar) > 1e-3
+    rdm = pair_rdms(sd, thermo_grid(sd, spec, [0.3]).probabilities, 1, 2)
+    assert abs(rdm.m_bar[0]) > 1e-3
     # an energy input that zeroes the squared bracket leaves the argument
     # at -4*m_bar^2 < 0, which must be surfaced rather than clamped
     u_bad = 4.0 * rdm.z.real - 1.0 + 2.0 * rdm.m_bar
@@ -199,35 +203,34 @@ def test_field_route_flags_convention_mismatch():
 
 
 def test_clamping():
-    assert clamp_concurrence(5e-13) == 0.0
-    assert clamp_concurrence(-5e-13) == 0.0
-    assert clamp_concurrence(1.0 + 1e-9) == 1.0
-    assert clamp_concurrence(0.5) == 0.5
+    c = clamp_concurrence(np.array([5e-13, -5e-13, 1.0 + 1e-9, 0.5]))
+    assert isinstance(c, np.ndarray)
+    assert c.tolist() == [0.0, 0.0, 1.0, 0.5]
 
 
 def test_report_route_presence():
     # isotropic zero field: all four routes
     spec, sd = cached_decompose(4, 1.0)
     grid = thermo_grid(sd, spec, [0.5])
-    rdm = pair_rdms(sd, grid.probabilities, 1, 2).rows(0)
-    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u[0] / 4)
-    assert None not in (rep.x_form, rep.correlation_form, rep.energy_form)
-    assert rep.max_disagreement <= 1e-9
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u / 4)
+    assert not np.isnan([rep.x_form, rep.correlation_form, rep.energy_form]).any()
+    assert rep.max_disagreement[0] <= 1e-9
 
     # field on: correlation route must be absent
     spec, sd = cached_decompose(4, 1.0, 1.0, 0.5)
     grid = thermo_grid(sd, spec, [0.5])
-    rdm = pair_rdms(sd, grid.probabilities, 1, 2).rows(0)
-    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u[0] / 4)
-    assert rep.correlation_form is None
-    assert rep.energy_form is not None
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u / 4)
+    assert np.isnan(rep.correlation_form[0])
+    assert not np.isnan(rep.energy_form[0])
 
     # zero coupling: no energy-family route
     spec, sd = cached_decompose(4, 0.0, 1.0, 1.0)
     grid = thermo_grid(sd, spec, [0.5])
-    rdm = pair_rdms(sd, grid.probabilities, 1, 2).rows(0)
-    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u[0] / 4)
-    assert rep.energy_form is None
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u / 4)
+    assert np.isnan(rep.energy_form[0])
 
 
 @pytest.mark.parametrize("n, pair, bond", [
@@ -239,10 +242,10 @@ def test_energy_route_only_on_ring_bonds(n, pair, bond):
     # route read 0.41 at T = 0.1 where Wootters reads 0
     spec, sd = cached_decompose(n, 1.0)
     grid = thermo_grid(sd, spec, [0.1])
-    rdm = pair_rdms(sd, grid.probabilities, *pair).rows(0)
-    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u[0] / n)
-    assert (rep.energy_form is not None) == bond
-    assert rep.max_disagreement <= 1e-9
+    rdm = pair_rdms(sd, grid.probabilities, *pair)
+    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u / n)
+    assert (not np.isnan(rep.energy_form[0])) == bond
+    assert rep.max_disagreement[0] <= 1e-9
     columns = run_sweep(spec, [0.1], pair)
     assert (columns["C_energy"][0] is not None) == bond
     assert columns["max_route_disagreement"][0] <= 1e-9
@@ -257,12 +260,12 @@ def test_report_excludes_correlation_route_for_corner_coupled_states():
     from heisenring import build_hamiltonian, diagonalize_full
     from heisenring.oracle import gibbs_state, reduce_to_pair
     sd = diagonalize_full(build_hamiltonian(spec))
-    rdm = reduce_to_pair(gibbs_state(sd, 0.2), 1, 2)
-    assert abs(rdm.matrix[0, 3]) > 0.1  # corner really is populated
-    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, u_bar=0.0)
-    assert rep.correlation_form is None
-    assert rep.x_form is None
-    assert rep.wootters > 0.9  # nearly a Bell state at low temperature
+    rdm = reduce_to_pair(gibbs_state(sd, 0.2)[None], 1, 2)
+    assert abs(rdm.matrix[0, 0, 3]) > 0.1  # corner really is populated
+    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, u_bar=np.array([0.0]))
+    assert np.isnan(rep.correlation_form[0])
+    assert np.isnan(rep.x_form[0])
+    assert rep.wootters[0] > 0.9  # nearly a Bell state at low temperature
 
 
 def test_report_general_coupling_has_no_energy_route():
@@ -273,11 +276,11 @@ def test_report_general_coupling_has_no_energy_route():
     from heisenring import decompose
     sd = decompose(spec)
     grid = thermo_grid(sd, spec, [0.5])
-    rdm = pair_rdms(sd, grid.probabilities, 1, 2).rows(0)
-    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u[0] / 4)
-    assert rep.energy_form is None
-    assert rep.x_form is not None
-    assert rep.max_disagreement <= 1e-9
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u / 4)
+    assert np.isnan(rep.energy_form[0])
+    assert not np.isnan(rep.x_form[0])
+    assert rep.max_disagreement[0] <= 1e-9
 
 
 def test_concurrence_range():
@@ -309,7 +312,7 @@ def _stack_around(bad):
 ])
 def test_stack_with_one_bad_state_raises_as_single_state(bad, run):
     with pytest.raises(ValueError) as single:
-        run(TwoQubitRDM.from_matrix(bad, (1, 2)))
+        run(_rdm(bad))
     with pytest.raises(ValueError) as stacked:
         run(TwoQubitRDM.from_matrix(_stack_around(bad), (1, 2)))
     assert str(stacked.value) == str(single.value)
@@ -318,15 +321,40 @@ def test_stack_with_one_bad_state_raises_as_single_state(bad, run):
 def test_stacked_energy_checks_raise_as_single_state():
     # one u_bar outside the thermal domain among valid ones
     with pytest.raises(ValueError) as single:
-        concurrence_xxx_energy(4.0, 1.0)
+        concurrence_xxx_energy(np.array([4.0]), 1.0)
     with pytest.raises(ValueError) as stacked:
         concurrence_xxx_energy(np.array([-0.5, 4.0, -1.0]), 1.0)
     assert str(stacked.value) == str(single.value)
     # a field-route square-root argument below -1e-10 in one row
-    rdm = TwoQubitRDM.from_matrix(np.diag([0.7, 0.1, 0.1, 0.1]), (1, 2))
+    rdm = _rdm(np.diag([0.7, 0.1, 0.1, 0.1]))
     with pytest.raises(ValueError) as single:
-        concurrence_xxx_field(rdm, 0.0, 1.0, 0.0)
-    stack = TwoQubitRDM.from_matrix(np.stack([np.eye(4) / 4.0, rdm.matrix]), (1, 2))
+        concurrence_xxx_field(rdm, np.array([0.0]), 1.0, 0.0)
+    stack = _rdm(np.eye(4) / 4.0, rdm.matrix[0])
     with pytest.raises(ValueError) as stacked:
         concurrence_xxx_field(stack, np.array([-0.25, 0.0]), 1.0, 0.0)
     assert str(stacked.value) == str(single.value)
+
+
+@pytest.mark.parametrize("n, j, delta, b, absent", [
+    (4, 1.0, 1.0, 0.0, ()),
+    (4, 1.0, 1.0, 0.5, ("correlation_form",)),
+    (4, 1.0, 0.5, 0.5, ("correlation_form", "energy_form")),
+])
+def test_grid_of_one_gives_one_row_arrays(n, j, delta, b, absent):
+    # one temperature is a stack of one: every field an (R,) float array,
+    # an absent route NaN in its row
+    spec, sd = cached_decompose(n, j, delta, b)
+    grid = thermo_grid(sd, spec, [0.5])
+    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u / n)
+    for name in ("wootters", "x_form", "correlation_form", "energy_form", "max_disagreement"):
+        value = getattr(rep, name)
+        assert isinstance(value, np.ndarray) and value.dtype == np.float64, name
+        assert value.shape == (1,), name
+        assert np.isnan(value[0]) == (name in absent), name
+    assert rep.lambdas.shape == (1, 4)
+    assert rep.max_disagreement[0] <= 1e-9
+    # the Wootters route alone marks every other route absent, with no spread
+    alone = concurrence_wootters(rdm)
+    assert np.isnan([alone.x_form, alone.correlation_form, alone.energy_form]).all()
+    assert alone.max_disagreement.tolist() == [0.0]

@@ -109,6 +109,6 @@ def test_correlations_of_a_stack_match_each_state():
     stacked = oracle.correlations(rhos, 2, 3)
     assert stacked.g.shape == (3, 3, 3) and stacked.m_per_site.shape == (3,)
     for r, rho in enumerate(rhos):
-        one = oracle.correlations(rho, 2, 3)
-        assert np.array_equal(stacked.g[r], one.g)
-        assert stacked.m_per_site[r] == one.m_per_site
+        one = oracle.correlations(rho[None], 2, 3)
+        assert np.array_equal(stacked.g[r], one.g[0])
+        assert stacked.m_per_site[r] == one.m_per_site[0]

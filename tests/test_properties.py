@@ -62,8 +62,8 @@ def test_table_route_matches_dense_gibbs(case, t):
     spec, (i, j) = case
     sd = decompose(spec)
     rdm = pair_rdms(sd, thermo_grid(sd, spec, [t]).probabilities, i, j).matrix[0]
-    oracle = reduce_to_pair(gibbs_state(diagonalize_full(build_hamiltonian(spec)), t),
-                            i, j).matrix
+    oracle = reduce_to_pair(gibbs_state(diagonalize_full(build_hamiltonian(spec)), t)[None],
+                            i, j).matrix[0]
     assert np.max(np.abs(rdm - oracle)) <= 1e-12
     assert abs(np.trace(rdm) - 1.0) <= 1e-12
     assert np.max(np.abs(rdm - rdm.conj().T)) <= 1e-12
@@ -81,18 +81,18 @@ def test_sz_breaking_routes_and_bell_bounds(case, t):
     spec, (i, j) = case
     sd = decompose(spec)
     grid = thermo_grid(sd, spec, [t])
-    rdm = pair_rdms(sd, grid.probabilities, i, j).rows(0)
+    rdm = pair_rdms(sd, grid.probabilities, i, j)
     cs = correlations_from_rdm(rdm)
-    report = concurrence_report(rdm, cs, spec, grid.u[0] / spec.n_sites)
-    if rdm.off_structure_norm > X_FORM_TOL:
-        assert report.x_form is None and report.correlation_form is None
+    report = concurrence_report(rdm, cs, spec, grid.u / spec.n_sites)
+    if rdm.off_structure_norm[0] > X_FORM_TOL:
+        assert np.isnan(report.x_form[0]) and np.isnan(report.correlation_form[0])
     else:
-        assert report.x_form is not None
-    assert report.energy_form is None
+        assert not np.isnan(report.x_form[0])
+    assert np.isnan(report.energy_form[0])
     # no seeded CHSH frame beats the Horodecki measure, which stays within
     # Tsirelson's bound
-    measure = violation_measure(cs.g).measure
-    assert float(np.max(np.abs(frame_expectations(cs.g, FRAMES)))) <= measure + 1e-8
+    measure = violation_measure(cs.g).measure[0]
+    assert float(np.max(np.abs(frame_expectations(cs.g[0], FRAMES)))) <= measure + 1e-8
     assert measure <= TSIRELSON + 1e-10
 
 
@@ -156,22 +156,29 @@ def test_momentum_blocks_match_sector_spectrum(spec):
 
 
 def _single_state_row(sd, spec, t, pair):
-    """The sweep's columns at one temperature, from a grid of one and its one state."""
+    """The sweep's columns at one temperature, from a grid of one; an absent route is None."""
     grid = thermo_grid(sd, spec, [t])
-    u_per_site = grid.u[0] / spec.n_sites
-    rdm = pair_rdms(sd, grid.probabilities, *pair).rows(0)
+    u_per_site = grid.u / spec.n_sites
+    rdm = pair_rdms(sd, grid.probabilities, *pair)
     cs = correlations_from_rdm(rdm)
     report = concurrence_report(rdm, cs, spec, u_per_site)
     bell = violation_measure(cs.g)
-    return {
-        "T": grid.temperature[0], "log_z": grid.log_z[0], "U": grid.u[0],
-        "U_per_site": u_per_site, "M": grid.m[0], "G_xx": cs.g[0, 0], "G_yy": cs.g[1, 1], "G_zz": cs.g[2, 2],
+    stacks = {
+        "T": grid.temperature, "log_z": grid.log_z, "U": grid.u,
+        "U_per_site": u_per_site, "M": grid.m,
+        "G_xx": cs.g[:, 0, 0], "G_yy": cs.g[:, 1, 1], "G_zz": cs.g[:, 2, 2],
         "u_plus": rdm.u_plus, "u_minus": rdm.u_minus, "z_re": rdm.z.real, "z_im": rdm.z.imag,
         "C_wootters": report.wootters, "C_x_form": report.x_form,
         "C_correlation": report.correlation_form, "C_energy": report.energy_form,
         "bell_measure": bell.measure, "bell_violates": bell.violates,
         "max_route_disagreement": report.max_disagreement,
     }
+    assert all(stack.shape == (1,) for stack in stacks.values())
+    row = {name: stack.tolist()[0] for name, stack in stacks.items()}
+    for name in ("C_x_form", "C_correlation", "C_energy"):
+        if math.isnan(row[name]):
+            row[name] = None
+    return row
 
 
 def _bits(v):

@@ -342,7 +342,7 @@ def test_parity_blocks_match_dense_oracle(n):
     for pair in ((1, 2), (1, n), (n, 1)):
         stack = pair_rdms(sd, p, *pair).matrix
         for t, got in zip(temps, stack):
-            want = reduce_to_pair(gibbs_state(full, t), *pair).matrix
+            want = reduce_to_pair(gibbs_state(full, t)[None], *pair).matrix[0]
             assert np.max(np.abs(got - want)) <= 1e-12, (t, pair)
 
 
@@ -386,7 +386,7 @@ def test_bond_mode_matches_pair_table_and_oracle(n, j, delta, b):
         assert np.all(np.abs(pair_grid.m - sector_grid.m) <= 1e-12)
         from_sector = pair_rdms(sector, sector_grid.probabilities, *pair).matrix
         for r, (t, rho) in enumerate(zip(BOND_TEMPERATURES, rhos)):
-            for want in (from_sector[r], reduce_to_pair(rho, *pair).matrix):
+            for want in (from_sector[r], reduce_to_pair(rho[None], *pair).matrix[0]):
                 assert np.max(np.abs(got.matrix[r] - want)) <= 1e-13, (pair, t)
 
 

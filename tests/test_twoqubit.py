@@ -30,31 +30,32 @@ X_PATTERN = np.array([bin(a ^ b).count("1") % 2 == 0
 
 
 def test_maximally_mixed_any_pair():
-    rho = np.eye(16, dtype=complex) / 16.0
+    rho = np.eye(16, dtype=complex)[None] / 16.0
     for pair in [(1, 2), (2, 4), (3, 1)]:
         rdm = reduce_to_pair(rho, *pair)
         assert np.max(np.abs(rdm.matrix - np.eye(4) / 4.0)) <= 1e-14
-        assert rdm.u_plus == rdm.u_minus == rdm.w1 == rdm.w2 == 0.25
-        assert rdm.z == 0.0
+        for element in (rdm.u_plus, rdm.u_minus, rdm.w1, rdm.w2):
+            assert element.tolist() == [0.25]
+        assert rdm.z.tolist() == [0.0]
 
 
 def test_singlet_elements():
     spec, sd = cached_decompose(2, 1.0)
-    rdm = reduce_to_pair(gibbs_state(sd, 0.0), 1, 2)
-    assert np.max(np.abs(rdm.matrix - SINGLET_RHO)) <= 1e-12
-    assert abs(rdm.u_plus) <= 1e-12 and abs(rdm.u_minus) <= 1e-12
-    assert abs(rdm.w1 - 0.5) <= 1e-12 and abs(rdm.w2 - 0.5) <= 1e-12
-    assert abs(rdm.z - (-0.5)) <= 1e-12
+    rdm = reduce_to_pair(gibbs_state(sd, 0.0)[None], 1, 2)
+    assert np.max(np.abs(rdm.matrix[0] - SINGLET_RHO)) <= 1e-12
+    assert abs(rdm.u_plus[0]) <= 1e-12 and abs(rdm.u_minus[0]) <= 1e-12
+    assert abs(rdm.w1[0] - 0.5) <= 1e-12 and abs(rdm.w2[0] - 0.5) <= 1e-12
+    assert abs(rdm.z[0] - (-0.5)) <= 1e-12
 
 
 def test_three_site_z_energy_identity():
     spec, sd = cached_decompose(3, 1.0)
     u = thermo_grid(sd, spec, [1.0]).u[0]
-    rdm = reduce_to_pair(gibbs_state(sd, 1.0), 1, 2)
+    z = reduce_to_pair(gibbs_state(sd, 1.0)[None], 1, 2).z[0]
     # z = U / (6 J N) with U = -3 tanh(3)
-    assert abs(rdm.z.real - (-math.tanh(3.0) / 6.0)) <= 1e-10
-    assert abs(rdm.z.real - u / 18.0) <= 1e-12
-    assert abs(rdm.z.imag) <= 1e-12
+    assert abs(z.real - (-math.tanh(3.0) / 6.0)) <= 1e-10
+    assert abs(z.real - u / 18.0) <= 1e-12
+    assert abs(z.imag) <= 1e-12
 
 
 @pytest.mark.parametrize("n,j,delta,b,t", [
@@ -64,11 +65,11 @@ def test_three_site_z_energy_identity():
 ])
 def test_full_space_correlations_match_rdm(n, j, delta, b, t):
     spec, sd = cached_decompose(n, j, delta, b)
-    rho = gibbs_state(sd, t)
+    rho = gibbs_state(sd, t)[None]
     cs_full = correlations(rho, 1, 2)
     cs_rdm = correlations_from_rdm(reduce_to_pair(rho, 1, 2))
     assert np.max(np.abs(cs_full.g - cs_rdm.g)) <= 1e-12
-    assert abs(cs_full.m_per_site - cs_rdm.m_per_site) <= 1e-12
+    assert abs(cs_full.m_per_site[0] - cs_rdm.m_per_site[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -83,9 +84,9 @@ def test_isotropic_correlations(n):
 
 
 def test_singlet_correlations():
-    cs = correlations_from_rdm(TwoQubitRDM.from_matrix(SINGLET_RHO, (1, 2)))
-    assert np.allclose(np.diag(cs.g), [-1.0, -1.0, -1.0], atol=1e-12)
-    assert np.max(np.abs(cs.g - np.diag(np.diag(cs.g)))) <= 1e-12
+    g = correlations_from_rdm(TwoQubitRDM.from_matrix(SINGLET_RHO[None], (1, 2))).g[0]
+    assert np.allclose(np.diag(g), [-1.0, -1.0, -1.0], atol=1e-12)
+    assert np.max(np.abs(g - np.diag(np.diag(g)))) <= 1e-12
 
 
 def test_infinite_temperature_correlations_vanish():
@@ -118,12 +119,13 @@ def test_element_relations_of_a_stack_match_each_row(temperatures):
     cs = correlations_from_rdm(rdm)
     stacked = check_element_relations(rdm, cs)
     for r in range(len(temperatures)):
-        row = check_element_relations(rdm.rows(r), cs.rows(r))
+        row = check_element_relations(rdm.rows([r]), cs.rows([r]))
         assert row.keys() == stacked.keys()
         for name, residual in row.items():
             assert stacked[name].shape == (len(temperatures),)
-            assert stacked[name][r] == residual, (name, r)
-            assert residual <= 1e-10, (name, r)
+            assert residual.shape == (1,)
+            assert stacked[name][r] == residual[0], (name, r)
+            assert residual[0] <= 1e-10, (name, r)
 
 
 def test_z_is_real_for_isotropic_ring():
@@ -182,8 +184,8 @@ def test_fast_path_matches_partial_trace():
     for pair in [(1, 2), (2, 5), (4, 1)]:
         fast = pair_rdms(sd, p, *pair)
         for t, fast_matrix in zip(temps, fast.matrix):
-            direct = reduce_to_pair(gibbs_state(sd, t), *pair)
-            assert np.max(np.abs(direct.matrix - fast_matrix)) <= 1e-12
+            direct = reduce_to_pair(gibbs_state(sd, t)[None], *pair)
+            assert np.max(np.abs(direct.matrix[0] - fast_matrix)) <= 1e-12
 
 
 @pytest.mark.parametrize("spec", [
@@ -198,8 +200,8 @@ def test_pair_table_rows_are_eigenstate_pair_rdms(spec):
     for pair in [(1, 2), (2, 1), (1, spec.n_sites)]:
         table = _pair_table(sd, *pair)
         for k in range(sd.dim):
-            expected = reduce_to_pair(np.outer(v[:, k], v[:, k].conj()), *pair).matrix
-            assert np.max(np.abs(table[k].reshape(4, 4) - expected)) <= 1e-13, (pair, k)
+            expected = reduce_to_pair(np.outer(v[:, k], v[:, k].conj())[None], *pair).matrix
+            assert np.max(np.abs(table[k].reshape(1, 4, 4) - expected)) <= 1e-13, (pair, k)
         if spec.conserves_sz:
             assert np.all(table[:, SZ_FORBIDDEN] == 0.0)
         else:
@@ -242,15 +244,16 @@ def test_off_structure_norm_vanishes_when_sz_conserved():
 ])
 def test_rdm_is_a_density_matrix(n, j, delta, b, t):
     spec, sd = cached_decompose(n, j, delta, b)
-    rdm = pair_rdms(sd, thermo_grid(sd, spec, [t]).probabilities, 1, 2).rows(0)
-    assert abs(rdm.u_plus + rdm.w1 + rdm.w2 + rdm.u_minus - 1.0) <= 1e-12
-    assert abs(np.trace(rdm.matrix) - 1.0) <= 1e-12
-    assert np.max(np.abs(rdm.matrix - rdm.matrix.conj().T)) <= 1e-12
-    assert np.linalg.eigvalsh(rdm.matrix).min() >= -1e-12
+    rdm = pair_rdms(sd, thermo_grid(sd, spec, [t]).probabilities, 1, 2)
+    assert abs(rdm.u_plus[0] + rdm.w1[0] + rdm.w2[0] + rdm.u_minus[0] - 1.0) <= 1e-12
+    m = rdm.matrix[0]
+    assert abs(np.trace(m) - 1.0) <= 1e-12
+    assert np.max(np.abs(m - m.conj().T)) <= 1e-12
+    assert np.linalg.eigvalsh(m).min() >= -1e-12
 
 
 def test_site_errors():
-    rho = np.eye(8, dtype=complex) / 8.0
+    rho = np.eye(8, dtype=complex)[None] / 8.0
     with pytest.raises(ValueError):
         reduce_to_pair(rho, 2, 2)
     with pytest.raises(ValueError):
@@ -276,16 +279,16 @@ def test_imaginary_correlation_rejected():
     m = np.eye(4, dtype=complex) / 4.0
     m[0, 3] = 0.1j
     with pytest.raises(ValueError, match="G_xx has imaginary part 1.000e-01"):
-        correlations_from_rdm(TwoQubitRDM.from_matrix(m, (1, 2)))
+        correlations_from_rdm(TwoQubitRDM.from_matrix(m[None], (1, 2)))
     m = np.eye(4, dtype=complex) / 4.0
     m[0, 0] += 1e-6j
     with pytest.raises(ValueError, match="G_zz"):
-        correlations_from_rdm(TwoQubitRDM.from_matrix(m, (1, 2)))
+        correlations_from_rdm(TwoQubitRDM.from_matrix(m[None], (1, 2)))
     with pytest.raises(ValueError, match="G_zz"):
-        correlations(np.kron(m, np.eye(2) / 2.0), 1, 2)
+        correlations(np.kron(m, np.eye(2) / 2.0)[None], 1, 2)
     # residues at or below 1e-8 are rounding noise and pass
     m[0, 0] = 0.25 + 1e-9j
-    assert correlations_from_rdm(TwoQubitRDM.from_matrix(m, (1, 2))).g[2, 2] == 0.0
+    assert correlations_from_rdm(TwoQubitRDM.from_matrix(m[None], (1, 2))).g[0, 2, 2] == 0.0
 
 
 def test_sweep_computes_one_tensor_per_row(monkeypatch):
@@ -363,3 +366,33 @@ def test_other_sweeps_keep_the_sector_pair_table(sweep_calls):
     widths, tables = sweep_calls(general, (1, 2))
     assert tables == [(1, 2)]
     assert math.comb(8, 4) in widths
+
+
+def test_state_layer_refuses_a_bare_state():
+    # one state is a stack of one: a bare 4x4 matrix or 3x3 tensor is refused
+    # with the (R, ...) shape named
+    with pytest.raises(ValueError, match=r"\(R, 4, 4\) stack"):
+        TwoQubitRDM.from_matrix(SINGLET_RHO, (1, 2))
+    with pytest.raises(ValueError, match=r"\(R, 4, 4\) stack"):
+        TwoQubitRDM.from_matrix(SINGLET_RHO[None], (1, 2)).rows(0)
+    with pytest.raises(ValueError, match=r"\(R, 3, 3\) stack"):
+        twoqubit.CorrelationSet(g=-np.eye(3), m_per_site=0.0)
+    for rho in (SINGLET_RHO, np.eye(6)[None] / 6.0):
+        with pytest.raises(ValueError, match=r"\(R, 2\^N, 2\^N\) stack"):
+            reduce_to_pair(rho, 1, 2)
+        with pytest.raises(ValueError, match=r"\(R, 2\^N, 2\^N\) stack"):
+            correlations(rho, 1, 2)
+
+
+def test_pair_mode_names_the_pair_it_holds():
+    # the pair mode keeps one pair's table and no eigenvectors: another
+    # pair is refused with the pair it holds and the call that gives the other
+    spec = ModelSpec.uniform(6, 1.0)
+    sd = decompose(spec, pair=(1, 2))
+    p = thermo_grid(sd, spec, [1.0]).probabilities
+    with pytest.raises(ValueError) as refused:
+        pair_rdms(sd, p, 2, 3)
+    message = str(refused.value)
+    assert "(1, 2)" in message
+    assert "decompose(spec, pair=(2, 3))" in message
+    assert "vectors=True" not in message
