@@ -34,8 +34,8 @@ sd = decompose(spec)
 print(f"spectrum: {np.round(sd.eigenvalues, 12)}")
 print(f"{'T':>8} {'U':>12} {'U exact':>12} {'C':>10} {'C exact':>10}")
 # the whole temperature grid as one stack
-grid = thermo_grid(sd, spec, temps)
-cs = concurrence_wootters(pair_rdms(sd, grid.probabilities, 1, 2)).wootters
+grid = thermo_grid(sd, temps)
+cs = concurrence_wootters(pair_rdms(grid, 1, 2)).wootters
 worst_u = worst_c = 0.0
 for t, u, c in zip(temps, grid.u, cs):
     beta = 1.0 / t
@@ -52,8 +52,8 @@ spec = ModelSpec.uniform(3, 1.0)
 sd = decompose(spec)
 print(f"spectrum: {np.round(sd.eigenvalues, 12)}  (4-fold +-3J)")
 print(f"{'T':>8} {'U':>12} {'-3tanh(3/T)':>12} {'C (all routes)':>15}")
-grid = thermo_grid(sd, spec, temps[:8])
-rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+grid = thermo_grid(sd, temps[:8])
+rdm = pair_rdms(grid, 1, 2)
 rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u / spec.n_sites)
 for r, (t, u) in enumerate(zip(grid.temperature, grid.u)):
     routes = {float(route[r]) for route in (rep.wootters, rep.x_form,

@@ -11,13 +11,13 @@ opposite sides.
 
 import math
 
-from heisenring import ModelSpec, decompose, find_threshold, u_of_n_scan
+from heisenring import ModelSpec, find_threshold, u_of_n_scan
 
 print("=== threshold temperatures, J = 1 ===")
 print(f"{'N':>3} {'status':>24} {'T_c':>12} {'U(T_c)/(-NJ)':>14} {'iters':>6}")
 for n in range(2, 9):
     spec = ModelSpec.uniform(n, 1.0)
-    res = find_threshold(spec, decompose(spec, vectors=False))
+    res = find_threshold(spec)
     t_c = "" if res.t_c is None else f"{res.t_c:12.6f}"
     u = "" if res.u_of_n is None else f"{res.u_of_n:14.9f}"
     print(f"{n:3d} {res.status:>24} {t_c:>12} {u:>14} {res.iterations:6d}")

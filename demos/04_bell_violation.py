@@ -34,8 +34,8 @@ print("=== two-site antiferromagnetic ring ===")
 print(f"{'T':>7} {'measure':>9} {'closed':>9} {'violates':>9} "
       f"{'C':>9} {'best of 2000 frames':>20}")
 # one stack over the temperatures; the random-frame search takes one state
-grid = thermo_grid(sd, spec, [0.2, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0])
-rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+grid = thermo_grid(sd, [0.2, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0])
+rdm = pair_rdms(grid, 1, 2)
 gs = correlations_from_rdm(rdm).g
 res = violation_measure(gs)
 closed = violation_xxx(grid.u, 1.0, 2)
@@ -50,8 +50,8 @@ print("entangled-but-not-violating window: measure in (2*sqrt(2)/3, 2] "
       f"= ({2 * math.sqrt(2) / 3:.5f}, 2]")
 
 print("\n=== the analytic optimal frame attains the measure exactly ===")
-grid = thermo_grid(sd, spec, [0.5, 4.0, 9.0])
-gs = correlations_from_rdm(pair_rdms(sd, grid.probabilities, 1, 2)).g
+grid = thermo_grid(sd, [0.5, 4.0, 9.0])
+gs = correlations_from_rdm(pair_rdms(grid, 1, 2)).g
 for t, g, measure in zip(grid.temperature, gs, violation_measure(gs).measure):
     attained = abs(chsh_expectation(g, optimal_frame(g)))
     print(f"T={t:5.2f}: measure {measure:.12f}  frame value {attained:.12f}  "
@@ -61,7 +61,7 @@ print("\n=== random frames approach but never beat the bound (N=4, T=0.5) ===")
 spec4 = ModelSpec.uniform(4, 1.0)
 sd4 = decompose(spec4)
 g4 = correlations_from_rdm(
-    pair_rdms(sd4, thermo_grid(sd4, spec4, [0.5]).probabilities, 1, 2)).g
+    pair_rdms(thermo_grid(sd4, [0.5]), 1, 2)).g
 bound = violation_measure(g4).measure[0]
 for count in (100, 1000, 10000, 100000):
     best = random_frame_search(g4[0], count, seed=7)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import clamp_concurrence
+from .entanglement import _route_stack, clamp_concurrence
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -77,8 +77,7 @@ def violation_measure(t: np.ndarray) -> BellResult:
 def violation_xxx(u: np.ndarray, j: float, n: int) -> np.ndarray:
     """Isotropic-ring closed form 2 sqrt(2) |U/(3 j N)| of the (R,) energies U,
     by exchange-sign branch."""
-    if j == 0.0:
-        raise ValueError("isotropic closed form needs j != 0")
+    u = _route_stack(u, j, "isotropic closed form", "u")
     value = -TSIRELSON * u / (3.0 * j * n) if j > 0 else TSIRELSON * u / (3.0 * j * n)
     if np.any(value < -1e-10):
         raise ValueError(
@@ -93,12 +92,10 @@ def concurrence_vs_violation(measure: np.ndarray, j: float) -> np.ndarray:
     AFM (j > 0): C = max(0, 3 measure / (2 sqrt 2) - 1) / 2;
     FM  (j < 0): C = max(0,   measure / (2 sqrt 2) - 1) / 2 (always 0 below the ceiling).
     """
-    measure = np.asarray(measure, dtype=float)
+    measure = _route_stack(measure, j, "isotropic closed form", "measure")
     outside = ~((0.0 <= measure) & (measure <= TSIRELSON + 1e-10))  # also catches NaN
     if outside.any():
         raise ValueError(f"measure {float(measure[outside][0])!r} outside [0, 2*sqrt(2)]")
-    if j == 0.0:
-        raise ValueError("isotropic closed form needs j != 0")
     ratio = 3.0 * measure / TSIRELSON if j > 0 else measure / TSIRELSON
     return clamp_concurrence(0.5 * np.maximum(0.0, ratio - 1.0))
 

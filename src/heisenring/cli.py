@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import threshold as threshold_mod
 from .model import ModelSpec
 from .spectral import FULL_PATH_MAX_SITES, decompose
 from .sweep import COLUMNS, run_sweep, temperature_grid
+from .threshold import find_threshold
 from .verify import VerifyOptions, render_report, run_verification
 
 
@@ -85,20 +85,15 @@ def parse_model(obj: dict) -> ModelSpec:
     if not isinstance(obj, dict):
         raise ConfigError("'model' must be a JSON object")
     if "jx" in obj or "jy" in obj or "jz" in obj:
-        _require_keys(obj, {"jx": True, "jy": True, "jz": True,
-                            "field_b": False, "n_sites": False}, "model")
+        _require_keys(obj, {"jx": True, "jy": True, "jz": True, "field_b": False}, "model")
         jx, jy, jz = (_coupling_rows(obj, key) for key in ("jx", "jy", "jz"))
         try:
-            spec = ModelSpec.general(np.asarray(jx, dtype=float),
+            return ModelSpec.general(np.asarray(jx, dtype=float),
                                      np.asarray(jy, dtype=float),
                                      np.asarray(jz, dtype=float),
                                      field_b=_number(obj, "field_b", "model", 0.0))
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"model: {exc}") from exc
-        if "n_sites" in obj and obj["n_sites"] != spec.n_sites:
-            raise ConfigError(
-                f"model.n_sites={obj['n_sites']} disagrees with matrix size {spec.n_sites}")
-        return spec
     _require_keys(obj, {"n_sites": True, "j": True, "delta": False,
                         "field_b": False}, "model")
     n_sites = obj["n_sites"]
@@ -267,9 +262,7 @@ def cmd_threshold(args) -> int:
     _require_keys(doc, {"model": True}, "config")
     spec = parse_model(doc["model"])
     try:
-        threshold_mod.require_afm_xxx(spec)
-        sd = decompose(spec, vectors=False)
-        res = threshold_mod.find_threshold(spec, sd)
+        res = find_threshold(spec)
     except ValueError as exc:
         raise ConfigError(f"threshold: {exc}") from exc
     if args.format == "json":

@@ -38,6 +38,16 @@ def clamp_concurrence(c: np.ndarray) -> np.ndarray:
     return np.where(np.abs(c) <= CLAMP_TOL, 0.0, np.minimum(c, 1.0))
 
 
+def _route_stack(values, j: float, route: str, name: str) -> np.ndarray:
+    """`values` as an (R,) float array, for a closed form that divides by j."""
+    if j == 0.0:
+        raise ValueError(f"{route} needs j != 0")
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"{name} must be an (R,) array, got shape {values.shape}")
+    return values
+
+
 def _modulus(z: np.ndarray) -> np.ndarray:
     """|z| by hypot, as Python's abs(complex) computes it; numpy's complex
     absolute value differs from it in the last bit."""
@@ -119,9 +129,7 @@ def concurrence_xxx_energy(u_bar: np.ndarray, j: float) -> np.ndarray:
     The sign-unified form C = max(0, 2|ubar/j| - ubar/j - 3) / 6 is evaluated
     alongside and must agree.
     """
-    if j == 0.0:
-        raise ValueError("isotropic energy route needs j != 0")
-    r = u_bar / j
+    r = _route_stack(u_bar, j, "isotropic energy route", "u_bar") / j
     if j > 0:
         branch = 0.5 * np.maximum(0.0, -r - 1.0)
     else:
@@ -145,9 +153,7 @@ def concurrence_anisotropic(u_bar: np.ndarray, j: float, delta: float,
     delta = 0 gives the XY special case max(0, |ubar/j| - G_zz - 1)/2 and
     delta = 1 collapses to the correlation route.
     """
-    if j == 0.0:
-        raise ValueError("anisotropic energy route needs j != 0")
-    r = u_bar / j
+    r = _route_stack(u_bar, j, "anisotropic energy route", "u_bar") / j
     return clamp_concurrence(0.5 * np.maximum(0.0, np.abs(r - delta * g_zz) - g_zz - 1.0))
 
 
@@ -160,8 +166,7 @@ def concurrence_xxx_field(rdm: TwoQubitRDM, u_bar: np.ndarray, j: float,
     reading that keeps the identity ubar/j = G_xx+G_yy+G_zz + (b/j)*Mbar
     dimensionally consistent (the square-root argument is then 16 u+ u-).
     """
-    if j == 0.0:
-        raise ValueError("field energy route needs j != 0")
+    u_bar = _route_stack(u_bar, j, "field energy route", "u_bar")
     m_bar = rdm.m_bar
     # float_power squares through the C library's pow; ** on an array
     # multiplies x*x, which rounds differently

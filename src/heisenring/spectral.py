@@ -101,7 +101,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigvec_blocks: tuple[EigenBlock, ...] | None
-    ground_energy: float
     ground_degeneracy: int
     sector_labels: np.ndarray | None = None
     pair_tables: dict = field(default_factory=dict, repr=False, compare=False)
@@ -109,6 +108,10 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
+
+    @property
+    def ground_energy(self) -> float:
+        return float(self.eigenvalues[0])
 
 
 def ground_degeneracy_count(eigenvalues: np.ndarray) -> int:
@@ -142,7 +145,6 @@ def diagonalize_full(h: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(
         eigenvalues=evals,
         eigvec_blocks=(EigenBlock(every_state, vecs, every_state),),
-        ground_energy=float(evals[0]),
         ground_degeneracy=ground_degeneracy_count(evals),
     )
 
@@ -455,7 +457,6 @@ def decompose(spec: ModelSpec, vectors: bool = True,
     sd = SpectralDecomposition(
         eigenvalues=evals,
         eigvec_blocks=blocks,
-        ground_energy=float(evals[0]),
         ground_degeneracy=ground_degeneracy_count(evals),
         sector_labels=keys if spec.conserves_sz else None,
     )

@@ -3,8 +3,9 @@
 One spectral decomposition serves the whole grid of R temperatures.
 thermo.thermo_grid turns it into one (R, dim) weight matrix, and with it
 log Z, U and M at every temperature; twoqubit.pair_rdms forms the
-(R, 4, 4) stack of pair RDMs from the pair table.  Which
-decomposition that is depends on the spec (sweep_decomposition).  Every
+(R, 4, 4) stack of pair RDMs from that grid and the pair table of the
+decomposition it carries.  Which decomposition that is depends on the
+spec (sweep_decomposition).  Every
 pair of a uniform ring takes the pair mode of spectral.decompose:
 momentum blocks, no eigenvectors kept, and a pair table filled from each
 eigenstate's S_z label and its sigma^z sigma^z and sigma^x sigma^x +
@@ -72,8 +73,8 @@ def run_sweep(spec: ModelSpec, temperatures: np.ndarray,
               pair: tuple[int, int] = (1, 2)) -> dict[str, list]:
     """Every column in COLUMNS, as name -> list of values in grid order."""
     sd = sweep_decomposition(spec, pair)
-    grid = thermo_grid(sd, spec, temperatures)
-    rdm = pair_rdms(sd, grid.probabilities, *pair)
+    grid = thermo_grid(sd, temperatures)
+    rdm = pair_rdms(grid, *pair)
     cs = correlations_from_rdm(rdm)
     u_bar = grid.u / spec.n_sites
     report = concurrence_report(rdm, cs, spec, u_bar)

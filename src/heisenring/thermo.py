@@ -13,7 +13,8 @@ the probabilities, log Z, U and M of every temperature from it.  U and M
 are reduced one temperature at a time, as 1-D dot products over a row of
 probabilities: a stacked matrix product sums in another order and moves
 them in the last bits.  So each row is the same number whatever else
-shares its grid.
+shares its grid.  The grid keeps the decomposition it came from, which
+twoqubit.pair_rdms reads, so no caller hands the spectrum over twice.
 
 The full Gibbs matrix is never formed here: oracle.gibbs_state builds it
 from the eigenvectors as a reference for the pair-RDM route.
@@ -22,7 +23,7 @@ from the eigenvectors as a reference for the pair-RDM route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,13 +38,17 @@ DELTA_STEP = 1e-4
 
 @dataclass(frozen=True)
 class ThermoGrid:
-    """Thermal quantities at R temperatures: probabilities (R, dim), the rest (R,)."""
+    """Thermal quantities at R temperatures: probabilities (R, dim), the rest (R,).
+
+    decomposition is the spectrum they came from; pair_rdms reads it.
+    """
 
     temperature: np.ndarray
     probabilities: np.ndarray
     log_z: np.ndarray
     u: np.ndarray
     m: np.ndarray
+    decomposition: SpectralDecomposition = field(repr=False, compare=False)
 
 
 def _weights(sd: SpectralDecomposition,
@@ -77,13 +82,12 @@ def _weights(sd: SpectralDecomposition,
     return p, log_z
 
 
-def thermo_grid(sd: SpectralDecomposition, spec: ModelSpec,
-                temperatures: np.ndarray) -> ThermoGrid:
+def thermo_grid(sd: SpectralDecomposition, temperatures: np.ndarray) -> ThermoGrid:
     """Probabilities, log Z, internal energy and magnetization at each temperature.
 
     U is the thermal average of the eigenvalues; M is <sum_i sigma_iz>,
     evaluated from the sector labels when present (exact for S_z-conserving
-    models) and from the eigenvectors otherwise.
+    models) and from the eigenvectors otherwise; N is read off sd.dim = 2^N.
     """
     t = np.asarray(temperatures, dtype=float)
     p, log_z = _weights(sd, t)
@@ -98,14 +102,14 @@ def thermo_grid(sd: SpectralDecomposition, spec: ModelSpec,
     elif sd.eigvec_blocks is not None:
         # sum_i sigma_iz on each block state; bitwise_count returns uint8,
         # which would wrap under subtraction
-        n = spec.n_sites
+        n = sd.dim.bit_length() - 1
         blocks = [((n - 2 * np.bitwise_count(states).astype(np.int64)).astype(float),
                    np.abs(v) ** 2, cols) for states, v, cols in sd.eigvec_blocks]
         m = np.array([sum(ds @ (weight @ row[cols]) for ds, weight, cols in blocks)
                       for row in p])
     else:
         raise ValueError("magnetization needs sector labels or eigenvectors")
-    return ThermoGrid(temperature=t, probabilities=p, log_z=log_z, u=u, m=m)
+    return ThermoGrid(temperature=t, probabilities=p, log_z=log_z, u=u, m=m, decomposition=sd)
 
 
 def _log_z(spec: ModelSpec, temperature: float) -> float:
@@ -127,7 +131,7 @@ def check_derivatives(spec: ModelSpec, temperature: float) -> tuple[float, float
     beta = 1.0 / temperature
     dbeta = 1e-4 * max(1.0, beta)
     # rows: T, then beta + dbeta and beta - dbeta
-    grid = thermo_grid(sd, spec, [temperature, 1.0 / (beta + dbeta), 1.0 / (beta - dbeta)])
+    grid = thermo_grid(sd, [temperature, 1.0 / (beta + dbeta), 1.0 / (beta - dbeta)])
     u_fd = -(grid.log_z[1] - grid.log_z[2]) / (2.0 * dbeta)
 
     up, down = (_log_z(replace(spec, field_b=spec.field_b + step), temperature)

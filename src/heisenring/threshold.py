@@ -7,8 +7,8 @@ found by bisecting f(T) = -U(T)/(N J) - 1, which is a clean sign change
 concurrence whose one-sided zero stalls bisection.  The search runs in
 units of J: its floor, start, ceiling and width scale with J, so t_c/J
 does not depend on J's scale; a subnormal J, whose width 1e-8 J would
-underflow, is refused.  Each probe is the one row of a thermo_grid.  The
-search needs only the spectrum, so callers decompose values-only; the
+underflow, is refused.  Each probe is the one row of a thermo_grid.
+find_threshold refuses a spec before it decomposes it, values-only; the
 Wootters concurrence on both sides of t_c is checked by verify
 (threshold_two_sided) and the tests.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .entanglement import CLAMP_TOL, concurrence_xxx_energy
 from .model import ModelSpec
-from .spectral import SpectralDecomposition, decompose
+from .spectral import decompose
 from .thermo import thermo_grid
 
 STATUS_FOUND = "found"
@@ -47,8 +47,8 @@ def require_afm_xxx(spec: ModelSpec) -> None:
     """Refuse a spec the threshold search does not cover.
 
     That is a non-uniform, anisotropic, field-carrying or ferromagnetic
-    spec, or one whose J is subnormal.  Cheap, so callers run it before any
-    diagonalisation.
+    spec, or one whose J is subnormal.  Cheap, so find_threshold runs it
+    before any diagonalisation.
     """
     if not spec.is_uniform or spec.coupling.delta != 1.0 or spec.field_b != 0.0:
         raise ValueError(
@@ -67,7 +67,7 @@ def require_afm_xxx(spec: ModelSpec) -> None:
         )
 
 
-def find_threshold(spec: ModelSpec, sd: SpectralDecomposition) -> ThresholdResult:
+def find_threshold(spec: ModelSpec) -> ThresholdResult:
     """Bisect for the temperature where the concurrence vanishes.
 
     Returns never_entangled when the T -> 0 concurrence is already zero
@@ -75,13 +75,14 @@ def find_threshold(spec: ModelSpec, sd: SpectralDecomposition) -> ThresholdResul
     positive up to the ceiling.  Only eigenvalues are used.
     """
     require_afm_xxx(spec)
+    sd = decompose(spec, vectors=False)
     n, j = spec.n_sites, spec.coupling.j
 
     def f(t: float) -> float:
-        return -thermo_grid(sd, spec, [t]).u[0] / (n * j) - 1.0
+        return -thermo_grid(sd, [t]).u[0] / (n * j) - 1.0
 
     floor = _T_FLOOR * j
-    if concurrence_xxx_energy(thermo_grid(sd, spec, [floor]).u / n, j)[0] <= CLAMP_TOL:
+    if concurrence_xxx_energy(thermo_grid(sd, [floor]).u / n, j)[0] <= CLAMP_TOL:
         return ThresholdResult(STATUS_NEVER, None, (floor, floor), 0, None)
 
     lo, hi = floor, j
@@ -101,7 +102,7 @@ def find_threshold(spec: ModelSpec, sd: SpectralDecomposition) -> ThresholdResul
         else:
             hi = mid
     t_c = 0.5 * (lo + hi)
-    u_of_n = thermo_grid(sd, spec, [t_c]).u[0] / (-n * j)
+    u_of_n = thermo_grid(sd, [t_c]).u[0] / (-n * j)
     return ThresholdResult(STATUS_FOUND, float(t_c), bracket, iterations, float(u_of_n))
 
 
@@ -116,7 +117,6 @@ def u_of_n_scan(n_list: list[int], j: float, t: float) -> dict[int, float]:
         raise ValueError("u(N) scan is defined for antiferromagnetic j > 0")
     out: dict[int, float] = {}
     for n in n_list:
-        spec = ModelSpec.uniform(n, j)
-        sd = decompose(spec, vectors=False)
-        out[n] = float(thermo_grid(sd, spec, [t]).u[0] / (-n * j))
+        sd = decompose(ModelSpec.uniform(n, j), vectors=False)
+        out[n] = float(thermo_grid(sd, [t]).u[0] / (-n * j))
     return out

@@ -31,7 +31,9 @@ concurrence routes and for bell alike.
 Thermal states come in stacks, and one state is a stack of one:
 pair_rdms gives the (R, 4, 4) reduced matrices of the R rows of a
 thermo.thermo_grid as one TwoQubitRDM, and correlations_from_rdm turns
-it into one CorrelationSet of R tensors.
+it into one CorrelationSet of R tensors.  pair_rdms reads the
+probabilities and the pair table off the one grid, so both come from
+the same spectrum.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import numpy as np
 
 from .model import AXES, PAULI, SIGMA_Z, IDENTITY_2, bit_for_site
 from .spectral import SpectralDecomposition
+from .thermo import ThermoGrid
 
 _X_PATTERN = np.zeros((4, 4), dtype=bool)
 _X_PATTERN[np.arange(4), np.arange(4)] = True
@@ -160,27 +163,23 @@ def _pair_table(sd: SpectralDecomposition, i: int, j: int) -> np.ndarray:
     return table
 
 
-def _pair_matrices(sd: SpectralDecomposition, probabilities: np.ndarray,
-                   i: int, j: int) -> np.ndarray:
-    table = sd.pair_tables.get((i, j))
-    if table is None:
-        table = _pair_table(sd, i, j)
-    return np.array([p @ table for p in probabilities], dtype=table.dtype).reshape(-1, 4, 4)
-
-
-def pair_rdms(sd: SpectralDecomposition, probabilities: np.ndarray,
-              i: int, j: int) -> TwoQubitRDM:
-    """Stack of thermal pair RDMs, one per row of the (R, dim) `probabilities`.
+def pair_rdms(grid: ThermoGrid, i: int, j: int) -> TwoQubitRDM:
+    """Stack of thermal pair RDMs of sites (i, j), one per temperature of `grid`.
 
     Each is the Boltzmann average of the per-eigenstate pair RDMs: one
-    (dim,) x (dim, 16) product per row with the pair table, which the pair
-    mode of decompose filled or which is built here, block by block, from
-    the eigenvectors.
+    (dim,) x (dim, 16) product per row of grid.probabilities with the pair
+    table of grid.decomposition, which the pair mode of decompose filled
+    or which is built here, block by block, from the eigenvectors.
     The products stay one per row: a stacked matrix product sums in another
     order and moves the elements in the last bits.
     Equivalent, row by row, to oracle.reduce_to_pair(oracle.gibbs_state(sd, T)[None], i, j).
     """
-    return TwoQubitRDM.from_matrix(_pair_matrices(sd, probabilities, i, j), (i, j))
+    sd = grid.decomposition
+    table = sd.pair_tables.get((i, j))
+    if table is None:
+        table = _pair_table(sd, i, j)
+    matrices = np.array([p @ table for p in grid.probabilities], dtype=table.dtype)
+    return TwoQubitRDM.from_matrix(matrices.reshape(-1, 4, 4), (i, j))
 
 
 def _correlation_set(values: np.ndarray) -> CorrelationSet:

@@ -8,8 +8,8 @@ if any check fails.
 
 The production side of each grid spec runs on the sector eigenvectors:
 one thermo_grid over the whole temperature grid, one pair_rdms stack per
-site pair from the pair table those eigenvectors give, and one
-correlation, concurrence and Bell evaluation on the stack.  A sweep of a
+site pair from that grid, and one correlation, concurrence and Bell
+evaluation on the stack; the probes are a grid of their own.  A sweep of a
 uniform ring reads its pair table from the pair mode of
 spectral.decompose instead; verify holds that mode against the sector
 table only on the bond cases, one or two specs per N, for a ring bond and
@@ -36,8 +36,8 @@ TSIRELSON = bell.TSIRELSON
 # random CHSH frames drawn, and grid states they probe
 FRAMES = 10_000
 SAMPLED_STATES = 20
-# the high-temperature limit, then the near-zero stability probe and T = 0,
-# appended to each spec's temperature stack in this order
+# the high-temperature limit, then the near-zero stability probe and T = 0:
+# each spec's probe grid, in this order
 PROBE_TEMPERATURES = (1e6, 1e-8, 0.0)
 
 
@@ -149,7 +149,6 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
     opts = opts or VerifyOptions()
     col = _Collector()
     temps = np.asarray(opts.temperatures, dtype=float)
-    n_temps = temps.size
     # the momentum blocks are checked once per N, on an anisotropic ring in
     # a field when the grid has one; their pair mode also on the isotropic
     # J = 1 ring, when the grid has it
@@ -209,12 +208,13 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
             col.record("field_flip_spectrum",
                        float(np.max(np.abs(flipped_evals - sd.eigenvalues))), 1e-10, tag)
 
-        # the production side runs once on the whole temperature stack: the
-        # grid rows, then the high-temperature limit and the near-zero
-        # stability probe
-        grid = thermo.thermo_grid(sd, spec, np.concatenate((temps, PROBE_TEMPERATURES)))
-        u_hot, u_cold, u_zero = grid.u[n_temps:]
-        m_cold, m_zero = grid.m[n_temps + 1:]
+        # the production side runs once on the whole temperature grid; the
+        # high-temperature limit and the near-zero stability probe are a
+        # grid of their own
+        grid = thermo.thermo_grid(sd, temps)
+        probe = thermo.thermo_grid(sd, PROBE_TEMPERATURES)
+        u_hot, u_cold, u_zero = probe.u
+        m_cold, m_zero = probe.m[1:]
         # U ~ -<H^2>/T at high T, and <H^2> grows with both J^2 and B^2
         col.record("u_high_t_limit", abs(u_hot) / (n * max(abs(j), abs(b))), 1e-3, tag)
         stable = (math.isfinite(u_cold) and math.isfinite(m_cold)
@@ -222,10 +222,9 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
                   and abs(m_cold - m_zero) <= 1e-6)
         col.require("low_t_stability", stable, tag)
 
-        probabilities = grid.probabilities[:n_temps]
-        u, m = grid.u[:n_temps], grid.m[:n_temps]
+        u, m = grid.u, grid.m
         details = np.array([f"{tag} T={t:g}" for t in temps], dtype=object)
-        rdm = twoqubit.pair_rdms(sd, probabilities, 1, 2)
+        rdm = twoqubit.pair_rdms(grid, 1, 2)
         if (delta, b, j) in bond_cases:
             # the pair mode's table from (S_z label, ZZ_n, XY_n) on the
             # momentum blocks, against the table from the sector
@@ -235,15 +234,14 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
             if n >= 4:
                 far = (1, 1 + n // 2)
                 pair_checks.append(("distance_route_vs_pair_table", far,
-                                    twoqubit.pair_rdms(sd, probabilities, *far)))
+                                    twoqubit.pair_rdms(grid, *far)))
             for name, pair, want in pair_checks:
-                pair_sd = spectral.decompose(spec, pair=pair)
                 got = twoqubit.pair_rdms(
-                    pair_sd, thermo.thermo_grid(pair_sd, spec, temps).probabilities, *pair)
+                    thermo.thermo_grid(spectral.decompose(spec, pair=pair), temps), *pair)
                 col.record_worst(name, np.abs(got.matrix - want.matrix).max(axis=(1, 2)),
                                  1e-12, details)
         k = 1 + n // 2  # some other bond (k, k+1) around the ring
-        rdm_shift = twoqubit.pair_rdms(sd, probabilities, k, k % n + 1)
+        rdm_shift = twoqubit.pair_rdms(grid, k, k % n + 1)
         cs = twoqubit.correlations_from_rdm(rdm)
         report = entanglement.concurrence_report(rdm, cs, spec, u / n)
         measure = bell.violation_measure(cs.g).measure
@@ -331,37 +329,31 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
             sampled_tensors.extend(zip(details[:take], cs.g[:take]))
 
     # threshold machinery on a few antiferromagnetic isotropic rings
-    def isotropic_ring(n: int) -> tuple[model.ModelSpec, spectral.SpectralDecomposition]:
-        spec = model.ModelSpec.uniform(n, 1.0)
+    def isotropic_ring(n: int) -> spectral.SpectralDecomposition:
         sd = isotropic.get(n)
-        return spec, spectral.decompose(spec) if sd is None else sd
+        return spectral.decompose(model.ModelSpec.uniform(n, 1.0)) if sd is None else sd
 
-    for n in (2, 4, 5):
-        if n not in opts.n_values:
-            continue
-        spec, sd = isotropic_ring(n)
-        res = threshold.find_threshold(spec, sd)
+    found = {n: threshold.find_threshold(model.ModelSpec.uniform(n, 1.0))
+             for n in (2, 4, 5) if n in opts.n_values}
+    for n, res in found.items():
         col.require("threshold_found", res.status == threshold.STATUS_FOUND, f"N={n}")
         if res.status == threshold.STATUS_FOUND:
             col.record("threshold_u_of_n", abs(res.u_of_n - 1.0), 1e-7, f"N={n}")
-            near = thermo.thermo_grid(sd, spec, [res.t_c * (1 - 1e-3), res.t_c * (1 + 1e-3)])
+            near = thermo.thermo_grid(isotropic_ring(n),
+                                      [res.t_c * (1 - 1e-3), res.t_c * (1 + 1e-3)])
             below, above = entanglement.concurrence_wootters(
-                twoqubit.pair_rdms(sd, near.probabilities, 1, 2)).wootters
+                twoqubit.pair_rdms(near, 1, 2)).wootters
             col.require("threshold_two_sided", below > 0.0 and above == 0.0, f"N={n}")
-    if 2 in opts.n_values:
-        spec1, sd1 = isotropic_ring(2)
-        spec2 = model.ModelSpec.uniform(2, 2.0)
-        t1 = threshold.find_threshold(spec1, sd1).t_c
-        t2 = threshold.find_threshold(spec2, spectral.decompose(spec2)).t_c
+    if 2 in found:
+        t1 = found[2].t_c
+        t2 = threshold.find_threshold(model.ModelSpec.uniform(2, 2.0)).t_c
         col.record("threshold_linear_in_j", abs(t2 - 2.0 * t1) / (2.0 * t1), 1e-6,
                    "N=2, J=1 vs J=2")
 
     # zero-temperature entanglement pattern
     for n in opts.n_values:
-        spec, sd = isotropic_ring(n)
-        zero = thermo.thermo_grid(sd, spec, [0.0])
-        c0 = entanglement.concurrence_wootters(
-            twoqubit.pair_rdms(sd, zero.probabilities, 1, 2)).wootters[0]
+        zero = thermo.thermo_grid(isotropic_ring(n), [0.0])
+        c0 = entanglement.concurrence_wootters(twoqubit.pair_rdms(zero, 1, 2)).wootters[0]
         if n == 3:
             col.record("ground_state_n3_zero", c0, 1e-10, "N=3")
         else:
@@ -393,9 +385,8 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         col.record("derivative_m", m_res, 1e-5, f"N={n} T={t:.3g}")
         # Hellmann-Feynman: the pair mode's sigma^z sigma^z sum over the
         # ring bonds against -(T/J) d(log Z)/d(delta) from values-only spectra
-        pair_sd = spectral.decompose(spec, pair=(1, 2))
         rdm = twoqubit.pair_rdms(
-            pair_sd, thermo.thermo_grid(pair_sd, spec, [t]).probabilities, 1, 2)
+            thermo.thermo_grid(spectral.decompose(spec, pair=(1, 2)), [t]), 1, 2)
         zz = n * twoqubit.correlations_from_rdm(rdm).g[0, 2, 2]
         col.record("derivative_zz", abs(zz - thermo.zz_from_log_z(spec, t)), 1e-5,
                    f"N={n} T={t:.3g}")

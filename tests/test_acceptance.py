@@ -36,8 +36,8 @@ def test_criterion_01_two_site_closed_forms():
     start = time.perf_counter()
     spec, sd = cached_decompose(2, 1.0)
     worst_z, worst_c = 0.0, 0.0
-    grid = thermo_grid(sd, spec, np.geomspace(0.1, 100.0, 60))
-    cs = concurrence_wootters(pair_rdms(sd, grid.probabilities, 1, 2)).wootters
+    grid = thermo_grid(sd, np.geomspace(0.1, 100.0, 60))
+    cs = concurrence_wootters(pair_rdms(grid, 1, 2)).wootters
     for t, log_z, c in zip(grid.temperature, grid.log_z, cs):
         beta = 1.0 / float(t)
         oracle = log_z_two_site(beta)
@@ -53,7 +53,7 @@ def test_criterion_01_two_site_closed_forms():
 
 def test_criterion_02_two_site_threshold():
     spec, sd = cached_decompose(2, 1.0)
-    res = find_threshold(spec, sd)
+    res = find_threshold(spec)
     err = abs(res.t_c - 8.0 / math.log(3.0))
     assert err <= 1e-6
     report(2, f"t_c = {res.t_c:.8f}, |t_c - 8/ln3| = {err:.2e} (<=1e-6)")
@@ -61,10 +61,10 @@ def test_criterion_02_two_site_threshold():
 
 def test_criterion_03_three_site():
     spec, sd = cached_decompose(3, 1.0)
-    grid = thermo_grid(sd, spec, np.geomspace(0.1, 100.0, 40))
+    grid = thermo_grid(sd, np.geomspace(0.1, 100.0, 40))
     worst_u = max(abs(u - u_three_site(1.0 / float(t)))
                   for t, u in zip(grid.temperature, grid.u))
-    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    rdm = pair_rdms(grid, 1, 2)
     rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u / 3)
     worst_c = float(np.max([rep.wootters, rep.x_form, rep.correlation_form,
                             rep.energy_form]))
@@ -80,8 +80,8 @@ def test_criterion_04_energy_route_agreement():
     for n in range(2, 11):
         for j in (1.0, -1.0):
             spec, sd = cached_decompose(n, j)
-            thermal = thermo_grid(sd, spec, grid)
-            c_w = concurrence_wootters(pair_rdms(sd, thermal.probabilities, 1, 2)).wootters
+            thermal = thermo_grid(sd, grid)
+            c_w = concurrence_wootters(pair_rdms(thermal, 1, 2)).wootters
             c_e = concurrence_xxx_energy(thermal.u / n, j)
             worst = max(worst, float(np.max(np.abs(c_w - c_e))))
     elapsed = time.perf_counter() - start
@@ -95,8 +95,8 @@ def test_criterion_05_ferromagnet_never_entangled():
     worst = 0.0
     for n in range(2, 11):
         spec, sd = cached_decompose(n, -1.0)
-        grid = thermo_grid(sd, spec, np.geomspace(0.05, 50.0, 40))
-        c_w = concurrence_wootters(pair_rdms(sd, grid.probabilities, 1, 2)).wootters
+        grid = thermo_grid(sd, np.geomspace(0.05, 50.0, 40))
+        c_w = concurrence_wootters(pair_rdms(grid, 1, 2)).wootters
         c_e = concurrence_xxx_energy(grid.u / n, -1.0)
         worst = max(worst, float(np.max(c_w)), float(np.max(c_e)))
     assert worst <= 1e-12
@@ -109,8 +109,8 @@ def test_criterion_06_zero_field_isotropic_identities():
     for n in range(2, 9):
         for j in (1.0, -1.0):
             spec, sd = cached_decompose(n, j)
-            grid = thermo_grid(sd, spec, np.geomspace(0.1, 20.0, 12))
-            z = pair_rdms(sd, grid.probabilities, 1, 2).z
+            grid = thermo_grid(sd, np.geomspace(0.1, 20.0, 12))
+            z = pair_rdms(grid, 1, 2).z
             worst_m = max(worst_m, float(np.max(np.abs(grid.m))))
             worst_imz = max(worst_imz, float(np.max(np.abs(z.imag))))
             worst_u = max(worst_u, float(np.max(grid.u)))
@@ -130,8 +130,8 @@ def test_criterion_07_bell_closed_form_and_frames():
     for n in range(2, 9):
         for j in (1.0, -1.0):
             spec, sd = cached_decompose(n, j)
-            grid = thermo_grid(sd, spec, np.geomspace(0.1, 20.0, 10))
-            rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+            grid = thermo_grid(sd, np.geomspace(0.1, 20.0, 10))
+            rdm = pair_rdms(grid, 1, 2)
             gs = correlations_from_rdm(rdm).g
             measures = violation_measure(gs).measure
             c_w = concurrence_wootters(rdm).wootters
@@ -160,8 +160,8 @@ def test_criterion_08_anisotropy_and_field_oracles():
     for delta, b in cases:
         for n in (2, 4, 6):
             spec, sd = cached_decompose(n, 1.0, delta, b)
-            grid = thermo_grid(sd, spec, np.geomspace(0.1, 10.0, 20))
-            rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+            grid = thermo_grid(sd, np.geomspace(0.1, 10.0, 20))
+            rdm = pair_rdms(grid, 1, 2)
             rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u / n)
             assert not np.isnan(rep.energy_form).any(), (delta, b)
             worst = max(worst, float(np.max(np.abs(rep.energy_form - rep.wootters))))
@@ -174,8 +174,8 @@ def test_criterion_09_ground_state_pattern():
     values = {}
     for n in (2, 3, 4, 5, 6, 7, 8):
         spec, sd = cached_decompose(n, 1.0)
-        zero = thermo_grid(sd, spec, [0.0])
-        values[n] = concurrence_wootters(pair_rdms(sd, zero.probabilities, 1, 2)).wootters[0]
+        zero = thermo_grid(sd, [0.0])
+        values[n] = concurrence_wootters(pair_rdms(zero, 1, 2)).wootters[0]
     for n in (2, 4, 5, 6, 7, 8):
         assert values[n] > 1e-3, (n, values[n])
     assert values[3] <= 1e-10
@@ -205,7 +205,7 @@ def test_criterion_10_thermodynamic_self_consistency():
     for n, j, delta, b in [(4, 1.0, 1.0, 0.0), (5, -1.0, 0.5, 0.5),
                            (6, 1.0, 2.0, 0.0), (3, 1.0, 0.0, 1.0)]:
         spec, sd = cached_decompose(n, j, delta, b)
-        u = thermo_grid(sd, spec, np.geomspace(0.05, 50.0, 40)).u
+        u = thermo_grid(sd, np.geomspace(0.05, 50.0, 40)).u
         worst_drop = max(worst_drop, float(np.max(u[:-1] - u[1:])))
     assert worst_drop <= 1e-12
     report(10, f"finite-difference residuals: U {worst_u:.2e}, M {worst_m:.2e} "

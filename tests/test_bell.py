@@ -54,8 +54,8 @@ def test_t_matrix_product_state():
 
 def test_t_matrix_isotropic_thermal_is_scalar():
     spec, sd = cached_decompose(4, 1.0)
-    grid = thermo_grid(sd, spec, [0.7])
-    t = correlations_from_rdm(pair_rdms(sd, grid.probabilities, 1, 2)).g[0]
+    grid = thermo_grid(sd, [0.7])
+    t = correlations_from_rdm(pair_rdms(grid, 1, 2)).g[0]
     g = grid.u[0] / (3.0 * 4)
     assert np.max(np.abs(t - g * np.eye(3))) <= 1e-10
 
@@ -81,7 +81,7 @@ def test_chsh_equals_operator_trace():
     paulis = np.stack([sx, sy, sz])
 
     spec, sd = cached_decompose(4, 1.0, 0.5, 0.3)
-    rdm = pair_rdms(sd, thermo_grid(sd, spec, [0.6]).probabilities, 1, 2)
+    rdm = pair_rdms(thermo_grid(sd, [0.6]), 1, 2)
     t = correlations_from_rdm(rdm).g[0]
     frame = MeasurementFrame(*random_frames(1, seed=3)[0])
 
@@ -111,15 +111,15 @@ def test_violation_measure_product_state_at_classical_bound():
 
 def test_violation_two_site_closed_form():
     spec, sd = cached_decompose(2, 1.0)
-    grid = thermo_grid(sd, spec, [1.0])
-    res = violation_measure(correlations_from_rdm(pair_rdms(sd, grid.probabilities, 1, 2)).g)
+    grid = thermo_grid(sd, [1.0])
+    res = violation_measure(correlations_from_rdm(pair_rdms(grid, 1, 2)).g)
     assert abs(res.measure[0] - TSIRELSON * abs(grid.u[0]) / 6.0) <= 1e-10
 
 
 def test_violation_xxx_limits():
     assert violation_xxx(np.array([0.0]), 1.0, 4).tolist() == [0.0]
     spec, sd = cached_decompose(3, 1.0)
-    u = thermo_grid(sd, spec, [1.0]).u
+    u = thermo_grid(sd, [1.0]).u
     assert abs(violation_xxx(u, 1.0, 3)[0]
                - TSIRELSON * math.tanh(3.0) / 3.0) <= 1e-12
     with pytest.raises(ValueError):
@@ -129,8 +129,8 @@ def test_violation_xxx_limits():
 @pytest.mark.parametrize("n,j", [(2, 1.0), (3, 1.0), (5, 1.0), (4, -1.0)])
 def test_violation_closed_form_matches_measure(n, j):
     spec, sd = cached_decompose(n, j)
-    grid = thermo_grid(sd, spec, [0.1, 0.8, 3.0])
-    res = violation_measure(correlations_from_rdm(pair_rdms(sd, grid.probabilities, 1, 2)).g)
+    grid = thermo_grid(sd, [0.1, 0.8, 3.0])
+    res = violation_measure(correlations_from_rdm(pair_rdms(grid, 1, 2)).g)
     assert np.max(np.abs(res.measure - violation_xxx(grid.u, j, n))) <= 1e-10
 
 
@@ -143,10 +143,22 @@ def test_concurrence_vs_violation_mapping():
         concurrence_vs_violation(np.array([1.0]), 0.0)
 
 
+@pytest.mark.parametrize("route, name", [
+    (lambda u: violation_xxx(u, 1.0, 2), "u"),
+    (lambda measure: concurrence_vs_violation(measure, 1.0), "measure"),
+], ids=["violation_xxx", "concurrence_vs_violation"])
+def test_closed_form_refuses_a_bare_scalar(route, name):
+    # a scalar came back as a bare np.float64 instead of an (R,) array
+    for value in (-1.0, 2.5, np.array(2.5), np.full((1, 1), 2.5)):
+        with pytest.raises(ValueError, match=rf"{name} must be an \(R,\) array"):
+            route(value)
+    assert route(np.array([-1.0 if name == "u" else 2.5])).shape == (1,)
+
+
 @pytest.mark.parametrize("n,j", [(2, 1.0), (4, 1.0), (5, 1.0), (3, -1.0)])
 def test_concurrence_violation_relation_on_grid(n, j):
     spec, sd = cached_decompose(n, j)
-    rdm = pair_rdms(sd, thermo_grid(sd, spec, np.geomspace(0.1, 20.0, 10)).probabilities,
+    rdm = pair_rdms(thermo_grid(sd, np.geomspace(0.1, 20.0, 10)),
                     1, 2)
     res = violation_measure(correlations_from_rdm(rdm).g)
     c = concurrence_wootters(rdm).wootters
@@ -158,7 +170,7 @@ def test_entangled_without_violation_window():
     # antiferromagnetic two-site ring passes through 2sqrt(2)/3 < B <= 2
     spec, sd = cached_decompose(2, 1.0)
     seen = False
-    rdm = pair_rdms(sd, thermo_grid(sd, spec, np.linspace(3.0, 7.0, 25)).probabilities, 1, 2)
+    rdm = pair_rdms(thermo_grid(sd, np.linspace(3.0, 7.0, 25)), 1, 2)
     res = violation_measure(correlations_from_rdm(rdm).g)
     for measure, violates, c in zip(res.measure, res.violates,
                                     concurrence_wootters(rdm).wootters):
@@ -174,16 +186,16 @@ def test_random_frames_never_beat_measure():
     cases = [(2, 1.0, 1.0, 0.0, 0.5), (4, 1.0, 0.5, 0.3, 1.0), (5, -1.0, 2.0, 0.0, 0.2)]
     for n, j, delta, b, t in cases:
         spec, sd = cached_decompose(n, j, delta, b)
-        p = thermo_grid(sd, spec, [t]).probabilities
-        gs = correlations_from_rdm(pair_rdms(sd, p, 1, 2)).g
+        grid = thermo_grid(sd, [t])
+        gs = correlations_from_rdm(pair_rdms(grid, 1, 2)).g
         best = float(np.max(np.abs(frame_expectations(gs[0], frames))))
         assert best <= violation_measure(gs).measure[0] + 1e-8
 
 
 def test_random_frame_search_deterministic():
     spec, sd = cached_decompose(3, 1.0)
-    p = thermo_grid(sd, spec, [0.4]).probabilities
-    g = correlations_from_rdm(pair_rdms(sd, p, 1, 2)).g[0]
+    grid = thermo_grid(sd, [0.4])
+    g = correlations_from_rdm(pair_rdms(grid, 1, 2)).g[0]
     assert random_frame_search(g, 500, seed=5) == random_frame_search(g, 500, seed=5)
     assert np.array_equal(random_frames(64, 9), random_frames(64, 9))
     assert not np.array_equal(random_frames(64, 9), random_frames(64, 10))
@@ -192,9 +204,9 @@ def test_random_frame_search_deterministic():
 def test_optimal_frame_attains_measure():
     cases = [SINGLET_RHO, np.eye(4) / 4.0]
     spec, sd = cached_decompose(5, 1.0, 2.0, 0.5)
-    p = thermo_grid(sd, spec, [0.2, 1.0]).probabilities
+    grid = thermo_grid(sd, [0.2, 1.0])
     tensors = np.concatenate([_ts(c) for c in cases]
-                             + [correlations_from_rdm(pair_rdms(sd, p, 1, 2)).g])
+                             + [correlations_from_rdm(pair_rdms(grid, 1, 2)).g])
     for g, measure in zip(tensors, violation_measure(tensors).measure):
         frame = optimal_frame(g)
         assert abs(abs(chsh_expectation(g, frame)) - measure) <= 1e-10
@@ -204,8 +216,8 @@ def test_measure_depends_only_on_correlations():
     # in a field: the full-space tensor from the Gibbs matrix and the tensor
     # of the table-route pair RDM give the same measure
     spec, sd = cached_decompose(4, 1.0, 1.0, 0.8)
-    p = thermo_grid(sd, spec, [0.5]).probabilities
-    measure = violation_measure(correlations_from_rdm(pair_rdms(sd, p, 1, 2)).g).measure
+    grid = thermo_grid(sd, [0.5])
+    measure = violation_measure(correlations_from_rdm(pair_rdms(grid, 1, 2)).g).measure
     full = violation_measure(correlations(gibbs_state(sd, 0.5)[None], 1, 2).g).measure
     assert abs(full[0] - measure[0]) <= 1e-12
     assert 0.0 <= measure[0] <= TSIRELSON + 1e-10

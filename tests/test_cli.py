@@ -117,6 +117,18 @@ def test_sweep_empty_cells_for_inapplicable_routes(tmp_path):
     assert rows[0]["C_wootters"] != ""
 
 
+@pytest.mark.parametrize("command", ["sweep", "spectrum", "threshold"])
+def test_general_model_n_sites_key_rejected(tmp_path, capsys, command):
+    # the matrix size gives N: the key could only agree or fail
+    m = [[0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5, 0.0],
+         [0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5, 0.0]]
+    doc = {"model": {"jx": m, "jy": m, "jz": m, "n_sites": 4}}
+    if command == "sweep":
+        doc["temperatures"] = {"start": 1.0, "stop": 1.0, "count": 1}
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+    assert "unknown key 'n_sites' in model" in capsys.readouterr().err
+
+
 def test_sweep_output_subset(tmp_path):
     doc = sweep_config(n_sites=2, j=1.0)
     doc["outputs"] = ["T", "U", "C_wootters"]
@@ -290,7 +302,7 @@ def test_threshold_refuses_before_decompose(tmp_path, capsys, monkeypatch):
     # a spec outside the search exits 2 before any spectrum is computed
     def never(*args, **kwargs):
         raise AssertionError("decompose ran")
-    monkeypatch.setattr("heisenring.cli.decompose", never)
+    monkeypatch.setattr("heisenring.threshold.decompose", never)
     # jx = jy = jz = 0.5 on the ring bonds
     ring = ring_coupling_matrices(ModelSpec.uniform(14, 1.0))
     isotropic = "defined for the isotropic zero-field model"

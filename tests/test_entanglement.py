@@ -49,7 +49,7 @@ def test_wootters_product_state():
 def test_wootters_two_site_closed_form(t):
     spec, sd = cached_decompose(2, 1.0)
     c = concurrence_wootters(
-        pair_rdms(sd, thermo_grid(sd, spec, [t]).probabilities, 1, 2)).wootters[0]
+        pair_rdms(thermo_grid(sd, [t]), 1, 2)).wootters[0]
     assert abs(c - c_two_site(1.0 / t)) <= 1e-10
 
 
@@ -76,8 +76,8 @@ def test_x_form_requires_pattern():
 ])
 def test_x_form_agrees_with_wootters(n, j, delta, b):
     spec, sd = cached_decompose(n, j, delta, b)
-    p = thermo_grid(sd, spec, np.geomspace(0.1, 10.0, 8)).probabilities
-    rdm = pair_rdms(sd, p, 1, 2)
+    grid = thermo_grid(sd, np.geomspace(0.1, 10.0, 8))
+    rdm = pair_rdms(grid, 1, 2)
     assert np.all(np.abs(concurrence_x_form(rdm)
                          - concurrence_wootters(rdm).wootters) <= 1e-10)
 
@@ -95,7 +95,7 @@ def test_correlation_route_rejects_magnetized():
 @pytest.mark.parametrize("delta", [0.0, 0.5, 2.0])
 def test_correlation_route_agrees_with_wootters(delta):
     spec, sd = cached_decompose(4, 1.0, delta)
-    rdm = pair_rdms(sd, thermo_grid(sd, spec, [0.3, 0.5, 1.0, 4.0]).probabilities, 1, 2)
+    rdm = pair_rdms(thermo_grid(sd, [0.3, 0.5, 1.0, 4.0]), 1, 2)
     c = concurrence_from_correlations(correlations_from_rdm(rdm))
     assert np.all(np.abs(c - concurrence_wootters(rdm).wootters) <= 1e-9)
 
@@ -103,20 +103,20 @@ def test_correlation_route_agrees_with_wootters(delta):
 def test_energy_route_two_site():
     spec, sd = cached_decompose(2, 1.0)
     beta = 1.0
-    c = concurrence_xxx_energy(thermo_grid(sd, spec, [1.0 / beta]).u / 2, 1.0)
+    c = concurrence_xxx_energy(thermo_grid(sd, [1.0 / beta]).u / 2, 1.0)
     assert abs(c[0] - (math.exp(8.0) - 3.0) / (math.exp(8.0) + 3.0)) <= 1e-10
 
 
 def test_energy_route_three_site_never_entangled():
     spec, sd = cached_decompose(3, 1.0)
-    u = thermo_grid(sd, spec, [0.05, 0.5, 1.0, 10.0]).u
+    u = thermo_grid(sd, [0.05, 0.5, 1.0, 10.0]).u
     assert np.all(concurrence_xxx_energy(u / 3, 1.0) == 0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_energy_route_ferromagnetic_zero(n):
     spec, sd = cached_decompose(n, -1.0)
-    u = thermo_grid(sd, spec, [0.1, 1.0, 10.0]).u
+    u = thermo_grid(sd, [0.1, 1.0, 10.0]).u
     assert np.all(concurrence_xxx_energy(u / n, -1.0) == 0.0)
 
 
@@ -132,33 +132,33 @@ def test_ground_state_route_two_site():
     # limit of the thermal route on an even antiferromagnetic ring
     spec, sd = cached_decompose(2, 1.0)
     assert concurrence_xxx_energy(np.array([sd.ground_energy / 2]), 1.0).tolist() == [1.0]
-    zero = thermo_grid(sd, spec, [0.0])
-    c = concurrence_wootters(pair_rdms(sd, zero.probabilities, 1, 2)).wootters[0]
+    zero = thermo_grid(sd, [0.0])
+    c = concurrence_wootters(pair_rdms(zero, 1, 2)).wootters[0]
     assert abs(c - 1.0) <= 1e-12
 
 
 def test_ground_state_route_matches_thermal_limit():
     spec, sd = cached_decompose(4, 1.0)
     c_gs = concurrence_xxx_energy(np.array([sd.ground_energy / 4]), 1.0)[0]
-    grid = thermo_grid(sd, spec, [1e-6, 0.0])
+    grid = thermo_grid(sd, [1e-6, 0.0])
     c_thermal = concurrence_xxx_energy(grid.u / 4, 1.0)[0]
     assert abs(c_gs - c_thermal) <= 1e-6
-    c_w = concurrence_wootters(pair_rdms(sd, grid.probabilities, 1, 2)).wootters[1]
+    c_w = concurrence_wootters(pair_rdms(grid, 1, 2)).wootters[1]
     assert abs(c_gs - c_w) <= 1e-9
 
 
 def test_ground_state_route_matches_wootters():
     spec, sd = cached_decompose(6, 1.0)
     c_gs = concurrence_xxx_energy(np.array([sd.ground_energy / 6]), 1.0)[0]
-    zero = thermo_grid(sd, spec, [0.0])
-    c_w = concurrence_wootters(pair_rdms(sd, zero.probabilities, 1, 2)).wootters[0]
+    zero = thermo_grid(sd, [0.0])
+    c_w = concurrence_wootters(pair_rdms(zero, 1, 2)).wootters[0]
     assert abs(c_gs - c_w) <= 1e-9
 
 
 def test_anisotropic_route_reduces_to_correlation_form():
     spec, sd = cached_decompose(4, 1.0)
-    grid = thermo_grid(sd, spec, [0.8])
-    cs = correlations_from_rdm(pair_rdms(sd, grid.probabilities, 1, 2))
+    grid = thermo_grid(sd, [0.8])
+    cs = correlations_from_rdm(pair_rdms(grid, 1, 2))
     c_a = concurrence_anisotropic(grid.u / 4, 1.0, 1.0, cs.g[:, 2, 2])
     c_g = concurrence_from_correlations(cs)
     assert abs(c_a[0] - c_g[0]) <= 1e-12
@@ -167,8 +167,8 @@ def test_anisotropic_route_reduces_to_correlation_form():
 @pytest.mark.parametrize("n,delta,t", [(4, 0.0, 0.5), (6, 2.0, 1.0), (4, 0.5, 0.3)])
 def test_anisotropic_route_agrees_with_wootters(n, delta, t):
     spec, sd = cached_decompose(n, 1.0, delta)
-    grid = thermo_grid(sd, spec, [t])
-    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    grid = thermo_grid(sd, [t])
+    rdm = pair_rdms(grid, 1, 2)
     cs = correlations_from_rdm(rdm)
     c = concurrence_anisotropic(grid.u / n, 1.0, delta, cs.g[:, 2, 2])
     assert abs(c[0] - concurrence_wootters(rdm).wootters[0]) <= 1e-9
@@ -176,8 +176,8 @@ def test_anisotropic_route_agrees_with_wootters(n, delta, t):
 
 def test_field_route_reduces_at_zero_field():
     spec, sd = cached_decompose(4, 1.0)
-    grid = thermo_grid(sd, spec, [0.6])
-    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    grid = thermo_grid(sd, [0.6])
+    rdm = pair_rdms(grid, 1, 2)
     assert abs(concurrence_xxx_field(rdm, grid.u / 4, 1.0, 0.0)[0]
                - concurrence_x_form(rdm)[0]) <= 1e-10
 
@@ -185,15 +185,15 @@ def test_field_route_reduces_at_zero_field():
 @pytest.mark.parametrize("n,b,t", [(4, 0.5, 0.5), (2, 3.0, 0.1), (6, 1.0, 1.0)])
 def test_field_route_agrees_with_wootters(n, b, t):
     spec, sd = cached_decompose(n, 1.0, 1.0, b)
-    grid = thermo_grid(sd, spec, [t])
-    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    grid = thermo_grid(sd, [t])
+    rdm = pair_rdms(grid, 1, 2)
     c = concurrence_xxx_field(rdm, grid.u / n, 1.0, b)
     assert abs(c[0] - concurrence_wootters(rdm).wootters[0]) <= 1e-9
 
 
 def test_field_route_flags_convention_mismatch():
     spec, sd = cached_decompose(4, 1.0, 1.0, 2.0)
-    rdm = pair_rdms(sd, thermo_grid(sd, spec, [0.3]).probabilities, 1, 2)
+    rdm = pair_rdms(thermo_grid(sd, [0.3]), 1, 2)
     assert abs(rdm.m_bar[0]) > 1e-3
     # an energy input that zeroes the squared bracket leaves the argument
     # at -4*m_bar^2 < 0, which must be surfaced rather than clamped
@@ -211,24 +211,24 @@ def test_clamping():
 def test_report_route_presence():
     # isotropic zero field: all four routes
     spec, sd = cached_decompose(4, 1.0)
-    grid = thermo_grid(sd, spec, [0.5])
-    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    grid = thermo_grid(sd, [0.5])
+    rdm = pair_rdms(grid, 1, 2)
     rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u / 4)
     assert not np.isnan([rep.x_form, rep.correlation_form, rep.energy_form]).any()
     assert rep.max_disagreement[0] <= 1e-9
 
     # field on: correlation route must be absent
     spec, sd = cached_decompose(4, 1.0, 1.0, 0.5)
-    grid = thermo_grid(sd, spec, [0.5])
-    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    grid = thermo_grid(sd, [0.5])
+    rdm = pair_rdms(grid, 1, 2)
     rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u / 4)
     assert np.isnan(rep.correlation_form[0])
     assert not np.isnan(rep.energy_form[0])
 
     # zero coupling: no energy-family route
     spec, sd = cached_decompose(4, 0.0, 1.0, 1.0)
-    grid = thermo_grid(sd, spec, [0.5])
-    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    grid = thermo_grid(sd, [0.5])
+    rdm = pair_rdms(grid, 1, 2)
     rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u / 4)
     assert np.isnan(rep.energy_form[0])
 
@@ -241,8 +241,8 @@ def test_energy_route_only_on_ring_bonds(n, pair, bond):
     # the closed forms hold for nearest neighbours; on (1, 3) the isotropic
     # route read 0.41 at T = 0.1 where Wootters reads 0
     spec, sd = cached_decompose(n, 1.0)
-    grid = thermo_grid(sd, spec, [0.1])
-    rdm = pair_rdms(sd, grid.probabilities, *pair)
+    grid = thermo_grid(sd, [0.1])
+    rdm = pair_rdms(grid, *pair)
     rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u / n)
     assert (not np.isnan(rep.energy_form[0])) == bond
     assert rep.max_disagreement[0] <= 1e-9
@@ -275,8 +275,8 @@ def test_report_general_coupling_has_no_energy_route():
     spec = ModelSpec.general(m, m, m)
     from heisenring import decompose
     sd = decompose(spec)
-    grid = thermo_grid(sd, spec, [0.5])
-    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    grid = thermo_grid(sd, [0.5])
+    rdm = pair_rdms(grid, 1, 2)
     rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u / 4)
     assert np.isnan(rep.energy_form[0])
     assert not np.isnan(rep.x_form[0])
@@ -286,8 +286,8 @@ def test_report_general_coupling_has_no_energy_route():
 def test_concurrence_range():
     for args in [(2, 1.0, 1.0, 0.0), (5, 1.0, 0.5, 0.5), (6, -1.0, 2.0, 0.0)]:
         spec, sd = cached_decompose(*args)
-        p = thermo_grid(sd, spec, [0.0, 0.3, 2.0]).probabilities
-        c = concurrence_wootters(pair_rdms(sd, p, 1, 2)).wootters
+        grid = thermo_grid(sd, [0.0, 0.3, 2.0])
+        c = concurrence_wootters(pair_rdms(grid, 1, 2)).wootters
         assert np.all((0.0 <= c) & (c <= 1.0))
 
 
@@ -335,6 +335,20 @@ def test_stacked_energy_checks_raise_as_single_state():
     assert str(stacked.value) == str(single.value)
 
 
+@pytest.mark.parametrize("route", [
+    lambda u_bar: concurrence_xxx_energy(u_bar, 1.0),
+    lambda u_bar: concurrence_anisotropic(u_bar, 1.0, 0.5, np.zeros(1)),
+    lambda u_bar: concurrence_xxx_field(_rdm(np.eye(4) / 4.0), u_bar, 1.0, 0.3),
+], ids=["xxx_energy", "anisotropic", "xxx_field"])
+def test_energy_route_refuses_a_bare_scalar(route):
+    # a scalar came back as a 0-d array, or failed with an IndexError
+    # instead of naming the stack the route needs
+    for u_bar in (-0.5, 4.0, np.array(-0.5), np.full((1, 1), -0.5)):
+        with pytest.raises(ValueError, match=r"u_bar must be an \(R,\) array"):
+            route(u_bar)
+    assert route(np.array([-0.5])).shape == (1,)
+
+
 @pytest.mark.parametrize("n, j, delta, b, absent", [
     (4, 1.0, 1.0, 0.0, ()),
     (4, 1.0, 1.0, 0.5, ("correlation_form",)),
@@ -344,8 +358,8 @@ def test_grid_of_one_gives_one_row_arrays(n, j, delta, b, absent):
     # one temperature is a stack of one: every field an (R,) float array,
     # an absent route NaN in its row
     spec, sd = cached_decompose(n, j, delta, b)
-    grid = thermo_grid(sd, spec, [0.5])
-    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    grid = thermo_grid(sd, [0.5])
+    rdm = pair_rdms(grid, 1, 2)
     rep = concurrence_report(rdm, correlations_from_rdm(rdm), spec, grid.u / n)
     for name in ("wootters", "x_form", "correlation_form", "energy_form", "max_disagreement"):
         value = getattr(rep, name)

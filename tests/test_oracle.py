@@ -79,7 +79,7 @@ def test_gibbs_state_is_real_for_real_eigenvectors(spec):
     # the dense diagonalisation of the real H and the sector blocks alike
     temps = (0.0, 0.3, 2.0)
     for sd in (diagonalize_full(build_hamiltonian(spec)), decompose(spec)):
-        for t, p in zip(temps, thermo_grid(sd, spec, temps).probabilities):
+        for t, p in zip(temps, thermo_grid(sd, temps).probabilities):
             rho = oracle.gibbs_state(sd, t)
             assert rho.dtype == np.float64
             assert np.max(np.abs(rho - _gibbs_by_matrix_product(sd, p))) <= 1e-15
@@ -92,8 +92,8 @@ def test_gibbs_state_is_complex_for_complex_eigenvectors():
     assert np.max(np.abs(h.imag)) > 0.0
     sd = diagonalize_full(h)
     temps = (0.0, 0.7)
-    # thermo_grid reads only the ring size from the spec of the real part
-    probabilities = thermo_grid(sd, ModelSpec.uniform(n, 1.0, 0.5), temps).probabilities
+    # thermo_grid reads the ring size off the spectrum's dimension
+    probabilities = thermo_grid(sd, temps).probabilities
     for t, p in zip(temps, probabilities):
         rho = oracle.gibbs_state(sd, t)
         assert rho.dtype == np.complex128

@@ -61,7 +61,7 @@ def general_specs(draw, sz_breaking_only=False):
 def test_table_route_matches_dense_gibbs(case, t):
     spec, (i, j) = case
     sd = decompose(spec)
-    rdm = pair_rdms(sd, thermo_grid(sd, spec, [t]).probabilities, i, j).matrix[0]
+    rdm = pair_rdms(thermo_grid(sd, [t]), i, j).matrix[0]
     oracle = reduce_to_pair(gibbs_state(diagonalize_full(build_hamiltonian(spec)), t)[None],
                             i, j).matrix[0]
     assert np.max(np.abs(rdm - oracle)) <= 1e-12
@@ -80,8 +80,8 @@ def test_sz_breaking_routes_and_bell_bounds(case, t):
     # keeps the S_z pattern, and no energy route applies to general specs
     spec, (i, j) = case
     sd = decompose(spec)
-    grid = thermo_grid(sd, spec, [t])
-    rdm = pair_rdms(sd, grid.probabilities, i, j)
+    grid = thermo_grid(sd, [t])
+    rdm = pair_rdms(grid, i, j)
     cs = correlations_from_rdm(rdm)
     report = concurrence_report(rdm, cs, spec, grid.u / spec.n_sites)
     if rdm.off_structure_norm[0] > X_FORM_TOL:
@@ -157,9 +157,9 @@ def test_momentum_blocks_match_sector_spectrum(spec):
 
 def _single_state_row(sd, spec, t, pair):
     """The sweep's columns at one temperature, from a grid of one; an absent route is None."""
-    grid = thermo_grid(sd, spec, [t])
+    grid = thermo_grid(sd, [t])
     u_per_site = grid.u / spec.n_sites
-    rdm = pair_rdms(sd, grid.probabilities, *pair)
+    rdm = pair_rdms(grid, *pair)
     cs = correlations_from_rdm(rdm)
     report = concurrence_report(rdm, cs, spec, u_per_site)
     bell = violation_measure(cs.g)

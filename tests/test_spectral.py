@@ -302,7 +302,7 @@ def test_values_only_dense_path():
     assert np.max(np.abs(values.eigenvalues - full.eigenvalues)) <= 1e-12
     assert values.ground_degeneracy == full.ground_degeneracy
     with pytest.raises(ValueError, match="magnetization needs sector labels or eigenvectors"):
-        thermo_grid(values, spec, [1.0])
+        thermo_grid(values, [1.0])
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -338,9 +338,9 @@ def test_parity_blocks_match_dense_oracle(n):
     assert sd.sector_labels is None
     assert np.max(np.abs(sd.eigenvalues - full.eigenvalues)) <= 1e-12
     temps = (0.0, 0.3, 2.0)
-    p = thermo_grid(sd, spec, temps).probabilities
+    grid = thermo_grid(sd, temps)
     for pair in ((1, 2), (1, n), (n, 1)):
-        stack = pair_rdms(sd, p, *pair).matrix
+        stack = pair_rdms(grid, *pair).matrix
         for t, got in zip(temps, stack):
             want = reduce_to_pair(gibbs_state(full, t)[None], *pair).matrix[0]
             assert np.max(np.abs(got - want)) <= 1e-12, (t, pair)
@@ -370,7 +370,7 @@ def test_bond_mode_matches_pair_table_and_oracle(n, j, delta, b):
     sector = decompose(spec)
     full = diagonalize_full(build_hamiltonian(spec))
     rhos = [gibbs_state(full, t) for t in BOND_TEMPERATURES]
-    sector_grid = thermo_grid(sector, spec, BOND_TEMPERATURES)
+    sector_grid = thermo_grid(sector, BOND_TEMPERATURES)
     pairs = {(1, 2), (2, 1), (1, n), (n, 1), (1, 1 + n // 2)}
     if n >= 3:
         pairs |= {(1, 3), (3, 1)}
@@ -380,11 +380,11 @@ def test_bond_mode_matches_pair_table_and_oracle(n, j, delta, b):
         assert list(pair_sd.pair_tables) == [pair]
         assert pair_sd.ground_degeneracy == sector.ground_degeneracy
         assert np.max(np.abs(pair_sd.eigenvalues - sector.eigenvalues)) <= 1e-12
-        pair_grid = thermo_grid(pair_sd, spec, BOND_TEMPERATURES)
-        got = pair_rdms(pair_sd, pair_grid.probabilities, *pair)
+        pair_grid = thermo_grid(pair_sd, BOND_TEMPERATURES)
+        got = pair_rdms(pair_grid, *pair)
         assert np.all(got.z.imag == 0.0)
         assert np.all(np.abs(pair_grid.m - sector_grid.m) <= 1e-12)
-        from_sector = pair_rdms(sector, sector_grid.probabilities, *pair).matrix
+        from_sector = pair_rdms(sector_grid, *pair).matrix
         for r, (t, rho) in enumerate(zip(BOND_TEMPERATURES, rhos)):
             for want in (from_sector[r], reduce_to_pair(rho[None], *pair).matrix[0]):
                 assert np.max(np.abs(got.matrix[r] - want)) <= 1e-13, (pair, t)

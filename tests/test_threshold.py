@@ -6,19 +6,18 @@ import pytest
 from heisenring import (
     ModelSpec,
     concurrence_wootters,
-    decompose,
     find_threshold,
     pair_rdms,
     thermo_grid,
     u_of_n_scan,
 )
+from heisenring import threshold
 from heisenring.threshold import STATUS_FOUND, STATUS_NEVER, require_afm_xxx
 from helpers import cached_decompose
 
 
 def test_two_site_threshold():
-    spec, sd = cached_decompose(2, 1.0)
-    res = find_threshold(spec, sd)
+    res = find_threshold(ModelSpec.uniform(2, 1.0))
     assert res.status == STATUS_FOUND
     assert abs(res.t_c - 8.0 / math.log(3.0)) <= 1e-6
     assert abs(res.u_of_n - 1.0) <= 1e-7
@@ -27,10 +26,8 @@ def test_two_site_threshold():
 
 
 def test_threshold_scales_linearly_in_j():
-    spec1, sd1 = cached_decompose(2, 1.0)
-    spec2, sd2 = cached_decompose(2, 2.0)
-    t1 = find_threshold(spec1, sd1).t_c
-    t2 = find_threshold(spec2, sd2).t_c
+    t1 = find_threshold(ModelSpec.uniform(2, 1.0)).t_c
+    t2 = find_threshold(ModelSpec.uniform(2, 2.0)).t_c
     assert abs(t2 - 16.0 / math.log(3.0)) <= 2e-6
     assert abs(t2 - 2.0 * t1) <= 1e-6 * 2.0 * t1
 
@@ -38,20 +35,19 @@ def test_threshold_scales_linearly_in_j():
 @pytest.mark.parametrize("n", [2, 4])
 def test_threshold_independent_of_j_scale(n):
     # the search runs in units of J: t_c / J does not move with J's scale
-    ref = find_threshold(*cached_decompose(n, 1.0))
+    ref = find_threshold(ModelSpec.uniform(n, 1.0))
     # down to the smallest normal J, where the bisection width 1e-8 J is
     # still a normal float
     for j in (sys.float_info.min, 2.3e-308, 1e-307, 1e-12, 1e-10, 1e-7, 1e-5, 0.73, 1.0,
               1e5, 1e7):
-        res = find_threshold(*cached_decompose(n, j))
+        res = find_threshold(ModelSpec.uniform(n, j))
         assert res.status == STATUS_FOUND
         assert abs(res.t_c / j - ref.t_c) <= 1e-9 * ref.t_c
         assert abs(res.u_of_n - 1.0) <= 1e-7
 
 
 def test_three_site_never_entangled():
-    spec, sd = cached_decompose(3, 1.0)
-    res = find_threshold(spec, sd)
+    res = find_threshold(ModelSpec.uniform(3, 1.0))
     assert res.status == STATUS_NEVER
     assert res.t_c is None
 
@@ -61,38 +57,48 @@ def test_threshold_two_sided_concurrence(n):
     # the search reads only eigenvalues; Wootters on the eigenvectors'
     # pair state checks that the concurrence vanishes exactly at t_c
     spec, sd = cached_decompose(n, 1.0)
-    res = find_threshold(spec, sd)
+    res = find_threshold(spec)
     assert res.status == STATUS_FOUND
     assert abs(res.u_of_n - 1.0) <= 1e-7
-    near = thermo_grid(sd, spec, [res.t_c * (1 - 1e-3), res.t_c * (1 + 1e-3)])
-    below, above = concurrence_wootters(pair_rdms(sd, near.probabilities, 1, 2)).wootters
+    near = thermo_grid(sd, [res.t_c * (1 - 1e-3), res.t_c * (1 + 1e-3)])
+    below, above = concurrence_wootters(pair_rdms(near, 1, 2)).wootters
     assert below > 0.0
     assert above == 0.0
 
 
 def test_threshold_bitwise_deterministic():
-    spec, sd = cached_decompose(5, 1.0)
-    a = find_threshold(spec, sd)
-    b = find_threshold(spec, sd)
+    spec = ModelSpec.uniform(5, 1.0)
+    a = find_threshold(spec)
+    b = find_threshold(spec)
     assert a.t_c == b.t_c
     assert a.iterations == b.iterations
 
 
+REFUSED_SPECS = [(ModelSpec.uniform(4, -1.0), "ferromagnetic"),
+                 (ModelSpec.uniform(4, 1.0, 0.5), "isotropic"),
+                 (ModelSpec.uniform(4, 1.0, 1.0, 0.5), "isotropic")]
+
+
 def test_threshold_rejections():
-    spec, sd = cached_decompose(4, -1.0)
-    with pytest.raises(ValueError, match="ferromagnetic"):
-        find_threshold(spec, sd)
-    spec, sd = cached_decompose(4, 1.0, 0.5)
-    with pytest.raises(ValueError, match="isotropic"):
-        find_threshold(spec, sd)
-    spec, sd = cached_decompose(4, 1.0, 1.0, 0.5)
-    with pytest.raises(ValueError, match="isotropic"):
-        find_threshold(spec, sd)
+    for spec, message in REFUSED_SPECS:
+        with pytest.raises(ValueError, match=message):
+            find_threshold(spec)
     # a subnormal J's bisection width 1e-8 J underflows, and the search
     # never ended
     for j in (5e-324, 1e-320, 1e-316, sys.float_info.min / 2):
         with pytest.raises(ValueError, match="subnormal"):
             require_afm_xxx(ModelSpec.uniform(4, j))
+
+
+@pytest.mark.parametrize("spec,message", REFUSED_SPECS,
+                         ids=["ferromagnetic", "anisotropic", "field"])
+def test_threshold_refuses_before_decompose(monkeypatch, spec, message):
+    # find_threshold decomposes the spec itself, only after refusing it
+    def never(*args, **kwargs):
+        raise AssertionError("decompose ran")
+    monkeypatch.setattr(threshold, "decompose", never)
+    with pytest.raises(ValueError, match=message):
+        find_threshold(spec)
 
 
 def test_u_of_n_ground_state_values():
@@ -111,7 +117,7 @@ def test_u_of_n_ground_state_values():
 def test_threshold_n14_pinned():
     # above N = 12 the threshold runs values-only, on momentum blocks
     spec = ModelSpec.uniform(14, 1.0)
-    res = find_threshold(spec, decompose(spec, vectors=False))
+    res = find_threshold(spec)
     assert res.status == STATUS_FOUND
     assert abs(res.t_c - 3.1804914921522141) <= 1e-7
     assert abs(res.u_of_n - 1.0) <= 1e-7
@@ -139,10 +145,10 @@ def test_u_of_n_finite_temperature():
 
 def test_entangled_exactly_up_to_threshold():
     spec, sd = cached_decompose(4, 1.0)
-    res = find_threshold(spec, sd)
+    res = find_threshold(spec)
     # energy-route concurrence is positive strictly below and zero above
     from heisenring import concurrence_xxx_energy
-    u = thermo_grid(sd, spec, [res.t_c * 0.9, res.t_c * 1.1]).u
+    u = thermo_grid(sd, [res.t_c * 0.9, res.t_c * 1.1]).u
     c_lo, c_hi = concurrence_xxx_energy(u / 4, 1.0)
     assert c_lo > 0.0
     assert c_hi == 0.0

@@ -50,7 +50,7 @@ def test_singlet_elements():
 
 def test_three_site_z_energy_identity():
     spec, sd = cached_decompose(3, 1.0)
-    u = thermo_grid(sd, spec, [1.0]).u[0]
+    u = thermo_grid(sd, [1.0]).u[0]
     z = reduce_to_pair(gibbs_state(sd, 1.0)[None], 1, 2).z[0]
     # z = U / (6 J N) with U = -3 tanh(3)
     assert abs(z.real - (-math.tanh(3.0) / 6.0)) <= 1e-10
@@ -75,8 +75,8 @@ def test_full_space_correlations_match_rdm(n, j, delta, b, t):
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_isotropic_correlations(n):
     spec, sd = cached_decompose(n, 1.0)
-    grid = thermo_grid(sd, spec, [0.8])
-    cs = correlations_from_rdm(pair_rdms(sd, grid.probabilities, 1, 2))
+    grid = thermo_grid(sd, [0.8])
+    cs = correlations_from_rdm(pair_rdms(grid, 1, 2))
     g = cs.g[0]
     assert abs(g[0, 0] - g[1, 1]) <= 1e-10
     assert abs(g[0, 0] - g[2, 2]) <= 1e-10
@@ -91,7 +91,7 @@ def test_singlet_correlations():
 
 def test_infinite_temperature_correlations_vanish():
     spec, sd = cached_decompose(4, 1.0)
-    cs = correlations_from_rdm(pair_rdms(sd, thermo_grid(sd, spec, [1e12]).probabilities,
+    cs = correlations_from_rdm(pair_rdms(thermo_grid(sd, [1e12]),
                                          1, 2))
     assert np.max(np.abs(cs.g)) <= 1e-10
 
@@ -104,7 +104,7 @@ def test_infinite_temperature_correlations_vanish():
 ])
 def test_element_relations(n, j, delta, b, t):
     spec, sd = cached_decompose(n, j, delta, b)
-    rdm = pair_rdms(sd, thermo_grid(sd, spec, [t]).probabilities, 1, 2)
+    rdm = pair_rdms(thermo_grid(sd, [t]), 1, 2)
     cs = correlations_from_rdm(rdm)
     for name, residual in check_element_relations(rdm, cs).items():
         assert residual[0] <= 1e-10, (name, residual)
@@ -114,8 +114,8 @@ def test_element_relations(n, j, delta, b, t):
 def test_element_relations_of_a_stack_match_each_row(temperatures):
     # a stacked call once read g[2, 2] as the third state's third row
     spec, sd = cached_decompose(5, 1.0, 0.5, 0.3)
-    grid = thermo_grid(sd, spec, temperatures)
-    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    grid = thermo_grid(sd, temperatures)
+    rdm = pair_rdms(grid, 1, 2)
     cs = correlations_from_rdm(rdm)
     stacked = check_element_relations(rdm, cs)
     for r in range(len(temperatures)):
@@ -130,7 +130,7 @@ def test_element_relations_of_a_stack_match_each_row(temperatures):
 
 def test_z_is_real_for_isotropic_ring():
     spec, sd = cached_decompose(3, 1.0)
-    rdm = pair_rdms(sd, thermo_grid(sd, spec, [0.5]).probabilities, 1, 2)
+    rdm = pair_rdms(thermo_grid(sd, [0.5]), 1, 2)
     cs = correlations_from_rdm(rdm)
     assert abs(rdm.z[0].imag) <= 1e-12
     assert check_element_relations(rdm, cs)["im_z"][0] <= 1e-12
@@ -140,14 +140,14 @@ def test_z_is_real_for_isotropic_ring():
 def test_z_real_even_for_anisotropic_rings(delta):
     # reflection symmetry of the ring keeps <s+ s-> real away from delta = 1
     spec, sd = cached_decompose(5, 1.0, delta, 0.4)
-    rdm = pair_rdms(sd, thermo_grid(sd, spec, [0.3, 2.0]).probabilities, 1, 2)
+    rdm = pair_rdms(thermo_grid(sd, [0.3, 2.0]), 1, 2)
     assert np.all(np.abs(rdm.z.imag) <= 1e-10)
 
 
 @pytest.mark.parametrize("n,j", [(2, 1.0), (4, 1.0), (5, 1.0), (2, -1.0), (4, -1.0)])
 def test_z_sign_tracks_exchange_sign(n, j):
     spec, sd = cached_decompose(n, j)
-    for z in pair_rdms(sd, thermo_grid(sd, spec, [0.2, 1.0, 5.0]).probabilities, 1, 2).z:
+    for z in pair_rdms(thermo_grid(sd, [0.2, 1.0, 5.0]), 1, 2).z:
         if abs(z) > 1e-12:
             assert (z.real < 0) == (j > 0)
 
@@ -155,34 +155,34 @@ def test_z_sign_tracks_exchange_sign(n, j):
 @pytest.mark.parametrize("n,t", [(2, 0.5), (4, 1.0), (6, 0.3)])
 def test_z_energy_relation_isotropic(n, t):
     spec, sd = cached_decompose(n, 1.0)
-    grid = thermo_grid(sd, spec, [t])
-    rdm = pair_rdms(sd, grid.probabilities, 1, 2)
+    grid = thermo_grid(sd, [t])
+    rdm = pair_rdms(grid, 1, 2)
     assert abs(rdm.z[0].real - grid.u[0] / (6.0 * n)) <= 1e-10
 
 
 def test_pair_translation_invariance():
     spec, sd = cached_decompose(6, 1.0, 0.5, 0.3)
-    p = thermo_grid(sd, spec, [0.7]).probabilities
-    base = pair_rdms(sd, p, 1, 2)
+    grid = thermo_grid(sd, [0.7])
+    base = pair_rdms(grid, 1, 2)
     for k in (2, 3, 5):
-        shifted = pair_rdms(sd, p, k, k % 6 + 1)
+        shifted = pair_rdms(grid, k, k % 6 + 1)
         assert np.max(np.abs(base.matrix - shifted.matrix)) <= 1e-10
 
 
 def test_correlation_bound():
     for args in [(4, 1.0, 1.0, 0.0), (5, 1.0, 2.0, 1.0), (6, -1.0, 0.0, 0.0)]:
         spec, sd = cached_decompose(*args)
-        p = thermo_grid(sd, spec, [0.1, 1.0]).probabilities
-        cs = correlations_from_rdm(pair_rdms(sd, p, 1, 2))
+        grid = thermo_grid(sd, [0.1, 1.0])
+        cs = correlations_from_rdm(pair_rdms(grid, 1, 2))
         assert np.max(np.abs(cs.g)) <= 1.0 + 1e-12
 
 
 def test_fast_path_matches_partial_trace():
     spec, sd = cached_decompose(6, 1.0, 0.5, 0.4)
     temps = [0.2, 1.0, 8.0]
-    p = thermo_grid(sd, spec, temps).probabilities
+    grid = thermo_grid(sd, temps)
     for pair in [(1, 2), (2, 5), (4, 1)]:
-        fast = pair_rdms(sd, p, *pair)
+        fast = pair_rdms(grid, *pair)
         for t, fast_matrix in zip(temps, fast.matrix):
             direct = reduce_to_pair(gibbs_state(sd, t)[None], *pair)
             assert np.max(np.abs(direct.matrix[0] - fast_matrix)) <= 1e-12
@@ -217,10 +217,10 @@ def test_pair_rdms_store_no_table():
     # from the eigenvectors is not kept on the decomposition
     spec = ModelSpec.uniform(5, 1.0, 0.5, 0.3)
     sd = decompose(spec)
-    p = thermo_grid(sd, spec, [0.5, 2.0]).probabilities
-    first = pair_rdms(sd, p, 1, 2).matrix
+    grid = thermo_grid(sd, [0.5, 2.0])
+    first = pair_rdms(grid, 1, 2).matrix
     assert sd.pair_tables == {}
-    assert np.array_equal(pair_rdms(sd, p, 1, 2).matrix, first)
+    assert np.array_equal(pair_rdms(grid, 1, 2).matrix, first)
     assert sd.pair_tables == {}
 
 
@@ -230,12 +230,12 @@ def test_pair_table_refuses_mixed_parity_blocks():
     spec = ModelSpec.uniform(4, 1.0, 0.5, 0.3)
     full = diagonalize_full(build_hamiltonian(spec))
     with pytest.raises(ValueError, match="one spin-flip parity"):
-        pair_rdms(full, thermo_grid(full, spec, [1.0]).probabilities, 1, 2)
+        pair_rdms(thermo_grid(full, [1.0]), 1, 2)
 
 
 def test_off_structure_norm_vanishes_when_sz_conserved():
     spec, sd = cached_decompose(5, 1.0, 0.5, 0.7)
-    rdm = pair_rdms(sd, thermo_grid(sd, spec, [0.5]).probabilities, 1, 2)
+    rdm = pair_rdms(thermo_grid(sd, [0.5]), 1, 2)
     assert rdm.off_structure_norm[0] <= 1e-10
 
 
@@ -244,7 +244,7 @@ def test_off_structure_norm_vanishes_when_sz_conserved():
 ])
 def test_rdm_is_a_density_matrix(n, j, delta, b, t):
     spec, sd = cached_decompose(n, j, delta, b)
-    rdm = pair_rdms(sd, thermo_grid(sd, spec, [t]).probabilities, 1, 2)
+    rdm = pair_rdms(thermo_grid(sd, [t]), 1, 2)
     assert abs(rdm.u_plus[0] + rdm.w1[0] + rdm.w2[0] + rdm.u_minus[0] - 1.0) <= 1e-12
     m = rdm.matrix[0]
     assert abs(np.trace(m) - 1.0) <= 1e-12
@@ -266,9 +266,9 @@ def test_pair_slot_order():
     # site i goes to the first tensor slot: swapping the pair transposes
     # the one-site marginals
     spec, sd = cached_decompose(4, 1.0, 1.0, 0.9)
-    p = thermo_grid(sd, spec, [0.5]).probabilities
-    a = pair_rdms(sd, p, 1, 2).matrix[0]
-    b = pair_rdms(sd, p, 2, 1).matrix[0]
+    grid = thermo_grid(sd, [0.5])
+    a = pair_rdms(grid, 1, 2).matrix[0]
+    b = pair_rdms(grid, 2, 1).matrix[0]
     first_a = a.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
     second_b = b.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
     assert np.max(np.abs(first_a - second_b)) <= 1e-12
@@ -389,9 +389,9 @@ def test_pair_mode_names_the_pair_it_holds():
     # pair is refused with the pair it holds and the call that gives the other
     spec = ModelSpec.uniform(6, 1.0)
     sd = decompose(spec, pair=(1, 2))
-    p = thermo_grid(sd, spec, [1.0]).probabilities
+    grid = thermo_grid(sd, [1.0])
     with pytest.raises(ValueError) as refused:
-        pair_rdms(sd, p, 2, 3)
+        pair_rdms(grid, 2, 3)
     message = str(refused.value)
     assert "(1, 2)" in message
     assert "decompose(spec, pair=(2, 3))" in message

@@ -5,7 +5,7 @@ import pytest
 
 from heisenring import ModelSpec, VerifyOptions, oracle, run_verification, thermo, twoqubit
 from heisenring.model import hermiticity_defect
-from heisenring.verify import _Collector, render_report
+from heisenring.verify import PROBE_TEMPERATURES, _Collector, render_report
 
 
 def test_default_grid_all_pass():
@@ -111,15 +111,16 @@ def test_no_frames_drawn_without_sampled_states(monkeypatch):
 
 
 def test_grid_specs_run_as_temperature_stacks(monkeypatch):
-    # the production side of a grid spec runs once on its whole T grid, and
-    # the full-space operators of an N <= 5 spec are embedded once, however
-    # many temperatures the grid has; the pair mode adds one stack for the
-    # bond on each N's momentum case and isotropic J = 1 ring, and from
-    # N = 4 one more for the pair at distance N // 2, whose sector table
-    # is one more stack again.  The zero-temperature section adds a
-    # one-row stack for each N's isotropic J = 1 ring, and each of the ten
-    # derivative samples one thermo_grid in check_derivatives and one
-    # stack of each for derivative_zz
+    # the production side of a grid spec runs once on its whole T grid, its
+    # probes once more as a grid of their own, and the full-space operators
+    # of an N <= 5 spec are embedded once, however many temperatures the
+    # grid has; the pair mode adds one stack for the bond on each N's
+    # momentum case and isotropic J = 1 ring, and from N = 4 one more for
+    # the pair at distance N // 2, whose sector table is one more stack
+    # again.  The zero-temperature section adds a one-row stack for each
+    # N's isotropic J = 1 ring, and each of the ten derivative samples one
+    # thermo_grid in check_derivatives and one stack of each for
+    # derivative_zz
     calls = {}
 
     def count(module, name):
@@ -142,13 +143,19 @@ def test_grid_specs_run_as_temperature_stacks(monkeypatch):
         calls.update(thermo_grid=[], pair_rdms=[], embed=[])
         run_verification(VerifyOptions(n_values=(3, 6), deltas=(1.0, 0.5),
                                        fields=(0.0, 0.4), temperatures=temperatures))
-        grid_specs = [args[1] for args in calls["thermo_grid"]]
+        grids = calls["thermo_grid"]
         pair_modes = {spec: 1 + (spec.n_sites >= 4) for spec in bond_specs}
         zero_t = {ModelSpec.uniform(n, 1.0) for n in (3, 6)}
-        assert all(grid_specs.count(spec) == 1 + pair_modes.get(spec, 0) + (spec in zero_t)
-                   for spec in specs)
-        assert len(grid_specs) == (len(specs) + sum(pair_modes.values()) + len(zero_t)
-                                   + 2 * 10)
+        # the sector decomposition of each spec, and each pair mode, meets
+        # the T grid once
+        on_grid = [sd for sd, t in grids if tuple(t) == temperatures]
+        sector = {id(sd) for sd in on_grid if sd.eigvec_blocks is not None}
+        assert len(sector) == len(specs)
+        assert len(on_grid) == len(specs) + sum(pair_modes.values())
+        probes = [sd for sd, t in grids if tuple(t) == PROBE_TEMPERATURES]
+        assert {id(sd) for sd in probes} == sector and len(probes) == len(specs)
+        assert len(grids) == (2 * len(specs) + sum(pair_modes.values()) + len(zero_t)
+                              + 2 * 10)
         assert len(calls["pair_rdms"]) == 2 * len(specs) + sum(
             2 * modes - 1 for modes in pair_modes.values()) + len(zero_t) + 10
         assert len(calls["embed"]) == 10 * sum(spec.n_sites <= 5 for spec in specs)
