@@ -8,24 +8,23 @@ and nonlocality.  Violation (measure > 2) is strictly stronger than
 entanglement: between 2 sqrt(2)/3 and 2 the state is entangled but no
 CHSH frame can show it.  Every Bell function reads the state only through
 its 3x3 correlation tensor T, computed once per state here: the measure
-takes the whole stack of tensors, a frame one tensor.
+takes the whole stack of tensors, a frame one tensor.  The frame tools
+are reference routes and come from heisenring.oracle.
 """
 
 import math
 
 from heisenring import (
     ModelSpec,
-    chsh_expectation,
     concurrence_wootters,
     correlations_from_rdm,
     decompose,
-    optimal_frame,
     pair_rdms,
-    random_frame_search,
     thermo_grid,
     violation_measure,
     violation_xxx,
 )
+from heisenring.oracle import chsh_expectation, optimal_frame, random_frame_search
 
 spec = ModelSpec.uniform(2, 1.0)
 sd = decompose(spec)

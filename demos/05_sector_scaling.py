@@ -14,6 +14,9 @@ That path also diagonalises each conjugate momentum pair m, -m once and
 each spin-flipped sector pair k, N - k once, since they share their
 levels.  The momentum column times that values-only path.  Pass --large to
 include N = 13, 14.
+
+The dense matrix, its eigensolver and the sector bookkeeping are the
+reference routes of heisenring.oracle; decompose is the production path.
 """
 
 import sys
@@ -21,9 +24,14 @@ import time
 
 import numpy as np
 
-from heisenring import ModelSpec, build_hamiltonian, decompose, diagonalize_full
+from heisenring import ModelSpec, decompose
 from heisenring.model import rotate
-from heisenring.spectral import expected_sector_sizes, sector_basis
+from heisenring.oracle import (
+    build_hamiltonian,
+    diagonalize_full,
+    expected_sector_sizes,
+    sector_basis,
+)
 
 large = "--large" in sys.argv
 

@@ -5,8 +5,12 @@ matrices, Wootters concurrence by every applicable closed-form route, and
 the Horodecki CHSH-violation measure, with the cross-route agreement
 serving as the built-in correctness instrument.
 
-The full-space reference routes that verify and the tests check these
-against live in heisenring.oracle, which is not re-exported here.
+The package exports the production route alone, one route per quantity.
+The reference routes that verify and the tests check it against (the
+dense Hamiltonian and eigensolver, the Gibbs matrix, full-space
+correlations, finite differences of log Z and the CHSH frame search)
+live in heisenring.oracle, and the verification suite in
+heisenring.verify; neither is imported or re-exported here.
 """
 
 # _blas first: it imports numpy with OpenBLAS started on one thread, which
@@ -14,12 +18,7 @@ against live in heisenring.oracle, which is not re-exported here.
 from . import _blas  # noqa: F401
 from .bell import (
     BellResult,
-    MeasurementFrame,
-    chsh_expectation,
     concurrence_vs_violation,
-    optimal_frame,
-    random_frame_search,
-    random_frames,
     violation_measure,
     violation_xxx,
 )
@@ -37,28 +36,17 @@ from .model import (
     GeneralCoupling,
     ModelSpec,
     UniformCoupling,
-    build_hamiltonian,
     ring_coupling_matrices,
 )
-from .spectral import (
-    SpectralDecomposition,
-    decompose,
-    diagonalize_full,
-)
+from .spectral import SpectralDecomposition, decompose
 from .sweep import COLUMNS, run_sweep, temperature_grid
-from .thermo import (
-    ThermoGrid,
-    check_derivatives,
-    thermo_grid,
-)
+from .thermo import ThermoGrid, thermo_grid
 from .threshold import ThresholdResult, find_threshold, u_of_n_scan
 from .twoqubit import (
     CorrelationSet,
     TwoQubitRDM,
-    check_element_relations,
     correlations_from_rdm,
     pair_rdms,
 )
-from .verify import CheckResult, VerifyOptions, run_verification
 
 __version__ = "0.1.0"

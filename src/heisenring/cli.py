@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelSpec
-from .spectral import FULL_PATH_MAX_SITES, decompose
+from .spectral import decompose
 from .sweep import COLUMNS, run_sweep, temperature_grid
 from .threshold import find_threshold
-from .verify import VerifyOptions, render_report, run_verification
 
 
 # the most bytes one float64 (count, 2^N) weight matrix of a temperature
@@ -36,7 +35,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepConfig:
     model: ModelSpec
     temperatures: np.ndarray
@@ -154,7 +153,15 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
     return SweepConfig(spec, temps, (pair[0], pair[1]), tuple(outputs))
 
 
-def parse_verify_options(doc: dict) -> VerifyOptions:
+def parse_verify_options(doc: dict):
+    """The verify.VerifyOptions of a verify config.
+
+    verify and oracle load here and in cmd_verify, so no other subcommand
+    loads them.
+    """
+    from .oracle import FULL_PATH_MAX_SITES
+    from .verify import VerifyOptions
+
     _require_keys(doc, {"n_values": False, "deltas": False, "fields": False,
                         "j_values": False, "temperatures": False, "seed": False}, "config")
     kwargs = {key: doc[key] for key in ("n_values", "deltas", "fields", "j_values", "seed")
@@ -251,6 +258,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import render_report, run_verification
+
     opts = parse_verify_options(_load_config(args.config, required=False))
     results = run_verification(opts)
     _write_out(render_report(results) + "\n", args.out)

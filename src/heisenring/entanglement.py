@@ -54,7 +54,7 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(np.real(z), np.imag(z))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConcurrenceResult:
     """Concurrence of R states by every applicable route, with their worst disagreement.
 

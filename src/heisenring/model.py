@@ -1,4 +1,4 @@
-"""Spin-1/2 ring Hamiltonians, basis-index tables and the ring permutations.
+"""Spin-1/2 ring models, basis-index tables and the ring permutations as bit rules.
 
 Basis convention
 ----------------
@@ -10,7 +10,7 @@ position ``n - i`` counted from the least significant bit.
 
 Hamiltonian
 -----------
-Uniform mode builds the periodic nearest-neighbour ring
+Uniform mode describes the periodic nearest-neighbour ring
 
     H = J * sum_{i=1..N} [ sigma_i . sigma_{i+1}
                            + (delta - 1) * sigma_iz sigma_{i+1,z} ]
@@ -22,9 +22,15 @@ purpose: it is what makes the two-site spectrum come out as {-6J, 2J x3}
 and the partition function as 3*exp(-2*beta*J) + exp(6*beta*J).  Many other
 codebases de-duplicate this bond; results differ by a factor 2 in J.
 
-General mode builds  H = sum_{i != j} sum_a J^a_{ij} sigma_ia sigma_ja + B * sum_i sigma_iz
+General mode describes  H = sum_{i != j} sum_a J^a_{ij} sigma_ia sigma_ja + B * sum_i sigma_iz
 from three symmetric coupling matrices (the ordered double sum counts every
 unordered pair twice).
+
+No matrix of H is formed here.  ModelSpec.pair_terms states H as bit
+rules on basis indices, and spectral.decompose builds its symmetry blocks
+from them; rotate and reflect apply the translation T and the reflection
+R to arrays of basis states.  The dense 2^N x 2^N matrix is a reference
+route, oracle.build_hamiltonian.
 """
 
 from __future__ import annotations
@@ -52,20 +58,6 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2, *PAIR_PAULI.values()):
     _m.flags.writeable = False
 
 
-def _real_part(name: str, m: np.ndarray) -> np.ndarray:
-    # build_hamiltonian adds real parts only, so an imaginary part must be zero
-    if np.any(m.imag != 0.0):
-        raise RuntimeError(f"{name} has a nonzero imaginary part; H would not be real")
-    return m.real
-
-
-# H is a sum of sigma_a x sigma_a bond terms and sigma_z field terms, all
-# real: the two factors of i in sigma_y x sigma_y multiply to -1
-_REAL_PAIR_PAULI = {ax: _real_part(f"sigma_{ax} x sigma_{ax}", m)
-                    for ax, m in PAIR_PAULI.items()}
-_REAL_SIGMA_Z = _real_part("sigma_z", SIGMA_Z)
-
-
 @dataclass(frozen=True)
 class UniformCoupling:
     """Single exchange constant J with z-axis anisotropy delta."""
@@ -74,7 +66,7 @@ class UniformCoupling:
     delta: float = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralCoupling:
     """Per-pair, per-axis exchange matrices (symmetric, zero diagonal)."""
 
@@ -243,74 +235,6 @@ def reflect(states: np.ndarray, n: int) -> np.ndarray:
     return r
 
 
-def translation(n: int) -> np.ndarray:
-    """Translation T of an n-site ring as a basis permutation.
-
-    Returns the int64 array p with p[s] the index s rotated left by one
-    bit, i.e. T|m_1 m_2 ... m_N> = |m_2 ... m_N m_1>.  Applying p to a state
-    label steps it along its orbit, and h[np.ix_(p, p)] is T^dagger h T.
-    """
-    return rotate(np.arange(1 << n, dtype=np.int64), 1, n)
-
-
-def reflection(n: int) -> np.ndarray:
-    """Site reflection R: i -> N + 1 - i of an n-site ring as a basis permutation.
-
-    Returns the int64 array p with p[s] the index s with its n bits
-    reversed, i.e. R|m_1 m_2 ... m_N> = |m_N ... m_2 m_1>.  R maps every
-    ring bond onto a ring bond, so it commutes with a uniform H, and
-    R T R = T^-1.
-    """
-    return reflect(np.arange(1 << n, dtype=np.int64), n)
-
-
-def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
-    """Dense real symmetric (float64) Hamiltonian matrix of the ring described by `spec`.
-
-    Every term is real: sigma_x x sigma_x and sigma_z x sigma_z are, and so
-    is sigma_y x sigma_y, whose two factors of i multiply to -1; no lone
-    sigma_y occurs.  Only the real parts of the terms are added, so the
-    matrix equals the complex kron sum entry for entry, and the dense
-    eigensolvers run in real arithmetic.
-
-    Uniform mode evaluates the periodic sum literally, one 4x4 bond term
-    per bond (so the N=2 bond is counted twice, see module docstring).
-    General mode runs the ordered double sum over site pairs, one
-    sigma_a x sigma_a per nonzero coupling.  Each term is scatter-added
-    into h at the entries site_indices gives, so no identity kron and no
-    per-term 2**n x 2**n temporary is formed.  Memory is O(4**n).  This
-    matrix is the dense oracle of verify and the tests; the production
-    eigensolver, spectral.decompose, never forms it.
-    """
-    n = spec.n_sites
-    h = np.zeros((spec.dim, spec.dim))
-
-    def add(op, sites):
-        idx = site_indices(sites, n)
-        h[idx[:, None, :], idx[None, :, :]] += op[:, :, None]
-
-    if spec.is_uniform:
-        j, delta = spec.coupling.j, spec.coupling.delta
-        term = (j * _REAL_PAIR_PAULI["x"] + j * _REAL_PAIR_PAULI["y"]
-                + j * delta * _REAL_PAIR_PAULI["z"])
-        for bond in spec.bonds():
-            add(term, bond)
-    else:
-        mats = {"x": spec.coupling.jx, "y": spec.coupling.jy, "z": spec.coupling.jz}
-        for i in range(1, n + 1):
-            for k in range(1, n + 1):
-                if i == k:
-                    continue
-                for ax in AXES:
-                    c = mats[ax][i - 1, k - 1]
-                    if c != 0.0:
-                        add(c * _REAL_PAIR_PAULI[ax], (i, k))
-    if spec.field_b != 0.0:
-        for i in range(1, n + 1):
-            add(spec.field_b * _REAL_SIGMA_Z, (i,))
-    return h
-
-
 def ring_coupling_matrices(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """General-mode (jx, jy, jz) matrices that reproduce a uniform ring exactly.
 
@@ -329,8 +253,3 @@ def ring_coupling_matrices(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.
         jxy[i - 1, k - 1] = jxy[k - 1, i - 1] = w
     return jxy, jxy.copy(), jxy * delta
 
-
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Scale-normalized Hermiticity defect max|a - a^dagger| / max(1, max|a|)."""
-    scale = max(1.0, float(np.max(np.abs(a))))
-    return float(np.max(np.abs(a - a.conj().T))) / scale

@@ -48,11 +48,12 @@ the count OpenBLAS started with.  So every momentum block up to N = 14
 thread, while the widest S_z sectors from N = 12 (924 and up) and the
 parity blocks from N = 10 (512 and up) keep the starting count.
 
-diagonalize_full diagonalizes a dense matrix.  It is the oracle that
-verify, the tests and the demos hold the blocks against, and no
-production path calls it.  The residual check of a decomposition against
-the dense Hamiltonian, eigen_residuals, is a reference route and lives in
-heisenring.oracle.
+This module holds the one production eigensolver.  Its references, the
+dense diagonalisation of the dense Hamiltonian (oracle.diagonalize_full
+of oracle.build_hamiltonian), the sector bookkeeping that the tests
+check the blocks against (oracle.sector_basis, oracle.parity_basis and
+oracle.expected_sector_sizes) and the residual check of a decomposition
+(oracle.eigen_residuals), live in heisenring.oracle.
 """
 
 from __future__ import annotations
@@ -64,9 +65,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._blas import threads_for
-from .model import ModelSpec, hermiticity_defect, reflect, rotate
+from .model import ModelSpec, reflect, rotate
 
-FULL_PATH_MAX_SITES = 12
 DEGENERACY_RTOL = 1e-9
 
 
@@ -82,13 +82,13 @@ class EigenBlock(NamedTuple):
     columns: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and eigenvectors of one Hamiltonian.
 
     eigvec_blocks holds the eigenvectors as EigenBlocks with disjoint
     supports (one per S_z sector or parity sector from decompose, one over
-    all states from diagonalize_full), or None when the decomposition was
+    all states from oracle.diagonalize_full), or None when the decomposition was
     computed values-only or in the pair mode.  sector_labels holds the
     total-S_z quantum number of each eigenvalue for S_z-conserving models,
     else None.  pair_tables holds the per-eigenstate pair elements, shape
@@ -119,48 +119,6 @@ def ground_degeneracy_count(eigenvalues: np.ndarray) -> int:
     e0 = eigenvalues[0]
     scale = max(abs(e0), abs(eigenvalues[-1]))
     return int(np.sum(np.abs(eigenvalues - e0) <= DEGENERACY_RTOL * scale))
-
-
-def diagonalize_full(h: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a dense Hermitian matrix.
-
-    Raises on non-Hermitian input; eigensolver convergence failures
-    propagate as numpy.linalg.LinAlgError.
-    """
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if h.shape[0] > (1 << FULL_PATH_MAX_SITES):
-        raise ValueError(
-            f"dense full-path limit is dim {1 << FULL_PATH_MAX_SITES}; "
-            "use decompose for larger rings"
-        )
-    if hermiticity_defect(h) > 1e-10:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    if np.iscomplexobj(h) and np.max(np.abs(h.imag)) == 0.0:
-        h = h.real
-    with threads_for(h.shape[0]):
-        evals, vecs = np.linalg.eigh(h)
-    every_state = np.arange(evals.size, dtype=np.int64)
-    return SpectralDecomposition(
-        eigenvalues=evals,
-        eigvec_blocks=(EigenBlock(every_state, vecs, every_state),),
-        ground_degeneracy=ground_degeneracy_count(evals),
-    )
-
-
-def sector_basis(n: int) -> list[np.ndarray]:
-    """Basis indices grouped by down-spin count k = 0..n, each ascending."""
-    states = np.arange(1 << n, dtype=np.int64)
-    weights = np.bitwise_count(states).astype(np.int64)
-    return [states[weights == k] for k in range(n + 1)]
-
-
-def parity_basis(n: int) -> list[np.ndarray]:
-    """Basis indices with an even, then an odd, down-spin count, each ascending."""
-    states = np.arange(1 << n, dtype=np.int64)
-    odd = np.bitwise_count(states) & 1
-    return [states[odd == 0], states[odd == 1]]
 
 
 def _zz_sign(states: np.ndarray, bi: int, bk: int) -> np.ndarray:
@@ -362,7 +320,8 @@ def decompose(spec: ModelSpec, vectors: bool = True,
     dense Hamiltonian.  An S_z-conserving spec gets one block per S_z sector
     and its sector labels.  Any other spec still conserves the spin-flip
     parity prod_i sigma^z_i, since its x-x and y-y terms flip two spins at
-    a time, so it gets the two blocks of parity_basis and no labels.  With
+    a time, so it gets two blocks, over the states with an even and with an
+    odd down-spin count, and no labels.  With
     vectors=False only eigenvalues (and labels) are computed.  A uniform
     ring then diagonalises only the sectors with 2k <= N, at zero field,
     split into the momentum blocks 0 <= m <= N/2 of its translation
@@ -399,10 +358,13 @@ def decompose(spec: ModelSpec, vectors: bool = True,
         # O_r^xy: the N site pairs at distance r, as (bit, bit) terms
         xy_terms = [(bit, (bit - r) % n, 2.0, 0.0, 0.0) for bit in range(n)]
     paired = spec.is_uniform and (not vectors or pair is not None)
+    # the basis indices by down-spin count k, or by its parity, each ascending
+    indices = np.arange(1 << n, dtype=np.int64)
+    down = np.bitwise_count(indices)
     if not spec.conserves_sz:
-        sectors = parity_basis(n)
+        sectors = [indices[(down & 1) == k] for k in (0, 1)]
     else:
-        sectors = sector_basis(n)[:n // 2 + 1] if paired else sector_basis(n)
+        sectors = [indices[down == k] for k in range(n // 2 + 1 if paired else n + 1)]
     terms = spec.pair_terms()
     all_evals, all_keys, pair_rows, vec_blocks = [], [], [], []
     for k, states in enumerate(sectors):
@@ -479,7 +441,3 @@ def _x_form_table(g: np.ndarray, xy: np.ndarray, m: np.ndarray) -> np.ndarray:
     table[:, 9] = table[:, 6] = xy / 4  # z at (10, 01) and its conjugate at (01, 10)
     return table
 
-
-def expected_sector_sizes(n: int) -> list[int]:
-    """Block dimensions C(n, k) for k = 0..n."""
-    return [math.comb(n, k) for k in range(n + 1)]

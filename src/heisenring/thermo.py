@@ -17,26 +17,23 @@ shares its grid.  The grid keeps the decomposition it came from, which
 twoqubit.pair_rdms reads, so no caller hands the spectrum over twice.
 
 The full Gibbs matrix is never formed here: oracle.gibbs_state builds it
-from the eigenvectors as a reference for the pair-RDM route.
+from the eigenvectors as a reference for the pair-RDM route.  The
+finite-difference checks of U, M and the sigma^z sigma^z bond sum against
+log Z (oracle.check_derivatives and oracle.zz_from_log_z) are reference
+routes too and live there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelSpec
-from .spectral import SpectralDecomposition, decompose
-
-# field step of the central difference in check_derivatives
-FIELD_STEP = 1e-4
-# anisotropy step of the central difference in zz_from_log_z
-DELTA_STEP = 1e-4
+from .spectral import SpectralDecomposition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermoGrid:
     """Thermal quantities at R temperatures: probabilities (R, dim), the rest (R,).
 
@@ -111,50 +108,3 @@ def thermo_grid(sd: SpectralDecomposition, temperatures: np.ndarray) -> ThermoGr
         raise ValueError("magnetization needs sector labels or eigenvectors")
     return ThermoGrid(temperature=t, probabilities=p, log_z=log_z, u=u, m=m, decomposition=sd)
 
-
-def _log_z(spec: ModelSpec, temperature: float) -> float:
-    """log Z of `spec` at one temperature, from its values-only spectrum."""
-    return _weights(decompose(spec, vectors=False), [temperature])[1][0]
-
-
-def check_derivatives(spec: ModelSpec, temperature: float) -> tuple[float, float]:
-    """Residuals of U and M against central finite differences of log Z.
-
-    U is checked as -d(log Z)/d(beta) on the same spectrum; M as
-    -(1/beta) d(log Z)/dB, re-diagonalizing at B +- FIELD_STEP.  Returns the two
-    absolute residuals.  Every spectrum is values-only, except that an
-    S_z-breaking spec has no sector labels and reads M off its eigenvectors.
-    """
-    if temperature <= 0:
-        raise ValueError("finite-difference check needs temperature > 0")
-    sd = decompose(spec, vectors=not spec.conserves_sz)
-    beta = 1.0 / temperature
-    dbeta = 1e-4 * max(1.0, beta)
-    # rows: T, then beta + dbeta and beta - dbeta
-    grid = thermo_grid(sd, [temperature, 1.0 / (beta + dbeta), 1.0 / (beta - dbeta)])
-    u_fd = -(grid.log_z[1] - grid.log_z[2]) / (2.0 * dbeta)
-
-    up, down = (_log_z(replace(spec, field_b=spec.field_b + step), temperature)
-                for step in (FIELD_STEP, -FIELD_STEP))
-    m_fd = -(up - down) / (2.0 * FIELD_STEP * beta)
-    return float(abs(u_fd - grid.u[0])), float(abs(m_fd - grid.m[0]))
-
-
-def zz_from_log_z(spec: ModelSpec, temperature: float) -> float:
-    """<sum_bonds sigma^z sigma^z> of a uniform ring as -(T/J) d(log Z)/d(delta).
-
-    H depends on delta only through J delta sum_bonds sigma^z sigma^z, so
-    by Hellmann-Feynman d(log Z)/d(delta) = -(J/T) <sum_bonds sigma^z sigma^z>.
-    The derivative is a central difference of values-only spectra at
-    delta +- DELTA_STEP; no eigenvector enters.
-    """
-    if temperature <= 0:
-        raise ValueError("finite-difference check needs temperature > 0")
-    if not spec.is_uniform or spec.coupling.j == 0.0:
-        raise ValueError("the delta derivative needs a uniform ring with J != 0")
-
-    c = spec.coupling
-    up, down = (_log_z(replace(spec, coupling=replace(c, delta=c.delta + step)), temperature)
-                for step in (DELTA_STEP, -DELTA_STEP))
-    dlog_z = (up - down) / (2.0 * DELTA_STEP)
-    return float(-temperature / spec.coupling.j * dlog_z)

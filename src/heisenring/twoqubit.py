@@ -59,7 +59,7 @@ _OPS = np.stack([np.kron(PAULI[a], PAULI[b]) for a in AXES for b in AXES]
 _OPS.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoQubitRDM:
     """4x4 reduced density matrices of R states of one site pair, and their elements.
 
@@ -95,7 +95,7 @@ class TwoQubitRDM:
         return self.u_plus - self.u_minus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationSet:
     """3x3 correlation tensors g[a, b] = <sigma_ia sigma_jb> and M/N of R states.
 
@@ -127,7 +127,7 @@ def _pair_table(sd: SpectralDecomposition, i: int, j: int) -> np.ndarray:
     block of an S_z-breaking spec also fills the corners (00, 11) and
     (11, 00), and the eight entries off that X pattern stay exactly 0.  A
     block that mixes parities, such as the one dense block of
-    diagonalize_full, is refused: its reference route is
+    oracle.diagonalize_full, is refused: its reference route is
     oracle.reduce_to_pair of oracle.gibbs_state.
     """
     if sd.eigvec_blocks is None:
@@ -202,19 +202,3 @@ def correlations_from_rdm(rdm: TwoQubitRDM) -> CorrelationSet:
     mt = rdm.matrix.swapaxes(-1, -2)
     return _correlation_set(np.stack([(op * mt).sum(axis=(-2, -1)) for op in _OPS], axis=-1))
 
-
-def check_element_relations(rdm: TwoQubitRDM, cs: CorrelationSet) -> dict[str, np.ndarray]:
-    """(R,) residuals of the matrix-element identities tying the RDMs to g and M/N.
-
-    u+- = (1 +- 2*Mbar + G_zz)/4,  u+ - u- = Mbar,  u+ + u- = (1 + G_zz)/2,
-    Re z = (G_xx + G_yy)/4,  Im z = (G_xy - G_yx)/4.
-    """
-    g, mbar = cs.g, cs.m_per_site
-    return {
-        "u_plus": abs(rdm.u_plus - 0.25 * (1 + 2 * mbar + g[:, 2, 2])),
-        "u_minus": abs(rdm.u_minus - 0.25 * (1 - 2 * mbar + g[:, 2, 2])),
-        "m_bar": abs((rdm.u_plus - rdm.u_minus) - mbar),
-        "u_sum": abs((rdm.u_plus + rdm.u_minus) - 0.5 * (1 + g[:, 2, 2])),
-        "re_z": abs(rdm.z.real - 0.25 * (g[:, 0, 0] + g[:, 1, 1])),
-        "im_z": abs(rdm.z.imag - 0.25 * (g[:, 0, 1] - g[:, 1, 0])),
-    }

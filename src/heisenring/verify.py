@@ -4,7 +4,8 @@ Runs every library invariant and closed-form identity on a configurable
 (N, delta, B, J, T) grid and reports the worst residual seen per named
 check.  Deterministic for a fixed seed, including the random-frame CHSH
 probes.  The CLI `verify` subcommand renders this report and exits nonzero
-if any check fails.
+if any check fails; the CLI imports this module only when that subcommand
+runs.  Every reference side of a check comes from heisenring.oracle.
 
 The production side of each grid spec runs on the sector eigenvectors:
 one thermo_grid over the whole temperature grid, one pair_rdms stack per
@@ -74,7 +75,7 @@ class VerifyOptions:
                                else tuple(float(v) for v in vals))
         # ascending, so the monotonicity checks read the grid in T order
         object.__setattr__(self, "temperatures", tuple(sorted(self.temperatures)))
-        max_n = spectral.FULL_PATH_MAX_SITES
+        max_n = oracle.FULL_PATH_MAX_SITES
         if not all(isinstance(n, int) and 2 <= n <= max_n for n in self.n_values):
             raise ValueError(f"'n_values' must be integers in 2..{max_n}, "
                              f"got {list(self.n_values)!r}")
@@ -168,13 +169,13 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         delta, b = spec.coupling.delta, spec.field_b
         tag = f"N={n} J={j} delta={delta} B={b}"
 
-        h = model.build_hamiltonian(spec)
-        col.record("hermiticity", model.hermiticity_defect(h), 1e-12, tag)
+        h = oracle.build_hamiltonian(spec)
+        col.record("hermiticity", oracle.hermiticity_defect(h), 1e-12, tag)
 
         # the production path builds its blocks from bit rules; the dense
         # diagonalisation of h is the independent oracle
         sd = spectral.decompose(spec)
-        full = spectral.diagonalize_full(h)
+        full = oracle.diagonalize_full(h)
         col.record("sector_vs_full_spectrum",
                    float(np.max(np.abs(sd.eigenvalues - full.eigenvalues))), 1e-9, tag)
         if (delta, b, j) == momentum_case:
@@ -190,7 +191,7 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
                    abs(float(sd.eigenvalues.sum()) - float(np.trace(h).real))
                    / max(1.0, abs(float(np.trace(h).real))), 1e-8, tag)
 
-        p = model.translation(n)
+        p = model.rotate(np.arange(1 << n, dtype=np.int64), 1, n)
         col.record("translation_covariance",
                    float(np.max(np.abs(h[np.ix_(p, p)] - h))), 1e-12, tag)
 
@@ -198,10 +199,10 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
             jx, jy, jz = model.ring_coupling_matrices(spec)
             gen = model.ModelSpec.general(jx, jy, jz, field_b=b)
             col.record("uniform_general_match",
-                       float(np.max(np.abs(model.build_hamiltonian(gen) - h))), 1e-13, tag)
+                       float(np.max(np.abs(oracle.build_hamiltonian(gen) - h))), 1e-13, tag)
 
         if delta == 1.0 and b != 0.0:
-            flipped = model.build_hamiltonian(
+            flipped = oracle.build_hamiltonian(
                 model.ModelSpec.uniform(n, j, delta, -b))
             with threads_for(flipped.shape[0]):
                 flipped_evals = np.linalg.eigvalsh(flipped)
@@ -254,7 +255,7 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         for t, pair_rho, at in zip(temps, rdm.matrix, details):
             rho = oracle.gibbs_state(full, float(t))
             col.record("gibbs_trace", abs(float(np.trace(rho).real) - 1.0), 1e-12, at)
-            col.record("gibbs_hermitian", model.hermiticity_defect(rho), 1e-12, at)
+            col.record("gibbs_hermitian", oracle.hermiticity_defect(rho), 1e-12, at)
             with threads_for(rho.shape[0]):
                 rho_min = float(np.linalg.eigvalsh(rho).min())
             col.record("gibbs_positive", float(np.maximum(-rho_min, 0.0)), 1e-12, at)
@@ -279,7 +280,7 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         col.record_worst("u_monotone", np.maximum(u[:-1] - u[1:], 0.0), 1e-12, details[1:])
         if b == 0.0:
             col.record_worst("u_nonpositive_b0", np.maximum(u, 0.0), 1e-10, details)
-        for rel, res in twoqubit.check_element_relations(rdm, cs).items():
+        for rel, res in oracle.check_element_relations(rdm, cs).items():
             col.record_worst(f"element_relation_{rel}", res, 1e-10, details)
         col.record_worst("g_bound", np.maximum(np.abs(cs.g).max(axis=(1, 2)) - 1.0, 0.0),
                          1e-12, details)
@@ -363,9 +364,9 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
     # sampled state, no frames drawn
     if sampled_tensors:
         tags, gs = zip(*sampled_tensors)
-        frames = bell.random_frames(FRAMES, opts.seed)
+        frames = oracle.random_frames(FRAMES, opts.seed)
         for tag, g, measure in zip(tags, gs, bell.violation_measure(np.stack(gs)).measure):
-            best = float(np.max(np.abs(bell.frame_expectations(g, frames))))
+            best = float(np.max(np.abs(oracle.frame_expectations(g, frames))))
             col.record("bell_frames_bound", max(0.0, best - measure), 1e-8, tag)
             col.record("bell_measure_range", max(0.0, measure - TSIRELSON), 1e-10, tag)
 
@@ -380,7 +381,7 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
             float(rng.uniform(0.0, 1.0)),
         )
         t = float(rng.uniform(0.5, 5.0))
-        u_res, m_res = thermo.check_derivatives(spec, t)
+        u_res, m_res = oracle.check_derivatives(spec, t)
         col.record("derivative_u", u_res, 1e-5, f"N={n} T={t:.3g}")
         col.record("derivative_m", m_res, 1e-5, f"N={n} T={t:.3g}")
         # Hellmann-Feynman: the pair mode's sigma^z sigma^z sum over the
@@ -388,7 +389,7 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         rdm = twoqubit.pair_rdms(
             thermo.thermo_grid(spectral.decompose(spec, pair=(1, 2)), [t]), 1, 2)
         zz = n * twoqubit.correlations_from_rdm(rdm).g[0, 2, 2]
-        col.record("derivative_zz", abs(zz - thermo.zz_from_log_z(spec, t)), 1e-5,
+        col.record("derivative_zz", abs(zz - oracle.zz_from_log_z(spec, t)), 1e-5,
                    f"N={n} T={t:.3g}")
 
     return col.results()

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 
-from heisenring import ModelSpec, build_hamiltonian, decompose
-from heisenring.model import AXES, IDENTITY_2, PAULI, SIGMA_Z, translation
+from heisenring import ModelSpec, decompose
+from heisenring.model import AXES, IDENTITY_2, PAULI, SIGMA_Z, rotate
+from heisenring.oracle import build_hamiltonian
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 SINGLET_RHO = np.outer(SINGLET, SINGLET).astype(complex)
@@ -135,6 +136,6 @@ def symmetry_norms(spec):
     for ax in AXES:
         s = 0.5 * sum(kron_sites({i: PAULI[ax]}, n) for i in range(1, n + 1))
         norms[f"S_{ax}"] = float(np.max(np.abs(h @ s - s @ h))) / scale
-    for name, p in (("Q_x", np.arange(dim) ^ (dim - 1)), ("T_shift", translation(n))):
+    for name, p in (("Q_x", np.arange(dim) ^ (dim - 1)), ("T_shift", rotate(np.arange(dim, dtype=np.int64), 1, n))):
         norms[name] = float(np.max(np.abs(h[np.ix_(p, p)] - h))) / scale
     return norms

@@ -13,17 +13,20 @@ from heisenring import (
     concurrence_wootters,
     concurrence_xxx_energy,
     correlations_from_rdm,
-    check_derivatives,
     decompose,
-    diagonalize_full,
-    build_hamiltonian,
     find_threshold,
     pair_rdms,
     thermo_grid,
     violation_measure,
     violation_xxx,
 )
-from heisenring.bell import frame_expectations, random_frames
+from heisenring.oracle import (
+    build_hamiltonian,
+    check_derivatives,
+    diagonalize_full,
+    frame_expectations,
+    random_frames,
+)
 from heisenring.model import ring_coupling_matrices
 from helpers import c_two_site, cached_decompose, log_z_two_site, u_three_site
 

@@ -4,22 +4,25 @@ import numpy as np
 import pytest
 
 from heisenring import (
-    MeasurementFrame,
     TwoQubitRDM,
-    chsh_expectation,
     concurrence_vs_violation,
     concurrence_wootters,
     correlations_from_rdm,
-    optimal_frame,
     pair_rdms,
-    random_frame_search,
-    random_frames,
     thermo_grid,
     violation_measure,
     violation_xxx,
 )
-from heisenring.bell import frame_expectations
-from heisenring.oracle import correlations, gibbs_state
+from heisenring.oracle import (
+    MeasurementFrame,
+    chsh_expectation,
+    correlations,
+    frame_expectations,
+    gibbs_state,
+    optimal_frame,
+    random_frame_search,
+    random_frames,
+)
 from helpers import SINGLET_RHO, cached_decompose
 
 TSIRELSON = 2.0 * math.sqrt(2.0)

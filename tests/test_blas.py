@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import heisenring
-from heisenring import ModelSpec, _blas, decompose, diagonalize_full
+from heisenring import ModelSpec, _blas, decompose
+from heisenring.oracle import diagonalize_full
 
 SRC = str(Path(heisenring.__file__).resolve().parent.parent)
 
@@ -160,7 +161,8 @@ def test_fresh_import_starts_one_thread_and_keeps_the_environment(variables):
         "before = dict(os.environ)\n"
         "import heisenring.cli\n"
         "import numpy as np\n"
-        "from heisenring import _blas, diagonalize_full\n"
+        "from heisenring import _blas\n"
+        "from heisenring.oracle import diagonalize_full\n"
         "tasks = len(os.listdir('/proc/self/task'))\n"
         "get = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_\n"
         "get.restype = ctypes.c_int\n"

@@ -8,7 +8,9 @@ import pytest
 
 import heisenring
 from heisenring.cli import ConfigError, main, parse_temperatures
-from heisenring.model import ModelSpec, hermiticity_defect, ring_coupling_matrices
+from heisenring.model import ModelSpec, ring_coupling_matrices
+from heisenring import oracle
+from heisenring.oracle import hermiticity_defect
 from helpers import c_two_site, u_three_site
 
 
@@ -435,7 +437,7 @@ def test_general_spec_beyond_dense_cap_exits_two(tmp_path, capsys, monkeypatch):
     # a config error before any Hamiltonian is built
     def never(spec):
         raise AssertionError("build_hamiltonian ran")
-    monkeypatch.setattr("heisenring.model.build_hamiltonian", never)
+    monkeypatch.setattr("heisenring.oracle.build_hamiltonian", never)
     ring = np.zeros((13, 13))
     for i in range(13):
         ring[i, (i + 1) % 13] = ring[(i + 1) % 13, i] = 0.5
@@ -455,8 +457,8 @@ def test_sz_breaking_spec_runs_without_dense_hamiltonian(tmp_path, monkeypatch):
     # the parity blocks come from bit rules: neither the sweep nor the
     # spectrum of an S_z-breaking spec builds or diagonalizes the dense H,
     # under whichever module name a caller imported those functions
-    originals = {"build_hamiltonian": heisenring.model.build_hamiltonian,
-                 "diagonalize_full": heisenring.spectral.diagonalize_full}
+    originals = {"build_hamiltonian": oracle.build_hamiltonian,
+                 "diagonalize_full": oracle.diagonalize_full}
 
     def refuse(*args, **kwargs):
         raise AssertionError("the dense oracle ran")

@@ -257,8 +257,7 @@ def test_report_excludes_correlation_route_for_corner_coupled_states():
     m = np.zeros((2, 2))
     m[0, 1] = m[1, 0] = 1.0
     spec = ModelSpec.general(m, -m, 0.0 * m)
-    from heisenring import build_hamiltonian, diagonalize_full
-    from heisenring.oracle import gibbs_state, reduce_to_pair
+    from heisenring.oracle import build_hamiltonian, diagonalize_full, gibbs_state, reduce_to_pair
     sd = diagonalize_full(build_hamiltonian(spec))
     rdm = reduce_to_pair(gibbs_state(sd, 0.2)[None], 1, 2)
     assert abs(rdm.matrix[0, 0, 3]) > 0.1  # corner really is populated

@@ -6,20 +6,29 @@ import pytest
 from heisenring import (
     GeneralCoupling,
     ModelSpec,
-    build_hamiltonian,
+    concurrence_wootters,
+    correlations_from_rdm,
+    decompose,
+    pair_rdms,
     ring_coupling_matrices,
+    thermo_grid,
+    violation_measure,
 )
+from heisenring.cli import parse_sweep_config
 from heisenring.model import (
     PAULI,
     SIGMA_Y,
-    _real_part,
-    hermiticity_defect,
-    reflection,
+    reflect,
     rotate,
     site_indices,
-    translation,
 )
-from heisenring.oracle import embed
+from heisenring.oracle import (
+    _real_part,
+    build_hamiltonian,
+    embed,
+    hermiticity_defect,
+    optimal_frame,
+)
 from heisenring.verify import VerifyOptions, _spec_grid
 from helpers import kron_hamiltonian, kron_sites, random_general_spec, symmetry_norms
 
@@ -104,13 +113,13 @@ def test_uniform_general_equivalence(n, j, delta, b):
 @pytest.mark.parametrize("n,delta,b", [(3, 1.0, 0.0), (4, 0.5, 0.0), (5, 1.0, 0.4)])
 def test_translation_covariance(n, delta, b):
     h = build_hamiltonian(ModelSpec.uniform(n, 1.0, delta, b))
-    p = translation(n)
+    p = rotate(np.arange(1 << n, dtype=np.int64), 1, n)
     assert np.max(np.abs(h[np.ix_(p, p)] - h)) <= 1e-12
 
 
 def test_translation_is_permutation():
     for n in (2, 3, 6):
-        p = translation(n)
+        p = rotate(np.arange(1 << n, dtype=np.int64), 1, n)
         assert p.dtype == np.int64
         assert np.array_equal(np.sort(p), np.arange(1 << n))
         # acting n times returns to the identity
@@ -124,8 +133,8 @@ def test_translation_rotates_bits_left():
     # brute force at N = 6: site i + 1's spin moves to site i, site 1's to
     # site N; rotate by r, 0 <= r <= N, does that r times
     n = 6
-    p = translation(n)
     states = np.arange(1 << n, dtype=np.int64)
+    p = rotate(states, 1, n)
     for s in range(1 << n):
         bits = format(s, f"0{n}b")
         assert p[s] == int(bits[1:] + bits[0], 2)
@@ -136,7 +145,7 @@ def test_translation_rotates_bits_left():
 def test_reflection_reverses_bits():
     # brute force at N = 6: site i's spin moves to site N + 1 - i
     n = 6
-    p = reflection(n)
+    p = reflect(np.arange(1 << n, dtype=np.int64), n)
     assert p.dtype == np.int64
     for s in range(1 << n):
         assert p[s] == int(format(s, f"0{n}b")[::-1], 2)
@@ -144,8 +153,8 @@ def test_reflection_reverses_bits():
 
 @pytest.mark.parametrize("n", [2, 3, 6, 7])
 def test_reflection_is_an_involution_that_inverts_translation(n):
-    r, t = reflection(n), translation(n)
-    every_state = np.arange(1 << n)
+    every_state = np.arange(1 << n, dtype=np.int64)
+    r, t = reflect(every_state, n), rotate(every_state, 1, n)
     assert np.array_equal(r[r], every_state)
     # R T R = T^-1: R T R T is the identity
     assert np.array_equal(r[t[r[t]]], every_state)
@@ -155,7 +164,7 @@ def test_reflection_is_an_involution_that_inverts_translation(n):
                                          (5, 1.0, 2.0, -0.4), (6, 0.7, 0.0, 0.2)])
 def test_reflection_commutes_with_uniform_ring(n, j, delta, b):
     h = build_hamiltonian(ModelSpec.uniform(n, j, delta, b))
-    p = reflection(n)
+    p = reflect(np.arange(1 << n, dtype=np.int64), n)
     assert np.max(np.abs(h[np.ix_(p, p)] - h)) <= 1e-12
 
 
@@ -327,3 +336,43 @@ def test_hamiltonian_equals_kron_reference_on_verify_grid():
     # every uniform spec of the default verify grid, bit for bit
     for spec in _spec_grid(VerifyOptions()):
         assert np.array_equal(build_hamiltonian(spec), kron_hamiltonian(spec)), spec
+
+
+def _stack_state():
+    spec = ModelSpec.uniform(4, 1.0, 0.5, 0.3)
+    grid = thermo_grid(decompose(spec), [0.5, 2.0])
+    rdm = pair_rdms(grid, 1, 2)
+    return grid, rdm, correlations_from_rdm(rdm)
+
+
+def _general_spec():
+    # every call builds its matrices afresh
+    m = np.zeros((3, 3))
+    m[0, 1] = m[1, 0] = m[1, 2] = m[2, 1] = 0.5
+    return ModelSpec.general(m.copy(), 2.0 * m, m.copy())
+
+
+# array-holding dataclasses, each built twice from equal inputs
+ARRAY_HOLDERS = {
+    "SpectralDecomposition": lambda: decompose(ModelSpec.uniform(4, 1.0, 0.5, 0.3)),
+    "ThermoGrid": lambda: _stack_state()[0],
+    "TwoQubitRDM": lambda: _stack_state()[1],
+    "CorrelationSet": lambda: _stack_state()[2],
+    "ConcurrenceResult": lambda: concurrence_wootters(_stack_state()[1]),
+    "BellResult": lambda: violation_measure(_stack_state()[2].g),
+    "GeneralCoupling": lambda: _general_spec().coupling,
+    "ModelSpec-general": _general_spec,
+    "MeasurementFrame": lambda: optimal_frame(_stack_state()[2].g[0]),
+    "SweepConfig": lambda: parse_sweep_config({
+        "model": {"n_sites": 4, "j": 1.0},
+        "temperatures": {"start": 0.5, "stop": 2.0, "count": 3}}),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_equality_of_array_holders_is_identity(build):
+    # == on two of them compared arrays field by field, and numpy refuses
+    # the truth value of an array comparison; they compare by identity
+    a, b = build(), build()
+    assert (a == b) is False and (a != b) is True
+    assert (a == a) is True

@@ -13,20 +13,25 @@ from hypothesis import strategies as st
 from heisenring import (
     COLUMNS,
     ModelSpec,
-    build_hamiltonian,
     concurrence_report,
     correlations_from_rdm,
     decompose,
-    diagonalize_full,
     pair_rdms,
-    random_frames,
     run_sweep,
     thermo_grid,
     violation_measure,
 )
-from heisenring.bell import TSIRELSON, frame_expectations
+from heisenring.bell import TSIRELSON
 from heisenring.entanglement import X_FORM_TOL
-from heisenring.oracle import embed, gibbs_state, reduce_to_pair
+from heisenring.oracle import (
+    build_hamiltonian,
+    diagonalize_full,
+    embed,
+    frame_expectations,
+    gibbs_state,
+    random_frames,
+    reduce_to_pair,
+)
 from heisenring.sweep import sweep_decomposition
 from helpers import kron_hamiltonian, kron_sites
 

@@ -1,22 +1,19 @@
 import numpy as np
 import pytest
 
-from heisenring import (
-    ModelSpec,
+from heisenring import ModelSpec, decompose, spectral
+from heisenring.spectral import _blocks, _sector
+from heisenring.model import ring_coupling_matrices
+from heisenring.oracle import (
     build_hamiltonian,
-    decompose,
     diagonalize_full,
-)
-from heisenring.spectral import (
-    _blocks,
-    _sector,
+    eigen_residuals,
     expected_sector_sizes,
+    gibbs_state,
     parity_basis,
+    reduce_to_pair,
     sector_basis,
 )
-from heisenring import spectral
-from heisenring.model import ring_coupling_matrices
-from heisenring.oracle import eigen_residuals, gibbs_state, reduce_to_pair
 from heisenring.thermo import thermo_grid
 from heisenring.twoqubit import pair_rdms
 from helpers import (
@@ -74,6 +71,19 @@ def test_sz_breaking_spec_gets_parity_blocks():
     assert [blk.states.tolist() for blk in sd.eigvec_blocks] == [[0, 3], [1, 2]]
     full = diagonalize_full(build_hamiltonian(spec))
     assert np.max(np.abs(sd.eigenvalues - full.eigenvalues)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 9])
+def test_blocks_hold_the_reference_sector_and_parity_bases(n):
+    # decompose groups the basis by down-spin count, or by its parity, on
+    # its own; each block holds exactly one group of the reference, in order
+    for spec, bases in ((ModelSpec.uniform(n, 1.0, 0.5, 0.3), sector_basis(n)),
+                        (random_general_spec(n, seed=n, field_b=0.3), parity_basis(n))):
+        states = [blk.states for blk in decompose(spec).eigvec_blocks]
+        assert len(states) == len(bases)
+        for got, want in zip(states, bases):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert [b.size for b in sector_basis(n)] == expected_sector_sizes(n)
 
 
 @pytest.mark.parametrize("n,j,delta,b", [

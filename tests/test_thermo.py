@@ -7,16 +7,18 @@ import pytest
 from heisenring import (
     temperature_grid,
     ModelSpec,
-    build_hamiltonian,
-    check_derivatives,
     decompose,
-    diagonalize_full,
     pair_rdms,
     run_sweep,
     thermo_grid,
 )
-from heisenring.oracle import gibbs_state
-from heisenring.thermo import zz_from_log_z
+from heisenring.oracle import (
+    build_hamiltonian,
+    check_derivatives,
+    diagonalize_full,
+    gibbs_state,
+    zz_from_log_z,
+)
 from helpers import (
     SINGLET_RHO,
     cached_decompose,

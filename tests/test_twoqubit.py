@@ -6,18 +6,22 @@ import pytest
 from heisenring import (
     ModelSpec,
     TwoQubitRDM,
-    check_element_relations,
     correlations_from_rdm,
-    build_hamiltonian,
     decompose,
-    diagonalize_full,
     pair_rdms,
     run_sweep,
     thermo_grid,
 )
 from heisenring import twoqubit
 from heisenring.model import ring_coupling_matrices
-from heisenring.oracle import correlations, gibbs_state, reduce_to_pair
+from heisenring.oracle import (
+    build_hamiltonian,
+    check_element_relations,
+    correlations,
+    diagonalize_full,
+    gibbs_state,
+    reduce_to_pair,
+)
 from heisenring.twoqubit import _pair_table
 from helpers import SINGLET_RHO, cached_decompose, eigenvector_matrix, random_general_spec
 

@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from heisenring import ModelSpec, VerifyOptions, oracle, run_verification, thermo, twoqubit
-from heisenring.model import hermiticity_defect
-from heisenring.verify import PROBE_TEMPERATURES, _Collector, render_report
+from heisenring import ModelSpec, oracle, thermo, twoqubit
+from heisenring.oracle import hermiticity_defect
+from heisenring.verify import (
+    PROBE_TEMPERATURES,
+    VerifyOptions,
+    _Collector,
+    render_report,
+    run_verification,
+)
 
 
 def test_default_grid_all_pass():
@@ -102,7 +108,7 @@ def test_no_frames_drawn_without_sampled_states(monkeypatch):
     def refuse(count, seed):
         raise AssertionError("frames drawn")
 
-    monkeypatch.setattr("heisenring.bell.random_frames", refuse)
+    monkeypatch.setattr("heisenring.oracle.random_frames", refuse)
     opts = VerifyOptions(n_values=(2, 3), deltas=(1.0,), fields=(0.0,),
                          temperatures=(1.0,))
     names = {r.name for r in run_verification(opts)}
@@ -133,6 +139,8 @@ def test_grid_specs_run_as_temperature_stacks(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(thermo, "thermo_grid")
+    # check_derivatives, in oracle, calls thermo_grid under oracle's name for it
+    count(oracle, "thermo_grid")
     count(twoqubit, "pair_rdms")
     count(oracle, "embed")
     specs = [ModelSpec.uniform(n, j, delta, b) for n in (3, 6) for delta in (1.0, 0.5)
