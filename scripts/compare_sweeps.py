@@ -5,10 +5,13 @@
 BASE_SRC and HEAD_SRC are the `src` directories of two checkouts.  Both
 trees run the same `sweep` configs, in CSV and in JSON: the benchmark's
 `sweep_large` and `sweep_small` configs at seeds 1 and 2, two
-general-coupling rings, one S_z-conserving and one S_z-breaking, and
-ROUTE_SWEEPS, which reach the routes and rows the others skip.  Every
-cell must be bit-identical: the same 17-significant-digit text, the same
-boolean, or the same empty cell.
+general-coupling rings, one S_z-conserving and one S_z-breaking,
+ROUTE_SWEEPS, which reach the routes and rows the others skip, and
+BLOCK_SWEEPS, long grids that a sweep cuts into many row blocks on each
+of its routes.  Every output must be byte-identical; where it is not,
+the cells that differ are shown, and a cell is bit-identical when it has
+the same 17-significant-digit text, the same boolean, or the same empty
+cell.
 
 Both trees also run `spectrum` (JSON) on SPECTRUM_MODELS: uniform rings
 with N = 8, 11, 12 (the XX ring), 13 and 14, the small rings N = 2, 5
@@ -69,10 +72,9 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import WORKLOADS  # noqa: E402
 
 
-def general_model(conserves_sz: bool) -> dict:
-    """Random all-pair couplings on N = 8 sites, with jy = jx when conserves_sz."""
+def general_model(conserves_sz: bool, n: int = 8) -> dict:
+    """Random all-pair couplings on n sites, with jy = jx when conserves_sz."""
     rng = random.Random(7)
-    n = 8
     jx, jy, jz = ([[0.0] * n for _ in range(n)] for _ in range(3))
     for i in range(n):
         for k in range(i + 1, n):
@@ -147,6 +149,22 @@ ROUTE_SWEEPS = {
     "pair-n10-1-6": {"model": {"n_sites": 10, "j": 1.0, "delta": 0.5, "field_b": 0.2},
                      "temperatures": LOG_GRID, "pair": [1, 6]},
 }
+# sweep.BLOCK_BYTES (1 MiB) cuts a grid into blocks of 2^17 / 2^N
+# temperatures: 32 at N = 12 and 128 at N = 10
+BLOCK_SWEEPS = {
+    # the pair mode of a uniform ring: 256 blocks
+    "blocks-pair-n12": {"model": {"n_sites": 12, "j": 1.0},
+                        "temperatures": {"start": 0.05, "stop": 20.0, "count": 8192,
+                                         "spacing": "log"}},
+    # S_z-sector eigenvectors and their pair table, from T = 0: 8 blocks
+    "blocks-general-sz-n10": {"model": general_model(conserves_sz=True, n=10),
+                              "temperatures": {"start": 0.0, "stop": 5.0, "count": 1000},
+                              "pair": [2, 5]},
+    # parity-block eigenvectors, which M is read from too: 8 blocks
+    "blocks-general-n10": {"model": general_model(conserves_sz=False, n=10),
+                           "temperatures": {"start": 0.0, "stop": 5.0, "count": 1000},
+                           "pair": [2, 5]},
+}
 
 VERIFY_DIFF_LINES = 20
 # the demos compared, by file-name prefix; 05_sector_scaling prints wall times
@@ -183,6 +201,7 @@ def configs() -> dict[str, dict]:
     out["general-sz-n8"] = general_config(conserves_sz=True)
     out["general-n8"] = general_config(conserves_sz=False)
     out.update(ROUTE_SWEEPS)
+    out.update(BLOCK_SWEEPS)
     return out
 
 
@@ -211,9 +230,12 @@ def cli_stdout(src: str, command: str, *args: str) -> str:
     return proc.stdout
 
 
-def run(src: str, config: Path, fmt: str) -> list[dict[str, str]]:
+def run(src: str, config: Path, fmt: str) -> str:
+    return cli_stdout(src, "sweep", "--config", str(config), "--format", fmt)
+
+
+def cells(text: str, fmt: str) -> list[dict[str, str]]:
     """Rows as column -> cell text, in the CSV spelling for both formats."""
-    text = cli_stdout(src, "sweep", "--config", str(config), "--format", fmt)
     if fmt == "csv":
         return list(csv.DictReader(io.StringIO(text)))
     raw = json.loads(text, parse_float=str, parse_int=str)
@@ -242,6 +264,15 @@ def compare(base: list[dict], head: list[dict], worst: dict[str, float],
                 worst_rel[col] = max(worst_rel.get(col, 0.0),
                                      diff / max(abs(a_val), abs(b_val), REL_FLOOR))
     return problems
+
+
+def compare_sweep(base: str, head: str, fmt: str, worst: dict[str, float],
+                  worst_rel: dict[str, float]) -> list[str]:
+    """Nothing when the two outputs are byte-identical, else the cells that differ."""
+    if base == head:
+        return []
+    return (compare(cells(base, fmt), cells(head, fmt), worst, worst_rel)
+            or ["the same cells in different bytes"])
 
 
 def levels(src: str, config: Path) -> tuple[int, dict[float, list[float]]]:
@@ -345,9 +376,9 @@ def main() -> int:
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(doc))
             for fmt in ("csv", "json"):
-                failures += check(f"{name} {fmt}", lambda: compare(
-                    run(base_src, path, fmt), run(head_src, path, fmt), worst, worst_rel),
-                    limit=10)
+                failures += check(f"{name} {fmt}", lambda: compare_sweep(
+                    run(base_src, path, fmt), run(head_src, path, fmt), fmt, worst,
+                    worst_rel), limit=10)
         for name, model in SPECTRUM_MODELS.items():
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps({"model": model}))

@@ -7,6 +7,12 @@ two renderings round-trip to bit-identical values; a non-finite float is
 written as null in JSON and as an empty cell in CSV, so every output parses
 strictly.
 
+Output is written as it is made: render_csv and render_json yield the
+text one row block at a time and _write_out writes each piece as it
+comes.  A sweep computes its grid in row blocks (sweep.sweep_blocks), so
+it holds one block's rows and text at a time, whatever the grid's length;
+a run that fails midway leaves the rows written before the failure.
+
 Exit codes: 0 success, 1 invariant failure, 2 configuration error.
 """
 
@@ -16,19 +22,20 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelSpec
 from .spectral import decompose
-from .sweep import COLUMNS, run_sweep, temperature_grid
+from .sweep import COLUMNS, sweep_blocks, temperature_grid
 from .threshold import find_threshold
 
 
-# the most bytes one float64 (count, 2^N) weight matrix of a temperature
-# grid may take
-WEIGHTS_BUDGET_BYTES = 4 << 30
+# the most bytes a temperature grid may hold at once as float64: the grid
+# itself for a sweep, the (count, 2^N) weight matrix of a verify spec
+GRID_BUDGET_BYTES = 4 << 30
 
 
 class ConfigError(ValueError):
@@ -109,8 +116,13 @@ def parse_model(obj: dict) -> ModelSpec:
         raise ConfigError(f"model: {exc}") from exc
 
 
-def parse_temperatures(obj: dict, dim: int) -> np.ndarray:
-    """The temperature grid for a spectrum of `dim` levels."""
+def parse_temperatures(obj: dict, width: int = 1) -> np.ndarray:
+    """The temperature grid, held with `width` float64 values per temperature.
+
+    A sweep holds the grid and one row block at a time, so its width is 1;
+    verify forms one (count, 2^N) weight matrix per spec, so its width is
+    2^N of its widest ring.
+    """
     _require_keys(obj, {"start": True, "stop": True, "count": True,
                         "spacing": False}, "temperatures")
     spacing = obj.get("spacing", "linear")
@@ -120,11 +132,11 @@ def parse_temperatures(obj: dict, dim: int) -> np.ndarray:
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ConfigError(f"temperatures.count must be an integer >= 1, got {count!r}")
     # refused before the grid itself is allocated
-    weight_bytes = 8 * count * dim
-    if weight_bytes > WEIGHTS_BUDGET_BYTES:
+    grid_bytes = 8 * count * width
+    if grid_bytes > GRID_BUDGET_BYTES:
         raise ConfigError(
-            f"temperatures.count={count} needs a {weight_bytes}-byte weight matrix over "
-            f"{dim} levels, over the {WEIGHTS_BUDGET_BYTES}-byte budget")
+            f"temperatures.count={count} needs {grid_bytes} bytes at {width} float64 "
+            f"values per temperature, over the {GRID_BUDGET_BYTES}-byte budget")
     try:
         return temperature_grid(_number(obj, "start", "temperatures"),
                                 _number(obj, "stop", "temperatures"),
@@ -137,7 +149,7 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
     _require_keys(doc, {"model": True, "temperatures": True, "pair": False,
                         "outputs": False}, "config")
     spec = parse_model(doc["model"])
-    temps = parse_temperatures(doc["temperatures"], spec.dim)
+    temps = parse_temperatures(doc["temperatures"])
     pair = doc.get("pair", [1, 2])
     if (not isinstance(pair, list) or len(pair) != 2
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)):
@@ -191,38 +203,50 @@ def fmt_value(v, null: str = "") -> str:
     return str(v)
 
 
-def render_csv(columns, table: dict[str, list]) -> str:
-    """CSV of the named columns of `table` (column name -> values in row order)."""
-    lines = [",".join(columns)]
-    for row in zip(*(table[c] for c in columns)):
-        lines.append(",".join(fmt_value(v) for v in row))
-    return "\n".join(lines) + "\n"
+def render_csv(columns, table: Iterable[dict[str, list]]) -> Iterator[str]:
+    """CSV of the named columns of `table`, one piece per block.
+
+    `table` is an iterable of row blocks, each a dict column name -> values
+    in row order; the header comes first, then the lines of each block.
+    """
+    yield ",".join(columns) + "\n"
+    for block in table:
+        yield "".join([",".join([fmt_value(v) for v in row]) + "\n"
+                       for row in zip(*(block[c] for c in columns))])
 
 
-def render_json(columns, table: dict[str, list], meta: dict | None = None) -> str:
-    """JSON of the named columns of `table`, written row by row."""
+def render_json(columns, table: Iterable[dict[str, list]],
+                meta: dict | None = None) -> Iterator[str]:
+    """JSON of the named columns of `table` (row blocks, as in render_csv), one piece per block."""
     parts = []
     if meta:
         for k, v in meta.items():
             parts.append(f'"{k}": {fmt_value(v, "null")}')
     cols = ", ".join(json.dumps(c) for c in columns)
     parts.append(f'"columns": [{cols}]')
-    row_strs = []
-    for row in zip(*(table[c] for c in columns)):
-        row_strs.append("[" + ", ".join(fmt_value(v, "null") for v in row) + "]")
-    parts.append('"rows": [' + ", ".join(row_strs) + "]")
-    return "{" + ", ".join(parts) + "}\n"
+    yield "{" + ", ".join(parts) + ', "rows": ['
+    sep = ""
+    for block in table:
+        rows = ", ".join(["[" + ", ".join([fmt_value(v, "null") for v in row]) + "]"
+                          for row in zip(*(block[c] for c in columns))])
+        if rows:
+            yield sep + rows
+            sep = ", "
+    yield "]}\n"
 
 
-def _write_out(text: str, out: str) -> None:
+def _write_out(pieces: Iterable[str], out: str) -> None:
+    """Write each piece of text to `out`, a path or stdout, as it comes."""
     if out in ("stdout", "-"):
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output {out!r}: {exc}") from exc
+        for piece in pieces:
+            sys.stdout.write(piece)
+        return
+    try:
+        with open(out, "w", newline="") as fh:
+            for piece in pieces:
+                fh.write(piece)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out!r}: {exc}") from exc
 
 
 def _load_config(path: str | None, required: bool) -> dict:
@@ -248,12 +272,9 @@ def _load_config(path: str | None, required: bool) -> dict:
 def cmd_sweep(args) -> int:
     doc = _load_config(args.config, required=True)
     cfg = parse_sweep_config(doc)
-    table = run_sweep(cfg.model, cfg.temperatures, cfg.pair)
-    if args.format == "csv":
-        text = render_csv(cfg.outputs, table)
-    else:
-        text = render_json(cfg.outputs, table)
-    _write_out(text, args.out)
+    render = render_csv if args.format == "csv" else render_json
+    _write_out(render(cfg.outputs, sweep_blocks(cfg.model, cfg.temperatures, cfg.pair)),
+               args.out)
     return 0
 
 
@@ -262,7 +283,7 @@ def cmd_verify(args) -> int:
 
     opts = parse_verify_options(_load_config(args.config, required=False))
     results = run_verification(opts)
-    _write_out(render_report(results) + "\n", args.out)
+    _write_out([render_report(results) + "\n"], args.out)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -283,12 +304,12 @@ def cmd_threshold(args) -> int:
             f'"iterations": {res.iterations}',
             f'"u_of_n": {fmt_value(res.u_of_n, "null")}',
         ])
-        _write_out("{" + body + "}\n", args.out)
+        _write_out(["{" + body + "}\n"], args.out)
     else:
         row = {"status": res.status, "t_c": res.t_c, "bracket_lo": res.bracket[0],
                "bracket_hi": res.bracket[1], "iterations": res.iterations,
                "u_of_n": res.u_of_n}
-        _write_out(render_csv(list(row), {k: [v] for k, v in row.items()}), args.out)
+        _write_out(render_csv(list(row), [{k: [v] for k, v in row.items()}]), args.out)
     return 0
 
 
@@ -305,12 +326,12 @@ def cmd_spectrum(args) -> int:
     }
     columns = ("index", "energy", "s_z")
     if args.format == "json":
-        text = render_json(columns, table,
-                           meta={"ground_energy": sd.ground_energy,
-                                 "ground_degeneracy": sd.ground_degeneracy})
+        pieces = render_json(columns, [table],
+                             meta={"ground_energy": sd.ground_energy,
+                                   "ground_degeneracy": sd.ground_degeneracy})
     else:
-        text = render_csv(columns, table)
-    _write_out(text, args.out)
+        pieces = render_csv(columns, [table])
+    _write_out(pieces, args.out)
     return 0
 
 

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -92,18 +93,19 @@ class SpectralDecomposition:
     computed values-only or in the pair mode.  sector_labels holds the
     total-S_z quantum number of each eigenvalue for S_z-conserving models,
     else None.  pair_tables holds the per-eigenstate pair elements, shape
-    (dim, 16), keyed by site pair, that twoqubit.pair_rdms reads.  Only the
-    pair mode of decompose fills it, with the entry of its pair from
-    (S_z label, ZZ_n, XY_n); every other decomposition leaves it empty,
+    (dim, 16), keyed by site pair, that twoqubit.pair_rdms reads.  The
+    pair mode of decompose fills it with the entry of its pair from
+    (S_z label, ZZ_n, XY_n).  Every other decomposition leaves it empty,
     and pair_rdms builds the table it needs from the eigenvectors on each
-    call without storing it.
+    call without storing it, unless twoqubit.keep_pair_table stored it,
+    as sweep.sweep_decomposition does for the pair of a sweep.
     """
 
     eigenvalues: np.ndarray
     eigvec_blocks: tuple[EigenBlock, ...] | None
     ground_degeneracy: int
     sector_labels: np.ndarray | None = None
-    pair_tables: dict = field(default_factory=dict, repr=False, compare=False)
+    pair_tables: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -112,6 +114,23 @@ class SpectralDecomposition:
     @property
     def ground_energy(self) -> float:
         return float(self.eigenvalues[0])
+
+    @cached_property
+    def spin_weights(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per eigenvector block: sum_i sigma^z_i of each of its basis states,
+        the squared moduli |v|^2 of its vectors, and its columns.
+
+        thermo.thermo_grid reduces M with them when there are no sector
+        labels.  They take as many bytes as the real vectors, and are built
+        on first use and kept with the decomposition, because a sweep calls
+        thermo_grid once per row block.
+        """
+        if self.eigvec_blocks is None:
+            raise ValueError("magnetization needs sector labels or eigenvectors")
+        n = self.dim.bit_length() - 1
+        # bitwise_count returns uint8, which would wrap under subtraction
+        return tuple(((n - 2 * np.bitwise_count(states).astype(np.int64)).astype(float),
+                      np.abs(v) ** 2, cols) for states, v, cols in self.eigvec_blocks)
 
 
 def ground_degeneracy_count(eigenvalues: np.ndarray) -> int:

@@ -13,8 +13,12 @@ the probabilities, log Z, U and M of every temperature from it.  U and M
 are reduced one temperature at a time, as 1-D dot products over a row of
 probabilities: a stacked matrix product sums in another order and moves
 them in the last bits.  So each row is the same number whatever else
-shares its grid.  The grid keeps the decomposition it came from, which
-twoqubit.pair_rdms reads, so no caller hands the spectrum over twice.
+shares its grid, and a sweep hands its grid over in row blocks
+(sweep.BLOCK_BYTES) with the same result as in one piece.  What M needs
+of the eigenvectors, the decomposition builds once
+(SpectralDecomposition.spin_weights), not once per block.  The grid keeps
+the decomposition it came from, which twoqubit.pair_rdms reads, so no
+caller hands the spectrum over twice.
 
 The full Gibbs matrix is never formed here: oracle.gibbs_state builds it
 from the eigenvectors as a reference for the pair-RDM route.  The
@@ -45,7 +49,7 @@ class ThermoGrid:
     log_z: np.ndarray
     u: np.ndarray
     m: np.ndarray
-    decomposition: SpectralDecomposition = field(repr=False, compare=False)
+    decomposition: SpectralDecomposition = field(repr=False)
 
 
 def _weights(sd: SpectralDecomposition,
@@ -84,7 +88,7 @@ def thermo_grid(sd: SpectralDecomposition, temperatures: np.ndarray) -> ThermoGr
 
     U is the thermal average of the eigenvalues; M is <sum_i sigma_iz>,
     evaluated from the sector labels when present (exact for S_z-conserving
-    models) and from the eigenvectors otherwise; N is read off sd.dim = 2^N.
+    models) and from the eigenvectors otherwise (sd.spin_weights).
     """
     t = np.asarray(temperatures, dtype=float)
     p, log_z = _weights(sd, t)
@@ -96,15 +100,9 @@ def thermo_grid(sd: SpectralDecomposition, temperatures: np.ndarray) -> ThermoGr
     if sd.sector_labels is not None:
         spin = 2.0 * sd.sector_labels
         m = np.array([spin @ row for row in p])
-    elif sd.eigvec_blocks is not None:
-        # sum_i sigma_iz on each block state; bitwise_count returns uint8,
-        # which would wrap under subtraction
-        n = sd.dim.bit_length() - 1
-        blocks = [((n - 2 * np.bitwise_count(states).astype(np.int64)).astype(float),
-                   np.abs(v) ** 2, cols) for states, v, cols in sd.eigvec_blocks]
+    else:
+        blocks = sd.spin_weights
         m = np.array([sum(ds @ (weight @ row[cols]) for ds, weight, cols in blocks)
                       for row in p])
-    else:
-        raise ValueError("magnetization needs sector labels or eigenvectors")
     return ThermoGrid(temperature=t, probabilities=p, log_z=log_z, u=u, m=m, decomposition=sd)
 

@@ -20,7 +20,8 @@ The thermal pair RDM is the Boltzmann average of a per-eigenstate pair
 table; no 2^N x 2^N matrix is formed.  The pair mode of
 spectral.decompose fills the table of its pair of a uniform ring;
 for any other decomposition _pair_table builds it from the eigenvector
-blocks on each call and stores it nowhere.
+blocks on each call and stores it nowhere, unless keep_pair_table stored
+it on the decomposition, as a sweep does for its one pair.
 Its full-space references, the partial trace of the Gibbs matrix and the
 correlations with full 2^N operators, are in heisenring.oracle.
 correlations_from_rdm gives the nine g[a, b] = tr(rho sigma_a x sigma_b)
@@ -163,13 +164,24 @@ def _pair_table(sd: SpectralDecomposition, i: int, j: int) -> np.ndarray:
     return table
 
 
+def keep_pair_table(sd: SpectralDecomposition, i: int, j: int) -> None:
+    """Store the pair table of sites (i, j) in sd.pair_tables, unless sd holds it.
+
+    pair_rdms then reads it instead of building it from the eigenvectors
+    on each call: a sweep calls pair_rdms once per row block.
+    """
+    if (i, j) not in sd.pair_tables:
+        sd.pair_tables[(i, j)] = _pair_table(sd, i, j)
+
+
 def pair_rdms(grid: ThermoGrid, i: int, j: int) -> TwoQubitRDM:
     """Stack of thermal pair RDMs of sites (i, j), one per temperature of `grid`.
 
     Each is the Boltzmann average of the per-eigenstate pair RDMs: one
     (dim,) x (dim, 16) product per row of grid.probabilities with the pair
-    table of grid.decomposition, which the pair mode of decompose filled
-    or which is built here, block by block, from the eigenvectors.
+    table of grid.decomposition, which the pair mode of decompose or
+    keep_pair_table filled or which is built here, block by block, from the
+    eigenvectors.
     The products stay one per row: a stacked matrix product sums in another
     order and moves the elements in the last bits.
     Equivalent, row by row, to oracle.reduce_to_pair(oracle.gibbs_state(sd, T)[None], i, j).

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import heisenring
-from heisenring.cli import ConfigError, main, parse_temperatures
+from heisenring.cli import (
+    ConfigError,
+    main,
+    parse_sweep_config,
+    parse_temperatures,
+    parse_verify_options,
+)
 from heisenring.model import ModelSpec, ring_coupling_matrices
 from heisenring import oracle
 from heisenring.oracle import hermiticity_defect
@@ -405,11 +411,22 @@ def test_temperature_count_over_budget_exits_two(tmp_path, capsys, monkeypatch, 
 
 
 def test_temperature_count_budget_scales_with_the_ring(tmp_path):
-    # 4 GiB of float64 weights: 32768 temperatures at N = 14 fit, one more does not
-    grid = {"start": 0.5, "stop": 2.0, "count": 32768}
-    assert parse_temperatures(grid, 1 << 14).shape == (32768,)
-    with pytest.raises(ConfigError, match="4295098368-byte"):
-        parse_temperatures({**grid, "count": 32769}, 1 << 14)
+    # verify forms one (count, 2^N) weight matrix per spec, up to N = 12:
+    # 4 GiB of float64 holds 131072 temperatures there, one more does not
+    grid = {"start": 0.5, "stop": 2.0, "count": 131072}
+    assert len(parse_verify_options({"temperatures": grid}).temperatures) == 131072
+    with pytest.raises(ConfigError, match="needs 4295000064 bytes at 4096 float64"):
+        parse_verify_options({"temperatures": {**grid, "count": 131073}})
+    # a sweep holds one row block at a time, so only its grid is bounded
+    with pytest.raises(ConfigError, match="needs 4294967304 bytes at 1 float64"):
+        parse_temperatures({**grid, "count": (1 << 29) + 1})
+
+
+def test_long_sweep_grid_at_the_site_cap_parses():
+    # refused while the sweep formed one (count, 2^N) weight matrix
+    doc = sweep_config(n_sites=14, j=1.0)
+    doc["temperatures"]["count"] = 32769
+    assert parse_sweep_config(doc).temperatures.shape == (32769,)
 
 
 def test_corrupted_hamiltonian_fails_hermiticity():

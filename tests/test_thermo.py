@@ -115,12 +115,16 @@ def test_sz_breaking_magnetization_matches_dense_gibbs(route):
 
 def test_grid_carries_its_decomposition():
     # pair_rdms reads the decomposition off the grid; it stays out of the
-    # grid's repr and equality
+    # grid's repr, and a grid (eq=False) equals itself alone, so equality
+    # never compares the decomposition or any array
     _, sd = cached_decompose(3, 1.0)
     grid = thermo_grid(sd, [0.5])
     assert grid.decomposition is sd
     (field,) = (f for f in fields(grid) if f.name == "decomposition")
-    assert not field.repr and not field.compare
+    assert not field.repr
+    twin = thermo_grid(sd, [0.5])
+    assert grid == grid and grid != twin
+    assert len({grid, twin}) == 2
 
 
 def test_derivative_check_three_site():
