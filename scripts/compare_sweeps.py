@@ -26,10 +26,10 @@ Both trees also run `threshold` (JSON) on the isotropic J = 1 rings of
 THRESHOLD_SIZES.  Status, t_c, bracket and iterations must be identical
 text; the worst u_of_n difference is printed.
 
-Both trees also run `verify` on its default grid and on two small grids
-off the defaults (VERIFY_CONFIGS); the text reports and the exit codes
-must be identical.  A report that differs is shown as a unified diff, cut at
-VERIFY_DIFF_LINES lines.
+Both trees also run `verify` on its default grid and on three small grids
+off the defaults (VERIFY_CONFIGS), one with its ring sizes out of order;
+the text reports and the exit codes must be identical.  A report that
+differs is shown as a unified diff, cut at VERIFY_DIFF_LINES lines.
 
 Both trees also run DEMOS, demos 01 to 04 of their own `demos`
 directory (the directory beside BASE_SRC or HEAD_SRC), each with its own
@@ -182,6 +182,10 @@ VERIFY_CONFIGS = {
     "verify-t0": {"n_values": [3, 4, 6, 7], "deltas": [1.0, 0.0], "fields": [0.0, 0.4],
                   "j_values": [0.8, -1.5],
                   "temperatures": {"start": 0.0, "stop": 2.5, "count": 5}, "seed": 4242},
+    # ring sizes out of order, N = 6 twice: the sectors kept for N = 6 are
+    # read back after those of other ring sizes
+    "verify-reorder": {"n_values": [6, 3, 6, 4], "deltas": [0.5, 1.0], "fields": [0.0, 0.3],
+                       "j_values": [1.0, -0.9]},
 }
 
 

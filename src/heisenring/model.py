@@ -205,21 +205,69 @@ def bit_for_site(site: int, n: int) -> int:
     return n - site
 
 
+class ReuseCache:
+    """Values that depend only on their key, kept once a key is asked for twice.
+
+    get(key, build) returns the kept value of `key`, or else build().  A
+    key's first request only notes the key, and its second keeps the value
+    it builds, so a process that asks for every key once keeps nothing but
+    the keys.  With keep=False nothing is kept or noted.  Keys are values,
+    ints and tuples of ints, never id(): an object's id can be reused once
+    it is freed.  build makes every array it returns read-only, so no
+    caller can change a kept value.
+    """
+
+    def __init__(self, keep: bool = True):
+        self.keep = keep
+        self.asked: set = set()
+        self.kept: dict = {}
+
+    def keeps(self, key) -> bool:
+        """True when a value built for `key` now would be kept."""
+        return self.keep and key in self.asked
+
+    def get(self, key, build):
+        value = self.kept.get(key)
+        if value is None:
+            value = build()
+            if self.keeps(key):
+                self.kept[key] = value
+            elif self.keep:
+                self.asked.add(key)
+        return value
+
+
+def read_only(*arrays: np.ndarray) -> None:
+    """Clear the writeable flag of every array given."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
+_SITE_INDICES = ReuseCache()
+
+
 def site_indices(sites: tuple[int, ...], n: int) -> np.ndarray:
     """Full-space basis indices grouped by their bits on `sites`.
 
-    The result is an int64 array of shape (2**k, 2**(n-k)).  Row a holds every index whose bits on `sites`, read in the order given
-    (first site most significant), spell a; the columns run over the other
-    sites' configurations in ascending order.
+    The result is a read-only int64 array of shape (2**k, 2**(n-k)),
+    built once per (sites, n) asked for twice (ReuseCache).  Row a holds
+    every index whose bits on `sites`, read in the order given (first site
+    most significant), spell a; the columns run over the other sites'
+    configurations in ascending order.
     """
-    k = len(sites)
-    for s in sites:
-        bit_for_site(s, n)
-    if len(set(sites)) != k:
-        raise ValueError(f"sites must be distinct, got {sites}")
-    order = [s - 1 for s in sites] + [s - 1 for s in range(1, n + 1) if s not in sites]
-    grid = np.arange(1 << n, dtype=np.int64).reshape((2,) * n)
-    return grid.transpose(order).reshape(1 << k, -1)
+    def build():
+        k = len(sites)
+        for s in sites:
+            bit_for_site(s, n)
+        if len(set(sites)) != k:
+            raise ValueError(f"sites must be distinct, got {sites}")
+        order = [s - 1 for s in sites] + [s - 1 for s in range(1, n + 1) if s not in sites]
+        grid = np.arange(1 << n, dtype=np.int64).reshape((2,) * n)
+        idx = grid.transpose(order).reshape(1 << k, -1)
+        read_only(idx)
+        return idx
+
+    return _SITE_INDICES.get((tuple(sites), n), build)
 
 
 def rotate(states: np.ndarray, r: int, n: int) -> np.ndarray:

@@ -41,6 +41,27 @@ and multiplicity.  _blocks writes each block through _real_block in that
 basis, with one phase rule for every momentum, and the pair mode builds
 H's and O_r's blocks from the same sector.
 
+What depends on the bits alone is built once per process and reused.
+_SECTORS (model.ReuseCache) holds the _Sector of each key
+(N, k, parity, translate): its states, orbits, shifts, momenta and real
+bases.  Each sector holds, per term structure (the bits and the nonzero
+hop and flip flags of every pair term, one flat tuple of ints), the
+z-z signs, the move elements, their sqrt(R_a / R_b), and per momentum
+block the hop mask, phases and indices (_Terms, _Layout);
+model.site_indices keeps its tables by (sites, N) the same way.  Keys
+are values, never id().  A value is kept only when its key is asked for
+the second time, and a structure only within a kept sector, so a
+process that decomposes a ring once (sweep, threshold, spectrum) keeps
+nothing; verify, which decomposes each ring size dozens of times,
+builds each piece at most three times.  Every kept array is read-only,
+and _blocks scales them by the spec's amplitudes with the same
+operations in the same order as without them, so every output is
+byte-identical.  At MAX_SITES = 14 a uniform ring kept in every mode,
+its pair mode at every distance, holds 16.6 MiB, its values-only mode
+alone 2.0 MiB; a general ring with all 91 pairs coupled holds 23.3 MiB,
+an S_z-breaking one at N = 12 with all 66 pairs 8.1 MiB; a
+site_indices table at N = 14 takes 128 KiB.
+
 Each block's eigensolve and products run under _blas.threads_for: a block
 narrower than _blas.WIDE = 512 on one OpenBLAS thread, a wider one with
 the count OpenBLAS started with.  So every momentum block up to N = 14
@@ -59,6 +80,7 @@ oracle.expected_sector_sizes) and the residual check of a decomposition
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -66,7 +88,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._blas import threads_for
-from .model import ModelSpec, reflect, rotate
+from .model import ModelSpec, ReuseCache, read_only, reflect, rotate
 
 DEGENERACY_RTOL = 1e-9
 
@@ -116,6 +138,30 @@ class SpectralDecomposition:
         return float(self.eigenvalues[0])
 
     @cached_property
+    def excitations(self) -> np.ndarray:
+        """E_n - E_0 of every eigenvalue, read-only.
+
+        thermo builds every Boltzmann weight and U from it; it is kept with
+        the decomposition, because a sweep calls thermo_grid once per row
+        block and find_threshold once per probe.
+        """
+        de = self.eigenvalues - self.eigenvalues[0]
+        read_only(de)
+        return de
+
+    @cached_property
+    def label_magnetization(self) -> np.ndarray:
+        """sum_i sigma^z_i = 2 S_z of every eigenvalue, from the sector labels, read-only.
+
+        thermo.thermo_grid reduces M with it, kept like excitations.
+        """
+        if self.sector_labels is None:
+            raise ValueError("label magnetization needs sector labels")
+        spin = 2.0 * self.sector_labels
+        read_only(spin)
+        return spin
+
+    @cached_property
     def spin_weights(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """Per eigenvector block: sum_i sigma^z_i of each of its basis states,
         the squared moduli |v|^2 of its vectors, and its columns.
@@ -140,9 +186,25 @@ def ground_degeneracy_count(eigenvalues: np.ndarray) -> int:
     return int(np.sum(np.abs(eigenvalues - e0) <= DEGENERACY_RTOL * scale))
 
 
-def _zz_sign(states: np.ndarray, bi: int, bk: int) -> np.ndarray:
-    """sigma^z sigma^z on bits bi and bk of each state: +1 parallel, -1 antiparallel."""
-    return (1 - 2 * ((states >> bi) & 1)) * (1 - 2 * ((states >> bk) & 1))
+class _Momentum(NamedTuple):
+    """One momentum block of a _Sector.
+
+    keep marks the representatives a with m * R_a = 0 (mod N), index[a] is
+    the block index of a kept representative a and basis holds the kept
+    ones in block order.  columns is the block's real basis, per column
+    slot each momentum state's column and weight there, and mult its
+    multiplicity: 2 in the K R basis, 1 in the identity basis.  weights
+    stacks the K R basis's weights, one row per slot, and is None in the
+    identity basis.
+    """
+
+    m: int
+    keep: np.ndarray
+    index: np.ndarray
+    columns: tuple
+    mult: int
+    basis: np.ndarray
+    weights: np.ndarray | None
 
 
 class _Sector(NamedTuple):
@@ -150,11 +212,12 @@ class _Sector(NamedTuple):
 
     For each of the ascending `states`, T^shift takes it to its orbit's
     representative reps[orbit].  reps holds the representatives, ascending,
-    and period their orbit lengths R_a.  momenta holds (m, keep, index,
-    columns, mult) for every momentum 0 <= m <= N/2 that has states: keep
-    marks the representatives with m * R_a = 0 (mod N), index[a] is the
-    block index of a kept representative a, columns is the block's real
-    basis in the form _real_block reads and mult its multiplicity.
+    period their orbit lengths R_a and spin their sum_i sigma^z_i, N - 2k.
+    momenta holds the _Momentum of every momentum 0 <= m <= N/2 that has
+    states.  terms (ReuseCache) keeps what _blocks derives from the bits
+    alone, the _Terms of each term structure with the _Layout of every
+    momentum block, once the structure is asked for twice.  Only a sector
+    that _SECTORS keeps keeps them: any other lives for one decomposition.
     """
 
     n: int
@@ -163,10 +226,33 @@ class _Sector(NamedTuple):
     shift: np.ndarray
     reps: np.ndarray
     period: np.ndarray
+    spin: np.ndarray
     momenta: list
+    terms: ReuseCache
 
 
-def _sector(n: int, states: np.ndarray, translate: bool) -> _Sector:
+# the _Sector of each (N, k, parity, translate) asked for twice
+_SECTORS = ReuseCache()
+
+
+def _sector_for(n: int, k: int, parity: bool, translate: bool) -> _Sector:
+    """The _Sector of the states with k down spins, or with k's parity of them (parity=True).
+
+    Built once per key asked for twice (ReuseCache), with read-only states.
+    """
+    key = (n, k, parity, translate)
+
+    def build():
+        indices = np.arange(1 << n, dtype=np.int64)
+        down = np.bitwise_count(indices)
+        states = indices[((down & 1) if parity else down) == k]
+        read_only(states)
+        return _sector(n, states, translate, kept=_SECTORS.keeps(key))
+
+    return _SECTORS.get(key, build)
+
+
+def _sector(n: int, states: np.ndarray, translate: bool, kept: bool = False) -> _Sector:
     """The _Sector of `states` (closed under the operators) under translation or none.
 
     With translate, a state's representative is its smallest rotation,
@@ -178,7 +264,8 @@ def _sector(n: int, states: np.ndarray, translate: bool) -> _Sector:
     twice, for m and -m.  A block at m = 0 or 2m = N is real in its
     momentum states, so it gets the identity basis, one column of weight 1
     per state, and counts once; so does the one block, at m = 0, of a
-    sector without translation.
+    sector without translation.  Every array it makes is read-only.  Its
+    terms cache keeps values only if the sector is `kept`.
     """
     rep, shift = states.copy(), np.zeros_like(states)
     for r in range(1, n if translate else 1):
@@ -189,6 +276,8 @@ def _sector(n: int, states: np.ndarray, translate: bool) -> _Sector:
     reps = states[rep == states]
     orbit = np.searchsorted(reps, rep)
     r_a = np.bincount(orbit)
+    spin = n - 2 * np.bitwise_count(reps).astype(np.int64)
+    read_only(shift, reps, orbit, r_a, spin)
     momenta, mirror = [], None
     for m in range(n // 2 + 1):
         keep = (m * r_a) % n == 0
@@ -197,17 +286,111 @@ def _sector(n: int, states: np.ndarray, translate: bool) -> _Sector:
         index = np.cumsum(keep) - 1
         if (2 * m) % n == 0:
             size = index[-1] + 1
-            momenta.append((m, keep, index, ((np.arange(size), np.ones(size)),), 1))
-            continue
-        if mirror is None:
-            # R a for each representative, found among the sector's states
-            at = np.searchsorted(states, reflect(reps, n))
-            mirror = orbit[at], shift[at]
-        partner, l_mirror = mirror
-        columns = _kr_columns(index[partner[keep]],
-                              np.exp(-2j * np.pi * m * l_mirror[keep] / n))
-        momenta.append((m, keep, index, columns, 2))
-    return _Sector(n, states, orbit, shift, reps, r_a, momenta)
+            columns, mult, weights = ((np.arange(size), np.ones(size)),), 1, None
+        else:
+            if mirror is None:
+                # R a for each representative, found among the sector's states
+                at = np.searchsorted(states, reflect(reps, n))
+                mirror = orbit[at], shift[at]
+            partner, l_mirror = mirror
+            columns = _kr_columns(index[partner[keep]],
+                                  np.exp(-2j * np.pi * m * l_mirror[keep] / n))
+            mult, weights = 2, np.array([w for _, w in columns])
+            columns = tuple((col, w) for (col, _), w in zip(columns, weights))
+        basis = reps[keep]
+        read_only(keep, index, basis, *(a for slot in columns for a in slot),
+                  *(() if weights is None else (weights,)))
+        momenta.append(_Momentum(m, keep, index, columns, mult, basis, weights))
+    return _Sector(n, states, orbit, shift, reps, r_a, spin, momenta, ReuseCache(kept))
+
+
+class _Layout(NamedTuple):
+    """What one momentum block takes from the moves of a term structure, amplitudes aside.
+
+    hops masks the move elements inside the block and phases holds their
+    exp(-2*pi*i*m*l/N).  flat holds, for each pair (s, s') of the block's
+    column slots (_Momentum) in turn and each element, the flat index in
+    the block of slot s's column at the element's row and slot s''s at its
+    column.  rows and cols hold the block indices of each element's row
+    and column, which pick the K R weights; the identity basis, weight 1
+    everywhere, needs neither and has None.
+    """
+
+    hops: np.ndarray
+    phases: np.ndarray
+    flat: np.ndarray
+    rows: np.ndarray | None
+    cols: np.ndarray | None
+
+
+class _Terms(NamedTuple):
+    """What the pair terms of one structure take from a _Sector, amplitudes aside.
+
+    A structure lists bit_i, bit_k, hop != 0 and flip != 0 of each pair
+    term in turn, as one flat tuple.
+    signs[t] is sigma^z sigma^z on term t's bits of each representative.
+    The moves, term by term a hop (antiparallel spins) where hop != 0 and
+    then a pair flip (parallel spins) where flip != 0, are concatenated:
+    counts holds each move's element count, and the element from a to b'
+    has roots = sqrt(R_a / R_b), b the representative of b'.  layouts
+    holds the _Layout of each of the sector's momenta, in order.
+    """
+
+    signs: np.ndarray
+    counts: np.ndarray
+    roots: np.ndarray
+    layouts: tuple | Iterator[_Layout]
+
+
+def _terms(sector: _Sector, structure: tuple, kept: bool) -> _Terms:
+    """The _Terms of `structure` on `sector`, every term at once.
+
+    The moves are the rows of one mask over (move, representative), so
+    np.nonzero lists them in move order and each move's elements in
+    ascending representative order; b' is found among the sector's states
+    by searchsorted, and T^l takes it to its representative.  _Terms that
+    will be kept get every _Layout here and drop the moves; any other gets
+    its layouts one momentum at a time, as _blocks reads them, so no two
+    are alive at once.
+    """
+    reps = sector.reps
+    table = np.array(structure, dtype=np.int64).reshape(-1, 4)
+    bits = table[:, :2]
+    bit_i, bit_k = ((reps >> bits[:, c, None]) & 1 for c in (0, 1))
+    signs = ((1 - 2 * bit_i) * (1 - 2 * bit_k)).astype(np.int8)
+    # hops move antiparallel spins (anti = 1), pair flips parallel ones,
+    # term by term: the hop first
+    term, kind = np.nonzero(table[:, 2:])
+    moving = 1 - kind
+    move, cols = np.nonzero((bit_i ^ bit_k)[term] == moving[:, None])
+    flip = (1 << bits[term, 0]) | (1 << bits[term, 1])
+    at = np.searchsorted(sector.states, reps[cols] ^ flip[move])
+    rows, shifts = sector.orbit[at], sector.shift[at]
+    counts = np.bincount(move, minlength=term.size)
+    roots = np.sqrt(sector.period[cols] / sector.period[rows])
+    read_only(signs, counts, roots)
+    layouts = (_layout(sector.n, momentum, rows, cols, shifts) for momentum in sector.momenta)
+    return _Terms(signs, counts, roots, tuple(layouts) if kept else layouts)
+
+
+def _layout(n: int, momentum: _Momentum, rows: np.ndarray, cols: np.ndarray,
+            shifts: np.ndarray) -> _Layout:
+    """The _Layout of the move elements (rows, cols, shifts) on one momentum block.
+
+    Block indices and flat indices are stored as int32: a block is at most
+    C(14, 7) = 3432 wide.
+    """
+    hops = momentum.keep[rows] & momentum.keep[cols]
+    phases = np.exp(-2j * np.pi * momentum.m * shifts[hops] / n)
+    at_rows, at_cols = momentum.index[rows[hops]], momentum.index[cols[hops]]
+    slots = momentum.columns
+    flat = (np.array([col[at_rows] for col, _ in slots])[:, None, :] * momentum.basis.size
+            + np.array([col[at_cols] for col, _ in slots])[None, :, :]).ravel()
+    layout = _Layout(hops, phases, flat.astype(np.int32),
+                     *((None, None) if momentum.weights is None
+                       else (at_rows.astype(np.int32), at_cols.astype(np.int32))))
+    read_only(*(a for a in layout if a is not None))
+    return layout
 
 
 def _blocks(terms, sector: _Sector, field_b: float):
@@ -255,33 +438,29 @@ def _blocks(terms, sector: _Sector, field_b: float):
     representative of period 1 and shift 0, so only m = 0 has states and
     its one block, in the identity basis, is the plain block of the
     operator on `states` in the computational basis.
-    """
-    n, reps, r_a = sector.n, sector.reps, sector.period
-    # + 0.0: a -0.0 field must not leave -0.0 on the diagonal
-    diag = field_b * (n - 2 * np.bitwise_count(reps).astype(np.int64)) + 0.0
-    # seeded, so a spec without hops (J = 0, no couplings) still concatenates
-    empty = np.zeros(0, dtype=np.int64)
-    rows, cols, ls, amps = [empty], [empty], [empty], [empty]
-    for bi, bk, hop, flip, zz in terms:
-        diag += zz * _zz_sign(reps, bi, bk)
-        anti = ((reps >> bi) ^ (reps >> bk)) & 1
-        # hops move antiparallel spins (anti = 1), pair flips parallel ones
-        for amp, moving in ((hop, 1), (flip, 0)):
-            if amp == 0.0:
-                continue
-            movers = np.nonzero(anti == moving)[0]
-            at = np.searchsorted(sector.states, reps[movers] ^ ((1 << bi) | (1 << bk)))
-            rows.append(sector.orbit[at])
-            cols.append(movers)
-            ls.append(sector.shift[at])
-            amps.append(amp * np.sqrt(r_a[movers] / r_a[rows[-1]]))
-    rows, cols, ls, amps = map(np.concatenate, (rows, cols, ls, amps))
 
-    for m, keep, index, columns, mult in sector.momenta:
-        hops = keep[rows] & keep[cols]
-        values = amps[hops] * np.exp(-2j * np.pi * m * ls[hops] / n)
-        block = _real_block(diag[keep], columns, index[rows[hops]], index[cols[hops]], values)
-        yield mult, reps[keep], block
+    What depends on the bits alone, the _Terms of the terms' structure
+    and the _Layout of each momentum block, comes from the sector's
+    caches.  Only the field, the amplitudes and the blocks are computed
+    here, by the same operations in the same order as without the caches:
+    the diagonal adds the z-z terms one at a time, and each element is
+    amplitude * sqrt(R_a / R_b), then times its phase.
+    """
+    structure = tuple([key for bi, bk, hop, flip, _ in terms
+                       for key in (bi, bk, bool(hop != 0.0), bool(flip != 0.0))])
+    bits = sector.terms.get(structure,
+                            lambda: _terms(sector, structure, sector.terms.keeps(structure)))
+    # + 0.0: a -0.0 field must not leave -0.0 on the diagonal
+    diag = field_b * sector.spin + 0.0
+    for zz_sign in np.array([zz for *_, zz in terms]).reshape(-1, 1) * bits.signs:
+        diag += zz_sign
+    amps = np.repeat(np.array([amp for _, _, hop, flip, _ in terms
+                               for amp in (hop, flip) if amp != 0.0]), bits.counts) * bits.roots
+
+    for momentum, layout in zip(sector.momenta, bits.layouts):
+        block = _real_block(diag[momentum.keep], momentum, layout,
+                            amps[layout.hops] * layout.phases)
+        yield momentum.mult, momentum.basis, block
         del block  # the caller's reference is the last one
 
 
@@ -309,25 +488,32 @@ def _kr_columns(partner: np.ndarray, phases: np.ndarray):
     return low, high
 
 
-def _real_block(diag: np.ndarray, columns, rows: np.ndarray, cols: np.ndarray,
-                values: np.ndarray) -> np.ndarray:
-    """A momentum block rewritten in the real basis `columns` that _sector gave it.
+# the weight of the identity basis, broadcast over every element
+_UNIT = np.ones((1, 1))
+read_only(_UNIT)
 
-    columns lists, per column slot, each momentum state's column and
-    weight there: the two slots of _kr_columns, or the one slot of the
-    identity basis, every state in its own column with weight 1.  diag is
-    indexed by the block's momentum states; each hop element values[h]
-    sits at (rows[h], cols[h]).  Each hop element lands on at most four
-    entries of the real block, one in the identity basis; only the real
-    part of each product is added, since the imaginary parts cancel in the
-    sum.  The diagonal stays diagonal: R maps the z-z terms onto
+
+def _real_block(diag: np.ndarray, momentum: _Momentum, layout: _Layout,
+                values: np.ndarray) -> np.ndarray:
+    """A momentum block rewritten in the real basis that _sector gave it.
+
+    diag is indexed by the block's momentum states and values[h] is move
+    element h of the block; layout (_Layout) places them.  Each element
+    is multiplied by its row slot's conjugated weight and its column
+    slot's weight, and lands on at most four entries of the real block,
+    one per slot pair, and one in the identity basis; only the real part
+    of each product is added, since the imaginary parts cancel in the sum.
+    The additions run slot pair by slot pair, element by element, in one
+    add.at.  The diagonal stays diagonal: R maps the z-z terms onto
     themselves.
     """
     block = np.diag(diag)
-    for col_r, w_r in columns:
-        left = w_r[rows].conj() * values
-        for col_c, w_c in columns:
-            np.add.at(block, (col_r[rows], col_c[cols]), (left * w_c[cols]).real)
+    if layout.rows is None:
+        left = right = _UNIT
+    else:
+        left, right = momentum.weights[:, layout.rows].conj(), momentum.weights[:, layout.cols]
+    left = left * values
+    np.add.at(block.reshape(-1), layout.flat, (left[:, None, :] * right).real.ravel())
     return block
 
 
@@ -377,18 +563,14 @@ def decompose(spec: ModelSpec, vectors: bool = True,
         # O_r^xy: the N site pairs at distance r, as (bit, bit) terms
         xy_terms = [(bit, (bit - r) % n, 2.0, 0.0, 0.0) for bit in range(n)]
     paired = spec.is_uniform and (not vectors or pair is not None)
-    # the basis indices by down-spin count k, or by its parity, each ascending
-    indices = np.arange(1 << n, dtype=np.int64)
-    down = np.bitwise_count(indices)
-    if not spec.conserves_sz:
-        sectors = [indices[(down & 1) == k] for k in (0, 1)]
-    else:
-        sectors = [indices[down == k] for k in range(n // 2 + 1 if paired else n + 1)]
+    # the sectors by down-spin count k, or by its parity
+    ks = range(n // 2 + 1 if paired else n + 1) if spec.conserves_sz else (0, 1)
     terms = spec.pair_terms()
     all_evals, all_keys, pair_rows, vec_blocks = [], [], [], []
-    for k, states in enumerate(sectors):
+    for k in ks:
         parts, pair_parts = [], []
-        sector = _sector(n, states, paired)
+        sector = _sector_for(n, k, not spec.conserves_sz, paired)
+        states = sector.states
         xy_blocks = None if pair is None else _blocks(xy_terms, sector, 0.0)
         for mult, basis, block in _blocks(terms, sector, 0.0 if paired else spec.field_b):
             with threads_for(basis.size):
@@ -399,16 +581,16 @@ def decompose(spec: ModelSpec, vectors: bool = True,
                     # twice the bits in which a representative and its turn by r differ
                     turned = rotate(basis, r, n)
                     zz_r = n - 2 * np.bitwise_count(basis ^ turned).astype(np.int64)
-                    pair_parts.append(np.tile([zz_r @ (bvecs * bvecs),
-                                               np.sum(bvecs * (xy_block @ bvecs), axis=0)],
-                                              mult))
+                    # once per momentum it stands for, as its eigenvalues
+                    pair_parts += [np.array([zz_r @ (bvecs * bvecs),
+                                             np.sum(bvecs * (xy_block @ bvecs), axis=0)])] * mult
                     del bvecs, xy_block  # only ZZ_n and XY_n are kept
                 elif vectors:
                     evals, bvecs = np.linalg.eigh(block)
                     vec_blocks.append((states, bvecs))
                 else:
                     evals = np.linalg.eigvalsh(block)
-            parts.append(np.tile(evals, mult))
+            parts += [evals] * mult
             del block  # one block alive at a time: free it before the next is built
         evals = np.concatenate(parts)
         # the sort key among equal levels: the S_z label, or the parity

@@ -15,8 +15,9 @@ probabilities: a stacked matrix product sums in another order and moves
 them in the last bits.  So each row is the same number whatever else
 shares its grid, and a sweep hands its grid over in row blocks
 (sweep.BLOCK_BYTES) with the same result as in one piece.  What M needs
-of the eigenvectors, the decomposition builds once
-(SpectralDecomposition.spin_weights), not once per block.  The grid keeps
+of the eigenvectors or labels, and E_n - E_0, the decomposition builds
+once (SpectralDecomposition.spin_weights, label_magnetization and
+excitations), not once per block.  The grid keeps
 the decomposition it came from, which twoqubit.pair_rdms reads, so no
 caller hands the spectrum over twice.
 
@@ -64,12 +65,11 @@ def _weights(sd: SpectralDecomposition,
     t = np.asarray(temperatures, dtype=float)
     if not (t >= 0).all():  # also catches NaN
         raise ValueError(f"temperature must be >= 0, got {t[~(t >= 0)][0]}")
-    ev, g = sd.eigenvalues, sd.ground_degeneracy
-    e0 = ev[0]
+    e0, g = sd.eigenvalues[0], sd.ground_degeneracy
     # a T = 0 row divides by zero: -inf (weight 0) above the ground level
     # and nan on it, where the weight of 1 overwrites it
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = -(ev - e0) / t[:, None]
+        p = -sd.excitations / t[:, None]
     np.exp(p, out=p)
     p[:, :g] = 1.0
     sums = p.sum(axis=1)
@@ -92,13 +92,11 @@ def thermo_grid(sd: SpectralDecomposition, temperatures: np.ndarray) -> ThermoGr
     """
     t = np.asarray(temperatures, dtype=float)
     p, log_z = _weights(sd, t)
-    ev = sd.eigenvalues
-    e0 = ev[0]
-    de = ev - e0
+    e0, de = sd.eigenvalues[0], sd.excitations
     u = np.array([e0 + de @ row for row in p])
 
     if sd.sector_labels is not None:
-        spin = 2.0 * sd.sector_labels
+        spin = sd.label_magnetization
         m = np.array([spin @ row for row in p])
     else:
         blocks = sd.spin_weights

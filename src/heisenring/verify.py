@@ -195,11 +195,10 @@ def run_verification(opts: VerifyOptions | None = None) -> list[CheckResult]:
         col.record("translation_covariance",
                    float(np.max(np.abs(h[np.ix_(p, p)] - h))), 1e-12, tag)
 
-        if j != 0.0:
-            jx, jy, jz = model.ring_coupling_matrices(spec)
-            gen = model.ModelSpec.general(jx, jy, jz, field_b=b)
-            col.record("uniform_general_match",
-                       float(np.max(np.abs(oracle.build_hamiltonian(gen) - h))), 1e-13, tag)
+        jx, jy, jz = model.ring_coupling_matrices(spec)
+        gen = model.ModelSpec.general(jx, jy, jz, field_b=b)
+        col.record("uniform_general_match",
+                   float(np.max(np.abs(oracle.build_hamiltonian(gen) - h))), 1e-13, tag)
 
         if delta == 1.0 and b != 0.0:
             flipped = oracle.build_hamiltonian(

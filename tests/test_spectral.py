@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -451,27 +453,34 @@ def test_values_only_uniform_solves_real_blocks(monkeypatch, n, blocks, widest):
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_pair_mode_shares_sector_bookkeeping(monkeypatch, n):
-    # H's blocks and O_r's are built on one _sector per S_z sector, 2k <= N,
+    # H's blocks and O_r's are built on one _Sector per S_z sector, 2k <= N,
     # which gives every block a real basis over all its momentum states and
     # its multiplicity: 2 exactly for the conjugate momenta 0 < m < N/2
-    made = []
+    built = []
 
-    def recording(*args):
-        made.append(_sector(*args))
-        return made[-1]
+    def recording(terms, sector, field_b):
+        built.append(sector)
+        return _blocks(terms, sector, field_b)
 
-    monkeypatch.setattr(spectral, "_sector", recording)
+    monkeypatch.setattr(spectral, "_blocks", recording)
     decompose(ModelSpec.uniform(n, 1.0, 0.5, 0.2), pair=(1, 3))
-    assert len(made) == n // 2 + 1
+    assert len(built) == 2 * (n // 2 + 1)
+    # O_r's builder is made first, then H's, on the same sector
+    assert all(o_r is h for o_r, h in zip(built[::2], built[1::2]))
+    made = built[::2]
+    assert [sector.states.size for sector in made] == [math.comb(n, k)
+                                                      for k in range(n // 2 + 1)]
     for sector in made:
-        for m, keep, _, columns, mult in sector.momenta:
+        for momentum in sector.momenta:
+            keep, columns = momentum.keep, momentum.columns
             assert columns and all(col.size == w.size == np.count_nonzero(keep)
                                    for col, w in columns)
-            assert (mult == 2) == (0 < 2 * m < n)
+            assert (momentum.mult == 2) == (0 < 2 * momentum.m < n)
     # without translation every block counts once
     decompose(ModelSpec.uniform(n, 1.0, 0.5, 0.2))
-    assert len(made) == n // 2 + 1 + n + 1
-    assert all(mult == 1 for sector in made[n // 2 + 1:] for *_, mult in sector.momenta)
+    assert len(built) == 2 * (n // 2 + 1) + n + 1
+    assert all(momentum.mult == 1 for sector in built[2 * (n // 2 + 1):]
+               for momentum in sector.momenta)
 
 
 @pytest.mark.parametrize("spec", [
