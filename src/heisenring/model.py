@@ -211,28 +211,22 @@ class ReuseCache:
     get(key, build) returns the kept value of `key`, or else build().  A
     key's first request only notes the key, and its second keeps the value
     it builds, so a process that asks for every key once keeps nothing but
-    the keys.  With keep=False nothing is kept or noted.  Keys are values,
-    ints and tuples of ints, never id(): an object's id can be reused once
-    it is freed.  build makes every array it returns read-only, so no
-    caller can change a kept value.
+    the keys.  Keys are values, ints and tuples of ints, never id(): an
+    object's id can be reused once it is freed.  build makes every array
+    it returns read-only, so no caller can change a kept value.
     """
 
-    def __init__(self, keep: bool = True):
-        self.keep = keep
+    def __init__(self):
         self.asked: set = set()
         self.kept: dict = {}
-
-    def keeps(self, key) -> bool:
-        """True when a value built for `key` now would be kept."""
-        return self.keep and key in self.asked
 
     def get(self, key, build):
         value = self.kept.get(key)
         if value is None:
             value = build()
-            if self.keeps(key):
+            if key in self.asked:
                 self.kept[key] = value
-            elif self.keep:
+            else:
                 self.asked.add(key)
         return value
 

@@ -50,17 +50,23 @@ z-z signs, the move elements, their sqrt(R_a / R_b), and per momentum
 block the hop mask, phases and indices (_Terms, _Layout);
 model.site_indices keeps its tables by (sites, N) the same way.  Keys
 are values, never id().  A value is kept only when its key is asked for
-the second time, and a structure only within a kept sector, so a
-process that decomposes a ring once (sweep, threshold, spectrum) keeps
-nothing; verify, which decomposes each ring size dozens of times,
-builds each piece at most three times.  Every kept array is read-only,
-and _blocks scales them by the spec's amplitudes with the same
-operations in the same order as without them, so every output is
-byte-identical.  At MAX_SITES = 14 a uniform ring kept in every mode,
-its pair mode at every distance, holds 16.6 MiB, its values-only mode
-alone 2.0 MiB; a general ring with all 91 pairs coupled holds 23.3 MiB,
-an S_z-breaking one at N = 12 with all 66 pairs 8.1 MiB; a
-site_indices table at N = 14 takes 128 KiB.
+the second time; a sector that _SECTORS does not keep lives for one
+decomposition, which asks for each structure once.  So a process that
+decomposes a ring once (sweep, threshold, spectrum) keeps nothing, and
+verify, which decomposes each ring size dozens of times, builds each
+piece at most three times.  Every kept array is read-only, and _blocks
+scales them by the spec's amplitudes with the same operations in the
+same order as without them, so every output is byte-identical.  The
+sectors are bounded, at most N + N/2 + 4 per ring size, but a sector
+keeps every structure asked for twice: a uniform ring has at most N + 1 (H
+with and without hops, O_r at each distance r), while general rings
+with different patterns of zero couplings each add theirs, so a
+long-lived process keeps more the more such patterns it decomposes
+twice.  At MAX_SITES = 14 a uniform ring kept in every mode, its pair
+mode at every distance, holds 25.0 MiB, its values-only mode alone
+2.0 MiB; one structure of a general ring with all 91 pairs coupled
+holds 23.2 MiB, one of an S_z-breaking ring at N = 12 with all 66 pairs
+8.0 MiB; a site_indices table at N = 14 takes 128 KiB.
 
 Each block's eigensolve and products run under _blas.threads_for: a block
 narrower than _blas.WIDE = 512 on one OpenBLAS thread, a wider one with
@@ -80,7 +86,6 @@ oracle.expected_sector_sizes) and the residual check of a decomposition
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -191,11 +196,11 @@ class _Momentum(NamedTuple):
 
     keep marks the representatives a with m * R_a = 0 (mod N), index[a] is
     the block index of a kept representative a and basis holds the kept
-    ones in block order.  columns is the block's real basis, per column
-    slot each momentum state's column and weight there, and mult its
-    multiplicity: 2 in the K R basis, 1 in the identity basis.  weights
-    stacks the K R basis's weights, one row per slot, and is None in the
-    identity basis.
+    ones in block order.  columns and weights are the block's real basis:
+    per column slot, each momentum state's column (columns) and its weight
+    there (a row of weights).  mult is the block's multiplicity: 2 in the
+    K R basis, 1 in the identity basis, whose one slot puts each state in
+    its own column with weight 1 and has weights None.
     """
 
     m: int
@@ -216,8 +221,9 @@ class _Sector(NamedTuple):
     momenta holds the _Momentum of every momentum 0 <= m <= N/2 that has
     states.  terms (ReuseCache) keeps what _blocks derives from the bits
     alone, the _Terms of each term structure with the _Layout of every
-    momentum block, once the structure is asked for twice.  Only a sector
-    that _SECTORS keeps keeps them: any other lives for one decomposition.
+    momentum block, once the structure is asked for twice.  A sector that
+    _SECTORS does not keep lives for one decomposition, which asks for
+    each structure once, so it keeps none.
     """
 
     n: int
@@ -247,12 +253,12 @@ def _sector_for(n: int, k: int, parity: bool, translate: bool) -> _Sector:
         down = np.bitwise_count(indices)
         states = indices[((down & 1) if parity else down) == k]
         read_only(states)
-        return _sector(n, states, translate, kept=_SECTORS.keeps(key))
+        return _sector(n, states, translate)
 
     return _SECTORS.get(key, build)
 
 
-def _sector(n: int, states: np.ndarray, translate: bool, kept: bool = False) -> _Sector:
+def _sector(n: int, states: np.ndarray, translate: bool) -> _Sector:
     """The _Sector of `states` (closed under the operators) under translation or none.
 
     With translate, a state's representative is its smallest rotation,
@@ -264,8 +270,7 @@ def _sector(n: int, states: np.ndarray, translate: bool, kept: bool = False) -> 
     twice, for m and -m.  A block at m = 0 or 2m = N is real in its
     momentum states, so it gets the identity basis, one column of weight 1
     per state, and counts once; so does the one block, at m = 0, of a
-    sector without translation.  Every array it makes is read-only.  Its
-    terms cache keeps values only if the sector is `kept`.
+    sector without translation.  Every array it makes is read-only.
     """
     rep, shift = states.copy(), np.zeros_like(states)
     for r in range(1, n if translate else 1):
@@ -286,22 +291,21 @@ def _sector(n: int, states: np.ndarray, translate: bool, kept: bool = False) -> 
         index = np.cumsum(keep) - 1
         if (2 * m) % n == 0:
             size = index[-1] + 1
-            columns, mult, weights = ((np.arange(size), np.ones(size)),), 1, None
+            columns, mult, weights = (np.arange(size),), 1, None
         else:
             if mirror is None:
                 # R a for each representative, found among the sector's states
                 at = np.searchsorted(states, reflect(reps, n))
                 mirror = orbit[at], shift[at]
             partner, l_mirror = mirror
-            columns = _kr_columns(index[partner[keep]],
-                                  np.exp(-2j * np.pi * m * l_mirror[keep] / n))
-            mult, weights = 2, np.array([w for _, w in columns])
-            columns = tuple((col, w) for (col, _), w in zip(columns, weights))
+            slots = _kr_columns(index[partner[keep]],
+                                np.exp(-2j * np.pi * m * l_mirror[keep] / n))
+            columns = tuple(col for col, _ in slots)
+            mult, weights = 2, np.array([w for _, w in slots])
         basis = reps[keep]
-        read_only(keep, index, basis, *(a for slot in columns for a in slot),
-                  *(() if weights is None else (weights,)))
+        read_only(keep, index, basis, *columns, *(() if weights is None else (weights,)))
         momenta.append(_Momentum(m, keep, index, columns, mult, basis, weights))
-    return _Sector(n, states, orbit, shift, reps, r_a, spin, momenta, ReuseCache(kept))
+    return _Sector(n, states, orbit, shift, reps, r_a, spin, momenta, ReuseCache())
 
 
 class _Layout(NamedTuple):
@@ -339,19 +343,17 @@ class _Terms(NamedTuple):
     signs: np.ndarray
     counts: np.ndarray
     roots: np.ndarray
-    layouts: tuple | Iterator[_Layout]
+    layouts: tuple
 
 
-def _terms(sector: _Sector, structure: tuple, kept: bool) -> _Terms:
+def _terms(sector: _Sector, structure: tuple) -> _Terms:
     """The _Terms of `structure` on `sector`, every term at once.
 
     The moves are the rows of one mask over (move, representative), so
     np.nonzero lists them in move order and each move's elements in
     ascending representative order; b' is found among the sector's states
-    by searchsorted, and T^l takes it to its representative.  _Terms that
-    will be kept get every _Layout here and drop the moves; any other gets
-    its layouts one momentum at a time, as _blocks reads them, so no two
-    are alive at once.
+    by searchsorted, and T^l takes it to its representative.  Every
+    _Layout is built here, and the moves are dropped.
     """
     reps = sector.reps
     table = np.array(structure, dtype=np.int64).reshape(-1, 4)
@@ -369,8 +371,8 @@ def _terms(sector: _Sector, structure: tuple, kept: bool) -> _Terms:
     counts = np.bincount(move, minlength=term.size)
     roots = np.sqrt(sector.period[cols] / sector.period[rows])
     read_only(signs, counts, roots)
-    layouts = (_layout(sector.n, momentum, rows, cols, shifts) for momentum in sector.momenta)
-    return _Terms(signs, counts, roots, tuple(layouts) if kept else layouts)
+    return _Terms(signs, counts, roots, tuple(_layout(sector.n, momentum, rows, cols, shifts)
+                                              for momentum in sector.momenta))
 
 
 def _layout(n: int, momentum: _Momentum, rows: np.ndarray, cols: np.ndarray,
@@ -384,8 +386,8 @@ def _layout(n: int, momentum: _Momentum, rows: np.ndarray, cols: np.ndarray,
     phases = np.exp(-2j * np.pi * momentum.m * shifts[hops] / n)
     at_rows, at_cols = momentum.index[rows[hops]], momentum.index[cols[hops]]
     slots = momentum.columns
-    flat = (np.array([col[at_rows] for col, _ in slots])[:, None, :] * momentum.basis.size
-            + np.array([col[at_cols] for col, _ in slots])[None, :, :]).ravel()
+    flat = (np.array([col[at_rows] for col in slots])[:, None, :] * momentum.basis.size
+            + np.array([col[at_cols] for col in slots])[None, :, :]).ravel()
     layout = _Layout(hops, phases, flat.astype(np.int32),
                      *((None, None) if momentum.weights is None
                        else (at_rows.astype(np.int32), at_cols.astype(np.int32))))
@@ -448,8 +450,7 @@ def _blocks(terms, sector: _Sector, field_b: float):
     """
     structure = tuple([key for bi, bk, hop, flip, _ in terms
                        for key in (bi, bk, bool(hop != 0.0), bool(flip != 0.0))])
-    bits = sector.terms.get(structure,
-                            lambda: _terms(sector, structure, sector.terms.keeps(structure)))
+    bits = sector.terms.get(structure, lambda: _terms(sector, structure))
     # + 0.0: a -0.0 field must not leave -0.0 on the diagonal
     diag = field_b * sector.spin + 0.0
     for zz_sign in np.array([zz for *_, zz in terms]).reshape(-1, 1) * bits.signs:

@@ -472,9 +472,12 @@ def test_pair_mode_shares_sector_bookkeeping(monkeypatch, n):
                                                       for k in range(n // 2 + 1)]
     for sector in made:
         for momentum in sector.momenta:
-            keep, columns = momentum.keep, momentum.columns
-            assert columns and all(col.size == w.size == np.count_nonzero(keep)
-                                   for col, w in columns)
+            keep, columns, weights = momentum.keep, momentum.columns, momentum.weights
+            size = np.count_nonzero(keep)
+            assert columns and all(col.size == size for col in columns)
+            # one weight per slot and state in the K R basis, none in the identity
+            assert (weights is None if momentum.mult == 1
+                    else weights.shape == (len(columns), size))
             assert (momentum.mult == 2) == (0 < 2 * momentum.m < n)
     # without translation every block counts once
     decompose(ModelSpec.uniform(n, 1.0, 0.5, 0.2))
