@@ -44,29 +44,32 @@ H's and O_r's blocks from the same sector.
 What depends on the bits alone is built once per process and reused.
 _SECTORS (model.ReuseCache) holds the _Sector of each key
 (N, k, parity, translate): its states, orbits, shifts, momenta and real
-bases.  Each sector holds, per term structure (the bits and the nonzero
-hop and flip flags of every pair term, one flat tuple of ints), the
-z-z signs, the move elements, their sqrt(R_a / R_b), and per momentum
-block the hop mask, phases and indices (_Terms, _Layout);
-model.site_indices keeps its tables by (sites, N) the same way.  Keys
-are values, never id().  A value is kept only when its key is asked for
-the second time; a sector that _SECTORS does not keep lives for one
-decomposition, which asks for each structure once.  So a process that
-decomposes a ring once (sweep, threshold, spectrum) keeps nothing, and
+bases.  Each sector's own cache holds, per term structure (the bits and
+the nonzero hop and flip flags of every pair term, one flat tuple of
+ints), the z-z signs, the move counts and their sqrt(R_a / R_b)
+(_Terms), and under (structure, m) the hop mask, phases and indices of
+momentum block m (_Layout); both are built from the structure's move
+elements (_Moves), which are never kept.  model.site_indices keeps its
+tables by (sites, N) the same way.  Keys are values, never id().  A
+value is kept only when its key is asked for the second time; a sector
+that _SECTORS does not keep lives for one decomposition, which asks for
+each structure once.  So a process that decomposes a ring once (sweep,
+threshold, spectrum) keeps nothing and holds one layout at a time, and
 verify, which decomposes each ring size dozens of times, builds each
 piece at most three times.  Every kept array is read-only, and _blocks
 scales them by the spec's amplitudes with the same operations in the
 same order as without them, so every output is byte-identical.  The
 sectors are bounded, at most N + N/2 + 4 per ring size, but a sector
-keeps every structure asked for twice: a uniform ring has at most N + 1 (H
-with and without hops, O_r at each distance r), while general rings
+keeps every structure asked for twice: a uniform ring has at most N + 1
+(H with and without hops, O_r at each distance r), while general rings
 with different patterns of zero couplings each add theirs, so a
 long-lived process keeps more the more such patterns it decomposes
 twice.  At MAX_SITES = 14 a uniform ring kept in every mode, its pair
-mode at every distance, holds 25.0 MiB, its values-only mode alone
+mode at every distance, holds 16.5 MiB, its values-only mode alone
 2.0 MiB; one structure of a general ring with all 91 pairs coupled
-holds 23.2 MiB, one of an S_z-breaking ring at N = 12 with all 66 pairs
-8.0 MiB; a site_indices table at N = 14 takes 128 KiB.
+holds 22.0 MiB over its 15 sectors (23.2 MiB with the sectors), one of
+an S_z-breaking ring at N = 12 with all 66 pairs 7.7 MiB (8.0 MiB with
+its two parity sectors); a site_indices table at N = 14 takes 128 KiB.
 
 Each block's eigensolve and products run under _blas.threads_for: a block
 narrower than _blas.WIDE = 512 on one OpenBLAS thread, a wider one with
@@ -87,7 +90,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -220,8 +223,9 @@ class _Sector(NamedTuple):
     period their orbit lengths R_a and spin their sum_i sigma^z_i, N - 2k.
     momenta holds the _Momentum of every momentum 0 <= m <= N/2 that has
     states.  terms (ReuseCache) keeps what _blocks derives from the bits
-    alone, the _Terms of each term structure with the _Layout of every
-    momentum block, once the structure is asked for twice.  A sector that
+    alone, the _Terms of each term structure (key: the structure) and the
+    _Layout of each of its momentum blocks (key: structure and m), once
+    asked for twice.  A sector that
     _SECTORS does not keep lives for one decomposition, which asks for
     each structure once, so it keeps none.
     """
@@ -336,24 +340,35 @@ class _Terms(NamedTuple):
     The moves, term by term a hop (antiparallel spins) where hop != 0 and
     then a pair flip (parallel spins) where flip != 0, are concatenated:
     counts holds each move's element count, and the element from a to b'
-    has roots = sqrt(R_a / R_b), b the representative of b'.  layouts
-    holds the _Layout of each of the sector's momenta, in order.
+    has roots = sqrt(R_a / R_b), b the representative of b'.
     """
 
     signs: np.ndarray
     counts: np.ndarray
     roots: np.ndarray
-    layouts: tuple
 
 
-def _terms(sector: _Sector, structure: tuple) -> _Terms:
-    """The _Terms of `structure` on `sector`, every term at once.
+class _Moves(NamedTuple):
+    """The move elements of one structure on a _Sector, what its _Terms and _Layouts are built from.
+
+    Element h runs from representative cols[h] to rows[h], and shifts[h]
+    is the l of b = T^l b'.  Only terms is kept; the elements are read by
+    _layout and dropped.
+    """
+
+    terms: _Terms
+    rows: np.ndarray
+    cols: np.ndarray
+    shifts: np.ndarray
+
+
+def _moves(sector: _Sector, structure: tuple) -> _Moves:
+    """The _Moves of `structure` on `sector`, every term at once.
 
     The moves are the rows of one mask over (move, representative), so
     np.nonzero lists them in move order and each move's elements in
     ascending representative order; b' is found among the sector's states
-    by searchsorted, and T^l takes it to its representative.  Every
-    _Layout is built here, and the moves are dropped.
+    by searchsorted, and T^l takes it to its representative.
     """
     reps = sector.reps
     table = np.array(structure, dtype=np.int64).reshape(-1, 4)
@@ -371,19 +386,18 @@ def _terms(sector: _Sector, structure: tuple) -> _Terms:
     counts = np.bincount(move, minlength=term.size)
     roots = np.sqrt(sector.period[cols] / sector.period[rows])
     read_only(signs, counts, roots)
-    return _Terms(signs, counts, roots, tuple(_layout(sector.n, momentum, rows, cols, shifts)
-                                              for momentum in sector.momenta))
+    return _Moves(_Terms(signs, counts, roots), rows, cols, shifts)
 
 
-def _layout(n: int, momentum: _Momentum, rows: np.ndarray, cols: np.ndarray,
-            shifts: np.ndarray) -> _Layout:
-    """The _Layout of the move elements (rows, cols, shifts) on one momentum block.
+def _layout(n: int, momentum: _Momentum, moves: _Moves) -> _Layout:
+    """The _Layout of the move elements `moves` on one momentum block.
 
     Block indices and flat indices are stored as int32: a block is at most
     C(14, 7) = 3432 wide.
     """
+    rows, cols = moves.rows, moves.cols
     hops = momentum.keep[rows] & momentum.keep[cols]
-    phases = np.exp(-2j * np.pi * momentum.m * shifts[hops] / n)
+    phases = np.exp(-2j * np.pi * momentum.m * moves.shifts[hops] / n)
     at_rows, at_cols = momentum.index[rows[hops]], momentum.index[cols[hops]]
     slots = momentum.columns
     flat = (np.array([col[at_rows] for col in slots])[:, None, :] * momentum.basis.size
@@ -443,14 +457,18 @@ def _blocks(terms, sector: _Sector, field_b: float):
 
     What depends on the bits alone, the _Terms of the terms' structure
     and the _Layout of each momentum block, comes from the sector's
-    caches.  Only the field, the amplitudes and the blocks are computed
-    here, by the same operations in the same order as without the caches:
+    cache, one layout at a time; the _Moves they are built from are made
+    only if one of them must be.  Only the field, the amplitudes and the
+    blocks are computed here, by the same operations in the same order as
+    without the caches:
     the diagonal adds the z-z terms one at a time, and each element is
     amplitude * sqrt(R_a / R_b), then times its phase.
     """
     structure = tuple([key for bi, bk, hop, flip, _ in terms
                        for key in (bi, bk, bool(hop != 0.0), bool(flip != 0.0))])
-    bits = sector.terms.get(structure, lambda: _terms(sector, structure))
+    # made at most once, on the first _Terms or _Layout built
+    moves = cache(lambda: _moves(sector, structure))
+    bits = sector.terms.get(structure, lambda: moves().terms)
     # + 0.0: a -0.0 field must not leave -0.0 on the diagonal
     diag = field_b * sector.spin + 0.0
     for zz_sign in np.array([zz for *_, zz in terms]).reshape(-1, 1) * bits.signs:
@@ -458,7 +476,11 @@ def _blocks(terms, sector: _Sector, field_b: float):
     amps = np.repeat(np.array([amp for _, _, hop, flip, _ in terms
                                for amp in (hop, flip) if amp != 0.0]), bits.counts) * bits.roots
 
-    for momentum, layout in zip(sector.momenta, bits.layouts):
+    for momentum in sector.momenta:
+        # one momentum's layout at a time: a decomposition that keeps none
+        # holds only the one its block needs
+        layout = sector.terms.get((structure, momentum.m),
+                                  lambda: _layout(sector.n, momentum, moves()))
         block = _real_block(diag[momentum.keep], momentum, layout,
                             amps[layout.hops] * layout.phases)
         yield momentum.mult, momentum.basis, block

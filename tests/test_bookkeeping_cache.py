@@ -1,5 +1,7 @@
 """The bit-rule bookkeeping kept per process: same bytes, read-only, kept only on reuse."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -85,9 +87,11 @@ def test_cached_arrays_refuse_assignment(empty_caches):
     # site_indices were all kept
     assert len(spectral._SECTORS.kept) == 4 + 7 + 2
     for sector in spectral._SECTORS.kept.values():
-        assert sector.terms.kept
-        assert all(len(terms.layouts) == len(sector.momenta)
-                   for terms in sector.terms.kept.values())
+        cached = sector.terms.kept
+        structures = [key for key, value in cached.items() if isinstance(value, spectral._Terms)]
+        assert structures
+        assert set(cached) == {*structures, *((structure, momentum.m) for structure in structures
+                                            for momentum in sector.momenta)}
     assert model._SITE_INDICES.kept
     assert len(kept) > 100
     for a in kept:
@@ -113,6 +117,45 @@ def test_a_ring_decomposed_once_keeps_nothing(empty_caches, spec, kwargs):
     build_hamiltonian(dense)
     assert spectral._SECTORS.asked == set(spectral._SECTORS.kept)
     assert model._SITE_INDICES.asked == set(model._SITE_INDICES.kept)
+
+
+def test_a_ring_decomposed_once_holds_one_layout_at_a_time(empty_caches, monkeypatch):
+    # no key is kept, so each momentum block's layout is freed before the
+    # next block is written
+    built, alive, seen = spectral._layout, set(), []
+
+    def layout(*args):
+        value = built(*args)
+        key = object()
+        alive.add(key)
+        weakref.finalize(value.hops, alive.discard, key)
+        return value
+
+    def real_block(*args):
+        seen.append(len(alive))
+        return write(*args)
+
+    write = spectral._real_block
+    monkeypatch.setattr(spectral, "_layout", layout)
+    monkeypatch.setattr(spectral, "_real_block", real_block)
+    decompose(ModelSpec.uniform(8, 1.0, 0.5, 0.3), vectors=False)
+    # 21 blocks: k = 0 has momentum 0 only, k = 1 to 4 momenta 0 to 4
+    assert len(seen) == 21 and set(seen) == {1}
+
+
+def test_kept_structures_build_no_moves(empty_caches, monkeypatch):
+    spec = ModelSpec.uniform(7, 1.0, 0.5, 0.3)
+    calls = []
+    moves = spectral._moves
+    monkeypatch.setattr(spectral, "_moves", lambda *args: calls.append(args) or moves(*args))
+    # a sector is kept from the second run, its structures from the third:
+    # one build of the moves per sector and structure in each
+    for _ in range(3):
+        decompose(spec, pair=(1, 3))
+        assert len(calls) == 2 * 4
+        calls.clear()
+    decompose(spec, pair=(1, 3))
+    assert calls == []
 
 
 def test_site_indices_cached_by_value(empty_caches):
