@@ -90,7 +90,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -460,15 +460,21 @@ def _blocks(terms, sector: _Sector, field_b: float):
     cache, one layout at a time; the _Moves they are built from are made
     only if one of them must be.  Only the field, the amplitudes and the
     blocks are computed here, by the same operations in the same order as
-    without the caches:
-    the diagonal adds the z-z terms one at a time, and each element is
-    amplitude * sqrt(R_a / R_b), then times its phase.
+    without the caches: the diagonal adds the z-z terms one at a time, and
+    each element is amplitude * sqrt(R_a / R_b), then times its phase.
     """
     structure = tuple([key for bi, bk, hop, flip, _ in terms
                        for key in (bi, bk, bool(hop != 0.0), bool(flip != 0.0))])
-    # made at most once, on the first _Terms or _Layout built
-    moves = cache(lambda: _moves(sector, structure))
-    bits = sector.terms.get(structure, lambda: moves().terms)
+    moves = None
+
+    def made() -> _Moves:
+        # at most once per call, on the first _Terms or _Layout built
+        nonlocal moves
+        if moves is None:
+            moves = _moves(sector, structure)
+        return moves
+
+    bits = sector.terms.get(structure, lambda: made().terms)
     # + 0.0: a -0.0 field must not leave -0.0 on the diagonal
     diag = field_b * sector.spin + 0.0
     for zz_sign in np.array([zz for *_, zz in terms]).reshape(-1, 1) * bits.signs:
@@ -480,7 +486,7 @@ def _blocks(terms, sector: _Sector, field_b: float):
         # one momentum's layout at a time: a decomposition that keeps none
         # holds only the one its block needs
         layout = sector.terms.get((structure, momentum.m),
-                                  lambda: _layout(sector.n, momentum, moves()))
+                                  lambda: _layout(sector.n, momentum, made()))
         block = _real_block(diag[momentum.keep], momentum, layout,
                             amps[layout.hops] * layout.phases)
         yield momentum.mult, momentum.basis, block
