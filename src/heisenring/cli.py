@@ -13,7 +13,9 @@ comes.  A sweep computes its grid in row blocks (sweep.sweep_blocks), so
 it holds one block's rows and text at a time, whatever the grid's length;
 a run that fails midway leaves the rows written before the failure.
 
-Exit codes: 0 success, 1 invariant failure, 2 configuration error.
+Exit codes: 0 success, 1 invariant failure, 2 configuration error, 141
+(128 + SIGPIPE) when the reader closes stdout before the output ends, as
+`| head` does; the rest of the output is dropped, with no traceback.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -240,6 +243,8 @@ def _write_out(pieces: Iterable[str], out: str) -> None:
     if out in ("stdout", "-"):
         for piece in pieces:
             sys.stdout.write(piece)
+        # a closed pipe raises here, not in the flush at exit
+        sys.stdout.flush()
         return
     try:
         with open(out, "w", newline="") as fh:
@@ -365,6 +370,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader is gone: point stdout at devnull, so the flush at
+        # exit drops what is still buffered instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ route, oracle.build_hamiltonian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -205,63 +206,36 @@ def bit_for_site(site: int, n: int) -> int:
     return n - site
 
 
-class ReuseCache:
-    """Values that depend only on their key, kept once a key is asked for twice.
-
-    get(key, build) returns the kept value of `key`, or else build().  A
-    key's first request only notes the key, and its second keeps the value
-    it builds, so a process that asks for every key once keeps nothing but
-    the keys.  Keys are values, ints and tuples of ints, never id(): an
-    object's id can be reused once it is freed.  build makes every array
-    it returns read-only, so no caller can change a kept value.
-    """
-
-    def __init__(self):
-        self.asked: set = set()
-        self.kept: dict = {}
-
-    def get(self, key, build):
-        value = self.kept.get(key)
-        if value is None:
-            value = build()
-            if key in self.asked:
-                self.kept[key] = value
-            else:
-                self.asked.add(key)
-        return value
-
-
 def read_only(*arrays: np.ndarray) -> None:
     """Clear the writeable flag of every array given."""
     for a in arrays:
         a.flags.writeable = False
 
 
-_SITE_INDICES = ReuseCache()
-
-
-def site_indices(sites: tuple[int, ...], n: int) -> np.ndarray:
-    """Full-space basis indices grouped by their bits on `sites`.
+def site_indices(sites, n: int) -> np.ndarray:
+    """Full-space basis indices grouped by their bits on `sites`, any sequence of sites.
 
     The result is a read-only int64 array of shape (2**k, 2**(n-k)),
-    built once per (sites, n) asked for twice (ReuseCache).  Row a holds
-    every index whose bits on `sites`, read in the order given (first site
-    most significant), spell a; the columns run over the other sites'
-    configurations in ascending order.
+    built once per (tuple(sites), n) and process (_site_indices).  Row a
+    holds every index whose bits on `sites`, read in the order given
+    (first site most significant), spell a; the columns run over the other
+    sites' configurations in ascending order.
     """
-    def build():
-        k = len(sites)
-        for s in sites:
-            bit_for_site(s, n)
-        if len(set(sites)) != k:
-            raise ValueError(f"sites must be distinct, got {sites}")
-        order = [s - 1 for s in sites] + [s - 1 for s in range(1, n + 1) if s not in sites]
-        grid = np.arange(1 << n, dtype=np.int64).reshape((2,) * n)
-        idx = grid.transpose(order).reshape(1 << k, -1)
-        read_only(idx)
-        return idx
+    return _site_indices(tuple(sites), n)
 
-    return _SITE_INDICES.get((tuple(sites), n), build)
+
+@cache
+def _site_indices(sites: tuple[int, ...], n: int) -> np.ndarray:
+    k = len(sites)
+    for s in sites:
+        bit_for_site(s, n)
+    if len(set(sites)) != k:
+        raise ValueError(f"sites must be distinct, got {sites}")
+    order = [s - 1 for s in sites] + [s - 1 for s in range(1, n + 1) if s not in sites]
+    grid = np.arange(1 << n, dtype=np.int64).reshape((2,) * n)
+    idx = grid.transpose(order).reshape(1 << k, -1)
+    read_only(idx)
+    return idx
 
 
 def rotate(states: np.ndarray, r: int, n: int) -> np.ndarray:

@@ -41,35 +41,32 @@ and multiplicity.  _blocks writes each block through _real_block in that
 basis, with one phase rule for every momentum, and the pair mode builds
 H's and O_r's blocks from the same sector.
 
-What depends on the bits alone is built once per process and reused.
-_SECTORS (model.ReuseCache) holds the _Sector of each key
+What depends on the bits alone is built once per process, on first use.
+_sector_for (functools.cache) keeps the _Sector of each key
 (N, k, parity, translate): its states, orbits, shifts, momenta and real
-bases.  Each sector's own cache holds, per term structure (the bits and
+bases.  Each sector's moves dict keeps, per term structure (the bits and
 the nonzero hop and flip flags of every pair term, one flat tuple of
-ints), the z-z signs, the move counts and their sqrt(R_a / R_b)
-(_Terms), and under (structure, m) the hop mask, phases and indices of
-momentum block m (_Layout); both are built from the structure's move
-elements (_Moves), which are never kept.  model.site_indices keeps its
-tables by (sites, N) the same way.  Keys are values, never id().  A
-value is kept only when its key is asked for the second time; a sector
-that _SECTORS does not keep lives for one decomposition, which asks for
-each structure once.  So a process that decomposes a ring once (sweep,
-threshold, spectrum) keeps nothing and holds one layout at a time, and
-verify, which decomposes each ring size dozens of times, builds each
-piece at most three times.  Every kept array is read-only, and _blocks
-scales them by the spec's amplitudes with the same operations in the
-same order as without them, so every output is byte-identical.  The
+ints), the _Moves: the z-z signs, each move's element count, and every
+element's row, column, shift and sqrt(R_a / R_b).  model.site_indices
+keeps its tables by (sites, N) the same way.  Keys are values, never
+id().  What one momentum block takes from the moves, its hop mask,
+phases and indices, is rebuilt for every block and dropped with it:
+kept too, it made a values-only ring at N = 14 keep 2.0 MiB instead of
+the 0.71 MiB below.  Every kept array is read-only, and _blocks scales
+them by the spec's amplitudes with the same operations in the same order
+as when they are built afresh, so every output is byte-identical.  The
 sectors are bounded, at most N + N/2 + 4 per ring size, but a sector
-keeps every structure asked for twice: a uniform ring has at most N + 1
-(H with and without hops, O_r at each distance r), while general rings
-with different patterns of zero couplings each add theirs, so a
-long-lived process keeps more the more such patterns it decomposes
-twice.  At MAX_SITES = 14 a uniform ring kept in every mode, its pair
-mode at every distance, holds 16.5 MiB, its values-only mode alone
-2.0 MiB; one structure of a general ring with all 91 pairs coupled
-holds 22.0 MiB over its 15 sectors (23.2 MiB with the sectors), one of
-an S_z-breaking ring at N = 12 with all 66 pairs 7.7 MiB (8.0 MiB with
-its two parity sectors); a site_indices table at N = 14 takes 128 KiB.
+keeps every structure asked for: a uniform ring has at most N + 1
+(H with and without hops, O_r at each distance r = 1 .. N - 1), while
+general rings with different patterns of zero couplings each add theirs,
+so a long-lived process keeps more the more such patterns it decomposes.
+At MAX_SITES = 14 one values-only decomposition of a uniform ring keeps
+0.71 MiB, its pair mode 0.87 MiB, its vectors mode 4.9 MiB, and all
+N + 1 structures in every mode 7.9 MiB.  One structure of a general ring
+with all 91 pairs coupled keeps 24.2 MiB of moves over its 15 sectors
+(25.3 MiB with the sectors), one of an S_z-breaking ring at N = 12 with
+all 66 pairs 8.5 MiB (8.8 MiB with its two parity sectors); a
+site_indices table at N = 14 takes 128 KiB.
 
 Each block's eigensolve and products run under _blas.threads_for: a block
 narrower than _blas.WIDE = 512 on one OpenBLAS thread, a wider one with
@@ -90,13 +87,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from ._blas import threads_for
-from .model import ModelSpec, ReuseCache, read_only, reflect, rotate
+from .model import ModelSpec, read_only, reflect, rotate
 
 DEGENERACY_RTOL = 1e-9
 
@@ -125,10 +122,9 @@ class SpectralDecomposition:
     else None.  pair_tables holds the per-eigenstate pair elements, shape
     (dim, 16), keyed by site pair, that twoqubit.pair_rdms reads.  The
     pair mode of decompose fills it with the entry of its pair from
-    (S_z label, ZZ_n, XY_n).  Every other decomposition leaves it empty,
-    and pair_rdms builds the table it needs from the eigenvectors on each
-    call without storing it, unless twoqubit.keep_pair_table stored it,
-    as sweep.sweep_decomposition does for the pair of a sweep.
+    (S_z label, ZZ_n, XY_n).  Every other decomposition starts with it
+    empty, and pair_rdms stores there each pair's table, built from the
+    eigenvectors on its first call for the pair.
     """
 
     eigenvalues: np.ndarray
@@ -222,12 +218,8 @@ class _Sector(NamedTuple):
     representative reps[orbit].  reps holds the representatives, ascending,
     period their orbit lengths R_a and spin their sum_i sigma^z_i, N - 2k.
     momenta holds the _Momentum of every momentum 0 <= m <= N/2 that has
-    states.  terms (ReuseCache) keeps what _blocks derives from the bits
-    alone, the _Terms of each term structure (key: the structure) and the
-    _Layout of each of its momentum blocks (key: structure and m), once
-    asked for twice.  A sector that
-    _SECTORS does not keep lives for one decomposition, which asks for
-    each structure once, so it keeps none.
+    states.  moves holds the _Moves of each term structure _blocks has
+    built on the sector, keyed by the structure.
     """
 
     n: int
@@ -238,28 +230,20 @@ class _Sector(NamedTuple):
     period: np.ndarray
     spin: np.ndarray
     momenta: list
-    terms: ReuseCache
+    moves: dict
 
 
-# the _Sector of each (N, k, parity, translate) asked for twice
-_SECTORS = ReuseCache()
-
-
+@cache
 def _sector_for(n: int, k: int, parity: bool, translate: bool) -> _Sector:
     """The _Sector of the states with k down spins, or with k's parity of them (parity=True).
 
-    Built once per key asked for twice (ReuseCache), with read-only states.
+    Built once per key and process, with read-only states.
     """
-    key = (n, k, parity, translate)
-
-    def build():
-        indices = np.arange(1 << n, dtype=np.int64)
-        down = np.bitwise_count(indices)
-        states = indices[((down & 1) if parity else down) == k]
-        read_only(states)
-        return _sector(n, states, translate)
-
-    return _SECTORS.get(key, build)
+    indices = np.arange(1 << n, dtype=np.int64)
+    down = np.bitwise_count(indices)
+    states = indices[((down & 1) if parity else down) == k]
+    read_only(states)
+    return _sector(n, states, translate)
 
 
 def _sector(n: int, states: np.ndarray, translate: bool) -> _Sector:
@@ -309,61 +293,32 @@ def _sector(n: int, states: np.ndarray, translate: bool) -> _Sector:
         basis = reps[keep]
         read_only(keep, index, basis, *columns, *(() if weights is None else (weights,)))
         momenta.append(_Momentum(m, keep, index, columns, mult, basis, weights))
-    return _Sector(n, states, orbit, shift, reps, r_a, spin, momenta, ReuseCache())
+    return _Sector(n, states, orbit, shift, reps, r_a, spin, momenta, {})
 
 
-class _Layout(NamedTuple):
-    """What one momentum block takes from the moves of a term structure, amplitudes aside.
-
-    hops masks the move elements inside the block and phases holds their
-    exp(-2*pi*i*m*l/N).  flat holds, for each pair (s, s') of the block's
-    column slots (_Momentum) in turn and each element, the flat index in
-    the block of slot s's column at the element's row and slot s''s at its
-    column.  rows and cols hold the block indices of each element's row
-    and column, which pick the K R weights; the identity basis, weight 1
-    everywhere, needs neither and has None.
-    """
-
-    hops: np.ndarray
-    phases: np.ndarray
-    flat: np.ndarray
-    rows: np.ndarray | None
-    cols: np.ndarray | None
-
-
-class _Terms(NamedTuple):
+class _Moves(NamedTuple):
     """What the pair terms of one structure take from a _Sector, amplitudes aside.
 
     A structure lists bit_i, bit_k, hop != 0 and flip != 0 of each pair
-    term in turn, as one flat tuple.
-    signs[t] is sigma^z sigma^z on term t's bits of each representative.
-    The moves, term by term a hop (antiparallel spins) where hop != 0 and
-    then a pair flip (parallel spins) where flip != 0, are concatenated:
-    counts holds each move's element count, and the element from a to b'
-    has roots = sqrt(R_a / R_b), b the representative of b'.
+    term in turn, as one flat tuple.  signs[t] is sigma^z sigma^z on term
+    t's bits of each representative.  The moves, term by term a hop
+    (antiparallel spins) where hop != 0 and then a pair flip (parallel
+    spins) where flip != 0, are concatenated: counts holds each move's
+    element count.  Element h runs from representative cols[h] to rows[h],
+    shifts[h] is the l of b = T^l b' and roots[h] = sqrt(R_a / R_b), b the
+    representative of b'.
     """
 
     signs: np.ndarray
     counts: np.ndarray
     roots: np.ndarray
-
-
-class _Moves(NamedTuple):
-    """The move elements of one structure on a _Sector, what its _Terms and _Layouts are built from.
-
-    Element h runs from representative cols[h] to rows[h], and shifts[h]
-    is the l of b = T^l b'.  Only terms is kept; the elements are read by
-    _layout and dropped.
-    """
-
-    terms: _Terms
     rows: np.ndarray
     cols: np.ndarray
     shifts: np.ndarray
 
 
 def _moves(sector: _Sector, structure: tuple) -> _Moves:
-    """The _Moves of `structure` on `sector`, every term at once.
+    """The _Moves of `structure` on `sector`, every term at once, read-only.
 
     The moves are the rows of one mask over (move, representative), so
     np.nonzero lists them in move order and each move's elements in
@@ -385,28 +340,9 @@ def _moves(sector: _Sector, structure: tuple) -> _Moves:
     rows, shifts = sector.orbit[at], sector.shift[at]
     counts = np.bincount(move, minlength=term.size)
     roots = np.sqrt(sector.period[cols] / sector.period[rows])
-    read_only(signs, counts, roots)
-    return _Moves(_Terms(signs, counts, roots), rows, cols, shifts)
-
-
-def _layout(n: int, momentum: _Momentum, moves: _Moves) -> _Layout:
-    """The _Layout of the move elements `moves` on one momentum block.
-
-    Block indices and flat indices are stored as int32: a block is at most
-    C(14, 7) = 3432 wide.
-    """
-    rows, cols = moves.rows, moves.cols
-    hops = momentum.keep[rows] & momentum.keep[cols]
-    phases = np.exp(-2j * np.pi * momentum.m * moves.shifts[hops] / n)
-    at_rows, at_cols = momentum.index[rows[hops]], momentum.index[cols[hops]]
-    slots = momentum.columns
-    flat = (np.array([col[at_rows] for col in slots])[:, None, :] * momentum.basis.size
-            + np.array([col[at_cols] for col in slots])[None, :, :]).ravel()
-    layout = _Layout(hops, phases, flat.astype(np.int32),
-                     *((None, None) if momentum.weights is None
-                       else (at_rows.astype(np.int32), at_cols.astype(np.int32))))
-    read_only(*(a for a in layout if a is not None))
-    return layout
+    moves = _Moves(signs, counts, roots, rows, cols, shifts)
+    read_only(*moves)
+    return moves
 
 
 def _blocks(terms, sector: _Sector, field_b: float):
@@ -455,40 +391,30 @@ def _blocks(terms, sector: _Sector, field_b: float):
     its one block, in the identity basis, is the plain block of the
     operator on `states` in the computational basis.
 
-    What depends on the bits alone, the _Terms of the terms' structure
-    and the _Layout of each momentum block, comes from the sector's
-    cache, one layout at a time; the _Moves they are built from are made
-    only if one of them must be.  Only the field, the amplitudes and the
-    blocks are computed here, by the same operations in the same order as
-    without the caches: the diagonal adds the z-z terms one at a time, and
-    each element is amplitude * sqrt(R_a / R_b), then times its phase.
+    What depends on the bits alone, the _Moves of the terms' structure,
+    the sector keeps from the first call that asks for it.  The field, the
+    amplitudes and each momentum block's hop mask, phases and indices are
+    computed here: the diagonal adds the z-z terms one at a time, and each
+    element is amplitude * sqrt(R_a / R_b), then times its phase.
     """
     structure = tuple([key for bi, bk, hop, flip, _ in terms
                        for key in (bi, bk, bool(hop != 0.0), bool(flip != 0.0))])
-    moves = None
-
-    def made() -> _Moves:
-        # at most once per call, on the first _Terms or _Layout built
-        nonlocal moves
-        if moves is None:
-            moves = _moves(sector, structure)
-        return moves
-
-    bits = sector.terms.get(structure, lambda: made().terms)
+    moves = sector.moves.get(structure)
+    if moves is None:
+        moves = sector.moves[structure] = _moves(sector, structure)
     # + 0.0: a -0.0 field must not leave -0.0 on the diagonal
     diag = field_b * sector.spin + 0.0
-    for zz_sign in np.array([zz for *_, zz in terms]).reshape(-1, 1) * bits.signs:
+    for zz_sign in np.array([zz for *_, zz in terms]).reshape(-1, 1) * moves.signs:
         diag += zz_sign
     amps = np.repeat(np.array([amp for _, _, hop, flip, _ in terms
-                               for amp in (hop, flip) if amp != 0.0]), bits.counts) * bits.roots
+                               for amp in (hop, flip) if amp != 0.0]), moves.counts) * moves.roots
 
+    rows, cols = moves.rows, moves.cols
     for momentum in sector.momenta:
-        # one momentum's layout at a time: a decomposition that keeps none
-        # holds only the one its block needs
-        layout = sector.terms.get((structure, momentum.m),
-                                  lambda: _layout(sector.n, momentum, made()))
-        block = _real_block(diag[momentum.keep], momentum, layout,
-                            amps[layout.hops] * layout.phases)
+        hops = momentum.keep[rows] & momentum.keep[cols]
+        phases = np.exp(-2j * np.pi * momentum.m * moves.shifts[hops] / sector.n)
+        block = _real_block(diag[momentum.keep], momentum, momentum.index[rows[hops]],
+                            momentum.index[cols[hops]], amps[hops] * phases)
         yield momentum.mult, momentum.basis, block
         del block  # the caller's reference is the last one
 
@@ -522,27 +448,32 @@ _UNIT = np.ones((1, 1))
 read_only(_UNIT)
 
 
-def _real_block(diag: np.ndarray, momentum: _Momentum, layout: _Layout,
-                values: np.ndarray) -> np.ndarray:
+def _real_block(diag: np.ndarray, momentum: _Momentum, rows: np.ndarray,
+                cols: np.ndarray, values: np.ndarray) -> np.ndarray:
     """A momentum block rewritten in the real basis that _sector gave it.
 
     diag is indexed by the block's momentum states and values[h] is move
-    element h of the block; layout (_Layout) places them.  Each element
-    is multiplied by its row slot's conjugated weight and its column
-    slot's weight, and lands on at most four entries of the real block,
-    one per slot pair, and one in the identity basis; only the real part
-    of each product is added, since the imaginary parts cancel in the sum.
-    The additions run slot pair by slot pair, element by element, in one
-    add.at.  The diagonal stays diagonal: R maps the z-z terms onto
+    element h of the block, at block row rows[h] and column cols[h].  Each
+    element is multiplied by its row slot's conjugated weight and its
+    column slot's weight, and lands on at most four entries of the real
+    block, one per slot pair, and one in the identity basis; only the real
+    part of each product is added, since the imaginary parts cancel in the
+    sum.  The additions run slot pair by slot pair, element by element, in
+    one add.at.  The diagonal stays diagonal: R maps the z-z terms onto
     themselves.
     """
     block = np.diag(diag)
-    if layout.rows is None:
+    slots = momentum.columns
+    # per slot pair (s, s') and element, the flat index of slot s's column
+    # at the element's row and slot s''s at its column
+    flat = (np.array([col[rows] for col in slots])[:, None, :] * diag.size
+            + np.array([col[cols] for col in slots])[None, :, :]).ravel()
+    if momentum.weights is None:
         left = right = _UNIT
     else:
-        left, right = momentum.weights[:, layout.rows].conj(), momentum.weights[:, layout.cols]
+        left, right = momentum.weights[:, rows].conj(), momentum.weights[:, cols]
     left = left * values
-    np.add.at(block.reshape(-1), layout.flat, (left[:, None, :] * right).real.ravel())
+    np.add.at(block.reshape(-1), flat, (left[:, None, :] * right).real.ravel())
     return block
 
 

@@ -37,7 +37,7 @@ from .entanglement import concurrence_report
 from .model import ModelSpec
 from .spectral import SpectralDecomposition, decompose
 from .thermo import ThermoGrid, thermo_grid
-from .twoqubit import correlations_from_rdm, keep_pair_table, pair_rdms
+from .twoqubit import correlations_from_rdm, pair_rdms
 
 # bytes of the float64 (rows, dim) weight matrix of one row block: small
 # next to the ~30 MB a process starts at, yet 32 rows at N = 12, where a
@@ -74,19 +74,17 @@ def temperature_grid(start: float, stop: float, count: int,
 
 
 def sweep_decomposition(spec: ModelSpec, pair: tuple[int, int]) -> SpectralDecomposition:
-    """The decomposition run_sweep reads the pair's RDMs from; it holds the pair's table.
+    """The decomposition run_sweep reads the pair's RDMs from.
 
     Any pair of a uniform spec takes decompose's pair mode: its pair table
     comes from (S_z label, ZZ_n, XY_n) on the momentum blocks, with no
     eigenvectors kept.  A general spec takes the S_z-sector or parity
-    eigenvectors, and the pair table is built from them here, once for
-    every row block.
+    eigenvectors, and pair_rdms builds the pair table from them on the
+    first row block and keeps it for the others.
     """
     if spec.is_uniform:
         return decompose(spec, pair=pair)
-    sd = decompose(spec)
-    keep_pair_table(sd, *pair)
-    return sd
+    return decompose(spec)
 
 
 def _block_columns(spec: ModelSpec, grid: ThermoGrid, pair: tuple[int, int]) -> dict[str, list]:

@@ -19,9 +19,10 @@ pattern at zero and fill the corners as well.
 The thermal pair RDM is the Boltzmann average of a per-eigenstate pair
 table; no 2^N x 2^N matrix is formed.  The pair mode of
 spectral.decompose fills the table of its pair of a uniform ring;
-for any other decomposition _pair_table builds it from the eigenvector
-blocks on each call and stores it nowhere, unless keep_pair_table stored
-it on the decomposition, as a sweep does for its one pair.
+for any other decomposition pair_rdms builds it from the eigenvector
+blocks on its first call for the pair (_pair_table) and stores it in the
+decomposition's pair_tables, where every later call reads it: a sweep
+calls pair_rdms once per row block.
 Its full-space references, the partial trace of the Gibbs matrix and the
 correlations with full 2^N operators, are in heisenring.oracle.
 correlations_from_rdm gives the nine g[a, b] = tr(rho sigma_a x sigma_b)
@@ -164,24 +165,14 @@ def _pair_table(sd: SpectralDecomposition, i: int, j: int) -> np.ndarray:
     return table
 
 
-def keep_pair_table(sd: SpectralDecomposition, i: int, j: int) -> None:
-    """Store the pair table of sites (i, j) in sd.pair_tables, unless sd holds it.
-
-    pair_rdms then reads it instead of building it from the eigenvectors
-    on each call: a sweep calls pair_rdms once per row block.
-    """
-    if (i, j) not in sd.pair_tables:
-        sd.pair_tables[(i, j)] = _pair_table(sd, i, j)
-
-
 def pair_rdms(grid: ThermoGrid, i: int, j: int) -> TwoQubitRDM:
     """Stack of thermal pair RDMs of sites (i, j), one per temperature of `grid`.
 
     Each is the Boltzmann average of the per-eigenstate pair RDMs: one
     (dim,) x (dim, 16) product per row of grid.probabilities with the pair
-    table of grid.decomposition, which the pair mode of decompose or
-    keep_pair_table filled or which is built here, block by block, from the
-    eigenvectors.
+    table of grid.decomposition, which the pair mode of decompose filled
+    or which the first call for the pair builds, block by block, from the
+    eigenvectors and stores in its pair_tables.
     The products stay one per row: a stacked matrix product sums in another
     order and moves the elements in the last bits.
     Equivalent, row by row, to oracle.reduce_to_pair(oracle.gibbs_state(sd, T)[None], i, j).
@@ -189,7 +180,7 @@ def pair_rdms(grid: ThermoGrid, i: int, j: int) -> TwoQubitRDM:
     sd = grid.decomposition
     table = sd.pair_tables.get((i, j))
     if table is None:
-        table = _pair_table(sd, i, j)
+        table = sd.pair_tables[(i, j)] = _pair_table(sd, i, j)
     matrices = np.array([p @ table for p in grid.probabilities], dtype=table.dtype)
     return TwoQubitRDM.from_matrix(matrices.reshape(-1, 4, 4), (i, j))
 

@@ -1,23 +1,30 @@
-"""The bit-rule bookkeeping kept per process: same bytes, read-only, kept only on reuse."""
-
-import weakref
+"""The bit-rule bookkeeping kept per process: same bytes, read-only, kept from first use."""
 
 import numpy as np
 import pytest
 
 from heisenring import ModelSpec, decompose, model, spectral
-from heisenring.model import ReuseCache, site_indices
+from heisenring.model import site_indices
 from heisenring.oracle import build_hamiltonian
 from helpers import random_general_spec
 
 MODES = {"vectors": {}, "values": {"vectors": False}, "pair": {"pair": (1, 2)}}
 
+# what one values-only decomposition of a uniform N = 12 ring keeps: its
+# 7 translated sectors and H's moves on each, 189,538 bytes (0.181 MiB)
+# when measured; with each momentum block's layout kept as well, the
+# sectors came to 469,812 bytes
+KEPT_BYTES_N12_VALUES = 200_000
+
 
 @pytest.fixture
-def empty_caches(monkeypatch):
-    """Fresh process-wide caches for one test; the session's come back after it."""
-    monkeypatch.setattr(spectral, "_SECTORS", ReuseCache())
-    monkeypatch.setattr(model, "_SITE_INDICES", ReuseCache())
+def empty_caches():
+    """Fresh process-wide caches for one test, and again after it."""
+    spectral._sector_for.cache_clear()
+    model._site_indices.cache_clear()
+    yield
+    spectral._sector_for.cache_clear()
+    model._site_indices.cache_clear()
 
 
 def _arrays(sd):
@@ -31,8 +38,9 @@ def _arrays(sd):
 
 
 def _uncached(monkeypatch, spec, kwargs):
+    # every sector built afresh, so no moves are reused either
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_SECTORS", ReuseCache())
+        m.setattr(spectral, "_sector_for", spectral._sector_for.__wrapped__)
         return decompose(spec, **kwargs)
 
 
@@ -41,7 +49,7 @@ def _uncached(monkeypatch, spec, kwargs):
 def test_cache_hits_match_an_empty_cache(empty_caches, monkeypatch, n, mode):
     # spec A, other specs of the same N (one with J = 0, so no hops),
     # another pair distance, the vectors mode, an S_z-breaking spec, then A
-    # again; three rounds, so every key is kept by the third
+    # again; three rounds, so every sector and structure is read back
     spec_a = ModelSpec.uniform(n, 1.0, 0.5, 0.3)
     breaking = random_general_spec(n, seed=n, field_b=0.2)
     calls = [(spec_a, MODES[mode]),
@@ -58,41 +66,52 @@ def test_cache_hits_match_an_empty_cache(empty_caches, monkeypatch, n, mode):
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert (a is None and b is None) or (a.dtype == b.dtype and np.array_equal(a, b))
-    assert spectral._SECTORS.kept
+    assert spectral._sector_for.cache_info().hits
 
 
-def _kept_arrays(obj):
+def _kept(obj):
+    """Every array reachable from a kept sector, and every object that holds one."""
     if isinstance(obj, np.ndarray):
         yield obj
-    elif isinstance(obj, ReuseCache):
-        for value in obj.kept.values():
-            yield from _kept_arrays(value)
+        return
+    yield obj
+    if isinstance(obj, dict):
+        for value in obj.values():
+            yield from _kept(value)
     elif isinstance(obj, (tuple, list)):
         for value in obj:
-            yield from _kept_arrays(value)
+            yield from _kept(value)
+
+
+def _sectors(keys):
+    """The kept sectors of `keys`, read back without building any."""
+    misses = spectral._sector_for.cache_info().misses
+    sectors = [spectral._sector_for(*key) for key in keys]
+    assert spectral._sector_for.cache_info().misses == misses
+    return sectors
 
 
 def test_cached_arrays_refuse_assignment(empty_caches):
     spec = ModelSpec.uniform(6, 1.0, 0.5, 0.3)
-    for _ in range(3):
+    for _ in range(2):
         sd = decompose(spec)
         decompose(spec, vectors=False)
         decompose(spec, pair=(1, 3))
         decompose(random_general_spec(5, seed=2, field_b=0.1))
         build_hamiltonian(spec)
-    kept = list(_kept_arrays(spectral._SECTORS)) + list(_kept_arrays(model._SITE_INDICES))
+    # the translated sectors k = 0..3, the plain ones k = 0..6 and the two
+    # parity sectors of the S_z-breaking ring, each with its moves
+    keys = [*((6, k, False, True) for k in range(4)), *((6, k, False, False) for k in range(7)),
+            (5, 0, True, False), (5, 1, True, False)]
+    assert spectral._sector_for.cache_info().currsize == len(keys)
+    sectors = _sectors(keys)
+    for sector in sectors:
+        assert sector.moves
+        assert all(type(moves) is spectral._Moves for moves in sector.moves.values())
+    kept = [a for a in _kept(sectors) if isinstance(a, np.ndarray)]
     kept += [blk.states for blk in sd.eigvec_blocks]
     kept += [sd.excitations, sd.label_magnetization, site_indices((2, 5), 6)]
-    # the sectors, their terms with every momentum's layout, and
-    # site_indices were all kept
-    assert len(spectral._SECTORS.kept) == 4 + 7 + 2
-    for sector in spectral._SECTORS.kept.values():
-        cached = sector.terms.kept
-        structures = [key for key, value in cached.items() if isinstance(value, spectral._Terms)]
-        assert structures
-        assert set(cached) == {*structures, *((structure, momentum.m) for structure in structures
-                                            for momentum in sector.momenta)}
-    assert model._SITE_INDICES.kept
+    assert model._site_indices.cache_info().currsize
     assert len(kept) > 100
     for a in kept:
         assert not a.flags.writeable
@@ -100,47 +119,31 @@ def test_cached_arrays_refuse_assignment(empty_caches):
             a[...] = 0
 
 
-@pytest.mark.parametrize("spec,kwargs", [
-    *((ModelSpec.uniform(6, 1.0, 0.5, 0.3), kwargs) for kwargs in MODES.values()),
-    *((random_general_spec(6, seed=4, field_b=0.2), MODES[mode]) for mode in ("vectors", "values")),
-], ids=[*(f"uniform-{mode}" for mode in MODES), "general-vectors", "general-values"])
-def test_a_ring_decomposed_once_keeps_nothing(empty_caches, spec, kwargs):
-    # the dense uniform ring asks for each bond's and each site's indices
-    # once; a general ring asks for a pair's once per coupled axis
-    dense = ModelSpec.uniform(6, 1.0, 0.5, 0.3)
-    decompose(spec, **kwargs)
-    build_hamiltonian(dense)
-    assert spectral._SECTORS.kept == {} and model._SITE_INDICES.kept == {}
-    # each key was noted, and is kept on its second request
-    assert spectral._SECTORS.asked and model._SITE_INDICES.asked
-    decompose(spec, **kwargs)
-    build_hamiltonian(dense)
-    assert spectral._SECTORS.asked == set(spectral._SECTORS.kept)
-    assert model._SITE_INDICES.asked == set(model._SITE_INDICES.kept)
-
-
-def test_a_ring_decomposed_once_holds_one_layout_at_a_time(empty_caches, monkeypatch):
-    # no key is kept, so each momentum block's layout is freed before the
-    # next block is written
-    built, alive, seen = spectral._layout, set(), []
-
-    def layout(*args):
-        value = built(*args)
-        key = object()
-        alive.add(key)
-        weakref.finalize(value.hops, alive.discard, key)
-        return value
-
-    def real_block(*args):
-        seen.append(len(alive))
-        return write(*args)
-
-    write = spectral._real_block
-    monkeypatch.setattr(spectral, "_layout", layout)
-    monkeypatch.setattr(spectral, "_real_block", real_block)
-    decompose(ModelSpec.uniform(8, 1.0, 0.5, 0.3), vectors=False)
-    # 21 blocks: k = 0 has momentum 0 only, k = 1 to 4 momenta 0 to 4
-    assert len(seen) == 21 and set(seen) == {1}
+def test_a_values_only_decomposition_keeps_sectors_and_moves_only(empty_caches):
+    n = 12
+    decompose(ModelSpec.uniform(n, 1.0, 0.5, 0.3), vectors=False)
+    keys = [(n, k, False, True) for k in range(n // 2 + 1)]
+    assert spectral._sector_for.cache_info().currsize == len(keys)
+    sectors = _sectors(keys)
+    kept, seen = 0, set()
+    for sector in sectors:
+        # H's one structure, and no entry per momentum block
+        (structure,) = sector.moves
+        assert len(structure) == 4 * n
+        moves = sector.moves[structure]
+        elements = int(moves.counts.sum())
+        assert all(a.size == elements for a in (moves.roots, moves.rows, moves.cols,
+                                                moves.shifts))
+        assert moves.signs.shape == (n, sector.reps.size)
+        for obj in _kept(sector):
+            if isinstance(obj, np.ndarray):
+                if id(obj) not in seen:
+                    seen.add(id(obj))
+                    kept += obj.nbytes
+            else:
+                assert type(obj) in (spectral._Sector, spectral._Momentum, spectral._Moves,
+                                     list, dict, tuple, int, type(None))
+    assert 0 < kept <= KEPT_BYTES_N12_VALUES
 
 
 def test_kept_structures_build_no_moves(empty_caches, monkeypatch):
@@ -148,26 +151,31 @@ def test_kept_structures_build_no_moves(empty_caches, monkeypatch):
     calls = []
     moves = spectral._moves
     monkeypatch.setattr(spectral, "_moves", lambda *args: calls.append(args) or moves(*args))
-    # a sector is kept from the second run, its structures from the third:
-    # one build of the moves per sector and structure in each
-    for _ in range(3):
+    # the first run builds H's and O_2's moves on each of the 4 sectors,
+    # once per sector and structure; the runs after it build none
+    for run in range(3):
         decompose(spec, pair=(1, 3))
-        assert len(calls) == 2 * 4
+        assert len(calls) == (2 * 4 if run == 0 else 0)
+        assert len({(id(sector), structure) for sector, structure in calls}) == len(calls)
         calls.clear()
-    decompose(spec, pair=(1, 3))
+    # the values-only mode reads H's moves on the same sectors; another
+    # pair distance builds only O_1's
+    decompose(spec, vectors=False)
     assert calls == []
+    decompose(spec, pair=(1, 2))
+    assert len(calls) == 4
 
 
 def test_site_indices_cached_by_value(empty_caches):
-    # a key is its sites and ring size; equal keys give equal tables
+    # a key is its sites, as a tuple, and ring size; equal keys give one table
     first = site_indices((1, 3), 5)
-    assert site_indices([1, 3], 5) is not first  # second request: built and kept
-    assert site_indices((1, 3), 5) is site_indices((1, 3), 5)
-    assert np.array_equal(site_indices((1, 3), 5), first)
+    assert site_indices([1, 3], 5) is first
+    assert site_indices((1, 3), 5) is first
     assert not np.array_equal(site_indices((3, 1), 5), first)
     assert site_indices((1, 3), 6).shape == (4, 16)
     with pytest.raises(ValueError, match="distinct"):
         site_indices((2, 2), 5)
     with pytest.raises(ValueError, match="distinct"):
-        site_indices((2, 2), 5)
-    assert ((2, 2), 5) not in model._SITE_INDICES.asked
+        site_indices([2, 2], 5)
+    # the refused key keeps nothing
+    assert model._site_indices.cache_info().currsize == 3

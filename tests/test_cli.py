@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from heisenring.model import ModelSpec, ring_coupling_matrices
 from heisenring import oracle
 from heisenring.oracle import hermiticity_defect
 from helpers import c_two_site, u_three_site
+
+SRC = str(Path(heisenring.__file__).resolve().parent.parent)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -701,3 +705,20 @@ def test_bad_subcommand_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+def test_closed_stdout_exits_141_without_traceback(tmp_path):
+    # 3000 rows of CSV, about 1.3 MB, more than a pipe's 64 KiB buffer: the
+    # sweep is still writing when the reader closes the pipe, as `| head` does
+    doc = {"model": {"n_sites": 6, "j": 1.0},
+           "temperatures": {"start": 0.1, "stop": 3.0, "count": 3000}}
+    proc = subprocess.Popen([sys.executable, "-m", "heisenring", "sweep", "--config",
+                             write_config(tmp_path, doc), "--format", "csv"],
+                            env={"PYTHONPATH": SRC}, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.read(100).startswith(b"T,log_z,")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err and "Exception ignored" not in err, err

@@ -216,16 +216,20 @@ def test_pair_table_rows_are_eigenstate_pair_rdms(spec):
             assert np.all(np.any(table[:, X_PATTERN] != 0.0, axis=0))
 
 
-def test_pair_rdms_store_no_table():
-    # only the pair mode of decompose fills pair_tables; a table built
-    # from the eigenvectors is not kept on the decomposition
+def test_pair_rdms_read_the_stored_table(monkeypatch):
+    # the first call builds the pair's table from the eigenvectors and
+    # stores it on the decomposition; a second call reads it back
     spec = ModelSpec.uniform(5, 1.0, 0.5, 0.3)
     sd = decompose(spec)
     grid = thermo_grid(sd, [0.5, 2.0])
+    calls = []
+    monkeypatch.setattr(twoqubit, "_pair_table",
+                        lambda *args: calls.append(args) or _pair_table(*args))
     first = pair_rdms(grid, 1, 2).matrix
-    assert sd.pair_tables == {}
-    assert np.array_equal(pair_rdms(grid, 1, 2).matrix, first)
-    assert sd.pair_tables == {}
+    assert list(sd.pair_tables) == [(1, 2)]
+    second = pair_rdms(grid, 1, 2).matrix
+    assert len(calls) == 1
+    assert first.dtype == second.dtype and first.tobytes() == second.tobytes()
 
 
 def test_pair_table_refuses_mixed_parity_blocks():
