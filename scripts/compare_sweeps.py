@@ -8,7 +8,7 @@ trees run the same `sweep` configs, in CSV and in JSON: the benchmark's
 general-coupling rings, one S_z-conserving and one S_z-breaking,
 ROUTE_SWEEPS, which reach the routes and rows the others skip, and
 BLOCK_SWEEPS, long grids that a sweep cuts into many row blocks on each
-of its routes.  Every output must be byte-identical; where it is not,
+of its routes and on a small ring.  Every output must be byte-identical; where it is not,
 the cells that differ are shown, and a cell is bit-identical when it has
 the same 17-significant-digit text, the same boolean, or the same empty
 cell.
@@ -152,15 +152,19 @@ ROUTE_SWEEPS = {
 # sweep.BLOCK_BYTES (1 MiB) cuts a grid into blocks of 2^17 / 2^N
 # temperatures: 32 at N = 12 and 128 at N = 10
 BLOCK_SWEEPS = {
-    # the pair mode of a uniform ring: 256 blocks
+    # the pair mode of a uniform ring: 274 blocks
     "blocks-pair-n12": {"model": {"n_sites": 12, "j": 1.0},
                         "temperatures": {"start": 0.05, "stop": 20.0, "count": 8192,
                                          "spacing": "log"}},
-    # S_z-sector eigenvectors and their pair table, from T = 0: 8 blocks
+    # a small ring, where a row's columns and text outweigh its weights,
+    # in the pair mode with the field energy route, from T = 0: 34 blocks
+    "blocks-pair-n3": {"model": {"n_sites": 3, "j": 1.0, "field_b": 0.2},
+                       "temperatures": {"start": 0.0, "stop": 5.0, "count": 20000}},
+    # S_z-sector eigenvectors and their pair table, from T = 0: 10 blocks
     "blocks-general-sz-n10": {"model": general_model(conserves_sz=True, n=10),
                               "temperatures": {"start": 0.0, "stop": 5.0, "count": 1000},
                               "pair": [2, 5]},
-    # parity-block eigenvectors, which M is read from too: 8 blocks
+    # parity-block eigenvectors, which M is read from too: 10 blocks
     "blocks-general-n10": {"model": general_model(conserves_sz=False, n=10),
                            "temperatures": {"start": 0.0, "stop": 5.0, "count": 1000},
                            "pair": [2, 5]},

@@ -44,7 +44,7 @@ def violation_measure(t: np.ndarray) -> BellResult:
     t = np.asarray(t, dtype=float)
     if t.ndim != 3 or t.shape[1:] != (3, 3):
         raise ValueError(f"expected an (R, 3, 3) stack of correlation tensors, got shape {t.shape}")
-    evals = np.clip(np.linalg.eigvalsh(t @ t.swapaxes(-1, -2)), 0.0, None)  # PSD up to roundoff
+    evals = np.maximum(np.linalg.eigvalsh(t @ t.swapaxes(-1, -2)), 0.0)  # PSD up to roundoff
     u, u_tilde = evals[:, 2], evals[:, 1]
     measure = 2.0 * np.sqrt(u + u_tilde)
     return BellResult(top_two=(u, u_tilde), measure=measure, violates=measure > 2.0)

@@ -24,10 +24,10 @@ of them.
   operators, against twoqubit.correlations_from_rdm on the 4x4 matrices;
   check_element_relations ties the pair matrices to their correlations.
 - CHSH frames: MeasurementFrame, chsh_expectation, random_frames,
-  frame_expectations, random_frame_search and optimal_frame evaluate
-  explicit measurement frames, against the Horodecki measure
-  bell.violation_measure reads off the spectrum of T T^t.  A frame
-  belongs to one state, so they take one 3x3 tensor.
+  frame_chunks, frame_expectations, random_frame_search and
+  optimal_frame evaluate explicit measurement frames, against the
+  Horodecki measure bell.violation_measure reads off the spectrum of
+  T T^t.  A frame belongs to one state, so they take one 3x3 tensor.
 
 gibbs_state builds one 2^N x 2^N matrix; reduce_to_pair and correlations
 take an (R, 2^N, 2^N) stack of them, and one state is a stack of one
@@ -41,6 +41,7 @@ re-export it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -371,7 +372,26 @@ def random_frames(count: int, seed: int) -> np.ndarray:
     so a given (count, seed) pair always produces the same frames no matter
     how they are later evaluated or parallelized.
     """
+    return _draw_frames(np.random.default_rng(seed), count)
+
+
+def frame_chunks(count: int, seed: int, chunk: int) -> Iterator[np.ndarray]:
+    """random_frames(count, seed) in successive pieces of at most `chunk` frames.
+
+    The pieces come from the one stream of default_rng(seed), drawn in
+    turn, so joined they are random_frames(count, seed) and no more than
+    one piece is formed at a time.  A direction of near-zero norm is
+    redrawn from the stream after its own piece rather than after all
+    `count` frames; that has never happened, and would change the frames
+    after it.
+    """
     rng = np.random.default_rng(seed)
+    for start in range(0, count, chunk):
+        yield _draw_frames(rng, min(chunk, count - start))
+
+
+def _draw_frames(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The next `count` frames of `rng`'s stream (random_frames)."""
     v = rng.normal(size=(count, 4, 3))
     norms = np.linalg.norm(v, axis=2, keepdims=True)
     while np.any(norms < 1e-12):  # essentially never; guards the division

@@ -44,28 +44,30 @@ H's and O_r's blocks from the same sector.
 What depends on the bits alone is built once per process, on first use.
 _sector_for (functools.cache) keeps the _Sector of each key
 (N, k, parity, translate): its states, orbits, shifts, momenta and real
-bases.  Each sector's moves dict keeps, per term structure (the bits and
-the nonzero hop and flip flags of every pair term, one flat tuple of
-ints), the _Moves: the z-z signs, each move's element count, and every
-element's row, column, shift and sqrt(R_a / R_b).  model.site_indices
-keeps its tables by (sites, N) the same way.  Keys are values, never
-id().  What one momentum block takes from the moves, its hop mask,
-phases and indices, is rebuilt for every block and dropped with it:
-kept too, it made a values-only ring at N = 14 keep 2.0 MiB instead of
-the 0.71 MiB below.  Every kept array is read-only, and _blocks scales
-them by the spec's amplitudes with the same operations in the same order
-as when they are built afresh, so every output is byte-identical.  The
-sectors are bounded, at most N + N/2 + 4 per ring size, but a sector
-keeps every structure asked for: a uniform ring has at most N + 1
-(H with and without hops, O_r at each distance r = 1 .. N - 1), while
-general rings with different patterns of zero couplings each add theirs,
-so a long-lived process keeps more the more such patterns it decomposes.
-At MAX_SITES = 14 one values-only decomposition of a uniform ring keeps
-0.71 MiB, its pair mode 0.87 MiB, its vectors mode 4.9 MiB, and all
-N + 1 structures in every mode 7.9 MiB.  One structure of a general ring
-with all 91 pairs coupled keeps 24.2 MiB of moves over its 15 sectors
-(25.3 MiB with the sectors), one of an S_z-breaking ring at N = 12 with
-all 66 pairs 8.5 MiB (8.8 MiB with its two parity sectors); a
+bases.  A sector with translation also keeps, in its moves dict, per
+term structure (the bits and the nonzero hop and flip flags of every
+pair term, one flat tuple of ints), the _Moves: the z-z signs, each
+move's element count, and every element's row, column, shift and
+sqrt(R_a / R_b).  A sector without translation keeps no moves: it
+serves general rings and the vectors mode, which decompose once per
+spec, and each structure's moves there grow with the coupled pairs.
+model.site_indices keeps its tables by (sites, N) in a functools.cache
+too.  Keys are values, never id().  What one momentum block takes from the moves,
+its hop mask, phases and indices, is rebuilt for every block and dropped
+with it: kept too, it made a values-only ring at N = 14 keep 2.0 MiB
+instead of the 0.71 MiB below.  Every kept array is read-only, and
+_blocks scales them by the spec's amplitudes with the same operations in
+the same order as when they are built afresh, so every output is
+byte-identical.  The sectors are bounded, at most N + N/2 + 4 per ring
+size, and a translated sector keeps at most N + 1 structures, those of
+a uniform ring (H with and without hops, O_r at each distance
+r = 1 .. N - 1).  At MAX_SITES = 14 one values-only decomposition of a
+uniform ring keeps 0.71 MiB, its pair mode 0.87 MiB, its vectors mode
+1.14 MiB (its 15 sectors), and all N + 1 structures in every mode
+4.0 MiB.  A general ring keeps its sectors only, whatever its couplings:
+1.14 MiB at N = 14, where one with all 91 pairs coupled kept 25.3 MiB
+with its moves, and 0.29 MiB for the two parity sectors of an
+S_z-breaking ring at N = 12, which kept 8.8 MiB with all 66 pairs; a
 site_indices table at N = 14 takes 128 KiB.
 
 Each block's eigensolve and products run under _blas.threads_for: a block
@@ -219,7 +221,8 @@ class _Sector(NamedTuple):
     period their orbit lengths R_a and spin their sum_i sigma^z_i, N - 2k.
     momenta holds the _Momentum of every momentum 0 <= m <= N/2 that has
     states.  moves holds the _Moves of each term structure _blocks has
-    built on the sector, keyed by the structure.
+    built on the sector, keyed by the structure, or is None on a sector
+    without translation, which keeps none.
     """
 
     n: int
@@ -230,7 +233,7 @@ class _Sector(NamedTuple):
     period: np.ndarray
     spin: np.ndarray
     momenta: list
-    moves: dict
+    moves: dict | None
 
 
 @cache
@@ -293,7 +296,7 @@ def _sector(n: int, states: np.ndarray, translate: bool) -> _Sector:
         basis = reps[keep]
         read_only(keep, index, basis, *columns, *(() if weights is None else (weights,)))
         momenta.append(_Momentum(m, keep, index, columns, mult, basis, weights))
-    return _Sector(n, states, orbit, shift, reps, r_a, spin, momenta, {})
+    return _Sector(n, states, orbit, shift, reps, r_a, spin, momenta, {} if translate else None)
 
 
 class _Moves(NamedTuple):
@@ -392,16 +395,21 @@ def _blocks(terms, sector: _Sector, field_b: float):
     operator on `states` in the computational basis.
 
     What depends on the bits alone, the _Moves of the terms' structure,
-    the sector keeps from the first call that asks for it.  The field, the
-    amplitudes and each momentum block's hop mask, phases and indices are
-    computed here: the diagonal adds the z-z terms one at a time, and each
-    element is amplitude * sqrt(R_a / R_b), then times its phase.
+    a sector with translation keeps from the first call that asks for it;
+    a sector without builds them for each call and drops them with it.
+    The field, the amplitudes and each momentum block's hop mask, phases
+    and indices are computed here: the diagonal adds the z-z terms one at
+    a time, and each element is amplitude * sqrt(R_a / R_b), then times
+    its phase.
     """
     structure = tuple([key for bi, bk, hop, flip, _ in terms
                        for key in (bi, bk, bool(hop != 0.0), bool(flip != 0.0))])
-    moves = sector.moves.get(structure)
+    kept = sector.moves
+    moves = None if kept is None else kept.get(structure)
     if moves is None:
-        moves = sector.moves[structure] = _moves(sector, structure)
+        moves = _moves(sector, structure)
+        if kept is not None:
+            kept[structure] = moves
     # + 0.0: a -0.0 field must not leave -0.0 on the diagonal
     diag = field_b * sector.spin + 0.0
     for zz_sign in np.array([zz for *_, zz in terms]).reshape(-1, 1) * moves.signs:

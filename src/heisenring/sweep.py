@@ -2,9 +2,11 @@
 
 One spectral decomposition serves the whole grid of R temperatures, and
 the grid runs through the pipeline in row blocks of
-max(1, BLOCK_BYTES // (8 dim)) temperatures, so that no (R, dim) array is
-formed.  For each block thermo.thermo_grid gives the (rows, dim) weight
-matrix, and with it log Z, U and M at every temperature of the block;
+max(1, BLOCK_BYTES // (8 dim + ROW_BYTES)) temperatures, so that no
+(R, dim) array is formed and a block of a small ring, whose rows hold
+more than their weights, stays near BLOCK_BYTES too.  For each block
+thermo.thermo_grid gives the (rows, dim) weight matrix, and with it
+log Z, U and M at every temperature of the block;
 twoqubit.pair_rdms forms the (rows, 4, 4) stack of pair RDMs from that
 grid and the pair table of the decomposition it carries.  Which
 decomposition that is depends on the spec (sweep_decomposition).  Every
@@ -39,12 +41,20 @@ from .spectral import SpectralDecomposition, decompose
 from .thermo import ThermoGrid, thermo_grid
 from .twoqubit import correlations_from_rdm, pair_rdms
 
-# bytes of the float64 (rows, dim) weight matrix of one row block: small
-# next to the ~30 MB a process starts at, yet 32 rows at N = 12, where a
-# block's fixed cost of numpy calls, about 0.5 ms, is already a fifth of
-# its work; 256 KiB blocks took 1.7x as long there (4096 temperatures,
-# 2 vCPU, one BLAS thread)
+# bytes of one row block: its float64 (rows, dim) weight matrix and
+# ROW_BYTES per row besides.  Small next to the ~30 MB a process starts
+# at, yet 30 rows at N = 12, where a block's fixed cost of numpy calls is
+# already a fifth of its work; 256 KiB blocks took 1.7x as long there
+# (4096 temperatures, 2 vCPU, one BLAS thread)
 BLOCK_BYTES = 1 << 20
+# the bytes a row takes after its weights: its pair RDM, correlation,
+# concurrence and Bell stacks, its column lists and its rendered text.
+# The tracemalloc peak of one block through render_csv and render_json,
+# per row and less 8 dim, from the difference of blocks of R and 4R rows,
+# was 1680 B at every N = 2..12 in the pair mode, on S_z-sector and on
+# parity eigenvectors, and in the pair mode at N = 13 and 14 (where the
+# (rows, dim) exponent temporary of thermo_grid hides it, 1577 and 0 B)
+ROW_BYTES = 1680
 
 COLUMNS = (
     "T", "log_z", "U", "U_per_site", "M",
@@ -126,12 +136,13 @@ def sweep_blocks(spec: ModelSpec, temperatures: np.ndarray,
     """The columns of run_sweep, one row block of the grid at a time.
 
     The spec is decomposed here, before the first block is asked for;
-    each block then holds max(1, BLOCK_BYTES // (8 dim)) temperatures, the
-    last one what is left, and an empty grid gives no block.
+    each block then holds max(1, BLOCK_BYTES // (8 dim + ROW_BYTES))
+    temperatures, the last one what is left, and an empty grid gives no
+    block.
     """
     sd = sweep_decomposition(spec, pair)
     t = np.asarray(temperatures, dtype=float)
-    rows = max(1, BLOCK_BYTES // (8 * sd.dim))
+    rows = max(1, BLOCK_BYTES // (8 * sd.dim + ROW_BYTES))
     return (_block_columns(spec, thermo_grid(sd, t[k:k + rows]), pair)
             for k in range(0, t.size, rows))
 

@@ -14,7 +14,8 @@ are reduced one temperature at a time, as 1-D dot products over a row of
 probabilities: a stacked matrix product sums in another order and moves
 them in the last bits.  So each row is the same number whatever else
 shares its grid, and a sweep hands its grid over in row blocks
-(sweep.BLOCK_BYTES) with the same result as in one piece.  What M needs
+(sweep.BLOCK_BYTES, sized by the weights and sweep.ROW_BYTES per row)
+with the same result as in one piece.  What M needs
 of the eigenvectors or labels, and E_n - E_0, the decomposition builds
 once (SpectralDecomposition.spin_weights, label_magnetization and
 excitations), not once per block.  The grid keeps

@@ -201,7 +201,13 @@ def correlations_from_rdm(rdm: TwoQubitRDM) -> CorrelationSet:
 
     One contraction per operator keeps the temporaries at (R, 4, 4);
     contracting all ten operators at once would broadcast to (R, 10, 4, 4).
+    Each sums its (R, 4, 4) product by add.reduce straight into its row of
+    the (10, R) traces, as ndarray.sum would, without that method's Python
+    wrapper or a stack: a sweep calls this once per row block.
     """
     mt = rdm.matrix.swapaxes(-1, -2)
-    return _correlation_set(np.stack([(op * mt).sum(axis=(-2, -1)) for op in _OPS], axis=-1))
+    values = np.empty((len(_OPS), mt.shape[0]), dtype=complex)
+    for op, out in zip(_OPS, values):
+        np.add.reduce(op * mt, axis=(1, 2), out=out)
+    return _correlation_set(values.T)
 

@@ -99,13 +99,14 @@ def test_cached_arrays_refuse_assignment(empty_caches):
         decompose(spec, pair=(1, 3))
         decompose(random_general_spec(5, seed=2, field_b=0.1))
         build_hamiltonian(spec)
-    # the translated sectors k = 0..3, the plain ones k = 0..6 and the two
-    # parity sectors of the S_z-breaking ring, each with its moves
-    keys = [*((6, k, False, True) for k in range(4)), *((6, k, False, False) for k in range(7)),
+    # the translated sectors k = 0..3, each with its moves, then the plain
+    # ones k = 0..6 and the two parity sectors of the S_z-breaking ring
+    translated = [(6, k, False, True) for k in range(4)]
+    keys = [*translated, *((6, k, False, False) for k in range(7)),
             (5, 0, True, False), (5, 1, True, False)]
     assert spectral._sector_for.cache_info().currsize == len(keys)
     sectors = _sectors(keys)
-    for sector in sectors:
+    for sector in sectors[:len(translated)]:
         assert sector.moves
         assert all(type(moves) is spectral._Moves for moves in sector.moves.values())
     kept = [a for a in _kept(sectors) if isinstance(a, np.ndarray)]
@@ -144,6 +145,32 @@ def test_a_values_only_decomposition_keeps_sectors_and_moves_only(empty_caches):
                 assert type(obj) in (spectral._Sector, spectral._Momentum, spectral._Moves,
                                      list, dict, tuple, int, type(None))
     assert 0 < kept <= KEPT_BYTES_N12_VALUES
+
+
+@pytest.mark.parametrize("conserves_sz", [True, False])
+def test_only_translated_sectors_keep_moves(empty_caches, conserves_sz):
+    # a general ring and the vectors mode of a uniform one take sectors
+    # without translation, which keep no moves; the values-only and pair
+    # modes of the uniform ring still keep theirs, H's and O_2's
+    n = 6
+    general = random_general_spec(n, seed=5, field_b=0.2)
+    if conserves_sz:
+        general = ModelSpec.general(general.coupling.jx, general.coupling.jx,
+                                    general.coupling.jz, field_b=0.2)
+    uniform = ModelSpec.uniform(n, 1.0, 0.5, 0.3)
+    for _ in range(2):
+        decompose(general)
+        decompose(general, vectors=False)
+        decompose(uniform)
+    plain = [(n, k, False, False) for k in range(n + 1)]
+    if not conserves_sz:
+        plain += [(n, 0, True, False), (n, 1, True, False)]
+    assert spectral._sector_for.cache_info().currsize == len(plain)
+    assert all(sector.moves is None for sector in _sectors(plain))
+    decompose(uniform, vectors=False)
+    decompose(uniform, pair=(1, 3))
+    translated = _sectors([(n, k, False, True) for k in range(n // 2 + 1)])
+    assert all(len(sector.moves) == 2 for sector in translated)
 
 
 def test_kept_structures_build_no_moves(empty_caches, monkeypatch):

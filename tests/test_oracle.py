@@ -20,10 +20,10 @@ from helpers import eigenvector_matrix, random_general_spec
 
 PACKAGE = Path(heisenring.__file__).parent
 SRC = str(PACKAGE.parent)
-ROUTES = ("_log_z", "_real_part", "build_hamiltonian", "check_derivatives",
+ROUTES = ("_draw_frames", "_log_z", "_real_part", "build_hamiltonian", "check_derivatives",
           "check_element_relations", "chsh_expectation", "correlations",
           "diagonalize_full", "eigen_residuals", "embed", "expected_sector_sizes",
-          "frame_expectations", "gibbs_state", "hermiticity_defect", "optimal_frame",
+          "frame_chunks", "frame_expectations", "gibbs_state", "hermiticity_defect", "optimal_frame",
           "parity_basis", "random_frame_search", "random_frames", "reduce_to_pair",
           "sector_basis", "zz_from_log_z")
 # the class and the constants that live beside the routes

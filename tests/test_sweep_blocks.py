@@ -61,7 +61,7 @@ def block_rows(monkeypatch):
     monkeypatch.setattr(sweep, "thermo_grid", spy)
 
     def set_rows(rows):
-        monkeypatch.setattr(sweep, "BLOCK_BYTES", rows * 8 * (1 << N_SITES))
+        monkeypatch.setattr(sweep, "BLOCK_BYTES", rows * (8 * (1 << N_SITES) + sweep.ROW_BYTES))
         calls.clear()
         return calls
 
@@ -119,6 +119,10 @@ def test_empty_grid_sweeps_to_the_header_alone(tmp_path, capsys, block_rows, cas
 # (8192, 4096) weight matrix; in row blocks it peaks near 35 MB
 # (2 vCPU, numpy 2.4, OpenBLAS on 2 threads)
 RSS_CEILING_MB = 77
+# an N = 2 ring over 65536 temperatures peaked at 125 MB in blocks of
+# 1 MiB of weights alone, 32768 rows, and peaks near 35 MB in blocks sized
+# by everything a row holds, 612 rows (same machine)
+SMALL_RING_RSS_CEILING_MB = 50
 # A child's ru_maxrss counts the memory of the process it was started from
 # as well, here the whole test session, so a bare Python process starts
 # the sweep and reports its exit code and ru_maxrss
@@ -130,13 +134,13 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_long_sweep_peak_memory_is_bounded(tmp_path, fmt):
+def _sweep_peak_mb(tmp_path, model, count, fmt):
+    """Peak RSS in MB of a CLI sweep of `model` over `count` log-spaced
+    temperatures, checked for its row count."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
-        "model": {"n_sites": 12, "j": 1.0},
-        "temperatures": {"start": 0.05, "stop": 20.0, "count": 8192, "spacing": "log"},
+        "model": model,
+        "temperatures": {"start": 0.05, "stop": 20.0, "count": count, "spacing": "log"},
     }))
     out = tmp_path / f"rows.{fmt}"
     measured = subprocess.run(
@@ -145,10 +149,23 @@ def test_long_sweep_peak_memory_is_bounded(tmp_path, fmt):
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, check=True)
     code, maxrss = map(int, measured.stdout.split())
     assert code == 0
-    # ru_maxrss is in bytes on macOS and in KiB elsewhere
-    peak_mb = maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
-    assert peak_mb <= RSS_CEILING_MB
     if fmt == "csv":
-        assert out.read_text().count("\n") == 8193
+        assert out.read_text().count("\n") == count + 1
     else:
-        assert len(json.loads(out.read_text())["rows"]) == 8192
+        assert len(json.loads(out.read_text())["rows"]) == count
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere
+    return maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_long_sweep_peak_memory_is_bounded(tmp_path, fmt):
+    assert _sweep_peak_mb(tmp_path, {"n_sites": 12, "j": 1.0}, 8192, fmt) <= RSS_CEILING_MB
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_long_small_ring_sweep_peak_memory_is_bounded(tmp_path, fmt):
+    # at N = 2 a row's columns and text outweigh its 32 bytes of weights
+    peak_mb = _sweep_peak_mb(tmp_path, {"n_sites": 2, "j": 1.0}, 65536, fmt)
+    assert peak_mb <= SMALL_RING_RSS_CEILING_MB

@@ -6,6 +6,8 @@ import pytest
 from heisenring import ModelSpec, oracle, thermo, twoqubit
 from heisenring.oracle import hermiticity_defect
 from heisenring.verify import (
+    FRAME_CHUNK,
+    FRAMES,
     PROBE_TEMPERATURES,
     VerifyOptions,
     _Collector,
@@ -105,15 +107,31 @@ def test_nan_residual_fails_in_any_order(order):
 
 
 def test_no_frames_drawn_without_sampled_states(monkeypatch):
-    def refuse(count, seed):
+    def refuse(rng, count):
         raise AssertionError("frames drawn")
 
-    monkeypatch.setattr("heisenring.oracle.random_frames", refuse)
+    # every frame, whole or in chunks, is drawn through _draw_frames
+    monkeypatch.setattr("heisenring.oracle._draw_frames", refuse)
     opts = VerifyOptions(n_values=(2, 3), deltas=(1.0,), fields=(0.0,),
                          temperatures=(1.0,))
     names = {r.name for r in run_verification(opts)}
     assert "bell_frames_bound" not in names
     assert "derivative_u" in names
+
+
+@pytest.mark.parametrize("chunk", [FRAME_CHUNK, 3000, FRAMES])
+def test_frame_chunks_join_to_one_draw(chunk):
+    seed = VerifyOptions().seed
+    chunks = list(oracle.frame_chunks(FRAMES, seed, chunk))
+    assert [c.shape[0] for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+    assert 0 < chunks[-1].shape[0] <= chunk
+    whole = oracle.random_frames(FRAMES, seed)
+    assert whole.shape == (FRAMES, 4, 3)
+    assert np.array_equal(np.concatenate(chunks), whole)
+    # the best |<CHSH>| over the chunks is the one over the whole draw
+    g = np.diag([0.3, -0.2, -0.5])
+    assert (max(np.max(np.abs(oracle.frame_expectations(g, c))) for c in chunks)
+            == np.max(np.abs(oracle.frame_expectations(g, whole))))
 
 
 def test_grid_specs_run_as_temperature_stacks(monkeypatch):
