@@ -149,8 +149,9 @@ ROUTE_SWEEPS = {
     "pair-n10-1-6": {"model": {"n_sites": 10, "j": 1.0, "delta": 0.5, "field_b": 0.2},
                      "temperatures": LOG_GRID, "pair": [1, 6]},
 }
-# sweep.BLOCK_BYTES (1 MiB) cuts a grid into blocks of 2^17 / 2^N
-# temperatures: 32 at N = 12 and 128 at N = 10
+# sweep.BLOCK_BYTES (1 MiB) cuts a grid into blocks of
+# BLOCK_BYTES // (8 dim + sweep.ROW_BYTES) temperatures: 30 at N = 12,
+# 106 at N = 10 and 601 at N = 3
 BLOCK_SWEEPS = {
     # the pair mode of a uniform ring: 274 blocks
     "blocks-pair-n12": {"model": {"n_sites": 12, "j": 1.0},

@@ -11,15 +11,11 @@ Every function takes a stack of R states (a TwoQubitRDM and a
 CorrelationSet of R states, (R,) arrays for u_bar and G_zz) and returns
 (R,) arrays; one state is a stack of one.  Wootters runs as one stacked
 eigh and one stacked svd, and the closed forms, the clamp and the spread
-are array expressions.  concurrence_report takes every route before its
-clamp (each route's `unclamped`) into one (4, R) array and clamps that
-once: a sweep calls it once per row block, and the clamp works element
-by element, so the values are those of the routes clamped one by one.
+are array expressions.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
 
@@ -40,16 +36,6 @@ def clamp_concurrence(c: np.ndarray) -> np.ndarray:
     for value in c[c > 1.0]:
         logger.info("concurrence %.17g capped to 1", value)
     return np.where(np.abs(c) <= CLAMP_TOL, 0.0, np.minimum(c, 1.0))
-
-
-def _clamped(route):
-    """`route` with its values passed through clamp_concurrence; the route
-    itself stays reachable as `unclamped`."""
-    @functools.wraps(route)
-    def clamped(*args, **kwargs):
-        return clamp_concurrence(route(*args, **kwargs))
-    clamped.unclamped = route
-    return clamped
 
 
 def _route_stack(values, j: float, route: str, name: str) -> np.ndarray:
@@ -83,22 +69,6 @@ class ConcurrenceResult:
     max_disagreement: np.ndarray
 
 
-def _wootters(rdm: TwoQubitRDM) -> tuple[np.ndarray, np.ndarray]:
-    """Unclamped Wootters concurrence (R,) and lambdas (R, 4) (concurrence_wootters)."""
-    evals, vecs = np.linalg.eigh(rdm.matrix)
-    lowest = evals.min(initial=0.0)
-    if lowest < -1e-10:
-        raise ValueError(
-            f"density matrix has eigenvalue {lowest:.3e} < -1e-10; "
-            "input is not a valid density matrix"
-        )
-    sqrt_rho = ((vecs * np.sqrt(np.maximum(evals, 0.0))[:, None, :])
-                @ vecs.conj().swapaxes(-1, -2))
-    sqrt_flipped = PAIR_PAULI["y"] @ sqrt_rho.conj() @ PAIR_PAULI["y"]
-    lambdas = np.linalg.svd(sqrt_flipped @ sqrt_rho, compute_uv=False)
-    return np.maximum(0.0, lambdas[:, 0] - lambdas[:, 1] - lambdas[:, 2] - lambdas[:, 3]), lambdas
-
-
 def concurrence_wootters(rdm: TwoQubitRDM) -> ConcurrenceResult:
     """Concurrence from the spin-flipped product rho (sy x sy) rho* (sy x sy).
 
@@ -111,12 +81,22 @@ def concurrence_wootters(rdm: TwoQubitRDM) -> ConcurrenceResult:
     means the input was not a density matrix and raises.  Only the Wootters
     route is filled: the others are NaN, and the spread 0.
     """
-    c, lambdas = _wootters(rdm)
-    c = clamp_concurrence(c)
+    evals, vecs = np.linalg.eigh(rdm.matrix)
+    lowest = evals.min(initial=0.0)
+    if lowest < -1e-10:
+        raise ValueError(
+            f"density matrix has eigenvalue {lowest:.3e} < -1e-10; "
+            "input is not a valid density matrix"
+        )
+    sqrt_rho = ((vecs * np.sqrt(np.maximum(evals, 0.0))[:, None, :])
+                @ vecs.conj().swapaxes(-1, -2))
+    sqrt_flipped = PAIR_PAULI["y"] @ sqrt_rho.conj() @ PAIR_PAULI["y"]
+    lambdas = np.linalg.svd(sqrt_flipped @ sqrt_rho, compute_uv=False)
+    c = clamp_concurrence(np.maximum(
+        0.0, lambdas[:, 0] - lambdas[:, 1] - lambdas[:, 2] - lambdas[:, 3]))
     return ConcurrenceResult(c, lambdas, *np.full((3,) + c.shape, np.nan), np.zeros(c.shape))
 
 
-@_clamped
 def concurrence_x_form(rdm: TwoQubitRDM) -> np.ndarray:
     """C = 2 max(0, |z| - sqrt(u+ u-)) for the S_z-conserving sparsity pattern."""
     worst = rdm.off_structure_norm.max(initial=0.0)
@@ -126,10 +106,9 @@ def concurrence_x_form(rdm: TwoQubitRDM) -> np.ndarray:
             "the X-form shortcut does not apply"
         )
     u_prod = np.maximum(rdm.u_plus, 0.0) * np.maximum(rdm.u_minus, 0.0)
-    return 2.0 * np.maximum(0.0, _modulus(rdm.z) - np.sqrt(u_prod))
+    return clamp_concurrence(2.0 * np.maximum(0.0, _modulus(rdm.z) - np.sqrt(u_prod)))
 
 
-@_clamped
 def concurrence_from_correlations(cs: CorrelationSet) -> np.ndarray:
     """C = max(0, |G_xx + G_yy| - G_zz - 1) / 2, valid for zero magnetization."""
     worst = np.abs(cs.m_per_site).max(initial=0.0)
@@ -138,10 +117,10 @@ def concurrence_from_correlations(cs: CorrelationSet) -> np.ndarray:
             f"correlation route needs vanishing magnetization, |M/N| = {worst:.3e}"
         )
     g = cs.g
-    return 0.5 * np.maximum(0.0, np.abs(g[:, 0, 0] + g[:, 1, 1]) - g[:, 2, 2] - 1.0)
+    return clamp_concurrence(
+        0.5 * np.maximum(0.0, np.abs(g[:, 0, 0] + g[:, 1, 1]) - g[:, 2, 2] - 1.0))
 
 
-@_clamped
 def concurrence_xxx_energy(u_bar: np.ndarray, j: float) -> np.ndarray:
     """Isotropic-ring concurrence straight from the internal energy per site.
 
@@ -164,10 +143,9 @@ def concurrence_xxx_energy(u_bar: np.ndarray, j: float) -> np.ndarray:
             f"({unified[k]:.17g}) forms disagree; "
             "input is outside the thermal domain (u_bar must be <= 0)"
         )
-    return branch
+    return clamp_concurrence(branch)
 
 
-@_clamped
 def concurrence_anisotropic(u_bar: np.ndarray, j: float, delta: float,
                             g_zz: np.ndarray) -> np.ndarray:
     """Zero-field anisotropic route: C = max(0, |ubar/j - delta*G_zz| - G_zz - 1)/2.
@@ -176,10 +154,9 @@ def concurrence_anisotropic(u_bar: np.ndarray, j: float, delta: float,
     delta = 1 collapses to the correlation route.
     """
     r = _route_stack(u_bar, j, "anisotropic energy route", "u_bar") / j
-    return 0.5 * np.maximum(0.0, np.abs(r - delta * g_zz) - g_zz - 1.0)
+    return clamp_concurrence(0.5 * np.maximum(0.0, np.abs(r - delta * g_zz) - g_zz - 1.0))
 
 
-@_clamped
 def concurrence_xxx_field(rdm: TwoQubitRDM, u_bar: np.ndarray, j: float,
                           b: float) -> np.ndarray:
     """Isotropic route with a magnetic field, where u+ != u-.
@@ -206,7 +183,8 @@ def concurrence_xxx_field(rdm: TwoQubitRDM, u_bar: np.ndarray, j: float,
             f"square-root argument {arg[worst]:.3e} < -{floor[worst]:.3e} "
             "signals a convention mismatch"
         )
-    return 2.0 * np.maximum(0.0, _modulus(rdm.z) - 0.25 * np.sqrt(np.maximum(arg, 0.0)))
+    return clamp_concurrence(
+        2.0 * np.maximum(0.0, _modulus(rdm.z) - 0.25 * np.sqrt(np.maximum(arg, 0.0))))
 
 
 def _on_rows(out, applies, route, state):
@@ -227,28 +205,26 @@ def concurrence_report(rdm: TwoQubitRDM, cs: CorrelationSet, spec: ModelSpec,
     energy_form is present only when rdm.sites is a bond of the ring.
     Routes whose preconditions fail are left NaN, never zero-filled.
     """
-    wootters, lambdas = _wootters(rdm)
-    # Wootters, the X form, the correlation route and the energy route, unclamped
-    routes = np.full((4, wootters.size), np.nan)
-    routes[0] = wootters
+    base = concurrence_wootters(rdm)
+    # Wootters, the X form, the correlation route and the energy route
+    routes = np.full((4, base.wootters.size), np.nan)
+    routes[0] = base.wootters
     fits_x = rdm.off_structure_norm <= X_FORM_TOL
-    _on_rows(routes[1], fits_x, concurrence_x_form.unclamped, rdm)
+    _on_rows(routes[1], fits_x, concurrence_x_form, rdm)
     # the correlation route needs the global spin-flip symmetry (not just an
     # accidentally small magnetization, whose error is O(M/N)) and the X
     # pattern: corner-coupled states entangle through a channel G cannot see
-    _on_rows(routes[2], fits_x & (spec.field_b == 0.0),
-             concurrence_from_correlations.unclamped, cs)
+    _on_rows(routes[2], fits_x & (spec.field_b == 0.0), concurrence_from_correlations, cs)
 
     if spec.is_uniform and spec.coupling.j != 0.0 and spec.is_bond(*rdm.sites):
         j, delta, b = spec.coupling.j, spec.coupling.delta, spec.field_b
         if delta == 1.0 and b == 0.0:
-            routes[3] = concurrence_xxx_energy.unclamped(u_bar, j)
+            routes[3] = concurrence_xxx_energy(u_bar, j)
         elif b == 0.0:
-            routes[3] = concurrence_anisotropic.unclamped(u_bar, j, delta, cs.g[:, 2, 2])
+            routes[3] = concurrence_anisotropic(u_bar, j, delta, cs.g[:, 2, 2])
         elif delta == 1.0:
-            routes[3] = concurrence_xxx_field.unclamped(rdm, u_bar, j, b)
+            routes[3] = concurrence_xxx_field(rdm, u_bar, j, b)
 
-    # clamping leaves NaN alone; fmax and fmin skip the NaN of an absent route
-    routes = clamp_concurrence(routes)
-    return ConcurrenceResult(routes[0], lambdas, *routes[1:],
+    # fmax and fmin skip the NaN of an absent route
+    return ConcurrenceResult(base.wootters, base.lambdas, *routes[1:],
                              max_disagreement=np.fmax.reduce(routes) - np.fmin.reduce(routes))

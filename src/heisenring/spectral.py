@@ -44,30 +44,30 @@ H's and O_r's blocks from the same sector.
 What depends on the bits alone is built once per process, on first use.
 _sector_for (functools.cache) keeps the _Sector of each key
 (N, k, parity, translate): its states, orbits, shifts, momenta and real
-bases.  A sector with translation also keeps, in its moves dict, per
-term structure (the bits and the nonzero hop and flip flags of every
-pair term, one flat tuple of ints), the _Moves: the z-z signs, each
-move's element count, and every element's row, column, shift and
-sqrt(R_a / R_b).  A sector without translation keeps no moves: it
-serves general rings and the vectors mode, which decompose once per
-spec, and each structure's moves there grow with the coupled pairs.
+bases.  Each sector's moves dict keeps, per term structure (the bits
+and the nonzero hop and flip flags of every pair term, one flat tuple of
+ints), the _Moves: the z-z signs, each move's element count, and every
+element's row, column, shift and sqrt(R_a / R_b), but only for the
+structures of uniform rings, of which a sector holds at most N + 1 (H
+with and without hops, O_r at each distance r = 1 .. N - 1).  A general
+ring builds its moves for each decomposition and drops them with it:
+general rings with different patterns of zero couplings would each add
+theirs, and one structure's moves grow with its coupled pairs.
 model.site_indices keeps its tables by (sites, N) in a functools.cache
-too.  Keys are values, never id().  What one momentum block takes from the moves,
-its hop mask, phases and indices, is rebuilt for every block and dropped
-with it: kept too, it made a values-only ring at N = 14 keep 2.0 MiB
-instead of the 0.71 MiB below.  Every kept array is read-only, and
-_blocks scales them by the spec's amplitudes with the same operations in
-the same order as when they are built afresh, so every output is
-byte-identical.  The sectors are bounded, at most N + N/2 + 4 per ring
-size, and a translated sector keeps at most N + 1 structures, those of
-a uniform ring (H with and without hops, O_r at each distance
-r = 1 .. N - 1).  At MAX_SITES = 14 one values-only decomposition of a
+too.  Keys are values, never id().  What one momentum block takes from
+the moves, its hop mask, phases and indices, is rebuilt for every block
+and dropped with it: kept too, it made a values-only ring at N = 14 keep
+2.0 MiB instead of the 0.71 MiB below.  Every kept array is read-only,
+and _blocks scales them by the spec's amplitudes with the same
+operations in the same order as when they are built afresh, so every
+output is byte-identical.  The sectors are bounded, at most N + N/2 + 4
+per ring size.  At MAX_SITES = 14 one values-only decomposition of a
 uniform ring keeps 0.71 MiB, its pair mode 0.87 MiB, its vectors mode
-1.14 MiB (its 15 sectors), and all N + 1 structures in every mode
-4.0 MiB.  A general ring keeps its sectors only, whatever its couplings:
-1.14 MiB at N = 14, where one with all 91 pairs coupled kept 25.3 MiB
-with its moves, and 0.29 MiB for the two parity sectors of an
-S_z-breaking ring at N = 12, which kept 8.8 MiB with all 66 pairs; a
+4.9 MiB, and all N + 1 structures in every mode 7.9 MiB.  A general ring
+keeps its sectors only, whatever its couplings: 1.14 MiB at N = 14,
+where one with all 91 pairs coupled would keep 25.3 MiB with its moves,
+and 0.29 MiB for the two parity sectors of an S_z-breaking ring at
+N = 12, against 8.8 MiB with all 66 pairs' moves; a
 site_indices table at N = 14 takes 128 KiB.
 
 Each block's eigensolve and products run under _blas.threads_for: a block
@@ -221,8 +221,7 @@ class _Sector(NamedTuple):
     period their orbit lengths R_a and spin their sum_i sigma^z_i, N - 2k.
     momenta holds the _Momentum of every momentum 0 <= m <= N/2 that has
     states.  moves holds the _Moves of each term structure _blocks has
-    built on the sector, keyed by the structure, or is None on a sector
-    without translation, which keeps none.
+    kept on the sector, keyed by the structure.
     """
 
     n: int
@@ -233,7 +232,7 @@ class _Sector(NamedTuple):
     period: np.ndarray
     spin: np.ndarray
     momenta: list
-    moves: dict | None
+    moves: dict
 
 
 @cache
@@ -296,7 +295,7 @@ def _sector(n: int, states: np.ndarray, translate: bool) -> _Sector:
         basis = reps[keep]
         read_only(keep, index, basis, *columns, *(() if weights is None else (weights,)))
         momenta.append(_Momentum(m, keep, index, columns, mult, basis, weights))
-    return _Sector(n, states, orbit, shift, reps, r_a, spin, momenta, {} if translate else None)
+    return _Sector(n, states, orbit, shift, reps, r_a, spin, momenta, {})
 
 
 class _Moves(NamedTuple):
@@ -348,7 +347,7 @@ def _moves(sector: _Sector, structure: tuple) -> _Moves:
     return moves
 
 
-def _blocks(terms, sector: _Sector, field_b: float):
+def _blocks(terms, sector: _Sector, field_b: float, keep: bool = True):
     """The block of an n-site operator on a sector, built from bit rules and split by momentum.
 
     The operator sums `terms`, (bit_i, bit_k, hop, flip, zz):
@@ -395,8 +394,8 @@ def _blocks(terms, sector: _Sector, field_b: float):
     operator on `states` in the computational basis.
 
     What depends on the bits alone, the _Moves of the terms' structure,
-    a sector with translation keeps from the first call that asks for it;
-    a sector without builds them for each call and drops them with it.
+    the sector keeps from the first call that asks for it with keep, and
+    a call without keep builds them if the sector has none and drops them.
     The field, the amplitudes and each momentum block's hop mask, phases
     and indices are computed here: the diagonal adds the z-z terms one at
     a time, and each element is amplitude * sqrt(R_a / R_b), then times
@@ -404,12 +403,11 @@ def _blocks(terms, sector: _Sector, field_b: float):
     """
     structure = tuple([key for bi, bk, hop, flip, _ in terms
                        for key in (bi, bk, bool(hop != 0.0), bool(flip != 0.0))])
-    kept = sector.moves
-    moves = None if kept is None else kept.get(structure)
+    moves = sector.moves.get(structure)
     if moves is None:
         moves = _moves(sector, structure)
-        if kept is not None:
-            kept[structure] = moves
+        if keep:
+            sector.moves[structure] = moves
     # + 0.0: a -0.0 field must not leave -0.0 on the diagonal
     diag = field_b * sector.spin + 0.0
     for zz_sign in np.array([zz for *_, zz in terms]).reshape(-1, 1) * moves.signs:
@@ -540,7 +538,9 @@ def decompose(spec: ModelSpec, vectors: bool = True,
         sector = _sector_for(n, k, not spec.conserves_sz, paired)
         states = sector.states
         xy_blocks = None if pair is None else _blocks(xy_terms, sector, 0.0)
-        for mult, basis, block in _blocks(terms, sector, 0.0 if paired else spec.field_b):
+        # only a uniform ring's structures are kept (see the module docstring)
+        for mult, basis, block in _blocks(terms, sector, 0.0 if paired else spec.field_b,
+                                          spec.is_uniform):
             with threads_for(basis.size):
                 if pair is not None:
                     evals, bvecs = np.linalg.eigh(block)

@@ -99,14 +99,14 @@ def test_cached_arrays_refuse_assignment(empty_caches):
         decompose(spec, pair=(1, 3))
         decompose(random_general_spec(5, seed=2, field_b=0.1))
         build_hamiltonian(spec)
-    # the translated sectors k = 0..3, each with its moves, then the plain
-    # ones k = 0..6 and the two parity sectors of the S_z-breaking ring
-    translated = [(6, k, False, True) for k in range(4)]
-    keys = [*translated, *((6, k, False, False) for k in range(7)),
-            (5, 0, True, False), (5, 1, True, False)]
+    # the translated sectors k = 0..3 and the plain ones k = 0..6 of the
+    # uniform ring, each with its moves, then the two parity sectors of the
+    # general S_z-breaking ring, which keeps none
+    uniform = [*((6, k, False, True) for k in range(4)), *((6, k, False, False) for k in range(7))]
+    keys = [*uniform, (5, 0, True, False), (5, 1, True, False)]
     assert spectral._sector_for.cache_info().currsize == len(keys)
     sectors = _sectors(keys)
-    for sector in sectors[:len(translated)]:
+    for sector in sectors[:len(uniform)]:
         assert sector.moves
         assert all(type(moves) is spectral._Moves for moves in sector.moves.values())
     kept = [a for a in _kept(sectors) if isinstance(a, np.ndarray)]
@@ -148,25 +148,28 @@ def test_a_values_only_decomposition_keeps_sectors_and_moves_only(empty_caches):
 
 
 @pytest.mark.parametrize("conserves_sz", [True, False])
-def test_only_translated_sectors_keep_moves(empty_caches, conserves_sz):
-    # a general ring and the vectors mode of a uniform one take sectors
-    # without translation, which keep no moves; the values-only and pair
-    # modes of the uniform ring still keep theirs, H's and O_2's
+def test_only_uniform_rings_keep_moves(empty_caches, conserves_sz):
+    # a general ring, S_z-conserving or not, builds its moves and drops
+    # them; a uniform ring keeps H's on the plain sectors of its vectors
+    # mode and H's and O_2's on the translated sectors of its other modes
     n = 6
     general = random_general_spec(n, seed=5, field_b=0.2)
     if conserves_sz:
         general = ModelSpec.general(general.coupling.jx, general.coupling.jx,
                                     general.coupling.jz, field_b=0.2)
-    uniform = ModelSpec.uniform(n, 1.0, 0.5, 0.3)
     for _ in range(2):
         decompose(general)
         decompose(general, vectors=False)
-        decompose(uniform)
-    plain = [(n, k, False, False) for k in range(n + 1)]
-    if not conserves_sz:
-        plain += [(n, 0, True, False), (n, 1, True, False)]
+    plain = [(n, k, False, False) for k in range(n + 1)] if conserves_sz else \
+        [(n, 0, True, False), (n, 1, True, False)]
     assert spectral._sector_for.cache_info().currsize == len(plain)
-    assert all(sector.moves is None for sector in _sectors(plain))
+    assert all(sector.moves == {} for sector in _sectors(plain))
+    uniform = ModelSpec.uniform(n, 1.0, 0.5, 0.3)
+    decompose(uniform)
+    decompose(general)
+    if conserves_sz:
+        # the uniform ring keeps its one H structure; the general ring adds none
+        assert all(len(sector.moves) == 1 for sector in _sectors(plain))
     decompose(uniform, vectors=False)
     decompose(uniform, pair=(1, 3))
     translated = _sectors([(n, k, False, True) for k in range(n // 2 + 1)])

@@ -458,9 +458,9 @@ def test_pair_mode_shares_sector_bookkeeping(monkeypatch, n):
     # its multiplicity: 2 exactly for the conjugate momenta 0 < m < N/2
     built = []
 
-    def recording(terms, sector, field_b):
+    def recording(terms, sector, *args):
         built.append(sector)
-        return _blocks(terms, sector, field_b)
+        return _blocks(terms, sector, *args)
 
     monkeypatch.setattr(spectral, "_blocks", recording)
     decompose(ModelSpec.uniform(n, 1.0, 0.5, 0.2), pair=(1, 3))
