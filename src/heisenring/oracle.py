@@ -246,7 +246,8 @@ def check_derivatives(spec: ModelSpec, temperature: float) -> tuple[float, float
     U is checked as -d(log Z)/d(beta) on the same spectrum; M as
     -(1/beta) d(log Z)/dB, re-diagonalizing at B +- FIELD_STEP.  Returns the two
     absolute residuals.  Every spectrum is values-only, except that an
-    S_z-breaking spec has no sector labels and reads M off its eigenvectors.
+    S_z-breaking spec has no sector labels, so the magnetization of each
+    eigenstate is read off its eigenvectors.
     """
     if temperature <= 0:
         raise ValueError("finite-difference check needs temperature > 0")

@@ -126,7 +126,9 @@ class SpectralDecomposition:
     pair mode of decompose fills it with the entry of its pair from
     (S_z label, ZZ_n, XY_n).  Every other decomposition starts with it
     empty, and pair_rdms stores there each pair's table, built from the
-    eigenvectors on its first call for the pair.
+    eigenvectors on its first call for the pair.  Beyond these fields it
+    keeps two read-only arrays of one value per eigenstate, built on first
+    use: excitations, E_n - E_0, and magnetization, <sum_i sigma^z_i>.
     """
 
     eigenvalues: np.ndarray
@@ -156,33 +158,28 @@ class SpectralDecomposition:
         return de
 
     @cached_property
-    def label_magnetization(self) -> np.ndarray:
-        """sum_i sigma^z_i = 2 S_z of every eigenvalue, from the sector labels, read-only.
+    def magnetization(self) -> np.ndarray:
+        """<sum_i sigma^z_i> of every eigenstate, read-only.
 
-        thermo.thermo_grid reduces M with it, kept like excitations.
+        From the sector labels it is 2 S_z; without them it is read off the
+        eigenvectors, each block's |v|^2 weighted by sum_i sigma^z_i of its
+        basis states, and no |v|^2 is kept.  thermo.thermo_grid reduces M
+        with it and the pair mode's X-form table divides it by N, so it is
+        kept like excitations.
         """
-        if self.sector_labels is None:
-            raise ValueError("label magnetization needs sector labels")
-        spin = 2.0 * self.sector_labels
+        if self.sector_labels is not None:
+            spin = 2.0 * self.sector_labels
+        elif self.eigvec_blocks is not None:
+            n = self.dim.bit_length() - 1
+            spin = np.empty(self.dim)
+            for states, v, cols in self.eigvec_blocks:
+                # bitwise_count returns uint8, which would wrap under subtraction
+                ds = (n - 2 * np.bitwise_count(states).astype(np.int64)).astype(float)
+                spin[cols] = ds @ np.abs(v) ** 2
+        else:
+            raise ValueError("magnetization needs sector labels or eigenvectors")
         read_only(spin)
         return spin
-
-    @cached_property
-    def spin_weights(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Per eigenvector block: sum_i sigma^z_i of each of its basis states,
-        the squared moduli |v|^2 of its vectors, and its columns.
-
-        thermo.thermo_grid reduces M with them when there are no sector
-        labels.  They take as many bytes as the real vectors, and are built
-        on first use and kept with the decomposition, because a sweep calls
-        thermo_grid once per row block.
-        """
-        if self.eigvec_blocks is None:
-            raise ValueError("magnetization needs sector labels or eigenvectors")
-        n = self.dim.bit_length() - 1
-        # bitwise_count returns uint8, which would wrap under subtraction
-        return tuple(((n - 2 * np.bitwise_count(states).astype(np.int64)).astype(float),
-                      np.abs(v) ** 2, cols) for states, v, cols in self.eigvec_blocks)
 
 
 def ground_degeneracy_count(eigenvalues: np.ndarray) -> int:
@@ -593,7 +590,7 @@ def decompose(spec: ModelSpec, vectors: bool = True,
     )
     if pair is not None:
         zz, xy = np.concatenate(pair_rows, axis=1)[:, order]
-        sd.pair_tables[tuple(pair)] = _x_form_table(zz / n, xy / n, 2.0 * keys / n)
+        sd.pair_tables[tuple(pair)] = _x_form_table(zz / n, xy / n, sd.magnetization / n)
     return sd
 
 

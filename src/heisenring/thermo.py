@@ -15,10 +15,10 @@ probabilities: a stacked matrix product sums in another order and moves
 them in the last bits.  So each row is the same number whatever else
 shares its grid, and a sweep hands its grid over in row blocks
 (sweep.BLOCK_BYTES, sized by the weights and sweep.ROW_BYTES per row)
-with the same result as in one piece.  What M needs
-of the eigenvectors or labels, and E_n - E_0, the decomposition builds
-once (SpectralDecomposition.spin_weights, label_magnetization and
-excitations), not once per block.  The grid keeps
+with the same result as in one piece.  The values per eigenstate that U
+and M average, E_n - E_0 and <sum_i sigma^z_i>, the decomposition builds
+once (SpectralDecomposition.excitations and magnetization), not once per
+block, so each temperature costs O(dim) for either.  The grid keeps
 the decomposition it came from, which twoqubit.pair_rdms reads, so no
 caller hands the spectrum over twice.
 
@@ -87,21 +87,13 @@ def _weights(sd: SpectralDecomposition,
 def thermo_grid(sd: SpectralDecomposition, temperatures: np.ndarray) -> ThermoGrid:
     """Probabilities, log Z, internal energy and magnetization at each temperature.
 
-    U is the thermal average of the eigenvalues; M is <sum_i sigma_iz>,
-    evaluated from the sector labels when present (exact for S_z-conserving
-    models) and from the eigenvectors otherwise (sd.spin_weights).
+    U is the thermal average of the eigenvalues and M, <sum_i sigma_iz>,
+    that of sd.magnetization, one value per eigenstate.
     """
     t = np.asarray(temperatures, dtype=float)
     p, log_z = _weights(sd, t)
-    e0, de = sd.eigenvalues[0], sd.excitations
+    e0, de, spin = sd.eigenvalues[0], sd.excitations, sd.magnetization
     u = np.array([e0 + de @ row for row in p])
-
-    if sd.sector_labels is not None:
-        spin = sd.label_magnetization
-        m = np.array([spin @ row for row in p])
-    else:
-        blocks = sd.spin_weights
-        m = np.array([sum(ds @ (weight @ row[cols]) for ds, weight, cols in blocks)
-                      for row in p])
+    m = np.array([spin @ row for row in p])
     return ThermoGrid(temperature=t, probabilities=p, log_z=log_z, u=u, m=m, decomposition=sd)
 

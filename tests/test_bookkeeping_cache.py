@@ -111,7 +111,7 @@ def test_cached_arrays_refuse_assignment(empty_caches):
         assert all(type(moves) is spectral._Moves for moves in sector.moves.values())
     kept = [a for a in _kept(sectors) if isinstance(a, np.ndarray)]
     kept += [blk.states for blk in sd.eigvec_blocks]
-    kept += [sd.excitations, sd.label_magnetization, site_indices((2, 5), 6)]
+    kept += [sd.excitations, sd.magnetization, site_indices((2, 5), 6)]
     assert model._site_indices.cache_info().currsize
     assert len(kept) > 100
     for a in kept:

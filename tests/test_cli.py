@@ -722,3 +722,27 @@ def test_closed_stdout_exits_141_without_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+# a child whose stdout is a pipe with no reader: no second process reads
+# it, so spectrum's first flush fails every time
+_CLOSED_PIPE_CHILD = """
+import os, sys
+from heisenring.cli import main
+read_end, write_end = os.pipe()
+os.close(read_end)
+os.dup2(write_end, 1)
+code = main(["spectrum", "--config", sys.argv[1]])
+print(code, os.path.samestat(os.fstat(1), os.stat(os.devnull)), file=sys.stderr)
+"""
+
+
+def test_closed_stdout_is_redirected_to_devnull(tmp_path):
+    # after the broken pipe main points fd 1 at devnull, so the flush at
+    # exit has nowhere to fail
+    cfg = write_config(tmp_path, {"model": {"n_sites": 4, "j": 1.0}})
+    proc = subprocess.run([sys.executable, "-c", _CLOSED_PIPE_CHILD, cfg],
+                          env={"PYTHONPATH": SRC}, capture_output=True, timeout=120)
+    err = proc.stderr.decode()
+    assert proc.returncode == 0, err
+    assert err.splitlines()[-1] == "141 True", err

@@ -66,10 +66,14 @@ def general_specs(draw, sz_breaking_only=False):
 def test_table_route_matches_dense_gibbs(case, t):
     spec, (i, j) = case
     sd = decompose(spec)
-    rdm = pair_rdms(thermo_grid(sd, [t]), i, j).matrix[0]
-    oracle = reduce_to_pair(gibbs_state(diagonalize_full(build_hamiltonian(spec)), t)[None],
-                            i, j).matrix[0]
+    grid = thermo_grid(sd, [t])
+    rdm = pair_rdms(grid, i, j).matrix[0]
+    rho = gibbs_state(diagonalize_full(build_hamiltonian(spec)), t)
+    oracle = reduce_to_pair(rho[None], i, j).matrix[0]
     assert np.max(np.abs(rdm - oracle)) <= 1e-12
+    # M, from the labels or (S_z broken) the eigenvectors, is tr(rho sum_i sigma_iz)
+    sum_sz = spec.n_sites - 2.0 * np.bitwise_count(np.arange(spec.dim)).astype(np.int64)
+    assert abs(grid.m[0] - np.diagonal(rho).real @ sum_sz) <= 1e-12
     assert abs(np.trace(rdm) - 1.0) <= 1e-12
     assert np.max(np.abs(rdm - rdm.conj().T)) <= 1e-12
     assert np.linalg.eigvalsh(rdm).min() >= -1e-12

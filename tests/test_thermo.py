@@ -113,6 +113,40 @@ def test_sz_breaking_magnetization_matches_dense_gibbs(route):
         assert abs(m - np.diagonal(rho).real @ sum_sz) <= 1e-12
 
 
+@pytest.mark.parametrize("kwargs", [{}, {"vectors": False}, {"pair": (1, 3)}])
+def test_labelled_magnetization_is_twice_the_labels(kwargs):
+    sd = decompose(ModelSpec.uniform(6, 1.0, 0.5, 0.3), **kwargs)
+    spin = sd.magnetization
+    assert spin.shape == (sd.dim,) and not spin.flags.writeable
+    assert spin.tobytes() == (2.0 * sd.sector_labels).tobytes()
+
+
+@pytest.mark.parametrize("route", ["decompose", "diagonalize_full"])
+def test_sz_breaking_decomposition_keeps_one_value_per_eigenstate(route):
+    # the eigenvector route of M keeps one value per eigenstate, no |v|^2
+    # copy of the vectors: every array a decomposition caches beyond its
+    # fields is at most a pair table's dim x 16 floats
+    spec = random_general_spec(8, seed=4, field_b=0.3)
+    sd = decompose(spec) if route == "decompose" else diagonalize_full(build_hamiltonian(spec))
+    thermo_grid(sd, [0.4, 2.0])
+    spin = sd.magnetization
+    assert spin.shape == (sd.dim,) and not spin.flags.writeable
+    declared = {f.name for f in fields(sd)}
+    cached = {name: value for name, value in vars(sd).items() if name not in declared}
+    assert "magnetization" in cached
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (tuple, list)):
+            for value in obj:
+                yield from arrays(value)
+
+    for name, value in cached.items():
+        for a in arrays(value):
+            assert a.nbytes <= sd.dim * 16 * 8, (name, a.shape)
+
+
 def test_grid_carries_its_decomposition():
     # pair_rdms reads the decomposition off the grid; it stays out of the
     # grid's repr, and a grid (eq=False) equals itself alone, so equality
